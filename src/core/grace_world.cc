@@ -85,8 +85,8 @@ Compressor& GraceWorker::compressor_for(const std::string& name) {
 void GraceWorker::rebind(comm::Comm comm, const comm::NetworkModel& net) {
   comm_ = comm;
   net_ = net;
-  // The shrunk world may invalidate the old parameters (e.g. ps_shards ==
-  // old n); clamp the shard count rather than failing a crash hand-off.
+  // A smaller world may invalidate the old parameters (e.g. ps_shards ==
+  // old n); clamp the shard count rather than failing a membership change.
   // ranks_per_rack gets the same treatment: a world smaller than one rack
   // must collapse to a single rack, or the hierarchical collectives would
   // address leaders that no longer exist.

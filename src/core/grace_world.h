@@ -126,17 +126,18 @@ class GraceWorker {
   // that could NOT be exchanged (a skipped round) into the error-feedback
   // residual — psi with an all-zero decompression, so the work feeds the
   // next round instead of being lost; a no-op when EF is off. rebind()
-  // swaps the communication endpoint and cost model after a crash shrinks
-  // the world: compressor state and EF residuals carry over untouched.
+  // swaps the communication endpoint and cost model when the membership
+  // view changes: compressor state and EF residuals carry over untouched.
   void absorb(const Tensor& grad, const std::string& name);
   void rebind(comm::Comm comm, const comm::NetworkModel& net);
 
   // Membership-epoch support (core/membership.h). reset_tags() restarts the
-  // per-exchange tag sequence; every member of a view calls it at the
-  // epoch boundary so a rank parked for a few epochs (whose next_tag_ froze)
-  // agrees with the survivors on PS shard routing when it rejoins. Safe at
-  // boundaries only: no exchange is in flight, and the out-of-band tag
-  // spaces (check_sync, controller, bootstrap) are all negative.
+  // per-exchange tag sequence; every member of a new view calls it at the
+  // view's boundary so a rank parked for a few epochs (whose next_tag_
+  // froze) agrees with the survivors on PS shard routing when it rejoins.
+  // Safe at iteration boundaries only: no exchange is in flight, and the
+  // out-of-band tag spaces (check_sync, controller, bootstrap) are all
+  // negative.
   void reset_tags() { next_tag_ = 1; }
   // Join-bootstrap state transfer: a copy of the EF residual held for
   // `name` (zeros shaped like `like` when none / EF off), and the inverse
@@ -145,7 +146,7 @@ class GraceWorker {
   void install_residual(const std::string& name, const Tensor& r);
 
   // The topology cost/volume model this worker prices exchanges with
-  // (rebuilt by rebind when the world shrinks).
+  // (rebuilt by rebind when the world changes).
   const comm::TopologyModel& topology() const { return *topo_; }
   // The (possibly rebind-clamped) topology parameters behind it.
   const comm::TopologyConfig& topology_config() const { return topology_; }
@@ -174,9 +175,9 @@ class GraceWorker {
   // decompress when error feedback is off) and reports a FidelitySample;
   // when null (the default) the cost is a single pointer test. Callers
   // toggle this between iterations to sample every K-th exchange.
-  // `probe_rank` overrides the rank recorded on samples: after a crash
-  // shrinks the world, comm_.rank() is the LIVE rank, which would alias a
-  // survivor's samples into the dead rank's slot; the trainer passes the
+  // `probe_rank` overrides the rank recorded on samples: in a smaller
+  // membership view comm_.rank() is the LIVE rank, which would alias one
+  // rank's samples into another's slot; the trainer passes the
   // stable physical rank instead so per-rank windows stay well-defined
   // across a rebind. Negative keeps the comm rank (the default).
   void set_probe(ExchangeProbe* probe, int probe_rank = -1) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "core/compressed.h"
 
@@ -16,40 +17,58 @@ int MembershipView::live_rank(int physical) const {
 
 MembershipSchedule::MembershipSchedule(
     int n_ranks, std::span<const faults::ChurnEvent> events)
-    : n_(n_ranks) {
+    : MembershipSchedule(
+          n_ranks, faults::FaultSpec{.churn = std::vector<faults::ChurnEvent>(
+                                         events.begin(), events.end())}) {}
+
+MembershipSchedule::MembershipSchedule(int n_ranks,
+                                       const faults::FaultSpec& spec) {
   if (n_ranks < 1) {
     throw std::invalid_argument("MembershipSchedule: n_ranks must be >= 1");
   }
   MembershipView full;
-  full.epoch_begin = 0;
   full.ranks.resize(static_cast<size_t>(n_ranks));
   for (int r = 0; r < n_ranks; ++r) full.ranks[static_cast<size_t>(r)] = r;
   views_.push_back(std::move(full));
 
-  std::vector<faults::ChurnEvent> sorted(events.begin(), events.end());
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const faults::ChurnEvent& a, const faults::ChurnEvent& b) {
-                     return a.epoch < b.epoch;
-                   });
-  size_t at = 0;
-  while (at < sorted.size()) {
-    const int epoch = sorted[at].epoch;
-    if (epoch < 1) {
+  // Churn transitions start at iteration 0 of their epoch; the crash is one
+  // more leave, at its own (epoch, iteration).
+  struct Event { int epoch; int64_t iter; int rank; bool join; };
+  std::vector<Event> events;
+  for (const faults::ChurnEvent& e : spec.churn) {
+    if (e.epoch < 1) {
       throw std::invalid_argument(
           "MembershipSchedule: churn epoch must be >= 1 (epoch 0 always "
           "starts at full strength)");
     }
+    events.push_back({e.epoch, 0, e.rank, e.join});
+  }
+  if (spec.has_crash()) {
+    events.push_back({spec.crash_epoch, spec.crash_iter, spec.crash_rank,
+                      /*join=*/false});
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const Event& a, const Event& b) {
+                     return std::tie(a.epoch, a.iter) <
+                            std::tie(b.epoch, b.iter);
+                   });
+  size_t at = 0;
+  while (at < events.size()) {
     MembershipView next = views_.back();
-    next.epoch_begin = epoch;
+    next.epoch_begin = events[at].epoch;
+    next.iter_begin = events[at].iter;
+    const int epoch = next.epoch_begin;
     // All events at the same boundary apply together, against the previous
     // view — a rank cannot leave and rejoin within one transition.
-    while (at < sorted.size() && sorted[at].epoch == epoch) {
-      const faults::ChurnEvent& e = sorted[at++];
+    while (at < events.size() && events[at].epoch == epoch &&
+           events[at].iter == next.iter_begin) {
+      const Event& e = events[at++];
       if (e.rank <= 0 || e.rank >= n_ranks) {
         throw std::invalid_argument(
-            "MembershipSchedule: churn rank " + std::to_string(e.rank) +
+            "MembershipSchedule: rank " + std::to_string(e.rank) +
             " outside [1, " + std::to_string(n_ranks) +
-            ") — joiners must be physical ranks of the original fleet");
+            ") — leavers and joiners must be non-root physical ranks of the "
+            "original fleet");
       }
       const auto it =
           std::lower_bound(next.ranks.begin(), next.ranks.end(), e.rank);
@@ -80,18 +99,19 @@ MembershipSchedule::MembershipSchedule(
   }
 }
 
-const MembershipView& MembershipSchedule::view_at(int epoch) const {
-  return views_[static_cast<size_t>(segment_at(epoch))];
+const MembershipView& MembershipSchedule::view_at(int epoch,
+                                                  int64_t iter) const {
+  return views_[static_cast<size_t>(segment_at(epoch, iter))];
 }
 
-int MembershipSchedule::segment_at(int epoch) const {
-  if (views_.empty()) {
-    throw std::logic_error(
-        "MembershipSchedule: default-constructed schedule has no views");
-  }
-  int seg = 0;
+int MembershipSchedule::segment_at(int epoch, int64_t iter) const {
+  int seg = 0;  // view 0, the full fleet, always exists
   for (size_t i = 1; i < views_.size(); ++i) {
-    if (views_[i].epoch_begin <= epoch) seg = static_cast<int>(i);
+    const MembershipView& v = views_[i];
+    if (v.epoch_begin < epoch ||
+        (v.epoch_begin == epoch && v.iter_begin <= iter)) {
+      seg = static_cast<int>(i);
+    }
   }
   return seg;
 }

@@ -1,12 +1,14 @@
-// Membership epochs (docs/RESILIENCE.md): the elastic-world generalization
-// of the PR-4 crash hand-off. A MembershipSchedule turns a FaultSpec's
-// churn events into an ordered sequence of world views — each view is the
-// set of physical ranks alive for a span of epochs, and transitions happen
-// only at epoch boundaries. Views can shrink (leaves) AND grow (joins);
-// rank 0 is pinned alive in every view. Because events carry ABSOLUTE
-// epochs, a `start_epoch` resume under the same spec replays exactly the
-// tail of the schedule, which is what makes staged elastic runs bit-equal
-// to uninterrupted ones.
+// Membership epochs (docs/RESILIENCE.md): the one model of who is in the
+// world. A MembershipSchedule turns a FaultSpec's churn events — and its
+// crash, which is a leave of crash_rank at (crash_epoch, crash_iter) —
+// into an ordered sequence of world views. Each view is the set of
+// physical ranks alive from its (epoch, iteration) start until the next
+// view's; churn transitions start at iteration 0 of their epoch, a crash
+// may cut an epoch. Views can shrink (leaves) AND grow (joins); rank 0 is
+// pinned alive in every view. Because events carry ABSOLUTE coordinates, a
+// `start_epoch` resume under the same spec replays exactly the tail of the
+// schedule, which is what makes staged elastic (and crashed) runs
+// bit-equal to uninterrupted ones.
 //
 // Joiners bootstrap their model parameters (and error-feedback residuals)
 // from the surviving rank 0 via a CRC-sealed frame on the existing
@@ -16,6 +18,7 @@
 // sides iterate the same bucket plan, so names need not be encoded.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -25,7 +28,8 @@
 namespace grace::core {
 
 struct MembershipView {
-  int epoch_begin = 0;     // first absolute epoch this view governs
+  int epoch_begin = 0;     // first absolute epoch this view governs...
+  int64_t iter_begin = 0;  // ...from this iteration of it on
   std::vector<int> ranks;  // physical ranks, ascending; always contains 0
 
   int size() const { return static_cast<int>(ranks.size()); }
@@ -36,23 +40,25 @@ struct MembershipView {
 
 class MembershipSchedule {
  public:
-  MembershipSchedule() = default;  // single static view of size 0
-  // Full fleet {0..n_ranks-1} at epoch 0; events applied in epoch order.
-  // Throws std::invalid_argument on inconsistent plans: epoch < 1, rank
-  // outside [1, n_ranks), leave of an absent rank, join of a present rank,
-  // or a view that would drop to zero members.
+  // Full fleet {0..n_ranks-1} from (0, 0); churn events applied in epoch
+  // order, each at iteration 0 of its epoch. Throws std::invalid_argument
+  // on inconsistent plans: epoch < 1, rank outside [1, n_ranks), leave of
+  // an absent rank, join of a present rank, or a view that would drop to
+  // zero members.
   MembershipSchedule(int n_ranks, std::span<const faults::ChurnEvent> events);
+  // The whole membership story of a fault spec: its churn events plus, when
+  // it plans a crash, the leave of crash_rank at (crash_epoch, crash_iter).
+  // Same validation, except that a crash may fall in epoch 0.
+  MembershipSchedule(int n_ranks, const faults::FaultSpec& spec);
 
-  int n_ranks() const { return n_; }
   bool elastic() const { return views_.size() > 1; }
   const std::vector<MembershipView>& views() const { return views_; }
-  // The view governing absolute epoch `epoch` (the last view whose
-  // epoch_begin <= epoch) and its index in views().
-  const MembershipView& view_at(int epoch) const;
-  int segment_at(int epoch) const;
+  // The view governing iteration `iter` of absolute epoch `epoch` (the last
+  // view starting at or before it) and its index in views().
+  const MembershipView& view_at(int epoch, int64_t iter = 0) const;
+  int segment_at(int epoch, int64_t iter = 0) const;
 
  private:
-  int n_ = 0;
   std::vector<MembershipView> views_;
 };
 

@@ -21,7 +21,7 @@ struct FaultCounters {
   double straggler_stall_s = 0.0;  // raw injected delays, summed over ranks
   uint64_t rounds_skipped = 0;     // exchanges lost to skip-round faults
   uint64_t crashed_ranks = 0;
-  uint64_t degraded_iters = 0;     // iterations run with a shrunk world
+  uint64_t degraded_iters = 0;     // iterations run below full strength
 
   // Elastic membership + partial participation (docs/RESILIENCE.md).
   uint64_t leaves = 0;             // churn leave events applied

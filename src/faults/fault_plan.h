@@ -19,7 +19,7 @@ inline constexpr uint8_t kAttemptCorrupt = 2;  // arrived bit-flipped, NACK
 
 // What the trainer does when the planned crash fires.
 enum class CrashPolicy {
-  Continue,  // survivors shrink to an (n-1)-rank world and keep training
+  Continue,  // the crash is a membership leave; survivors keep training
   Halt,      // the whole run stops at the crash boundary
 };
 

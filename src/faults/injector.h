@@ -22,7 +22,7 @@ namespace grace::faults {
 class FaultInjector final : public comm::LinkFaults {
  public:
   // `plan` is borrowed and must outlive the injector; `n_ranks` sizes the
-  // per-rank slots (a shrunk post-crash world reuses the low slots).
+  // per-rank slots, indexed by live rank in the world it is installed on.
   FaultInjector(const FaultPlan* plan, const comm::NetworkModel& net,
                 int n_ranks);
 

@@ -73,10 +73,13 @@ int threads_from_env(const char* value) {
   char* end = nullptr;
   errno = 0;
   const long parsed = std::strtol(value, &end, 10);
+  // No digits at all. Checked before the whitespace skip, which would walk
+  // an all-blank value to its end and pass it off as a parsed 0.
+  if (end == value) return fallback;
   // Tolerate surrounding whitespace (strtol already skips leading), but
   // any other trailing garbage means the value is not a thread count.
   while (*end != '\0' && std::isspace(static_cast<unsigned char>(*end))) ++end;
-  if (end == value || *end != '\0' || errno == ERANGE) return fallback;
+  if (*end != '\0' || errno == ERANGE) return fallback;
   // A parsed-but-senseless count (0, negative) clamps to 1 rather than
   // silently re-enabling full parallelism: the user asked for "as little
   // as possible", not for hardware_concurrency.

@@ -132,14 +132,14 @@ IterationAttribution attribute_iteration(const IterationCosts& costs,
     a.compute_s = costs.compute_s;
     a.codec_s = costs.codec_s;
     a.link_s = costs.comm_s;
-    a.iteration_s = ((((costs.compute_s + costs.codec_s) + costs.comm_s) +
-                      costs.optimizer_s) +
-                     costs.stall_s);
+    a.iteration_s = additive_charge(costs.compute_s, costs.codec_s,
+                                    costs.comm_s, costs.optimizer_s,
+                                    costs.stall_s);
   } else {
     const BucketSchedule bs =
         schedule_buckets(costs.timings, costs.compute_s, /*overlap=*/true);
-    const double pipe = std::max(costs.compute_s, bs.exchange_end);
-    a.iteration_s = ((pipe + costs.optimizer_s) + costs.stall_s);
+    const double pipe = bs.exchange_end;
+    a.iteration_s = overlap_charge(pipe, costs.optimizer_s, costs.stall_s);
     if (bs.exchange_end <= costs.compute_s || costs.timings.empty()) {
       // Device compute outlasted the exchange pipeline (or the round was
       // skipped): compute owns the whole span.
@@ -238,7 +238,8 @@ double reprice_iteration(
         scenario == Scenario::FreeCodec ? 0.0 : costs.codec_s;
     const double comm =
         scenario == Scenario::InfiniteBandwidth ? 0.0 : costs.comm_s;
-    return ((((costs.compute_s + codec) + comm) + costs.optimizer_s) + stall);
+    return additive_charge(costs.compute_s, codec, comm, costs.optimizer_s,
+                           stall);
   }
   // Pipeline pricing: transform every rank's stage durations and let the
   // slowest re-priced rank bind, exactly as the trainer's overlap
@@ -261,9 +262,9 @@ double reprice_iteration(
     }
     const BucketSchedule bs =
         schedule_buckets(tmp, costs.compute_s, /*overlap=*/true);
-    max_pipe = std::max(max_pipe, std::max(costs.compute_s, bs.exchange_end));
+    max_pipe = std::max(max_pipe, bs.exchange_end);
   }
-  return ((max_pipe + costs.optimizer_s) + stall);
+  return overlap_charge(max_pipe, costs.optimizer_s, stall);
 }
 
 CriticalPathCollector::CriticalPathCollector(int n_ranks)

@@ -71,16 +71,16 @@ struct IterationAttribution {
   // The largest category — "what bounded this iteration".
   Resource binding = Resource::Compute;
 
-  // Fixed-order sum of the five categories; bitwise equal to iteration_s
-  // by construction (the honesty contract, pinned in
-  // tests/test_critical_path.cc).
+  // The five categories summed like an additive charge (sim/scheduler.h);
+  // bitwise equal to iteration_s by construction (the honesty contract,
+  // pinned in tests/test_critical_path.cc).
   double attributed_total() const {
-    return ((((compute_s + codec_s) + link_s) + optimizer_s) + stall_s);
+    return additive_charge(compute_s, codec_s, link_s, optimizer_s, stall_s);
   }
 };
 
 // The binding-rank view of one iteration, assembled by the trainer from
-// the same doubles it priced the iteration with.
+// the IterationCharge it priced the iteration with (sim/scheduler.h).
 struct IterationCosts {
   // The binding rank's per-bucket stage durations (empty on skipped
   // rounds). Only consulted under overlap accounting and by the pipeline
@@ -168,7 +168,7 @@ class CriticalPathCollector {
   void record(int rank, std::span<const BucketTiming> timings);
 
   int n_ranks() const { return static_cast<int>(ranks_.size()); }
-  // Iterations this rank recorded (a crashed rank's series ends early).
+  // Iterations this rank recorded (parked iterations record no buckets).
   int64_t iterations(int rank) const;
   std::span<const BucketTiming> timings(int rank, int64_t iter) const;
 

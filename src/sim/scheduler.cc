@@ -91,6 +91,50 @@ BucketSchedule schedule_buckets(std::span<const BucketTiming> buckets,
   return out;
 }
 
+BucketTiming bucket_timing(const core::ExchangeStats& s, double ready_s,
+                           double time_scale, double fixed_s,
+                           double compute_scale) {
+  BucketTiming t;
+  t.ready_s = ready_s;
+  t.compress_s = (s.compress_seconds * time_scale + fixed_s) * compute_scale;
+  t.comm_s = s.comm_seconds;
+  t.decompress_s = s.decompress_seconds * time_scale * compute_scale;
+  return t;
+}
+
+double additive_charge(double compute_s, double codec_s, double comm_s,
+                       double optimizer_s, double stall_s) {
+  return (((compute_s + codec_s) + comm_s) + optimizer_s) + stall_s;
+}
+
+double overlap_charge(double pipe_s, double optimizer_s, double stall_s) {
+  return (pipe_s + optimizer_s) + stall_s;
+}
+
+IterationCharge charge_iteration(std::span<const RankCosts> alive,
+                                 double optimizer_s, bool overlap) {
+  IterationCharge c;
+  for (size_t r = 0; r < alive.size(); ++r) {
+    const RankCosts& k = alive[r];
+    c.compute_s = std::max(c.compute_s, k.compute_s);
+    if (k.compress_s + k.decompress_s >= c.codec_s()) {
+      c.compress_s = k.compress_s;
+      c.decompress_s = k.decompress_s;
+    }
+    c.stall_s = std::max(c.stall_s, k.stall_s);
+    if (overlap && (k.pipe_s > c.pipe_s || c.binding < 0)) {
+      c.pipe_s = k.pipe_s;
+      c.binding = static_cast<int>(r);
+    }
+  }
+  if (!alive.empty()) c.comm_s = alive.front().comm_s;
+  c.additive_s = additive_charge(c.compute_s, c.codec_s(), c.comm_s,
+                                 optimizer_s, c.stall_s);
+  c.iteration_s = overlap ? overlap_charge(c.pipe_s, optimizer_s, c.stall_s)
+                          : c.additive_s;
+  return c;
+}
+
 ExchangeScheduler::ExchangeScheduler(std::deque<nn::Parameter>& params,
                                      size_t fusion_bytes)
     : params_(&params) {

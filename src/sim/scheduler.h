@@ -78,7 +78,10 @@ struct BucketSpan {
 
 struct BucketSchedule {
   std::vector<BucketSpan> spans;
-  double exchange_end = 0.0;  // last bucket's decompress completion
+  // The pipeline drain: the last bucket's decompress completion, never
+  // earlier than compute_end_s (a rank whose exchange hides under compute
+  // drains when compute ends).
+  double exchange_end = 0.0;
   double link_busy_s = 0.0;   // total link occupancy (sum of comm stages)
   // What the legacy additive model charges for the same inputs:
   // compute_end + sum(compress + comm + decompress). exchange_end never
@@ -95,6 +98,46 @@ struct BucketSchedule {
 // stages ended, chained after compute_end_s — the additive model.
 BucketSchedule schedule_buckets(std::span<const BucketTiming> buckets,
                                 double compute_end_s, bool overlap);
+
+// Iteration pricing, shared by train(), simulate_scale and the critical
+// path so both worlds charge the same costs the same way.
+//
+// bucket_timing: measured codec seconds times `time_scale`
+// (TimeModel::compression_time_scale), plus `fixed_s` dispatch overhead on
+// compress, both stretched by the rank's fleet `compute_scale`. Used per
+// bucket and on an iteration's summed stats (fixed_s times the buckets).
+BucketTiming bucket_timing(const core::ExchangeStats& s, double ready_s,
+                           double time_scale, double fixed_s,
+                           double compute_scale);
+// The two accountings, in the one association order every caller uses.
+double additive_charge(double compute_s, double codec_s, double comm_s,
+                       double optimizer_s, double stall_s);
+double overlap_charge(double pipe_s, double optimizer_s, double stall_s);
+
+// One alive rank's simulated costs for one iteration.
+struct RankCosts {
+  double compute_s = 0.0;
+  double compress_s = 0.0;
+  double decompress_s = 0.0;
+  double comm_s = 0.0;
+  double stall_s = 0.0;
+  double pipe_s = 0.0;  // pipeline drain (overlap accounting)
+};
+
+// The charged iteration and the costs it was charged for: the slowest
+// compute, stall and pipeline, the codec split of the rank with the
+// largest codec overhead (the later rank on ties), rank 0's comm, and the
+// binding pipeline's index into the ranks (overlap only, the first on
+// ties; -1 otherwise).
+struct IterationCharge : RankCosts {
+  double iteration_s = 0.0;
+  double additive_s = 0.0;
+  int binding = -1;
+  double codec_s() const { return compress_s + decompress_s; }
+};
+// Folds the alive ranks' costs, in ascending rank order, into the charge.
+IterationCharge charge_iteration(std::span<const RankCosts> alive,
+                                 double optimizer_s, bool overlap);
 
 // Drives one worker's per-iteration gradient exchange through the bucket
 // plan. One instance per worker (owns the staging buffers for multi-tensor

@@ -87,9 +87,9 @@ ScaleResult simulate_scale(const ReplicaFactory& factory,
   const bool allreduce_mode =
       grace.compressor().comm_mode() == core::CommMode::Allreduce;
 
-  // Simulated device times, identical to the trainer's. The iteration is
-  // priced at the slowest member of the fleet (the rank every collective
-  // waits for); the straggler's multiplier stretches compute and codec.
+  // Simulated device times. The iteration is priced at the slowest member
+  // of the fleet (the rank every collective waits for); the straggler's
+  // multiplier stretches compute and codec.
   r.compute_s =
       cfg.time.compute_seconds(model->flops_per_sample(), cfg.batch_per_worker) *
       worst_compute;
@@ -105,7 +105,7 @@ ScaleResult simulate_scale(const ReplicaFactory& factory,
   // size, and the exact per-round transport volume under this topology.
   comm::WireVolume iter_vol;
   std::vector<BucketTiming> timings(n_buckets);
-  double compress_sum = 0.0, decompress_sum = 0.0, comm_sum = 0.0;
+  core::ExchangeStats iter_stats;
   for (size_t b = 0; b < n_buckets; ++b) {
     core::ExchangeHandle h = sched.submit_bucket(grace, b, /*instrument=*/true);
     const uint64_t wire = h.stats.wire_bytes;
@@ -122,54 +122,53 @@ ScaleResult simulate_scale(const ReplicaFactory& factory,
     const double one_decompress = now_seconds() - t0;
     (void)reconstructed;
 
-    double comm_s = 0.0;
-    double decompress_s = 0.0;
+    // The bucket's stats as a thread-backed rank would report them:
+    // measured compression, modeled comm, dataflow-scaled decompression.
+    core::ExchangeStats s = h.stats;
     if (kind == comm::TopologyKind::ParameterServer) {
       const Tensor blob = core::serialize(h.payload);
-      comm_s = topo->push_pull_seconds(wire * static_cast<uint64_t>(n),
-                                       dense_bytes);
+      s.comm_seconds = topo->push_pull_seconds(
+          wire * static_cast<uint64_t>(n), dense_bytes);
       iter_vol += topo->push_pull_volume(blob.size_bytes(), dense_bytes);
-      decompress_s = one_decompress * n;
+      s.decompress_seconds = one_decompress * n;
     } else if (allreduce_mode) {
-      comm_s = topo->allreduce_seconds(wire);
+      s.comm_seconds = topo->allreduce_seconds(wire);
       for (const Tensor& part : h.payload.parts) {
         iter_vol += topo->allreduce_volume(part.numel());
       }
-      decompress_s = one_decompress;
+      s.decompress_seconds = one_decompress;
     } else {
       const Tensor blob = core::serialize(h.payload);
-      comm_s = topo->allgather_seconds(wire, wire * static_cast<uint64_t>(n - 1));
+      s.comm_seconds =
+          topo->allgather_seconds(wire, wire * static_cast<uint64_t>(n - 1));
       iter_vol += topo->allgather_volume(blob.size_bytes());
-      decompress_s = one_decompress * n;
+      s.decompress_seconds = one_decompress * n;
     }
-
-    BucketTiming& t = timings[b];
-    t.ready_s = forward_s + backward_s * sched.ready_fraction(b);
-    t.compress_s =
-        (h.stats.compress_seconds * scale + fixed_per_tensor) * worst_compute;
-    t.comm_s = comm_s;
-    t.decompress_s = decompress_s * scale * worst_compute;
-    compress_sum += t.compress_s;
-    comm_sum += t.comm_s;
-    decompress_sum += t.decompress_s;
+    timings[b] =
+        bucket_timing(s, forward_s + backward_s * sched.ready_fraction(b),
+                      scale, fixed_per_tensor, worst_compute);
+    iter_stats += s;
   }
-  r.compress_s = compress_sum;
-  r.comm_s = comm_sum;
-  r.decompress_s = decompress_sum;
 
-  // Same two accountings as the trainer: additive always, the scheduler
-  // timeline's critical path when overlap is on.
-  r.additive_iteration_s = r.compute_s + compress_sum + comm_sum +
-                           decompress_sum + r.optimizer_s;
-  const BucketSchedule bs =
-      schedule_buckets(timings, r.compute_s, cfg.time.overlap);
-  if (cfg.time.overlap) {
-    r.iteration_s =
-        std::max(r.compute_s, bs.exchange_end) + r.optimizer_s;
-    r.overlap_saved_s = r.additive_iteration_s - r.iteration_s;
-  } else {
-    r.iteration_s = r.additive_iteration_s;
-  }
+  // The probe rank is priced exactly as train() prices each of its ranks
+  // (sim/scheduler.h): the iteration's summed stats give the codec and
+  // comm costs, the bucket timeline gives the pipeline drain, and
+  // charge_iteration folds them under the run's accounting.
+  const BucketTiming iter =
+      bucket_timing(iter_stats, 0.0, scale,
+                    fixed_per_tensor * static_cast<double>(n_buckets),
+                    worst_compute);
+  r.compress_s = iter.compress_s;
+  r.comm_s = iter.comm_s;
+  r.decompress_s = iter.decompress_s;
+  const RankCosts probe{
+      r.compute_s, iter.compress_s, iter.decompress_s, iter.comm_s, 0.0,
+      schedule_buckets(timings, r.compute_s, cfg.time.overlap).exchange_end};
+  const IterationCharge charge = charge_iteration(
+      std::span<const RankCosts>(&probe, 1), r.optimizer_s, cfg.time.overlap);
+  r.iteration_s = charge.iteration_s;
+  r.additive_iteration_s = charge.additive_s;
+  r.overlap_saved_s = charge.additive_s - charge.iteration_s;
 
   const auto rounds =
       static_cast<uint64_t>(cfg.epochs) * static_cast<uint64_t>(r.iters_per_epoch);

@@ -3,9 +3,12 @@
 // The thread-backed trainer (sim/trainer.h) runs one real thread per rank,
 // which caps worlds at roughly the host's core count. simulate_scale drives
 // the same per-iteration model — the bucket plan, the measured codec costs,
-// the 3-resource exchange timeline of sim/scheduler.h, and the topology
-// cost formulas — for fleets of hundreds to thousands of ranks using ONE
-// real replica:
+// the 3-resource exchange timeline and the topology cost formulas — for
+// fleets of hundreds to thousands of ranks using ONE real replica, and
+// prices it with train()'s own pricer (bucket_timing + charge_iteration,
+// sim/scheduler.h). With a zeroed codec clock, a uniform fleet and no
+// faults, every train() iteration's charge equals iteration_s bitwise
+// (pinned per iteration in tests/test_simworld.cc):
 //
 //   * One probe rank runs a real forward/backward and submits every fusion
 //     bucket through a real GraceWorker (submit() touches no communication),

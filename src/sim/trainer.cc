@@ -1,10 +1,8 @@
 #include "sim/trainer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -25,36 +23,39 @@
 namespace grace::sim {
 namespace {
 
-struct WorkerLog {
-  std::vector<float> losses;          // per iteration
-  std::vector<double> compress_s;     // measured compress + memory update
-  std::vector<double> decompress_s;   // measured Q^-1 over received payloads
-  std::vector<double> comm_s;         // simulated comm per iter
-  std::vector<double> pipe_s;         // exchange-pipeline end per iter
-                                      // (TimeModel::overlap runs only)
-  std::vector<double> stall_s;        // simulated fault stall per iter
-  std::vector<uint64_t> wire_bytes;   // logical bytes per iter
-  std::vector<bool> sync_ok;          // per epoch
-  // Per-epoch iteration counts (rank 0 only; epochs shrink after a crash).
-  std::vector<int64_t> epoch_iters;
-  // Trainer-level fault tallies. rounds_skipped / degraded_iters are
-  // run-wide facts counted once, on rank 0; straggler fields are this
-  // rank's own.
-  uint64_t rounds_skipped = 0;
-  uint64_t degraded_iters = 0;
-  uint64_t straggler_events = 0;
-  double straggler_stall_s = 0.0;
-  // Elastic membership / partial participation (this rank's own tallies).
-  uint64_t sat_out_rounds = 0;  // rounds sat out (lottery loss or outage)
-  uint64_t outages = 0;         // connectivity windows entered
-  double outage_stall_s = 0.0;  // reconnect stalls charged
-  // Per-iteration membership flag, aligned with the vectors above: 0 rows
-  // are placeholders pushed while this rank was parked out of the fleet
-  // (churn runs only — without churn every row is 1). Post-processing
-  // skips inactive rows when taking cross-rank maxima.
-  std::vector<uint8_t> active;
-  bool crashed = false;  // this rank was the plan's casualty
+// One rank's record of one iteration. Inactive rows are placeholders pushed
+// while the rank was parked out of the view in force (a churn leaver, or
+// the crash casualty from its crash on); post-processing skips them.
+struct IterationRow {
+  float loss = 0.0f;
+  RankCosts costs;          // simulated costs (sim/scheduler.h)
+  uint64_t wire_bytes = 0;  // logical bytes this rank sent
+  bool active = false;
 };
+
+struct WorkerLog {
+  std::vector<IterationRow> rows;  // index-aligned across ranks
+  bool in_sync = true;             // every check_sync this rank ran passed
+  // Per-epoch iteration counts (rank 0 only; epochs change length when
+  // the membership view does).
+  std::vector<int64_t> epoch_iters;
+  // Trainer-level fault tallies: this rank's stragglers, sat-out rounds
+  // and outages, plus the run-wide rounds_skipped / degraded_iters, which
+  // only rank 0 counts.
+  faults::FaultCounters faults;
+};
+
+// A replica's parameters, flattened in module order (join-bootstrap frames
+// and the final-weights snapshot).
+std::vector<float> flat_parameters(models::DistributedModel& model) {
+  std::vector<float> out;
+  out.reserve(static_cast<size_t>(model.module().num_parameters()));
+  for (auto& p : model.module().parameters()) {
+    auto v = p.value->data.f32();
+    out.insert(out.end(), v.begin(), v.end());
+  }
+  return out;
+}
 
 // The epoch's global sample order; identical on every worker because the
 // shuffle seed depends only on (run seed, epoch).
@@ -99,19 +100,18 @@ void TrainConfig::validate() const {
   // thread world (n_workers) and the cost model's fleet (net.n_workers) —
   // since the PS shard ranks must exist in both.
   grace.topology.validate(std::min(n_workers, net.n_workers));
-  if (faults != nullptr && faults->spec().has_churn()) {
-    if (grace.control.enabled()) {
+  if (faults != nullptr) {
+    if (faults->spec().has_churn() && grace.control.enabled()) {
       throw std::invalid_argument(
           "TrainConfig: the adaptive controller cannot run under a churn "
           "plan — parked ranks would miss its signal allreduces and the "
           "decision sequences would diverge");
     }
-    // Consistency of the events themselves (leave of an absent rank, join
-    // of a present one, rank 0 churning, ranks outside the fleet) — fail
-    // here, on the caller's thread, not inside a worker.
-    core::MembershipSchedule(
-        n_workers,
-        std::span<const faults::ChurnEvent>(faults->spec().churn));
+    // Consistency of the membership events themselves (leave of an absent
+    // rank, join of a present one, rank 0 churning or crashing, ranks
+    // outside the fleet) — fail here, on the caller's thread, not inside a
+    // worker.
+    core::MembershipSchedule(n_workers, faults->spec());
   }
   if (faults == nullptr || !faults->spec().has_churn()) {
     if (!grace.control.resume_state.empty() && start_epoch == 0) {
@@ -142,8 +142,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   // Peek at the model to size the run (rank 0 builds another replica below).
   double fwd_flops_per_sample = 0.0;
   int64_t probe_train_n = 0;
-  std::vector<std::string> tensor_names;
-  std::vector<int64_t> tensor_numels;
+  std::vector<BucketSpec> bucket_plan;
   {
     auto probe = factory(cfg.seed);
     result.model = probe->name();
@@ -160,92 +159,64 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
       pnames.push_back(p.name);
       pnumels.push_back(p.value->data.numel());
     }
-    for (const BucketSpec& b : plan_buckets(pnumels, pnames, cfg.fusion_bytes)) {
-      tensor_names.push_back(b.name);
-      tensor_numels.push_back(b.numel);
-    }
-    result.buckets_per_iter = static_cast<int64_t>(tensor_names.size());
+    bucket_plan = plan_buckets(pnumels, pnames, cfg.fusion_bytes);
+    result.buckets_per_iter = static_cast<int64_t>(bucket_plan.size());
   }
   result.compressor = cfg.grace.compressor_spec;
   result.topology = cfg.grace.topology.to_string();
 
   const int64_t global_batch = static_cast<int64_t>(n) * cfg.batch_per_worker;
 
-  // Fault-plan setup: validate the crash coordinates against this run's
-  // schedule, install the injector on the world, and pre-build the shrunk
-  // world the survivors hand off to (docs/RESILIENCE.md).
+  // Fault-plan setup (docs/RESILIENCE.md): check the crash coordinates
+  // against this run's schedule and install the injector on the world. The
+  // crash counts for this run when it falls after the run's first
+  // iteration — one exactly there happened before a resumed run started,
+  // like a churn event at start_epoch.
   const faults::FaultPlan* const plan = cfg.faults;
   std::unique_ptr<faults::FaultInjector> injector;
-  std::unique_ptr<faults::FaultInjector> shrunk_injector;
-  std::unique_ptr<comm::World> shrunk;
+  bool crash_in_run = false;
   if (plan != nullptr) {
     const faults::FaultSpec& spec = plan->spec();
-    const bool crash_fires = spec.has_crash() &&
-                             spec.crash_epoch >= cfg.start_epoch &&
-                             spec.crash_epoch < cfg.start_epoch + cfg.epochs;
-    if (crash_fires) {
-      if (n < 2) {
-        throw std::invalid_argument(
-            "TrainConfig: a crash plan needs at least 2 workers");
-      }
-      if (spec.crash_rank >= n) {
-        throw std::invalid_argument("TrainConfig: crash_rank out of range");
-      }
-      const int64_t iters = std::max<int64_t>(1, probe_train_n / global_batch);
-      if (spec.crash_iter >= iters) {
-        throw std::invalid_argument(
-            "TrainConfig: crash_iter is beyond the crash epoch's iteration "
-            "count");
-      }
+    crash_in_run = spec.has_crash() &&
+                   spec.crash_epoch < cfg.start_epoch + cfg.epochs &&
+                   (spec.crash_epoch > cfg.start_epoch ||
+                    (spec.crash_epoch == cfg.start_epoch && spec.crash_iter > 0));
+    if (crash_in_run &&
+        spec.crash_iter >= std::max<int64_t>(1, probe_train_n / global_batch)) {
+      throw std::invalid_argument(
+          "TrainConfig: crash_iter is beyond the crash epoch's iteration "
+          "count");
     }
     injector = std::make_unique<faults::FaultInjector>(plan, base_net, n);
     world.install_faults(injector.get());
-    if (crash_fires && cfg.crash_policy == faults::CrashPolicy::Continue) {
-      // The shrunk world gets its own injector: survivor live-ranks would
-      // otherwise collide with pre-crash physical ranks in the slot space
-      // (live rank crash_rank is a *different thread* than physical rank
-      // crash_rank), racing on stall accumulators around the hand-off.
-      // Fresh per-link sequence counters are equally deterministic.
-      comm::NetworkModel shrunk_net = base_net;
-      shrunk_net.n_workers = n - 1;
-      shrunk_injector =
-          std::make_unique<faults::FaultInjector>(plan, shrunk_net, n - 1);
-      shrunk = std::make_unique<comm::World>(n - 1);
-      shrunk->install_faults(shrunk_injector.get());
-    }
   }
 
-  // Membership-epoch setup (core/membership.h): turn the plan's churn
-  // events into ordered world views and pre-build one thread world (plus
-  // injector) per shrunken view. Views at full strength reuse the base
-  // world — all n physical ranks are members, so comm ranks line up.
-  // Everything is built on this thread; workers only ever rebind onto
-  // pre-existing endpoints at epoch boundaries.
-  const bool churn_on = plan != nullptr && plan->spec().has_churn();
-  std::optional<core::MembershipSchedule> membership;
-  std::vector<std::unique_ptr<comm::World>> view_worlds;
-  std::vector<std::unique_ptr<faults::FaultInjector>> view_injectors;
-  std::vector<comm::NetworkModel> view_nets;
-  if (churn_on) {
-    membership.emplace(n, std::span<const faults::ChurnEvent>(
-                              plan->spec().churn));
-    const auto& views = membership->views();
-    view_worlds.resize(views.size());
-    view_injectors.resize(views.size());
-    view_nets.reserve(views.size());
-    for (size_t v = 0; v < views.size(); ++v) {
-      const core::MembershipView& view = views[v];
-      comm::NetworkModel vnet = cfg.fleet.bottleneck(
-          cfg.net, std::span<const int>(view.ranks));
-      vnet.n_workers = view.size();
-      view_nets.push_back(vnet);
-      if (view.size() < n) {
-        view_worlds[v] = std::make_unique<comm::World>(view.size());
-        view_injectors[v] =
-            std::make_unique<faults::FaultInjector>(plan, vnet, view.size());
-        view_worlds[v]->install_faults(view_injectors[v].get());
-      }
-    }
+  // Membership (core/membership.h): the plan's churn events and its crash
+  // as one schedule of world views — a single full-strength view without a
+  // plan. Every view's transport is built here, on this thread; workers
+  // only ever rebind onto it when their view changes. Full-strength views
+  // reuse the base world and injector (all n physical ranks are members,
+  // so comm ranks line up). Smaller views get their own world, priced at
+  // the bottleneck link over their members, with an injector of their own:
+  // live ranks renumber, so sharing the base injector's slots would race
+  // survivors against other physical ranks on the stall accumulators.
+  const core::MembershipSchedule membership(
+      n, plan != nullptr ? plan->spec() : faults::FaultSpec{});
+  const std::vector<core::MembershipView>& views = membership.views();
+  std::vector<std::unique_ptr<comm::World>> view_worlds(views.size());
+  std::vector<std::unique_ptr<faults::FaultInjector>> view_injectors(
+      views.size());
+  std::vector<comm::NetworkModel> view_nets(views.size(), base_net);
+  for (size_t v = 0; v < views.size(); ++v) {
+    const core::MembershipView& view = views[v];
+    if (view.size() == n) continue;
+    comm::NetworkModel& vnet = view_nets[v];
+    vnet = cfg.fleet.bottleneck(cfg.net, std::span<const int>(view.ranks));
+    vnet.n_workers = view.size();
+    view_worlds[v] = std::make_unique<comm::World>(view.size());
+    view_injectors[v] =
+        std::make_unique<faults::FaultInjector>(plan, vnet, view.size());
+    view_worlds[v]->install_faults(view_injectors[v].get());
   }
 
   bool compressing =
@@ -361,17 +332,80 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
       }
     }
 
-    // Live-world view; changes once if the planned crash shrinks the world,
-    // or at any epoch boundary of a churn plan's membership schedule.
+    // This worker's place in the membership schedule. Every rank starts in
+    // view 0 — the full fleet on the base world — and moves only through
+    // transition(), when the view in force changes.
+    int seg = 0;
+    bool member = true;
     int live_n = n;
     int live_rank = rank;
-    int64_t live_global_batch = global_batch;
     faults::FaultInjector* live_injector = injector.get();
-    bool crashed_out = false;  // this worker is the plan's casualty
-    bool halted = false;       // CrashPolicy::Halt fired
-    bool member = true;        // in the current membership view (churn runs)
+    bool halted = false;  // CrashPolicy::Halt fired
     const bool pp_on =
         plan != nullptr && plan->spec().has_partial_participation();
+
+    // The one membership transition, churn or crash. Members of view `s`
+    // bind its pre-built world, injector and bottleneck net under
+    // contiguous live renumbering; compressor and error-feedback state
+    // carry over untouched. They restart the exchange tag sequence, so a
+    // rank whose counter froze while parked agrees with the others on PS
+    // shard routing. Non-members park. With `bootstrap`, joiners then
+    // install the parameters (+ EF residuals) of live rank 0 over the
+    // CRC-sealed frame path; a resumed run's first iteration skips that,
+    // since every replica starts from the same weights.
+    auto transition = [&](int s, int epoch, bool bootstrap) {
+      const core::MembershipView& prev = views[static_cast<size_t>(seg)];
+      const core::MembershipView& view = views[static_cast<size_t>(s)];
+      seg = s;
+      member = view.contains(rank);
+      if (!member) return;
+      live_n = view.size();
+      live_rank = view.live_rank(rank);
+      const auto v = static_cast<size_t>(s);
+      live_injector = view_injectors[v] ? view_injectors[v].get() : injector.get();
+      comm = (view_worlds[v] ? *view_worlds[v] : world).comm(live_rank);
+      grace.rebind(comm, view_nets[v]);
+      grace.reset_tags();
+      if (!bootstrap) return;
+      const int btag = kBootstrapTagBase - epoch;
+      if (!prev.contains(rank)) {
+        // Joiner: install rank 0's parameters (and EF residuals, in bucket
+        // order). deserialize verifies the frame's CRC.
+        const core::BootstrapState st =
+            core::open_bootstrap_frame(comm.recv(0, btag));
+        size_t at = 0;
+        for (auto& p : model->module().parameters()) {
+          auto vals = p.value->data.f32();
+          std::copy_n(st.params.begin() + static_cast<int64_t>(at),
+                      vals.size(), vals.begin());
+          at += vals.size();
+        }
+        for (size_t b = 0; b < st.residuals.size() && b < n_buckets; ++b) {
+          grace.install_residual(sched.buckets()[b].name, st.residuals[b]);
+        }
+      } else if (live_rank == 0) {
+        Tensor frame;  // sealed once, sent to every joiner
+        for (int r : view.ranks) {
+          if (prev.contains(r)) continue;
+          if (frame.empty()) {
+            const std::vector<float> params = flat_parameters(*model);
+            std::vector<Tensor> residuals;
+            if (grace.error_feedback_enabled()) {
+              residuals.reserve(n_buckets);
+              for (size_t b = 0; b < n_buckets; ++b) {
+                residuals.push_back(grace.residual_snapshot(
+                    sched.buckets()[b].name,
+                    Tensor::zeros(Shape{{sched.buckets()[b].numel}})));
+              }
+            }
+            frame = core::seal_bootstrap_frame(
+                std::span<const float>(params),
+                std::span<const Tensor>(residuals));
+          }
+          comm.send(view.live_rank(r), frame, btag);
+        }
+      }
+    };
 
     auto record = [&](int epoch, int64_t it, Phase phase, int32_t tensor,
                       double seconds, uint64_t bytes, double start = -1.0) {
@@ -379,34 +413,35 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
                                      static_cast<int16_t>(rank), phase, tensor,
                                      seconds, bytes, start});
     };
+    // Trace and metric durations are the testbed-scaled stage seconds
+    // before this rank's fleet stretch.
+    auto testbed_timing = [&](const core::ExchangeStats& s) {
+      return bucket_timing(s, 0.0, cfg.time.compression_time_scale,
+                           fixed_per_tensor, 1.0);
+    };
     // Per-bucket exchange phases carry the bucket's stable id as the tensor
-    // slot and, when the timeline was simulated, the absolute start of each
-    // stage within the iteration (Chrome traces then show overlap).
+    // slot and the absolute start of each stage within the iteration on the
+    // simulated timeline (Chrome traces then show overlap).
     auto record_exchange = [&](int epoch, int64_t it, int32_t bucket,
                                const core::ExchangeStats& s,
-                               const BucketSpan* span) {
-      record(epoch, it, Phase::Compress, bucket,
-             s.compress_seconds * cfg.time.compression_time_scale +
-                 fixed_per_tensor,
-             0, span ? span->compress_start : -1.0);
-      record(epoch, it, Phase::Comm, bucket, s.comm_seconds, s.wire_bytes,
-             span ? span->comm_start : -1.0);
-      record(epoch, it, Phase::Decompress, bucket,
-             s.decompress_seconds * cfg.time.compression_time_scale, 0,
-             span ? span->decompress_start : -1.0);
+                               const BucketSpan& span) {
+      const BucketTiming t = testbed_timing(s);
+      record(epoch, it, Phase::Compress, bucket, t.compress_s, 0,
+             span.compress_start);
+      record(epoch, it, Phase::Comm, bucket, t.comm_s, s.wire_bytes,
+             span.comm_start);
+      record(epoch, it, Phase::Decompress, bucket, t.decompress_s, 0,
+             span.decompress_start);
     };
     // Per-exchange distributions (the same scaled quantities the trace
     // records, so the registry's tails are comparable with the phase means).
     auto record_metrics = [&](const core::ExchangeStats& s, int64_t numel) {
+      const BucketTiming t = testbed_timing(s);
       metrics->inc(rank, "exchange.count");
       metrics->inc(rank, "exchange.wire_bytes_total", s.wire_bytes);
-      metrics->observe(rank, "exchange.compress_ns",
-                       (s.compress_seconds * cfg.time.compression_time_scale +
-                        fixed_per_tensor) * 1e9);
-      metrics->observe(rank, "exchange.decompress_ns",
-                       s.decompress_seconds *
-                           cfg.time.compression_time_scale * 1e9);
-      metrics->observe(rank, "exchange.comm_ns", s.comm_seconds * 1e9);
+      metrics->observe(rank, "exchange.compress_ns", t.compress_s * 1e9);
+      metrics->observe(rank, "exchange.decompress_ns", t.decompress_s * 1e9);
+      metrics->observe(rank, "exchange.comm_ns", t.comm_s * 1e9);
       metrics->observe(rank, "exchange.wire_bytes",
                        static_cast<double>(s.wire_bytes));
       metrics->inc(rank, "sched.bucket_exchanges");
@@ -456,7 +491,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
       }
     };
 
-    for (int e0 = 0; e0 < cfg.epochs && !crashed_out && !halted; ++e0) {
+    for (int e0 = 0; e0 < cfg.epochs && !halted; ++e0) {
       const int epoch = cfg.start_epoch + e0;
       // The lr schedule runs on EVERY rank, parked ones included: a parked
       // rank's optimizer must track the members' decays so its state is
@@ -465,154 +500,44 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
         optimizer->set_lr(optimizer->lr() * cfg.lr_decay_factor);
       }
 
-      // Membership transition (churn runs): every member rank rebinds onto
-      // this epoch's view at the boundary — world endpoint, bottleneck net
-      // over the members, contiguous live renumbering — and restarts the
-      // exchange tag sequence so ranks whose tag counters froze while
-      // parked agree with survivors on PS shard routing. Joiners then
-      // bootstrap parameters (+ EF residuals) from live rank 0 over the
-      // CRC-sealed frame path before the first iteration.
-      const core::MembershipView* view = nullptr;
-      if (churn_on) {
-        const int seg = membership->segment_at(epoch);
-        view = &membership->views()[static_cast<size_t>(seg)];
-        const bool was_member = member;
-        member = view->contains(rank);
-        if (member) {
-          live_n = view->size();
-          live_rank = view->live_rank(rank);
-          live_global_batch =
-              static_cast<int64_t>(live_n) * cfg.batch_per_worker;
-          comm::World* const vw = view_worlds[static_cast<size_t>(seg)]
-                                      ? view_worlds[static_cast<size_t>(seg)].get()
-                                      : &world;
-          live_injector = view_injectors[static_cast<size_t>(seg)]
-                              ? view_injectors[static_cast<size_t>(seg)].get()
-                              : injector.get();
-          comm = vw->comm(live_rank);
-          grace.rebind(comm, view_nets[static_cast<size_t>(seg)]);
-          grace.reset_tags();
-          if (e0 > 0) {
-            const int btag = kBootstrapTagBase - epoch;
-            if (!was_member) {
-              // Joiner: install rank 0's parameters (and EF residuals, in
-              // bucket order). deserialize verifies the frame's CRC.
-              const core::BootstrapState st =
-                  core::open_bootstrap_frame(comm.recv(0, btag));
-              size_t at = 0;
-              for (auto& p : model->module().parameters()) {
-                auto v = p.value->data.f32();
-                std::copy_n(st.params.begin() + static_cast<int64_t>(at),
-                            v.size(), v.begin());
-                at += v.size();
-              }
-              for (size_t b = 0; b < st.residuals.size() && b < n_buckets;
-                   ++b) {
-                grace.install_residual(sched.buckets()[b].name,
-                                       st.residuals[b]);
-              }
-            } else if (live_rank == 0) {
-              const core::MembershipView& prev =
-                  membership->view_at(epoch - 1);
-              Tensor frame;  // sealed once, sent to every joiner
-              for (int r : view->ranks) {
-                if (prev.contains(r)) continue;
-                if (frame.empty()) {
-                  std::vector<float> params;
-                  params.reserve(static_cast<size_t>(
-                      model->module().num_parameters()));
-                  for (auto& p : model->module().parameters()) {
-                    auto v = p.value->data.f32();
-                    params.insert(params.end(), v.begin(), v.end());
-                  }
-                  std::vector<Tensor> residuals;
-                  if (grace.error_feedback_enabled()) {
-                    residuals.reserve(n_buckets);
-                    for (size_t b = 0; b < n_buckets; ++b) {
-                      residuals.push_back(grace.residual_snapshot(
-                          sched.buckets()[b].name,
-                          Tensor::zeros(Shape{{sched.buckets()[b].numel}})));
-                    }
-                  }
-                  frame = core::seal_bootstrap_frame(
-                      std::span<const float>(params),
-                      std::span<const Tensor>(residuals));
-                }
-                comm.send(view->live_rank(r), frame, btag);
-              }
-            }
-          }
-        }
-      }
-
-      // Parked out of the fleet this epoch: push one zero row per member
-      // iteration so every rank's log stays index-aligned (post-processing
-      // skips inactive rows), keep the critical-path collector aligned,
-      // and sit out the exchanges, check_sync and eval entirely.
-      if (churn_on && !member) {
-        const int64_t view_batch =
-            static_cast<int64_t>(view->size()) * cfg.batch_per_worker;
-        const int64_t parked_iters = std::max<int64_t>(1, train_n / view_batch);
-        for (int64_t it = 0; it < parked_iters; ++it) {
-          log.active.push_back(0);
-          log.losses.push_back(0.0f);
-          log.compress_s.push_back(0.0);
-          log.decompress_s.push_back(0.0);
-          log.comm_s.push_back(0.0);
-          log.stall_s.push_back(0.0);
-          log.wire_bytes.push_back(0);
-          if (cfg.time.overlap) log.pipe_s.push_back(0.0);
-          if (cpath) cpath->record(rank, {});
-        }
-        continue;
-      }
-
-      const auto order = epoch_order(train_n, cfg.seed, epoch);
-      // The data partition is fixed at epoch start. A mid-epoch crash keeps
-      // these positions — survivors finish the epoch on the old schedule
-      // with the dead rank's slices simply dropped (degraded rounds) — and
-      // only the next epoch re-partitions over the survivors.
-      const int sched_rank = live_rank;
-      const int64_t sched_global_batch = live_global_batch;
+      // The data partition is fixed by the view in force at the epoch's
+      // start. A mid-epoch crash keeps these positions — survivors finish
+      // the epoch on this schedule with the casualty's slices simply
+      // dropped (degraded rounds) — and only the next epoch re-partitions.
+      const core::MembershipView& epoch_view = membership.view_at(epoch);
+      const int sched_rank = epoch_view.live_rank(rank);
+      const int64_t sched_global_batch =
+          static_cast<int64_t>(epoch_view.size()) * cfg.batch_per_worker;
       const int64_t iters_per_epoch =
           std::max<int64_t>(1, train_n / sched_global_batch);
+      const auto order = epoch_order(train_n, cfg.seed, epoch);
       int64_t iters_done = 0;
       for (int64_t it = 0; it < iters_per_epoch; ++it) {
-        if (plan != nullptr && plan->crash_at(epoch, it) && live_n == n) {
-          if (cfg.crash_policy == faults::CrashPolicy::Halt) {
-            halted = true;
-            break;
-          }
-          if (rank == plan->spec().crash_rank) {
-            // The casualty exits at the iteration boundary: it completed
-            // iteration it-1 including all of its sends (mailbox puts never
-            // block), so the survivors are owed nothing. Its undrained
-            // stall dies with it (nobody reads that slot until the threads
-            // have joined).
-            log.crashed = true;
-            crashed_out = true;
-            break;
-          }
-          // Survivor hand-off: rebind onto the pre-built (n-1)-rank world
-          // (with its own injector — see the setup note) under contiguous
-          // renumbering; compressor and error-feedback state carry over
-          // untouched.
-          live_n = n - 1;
-          live_rank = rank > plan->spec().crash_rank ? rank - 1 : rank;
-          live_global_batch =
-              static_cast<int64_t>(live_n) * cfg.batch_per_worker;
-          live_injector = shrunk_injector.get();
-          comm = shrunk->comm(live_rank);
-          comm::NetworkModel live_net = base_net;
-          live_net.n_workers = live_n;
-          grace.rebind(comm, live_net);
+        if (cfg.crash_policy == faults::CrashPolicy::Halt && plan != nullptr &&
+            plan->crash_at(epoch, it)) {
+          halted = true;  // every rank stops at the crash boundary
+          break;
+        }
+        const int s = membership.segment_at(epoch, it);
+        if (s != seg) transition(s, epoch, e0 > 0 || it > 0);
+        if (!member) {
+          // Parked: an inactive row keeps this rank's log, and the
+          // critical-path collector, index-aligned with the members'. The
+          // exchanges, check_sync and eval go on without it. A crash
+          // casualty parks at the crash boundary: it completed iteration
+          // it-1 including all of its sends (mailbox puts never block), so
+          // the survivors are owed nothing, and its undrained stall is
+          // never read.
+          log.rows.emplace_back();
+          if (cpath) cpath->record(rank, {});
+          continue;
         }
         if (fidelity) {
           // Sample every K-th iteration: attach the probe to this worker's
           // exchanges for exactly the sampled iterations. Samples are
           // recorded under the stable physical rank, not comm_.rank() —
-          // after a crash rebind the live rank would alias a survivor's
-          // samples into the dead rank's slot, which would skew the
+          // after a membership rebind the live rank would alias another
+          // rank's samples into this slot, which would skew the
           // controller's per-rank windows.
           grace.set_probe(
               fidelity->should_sample(epoch * iters_per_epoch + it)
@@ -653,6 +578,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
         const bool participate =
             !pp_on || plan->participates(rank, epoch, it);
         core::ExchangeStats stats;
+        double pipe_s = 0.0;  // this rank's pipeline drain (overlap runs)
         if (skip_round) {
           // Degraded round: the exchange is lost on every rank. Fold the
           // computed gradients into the error-feedback residual — at the
@@ -661,15 +587,15 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
           // remain identical because everyone skips the same rounds).
           sched.absorb_all(grace);
           // No exchange happened, so the pipeline ends with compute.
-          if (cfg.time.overlap) log.pipe_s.push_back(my_compute_s);
+          pipe_s = my_compute_s;
           if (cpath) cpath->record(rank, {});  // skipped round: no buckets
-          if (rank == 0) ++log.rounds_skipped;
+          if (rank == 0) ++log.faults.rounds_skipped;
         } else {
           // Submit every bucket (compensate + compress + memory update, all
           // compressor/EF state mutation and RNG draws, in pack order —
           // identical to the legacy exchange order), then wait for each in
           // submission order and scatter its aggregate into the optimizer.
-          if (!participate) ++log.sat_out_rounds;
+          if (!participate) ++log.faults.sat_out_rounds;
           for (size_t b = 0; b < n_buckets; ++b) {
             handles.push_back(
                 participate
@@ -697,17 +623,11 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
           // reproduces the additive layout, so traces stay sequential.
           if (need_schedule) {
             for (size_t b = 0; b < n_buckets; ++b) {
-              const core::ExchangeStats& s = bucket_stats[b];
-              timings[b].ready_s =
-                  my_forward_s + my_backward_s * sched.ready_fraction(b);
-              timings[b].compress_s =
-                  (s.compress_seconds * cfg.time.compression_time_scale +
-                   fixed_per_tensor) *
-                  compute_scale;
-              timings[b].comm_s = s.comm_seconds;
-              timings[b].decompress_s =
-                  s.decompress_seconds * cfg.time.compression_time_scale *
-                  compute_scale;
+              timings[b] = bucket_timing(
+                  bucket_stats[b],
+                  my_forward_s + my_backward_s * sched.ready_fraction(b),
+                  cfg.time.compression_time_scale, fixed_per_tensor,
+                  compute_scale);
             }
             if (cpath) cpath->record(rank, timings);
             const BucketSchedule bs =
@@ -715,16 +635,14 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
             if (trace) {
               for (size_t b = 0; b < n_buckets; ++b) {
                 record_exchange(epoch, it, sched.buckets()[b].id,
-                                bucket_stats[b], &bs.spans[b]);
+                                bucket_stats[b], bs.spans[b]);
               }
             }
             if (cfg.time.overlap) {
-              const double pipe_end =
-                  std::max(my_compute_s, bs.exchange_end);
-              log.pipe_s.push_back(pipe_end);
+              pipe_s = bs.exchange_end;
               if (metrics) {
                 metrics->observe(rank, "sched.overlap_saved_ns",
-                                 (bs.additive_end - pipe_end) * 1e9);
+                                 (bs.additive_end - pipe_s) * 1e9);
               }
             }
           }
@@ -738,8 +656,8 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
         if (plan != nullptr) {
           const double delay = plan->straggler_delay(rank, epoch, it);
           if (delay > 0.0) {
-            ++log.straggler_events;
-            log.straggler_stall_s += delay;
+            ++log.faults.straggler_events;
+            log.faults.straggler_stall_s += delay;
             stall += delay;
           }
           if (pp_on && plan->spec().outage_prob > 0.0) {
@@ -747,12 +665,12 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
             // reconnect stall the first iteration after it ends.
             if (plan->in_outage(rank, epoch, it) &&
                 (it == 0 || !plan->in_outage(rank, epoch, it - 1))) {
-              ++log.outages;
+              ++log.faults.outages;
             }
             if (plan->outage_reconnect(rank, epoch, it)) {
               const double rs = plan->spec().outage_reconnect_stall_s;
               if (rs > 0.0) {
-                log.outage_stall_s += rs;
+                log.faults.outage_stall_s += rs;
                 stall += rs;
               }
             }
@@ -762,21 +680,19 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
             if (trace) record(epoch, it, Phase::Fault, -1, stall, 0);
             if (metrics) metrics->observe(rank, "fault.stall_ns", stall * 1e9);
           }
-          if (rank == 0 && live_n < n) ++log.degraded_iters;
+          if (rank == 0 && live_n < n) ++log.faults.degraded_iters;
         }
 
-        log.active.push_back(1);
-        log.losses.push_back(loss);
-        log.compress_s.push_back(
-            (stats.compress_seconds * cfg.time.compression_time_scale +
-             fixed_overhead) *
-            compute_scale);
-        log.decompress_s.push_back(stats.decompress_seconds *
-                                   cfg.time.compression_time_scale *
-                                   compute_scale);
-        log.comm_s.push_back(stats.comm_seconds);
-        log.stall_s.push_back(stall);
-        log.wire_bytes.push_back(stats.wire_bytes);
+        // The iteration's summed stats priced like one bucket carrying all
+        // of the per-bucket dispatch overhead.
+        const BucketTiming iter =
+            bucket_timing(stats, 0.0, cfg.time.compression_time_scale,
+                          fixed_overhead, compute_scale);
+        log.rows.push_back({loss,
+                            {my_compute_s, iter.compress_s, iter.decompress_s,
+                             iter.comm_s, stall, pipe_s},
+                            stats.wire_bytes,
+                            /*active=*/true});
         // Intra-epoch decision boundary (never doubled with the epoch-end
         // one); the condition depends only on shared schedule state, so
         // every live rank takes it together.
@@ -788,7 +704,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
         ++iters_done;
       }
       if (rank == 0 && iters_done > 0) log.epoch_iters.push_back(iters_done);
-      if (crashed_out || halted) break;
+      if (halted || !member) continue;
 
       // Epoch-end decision boundary — always, including the final epoch,
       // so a run handing its snapshot to a resumed run carries the
@@ -806,7 +722,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
         comm::allreduce_sum(comm, std::span<float>(&global, 1), /*tag=*/-epoch - 1);
         const float expect = checksum * static_cast<float>(live_n);
         const float tol = 1e-4f * (1.0f + std::fabs(expect));
-        log.sync_ok.push_back(std::fabs(global - expect) <= tol);
+        log.in_sync = log.in_sync && std::fabs(global - expect) <= tol;
       }
 
       if (rank == 0 &&
@@ -819,11 +735,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     if (rank == 0) {
       // Snapshot the final weights: the cheap handle for bit-identical
       // replay checks and crash hand-off equivalence tests.
-      final_params.reserve(static_cast<size_t>(model->module().num_parameters()));
-      for (auto& p : model->module().parameters()) {
-        auto v = p.value->data.f32();
-        final_params.insert(final_params.end(), v.begin(), v.end());
-      }
+      final_params = flat_parameters(*model);
     }
   };
 
@@ -840,29 +752,26 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   for (auto& t : threads) t.join();
 
   // --- Post-processing (single-threaded) ---
-  const auto total_iters = static_cast<int64_t>(logs[0].losses.size());
-  // Rank 0 runs every iteration of the run (crash_rank 0 is rejected), so
-  // its per-epoch counts are the run's ground-truth schedule; epochs can
-  // have different lengths once a crash shrinks the world.
+  const auto total_iters = static_cast<int64_t>(logs[0].rows.size());
+  // Rank 0 is in every view and runs every iteration of the run, so its
+  // per-epoch counts are the run's ground-truth schedule; epochs change
+  // length when the view does.
   const std::vector<int64_t>& epoch_iters = logs[0].epoch_iters;
   const int64_t first_epoch_iters = epoch_iters.empty() ? 0 : epoch_iters.front();
 
   // Epoch sample accounting (the epoch tail never enters an iteration when
   // the dataset size is not a multiple of the global batch). Quoted for the
-  // schedule at run start; post-crash epochs cover more samples per iter.
+  // schedule at run start; epochs in a smaller view cover more samples per
+  // iter.
   result.samples_per_epoch = first_epoch_iters * global_batch;
   result.samples_dropped_per_epoch =
       std::max<int64_t>(0, probe_train_n - result.samples_per_epoch);
 
-  // Per-iteration simulated time. Additive accounting (the default):
-  // compute + the slowest worker's measured compression overhead +
-  // simulated comm (identical across workers) + the simulated optimizer
-  // step + the slowest worker's fault stall. Under TimeModel::overlap the
-  // iteration instead ends when the slowest alive rank's exchange pipeline
-  // drains (sim/scheduler.h) — the additive figure is still computed so
-  // the phase breakdown and the overlap saving stay reportable. A crashed
-  // rank's log just ends early; iterations after its death take the max
-  // over the survivors.
+  // Per-iteration simulated time: every iteration folds the costs of the
+  // ranks alive in it into one charge (charge_iteration, sim/scheduler.h —
+  // the pricer simulate_scale shares). Parked ranks' placeholder rows never
+  // bind anything. The additive figure is kept under overlap so the phase
+  // breakdown and the overlap saving stay reportable.
   std::vector<double> iter_seconds(static_cast<size_t>(total_iters));
   double compress_sum = 0.0, decompress_sum = 0.0, comm_sum = 0.0,
          stall_sum = 0.0, bytes_sum = 0.0;
@@ -873,86 +782,44 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   double cp_compute_sum = 0.0, cp_codec_sum = 0.0, cp_link_sum = 0.0,
          cp_optimizer_sum = 0.0, cp_stall_sum = 0.0, cp_iter_sum = 0.0;
   std::array<double, kScenarios.size()> whatif_sum{};
+  std::vector<RankCosts> alive;
+  std::vector<int> alive_ranks;
   std::vector<std::span<const BucketTiming>> rank_spans;
-  // Per-rank simulated compute: the shared probe figure scaled by the
-  // rank's fleet compute profile. A uniform fleet multiplies by 1.0, so the
-  // max below reproduces result.compute_s bitwise.
-  std::vector<double> rank_compute(logs.size());
-  for (size_t r = 0; r < logs.size(); ++r) {
-    rank_compute[r] =
-        result.compute_s * cfg.fleet.compute_scale(static_cast<int>(r));
-  }
   for (int64_t it = 0; it < total_iters; ++it) {
-    // The slowest worker this iteration sets the compression overhead; use
-    // that worker's compress/decompress split so the phase columns sum to
-    // exactly the charged overhead. Parked ranks (membership churn) carry
-    // zero placeholder rows flagged inactive — they never bind anything.
-    double max_overhead = 0.0, max_compress = 0.0, max_decompress = 0.0;
-    double max_stall = 0.0, max_pipe = 0.0, max_compute = 0.0;
-    int pipe_rank = -1;  // which rank's pipeline bound (overlap runs)
+    const auto i = static_cast<size_t>(it);
+    alive.clear();
+    alive_ranks.clear();
     for (size_t r = 0; r < logs.size(); ++r) {
-      const WorkerLog& log = logs[r];
-      if (static_cast<size_t>(it) >= log.losses.size()) continue;  // rank died
-      if (static_cast<size_t>(it) < log.active.size() &&
-          log.active[static_cast<size_t>(it)] == 0) {
-        continue;  // parked this epoch: zero placeholder row
-      }
-      max_compute = std::max(max_compute, rank_compute[r]);
-      const double c = log.compress_s[static_cast<size_t>(it)];
-      const double d = log.decompress_s[static_cast<size_t>(it)];
-      if (c + d >= max_overhead) {
-        max_overhead = c + d;
-        max_compress = c;
-        max_decompress = d;
-      }
-      max_stall = std::max(max_stall, log.stall_s[static_cast<size_t>(it)]);
-      if (cfg.time.overlap) {
-        // Strict > matches std::max's keep-the-first tie rule, so the
-        // tracked rank is exactly the one whose pipe value max_pipe holds.
-        const double p = log.pipe_s[static_cast<size_t>(it)];
-        if (p > max_pipe || pipe_rank < 0) {
-          max_pipe = std::max(max_pipe, p);
-          pipe_rank = static_cast<int>(r);
-        }
-      }
+      if (!logs[r].rows[i].active) continue;
+      alive.push_back(logs[r].rows[i].costs);
+      alive_ranks.push_back(static_cast<int>(r));
     }
-    const double comm = logs[0].comm_s[static_cast<size_t>(it)];
-    const double additive =
-        max_compute + max_overhead + comm + optimizer_s + max_stall;
-    double iter = additive;
-    if (cfg.time.overlap) {
-      iter = max_pipe + optimizer_s + max_stall;
-      saved_sum += additive - iter;
-    }
-    additive_sum += additive;
-    iter_seconds[static_cast<size_t>(it)] = iter;
-    compress_sum += max_compress;
-    decompress_sum += max_decompress;
-    comm_sum += comm;
-    stall_sum += max_stall;
-    bytes_sum += static_cast<double>(logs[0].wire_bytes[static_cast<size_t>(it)]);
+    const IterationCharge charge =
+        charge_iteration(alive, optimizer_s, cfg.time.overlap);
+    iter_seconds[i] = charge.iteration_s;
+    additive_sum += charge.additive_s;
+    if (cfg.time.overlap) saved_sum += charge.additive_s - charge.iteration_s;
+    compress_sum += charge.compress_s;
+    decompress_sum += charge.decompress_s;
+    comm_sum += charge.comm_s;
+    stall_sum += charge.stall_s;
+    bytes_sum += static_cast<double>(logs[0].rows[i].wire_bytes);
     if (cpath != nullptr) {
-      // Assemble the binding-rank view from the exact doubles above and
-      // attribute the iteration; the re-derived iteration_s is bitwise
-      // equal to `iter` (same schedule inputs, same summation order).
+      // Assemble the binding-rank view from the charge and attribute the
+      // iteration; the re-derived iteration_s is bitwise equal to the
+      // charge (same schedule inputs, same summation order).
       IterationCosts costs;
-      costs.compute_s = max_compute;
-      costs.codec_s = max_overhead;
-      costs.comm_s = comm;
+      costs.compute_s = charge.compute_s;
+      costs.codec_s = charge.codec_s();
+      costs.comm_s = charge.comm_s;
       costs.optimizer_s = optimizer_s;
-      costs.stall_s = max_stall;
-      if (cfg.time.overlap && pipe_rank >= 0) {
-        costs.timings = cpath->timings(pipe_rank, it);
+      costs.stall_s = charge.stall_s;
+      if (charge.binding >= 0) {
+        costs.timings = cpath->timings(
+            alive_ranks[static_cast<size_t>(charge.binding)], it);
       }
       rank_spans.clear();
-      for (size_t r = 0; r < logs.size(); ++r) {
-        if (static_cast<size_t>(it) >= logs[r].losses.size()) continue;
-        if (static_cast<size_t>(it) < logs[r].active.size() &&
-            logs[r].active[static_cast<size_t>(it)] == 0) {
-          continue;
-        }
-        rank_spans.push_back(cpath->timings(static_cast<int>(r), it));
-      }
+      for (int r : alive_ranks) rank_spans.push_back(cpath->timings(r, it));
       IterationAttribution a = attribute_iteration(costs, cfg.time.overlap);
       cp_compute_sum += a.compute_s;
       cp_codec_sum += a.codec_s;
@@ -1038,7 +905,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     const int64_t count = epoch_iters[e];
     double loss = 0.0, epoch_time = 0.0;
     for (int64_t it = at; it < at + count; ++it) {
-      loss += logs[0].losses[static_cast<size_t>(it)];
+      loss += logs[0].rows[static_cast<size_t>(it)].loss;
       epoch_time += iter_seconds[static_cast<size_t>(it)];
     }
     at += count;
@@ -1061,10 +928,10 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     for (const auto& e : evals) result.best_quality = std::max(result.best_quality, e.quality);
   }
   for (const auto& log : logs) {
-    for (bool ok : log.sync_ok) result.replicas_in_sync = result.replicas_in_sync && ok;
+    result.replicas_in_sync = result.replicas_in_sync && log.in_sync;
   }
 
-  // Physical transport counters across all ranks and collectives. Shrunk
+  // Physical transport counters across all ranks and collectives. Smaller
   // membership views run on their own Worlds, so fold those in too.
   result.comm_messages = world.messages_sent();
   result.comm_payload_bytes = world.payload_bytes_sent();
@@ -1074,26 +941,31 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     result.comm_payload_bytes += vw->payload_bytes_sent();
   }
 
-  // Resilience accounting: fold the injector's link-layer totals with the
-  // trainer-level tallies, and mirror everything into the metric registry
-  // (before its snapshot below) so fault counters ride the same export
-  // path as the exchange metrics.
+  // Resilience accounting: fold the link-layer counters of every injector
+  // the run used — the base world's, then each smaller view's, whose live
+  // rank l belongs to physical rank view.ranks[l] — with the trainer-level
+  // tallies, and mirror everything into the metric registry (before its
+  // snapshot below) so fault counters ride the same export path as the
+  // exchange metrics.
   if (plan != nullptr) {
     result.faults = injector->totals();
-    if (shrunk_injector) result.faults += shrunk_injector->totals();
-    for (const auto& vi : view_injectors) {
-      if (vi) result.faults += vi->totals();
+    std::vector<faults::FaultCounters> rank_faults(static_cast<size_t>(n));
+    for (int r = 0; r < n; ++r) {
+      rank_faults[static_cast<size_t>(r)] = injector->rank_counters(r);
     }
-    for (const auto& log : logs) {
-      result.faults.straggler_events += log.straggler_events;
-      result.faults.straggler_stall_s += log.straggler_stall_s;
-      result.faults.sat_out_rounds += log.sat_out_rounds;
-      result.faults.outages += log.outages;
-      result.faults.outage_stall_s += log.outage_stall_s;
-      if (log.crashed) ++result.faults.crashed_ranks;
+    for (size_t v = 0; v < views.size(); ++v) {
+      if (!view_injectors[v]) continue;
+      result.faults += view_injectors[v]->totals();
+      for (int l = 0; l < views[v].size(); ++l) {
+        rank_faults[static_cast<size_t>(views[v].ranks[static_cast<size_t>(l)])] +=
+            view_injectors[v]->rank_counters(l);
+      }
     }
-    result.faults.rounds_skipped = logs[0].rounds_skipped;
-    result.faults.degraded_iters = logs[0].degraded_iters;
+    for (int r = 0; r < n; ++r) {
+      result.faults += logs[static_cast<size_t>(r)].faults;
+      rank_faults[static_cast<size_t>(r)] += logs[static_cast<size_t>(r)].faults;
+    }
+    result.faults.crashed_ranks = crash_in_run ? 1 : 0;
     // Membership churn: count the leave/join events that actually fired
     // inside this run's absolute epoch window. Events at epoch E take
     // effect at E's boundary, so E == start_epoch transitions happened
@@ -1109,55 +981,46 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
       }
     }
     if (metrics) {
+      // Link-layer and straggler counters per physical rank; run-wide
+      // facts once, on rank 0. Zero counters are not created.
+      using faults::FaultCounters;
+      struct Mirror {
+        const char* name;
+        uint64_t FaultCounters::*field;
+      };
+      static constexpr Mirror kPerRank[] = {
+          {"fault.attempts_staged", &FaultCounters::attempts_staged},
+          {"fault.drops_detected", &FaultCounters::drops_detected},
+          {"fault.corruptions_detected", &FaultCounters::corruptions_detected},
+          {"fault.retries", &FaultCounters::retries},
+          {"fault.straggler_events", &FaultCounters::straggler_events}};
+      static constexpr Mirror kRunWide[] = {
+          {"fault.rounds_skipped", &FaultCounters::rounds_skipped},
+          {"fault.crashed_ranks", &FaultCounters::crashed_ranks},
+          {"fault.leaves", &FaultCounters::leaves},
+          {"fault.joins", &FaultCounters::joins},
+          {"fault.sat_out_rounds", &FaultCounters::sat_out_rounds},
+          {"fault.outages", &FaultCounters::outages}};
+      auto mirror = [&](int r, const FaultCounters& c,
+                        std::span<const Mirror> fields) {
+        for (const Mirror& m : fields) {
+          if (c.*m.field) metrics->inc(r, m.name, c.*m.field);
+        }
+      };
       for (int r = 0; r < n; ++r) {
-        faults::FaultCounters c = injector->rank_counters(r);
-        if (shrunk_injector && r != plan->spec().crash_rank) {
-          c += shrunk_injector->rank_counters(
-              r > plan->spec().crash_rank ? r - 1 : r);
-        }
-        if (c.attempts_staged) {
-          metrics->inc(r, "fault.attempts_staged", c.attempts_staged);
-        }
-        if (c.drops_detected) {
-          metrics->inc(r, "fault.drops_detected", c.drops_detected);
-        }
-        if (c.corruptions_detected) {
-          metrics->inc(r, "fault.corruptions_detected", c.corruptions_detected);
-        }
-        if (c.retries) metrics->inc(r, "fault.retries", c.retries);
-        const WorkerLog& log = logs[static_cast<size_t>(r)];
-        if (log.straggler_events) {
-          metrics->inc(r, "fault.straggler_events", log.straggler_events);
-        }
+        mirror(r, rank_faults[static_cast<size_t>(r)], kPerRank);
       }
-      if (result.faults.rounds_skipped) {
-        metrics->inc(0, "fault.rounds_skipped", result.faults.rounds_skipped);
-      }
-      if (result.faults.crashed_ranks) {
-        metrics->inc(0, "fault.crashed_ranks", result.faults.crashed_ranks);
-      }
-      if (result.faults.leaves) {
-        metrics->inc(0, "fault.leaves", result.faults.leaves);
-      }
-      if (result.faults.joins) {
-        metrics->inc(0, "fault.joins", result.faults.joins);
-      }
-      if (result.faults.sat_out_rounds) {
-        metrics->inc(0, "fault.sat_out_rounds", result.faults.sat_out_rounds);
-      }
-      if (result.faults.outages) {
-        metrics->inc(0, "fault.outages", result.faults.outages);
-      }
+      mirror(0, result.faults, kRunWide);
     }
   }
 
   // Aggregate rank 0's per-tensor trace events into run summaries.
   if (trace) {
     result.trace_events_dropped = trace->dropped();
-    result.tensor_trace.resize(tensor_names.size());
-    for (size_t t = 0; t < tensor_names.size(); ++t) {
-      result.tensor_trace[t].name = tensor_names[t];
-      result.tensor_trace[t].numel = tensor_numels[t];
+    result.tensor_trace.resize(bucket_plan.size());
+    for (size_t t = 0; t < bucket_plan.size(); ++t) {
+      result.tensor_trace[t].name = bucket_plan[t].name;
+      result.tensor_trace[t].numel = bucket_plan[t].numel;
     }
     for (const TraceEvent& ev : trace->events()) {
       if (ev.rank != 0 || ev.tensor < 0 ||
@@ -1185,12 +1048,14 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
 
   // Adaptive-controller outcome. The allreduced signals guarantee every
   // live rank decided identically; verify that invariant by comparing the
-  // serialized controller states before reporting rank 0's (a mismatch is
-  // a determinism bug, not a user error — fail loudly).
+  // serialized controller states of the ranks still in the fleet at the
+  // end before reporting rank 0's (a mismatch is a determinism bug, not a
+  // user error — fail loudly).
   if (ctl_on) {
     const control::Controller* ref = nullptr;
     for (int r = 0; r < n; ++r) {
-      if (logs[static_cast<size_t>(r)].crashed) continue;
+      const WorkerLog& log = logs[static_cast<size_t>(r)];
+      if (!log.rows.empty() && !log.rows.back().active) continue;  // parked
       const control::Controller* c = controllers[static_cast<size_t>(r)].get();
       if (c == nullptr) continue;
       if (ref == nullptr) {

@@ -90,15 +90,18 @@ struct TrainConfig {
   // Optional deterministic fault plan (src/faults, docs/RESILIENCE.md; not
   // owned). When set, the trainer installs a FaultInjector on the World
   // (message drops / corruption with simulated retries), injects straggler
-  // stalls and skipped rounds, executes the planned crash, and reports
-  // FaultCounters in RunResult::faults. When null — the default — runs are
-  // bit-identical to a build without the subsystem; the fault path costs
-  // one branch per message.
+  // stalls and skipped rounds, runs the plan's churn and crash as
+  // membership views (core/membership.h), and reports FaultCounters in
+  // RunResult::faults. When null — the default — runs are bit-identical to
+  // a build without the subsystem; the fault path costs one branch per
+  // message.
   const faults::FaultPlan* faults = nullptr;
-  // Degraded mode when the plan's crash fires: Continue shrinks the world
-  // to the n-1 survivors (compressor + error-feedback state carry over,
-  // the next epoch re-partitions data over the survivors); Halt ends the
-  // run at the crash boundary. Ignored without a crash in the plan.
+  // What the plan's crash does. Continue: the crash is a leave of
+  // crash_rank at (crash_epoch, crash_iter) — the survivors rebind like
+  // any membership change (compressor + error-feedback state carry over),
+  // finish the crash epoch on its frozen data partition, and the next
+  // epoch re-partitions over them; it counts as crashed_ranks, not leaves.
+  // Halt: every rank stops at the crash boundary. Ignored without a crash.
   faults::CrashPolicy crash_policy = faults::CrashPolicy::Continue;
   // Epoch numbering offset: epoch e of this run uses the shuffle order,
   // lr-decay boundaries, fault schedule and membership view of epoch
@@ -117,8 +120,9 @@ struct TrainConfig {
   // smaller than the world, invalid net/topology parameters, a churn plan
   // combined with the adaptive controller (parked ranks would miss its
   // signal allreduces), or a controller resume_state combined with churn.
-  // Churn plans themselves are checked by core::MembershipSchedule (leave
-  // of an absent rank, join of a present one, rank 0 churning).
+  // Churn and crash events themselves are checked by
+  // core::MembershipSchedule (leave of an absent rank, join of a present
+  // one, rank 0 churning, a rank outside the fleet).
   void validate() const;
 };
 

@@ -425,6 +425,30 @@ TEST(TrainerControl, BanditRunsAreSeedReproducible) {
   EXPECT_TRUE(r1.replicas_in_sync);
 }
 
+TEST(TrainerControl, CrashParksTheCasualtyOutOfTheDecisionLoop) {
+  // The crash casualty parks like a churn leaver and stops stepping its
+  // controller; the survivors keep deciding in lockstep over the survivor
+  // world, so the run ends on one agreed decision log and replays.
+  sim::Benchmark b = tiny_cnn();
+  sim::TrainConfig cfg = controller_config(b, 3);
+  cfg.grace.control.cosine_floor = 0.4;
+  faults::FaultSpec spec;
+  spec.crash_rank = 2;
+  spec.crash_epoch = 0;
+  spec.crash_iter = 1;
+  const faults::FaultPlan plan(spec);
+  cfg.faults = &plan;
+  sim::RunResult r1 = train(b.factory, cfg);
+  sim::RunResult r2 = train(b.factory, cfg);
+  EXPECT_EQ(r1.faults.crashed_ranks, 1u);
+  EXPECT_TRUE(r1.control.enabled);
+  EXPECT_GT(r1.control.boundaries, 0);
+  EXPECT_TRUE(r1.replicas_in_sync);
+  EXPECT_EQ(control::control_decisions_json(r1.control.decisions),
+            control::control_decisions_json(r2.control.decisions));
+  EXPECT_EQ(r1.parameters_crc32, r2.parameters_crc32);
+}
+
 TEST(TrainerControl, FixedPolicyMatchesUncontrolledRunBitForBit) {
   // The degenerate policy run through the whole controller machinery —
   // probe attach, per-bucket override routing, boundary allreduces — must

@@ -76,6 +76,37 @@ TEST(Membership, ScheduleBuildsOrderedViews) {
   EXPECT_EQ(ms.view_at(2).size(), 3);
 }
 
+TEST(Membership, ScheduleTakesTheCrashAsAnIterationGranularLeave) {
+  faults::FaultSpec spec;
+  spec.crash_rank = 2;
+  spec.crash_epoch = 1;
+  spec.crash_iter = 3;
+  const core::MembershipSchedule ms(4, spec);
+  ASSERT_EQ(ms.views().size(), 2u);
+  const core::MembershipView& after = ms.views()[1];
+  EXPECT_EQ(after.epoch_begin, 1);
+  EXPECT_EQ(after.iter_begin, 3);
+  EXPECT_EQ(after.ranks, (std::vector<int>{0, 1, 3}));
+
+  // The full fleet governs up to the crash boundary, the survivors from it
+  // on — including later epochs from their first iteration.
+  EXPECT_EQ(ms.segment_at(0, 99), 0);
+  EXPECT_EQ(ms.segment_at(1, 2), 0);
+  EXPECT_EQ(ms.segment_at(1, 3), 1);
+  EXPECT_EQ(ms.segment_at(2), 1);
+  EXPECT_EQ(ms.view_at(1).size(), 4);  // epoch 1's data partition
+  EXPECT_EQ(ms.view_at(2).size(), 3);
+
+  // Churn-only schedules keep iteration 0, and a crash rank outside the
+  // fleet is rejected like any other leaver.
+  const core::MembershipSchedule churn(4, leave_then_rejoin(2, 1, 3));
+  for (const core::MembershipView& v : churn.views()) {
+    EXPECT_EQ(v.iter_begin, 0);
+  }
+  spec.crash_rank = 4;
+  EXPECT_THROW(core::MembershipSchedule(4, spec), std::invalid_argument);
+}
+
 TEST(Membership, ScheduleRejectsInconsistentPlans) {
   using core::MembershipSchedule;
   using Events = std::vector<faults::ChurnEvent>;

@@ -284,6 +284,133 @@ TEST(Resilience, CrashContinueHandsOffToSurvivorsExactly) {
   EXPECT_EQ(cont.parameters_crc32, full.parameters_crc32);
 }
 
+TEST(Resilience, CrashResumesUnderTheSamePlanInTheSurvivorView) {
+  // The crash sits at absolute (epoch, iteration) coordinates, like churn:
+  // the crashed 4-rank run of the hand-off test above, staged at the end of
+  // the crash epoch and resumed at start_epoch 2 on 4 physical ranks under
+  // the SAME plan, starts in the survivor view (rank 2 parked) and must
+  // reproduce the uninterrupted run's last epoch exactly.
+  Benchmark b = tiny_cnn();
+  faults::FaultSpec spec;
+  spec.crash_rank = 2;
+  spec.crash_epoch = 1;
+  spec.crash_iter = 2;
+  faults::FaultPlan plan(spec);
+
+  TrainConfig cfg = tiny_config(b, 4);
+  cfg.epochs = 3;
+  cfg.faults = &plan;
+  RunResult full = train(b.factory, cfg);
+
+  TrainConfig stage_cfg = cfg;
+  stage_cfg.epochs = 2;
+  RunResult stage = train(b.factory, stage_cfg);
+
+  std::vector<float> saved = stage.final_parameters;
+  ReplicaFactory resumed = [&b, saved](uint64_t seed) {
+    auto model = b.factory(seed);
+    size_t at = 0;
+    for (auto& p : model->module().parameters()) {
+      auto v = p.value->data.f32();
+      std::copy_n(saved.begin() + static_cast<int64_t>(at), v.size(), v.begin());
+      at += v.size();
+    }
+    return model;
+  };
+  TrainConfig cont_cfg = cfg;
+  cont_cfg.epochs = 1;
+  cont_cfg.start_epoch = 2;
+  RunResult cont = train(resumed, cont_cfg);
+
+  ASSERT_EQ(full.epochs.size(), 3u);
+  ASSERT_EQ(cont.epochs.size(), 1u);
+  EXPECT_EQ(cont.epochs[0].train_loss, full.epochs[2].train_loss);
+  EXPECT_EQ(cont.final_parameters, full.final_parameters);
+  EXPECT_EQ(cont.parameters_crc32, full.parameters_crc32);
+  EXPECT_TRUE(cont.replicas_in_sync);
+  // The crash happened before the resumed run: it is not counted again.
+  EXPECT_EQ(full.faults.crashed_ranks, 1u);
+  EXPECT_EQ(cont.faults.crashed_ranks, 0u);
+  EXPECT_EQ(full.faults.leaves, 0u);
+}
+
+TEST(Resilience, SurvivorsArePricedOnTheirOwnLinks) {
+  // Rank 2 is the only throttled link and crashes at the start of epoch 1.
+  // From then on the bottleneck is over the survivors, so the fully
+  // post-crash epoch must cost exactly what it costs on a uniform fleet
+  // (codec clock zeroed: every simulated second is then deterministic).
+  Benchmark b = tiny_cnn();
+  faults::FaultSpec spec;
+  spec.crash_rank = 2;
+  spec.crash_epoch = 1;
+  spec.crash_iter = 0;
+  faults::FaultPlan plan(spec);
+
+  TrainConfig cfg = tiny_config(b, 4);
+  cfg.epochs = 2;
+  cfg.faults = &plan;
+  cfg.time.compression_time_scale = 0.0;
+  RunResult uniform = train(b.factory, cfg);
+
+  std::vector<comm::LinkProfile> lp(4);
+  lp[2].bandwidth_scale = 0.1;
+  cfg.fleet = comm::FleetProfile(std::move(lp), "one-slow-link");
+  RunResult throttled = train(b.factory, cfg);
+
+  ASSERT_EQ(uniform.epochs.size(), 2u);
+  ASSERT_EQ(throttled.epochs.size(), 2u);
+  // The slow link prices the pre-crash epoch...
+  EXPECT_GT(throttled.epochs[0].epoch_sim_seconds,
+            uniform.epochs[0].epoch_sim_seconds);
+  // ...and stops mattering once its rank is gone.
+  EXPECT_EQ(throttled.epochs[1].epoch_sim_seconds,
+            uniform.epochs[1].epoch_sim_seconds);
+  EXPECT_EQ(throttled.parameters_crc32, uniform.parameters_crc32);
+}
+
+TEST(Resilience, RegistryFaultCountersSumToTheRunTotals) {
+  // Every injector a run uses — the base world's and each smaller view's —
+  // folds into its physical ranks' registry counters, so the per-rank
+  // fault.* counters sum to RunResult::faults under churn and under a crash.
+  Benchmark b = tiny_cnn();
+  faults::FaultSpec churn;
+  churn.seed = 5;
+  churn.drop_prob = 0.1;
+  churn.churn = {{/*epoch=*/1, /*rank=*/2, /*join=*/false},
+                 {/*epoch=*/3, /*rank=*/2, /*join=*/true}};
+  faults::FaultSpec crash;
+  crash.seed = 5;
+  crash.drop_prob = 0.1;
+  crash.crash_rank = 2;
+  crash.crash_epoch = 1;
+  crash.crash_iter = 2;
+  for (const faults::FaultSpec& spec : {churn, crash}) {
+    SCOPED_TRACE(spec.has_crash() ? "crash" : "churn");
+    TrainConfig cfg = tiny_config(b, 4);
+    cfg.epochs = 4;
+    const faults::FaultPlan plan(spec);
+    cfg.faults = &plan;
+    MetricRegistry registry(cfg.n_workers);
+    cfg.metrics = &registry;
+    const RunResult run = train(b.factory, cfg);
+    ASSERT_GT(run.faults.retries, 0u);
+
+    uint64_t staged = 0, drops = 0, corruptions = 0, retries = 0;
+    for (int r = 0; r < cfg.n_workers; ++r) {
+      for (const CounterSnapshot& c : registry.counters(r)) {
+        if (c.name == "fault.attempts_staged") staged += c.value;
+        if (c.name == "fault.drops_detected") drops += c.value;
+        if (c.name == "fault.corruptions_detected") corruptions += c.value;
+        if (c.name == "fault.retries") retries += c.value;
+      }
+    }
+    EXPECT_EQ(staged, run.faults.attempts_staged);
+    EXPECT_EQ(drops, run.faults.drops_detected);
+    EXPECT_EQ(corruptions, run.faults.corruptions_detected);
+    EXPECT_EQ(retries, run.faults.retries);
+  }
+}
+
 TEST(Resilience, CrashedRunsReplayBitForBit) {
   Benchmark b = tiny_cnn();
   TrainConfig cfg = tiny_config(b, 4);

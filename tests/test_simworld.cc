@@ -1,12 +1,15 @@
-// Large-scale simulated worlds (sim/simworld.h): exact transport-count
-// equivalence with the thread-backed trainer on small worlds, fleet-scale
-// smoke coverage, and the JSON export.
+// Large-scale simulated worlds (sim/simworld.h): exact transport-count and
+// per-iteration seconds equivalence with the thread-backed trainer on small
+// worlds, fleet-scale smoke coverage, and the JSON export.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "comm/topology.h"
 #include "json_checker.h"
+#include "sim/critical_path.h"
 #include "sim/simworld.h"
 #include "sim/tasks.h"
 #include "sim/trainer.h"
@@ -60,6 +63,41 @@ TEST(SimWorld, TransportTotalsMatchThreadWorldExactly) {
                     (real.samples_per_epoch /
                      (cfg.n_workers * cfg.batch_per_worker)));
       EXPECT_EQ(sim.topology, real.topology);
+    }
+  }
+}
+
+// The seconds half of the contract: simulate_scale prices its probe rank
+// with train()'s own pricer (sim/scheduler.h), so with the codec clock
+// zeroed (the only measured input), a uniform fleet and no faults, every
+// iteration the thread-backed trainer charged equals the simulated
+// iteration bitwise — under both accountings and across the fusion
+// endpoints. Compared per iteration: the run mean divides a sum.
+TEST(SimWorld, TrainChargesEveryIterationLikeTheSimulatedWorld) {
+  Benchmark b = make_cnn_classification(0.1);
+  for (const char* spec : {"none", "topk(0.1)", "qsgd(64)"}) {
+    for (const bool overlap : {false, true}) {
+      for (const size_t fusion : {size_t{0}, size_t{4096}, SIZE_MAX}) {
+        TrainConfig cfg = small_config(b, 4);
+        cfg.grace.compressor_spec = spec;
+        cfg.time.overlap = overlap;
+        cfg.time.compression_time_scale = 0.0;
+        cfg.fusion_bytes = fusion;
+        CriticalPathCollector collector(cfg.n_workers);
+        cfg.critical_path = &collector;
+
+        const RunResult real = train(b.factory, cfg);
+        const ScaleResult sim = simulate_scale(b.factory, cfg);
+
+        SCOPED_TRACE(std::string(spec) + (overlap ? " overlap" : " additive") +
+                     " fusion=" + std::to_string(fusion));
+        const auto& per_iter = real.critical_path.per_iteration;
+        ASSERT_FALSE(per_iter.empty());
+        for (size_t i = 0; i < per_iter.size(); ++i) {
+          ASSERT_EQ(per_iter[i].iteration_s, sim.iteration_s)
+              << "iteration " << i;
+        }
+      }
     }
   }
 }
