@@ -267,30 +267,71 @@ double reprice_iteration(
   return overlap_charge(max_pipe, costs.optimizer_s, stall);
 }
 
-CriticalPathCollector::CriticalPathCollector(int n_ranks)
-    : ranks_(static_cast<size_t>(n_ranks)) {
+CriticalPathCollector::CriticalPathCollector(int n_ranks) : n_ranks_(n_ranks) {
   assert(n_ranks >= 1);
 }
 
-void CriticalPathCollector::record(int rank,
-                                   std::span<const BucketTiming> timings) {
-  RankSlot& slot = ranks_.at(static_cast<size_t>(rank));
-  slot.flat.insert(slot.flat.end(), timings.begin(), timings.end());
-  slot.ends.push_back(slot.flat.size());
+void CriticalPathCollector::add(
+    const IterationCharge& charge, double optimizer_s,
+    const std::vector<std::span<const BucketTiming>>& rank_timings,
+    bool overlap) {
+  // The binding-rank view of the charge; the re-derived iteration_s is
+  // bitwise equal to the charge (same schedule inputs, same summation
+  // order).
+  IterationCosts costs;
+  costs.compute_s = charge.compute_s;
+  costs.codec_s = charge.codec_s();
+  costs.comm_s = charge.comm_s;
+  costs.optimizer_s = optimizer_s;
+  costs.stall_s = charge.stall_s;
+  if (charge.binding >= 0) {
+    costs.timings = rank_timings[static_cast<size_t>(charge.binding)];
+  }
+  const IterationAttribution a = attribute_iteration(costs, overlap);
+  sum_.compute_s += a.compute_s;
+  sum_.codec_s += a.codec_s;
+  sum_.link_s += a.link_s;
+  sum_.optimizer_s += a.optimizer_s;
+  sum_.stall_s += a.stall_s;
+  sum_.iteration_s += a.iteration_s;
+  ++summary_.bound_iters[static_cast<size_t>(a.binding)];
+  summary_.per_iteration.push_back(a);
+  for (size_t s = 0; s < kScenarios.size(); ++s) {
+    whatif_sum_[s] +=
+        reprice_iteration(costs, rank_timings, overlap, kScenarios[s]);
+  }
 }
 
-int64_t CriticalPathCollector::iterations(int rank) const {
-  return static_cast<int64_t>(
-      ranks_.at(static_cast<size_t>(rank)).ends.size());
-}
-
-std::span<const BucketTiming> CriticalPathCollector::timings(
-    int rank, int64_t iter) const {
-  const RankSlot& slot = ranks_.at(static_cast<size_t>(rank));
-  const auto i = static_cast<size_t>(iter);
-  const size_t begin = i == 0 ? 0 : slot.ends.at(i - 1);
-  const size_t end = slot.ends.at(i);
-  return std::span<const BucketTiming>(slot.flat).subspan(begin, end - begin);
+CriticalPathSummary CriticalPathCollector::summary() const {
+  CriticalPathSummary out = summary_;
+  if (out.per_iteration.empty()) return out;
+  out.collected = true;
+  out.iterations = static_cast<int64_t>(out.per_iteration.size());
+  const auto iters = static_cast<double>(out.iterations);
+  IterationAttribution& mean = out.mean;
+  mean.compute_s = sum_.compute_s / iters;
+  mean.codec_s = sum_.codec_s / iters;
+  mean.link_s = sum_.link_s / iters;
+  mean.optimizer_s = sum_.optimizer_s / iters;
+  mean.stall_s = sum_.stall_s / iters;
+  // The iteration sum accumulated the charged seconds in iteration order,
+  // so the mean matches RunResult::iteration_s exactly; fold the
+  // category-rounding residue so the mean ledger closes too.
+  mean.iteration_s = sum_.iteration_s / iters;
+  close_ledger(mean);
+  size_t top = 0;
+  for (size_t r = 1; r < kNumResources; ++r) {
+    if (out.bound_iters[r] > out.bound_iters[top]) top = r;
+  }
+  mean.binding = static_cast<Resource>(top);
+  for (size_t s = 0; s < kScenarios.size(); ++s) {
+    WhatIfResult w;
+    w.name = scenario_name(kScenarios[s]);
+    w.iteration_s = whatif_sum_[s] / iters;
+    w.speedup = w.iteration_s > 0.0 ? mean.iteration_s / w.iteration_s : 1.0;
+    out.what_ifs.push_back(std::move(w));
+  }
+  return out;
 }
 
 std::string critical_path_json(const CriticalPathSummary& s) {

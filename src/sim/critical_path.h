@@ -21,10 +21,9 @@
 //      stage durations, so predictions are pure functions of the recorded
 //      run and never fall below the max(compute, link-occupancy) bound.
 //
-// Collection is opt-in via TrainConfig::critical_path, following the same
-// contract as the trace / fidelity / metrics layers: per-rank slots
-// written lock-free by the worker threads, read after join; a null
-// pointer costs one branch per iteration.
+// Collection is opt-in via TrainConfig::critical_path, like the trace and
+// metrics layers: the collector is filled by train() after the join from
+// its per-rank log; a null pointer skips the attribution entirely.
 #pragma once
 
 #include <array>
@@ -79,16 +78,16 @@ struct IterationAttribution {
   }
 };
 
-// The binding-rank view of one iteration, assembled by the trainer from
-// the IterationCharge it priced the iteration with (sim/scheduler.h).
+// The binding-rank view of one iteration, assembled from the
+// IterationCharge it was priced with (sim/scheduler.h).
 struct IterationCosts {
   // The binding rank's per-bucket stage durations (empty on skipped
   // rounds). Only consulted under overlap accounting and by the pipeline
   // what-ifs.
   std::span<const BucketTiming> timings;
   double compute_s = 0.0;    // simulated forward + backward
-  double codec_s = 0.0;      // additive: the slowest rank's compress +
-                             // decompress overhead (trainer's max_overhead)
+  double codec_s = 0.0;      // additive: the charge's codec split (the
+                             // rank with the largest codec overhead)
   double comm_s = 0.0;       // additive: simulated collective time
   double optimizer_s = 0.0;
   double stall_s = 0.0;      // slowest rank's simulated fault stall
@@ -102,8 +101,8 @@ IterationAttribution attribute_iteration(const IterationCosts& costs,
 
 // Folds the floating-point reassociation residue between iteration_s and
 // the category sums back into the categories until attributed_total()
-// equals iteration_s bitwise (the honesty contract). Used internally by
-// attribute_iteration and by the trainer when it averages the ledger.
+// equals iteration_s bitwise (the honesty contract). Used by
+// attribute_iteration and by the collector when it averages the ledger.
 void close_ledger(IterationAttribution& a);
 
 // Deterministic what-if scenarios: re-price the closed-form timeline with
@@ -155,31 +154,38 @@ struct CriticalPathSummary {
   std::vector<WhatIfResult> what_ifs;
 };
 
-// Per-rank, per-iteration storage for the bucket timings, written
-// lock-free by the worker threads (each rank appends only to its own
-// cache-line-separated slot; read only after the threads have joined).
-// Skipped rounds record an empty timing list.
+// Accumulates one run's ledger and rolls it up. train() feeds it after the
+// worker threads have joined, one iteration at a time in iteration order,
+// from its per-rank log. One collector serves one run: train() rejects a
+// collector that already holds iterations.
 class CriticalPathCollector {
  public:
   explicit CriticalPathCollector(int n_ranks);
 
-  // Record one iteration's bucket timings on behalf of `rank`; only that
-  // rank's thread may call this, once per iteration, in iteration order.
-  void record(int rank, std::span<const BucketTiming> timings);
+  int n_ranks() const { return n_ranks_; }
+  // Iterations attributed so far.
+  int64_t iterations() const {
+    return static_cast<int64_t>(summary_.per_iteration.size());
+  }
 
-  int n_ranks() const { return static_cast<int>(ranks_.size()); }
-  // Iterations this rank recorded (parked iterations record no buckets).
-  int64_t iterations(int rank) const;
-  std::span<const BucketTiming> timings(int rank, int64_t iter) const;
+  // Attributes one iteration priced under `overlap` accounting and
+  // re-prices it under every scenario. `rank_timings` holds the alive
+  // ranks' bucket timings in the order `charge` folded them (its binding
+  // index points into it; skipped rounds have no buckets).
+  void add(const IterationCharge& charge, double optimizer_s,
+           const std::vector<std::span<const BucketTiming>>& rank_timings,
+           bool overlap);
+
+  // The run-level roll-up: mean ledger (closed bitwise onto the mean
+  // iteration), binding tallies and what-if means. collected stays false
+  // while no iteration was added.
+  CriticalPathSummary summary() const;
 
  private:
-  // Cache-line separation between rank slots: ranks record concurrently.
-  struct alignas(64) RankSlot {
-    std::vector<BucketTiming> flat;  // all iterations, concatenated
-    std::vector<size_t> ends;        // flat offset after each iteration
-  };
-
-  std::vector<RankSlot> ranks_;
+  int n_ranks_;
+  CriticalPathSummary summary_;  // per_iteration and bound_iters so far
+  IterationAttribution sum_;     // category and iteration sums
+  std::array<double, kScenarios.size()> whatif_sum_{};
 };
 
 // JSON object for the summary ({"collected":...,"attribution":{...},

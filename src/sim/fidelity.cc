@@ -1,6 +1,5 @@
 #include "sim/fidelity.h"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <sstream>
@@ -30,10 +29,6 @@ void CompressionFidelityProbe::on_sample(const core::FidelitySample& s) {
     acc->name = s.tensor;
     acc->numel = s.numel;
   }
-  if (acc->ring.empty()) acc->ring.resize(kRollingCapacity);
-  acc->ring[static_cast<size_t>(acc->samples % kRollingCapacity)] =
-      RollSample{s.cosine_similarity, s.sign_agreement, s.l2_rel_error,
-                 s.compression_ratio};
   ++acc->samples;
   acc->dense_bits += s.dense_bits;
   acc->wire_bits += s.wire_bits;
@@ -61,36 +56,6 @@ CompressionFidelityProbe::Totals CompressionFidelityProbe::totals(
     return t;
   }
   return t;
-}
-
-CompressionFidelityProbe::Rolling CompressionFidelityProbe::rolling(
-    int rank, const std::string& name, int last_k) const {
-  Rolling r;
-  const RankSlot& slot = ranks_.at(static_cast<size_t>(rank));
-  for (const Accum& a : slot.tensors) {
-    if (a.name != name || a.samples == 0) continue;
-    const int64_t want = last_k < 1 ? 1 : static_cast<int64_t>(last_k);
-    const int64_t have =
-        std::min<int64_t>({want, a.samples, kRollingCapacity});
-    double cos = 0.0, sign = 0.0, err = 0.0, ratio = 0.0;
-    for (int64_t i = 0; i < have; ++i) {
-      // Walk backward from the most recent entry (written at samples-1).
-      const int64_t idx = (a.samples - 1 - i) % kRollingCapacity;
-      const RollSample& rs = a.ring[static_cast<size_t>(idx)];
-      cos += rs.cosine;
-      sign += rs.sign;
-      err += rs.l2_rel_error;
-      ratio += rs.ratio;
-    }
-    r.samples = have;
-    const double k = static_cast<double>(have);
-    r.cosine = cos / k;
-    r.sign_agreement = sign / k;
-    r.l2_rel_error = err / k;
-    r.compression_ratio = ratio / k;
-    return r;
-  }
-  return r;
 }
 
 int64_t CompressionFidelityProbe::samples() const {

@@ -42,9 +42,8 @@ struct TensorFidelitySummary {
 };
 
 // Implements the core::ExchangeProbe hook with lock-free per-rank storage:
-// each rank's worker thread appends only to its own slot (same discipline
-// as Trace's rings), so recording needs no synchronization; summaries()
-// must only be called after the worker threads have joined.
+// each rank's worker thread appends only to its own slot, so recording
+// needs no synchronization.
 class CompressionFidelityProbe final : public core::ExchangeProbe {
  public:
   // Sample every `every_k`-th iteration (clamped to >= 1). The trainer
@@ -81,34 +80,14 @@ class CompressionFidelityProbe final : public core::ExchangeProbe {
   };
   Totals totals(int rank, const std::string& name) const;
 
-  // Rolling window over the last `last_k` samples of one (rank, tensor):
-  // plain means, cheap to read every boundary (backed by a small per-tensor
-  // ring, capacity kRollingCapacity — larger k is clamped). samples == 0
-  // (defaults) when the pair was never sampled.
-  struct Rolling {
-    int64_t samples = 0;  // entries actually in the window (<= last_k)
-    double cosine = 1.0;
-    double sign_agreement = 1.0;
-    double l2_rel_error = 0.0;
-    double compression_ratio = 1.0;
-  };
-  static constexpr int kRollingCapacity = 64;
-  Rolling rolling(int rank, const std::string& name, int last_k) const;
-
-  // Thread contract for the per-rank accessors: rank r's slot is written
-  // only by rank r's worker thread, so totals()/rolling() for rank r may
-  // be called from that same thread mid-run (the controller does); reading
-  // OTHER ranks' slots is only safe after the workers have joined.
+  // Thread contract: rank r's slot is written only by rank r's worker
+  // thread, so totals() for rank r may be called from that same thread
+  // mid-run (the controller does); reading OTHER ranks' slots, and
+  // samples()/summaries(), is only safe after the workers have joined.
 
   int n_ranks() const { return static_cast<int>(ranks_.size()); }
 
  private:
-  struct RollSample {
-    double cosine = 0.0;
-    double sign = 0.0;
-    double l2_rel_error = 0.0;
-    double ratio = 0.0;
-  };
   struct Accum {
     std::string name;
     int64_t numel = 0;
@@ -121,8 +100,6 @@ class CompressionFidelityProbe final : public core::ExchangeProbe {
     double sign_agreement = 0.0;
     double grad_l2 = 0.0;
     double residual_l2 = 0.0;
-    // Last kRollingCapacity samples, ring-indexed by samples % capacity.
-    std::vector<RollSample> ring;
   };
   // Cache-line separation between rank slots: ranks record concurrently.
   struct alignas(64) RankSlot {

@@ -1,12 +1,13 @@
 // Lock-free per-rank metrics: named monotonic counters and log2-bucketed
 // histograms. PhaseBreakdown reports *means*, which hide the tail — the
 // registry keeps full per-exchange latency and message-size distributions
-// so p50/p99/max survive aggregation. Each rank's worker thread writes
-// only its own slot (the same discipline as Trace's rings), so recording
-// takes no locks and no atomics; the merged cross-rank views (counters(),
-// histograms()) are deterministic — ranks are folded in ascending order,
-// output sorted by metric name — and must only be read after the worker
-// threads have joined.
+// so p50/p99/max survive aggregation. The registry is filled by train()
+// after the join from its per-rank log; only the adaptive controller's
+// control.* counters are written mid-run, each by its own rank's worker
+// thread into that rank's slot, so recording takes no locks and no
+// atomics. The merged cross-rank views (counters(), histograms()) are
+// deterministic — ranks are folded in ascending order, output sorted by
+// metric name — and must only be read after train() returns.
 #pragma once
 
 #include <array>
@@ -59,7 +60,7 @@ class MetricRegistry {
  public:
   explicit MetricRegistry(int n_ranks);
 
-  // Record on behalf of `rank`; only that rank's thread may call these.
+  // Record on behalf of `rank`; at most one thread per rank at a time.
   void inc(int rank, std::string_view name, uint64_t delta = 1);
   void observe(int rank, std::string_view name, double value);
 
@@ -67,7 +68,7 @@ class MetricRegistry {
   std::vector<CounterSnapshot> counters() const;
   std::vector<HistogramSnapshot> histograms() const;
   // Single-rank views (same sort, no merge): the health detectors compare
-  // per-rank series against the fleet (sim/report.h). Same read-after-join
+  // per-rank series against the fleet (sim/report.h). Same read-after-run
   // discipline as the merged views.
   std::vector<CounterSnapshot> counters(int rank) const;
   std::vector<HistogramSnapshot> histograms(int rank) const;

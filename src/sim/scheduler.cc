@@ -111,6 +111,53 @@ double overlap_charge(double pipe_s, double optimizer_s, double stall_s) {
   return (pipe_s + optimizer_s) + stall_s;
 }
 
+IterationClock iteration_clock(const TimeModel& time,
+                               double fwd_flops_per_sample, int64_t batch,
+                               bool compressing) {
+  IterationClock c;
+  c.compute_s = time.compute_seconds(fwd_flops_per_sample, batch);
+  const double backward_share =
+      time.backward_factor / (1.0 + time.backward_factor);
+  c.forward_s = c.compute_s * (1.0 - backward_share);
+  c.backward_s = c.compute_s * backward_share;
+  c.time_scale = time.compression_time_scale;
+  c.fixed_s = compressing ? time.compression_fixed_per_tensor : 0.0;
+  c.overlap = time.overlap;
+  return c;
+}
+
+void price_rank(std::span<const core::ExchangeStats> stats,
+                std::span<const BucketSpec> plan, const IterationClock& clock,
+                double compute_scale, double stall_s, RankPrice& out) {
+  assert(stats.empty() || stats.size() == plan.size());
+  // Scaling by exactly 1.0 (a uniform fleet) is bitwise identity.
+  const double compute_s = clock.compute_s * compute_scale;
+  const double forward_s = clock.forward_s * compute_scale;
+  const double backward_s = clock.backward_s * compute_scale;
+  int64_t total_numel = 0;
+  for (const BucketSpec& b : plan) total_numel += b.numel;
+  out.total = core::ExchangeStats{};
+  out.timings.resize(stats.size());
+  int64_t ready_numel = 0;
+  for (size_t b = 0; b < stats.size(); ++b) {
+    ready_numel += plan[b].numel;
+    const double ready_fraction =
+        total_numel <= 0 ? 1.0
+                         : static_cast<double>(ready_numel) /
+                               static_cast<double>(total_numel);
+    const double ready_s = forward_s + backward_s * ready_fraction;
+    out.timings[b] = bucket_timing(stats[b], ready_s, clock.time_scale,
+                                   clock.fixed_s, compute_scale);
+    out.total += stats[b];
+  }
+  out.schedule = schedule_buckets(out.timings, compute_s, clock.overlap);
+  const BucketTiming iter = bucket_timing(
+      out.total, 0.0, clock.time_scale,
+      clock.fixed_s * static_cast<double>(plan.size()), compute_scale);
+  out.costs = {compute_s,   iter.compress_s, iter.decompress_s,
+               iter.comm_s, stall_s,         out.schedule.exchange_end};
+}
+
 IterationCharge charge_iteration(std::span<const RankCosts> alive,
                                  double optimizer_s, bool overlap) {
   IterationCharge c;
@@ -148,18 +195,10 @@ ExchangeScheduler::ExchangeScheduler(std::deque<nn::Parameter>& params,
   }
   plan_ = plan_buckets(numels, names, fusion_bytes);
   staging_.resize(plan_.size());
-  ready_numel_.reserve(plan_.size());
   for (const BucketSpec& b : plan_) {
     if (b.count > 1) staging_[static_cast<size_t>(b.id)] = Tensor::zeros(Shape{{b.numel}});
     total_numel_ += b.numel;
-    ready_numel_.push_back(total_numel_);
   }
-}
-
-double ExchangeScheduler::ready_fraction(size_t b) const {
-  if (total_numel_ <= 0) return 1.0;
-  return static_cast<double>(ready_numel_.at(b)) /
-         static_cast<double>(total_numel_);
 }
 
 const Tensor& ExchangeScheduler::pack(size_t b) {

@@ -29,6 +29,7 @@
 
 #include "core/grace_world.h"
 #include "nn/module.h"
+#include "sim/time_model.h"
 
 namespace grace::sim {
 
@@ -104,8 +105,7 @@ BucketSchedule schedule_buckets(std::span<const BucketTiming> buckets,
 //
 // bucket_timing: measured codec seconds times `time_scale`
 // (TimeModel::compression_time_scale), plus `fixed_s` dispatch overhead on
-// compress, both stretched by the rank's fleet `compute_scale`. Used per
-// bucket and on an iteration's summed stats (fixed_s times the buckets).
+// compress, both stretched by the rank's fleet `compute_scale`.
 BucketTiming bucket_timing(const core::ExchangeStats& s, double ready_s,
                            double time_scale, double fixed_s,
                            double compute_scale);
@@ -113,6 +113,23 @@ BucketTiming bucket_timing(const core::ExchangeStats& s, double ready_s,
 double additive_charge(double compute_s, double codec_s, double comm_s,
                        double optimizer_s, double stall_s);
 double overlap_charge(double pipe_s, double optimizer_s, double stall_s);
+
+// The simulated clock of one iteration (TimeModel) before any rank's fleet
+// stretch: device compute split into its forward and backward shares, and
+// the codec clock.
+struct IterationClock {
+  double compute_s = 0.0;
+  double forward_s = 0.0;
+  double backward_s = 0.0;
+  double time_scale = 1.0;  // TimeModel::compression_time_scale
+  double fixed_s = 0.0;     // dispatch overhead per bucket (0 uncompressed)
+  bool overlap = false;     // TimeModel::overlap
+};
+// `compressing`: whether any compressor the run may route a bucket to is
+// not "none" (only then is the per-bucket dispatch overhead charged).
+IterationClock iteration_clock(const TimeModel& time,
+                               double fwd_flops_per_sample, int64_t batch,
+                               bool compressing);
 
 // One alive rank's simulated costs for one iteration.
 struct RankCosts {
@@ -123,6 +140,28 @@ struct RankCosts {
   double stall_s = 0.0;
   double pipe_s = 0.0;  // pipeline drain (overlap accounting)
 };
+
+// One rank's priced iteration.
+struct RankPrice {
+  RankCosts costs;
+  core::ExchangeStats total;          // the per-bucket stats, summed
+  std::vector<BucketTiming> timings;  // per exchanged bucket, fleet-stretched
+  BucketSchedule schedule;            // where those buckets landed
+};
+
+// The per-rank pricer train() and simulate_scale share. `stats` holds the
+// rank's per-bucket exchange stats in plan order, or nothing for a round
+// that exchanged nothing. Bucket b is ready once the backward pass has
+// produced its gradients: the plan's cumulative numel share through b (the
+// simulated backward emits gradients in pack order at a uniform element
+// rate). The buckets are laid out on the rank's timeline with
+// schedule_buckets, whose drain is the rank's pipeline; the summed stats,
+// priced like one bucket carrying every bucket's dispatch overhead, give
+// its codec and comm costs. Device and codec seconds stretch by the rank's
+// `compute_scale`. Reuses `out`'s buffers.
+void price_rank(std::span<const core::ExchangeStats> stats,
+                std::span<const BucketSpec> plan, const IterationClock& clock,
+                double compute_scale, double stall_s, RankPrice& out);
 
 // The charged iteration and the costs it was charged for: the slowest
 // compute, stall and pipeline, the codec split of the rank with the
@@ -149,11 +188,6 @@ class ExchangeScheduler {
   const std::vector<BucketSpec>& buckets() const { return plan_; }
   size_t n_buckets() const { return plan_.size(); }
   int64_t total_numel() const { return total_numel_; }
-
-  // Fraction of the backward pass finished when bucket b's last gradient
-  // is ready: cumulative numel share through b in pack order (the simulated
-  // backward produces gradients in pack order at a uniform element rate).
-  double ready_fraction(size_t b) const;
 
   // Stage bucket b's gradients (multi-tensor buckets copy into the staging
   // buffer; single-tensor buckets pass the gradient through untouched) and
@@ -185,8 +219,7 @@ class ExchangeScheduler {
 
   std::deque<nn::Parameter>* params_;
   std::vector<BucketSpec> plan_;
-  std::vector<Tensor> staging_;       // per bucket; empty for single-tensor
-  std::vector<int64_t> ready_numel_;  // cumulative numel through bucket b
+  std::vector<Tensor> staging_;  // per bucket; empty for single-tensor
   int64_t total_numel_ = 0;
 };
 

@@ -81,35 +81,19 @@ ScaleResult simulate_scale(const ReplicaFactory& factory,
 
   const bool compressing =
       core::parse_spec(cfg.grace.compressor_spec).name != "none";
-  const double fixed_per_tensor =
-      compressing ? cfg.time.compression_fixed_per_tensor : 0.0;
-  const double scale = cfg.time.compression_time_scale;
   const bool allreduce_mode =
       grace.compressor().comm_mode() == core::CommMode::Allreduce;
-
-  // Simulated device times. The iteration is priced at the slowest member
-  // of the fleet (the rank every collective waits for); the straggler's
-  // multiplier stretches compute and codec.
-  r.compute_s =
-      cfg.time.compute_seconds(model->flops_per_sample(), cfg.batch_per_worker) *
-      worst_compute;
   r.optimizer_s =
       cfg.time.optimizer_seconds(model->module().num_parameters());
-  const double backward_share =
-      cfg.time.backward_factor / (1.0 + cfg.time.backward_factor);
-  const double forward_s = r.compute_s * (1.0 - backward_share);
-  const double backward_s = r.compute_s * backward_share;
 
   // Submit every bucket through the real pipeline; from each payload take
   // the measured codec costs, the logical wire size, the physical blob
   // size, and the exact per-round transport volume under this topology.
   comm::WireVolume iter_vol;
-  std::vector<BucketTiming> timings(n_buckets);
-  core::ExchangeStats iter_stats;
+  std::vector<core::ExchangeStats> bucket_stats(n_buckets);
   for (size_t b = 0; b < n_buckets; ++b) {
     core::ExchangeHandle h = sched.submit_bucket(grace, b, /*instrument=*/true);
     const uint64_t wire = h.stats.wire_bytes;
-    r.wire_bytes_per_iter += wire;
     const int64_t numel = sched.buckets()[b].numel;
     const uint64_t dense_bytes = static_cast<uint64_t>(numel) * 4;
 
@@ -124,7 +108,8 @@ ScaleResult simulate_scale(const ReplicaFactory& factory,
 
     // The bucket's stats as a thread-backed rank would report them:
     // measured compression, modeled comm, dataflow-scaled decompression.
-    core::ExchangeStats s = h.stats;
+    core::ExchangeStats& s = bucket_stats[b];
+    s = h.stats;
     if (kind == comm::TopologyKind::ParameterServer) {
       const Tensor blob = core::serialize(h.payload);
       s.comm_seconds = topo->push_pull_seconds(
@@ -144,28 +129,25 @@ ScaleResult simulate_scale(const ReplicaFactory& factory,
       iter_vol += topo->allgather_volume(blob.size_bytes());
       s.decompress_seconds = one_decompress * n;
     }
-    timings[b] =
-        bucket_timing(s, forward_s + backward_s * sched.ready_fraction(b),
-                      scale, fixed_per_tensor, worst_compute);
-    iter_stats += s;
   }
 
-  // The probe rank is priced exactly as train() prices each of its ranks
-  // (sim/scheduler.h): the iteration's summed stats give the codec and
-  // comm costs, the bucket timeline gives the pipeline drain, and
-  // charge_iteration folds them under the run's accounting.
-  const BucketTiming iter =
-      bucket_timing(iter_stats, 0.0, scale,
-                    fixed_per_tensor * static_cast<double>(n_buckets),
-                    worst_compute);
-  r.compress_s = iter.compress_s;
-  r.comm_s = iter.comm_s;
-  r.decompress_s = iter.decompress_s;
-  const RankCosts probe{
-      r.compute_s, iter.compress_s, iter.decompress_s, iter.comm_s, 0.0,
-      schedule_buckets(timings, r.compute_s, cfg.time.overlap).exchange_end};
-  const IterationCharge charge = charge_iteration(
-      std::span<const RankCosts>(&probe, 1), r.optimizer_s, cfg.time.overlap);
+  // The probe rank is priced by train()'s own per-rank pricer
+  // (sim/scheduler.h) at the slowest member's compute multiplier — the
+  // rank every collective waits for — and charge_iteration folds it under
+  // the run's accounting.
+  RankPrice probe;
+  price_rank(bucket_stats, sched.buckets(),
+             iteration_clock(cfg.time, model->flops_per_sample(),
+                             cfg.batch_per_worker, compressing),
+             worst_compute, /*stall_s=*/0.0, probe);
+  r.compute_s = probe.costs.compute_s;
+  r.compress_s = probe.costs.compress_s;
+  r.comm_s = probe.costs.comm_s;
+  r.decompress_s = probe.costs.decompress_s;
+  r.wire_bytes_per_iter = probe.total.wire_bytes;
+  const IterationCharge charge =
+      charge_iteration(std::span<const RankCosts>(&probe.costs, 1),
+                       r.optimizer_s, cfg.time.overlap);
   r.iteration_s = charge.iteration_s;
   r.additive_iteration_s = charge.additive_s;
   r.overlap_saved_s = charge.additive_s - charge.iteration_s;

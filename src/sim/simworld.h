@@ -5,10 +5,11 @@
 // the same per-iteration model — the bucket plan, the measured codec costs,
 // the 3-resource exchange timeline and the topology cost formulas — for
 // fleets of hundreds to thousands of ranks using ONE real replica, and
-// prices it with train()'s own pricer (bucket_timing + charge_iteration,
-// sim/scheduler.h). With a zeroed codec clock, a uniform fleet and no
-// faults, every train() iteration's charge equals iteration_s bitwise
-// (pinned per iteration in tests/test_simworld.cc):
+// prices it with the per-rank pricer train() prices every rank with after
+// its join (price_rank + charge_iteration, sim/scheduler.h). With a zeroed
+// codec clock, a uniform fleet and no faults, every train() iteration's
+// charge equals iteration_s bitwise (pinned per iteration in
+// tests/test_simworld.cc):
 //
 //   * One probe rank runs a real forward/backward and submits every fusion
 //     bucket through a real GraceWorker (submit() touches no communication),

@@ -119,7 +119,12 @@ std::string run_result_json(const RunResult& r) {
      << ",\"straggler_stall_seconds\":" << r.faults.straggler_stall_s
      << ",\"rounds_skipped\":" << r.faults.rounds_skipped
      << ",\"crashed_ranks\":" << r.faults.crashed_ranks
-     << ",\"degraded_iters\":" << r.faults.degraded_iters << '}';
+     << ",\"degraded_iters\":" << r.faults.degraded_iters
+     << ",\"leaves\":" << r.faults.leaves
+     << ",\"joins\":" << r.faults.joins
+     << ",\"sat_out_rounds\":" << r.faults.sat_out_rounds
+     << ",\"outages\":" << r.faults.outages
+     << ",\"outage_stall_seconds\":" << r.faults.outage_stall_s << '}';
   os << ",\"trace_events_dropped\":" << r.trace_events_dropped;
   os << ",\"tensors\":[";
   for (size_t i = 0; i < r.tensor_trace.size(); ++i) {

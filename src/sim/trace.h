@@ -1,11 +1,11 @@
 // Run-level observability (DESIGN.md §8): ring-buffered trace events with
-// phase tags, recorded by the trainer around the forward/backward pass, each
-// GraceWorker::exchange (compress / comm / decompress, per gradient tensor),
-// and the optimizer step. Each rank owns a fixed-capacity ring, so recording
-// is lock-free and allocation-free; when a ring fills, the oldest events are
+// phase tags for the forward/backward pass, each fusion bucket's exchange
+// (compress / comm / decompress) and the optimizer step. The trace is
+// filled by train() after the join from its per-rank log, each rank's
+// events in the order they happened. Each rank owns a fixed-capacity ring,
+// so recording is allocation-free; when a ring fills, the oldest events are
 // overwritten and counted as dropped. Tracing is opt-in via
-// TrainConfig::trace — when unset the trainer performs no recording at all
-// (a single pointer test per site), so the disabled-mode cost is zero.
+// TrainConfig::trace — when unset the trainer records nothing.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +56,8 @@ struct TraceEvent {
   double start_s = -1.0;
 };
 
-// Per-rank ring buffers of TraceEvents. Each rank writes only its own ring
-// (no synchronization); events() and dropped() must only be called after the
-// worker threads have joined.
+// Per-rank ring buffers of TraceEvents. Not synchronized: one thread
+// records at a time (train() does, after its join).
 class Trace {
  public:
   explicit Trace(int n_ranks, size_t capacity_per_rank = size_t{1} << 16);

@@ -25,20 +25,25 @@ namespace {
 
 // One rank's record of one iteration. Inactive rows are placeholders pushed
 // while the rank was parked out of the view in force (a churn leaver, or
-// the crash casualty from its crash on); post-processing skips them.
+// the crash casualty from its crash on); the fold skips them.
 struct IterationRow {
   float loss = 0.0f;
-  RankCosts costs;          // simulated costs (sim/scheduler.h)
-  uint64_t wire_bytes = 0;  // logical bytes this rank sent
+  double stall_s = 0.0;  // straggler delay + reconnect stall + retry charges
+  int epoch = 0;
+  int64_t iter = 0;  // within the epoch
   bool active = false;
+  // False on a skipped round, which logs no per-bucket stats.
+  bool exchanged = false;
 };
 
+// What one worker thread logs: raw facts only. The fold after the join
+// prices, records and charges every iteration from these logs.
 struct WorkerLog {
   std::vector<IterationRow> rows;  // index-aligned across ranks
+  // The stats wait() filled, one per bucket in plan order, for every
+  // exchanged row in row order.
+  std::vector<core::ExchangeStats> buckets;
   bool in_sync = true;             // every check_sync this rank ran passed
-  // Per-epoch iteration counts (rank 0 only; epochs change length when
-  // the membership view does).
-  std::vector<int64_t> epoch_iters;
   // Trainer-level fault tallies: this rank's stragglers, sat-out rounds
   // and outages, plus the run-wide rounds_skipped / degraded_iters, which
   // only rank 0 counts.
@@ -245,15 +250,13 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     }
   }
 
-  // Simulated per-iteration device times, identical on every worker.
-  result.compute_s =
-      cfg.time.compute_seconds(fwd_flops_per_sample, cfg.batch_per_worker);
+  // The simulated clock every rank is priced with (before its fleet
+  // stretch).
+  const IterationClock clock = iteration_clock(
+      cfg.time, fwd_flops_per_sample, cfg.batch_per_worker, compressing);
+  result.compute_s = clock.compute_s;
   const double optimizer_s = cfg.time.optimizer_seconds(result.model_parameters);
   result.optimizer_s = optimizer_s;
-  const double backward_share =
-      cfg.time.backward_factor / (1.0 + cfg.time.backward_factor);
-  const double forward_iter_s = result.compute_s * (1.0 - backward_share);
-  const double backward_iter_s = result.compute_s * backward_share;
 
   Trace* const trace = cfg.trace;
   CompressionFidelityProbe* const fidelity =
@@ -263,6 +266,11 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   if (cpath != nullptr && cpath->n_ranks() != n) {
     throw std::invalid_argument(
         "TrainConfig: critical_path collector sized for a different world");
+  }
+  if (cpath != nullptr && cpath->iterations() > 0) {
+    throw std::invalid_argument(
+        "TrainConfig: critical_path collector already holds another run's "
+        "iterations; use a fresh collector per train() call");
   }
   if (ctl_on && fidelity->n_ranks() < n) {
     throw std::invalid_argument(
@@ -285,27 +293,8 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     // endpoints (sim/scheduler.h).
     ExchangeScheduler sched(model->module().parameters(), cfg.fusion_bytes);
     const size_t n_buckets = sched.n_buckets();
-    const double fixed_per_tensor =
-        compressing ? cfg.time.compression_fixed_per_tensor : 0.0;
-    const double fixed_overhead =
-        fixed_per_tensor * static_cast<double>(n_buckets);
-    // Per-rank simulated device speed (comm/fleet.h): compute AND codec
-    // seconds stretch by this rank's compute_scale. Scaling by exactly 1.0
-    // is bitwise identity, so a uniform fleet reproduces the legacy numbers
-    // to the last bit.
-    const double compute_scale = cfg.fleet.compute_scale(rank);
-    const double my_compute_s = result.compute_s * compute_scale;
-    const double my_forward_s = forward_iter_s * compute_scale;
-    const double my_backward_s = backward_iter_s * compute_scale;
     std::vector<core::ExchangeHandle> handles;  // per-iter, reused
     handles.reserve(n_buckets);
-    std::vector<core::ExchangeStats> bucket_stats(n_buckets);
-    std::vector<BucketTiming> timings(n_buckets);
-    // The per-bucket timeline is only needed when something consumes it:
-    // the overlap accounting, the trace (per-bucket start offsets), or the
-    // critical-path collector.
-    const bool need_schedule =
-        cfg.time.overlap || trace != nullptr || cpath != nullptr;
     std::vector<int64_t> wrapped;  // slice buffer when the batch wraps
 
     // Adaptive controller (one identical instance per rank). Initial arm
@@ -407,47 +396,6 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
       }
     };
 
-    auto record = [&](int epoch, int64_t it, Phase phase, int32_t tensor,
-                      double seconds, uint64_t bytes, double start = -1.0) {
-      trace->record(rank, TraceEvent{epoch, static_cast<int32_t>(it),
-                                     static_cast<int16_t>(rank), phase, tensor,
-                                     seconds, bytes, start});
-    };
-    // Trace and metric durations are the testbed-scaled stage seconds
-    // before this rank's fleet stretch.
-    auto testbed_timing = [&](const core::ExchangeStats& s) {
-      return bucket_timing(s, 0.0, cfg.time.compression_time_scale,
-                           fixed_per_tensor, 1.0);
-    };
-    // Per-bucket exchange phases carry the bucket's stable id as the tensor
-    // slot and the absolute start of each stage within the iteration on the
-    // simulated timeline (Chrome traces then show overlap).
-    auto record_exchange = [&](int epoch, int64_t it, int32_t bucket,
-                               const core::ExchangeStats& s,
-                               const BucketSpan& span) {
-      const BucketTiming t = testbed_timing(s);
-      record(epoch, it, Phase::Compress, bucket, t.compress_s, 0,
-             span.compress_start);
-      record(epoch, it, Phase::Comm, bucket, t.comm_s, s.wire_bytes,
-             span.comm_start);
-      record(epoch, it, Phase::Decompress, bucket, t.decompress_s, 0,
-             span.decompress_start);
-    };
-    // Per-exchange distributions (the same scaled quantities the trace
-    // records, so the registry's tails are comparable with the phase means).
-    auto record_metrics = [&](const core::ExchangeStats& s, int64_t numel) {
-      const BucketTiming t = testbed_timing(s);
-      metrics->inc(rank, "exchange.count");
-      metrics->inc(rank, "exchange.wire_bytes_total", s.wire_bytes);
-      metrics->observe(rank, "exchange.compress_ns", t.compress_s * 1e9);
-      metrics->observe(rank, "exchange.decompress_ns", t.decompress_s * 1e9);
-      metrics->observe(rank, "exchange.comm_ns", t.comm_s * 1e9);
-      metrics->observe(rank, "exchange.wire_bytes",
-                       static_cast<double>(s.wire_bytes));
-      metrics->inc(rank, "sched.bucket_exchanges");
-      metrics->observe(rank, "sched.bucket_bytes",
-                       static_cast<double>(numel) * 4.0);
-    };
     // One controller decision boundary. The per-bucket signal window is
     // this rank's probe totals minus the previous boundary's baseline
     // (totals are monotonic, so a resumed run sees the same windows as the
@@ -511,7 +459,6 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
       const int64_t iters_per_epoch =
           std::max<int64_t>(1, train_n / sched_global_batch);
       const auto order = epoch_order(train_n, cfg.seed, epoch);
-      int64_t iters_done = 0;
       for (int64_t it = 0; it < iters_per_epoch; ++it) {
         if (cfg.crash_policy == faults::CrashPolicy::Halt && plan != nullptr &&
             plan->crash_at(epoch, it)) {
@@ -521,15 +468,13 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
         const int s = membership.segment_at(epoch, it);
         if (s != seg) transition(s, epoch, e0 > 0 || it > 0);
         if (!member) {
-          // Parked: an inactive row keeps this rank's log, and the
-          // critical-path collector, index-aligned with the members'. The
-          // exchanges, check_sync and eval go on without it. A crash
-          // casualty parks at the crash boundary: it completed iteration
-          // it-1 including all of its sends (mailbox puts never block), so
-          // the survivors are owed nothing, and its undrained stall is
-          // never read.
+          // Parked: an inactive row keeps this rank's log index-aligned
+          // with the members'. The exchanges, check_sync and eval go on
+          // without it. A crash casualty parks at the crash boundary: it
+          // completed iteration it-1 including all of its sends (mailbox
+          // puts never block), so the survivors are owed nothing, and its
+          // undrained stall is never read.
           log.rows.emplace_back();
-          if (cpath) cpath->record(rank, {});
           continue;
         }
         if (fidelity) {
@@ -564,10 +509,6 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
         }
         model->module().zero_grad();
         const float loss = model->forward_backward(slice, batch_rng);
-        if (trace) {
-          record(epoch, it, Phase::Forward, -1, my_forward_s, 0);
-          record(epoch, it, Phase::Backward, -1, my_backward_s, 0);
-        }
 
         const bool skip_round = plan != nullptr && plan->round_skipped(epoch, it);
         // Partial participation: a sat-out rank folds its gradients into the
@@ -577,8 +518,6 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
         // participates; an outage window forces non-participation.
         const bool participate =
             !pp_on || plan->participates(rank, epoch, it);
-        core::ExchangeStats stats;
-        double pipe_s = 0.0;  // this rank's pipeline drain (overlap runs)
         if (skip_round) {
           // Degraded round: the exchange is lost on every rank. Fold the
           // computed gradients into the error-feedback residual — at the
@@ -586,9 +525,6 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
           // the work feeds the next round; no optimizer step (replicas
           // remain identical because everyone skips the same rounds).
           sched.absorb_all(grace);
-          // No exchange happened, so the pipeline ends with compute.
-          pipe_s = my_compute_s;
-          if (cpath) cpath->record(rank, {});  // skipped round: no buckets
           if (rank == 0) ++log.faults.rounds_skipped;
         } else {
           // Submit every bucket (compensate + compress + memory update, all
@@ -603,12 +539,9 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
                     : sched.submit_bucket_zero(grace, b, /*instrument=*/true));
           }
           for (size_t b = 0; b < n_buckets; ++b) {
-            bucket_stats[b] = core::ExchangeStats{};  // wait() accumulates
-            Tensor aggregated = grace.wait(std::move(handles[b]), &bucket_stats[b]);
-            stats += bucket_stats[b];
-            if (metrics) {
-              record_metrics(bucket_stats[b], sched.buckets()[b].numel);
-            }
+            // wait() accumulates into a fresh entry of the log.
+            Tensor aggregated = grace.wait(std::move(handles[b]),
+                                           &log.buckets.emplace_back());
             sched.apply_bucket(
                 b, aggregated,
                 [&](size_t slot, std::span<float> param, std::span<const float> g) {
@@ -616,38 +549,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
                 });
           }
           handles.clear();
-          // Lay the buckets out on the simulated per-rank timeline: bucket
-          // b's compression may start once its gradients are ready during
-          // backward (cumulative-numel ramp), buckets serialize on the
-          // codec stages and on the link. With overlap off the same pass
-          // reproduces the additive layout, so traces stay sequential.
-          if (need_schedule) {
-            for (size_t b = 0; b < n_buckets; ++b) {
-              timings[b] = bucket_timing(
-                  bucket_stats[b],
-                  my_forward_s + my_backward_s * sched.ready_fraction(b),
-                  cfg.time.compression_time_scale, fixed_per_tensor,
-                  compute_scale);
-            }
-            if (cpath) cpath->record(rank, timings);
-            const BucketSchedule bs =
-                schedule_buckets(timings, my_compute_s, cfg.time.overlap);
-            if (trace) {
-              for (size_t b = 0; b < n_buckets; ++b) {
-                record_exchange(epoch, it, sched.buckets()[b].id,
-                                bucket_stats[b], bs.spans[b]);
-              }
-            }
-            if (cfg.time.overlap) {
-              pipe_s = bs.exchange_end;
-              if (metrics) {
-                metrics->observe(rank, "sched.overlap_saved_ns",
-                                 (bs.additive_end - pipe_s) * 1e9);
-              }
-            }
-          }
         }
-        if (trace) record(epoch, it, Phase::Optimizer, -1, optimizer_s, 0);
 
         // Fault stall: the straggler delay this plan assigns to (rank,
         // epoch, it) plus every simulated retry charge this rank's
@@ -676,23 +578,10 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
             }
           }
           stall += live_injector->drain_stall(live_rank);
-          if (stall > 0.0) {
-            if (trace) record(epoch, it, Phase::Fault, -1, stall, 0);
-            if (metrics) metrics->observe(rank, "fault.stall_ns", stall * 1e9);
-          }
           if (rank == 0 && live_n < n) ++log.faults.degraded_iters;
         }
-
-        // The iteration's summed stats priced like one bucket carrying all
-        // of the per-bucket dispatch overhead.
-        const BucketTiming iter =
-            bucket_timing(stats, 0.0, cfg.time.compression_time_scale,
-                          fixed_overhead, compute_scale);
-        log.rows.push_back({loss,
-                            {my_compute_s, iter.compress_s, iter.decompress_s,
-                             iter.comm_s, stall, pipe_s},
-                            stats.wire_bytes,
-                            /*active=*/true});
+        log.rows.push_back({loss, stall, epoch, it, /*active=*/true,
+                            /*exchanged=*/!skip_round});
         // Intra-epoch decision boundary (never doubled with the epoch-end
         // one); the condition depends only on shared schedule state, so
         // every live rank takes it together.
@@ -701,9 +590,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
             it + 1 < iters_per_epoch) {
           control_step(epoch, it);
         }
-        ++iters_done;
       }
-      if (rank == 0 && iters_done > 0) log.epoch_iters.push_back(iters_done);
       if (halted || !member) continue;
 
       // Epoch-end decision boundary — always, including the final epoch,
@@ -751,98 +638,141 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   for (int rank = 0; rank < n; ++rank) threads.emplace_back(worker_fn, rank);
   for (auto& t : threads) t.join();
 
-  // --- Post-processing (single-threaded) ---
+  // --- The fold (single-threaded): price, record and charge every
+  // iteration from the per-rank logs ---
+  //
+  // Each iteration's alive ranks are priced in ascending rank order by the
+  // per-rank pricer simulate_scale shares (price_rank, sim/scheduler.h),
+  // written to the opt-in recorders, and folded into one charge
+  // (charge_iteration). Parked ranks' placeholder rows never bind anything.
+  // The additive figure is kept under overlap so the phase breakdown and
+  // the overlap saving stay reportable.
   const auto total_iters = static_cast<int64_t>(logs[0].rows.size());
-  // Rank 0 is in every view and runs every iteration of the run, so its
-  // per-epoch counts are the run's ground-truth schedule; epochs change
-  // length when the view does.
-  const std::vector<int64_t>& epoch_iters = logs[0].epoch_iters;
-  const int64_t first_epoch_iters = epoch_iters.empty() ? 0 : epoch_iters.front();
+  const size_t n_buckets = bucket_plan.size();
+  if (trace) {
+    result.tensor_trace.resize(n_buckets);
+    for (size_t b = 0; b < n_buckets; ++b) {
+      result.tensor_trace[b].name = bucket_plan[b].name;
+      result.tensor_trace[b].numel = bucket_plan[b].numel;
+    }
+  }
+  // One alive rank's iteration in the recorders, in the order it happened.
+  // Trace and metric durations are the testbed-scaled stage seconds before
+  // the rank's fleet stretch. Bucket events carry the bucket's stable id
+  // and each stage's absolute start on the rank's simulated timeline
+  // (Chrome traces then show overlap); the registry's per-exchange
+  // distributions hold the same quantities, so its tails are comparable
+  // with the phase means. Rank 0's bucket totals are the tensor_trace.
+  auto record = [&](int rank, const IterationRow& row,
+                    std::span<const core::ExchangeStats> stats,
+                    const RankPrice& price) {
+    auto event = [&](Phase phase, int32_t tensor, double seconds,
+                     uint64_t bytes, double start = -1.0) {
+      if (trace == nullptr) return;
+      trace->record(rank, TraceEvent{row.epoch, static_cast<int32_t>(row.iter),
+                                     static_cast<int16_t>(rank), phase, tensor,
+                                     seconds, bytes, start});
+    };
+    const double compute_scale = cfg.fleet.compute_scale(rank);
+    event(Phase::Forward, -1, clock.forward_s * compute_scale, 0);
+    event(Phase::Backward, -1, clock.backward_s * compute_scale, 0);
+    for (size_t b = 0; b < stats.size(); ++b) {
+      const core::ExchangeStats& s = stats[b];
+      const BucketTiming t =
+          bucket_timing(s, 0.0, clock.time_scale, clock.fixed_s, 1.0);
+      const BucketSpan& span = price.schedule.spans[b];
+      const int32_t id = bucket_plan[b].id;
+      event(Phase::Compress, id, t.compress_s, 0, span.compress_start);
+      event(Phase::Comm, id, t.comm_s, s.wire_bytes, span.comm_start);
+      event(Phase::Decompress, id, t.decompress_s, 0, span.decompress_start);
+      if (trace && rank == 0) {
+        TensorTraceSummary& sum = result.tensor_trace[b];
+        ++sum.exchanges;
+        sum.compress_s += t.compress_s;
+        sum.comm_s += t.comm_s;
+        sum.decompress_s += t.decompress_s;
+        sum.wire_bytes += s.wire_bytes;
+      }
+      if (metrics) {
+        metrics->inc(rank, "exchange.count");
+        metrics->inc(rank, "exchange.wire_bytes_total", s.wire_bytes);
+        metrics->observe(rank, "exchange.compress_ns", t.compress_s * 1e9);
+        metrics->observe(rank, "exchange.decompress_ns", t.decompress_s * 1e9);
+        metrics->observe(rank, "exchange.comm_ns", t.comm_s * 1e9);
+        metrics->observe(rank, "exchange.wire_bytes",
+                         static_cast<double>(s.wire_bytes));
+        metrics->inc(rank, "sched.bucket_exchanges");
+        metrics->observe(rank, "sched.bucket_bytes",
+                         static_cast<double>(bucket_plan[b].numel) * 4.0);
+      }
+    }
+    if (metrics && clock.overlap && !stats.empty()) {
+      const BucketSchedule& bs = price.schedule;
+      metrics->observe(rank, "sched.overlap_saved_ns",
+                       (bs.additive_end - bs.exchange_end) * 1e9);
+    }
+    event(Phase::Optimizer, -1, optimizer_s, 0);
+    if (row.stall_s > 0.0) {
+      event(Phase::Fault, -1, row.stall_s, 0);
+      if (metrics) metrics->observe(rank, "fault.stall_ns", row.stall_s * 1e9);
+    }
+  };
 
-  // Epoch sample accounting (the epoch tail never enters an iteration when
-  // the dataset size is not a multiple of the global batch). Quoted for the
-  // schedule at run start; epochs in a smaller view cover more samples per
-  // iter.
-  result.samples_per_epoch = first_epoch_iters * global_batch;
-  result.samples_dropped_per_epoch =
-      std::max<int64_t>(0, probe_train_n - result.samples_per_epoch);
-
-  // Per-iteration simulated time: every iteration folds the costs of the
-  // ranks alive in it into one charge (charge_iteration, sim/scheduler.h —
-  // the pricer simulate_scale shares). Parked ranks' placeholder rows never
-  // bind anything. The additive figure is kept under overlap so the phase
-  // breakdown and the overlap saving stay reportable.
   std::vector<double> iter_seconds(static_cast<size_t>(total_iters));
+  std::vector<int64_t> iter_samples(static_cast<size_t>(total_iters));
   double compress_sum = 0.0, decompress_sum = 0.0, comm_sum = 0.0,
          stall_sum = 0.0, bytes_sum = 0.0;
   double additive_sum = 0.0, saved_sum = 0.0;
   result.overlap_enabled = cfg.time.overlap;
-  // Critical-path accumulators (cpath runs only).
-  CriticalPathSummary& cps = result.critical_path;
-  double cp_compute_sum = 0.0, cp_codec_sum = 0.0, cp_link_sum = 0.0,
-         cp_optimizer_sum = 0.0, cp_stall_sum = 0.0, cp_iter_sum = 0.0;
-  std::array<double, kScenarios.size()> whatif_sum{};
+  std::vector<RankPrice> prices(static_cast<size_t>(n));
+  std::vector<size_t> next_bucket(static_cast<size_t>(n), 0);
   std::vector<RankCosts> alive;
-  std::vector<int> alive_ranks;
-  std::vector<std::span<const BucketTiming>> rank_spans;
+  std::vector<std::span<const BucketTiming>> alive_timings;
   for (int64_t it = 0; it < total_iters; ++it) {
     const auto i = static_cast<size_t>(it);
     alive.clear();
-    alive_ranks.clear();
-    for (size_t r = 0; r < logs.size(); ++r) {
-      if (!logs[r].rows[i].active) continue;
-      alive.push_back(logs[r].rows[i].costs);
-      alive_ranks.push_back(static_cast<int>(r));
+    alive_timings.clear();
+    for (int r = 0; r < n; ++r) {
+      const WorkerLog& log = logs[static_cast<size_t>(r)];
+      const IterationRow& row = log.rows[i];
+      if (!row.active) continue;
+      std::span<const core::ExchangeStats> stats;
+      size_t& next = next_bucket[static_cast<size_t>(r)];
+      if (row.exchanged) {
+        stats = std::span(log.buckets).subspan(next, n_buckets);
+        next += n_buckets;
+      }
+      RankPrice& price = prices[static_cast<size_t>(r)];
+      price_rank(stats, bucket_plan, clock, cfg.fleet.compute_scale(r),
+                 row.stall_s, price);
+      record(r, row, stats, price);
+      alive.push_back(price.costs);
+      alive_timings.push_back(price.timings);
     }
     const IterationCharge charge =
         charge_iteration(alive, optimizer_s, cfg.time.overlap);
     iter_seconds[i] = charge.iteration_s;
+    // Sat-out and outage ranks ran the iteration: their samples went to
+    // the error-feedback residual.
+    iter_samples[i] = static_cast<int64_t>(alive.size()) * cfg.batch_per_worker;
     additive_sum += charge.additive_s;
     if (cfg.time.overlap) saved_sum += charge.additive_s - charge.iteration_s;
     compress_sum += charge.compress_s;
     decompress_sum += charge.decompress_s;
     comm_sum += charge.comm_s;
     stall_sum += charge.stall_s;
-    bytes_sum += static_cast<double>(logs[0].rows[i].wire_bytes);
-    if (cpath != nullptr) {
-      // Assemble the binding-rank view from the charge and attribute the
-      // iteration; the re-derived iteration_s is bitwise equal to the
-      // charge (same schedule inputs, same summation order).
-      IterationCosts costs;
-      costs.compute_s = charge.compute_s;
-      costs.codec_s = charge.codec_s();
-      costs.comm_s = charge.comm_s;
-      costs.optimizer_s = optimizer_s;
-      costs.stall_s = charge.stall_s;
-      if (charge.binding >= 0) {
-        costs.timings = cpath->timings(
-            alive_ranks[static_cast<size_t>(charge.binding)], it);
-      }
-      rank_spans.clear();
-      for (int r : alive_ranks) rank_spans.push_back(cpath->timings(r, it));
-      IterationAttribution a = attribute_iteration(costs, cfg.time.overlap);
-      cp_compute_sum += a.compute_s;
-      cp_codec_sum += a.codec_s;
-      cp_link_sum += a.link_s;
-      cp_optimizer_sum += a.optimizer_s;
-      cp_stall_sum += a.stall_s;
-      cp_iter_sum += a.iteration_s;
-      ++cps.bound_iters[static_cast<size_t>(a.binding)];
-      cps.per_iteration.push_back(a);
-      for (size_t s = 0; s < kScenarios.size(); ++s) {
-        whatif_sum[s] +=
-            reprice_iteration(costs, rank_spans, cfg.time.overlap,
-                              kScenarios[s]);
-      }
-    }
+    bytes_sum += static_cast<double>(prices[0].total.wire_bytes);
+    if (cpath) cpath->add(charge, optimizer_s, alive_timings, cfg.time.overlap);
   }
+  if (trace) result.trace_events_dropped = trace->dropped();
+  if (cpath) result.critical_path = cpath->summary();
   if (total_iters > 0) {
     const auto iters = static_cast<double>(total_iters);
     result.comm_s = comm_sum / iters;
     result.compress_s = (compress_sum + decompress_sum) / iters;
     result.wire_bytes_per_iter = bytes_sum / iters;
-    result.phases.forward_s = forward_iter_s;
-    result.phases.backward_s = backward_iter_s;
+    result.phases.forward_s = clock.forward_s;
+    result.phases.backward_s = clock.backward_s;
     result.phases.compress_s = compress_sum / iters;
     result.phases.comm_s = result.comm_s;
     result.phases.decompress_s = decompress_sum / iters;
@@ -854,66 +784,51 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     result.overlap_saved_s = saved_sum / iters;
     result.overlap_fraction =
         additive_sum > 0.0 ? saved_sum / additive_sum : 0.0;
-    if (cpath != nullptr) {
-      cps.collected = true;
-      cps.iterations = total_iters;
-      cps.mean.compute_s = cp_compute_sum / iters;
-      cps.mean.codec_s = cp_codec_sum / iters;
-      cps.mean.link_s = cp_link_sum / iters;
-      cps.mean.optimizer_s = cp_optimizer_sum / iters;
-      cps.mean.stall_s = cp_stall_sum / iters;
-      // cp_iter_sum accumulated the same bitwise values as iter_sum in the
-      // same order, so the mean matches result.iteration_s exactly; fold
-      // the category-rounding residue so the mean ledger closes too.
-      cps.mean.iteration_s = cp_iter_sum / iters;
-      close_ledger(cps.mean);
-      size_t top = 0;
-      for (size_t r = 1; r < kNumResources; ++r) {
-        if (cps.bound_iters[r] > cps.bound_iters[top]) top = r;
-      }
-      cps.mean.binding = static_cast<Resource>(top);
-      for (size_t s = 0; s < kScenarios.size(); ++s) {
-        WhatIfResult w;
-        w.name = scenario_name(kScenarios[s]);
-        w.iteration_s = whatif_sum[s] / iters;
-        w.speedup =
-            w.iteration_s > 0.0 ? result.iteration_s / w.iteration_s : 1.0;
-        cps.what_ifs.push_back(std::move(w));
-      }
-    }
   }
 
-  // Steady-state throughput over the trailing window (paper: last 100 iters).
+  // Steady-state throughput over the trailing window (paper: last 100
+  // iters), counting the samples of the ranks that ran.
   const int64_t window = std::min<int64_t>(100, total_iters);
   if (window > 0) {
     double tail = 0.0;
+    int64_t samples = 0;
     for (int64_t it = total_iters - window; it < total_iters; ++it) {
       tail += iter_seconds[static_cast<size_t>(it)];
+      samples += iter_samples[static_cast<size_t>(it)];
     }
     result.throughput =
-        static_cast<double>(global_batch * window) / std::max(tail, 1e-12);
+        static_cast<double>(samples) / std::max(tail, 1e-12);
   }
 
   // Epoch records: loss averages from worker 0, quality from evaluations.
+  // Rank 0 is in every view and runs every iteration of the run, so its
+  // rows are the run's schedule; epochs change length when the view does.
+  const std::vector<IterationRow>& rows0 = logs[0].rows;
   double cum = 0.0;
   size_t eval_at = 0;
-  int64_t at = 0;
-  for (size_t e = 0; e < epoch_iters.size(); ++e) {
-    const int epoch = cfg.start_epoch + static_cast<int>(e);
+  for (size_t at = 0; at < rows0.size();) {
     EpochRecord rec;
-    rec.epoch = epoch;
-    const int64_t count = epoch_iters[e];
+    rec.epoch = rows0[at].epoch;
+    int64_t count = 0;
     double loss = 0.0, epoch_time = 0.0;
-    for (int64_t it = at; it < at + count; ++it) {
-      loss += logs[0].rows[static_cast<size_t>(it)].loss;
-      epoch_time += iter_seconds[static_cast<size_t>(it)];
+    for (; at < rows0.size() && rows0[at].epoch == rec.epoch; ++at, ++count) {
+      loss += rows0[at].loss;
+      epoch_time += iter_seconds[at];
     }
-    at += count;
-    rec.train_loss = count > 0 ? loss / static_cast<double>(count) : 0.0;
+    if (result.epochs.empty()) {
+      // Epoch sample accounting (the epoch tail never enters an iteration
+      // when the dataset size is not a multiple of the global batch),
+      // quoted for the view in force at run start; epochs in a smaller
+      // view cover more samples per iteration.
+      result.samples_per_epoch =
+          count * membership.view_at(cfg.start_epoch).size() *
+          cfg.batch_per_worker;
+    }
+    rec.train_loss = loss / static_cast<double>(count);
     rec.epoch_sim_seconds = epoch_time;
     cum += epoch_time;
     rec.cum_sim_seconds = cum;
-    if (eval_at < eval_epochs.size() && eval_epochs[eval_at] == epoch) {
+    if (eval_at < eval_epochs.size() && eval_epochs[eval_at] == rec.epoch) {
       rec.quality = evals[eval_at].quality;
       ++eval_at;
     } else {
@@ -921,6 +836,8 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     }
     result.epochs.push_back(rec);
   }
+  result.samples_dropped_per_epoch =
+      std::max<int64_t>(0, probe_train_n - result.samples_per_epoch);
   result.total_sim_seconds = cum;
   if (!evals.empty()) {
     result.final_quality = evals.back().quality;
@@ -1011,38 +928,6 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
         mirror(r, rank_faults[static_cast<size_t>(r)], kPerRank);
       }
       mirror(0, result.faults, kRunWide);
-    }
-  }
-
-  // Aggregate rank 0's per-tensor trace events into run summaries.
-  if (trace) {
-    result.trace_events_dropped = trace->dropped();
-    result.tensor_trace.resize(bucket_plan.size());
-    for (size_t t = 0; t < bucket_plan.size(); ++t) {
-      result.tensor_trace[t].name = bucket_plan[t].name;
-      result.tensor_trace[t].numel = bucket_plan[t].numel;
-    }
-    for (const TraceEvent& ev : trace->events()) {
-      if (ev.rank != 0 || ev.tensor < 0 ||
-          static_cast<size_t>(ev.tensor) >= result.tensor_trace.size()) {
-        continue;
-      }
-      TensorTraceSummary& sum = result.tensor_trace[static_cast<size_t>(ev.tensor)];
-      switch (ev.phase) {
-        case Phase::Compress:
-          sum.compress_s += ev.seconds;
-          ++sum.exchanges;  // one Compress event per exchange() call
-          break;
-        case Phase::Comm:
-          sum.comm_s += ev.seconds;
-          sum.wire_bytes += ev.bytes;
-          break;
-        case Phase::Decompress:
-          sum.decompress_s += ev.seconds;
-          break;
-        default:
-          break;
-      }
     }
   }
 

@@ -63,10 +63,10 @@ struct TrainConfig {
   // fusion did, now at bucket granularity: PowerSGD sees a flat vector,
   // Top-k selects across the bucket's layers.
   size_t fusion_bytes = 0;
-  // Optional run tracer (sim/trace.h, not owned). When set, every worker
-  // records per-phase / per-tensor TraceEvents and the trainer fills
-  // RunResult::tensor_trace from rank 0's events. When null (the default)
-  // no recording happens at all — the only cost is a pointer test.
+  // Optional run tracer (sim/trace.h, not owned). When set, train() fills
+  // it after the join from its per-rank log with per-phase / per-bucket
+  // TraceEvents, and fills RunResult::tensor_trace from rank 0's log. When
+  // null (the default) no event is recorded.
   Trace* trace = nullptr;
   // Optional compression-fidelity probe (sim/fidelity.h, not owned). When
   // set, every probe->every_k()-th iteration measures per-tensor
@@ -75,17 +75,19 @@ struct TrainConfig {
   // iteration and one per exchange.
   CompressionFidelityProbe* fidelity = nullptr;
   // Optional exchange-level metrics registry (sim/metric_registry.h, not
-  // owned). When set, every exchange records compress/decompress latency
-  // and message-size distributions plus counters; the trainer snapshots
-  // them into RunResult::metric_counters / metric_histograms. When null
-  // the cost is one branch per exchange.
+  // owned). When set, train() fills it after the join from its per-rank
+  // log — every exchange's compress/decompress latency and message-size
+  // distributions plus counters — and snapshots it into
+  // RunResult::metric_counters / metric_histograms. The adaptive
+  // controller's control.* counters are the one part recorded mid-run.
   MetricRegistry* metrics = nullptr;
   // Optional critical-path collector (sim/critical_path.h, not owned).
-  // When set, every worker records its per-iteration bucket timings and the
-  // trainer fills RunResult::critical_path: per-iteration resource
-  // attribution (honesty contract: attributed seconds sum bitwise-exactly
-  // to the iteration's charge) and deterministic what-if re-pricings. When
-  // null the cost is one branch per iteration.
+  // When set, train() fills it after the join from its per-rank log and
+  // copies its roll-up into RunResult::critical_path: per-iteration
+  // resource attribution (honesty contract: attributed seconds sum
+  // bitwise-exactly to the iteration's charge) and deterministic what-if
+  // re-pricings. A collector serves one run: train() throws
+  // std::invalid_argument when it already holds iterations.
   CriticalPathCollector* critical_path = nullptr;
   // Optional deterministic fault plan (src/faults, docs/RESILIENCE.md; not
   // owned). When set, the trainer installs a FaultInjector on the World

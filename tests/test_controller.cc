@@ -3,7 +3,7 @@
 // round-trips, and trainer-level determinism / resume / error-feedback
 // carry-over contracts. Also covers the satellite APIs that ride along:
 // the registry's unknown-spec error listing and the fidelity probe's
-// totals / rolling-window accessors.
+// totals accessor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,7 +53,7 @@ TEST(Registry, UnknownSpecListsRegisteredNamesSorted) {
   }
 }
 
-// --- Satellite: fidelity probe totals + rolling window --------------------
+// --- Fidelity probe totals -------------------------------------------------
 
 core::FidelitySample sample(const char* name, double cosine, double sign,
                             double residual, double grad, uint64_t wire,
@@ -87,39 +87,6 @@ TEST(FidelityProbe, TotalsAreMonotonicSums) {
   EXPECT_EQ(t.dense_bits, 512u);
   // Unknown tensor / never-sampled rank: zero totals, not a throw.
   EXPECT_EQ(probe.totals(0, "nope").samples, 0);
-}
-
-TEST(FidelityProbe, RollingWindowMeansLastK) {
-  sim::CompressionFidelityProbe probe(1);
-  for (int i = 0; i < 5; ++i) {
-    probe.on_sample(sample("w", 0.1 * i, 0.2, 0.0, 1.0, 32, 256));
-  }
-  const auto last2 = probe.rolling(0, "w", 2);
-  EXPECT_EQ(last2.samples, 2);
-  EXPECT_DOUBLE_EQ(last2.cosine, (0.3 + 0.4) / 2.0);  // samples 3 and 4
-  // Window larger than history clamps to what exists.
-  const auto all = probe.rolling(0, "w", 100);
-  EXPECT_EQ(all.samples, 5);
-  EXPECT_DOUBLE_EQ(all.cosine, (0.0 + 0.1 + 0.2 + 0.3 + 0.4) / 5.0);
-  // Empty probe: identity defaults.
-  EXPECT_EQ(probe.rolling(0, "nope", 4).samples, 0);
-  EXPECT_DOUBLE_EQ(probe.rolling(0, "nope", 4).cosine, 1.0);
-}
-
-TEST(FidelityProbe, RollingWindowSurvivesRingWraparound) {
-  sim::CompressionFidelityProbe probe(1);
-  const int total = sim::CompressionFidelityProbe::kRollingCapacity + 9;
-  for (int i = 0; i < total; ++i) {
-    probe.on_sample(sample("w", i, 0.5, 0.0, 1.0, 32, 256));
-  }
-  const auto last3 = probe.rolling(0, "w", 3);
-  EXPECT_EQ(last3.samples, 3);
-  const double want =
-      (static_cast<double>(total - 1) + (total - 2) + (total - 3)) / 3.0;
-  EXPECT_DOUBLE_EQ(last3.cosine, want);
-  // Asking for more than the ring retains clamps to the ring capacity.
-  const auto capped = probe.rolling(0, "w", total);
-  EXPECT_EQ(capped.samples, sim::CompressionFidelityProbe::kRollingCapacity);
 }
 
 // --- Satellite: residual flush --------------------------------------------

@@ -6,6 +6,7 @@
 // under both accounting modes.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "comm/topology.h"
@@ -206,26 +207,20 @@ TEST(CriticalPath, WhatIfOnAdditiveRunsRepricesTheSum) {
 }
 
 // ---------------------------------------------------------------------------
-// Unit: the collector's per-rank, per-iteration storage.
+// The collector holds one run's ledger.
 
-TEST(CriticalPath, CollectorKeepsPerRankIterationSeries) {
-  CriticalPathCollector c(2);
-  const std::vector<BucketTiming> two = {{0.0, 1.0, 1.0, 1.0},
-                                         {0.5, 1.0, 1.0, 1.0}};
-  const std::vector<BucketTiming> one = {{0.25, 2.0, 3.0, 4.0}};
-  c.record(0, two);
-  c.record(0, {});  // skipped round
-  c.record(0, one);
-  c.record(1, one);
-  EXPECT_EQ(c.n_ranks(), 2);
-  EXPECT_EQ(c.iterations(0), 3);
-  EXPECT_EQ(c.iterations(1), 1);
-  ASSERT_EQ(c.timings(0, 0).size(), 2u);
-  EXPECT_EQ(c.timings(0, 0)[1].ready_s, 0.5);
-  EXPECT_TRUE(c.timings(0, 1).empty());
-  ASSERT_EQ(c.timings(0, 2).size(), 1u);
-  EXPECT_EQ(c.timings(0, 2)[0].decompress_s, 4.0);
-  EXPECT_EQ(c.timings(1, 0).size(), 1u);
+TEST(CriticalPath, TrainRejectsAReusedCollector) {
+  // A second train() into the same collector would roll two runs into one
+  // ledger whose mean no longer closes onto either run's iteration_s, so it
+  // is refused on the caller's thread.
+  Benchmark b = tiny_cnn();
+  TrainConfig cfg = tiny_config(b);
+  cfg.epochs = 1;
+  CriticalPathCollector collector(cfg.n_workers);
+  cfg.critical_path = &collector;
+  const RunResult first = train(b.factory, cfg);
+  EXPECT_EQ(collector.iterations(), first.critical_path.iterations);
+  EXPECT_THROW(train(b.factory, cfg), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -292,6 +292,31 @@ TEST(Membership, ElasticResumeReproducesTheUninterruptedRunExactly) {
 // ---------------------------------------------------------------------------
 // Heterogeneous fleets: seconds change, parameters and wire volume do not
 
+TEST(Membership, ResumedRunCountsTheViewInForceAtItsStart) {
+  // Resumed at epoch 1, after rank 2 left, every iteration runs on 3
+  // ranks: the epoch sample accounting and the throughput count their
+  // batches, not the 4-rank fleet's.
+  Benchmark b = tiny_cnn();
+  faults::FaultSpec spec;
+  spec.churn = {{/*epoch=*/1, /*rank=*/2, /*join=*/false}};
+  const faults::FaultPlan plan(spec);
+  TrainConfig cfg = tiny_config(b, 4);
+  cfg.faults = &plan;
+  cfg.start_epoch = 1;
+  cfg.epochs = 1;
+  const RunResult run = train(b.factory, cfg);
+
+  const int64_t train_n = b.factory(cfg.seed)->train_size();
+  const int64_t global_batch = 3 * cfg.batch_per_worker;
+  const int64_t samples = train_n / global_batch * global_batch;
+  EXPECT_EQ(run.samples_per_epoch, samples);
+  EXPECT_EQ(run.samples_dropped_per_epoch, train_n - samples);
+  // The one epoch fits the 100-iteration throughput window.
+  ASSERT_LT(samples / global_batch, 100);
+  EXPECT_NEAR(run.throughput * run.total_sim_seconds,
+              static_cast<double>(samples), samples * 1e-9);
+}
+
 TEST(Membership, FleetChangesSecondsButNeverParametersOrWire) {
   Benchmark b = tiny_cnn();
   TrainConfig cfg = tiny_config(b, 4);

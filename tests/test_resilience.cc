@@ -368,6 +368,34 @@ TEST(Resilience, SurvivorsArePricedOnTheirOwnLinks) {
   EXPECT_EQ(throttled.parameters_crc32, uniform.parameters_crc32);
 }
 
+TEST(Resilience, ThroughputCountsOnlyTheRanksThatRan) {
+  // Rank 2 crashes at (0, 1): iteration 0 runs on all 4 ranks, the rest of
+  // the run on the 3 survivors. The run fits the 100-iteration throughput
+  // window, so throughput times the run's simulated seconds is the number
+  // of samples the alive ranks processed.
+  Benchmark b = tiny_cnn();
+  faults::FaultSpec spec;
+  spec.crash_rank = 2;
+  spec.crash_epoch = 0;
+  spec.crash_iter = 1;
+  const faults::FaultPlan plan(spec);
+  TrainConfig cfg = tiny_config(b, 4);
+  cfg.faults = &plan;
+  const RunResult run = train(b.factory, cfg);
+
+  const int64_t train_n = b.factory(cfg.seed)->train_size();
+  const int64_t batch = cfg.batch_per_worker;
+  // Epoch 0 keeps the 4-rank partition; epoch 1 re-partitions over 3.
+  const int64_t epoch0 = train_n / (4 * batch);
+  const int64_t epoch1 = train_n / (3 * batch);
+  ASSERT_LT(epoch0 + epoch1, 100);
+  const auto samples = static_cast<double>(
+      4 * batch + (epoch0 - 1 + epoch1) * 3 * batch);
+  EXPECT_NEAR(run.throughput * run.total_sim_seconds, samples,
+              samples * 1e-9);
+  EXPECT_EQ(run.samples_per_epoch, epoch0 * 4 * batch);
+}
+
 TEST(Resilience, RegistryFaultCountersSumToTheRunTotals) {
   // Every injector a run uses — the base world's and each smaller view's —
   // folds into its physical ranks' registry counters, so the per-rank

@@ -1,7 +1,7 @@
 // The run-level trace facility: ring-buffer semantics, phase accounting
 // invariants, JSON serialization, and the e2e smoke run that stands in for
-// bench_e2e in the default test suite (the bench target itself is not built
-// by default).
+// bench_e2e in the default test suite (the default build compiles that
+// bench, but no test runs it).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -168,7 +168,13 @@ TEST(TraceSmoke, TracedRunEmitsValidJsonWithAllPhases) {
        {"forward", "backward", "compress", "comm", "decompress", "optimizer",
         "phases", "iteration_seconds", "wire_bytes_per_iter", "tensors",
         "samples_dropped_per_epoch", "fidelity", "metrics", "counters",
-        "histograms"}) {
+        "histograms",
+        // Every faults::FaultCounters field.
+        "faults", "attempts_staged", "drops_detected", "corruptions_detected",
+        "retries", "retransmitted_bytes", "retry_stall_seconds",
+        "straggler_events", "straggler_stall_seconds", "rounds_skipped",
+        "crashed_ranks", "degraded_iters", "leaves", "joins",
+        "sat_out_rounds", "outages", "outage_stall_seconds"}) {
     EXPECT_TRUE(checker.keys().count(key)) << "missing key: " << key;
   }
   EXPECT_EQ(run.trace_events_dropped, 0u);
@@ -241,6 +247,43 @@ TEST(TraceSmoke, TensorTraceCoversEveryGradientTensor) {
   // Untraced runs leave the per-tensor view empty.
   TinyRun u = tiny_run();
   EXPECT_TRUE(train(u.factory, u.cfg).tensor_trace.empty());
+}
+
+TEST(TraceSmoke, TensorTraceKeepsWholeRunTotalsWhenTheRingWraps) {
+  // tensor_trace promises whole-run totals, so a ring too small to retain
+  // the run must not shrink them. The codec clock is zeroed: it is the only
+  // measured input, so both runs then record identical seconds.
+  Benchmark b = make_cnn_classification(0.1);
+  TrainConfig cfg = default_config(b);
+  cfg.n_workers = 2;
+  cfg.net.n_workers = 2;
+  cfg.epochs = 2;
+  cfg.batch_per_worker = 4;
+  cfg.time.compression_time_scale = 0.0;
+  const auto traced = [&](size_t capacity) {
+    Trace trace(cfg.n_workers, capacity);
+    TrainConfig c = cfg;
+    c.trace = &trace;
+    return train(b.factory, c);
+  };
+  const RunResult full = traced(size_t{1} << 16);
+  const RunResult ring = traced(32);
+  EXPECT_EQ(full.trace_events_dropped, 0u);
+  EXPECT_EQ(ring.trace_events_dropped, 944u);
+  ASSERT_EQ(ring.tensor_trace.size(), full.tensor_trace.size());
+  for (size_t i = 0; i < full.tensor_trace.size(); ++i) {
+    const TensorTraceSummary& want = full.tensor_trace[i];
+    const TensorTraceSummary& got = ring.tensor_trace[i];
+    SCOPED_TRACE(want.name);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.numel, want.numel);
+    EXPECT_EQ(got.exchanges, 24);  // 12 iterations per epoch
+    EXPECT_EQ(got.exchanges, want.exchanges);
+    EXPECT_EQ(got.compress_s, want.compress_s);
+    EXPECT_EQ(got.comm_s, want.comm_s);
+    EXPECT_EQ(got.decompress_s, want.decompress_s);
+    EXPECT_EQ(got.wire_bytes, want.wire_bytes);
+  }
 }
 
 TEST(TraceSmoke, FusedRunTracesOneBucket) {
