@@ -1,16 +1,19 @@
 // Shared helpers for the benchmark binaries (table formatting, the
 // compressor roster from the paper's evaluation, per-compressor optimizer
-// overrides from §V-A).
+// overrides from §V-A, and the run-report regression gate).
 #pragma once
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
 #include "faults/fault_plan.h"
+#include "sim/report.h"
 #include "sim/tasks.h"
 
 namespace grace::bench {
@@ -80,6 +83,117 @@ inline sim::RunResult run_bucket_cell(const sim::Benchmark& b,
 inline void print_rule(int width = 100) {
   for (int i = 0; i < width; ++i) std::putchar('-');
   std::putchar('\n');
+}
+
+// Whole file as a string; empty when it cannot be read.
+inline std::string read_file(const char* path) {
+  std::FILE* f = std::fopen(path, "rb");
+  if (!f) return {};
+  std::string text;
+  char buf[4096];
+  size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
+  std::fclose(f);
+  return text;
+}
+
+// `--ci <baseline.json>` — the shared flag of the run-report gates. Returns
+// the baseline path when present, nullptr otherwise; any other argument
+// aborts with a usage message (exit code 2).
+inline const char* ci_baseline_arg(int argc, char** argv, const char* prog) {
+  const char* path = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--ci") == 0 && i + 1 < argc) {
+      path = argv[++i];
+    } else {
+      std::fprintf(stderr,
+                   "unknown argument '%s'\n"
+                   "usage: %s [--ci <baseline.json>]\n",
+                   argv[i], prog);
+      std::exit(2);
+    }
+  }
+  return path;
+}
+
+// Pulls the line for `label` out of a one-cell-per-line BENCH_*.json;
+// empty when absent.
+inline std::string baseline_line(const std::string& baseline,
+                                 const std::string& label) {
+  const std::string key = "\"label\":\"" + label + "\"";
+  const size_t at = baseline.find(key);
+  if (at == std::string::npos) return {};
+  const size_t begin = baseline.rfind('\n', at);
+  size_t end = baseline.find('\n', at);
+  if (end == std::string::npos) end = baseline.size();
+  return baseline.substr(begin == std::string::npos ? 0 : begin + 1,
+                         end - (begin == std::string::npos ? 0 : begin + 1));
+}
+
+// The run-report regression gate (docs/OBSERVABILITY.md §4) of
+// bench_<name>: writes `rows` — (label, run_report_json) cells — to
+// BENCH_<name>.json, one self-contained cell per line. With a
+// `baseline_path`, it then diffs every cell against the baseline's line of
+// the same label under the sim::diff_reports verdict rules. Returns the
+// process exit code: 1 when the file cannot be written or read, a cell is
+// missing from the baseline, no cell matched, or any cell fails; else 0.
+inline int report_gate(
+    const std::string& name,
+    const std::vector<std::pair<std::string, std::string>>& rows,
+    const char* baseline_path) {
+  const std::string file = "BENCH_" + name + ".json";
+  const std::string prog = "bench_" + name;
+  std::FILE* out = std::fopen(file.c_str(), "w");
+  if (!out) {
+    std::fprintf(stderr, "cannot open %s for writing\n", file.c_str());
+    return 1;
+  }
+  std::fprintf(out, "{\"benchmark\":\"%s\",\"cells\":[\n", name.c_str());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::fprintf(out, "{\"label\":\"%s\",\"report\":%s}%s\n",
+                 rows[i].first.c_str(), rows[i].second.c_str(),
+                 i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(out, "]}\n");
+  std::fclose(out);
+  std::printf("wrote %s (%zu cells)\n", file.c_str(), rows.size());
+
+  if (baseline_path == nullptr) return 0;
+
+  // --ci: diff every cell against the committed baseline.
+  const std::string baseline = read_file(baseline_path);
+  if (baseline.empty()) {
+    std::fprintf(stderr, "cannot read baseline '%s'\n", baseline_path);
+    return 1;
+  }
+  int failures = 0;
+  int matched = 0;
+  for (const auto& [label, current] : rows) {
+    const std::string base = baseline_line(baseline, label);
+    if (base.empty()) {
+      std::fprintf(stderr, "FAIL cell '%s' missing from baseline\n",
+                   label.c_str());
+      ++failures;
+      continue;
+    }
+    ++matched;
+    const sim::ReportDiff diff = sim::diff_reports(base, current);
+    std::printf("--- diff %s ---\n%s", label.c_str(),
+                sim::report_diff_text(diff).c_str());
+    if (!diff.pass) ++failures;
+  }
+  if (matched == 0) {
+    // A renamed matrix must not silently pass an empty comparison.
+    std::fprintf(stderr, "FAIL no baseline cells matched the matrix\n");
+    return 1;
+  }
+  if (failures > 0) {
+    std::fprintf(stderr, "%s --ci: %d cell(s) FAILED\n", prog.c_str(),
+                 failures);
+    return 1;
+  }
+  std::printf("%s --ci: all %d cells PASS\n", prog.c_str(), matched);
+  return 0;
 }
 
 // `--faults=<plan.json>` — the shared fault-plan flag of the benchmark

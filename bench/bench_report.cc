@@ -22,8 +22,6 @@
 // must exit non-zero.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,47 +50,12 @@ constexpr Cell kCells[] = {
     {"topk-faults", "topk(0.01)", false, true},
 };
 
-std::string read_file(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (!f) return {};
-  std::string text;
-  char buf[4096];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
-  std::fclose(f);
-  return text;
-}
-
-// Pulls the baseline line for `label` out of the one-cell-per-line
-// BENCH_report.json; empty when absent.
-std::string baseline_line(const std::string& baseline, const char* label) {
-  const std::string key = "\"label\":\"" + std::string(label) + "\"";
-  const size_t at = baseline.find(key);
-  if (at == std::string::npos) return {};
-  const size_t begin = baseline.rfind('\n', at);
-  size_t end = baseline.find('\n', at);
-  if (end == std::string::npos) end = baseline.size();
-  return baseline.substr(begin == std::string::npos ? 0 : begin + 1,
-                         end - (begin == std::string::npos ? 0 : begin + 1));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace grace;
 
-  const char* baseline_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ci") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument '%s'\n"
-                   "usage: bench_report [--ci <baseline.json>]\n",
-                   argv[i]);
-      return 2;
-    }
-  }
+  const char* baseline_path = bench::ci_baseline_arg(argc, argv, "bench_report");
 
   sim::Benchmark bench = sim::make_cnn_classification(0.1);
   // Deterministic straggler + drop scenario for the faulted cell: rank 1
@@ -128,54 +91,5 @@ int main(int argc, char** argv) {
                 sim::run_report_text(report).c_str());
   }
 
-  std::FILE* out = std::fopen("BENCH_report.json", "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open BENCH_report.json for writing\n");
-    return 1;
-  }
-  std::fprintf(out, "{\"benchmark\":\"report\",\"cells\":[\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(out, "{\"label\":\"%s\",\"report\":%s}%s\n",
-                 rows[i].first.c_str(), rows[i].second.c_str(),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "]}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_report.json (%zu cells)\n", rows.size());
-
-  if (baseline_path == nullptr) return 0;
-
-  // --ci: diff every cell against the committed baseline.
-  const std::string baseline = read_file(baseline_path);
-  if (baseline.empty()) {
-    std::fprintf(stderr, "cannot read baseline '%s'\n", baseline_path);
-    return 1;
-  }
-  int failures = 0;
-  int matched = 0;
-  for (const auto& [label, current] : rows) {
-    const std::string base = baseline_line(baseline, label.c_str());
-    if (base.empty()) {
-      std::fprintf(stderr, "FAIL cell '%s' missing from baseline\n",
-                   label.c_str());
-      ++failures;
-      continue;
-    }
-    ++matched;
-    const sim::ReportDiff diff = sim::diff_reports(base, current);
-    std::printf("--- diff %s ---\n%s", label.c_str(),
-                sim::report_diff_text(diff).c_str());
-    if (!diff.pass) ++failures;
-  }
-  if (matched == 0) {
-    // A renamed matrix must not silently pass an empty comparison.
-    std::fprintf(stderr, "FAIL no baseline cells matched the matrix\n");
-    return 1;
-  }
-  if (failures > 0) {
-    std::fprintf(stderr, "bench_report --ci: %d cell(s) FAILED\n", failures);
-    return 1;
-  }
-  std::printf("bench_report --ci: all %d cells PASS\n", matched);
-  return 0;
+  return bench::report_gate("report", rows, baseline_path);
 }

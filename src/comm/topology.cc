@@ -1,5 +1,6 @@
 #include "comm/topology.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -68,216 +69,125 @@ WireVolume ring_allreduce_volume(int n, int64_t numel) {
   return WireVolume{steps * un, steps * 4ull * static_cast<uint64_t>(numel)};
 }
 
-namespace {
+TopologyModel::TopologyModel(const TopologyConfig& cfg, const NetworkModel& net)
+    : hierarchical_(cfg.kind == TopologyKind::Hierarchical),
+      net_(net),
+      cross_net_(net),
+      m_(cfg.ranks_per_rack) {
+  if (cfg.cross_rack_gbps > 0.0) {
+    cross_net_.bandwidth_gbps = cfg.cross_rack_gbps;
+  }
+}
 
-// Flat ring allgather with symmetric per-rank blobs: n-1 steps, each rank
-// forwards one origin's payload per step, so each origin's blob crosses
-// n-1 links.
-WireVolume ring_allgather_volume(int n, uint64_t blob_bytes) {
+double TopologyModel::fan_seconds(double bytes) const {
+  const int rack = std::min(m_, net_.n_workers);
+  if (rack <= 1) return 0.0;
+  return (rack - 1.0) * (bytes / net_.effective_bytes_per_sec() +
+                         net_.per_message_overhead_sec()) +
+         net_.latency_us * 1e-6;
+}
+
+// Two-level dense sum (comm/collectives.cc hierarchical_allreduce_sum):
+// every rack fans the full payload into its leader (racks in parallel, the
+// biggest rack governs), the R leaders run a ring allreduce over the
+// cross-rack links, leaders fan the result back out.
+double TopologyModel::allreduce_seconds(uint64_t wire_bytes) const {
+  if (!hierarchical_) return net_.allreduce_seconds(wire_bytes);
+  if (net_.n_workers <= 1) return 0.0;
+  const double bytes = static_cast<double>(wire_bytes);
+  const int R = racks();
+  double t = 2.0 * fan_seconds(bytes);
+  if (R > 1) {
+    const double steps = 2.0 * (R - 1.0);
+    t += steps * (bytes / R / cross_net_.effective_bytes_per_sec() +
+                  cross_net_.latency_us * 1e-6 +
+                  cross_net_.per_message_overhead_sec());
+  }
+  return t;
+}
+
+WireVolume TopologyModel::allreduce_volume(int64_t numel) const {
+  const int n = net_.n_workers;
+  if (!hierarchical_) return ring_allreduce_volume(n, numel);
+  if (n <= 1) return {};
+  const int R = racks();
+  const auto members = static_cast<uint64_t>(n - R);
+  const auto bytes4 = 4ull * static_cast<uint64_t>(numel);
+  // Fan-in + fan-out of the full vector, plus the leaders' ring.
+  WireVolume v{2 * members, 2 * members * bytes4};
+  v += ring_allreduce_volume(R, numel);
+  return v;
+}
+
+// Two-level blob gather (hierarchical_allgather): members send their blob
+// to the leader, leaders ring-allgather per-rack bundles, every leader then
+// fans the full n-blob bundle back to its members.
+double TopologyModel::allgather_seconds(uint64_t my, uint64_t others) const {
+  if (!hierarchical_) return net_.allgather_seconds(my, others);
+  const int n = net_.n_workers;
+  if (n <= 1) return 0.0;
+  const double avg =
+      (static_cast<double>(my) + static_cast<double>(others)) / n;
+  const int R = racks();
+  double t = fan_seconds(avg) + fan_seconds(avg * n);
+  if (R > 1) {
+    const double per_step = avg * n / R;  // one rack bundle per link/step
+    t += (R - 1.0) * (per_step / cross_net_.effective_bytes_per_sec() +
+                      cross_net_.latency_us * 1e-6 +
+                      2.0 * cross_net_.per_message_overhead_sec());
+  }
+  return t;
+}
+
+WireVolume TopologyModel::allgather_volume(uint64_t blob_bytes) const {
+  const int n = net_.n_workers;
   if (n <= 1) return {};
   const auto un = static_cast<uint64_t>(n);
-  return WireVolume{un * (un - 1), un * (un - 1) * blob_bytes};
+  // Flat ring with symmetric per-rank blobs: n-1 steps, each rank forwards
+  // one origin's payload per step, so each origin's blob crosses n-1 links.
+  // One rank per rack degenerates to it: the implementation skips bundling
+  // entirely, so no framing bytes hit the wire.
+  if (!hierarchical_ || m_ <= 1) {
+    return WireVolume{un * (un - 1), un * (un - 1) * blob_bytes};
+  }
+  const int R = racks();
+  const auto uR = static_cast<uint64_t>(R);
+  const auto members = un - uR;
+  WireVolume v;
+  // Fan-in: every non-leader sends its blob to its leader.
+  v += WireVolume{members, members * blob_bytes};
+  if (R > 1) {
+    // Leader ring of per-rack bundles. Bundle framing (pack_blob_bundle):
+    // u64 count + one u64 length per blob + the payload bytes, so the sum
+    // of all R bundles is 8(R + n) + n * blob. Each bundle is forwarded
+    // R-1 times.
+    const uint64_t all_bundles = 8 * (uR + un) + un * blob_bytes;
+    v += WireVolume{uR * (uR - 1), (uR - 1) * all_bundles};
+  }
+  // Fan-out: each leader sends the full n-blob bundle to its members.
+  const uint64_t full_bundle = 8 * (1 + un) + un * blob_bytes;
+  v += WireVolume{members, members * full_bundle};
+  return v;
+}
+
+double TopologyModel::push_pull_seconds(uint64_t up, uint64_t down) const {
+  return net_.parameter_server_seconds(up, down);
 }
 
 // Single-shard push/pull: n-1 serialized uploads, n-1 dense downloads (the
 // serving rank never sends to itself).
-WireVolume flat_push_pull_volume(int n, uint64_t blob_bytes,
-                                 uint64_t download_bytes) {
-  if (n <= 1) return {};
-  const auto peers = static_cast<uint64_t>(n - 1);
+WireVolume TopologyModel::push_pull_volume(uint64_t blob_bytes,
+                                           uint64_t download_bytes) const {
+  if (net_.n_workers <= 1) return {};
+  const auto peers = static_cast<uint64_t>(net_.n_workers - 1);
   return WireVolume{2 * peers, peers * (blob_bytes + download_bytes)};
 }
 
-class RingTopology final : public TopologyModel {
- public:
-  explicit RingTopology(const NetworkModel& net) : net_(net) {}
-  TopologyKind kind() const override { return TopologyKind::Ring; }
-
-  double allreduce_seconds(uint64_t wire_bytes) const override {
-    return net_.allreduce_seconds(wire_bytes);
-  }
-  WireVolume allreduce_volume(int64_t numel) const override {
-    return ring_allreduce_volume(net_.n_workers, numel);
-  }
-  double allgather_seconds(uint64_t my, uint64_t others) const override {
-    return net_.allgather_seconds(my, others);
-  }
-  WireVolume allgather_volume(uint64_t blob_bytes) const override {
-    return ring_allgather_volume(net_.n_workers, blob_bytes);
-  }
-  double push_pull_seconds(uint64_t up, uint64_t down) const override {
-    return net_.parameter_server_seconds(up, down);
-  }
-  WireVolume push_pull_volume(uint64_t blob, uint64_t down) const override {
-    return flat_push_pull_volume(net_.n_workers, blob, down);
-  }
-
- private:
-  NetworkModel net_;
-};
-
-class ParameterServerTopology final : public TopologyModel {
- public:
-  ParameterServerTopology(const NetworkModel& net, int shards)
-      : net_(net), shards_(shards) {}
-  TopologyKind kind() const override { return TopologyKind::ParameterServer; }
-
-  // The dense-sum / gather forms are only reached by callers that mix a
-  // PS world with flat collectives (the trainer's sync check prices its
-  // ring directly); delegate to the ring formulas.
-  double allreduce_seconds(uint64_t wire_bytes) const override {
-    return net_.allreduce_seconds(wire_bytes);
-  }
-  WireVolume allreduce_volume(int64_t numel) const override {
-    return ring_allreduce_volume(net_.n_workers, numel);
-  }
-  double allgather_seconds(uint64_t my, uint64_t others) const override {
-    return net_.allgather_seconds(my, others);
-  }
-  WireVolume allgather_volume(uint64_t blob_bytes) const override {
-    return ring_allgather_volume(net_.n_workers, blob_bytes);
-  }
-  double push_pull_seconds(uint64_t up, uint64_t down) const override {
-    return net_.parameter_server_seconds(up, down);
-  }
-  WireVolume push_pull_volume(uint64_t blob, uint64_t down) const override {
-    return flat_push_pull_volume(net_.n_workers, blob, down);
-  }
-
-  int shards() const { return shards_; }
-
- private:
-  NetworkModel net_;
-  int shards_;
-};
-
-class HierarchicalTopology final : public TopologyModel {
- public:
-  HierarchicalTopology(const NetworkModel& net, int ranks_per_rack,
-                       double cross_gbps)
-      : net_(net), m_(ranks_per_rack) {
-    cross_net_ = net;
-    if (cross_gbps > 0.0) cross_net_.bandwidth_gbps = cross_gbps;
-  }
-  TopologyKind kind() const override { return TopologyKind::Hierarchical; }
-
-  // Two-level dense sum (comm/collectives.cc hierarchical_allreduce_sum):
-  // every rack fans the full payload into its leader (racks in parallel,
-  // the biggest rack governs), the R leaders run a ring allreduce over the
-  // cross-rack links, leaders fan the result back out.
-  double allreduce_seconds(uint64_t wire_bytes) const override {
-    const int n = net_.n_workers;
-    if (n <= 1) return 0.0;
-    const double bytes = static_cast<double>(wire_bytes);
-    const int R = racks(n);
-    double t = 2.0 * fan_seconds(bytes);
-    if (R > 1) {
-      const double steps = 2.0 * (R - 1.0);
-      t += steps * (bytes / R / cross_net_.effective_bytes_per_sec() +
-                    cross_net_.latency_us * 1e-6 +
-                    cross_net_.per_message_overhead_sec());
-    }
-    return t;
-  }
-
-  WireVolume allreduce_volume(int64_t numel) const override {
-    const int n = net_.n_workers;
-    if (n <= 1) return {};
-    const int R = racks(n);
-    const auto members = static_cast<uint64_t>(n - R);
-    const auto bytes4 = 4ull * static_cast<uint64_t>(numel);
-    // Fan-in + fan-out of the full vector, plus the leaders' ring.
-    WireVolume v{2 * members, 2 * members * bytes4};
-    v += ring_allreduce_volume(R, numel);
-    return v;
-  }
-
-  // Two-level blob gather (hierarchical_allgather): members send their
-  // blob to the leader, leaders ring-allgather per-rack bundles, every
-  // leader then fans the full n-blob bundle back to its members.
-  double allgather_seconds(uint64_t my, uint64_t others) const override {
-    const int n = net_.n_workers;
-    if (n <= 1) return 0.0;
-    const double avg =
-        (static_cast<double>(my) + static_cast<double>(others)) / n;
-    const int R = racks(n);
-    double t = fan_seconds(avg) + fan_seconds(avg * n);
-    if (R > 1) {
-      const double per_step = avg * n / R;  // one rack bundle per link/step
-      t += (R - 1.0) * (per_step / cross_net_.effective_bytes_per_sec() +
-                        cross_net_.latency_us * 1e-6 +
-                        2.0 * cross_net_.per_message_overhead_sec());
-    }
-    return t;
-  }
-
-  WireVolume allgather_volume(uint64_t blob_bytes) const override {
-    const int n = net_.n_workers;
-    if (n <= 1) return {};
-    // One rank per rack degenerates to the flat ring: the implementation
-    // skips bundling entirely, so no framing bytes hit the wire.
-    if (m_ <= 1) return ring_allgather_volume(n, blob_bytes);
-    const int R = racks(n);
-    const auto un = static_cast<uint64_t>(n);
-    const auto uR = static_cast<uint64_t>(R);
-    const auto members = un - uR;
-    WireVolume v;
-    // Fan-in: every non-leader sends its blob to its leader.
-    v += WireVolume{members, members * blob_bytes};
-    if (R > 1) {
-      // Leader ring of per-rack bundles. Bundle framing (pack_blob_bundle):
-      // u64 count + one u64 length per blob + the payload bytes, so the sum
-      // of all R bundles is 8(R + n) + n * blob. Each bundle is forwarded
-      // R-1 times.
-      const uint64_t all_bundles = 8 * (uR + un) + un * blob_bytes;
-      v += WireVolume{uR * (uR - 1), (uR - 1) * all_bundles};
-    }
-    // Fan-out: each leader sends the full n-blob bundle to its members.
-    const uint64_t full_bundle = 8 * (1 + un) + un * blob_bytes;
-    v += WireVolume{members, members * full_bundle};
-    return v;
-  }
-
-  double push_pull_seconds(uint64_t up, uint64_t down) const override {
-    return net_.parameter_server_seconds(up, down);
-  }
-  WireVolume push_pull_volume(uint64_t blob, uint64_t down) const override {
-    return flat_push_pull_volume(net_.n_workers, blob, down);
-  }
-
- private:
-  int racks(int n) const { return (n + m_ - 1) / m_; }
-  // Serialized fan (in or out) of `bytes` between a leader and the members
-  // of the largest rack, on the intra-rack links.
-  double fan_seconds(double bytes) const {
-    const int rack = std::min(m_, net_.n_workers);
-    if (rack <= 1) return 0.0;
-    return (rack - 1.0) * (bytes / net_.effective_bytes_per_sec() +
-                           net_.per_message_overhead_sec()) +
-           net_.latency_us * 1e-6;
-  }
-
-  NetworkModel net_;
-  NetworkModel cross_net_;
-  int m_;
-};
-
-}  // namespace
-
-std::unique_ptr<TopologyModel> make_topology(const TopologyConfig& cfg,
-                                             const NetworkModel& net) {
+TopologyModel make_topology(const TopologyConfig& cfg,
+                            const NetworkModel& net) {
   net.validate();
   cfg.validate(net.n_workers);
-  switch (cfg.kind) {
-    case TopologyKind::Ring:
-      return std::make_unique<RingTopology>(net);
-    case TopologyKind::ParameterServer:
-      return std::make_unique<ParameterServerTopology>(net, cfg.ps_shards);
-    case TopologyKind::Hierarchical:
-      return std::make_unique<HierarchicalTopology>(net, cfg.ranks_per_rack,
-                                                    cfg.cross_rack_gbps);
-  }
-  throw std::invalid_argument("TopologyConfig: unknown kind");
+  return TopologyModel(cfg, net);
 }
 
 }  // namespace grace::comm

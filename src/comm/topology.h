@@ -3,7 +3,7 @@
 // A TopologyModel is the pair of ledgers one collective round needs at
 // fleet scale:
 //   * *_seconds(...) — the simulated wall time of the round under the
-//     alpha-beta NetworkModel, per topology;
+//     alpha-beta NetworkModel;
 //   * *_volume(...)  — the exact transport volume (message count + payload
 //     bytes) the thread-backed collectives (comm/collectives.cc) push
 //     through the mailboxes for the same round. The large-scale simulated
@@ -12,8 +12,10 @@
 //     exactly — the closed forms are pinned against the real dataflow by
 //     tests/test_simworld.cc.
 //
-// Three backends:
-//   Ring            — the flat ring collectives (today's behavior).
+// One model serves every kind; the kinds differ only in the dataflow
+// GraceWorker::wait runs:
+//   Ring            — the flat ring collectives: the hierarchical
+//                     collectives at one rank per rack.
 //   ParameterServer — push/pull through server ranks with bucket-level
 //                     sharding (mxnet-kvstore style): exchange tag t is
 //                     served by rank t % ps_shards, so consecutive fusion
@@ -22,10 +24,12 @@
 //                     to a rack leader, a ring across the R leaders (over
 //                     optionally slower cross-rack links), intra-rack
 //                     fan-out.
+// Dense sums and blob gathers are priced by the flat NetworkModel formulas
+// unless the kind is Hierarchical; push/pull is priced the same way for
+// every kind.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -87,36 +91,48 @@ WireVolume ring_allreduce_volume(int n, int64_t numel);
 
 class TopologyModel {
  public:
-  virtual ~TopologyModel() = default;
-  virtual TopologyKind kind() const = 0;
-
   // Dense f32 element-wise sum across all ranks (the Allreduce-mode
   // compressor path). `wire_bytes` is the logical payload size per rank.
-  virtual double allreduce_seconds(uint64_t wire_bytes) const = 0;
-  virtual WireVolume allreduce_volume(int64_t numel) const = 0;
+  double allreduce_seconds(uint64_t wire_bytes) const;
+  WireVolume allreduce_volume(int64_t numel) const;
 
   // Serialized-blob gather where this rank's logical payload is
   // `my_wire_bytes` and the other ranks contribute `others_wire_bytes`
   // in total. The volume form assumes symmetric per-rank blobs of
   // `blob_bytes` physical bytes (true for size-deterministic compressors).
-  virtual double allgather_seconds(uint64_t my_wire_bytes,
-                                   uint64_t others_wire_bytes) const = 0;
-  virtual WireVolume allgather_volume(uint64_t blob_bytes) const = 0;
+  double allgather_seconds(uint64_t my_wire_bytes,
+                           uint64_t others_wire_bytes) const;
+  WireVolume allgather_volume(uint64_t blob_bytes) const;
 
   // Parameter-server push/pull of one exchange: n-1 compressed uploads
   // into the serving shard, one dense aggregate pushed back to n-1
   // workers. Every exchange rides exactly one shard, so the per-round
   // formulas are single-server; sharding pays off across rounds (different
   // buckets load different server links).
-  virtual double push_pull_seconds(uint64_t total_upload_bytes,
-                                   uint64_t download_bytes) const = 0;
-  virtual WireVolume push_pull_volume(uint64_t blob_bytes,
-                                      uint64_t download_bytes) const = 0;
+  double push_pull_seconds(uint64_t total_upload_bytes,
+                           uint64_t download_bytes) const;
+  WireVolume push_pull_volume(uint64_t blob_bytes,
+                              uint64_t download_bytes) const;
+
+ private:
+  // Built only by make_topology, which validates the parameters first.
+  friend TopologyModel make_topology(const TopologyConfig& cfg,
+                                     const NetworkModel& net);
+  TopologyModel(const TopologyConfig& cfg, const NetworkModel& net);
+
+  int racks() const { return (net_.n_workers + m_ - 1) / m_; }
+  // Serialized fan (in or out) of `bytes` between a leader and the members
+  // of the largest rack, on the intra-rack links.
+  double fan_seconds(double bytes) const;
+
+  bool hierarchical_;
+  NetworkModel net_;
+  NetworkModel cross_net_;  // the leader ring's links (Hierarchical)
+  int m_;                   // ranks per rack (Hierarchical)
 };
 
 // Builds the cost/volume model for `cfg` over `net`. Validates both
 // (throws std::invalid_argument on nonsense parameters).
-std::unique_ptr<TopologyModel> make_topology(const TopologyConfig& cfg,
-                                             const NetworkModel& net);
+TopologyModel make_topology(const TopologyConfig& cfg, const NetworkModel& net);
 
 }  // namespace grace::comm

@@ -44,7 +44,6 @@ GraceWorker::GraceWorker(const GraceConfig& cfg, comm::Comm comm,
       base_spec_(cfg.compressor_spec),
       q_(make_compressor(cfg.compressor_spec)),
       comm_(comm),
-      net_(net),
       rng_(rng_seed) {
   // With a controller configured, any arm may end up serving any bucket at
   // some point of the run, so the EF default is the OR over the base
@@ -84,7 +83,6 @@ Compressor& GraceWorker::compressor_for(const std::string& name) {
 
 void GraceWorker::rebind(comm::Comm comm, const comm::NetworkModel& net) {
   comm_ = comm;
-  net_ = net;
   // A smaller world may invalidate the old parameters (e.g. ps_shards ==
   // old n); clamp the shard count rather than failing a membership change.
   // ranks_per_rack gets the same treatment: a world smaller than one rack
@@ -171,19 +169,11 @@ Tensor GraceWorker::wait(ExchangeHandle&& h, ExchangeStats* stats) {
   // The collective reads h.stats.wire_bytes for its cost model, so the
   // comm/decompress charges accumulate onto the submit-side stats.
   ExchangeStats* const sp = h.instrumented ? &h.stats : nullptr;
-  Compressor& q = h.compressor != nullptr ? *h.compressor : *q_;
-  Tensor aggregated;
-  switch (topology_.kind) {
-    case comm::TopologyKind::ParameterServer:
-      aggregated = exchange_parameter_server(q, h.payload, h.tag, sp);
-      break;
-    case comm::TopologyKind::Hierarchical:
-      aggregated = exchange_hierarchical(q, h.payload, h.tag, sp);
-      break;
-    case comm::TopologyKind::Ring:
-      aggregated = exchange_collective(q, h.payload, h.tag, sp);
-      break;
-  }
+  Compressor& q = *h.compressor;
+  Tensor aggregated =
+      topology_.kind == comm::TopologyKind::ParameterServer
+          ? exchange_parameter_server(q, h.payload, h.tag, sp)
+          : exchange_collective(q, h.payload, h.tag, sp);
   if (stats) *stats += h.stats;
   return aggregated;
 }
@@ -244,67 +234,30 @@ void GraceWorker::probe_fidelity(const std::string& name,
 Tensor GraceWorker::exchange_collective(Compressor& q,
                                         const CompressedTensor& compressed,
                                         int tag, ExchangeStats* stats) {
+  // The two-level collectives at one rank per rack run the flat ring
+  // message for message, so Ring is the rack-of-one hierarchy. Results are
+  // identical on every rank (the leader ring produces one bit pattern and
+  // fans it out), but with racks of several ranks the sum association
+  // differs from the flat ring's, so Allreduce-mode results are
+  // float-close, not bit-equal, across rack sizes.
+  const int rack = topology_.kind == comm::TopologyKind::Hierarchical
+                       ? topology_.ranks_per_rack
+                       : 1;
   Tensor aggregated;
   if (q.comm_mode() == CommMode::Allreduce) {
     // Lines 8-9: summing payloads commutes with Q^-1 for Allreduce-capable
     // compressors; divide by n after decompression.
     CompressedTensor summed = compressed;
     for (auto& part : summed.parts) {
-      comm::allreduce_sum(comm_, part.f32(), tag);
+      comm::hierarchical_allreduce_sum(comm_, part.f32(), rack, tag);
     }
-    if (stats) stats->comm_seconds += topo_->allreduce_seconds(stats->wire_bytes);
+    if (stats) stats->comm_seconds += topo_.allreduce_seconds(stats->wire_bytes);
     const double t0 = stats ? now_seconds() : 0.0;
     aggregated = q.decompress(summed);
     ops::scale(aggregated.f32(), 1.0f / static_cast<float>(comm_.size()));
     if (stats) stats->decompress_seconds += now_seconds() - t0;
   } else {
     // Lines 11-13: gather every worker's payload, decompress all, Agg.
-    Tensor blob = serialize(compressed);
-    std::vector<Tensor> blobs = comm::allgather(comm_, blob, tag);
-    const double t0 = stats ? now_seconds() : 0.0;
-    std::vector<Tensor> decompressed;
-    decompressed.reserve(blobs.size());
-    uint64_t others_bytes = 0;
-    for (int peer = 0; peer < static_cast<int>(blobs.size()); ++peer) {
-      if (peer == comm_.rank()) {
-        decompressed.push_back(q.decompress(compressed));
-      } else {
-        CompressedTensor ct = deserialize(blobs[static_cast<size_t>(peer)]);
-        others_bytes += ct.wire_bytes();
-        decompressed.push_back(q.decompress(ct));
-      }
-    }
-    aggregated = q.aggregate(decompressed);
-    if (stats) {
-      stats->decompress_seconds += now_seconds() - t0;
-      stats->comm_seconds +=
-          topo_->allgather_seconds(stats->wire_bytes, others_bytes);
-    }
-  }
-  return aggregated;
-}
-
-Tensor GraceWorker::exchange_hierarchical(Compressor& q,
-                                          const CompressedTensor& compressed,
-                                          int tag, ExchangeStats* stats) {
-  // Same two CommMode paths as exchange_collective, over the two-level
-  // rack-aware collectives. Results are identical on every rank (the
-  // leader ring produces one bit pattern and fans it out), but the sum
-  // association differs from the flat ring, so Allreduce-mode results are
-  // float-close, not bit-equal, to the Ring topology's.
-  const int rack = topology_.ranks_per_rack;
-  Tensor aggregated;
-  if (q.comm_mode() == CommMode::Allreduce) {
-    CompressedTensor summed = compressed;
-    for (auto& part : summed.parts) {
-      comm::hierarchical_allreduce_sum(comm_, part.f32(), rack, tag);
-    }
-    if (stats) stats->comm_seconds += topo_->allreduce_seconds(stats->wire_bytes);
-    const double t0 = stats ? now_seconds() : 0.0;
-    aggregated = q.decompress(summed);
-    ops::scale(aggregated.f32(), 1.0f / static_cast<float>(comm_.size()));
-    if (stats) stats->decompress_seconds += now_seconds() - t0;
-  } else {
     Tensor blob = serialize(compressed);
     std::vector<Tensor> blobs =
         comm::hierarchical_allgather(comm_, blob, rack, tag);
@@ -325,7 +278,7 @@ Tensor GraceWorker::exchange_hierarchical(Compressor& q,
     if (stats) {
       stats->decompress_seconds += now_seconds() - t0;
       stats->comm_seconds +=
-          topo_->allgather_seconds(stats->wire_bytes, others_bytes);
+          topo_.allgather_seconds(stats->wire_bytes, others_bytes);
     }
   }
   return aggregated;
@@ -378,7 +331,7 @@ Tensor GraceWorker::exchange_parameter_server(
   }
   if (stats) {
     stats->comm_seconds +=
-        topo_->push_pull_seconds(total_upload, aggregated.size_bytes());
+        topo_.push_pull_seconds(total_upload, aggregated.size_bytes());
   }
   return aggregated;
 }

@@ -53,7 +53,7 @@ struct ExchangeHandle {
   // compressor, or a controller-selected per-bucket override). wait()
   // dispatches on ITS CommMode and decompresses with it, so a handle stays
   // self-consistent even if the controller re-routes the bucket between
-  // submit and wait. Null falls back to the base compressor.
+  // submit and wait.
   Compressor* compressor = nullptr;
 };
 
@@ -66,11 +66,11 @@ struct GraceConfig {
   float ef_gamma = 1.0f;  // gamma in Eq. 4
   // §IV-A: the framework is compatible with parameter-server communication —
   // "a parameter server provides a gradient aggregation function equivalent
-  // to Allreduce". Ring uses the compressor's preferred flat collective;
-  // ParameterServer routes compressed uploads through the serving shard
-  // (rank tag % ps_shards), which aggregates and pushes the dense result
-  // back; Hierarchical runs the two-level rack-aware collectives from
-  // comm/collectives.h.
+  // to Allreduce". ParameterServer routes compressed uploads through the
+  // serving shard (rank tag % ps_shards), which aggregates and pushes the
+  // dense result back. Ring and Hierarchical share the compressor's
+  // preferred collective over the two-level rack-aware collectives of
+  // comm/collectives.h; Ring is the one-rank-per-rack case, the flat ring.
   comm::TopologyConfig topology;
   // Lossless wire stage for sparse-index payloads (core/compressed.h):
   // submit() runs apply_wire_codec on every compressed payload, inside the
@@ -145,15 +145,8 @@ class GraceWorker {
   Tensor residual_snapshot(const std::string& name, const Tensor& like) const;
   void install_residual(const std::string& name, const Tensor& r);
 
-  // The topology cost/volume model this worker prices exchanges with
-  // (rebuilt by rebind when the world changes).
-  const comm::TopologyModel& topology() const { return *topo_; }
-  // The (possibly rebind-clamped) topology parameters behind it.
-  const comm::TopologyConfig& topology_config() const { return topology_; }
-
   Compressor& compressor() { return *q_; }
   bool error_feedback_enabled() const { return memory_->enabled(); }
-  int rank() const { return comm_.rank(); }
 
   // Controller hooks (src/control, DESIGN.md §11). Route all subsequent
   // submits of `name` through `spec` instead of the base compressor. One
@@ -188,14 +181,13 @@ class GraceWorker {
  private:
   ExchangeHandle submit_impl(const Tensor& grad, const std::string& name,
                              bool instrument, bool use_memory);
-  // `stats` may be null: the exchange still runs, only accounting is
-  // skipped. `q` is the compressor the payload was produced with (carried
-  // on the handle), not necessarily the base compressor.
+  // The two dataflows wait() runs: the collective exchange (Ring and
+  // Hierarchical) and the PS push/pull. `stats` may be null: the exchange
+  // still runs, only accounting is skipped. `q` is the compressor the
+  // payload was produced with (carried on the handle), not necessarily the
+  // base compressor.
   Tensor exchange_collective(Compressor& q, const CompressedTensor& compressed,
                              int tag, ExchangeStats* stats);
-  Tensor exchange_hierarchical(Compressor& q,
-                               const CompressedTensor& compressed, int tag,
-                               ExchangeStats* stats);
   Tensor exchange_parameter_server(Compressor& q,
                                    const CompressedTensor& compressed, int tag,
                                    ExchangeStats* stats);
@@ -206,8 +198,8 @@ class GraceWorker {
                       const CompressedTensor& compressed,
                       const Tensor& reconstruction);
 
-  comm::TopologyConfig topology_;
-  std::unique_ptr<comm::TopologyModel> topo_;
+  comm::TopologyConfig topology_;  // rebind-clamped
+  comm::TopologyModel topo_;
   WireCodec wire_codec_;
   std::string base_spec_;
   std::unique_ptr<Compressor> q_;
@@ -219,7 +211,6 @@ class GraceWorker {
   std::unordered_map<std::string, Compressor*> overrides_;
   std::unique_ptr<Memory> memory_;
   comm::Comm comm_;
-  comm::NetworkModel net_;
   Rng rng_;
   ExchangeProbe* probe_ = nullptr;
   int probe_rank_ = -1;

@@ -1,6 +1,7 @@
 #include "core/membership.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -117,27 +118,57 @@ int MembershipSchedule::segment_at(int epoch, int64_t iter) const {
 }
 
 Tensor seal_bootstrap_frame(std::span<const float> params,
-                            std::span<const Tensor> residuals) {
+                            std::span<const Tensor> residuals,
+                            std::span<const Tensor> optimizer_state) {
   CompressedTensor ct;
-  ct.parts.reserve(1 + residuals.size());
+  ct.parts.reserve(1 + residuals.size() + optimizer_state.size());
   ct.parts.push_back(Tensor::from(params));
-  for (const Tensor& r : residuals) ct.parts.push_back(r);
-  // Honest wire accounting for the one-off transfer; the frame is raw f32.
+  ct.parts.insert(ct.parts.end(), residuals.begin(), residuals.end());
+  ct.parts.insert(ct.parts.end(), optimizer_state.begin(),
+                  optimizer_state.end());
+  ct.ctx.ints = {static_cast<int64_t>(residuals.size()),
+                 static_cast<int64_t>(optimizer_state.size())};
+  // Honest wire accounting for the one-off transfer; the frame is raw.
   for (const Tensor& p : ct.parts) {
     ct.ctx.wire_bits += static_cast<uint64_t>(p.size_bytes()) * 8;
   }
   return serialize(ct);
 }
 
-BootstrapState open_bootstrap_frame(const Tensor& blob) {
-  CompressedTensor ct = deserialize(blob);  // throws on CRC mismatch
-  if (ct.parts.empty()) {
-    throw std::runtime_error("open_bootstrap_frame: frame has no parts");
+BootstrapState open_bootstrap_frame(const Tensor& blob,
+                                    std::span<const int64_t> slot_numels) {
+  const CompressedTensor ct = deserialize(blob);  // throws on CRC mismatch
+  const std::vector<int64_t>& counts = ct.ctx.ints;  // residuals, optimizer
+  if (ct.parts.empty() || ct.parts.front().dtype() != DType::F32 ||
+      counts.size() != 2 || counts[0] < 0 || counts[1] < 0 ||
+      ct.parts.size() - 1 != static_cast<uint64_t>(counts[0]) +
+                                 static_cast<uint64_t>(counts[1])) {
+    throw std::runtime_error("open_bootstrap_frame: malformed sections");
   }
   BootstrapState out;
   const auto params = ct.parts.front().f32();
   out.params.assign(params.begin(), params.end());
-  out.residuals.assign(ct.parts.begin() + 1, ct.parts.end());
+  const auto residuals_end = ct.parts.begin() + 1 + counts[0];
+  out.residuals.assign(ct.parts.begin() + 1, residuals_end);
+  out.optimizer.assign(residuals_end, ct.parts.end());
+
+  const size_t slots = slot_numels.size();
+  std::span<const Tensor> buffers(out.optimizer);
+  if (!buffers.empty() && buffers.back().dtype() == DType::I32 &&
+      static_cast<size_t>(buffers.back().numel()) == slots) {
+    buffers = buffers.first(buffers.size() - 1);
+  }
+  bool fits = buffers.empty() || (slots > 0 && buffers.size() % slots == 0);
+  for (size_t i = 0; fits && i < buffers.size(); ++i) {
+    fits = buffers[i].dtype() == DType::F32 &&
+           buffers[i].numel() == slot_numels[i % slots];
+  }
+  const int64_t numel =
+      std::reduce(slot_numels.begin(), slot_numels.end(), int64_t{0});
+  if (!fits || (slots > 0 && numel != static_cast<int64_t>(params.size()))) {
+    throw std::runtime_error(
+        "open_bootstrap_frame: frame does not fit the joiner's parameter slots");
+  }
   return out;
 }
 

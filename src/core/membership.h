@@ -10,12 +10,14 @@
 // schedule, which is what makes staged elastic (and crashed) runs
 // bit-equal to uninterrupted ones.
 //
-// Joiners bootstrap their model parameters (and error-feedback residuals)
-// from the surviving rank 0 via a CRC-sealed frame on the existing
-// serialize/deserialize path (core/compressed.h): seal_bootstrap_frame on
-// the survivor, one point-to-point send, open_bootstrap_frame on the
-// joiner. Residuals travel positionally in fusion-bucket order — both
-// sides iterate the same bucket plan, so names need not be encoded.
+// Joiners bootstrap their model parameters, error-feedback residuals and
+// optimizer state from the surviving rank 0 via a CRC-sealed frame on the
+// existing serialize/deserialize path (core/compressed.h):
+// seal_bootstrap_frame on the survivor, one point-to-point send,
+// open_bootstrap_frame on the joiner. Residuals travel positionally in
+// fusion-bucket order and optimizer state in optim::Optimizer::export_state
+// order — both sides iterate the same bucket plan and parameter slots, so
+// names need not be encoded.
 #pragma once
 
 #include <cstdint>
@@ -62,18 +64,26 @@ class MembershipSchedule {
   std::vector<MembershipView> views_;
 };
 
-// Join-bootstrap frames: flattened parameters plus the sender's EF
-// residuals (in bucket order), sealed with the CRC-32 trailer of
+// Join-bootstrap frames: flattened parameters, the sender's EF residuals
+// (in bucket order) and its optimizer state (optim::Optimizer::export_state),
+// each section counted, sealed with the CRC-32 trailer of
 // core/compressed.h serialize(). open_bootstrap_frame verifies the CRC and
-// throws std::runtime_error on corruption, so a joiner can never install a
-// damaged model.
+// the section counts, and checks the frame against the joiner's parameter
+// slots `slot_numels`: the parameters must fill them (when given), and the
+// optimizer section must hold f32 tensors that cycle through the slots'
+// sizes, optionally followed by one i32 tensor of one entry per slot. Any
+// failure throws std::runtime_error, so a joiner can never install a
+// damaged or mismatched model.
 Tensor seal_bootstrap_frame(std::span<const float> params,
-                            std::span<const Tensor> residuals);
+                            std::span<const Tensor> residuals,
+                            std::span<const Tensor> optimizer_state = {});
 
 struct BootstrapState {
   std::vector<float> params;
   std::vector<Tensor> residuals;  // same order they were sealed in
+  std::vector<Tensor> optimizer;  // optim::Optimizer::export_state order
 };
-BootstrapState open_bootstrap_frame(const Tensor& blob);
+BootstrapState open_bootstrap_frame(const Tensor& blob,
+                                    std::span<const int64_t> slot_numels = {});
 
 }  // namespace grace::core

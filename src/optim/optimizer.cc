@@ -1,19 +1,74 @@
 #include "optim/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/ops.h"
 
 namespace grace::optim {
 
-std::span<float> Optimizer::state(std::vector<Tensor>& store, size_t slot,
-                                  size_t n) {
+std::span<float> Optimizer::state(size_t buffer, size_t slot, size_t n) {
+  std::vector<Tensor>& store = buffers_[buffer];
   if (store.size() <= slot) store.resize(slot + 1);
   if (store[slot].numel() != static_cast<int64_t>(n)) {
     store[slot] = Tensor::zeros(Shape{{static_cast<int64_t>(n)}});
   }
   return store[slot].f32();
+}
+
+int64_t Optimizer::step(size_t slot) {
+  if (steps_.size() <= slot) steps_.resize(slot + 1, 0);
+  return ++steps_[slot];
+}
+
+std::vector<Tensor> Optimizer::export_state(
+    std::span<const int64_t> slot_numels) const {
+  std::vector<Tensor> out;
+  for (const std::vector<Tensor>& store : buffers_) {
+    for (size_t slot = 0; slot < slot_numels.size(); ++slot) {
+      out.push_back(slot < store.size() && !store[slot].empty()
+                        ? store[slot]
+                        : Tensor::zeros(Shape{{slot_numels[slot]}}));
+    }
+  }
+  if (counts_steps_) {
+    const auto slots = static_cast<int64_t>(slot_numels.size());
+    Tensor steps(DType::I32, Shape{{slots}});  // zero-filled
+    for (size_t slot = 0; slot < std::min(slot_numels.size(), steps_.size());
+         ++slot) {
+      if (steps_[slot] > std::numeric_limits<int32_t>::max()) {
+        throw std::overflow_error("Optimizer::export_state: i32 step count");
+      }
+      steps.i32()[slot] = static_cast<int32_t>(steps_[slot]);
+    }
+    out.push_back(std::move(steps));
+  }
+  return out;
+}
+
+void Optimizer::install_state(std::span<const Tensor> state) {
+  const size_t extra = counts_steps_ ? 1 : 0;
+  const size_t k = buffers_.size();
+  const size_t slots =
+      k > 0 && state.size() >= extra ? (state.size() - extra) / k : 0;
+  if (state.size() != k * slots + extra ||
+      (counts_steps_ &&
+       (state.back().dtype() != DType::I32 ||
+        state.back().numel() != static_cast<int64_t>(slots)))) {
+    throw std::runtime_error(
+        "Optimizer::install_state: state does not fit the optimizer's buffers");
+  }
+  for (size_t b = 0; b < k; ++b) {
+    const auto first = state.begin() + static_cast<std::ptrdiff_t>(b * slots);
+    buffers_[b].assign(first, first + static_cast<std::ptrdiff_t>(slots));
+  }
+  if (counts_steps_) {
+    const auto steps = state.back().i32();
+    steps_.assign(steps.begin(), steps.end());
+  }
 }
 
 namespace {
@@ -43,10 +98,10 @@ class Sgd final : public Optimizer {
 class Momentum final : public Optimizer {
  public:
   Momentum(OptimizerConfig cfg, bool nesterov)
-      : Optimizer(cfg), nesterov_(nesterov) {}
+      : Optimizer(cfg, /*n_buffers=*/1), nesterov_(nesterov) {}
   void apply(size_t slot, std::span<float> param,
              std::span<const float> grad) override {
-    auto v = state(velocity_, slot, param.size());
+    auto v = state(0, slot, param.size());
     const auto lr = static_cast<float>(cfg_.lr);
     const auto mu = static_cast<float>(cfg_.momentum);
     for (size_t i = 0; i < param.size(); ++i) {
@@ -58,18 +113,17 @@ class Momentum final : public Optimizer {
 
  private:
   bool nesterov_;
-  std::vector<Tensor> velocity_;
 };
 
 class Adam final : public Optimizer {
  public:
-  using Optimizer::Optimizer;
+  explicit Adam(OptimizerConfig cfg)
+      : Optimizer(cfg, /*n_buffers=*/2, /*counts_steps=*/true) {}
   void apply(size_t slot, std::span<float> param,
              std::span<const float> grad) override {
-    auto m = state(m_, slot, param.size());
-    auto v = state(v_, slot, param.size());
-    if (steps_.size() <= slot) steps_.resize(slot + 1, 0);
-    const auto t = static_cast<double>(++steps_[slot]);
+    auto m = state(0, slot, param.size());
+    auto v = state(1, slot, param.size());
+    const auto t = static_cast<double>(step(slot));
     const double b1 = cfg_.beta1, b2 = cfg_.beta2;
     const double bias1 = 1.0 - std::pow(b1, t);
     const double bias2 = 1.0 - std::pow(b2, t);
@@ -83,18 +137,14 @@ class Adam final : public Optimizer {
       param[i] -= static_cast<float>(lr * mhat / (std::sqrt(vhat) + cfg_.eps));
     }
   }
-
- private:
-  std::vector<Tensor> m_, v_;
-  std::vector<int64_t> steps_;
 };
 
 class RmsProp final : public Optimizer {
  public:
-  using Optimizer::Optimizer;
+  explicit RmsProp(OptimizerConfig cfg) : Optimizer(cfg, /*n_buffers=*/1) {}
   void apply(size_t slot, std::span<float> param,
              std::span<const float> grad) override {
-    auto s = state(sq_, slot, param.size());
+    auto s = state(0, slot, param.size());
     const double rho = cfg_.rho;
     const double lr = cfg_.lr;
     for (size_t i = 0; i < param.size(); ++i) {
@@ -103,9 +153,6 @@ class RmsProp final : public Optimizer {
       param[i] -= static_cast<float>(lr * g / (std::sqrt(static_cast<double>(s[i])) + cfg_.eps));
     }
   }
-
- private:
-  std::vector<Tensor> sq_;
 };
 
 }  // namespace

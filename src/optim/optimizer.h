@@ -29,7 +29,12 @@ struct OptimizerConfig {
 
 class Optimizer {
  public:
-  explicit Optimizer(OptimizerConfig cfg) : cfg_(cfg) {}
+  // `n_buffers` per-slot state buffers (Momentum's velocity, Adam's two
+  // moments, ...) and, with `counts_steps`, per-slot step counts (Adam's
+  // bias correction). Sgd keeps neither.
+  explicit Optimizer(OptimizerConfig cfg, size_t n_buffers = 0,
+                     bool counts_steps = false)
+      : cfg_(cfg), buffers_(n_buffers), counts_steps_(counts_steps) {}
   virtual ~Optimizer() = default;
 
   // Applies one update to parameter tensor `slot` given its aggregated
@@ -41,11 +46,29 @@ class Optimizer {
   double lr() const { return cfg_.lr; }
   const OptimizerConfig& config() const { return cfg_; }
 
+  // Join-bootstrap support (core/membership.h): the per-slot state for
+  // parameter slots of sizes `slot_numels`, in a fixed order — buffer by
+  // buffer, one f32 tensor per slot (zeros for a slot never stepped, which
+  // is how a fresh buffer starts), then the step counts as one i32 tensor
+  // when the optimizer keeps them. Empty for Sgd.
+  std::vector<Tensor> export_state(std::span<const int64_t> slot_numels) const;
+  // The inverse, on a joiner. Throws std::runtime_error when `state` does
+  // not fit this optimizer's buffers.
+  void install_state(std::span<const Tensor> state);
+
  protected:
-  // Per-slot state buffer, created on first use with the given size.
-  std::span<float> state(std::vector<Tensor>& store, size_t slot, size_t n);
+  // Slot `slot` of state buffer `buffer`, created on first use with the
+  // given size.
+  std::span<float> state(size_t buffer, size_t slot, size_t n);
+  // Counts one more step of `slot` and returns the count.
+  int64_t step(size_t slot);
 
   OptimizerConfig cfg_;
+
+ private:
+  std::vector<std::vector<Tensor>> buffers_;  // [buffer][slot]
+  bool counts_steps_;
+  std::vector<int64_t> steps_;                // [slot], when counted
 };
 
 std::unique_ptr<Optimizer> make_optimizer(const OptimizerConfig& cfg);

@@ -38,9 +38,7 @@ ScaleResult simulate_scale(const ReplicaFactory& factory,
   cfg.fleet.validate(n);
   net = cfg.fleet.bottleneck(net);
   const double worst_compute = cfg.fleet.max_compute_scale();
-  net.validate();
-  cfg.grace.topology.validate(n);
-  const auto topo = comm::make_topology(cfg.grace.topology, net);
+  const auto topo = comm::make_topology(cfg.grace.topology, net);  // validates
   const comm::TopologyKind kind = cfg.grace.topology.kind;
 
   ScaleResult r;
@@ -112,21 +110,21 @@ ScaleResult simulate_scale(const ReplicaFactory& factory,
     s = h.stats;
     if (kind == comm::TopologyKind::ParameterServer) {
       const Tensor blob = core::serialize(h.payload);
-      s.comm_seconds = topo->push_pull_seconds(
+      s.comm_seconds = topo.push_pull_seconds(
           wire * static_cast<uint64_t>(n), dense_bytes);
-      iter_vol += topo->push_pull_volume(blob.size_bytes(), dense_bytes);
+      iter_vol += topo.push_pull_volume(blob.size_bytes(), dense_bytes);
       s.decompress_seconds = one_decompress * n;
     } else if (allreduce_mode) {
-      s.comm_seconds = topo->allreduce_seconds(wire);
+      s.comm_seconds = topo.allreduce_seconds(wire);
       for (const Tensor& part : h.payload.parts) {
-        iter_vol += topo->allreduce_volume(part.numel());
+        iter_vol += topo.allreduce_volume(part.numel());
       }
       s.decompress_seconds = one_decompress;
     } else {
       const Tensor blob = core::serialize(h.payload);
       s.comm_seconds =
-          topo->allgather_seconds(wire, wire * static_cast<uint64_t>(n - 1));
-      iter_vol += topo->allgather_volume(blob.size_bytes());
+          topo.allgather_seconds(wire, wire * static_cast<uint64_t>(n - 1));
+      iter_vol += topo.allgather_volume(blob.size_bytes());
       s.decompress_seconds = one_decompress * n;
     }
   }

@@ -15,7 +15,9 @@
 //     bucket through a real GraceWorker (submit() touches no communication),
 //     so compression cost, decompression cost, logical wire size, and the
 //     physical serialized blob size are all measured, not modeled.
-//   * Communication is priced by the TopologyModel's *_seconds formulas and
+//   * Communication follows the thread-backed world's two dataflows (the
+//     PS push/pull, or the compressor's dense sum or payload gather), each
+//     priced by the one comm::TopologyModel's *_seconds formulas and
 //     counted by its *_volume formulas. For size-deterministic compressors
 //     (none, topk, qsgd, signsgd, ... — anything whose payload size depends
 //     only on tensor shape), the closed-form message/byte totals equal the
@@ -84,8 +86,8 @@ struct ScaleResult {
 };
 
 // Simulates cfg.epochs of training over cfg.n_workers ranks without
-// spawning threads. cfg.net.n_workers is overridden with cfg.n_workers (a
-// fleet-scale run prices the fleet it simulates). Throws
+// spawning threads. Like train(), it prices the fleet it simulates:
+// cfg.net.n_workers is overridden with cfg.n_workers. Throws
 // std::invalid_argument on invalid network/topology parameters.
 ScaleResult simulate_scale(const ReplicaFactory& factory,
                            const TrainConfig& cfg);

@@ -101,10 +101,8 @@ void TrainConfig::validate() const {
   }
   fleet.validate(n_workers);
   net.validate();
-  // Topology parameters are checked against both world sizes in play — the
-  // thread world (n_workers) and the cost model's fleet (net.n_workers) —
-  // since the PS shard ranks must exist in both.
-  grace.topology.validate(std::min(n_workers, net.n_workers));
+  // train() prices the n_workers ranks it runs, whatever net.n_workers says.
+  grace.topology.validate(n_workers);
   if (faults != nullptr) {
     if (faults->spec().has_churn() && grace.control.enabled()) {
       throw std::invalid_argument(
@@ -134,9 +132,13 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   // Fail fast, on this thread: a throw from a worker thread would
   // std::terminate.
   cfg.validate();
-  // All collectives run at the pace of the slowest member link; with the
-  // default uniform fleet this IS cfg.net, bit-identically.
-  const comm::NetworkModel base_net = cfg.fleet.bottleneck(cfg.net);
+  // The run prices the fleet it runs, as simulate_scale does: n ranks,
+  // whatever cfg.net.n_workers says. All collectives run at the pace of
+  // the slowest member link; with the default uniform fleet the bottleneck
+  // IS `net`, bit-identically.
+  comm::NetworkModel net = cfg.net;
+  net.n_workers = n;
+  const comm::NetworkModel base_net = cfg.fleet.bottleneck(net);
   comm::World world(n);
   std::vector<WorkerLog> logs(static_cast<size_t>(n));
   std::vector<models::EvalResult> evals;   // written by rank 0 only
@@ -148,6 +150,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   double fwd_flops_per_sample = 0.0;
   int64_t probe_train_n = 0;
   std::vector<BucketSpec> bucket_plan;
+  std::vector<int64_t> slot_numels;  // parameter sizes, in module order
   {
     auto probe = factory(cfg.seed);
     result.model = probe->name();
@@ -159,12 +162,11 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     // The bucket plan is a pure function of (tensor sizes, fusion_bytes),
     // so this probe-side plan matches every worker's scheduler exactly.
     std::vector<std::string> pnames;
-    std::vector<int64_t> pnumels;
     for (auto& p : probe->module().parameters()) {
       pnames.push_back(p.name);
-      pnumels.push_back(p.value->data.numel());
+      slot_numels.push_back(p.value->data.numel());
     }
-    bucket_plan = plan_buckets(pnumels, pnames, cfg.fusion_bytes);
+    bucket_plan = plan_buckets(slot_numels, pnames, cfg.fusion_bytes);
     result.buckets_per_iter = static_cast<int64_t>(bucket_plan.size());
   }
   result.compressor = cfg.grace.compressor_spec;
@@ -216,7 +218,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     const core::MembershipView& view = views[v];
     if (view.size() == n) continue;
     comm::NetworkModel& vnet = view_nets[v];
-    vnet = cfg.fleet.bottleneck(cfg.net, std::span<const int>(view.ranks));
+    vnet = cfg.fleet.bottleneck(net, std::span<const int>(view.ranks));
     vnet.n_workers = view.size();
     view_worlds[v] = std::make_unique<comm::World>(view.size());
     view_injectors[v] =
@@ -339,9 +341,10 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
     // carry over untouched. They restart the exchange tag sequence, so a
     // rank whose counter froze while parked agrees with the others on PS
     // shard routing. Non-members park. With `bootstrap`, joiners then
-    // install the parameters (+ EF residuals) of live rank 0 over the
-    // CRC-sealed frame path; a resumed run's first iteration skips that,
-    // since every replica starts from the same weights.
+    // install the parameters, EF residuals and optimizer state of live
+    // rank 0 over the CRC-sealed frame path; a resumed run's first
+    // iteration skips that, since every replica starts from the same
+    // weights.
     auto transition = [&](int s, int epoch, bool bootstrap) {
       const core::MembershipView& prev = views[static_cast<size_t>(seg)];
       const core::MembershipView& view = views[static_cast<size_t>(s)];
@@ -358,10 +361,11 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
       if (!bootstrap) return;
       const int btag = kBootstrapTagBase - epoch;
       if (!prev.contains(rank)) {
-        // Joiner: install rank 0's parameters (and EF residuals, in bucket
-        // order). deserialize verifies the frame's CRC.
+        // Joiner: install rank 0's parameters, EF residuals (in bucket
+        // order) and optimizer state. Opening the frame verifies its CRC
+        // and that it fits this replica's parameter slots.
         const core::BootstrapState st =
-            core::open_bootstrap_frame(comm.recv(0, btag));
+            core::open_bootstrap_frame(comm.recv(0, btag), slot_numels);
         size_t at = 0;
         for (auto& p : model->module().parameters()) {
           auto vals = p.value->data.f32();
@@ -372,6 +376,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
         for (size_t b = 0; b < st.residuals.size() && b < n_buckets; ++b) {
           grace.install_residual(sched.buckets()[b].name, st.residuals[b]);
         }
+        optimizer->install_state(st.optimizer);
       } else if (live_rank == 0) {
         Tensor frame;  // sealed once, sent to every joiner
         for (int r : view.ranks) {
@@ -387,9 +392,12 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
                     Tensor::zeros(Shape{{sched.buckets()[b].numel}})));
               }
             }
+            const std::vector<Tensor> opt_state =
+                optimizer->export_state(slot_numels);
             frame = core::seal_bootstrap_frame(
                 std::span<const float>(params),
-                std::span<const Tensor>(residuals));
+                std::span<const Tensor>(residuals),
+                std::span<const Tensor>(opt_state));
           }
           comm.send(view.live_rank(r), frame, btag);
         }
@@ -968,7 +976,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
       std::as_bytes(std::span<const float>(result.final_parameters)));
 
   result.error_feedback =
-      core::GraceWorker(cfg.grace, world.comm(0), cfg.net, 0)
+      core::GraceWorker(cfg.grace, world.comm(0), base_net, 0)
           .error_feedback_enabled();
   return result;
 }

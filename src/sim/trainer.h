@@ -32,6 +32,8 @@ struct TrainConfig {
   int epochs = 5;
   optim::OptimizerConfig optimizer;
   core::GraceConfig grace;
+  // Link model. train() prices the n_workers ranks it runs, as
+  // simulate_scale does: net.n_workers is overridden with n_workers.
   comm::NetworkModel net;
   // Per-rank link/compute heterogeneity (comm/fleet.h). The default (empty)
   // profile is a uniform fleet and leaves every number bit-identical to the
@@ -119,9 +121,11 @@ struct TrainConfig {
   // Structural validation, run by train() before any thread starts; throws
   // std::invalid_argument with a pointed message on: non-positive
   // n_workers / batch_per_worker / epochs, start_epoch < 0, a FleetProfile
-  // smaller than the world, invalid net/topology parameters, a churn plan
-  // combined with the adaptive controller (parked ranks would miss its
-  // signal allreduces), or a controller resume_state combined with churn.
+  // smaller than the world, invalid net parameters, topology parameters
+  // that cannot drive n_workers ranks (net.n_workers plays no part), a
+  // churn plan combined with the adaptive controller (parked ranks would
+  // miss its signal allreduces), or a controller resume_state combined
+  // with churn.
   // Churn and crash events themselves are checked by
   // core::MembershipSchedule (leave of an absent rank, join of a present
   // one, rank 0 churning, a rank outside the fleet).

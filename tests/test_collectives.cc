@@ -296,7 +296,7 @@ TEST_P(HierarchicalTest, AllreduceSumsAndMatchesVolume) {
   TopologyConfig cfg;
   cfg.kind = TopologyKind::Hierarchical;
   cfg.ranks_per_rack = rack;
-  const WireVolume v = make_topology(cfg, net)->allreduce_volume(size);
+  const WireVolume v = make_topology(cfg, net).allreduce_volume(size);
   EXPECT_EQ(world.messages_sent(), v.messages);
   EXPECT_EQ(world.payload_bytes_sent(), v.bytes);
 }
@@ -322,7 +322,7 @@ TEST_P(HierarchicalTest, AllgatherOrdersBlobsAndMatchesVolume) {
   TopologyConfig cfg;
   cfg.kind = TopologyKind::Hierarchical;
   cfg.ranks_per_rack = rack;
-  const WireVolume v = make_topology(cfg, net)->allgather_volume(blob_bytes);
+  const WireVolume v = make_topology(cfg, net).allgather_volume(blob_bytes);
   EXPECT_EQ(world.messages_sent(), v.messages);
   EXPECT_EQ(world.payload_bytes_sent(), v.bytes);
 }
@@ -349,7 +349,7 @@ TEST(Collectives, RingVolumeMatchesThreadWorld) {
   NetworkModel net;
   net.n_workers = n;
   const WireVolume v = make_topology(TopologyConfig{}, net)
-                           ->allgather_volume(static_cast<uint64_t>(blob));
+                           .allgather_volume(static_cast<uint64_t>(blob));
   EXPECT_EQ(world.messages_sent(), v.messages);
   EXPECT_EQ(world.payload_bytes_sent(), v.bytes);
 }

@@ -143,13 +143,57 @@ TEST(Membership, BootstrapFrameRoundTripsParamsAndResiduals) {
   residuals.push_back(Tensor::from(r0));
   residuals.push_back(Tensor::from(r1));
 
+  // Optimizer state for two parameter slots of 2 and 3 elements: one f32
+  // buffer per slot, then one i32 step count per slot (Adam's layout).
+  const std::vector<int64_t> slots = {2, 3};
+  const std::vector<float> v1 = {-1.0f, 0.25f, 6.0f};
+  const std::vector<int32_t> steps = {4, 4};
+  std::vector<Tensor> opt_state;
+  opt_state.push_back(Tensor::from(r0));
+  opt_state.push_back(Tensor::from(v1));
+  opt_state.emplace_back(DType::I32, Shape{{2}});
+  std::copy(steps.begin(), steps.end(), opt_state.back().i32().begin());
+
   const Tensor blob = core::seal_bootstrap_frame(
-      std::span<const float>(params), std::span<const Tensor>(residuals));
-  const core::BootstrapState st = core::open_bootstrap_frame(blob);
+      std::span<const float>(params), std::span<const Tensor>(residuals),
+      std::span<const Tensor>(opt_state));
+  const core::BootstrapState st = core::open_bootstrap_frame(blob, slots);
   EXPECT_EQ(st.params, params);
   ASSERT_EQ(st.residuals.size(), 2u);
   EXPECT_EQ(st.residuals[0].f32()[1], -0.5f);
   EXPECT_EQ(st.residuals[1].f32()[2], 9.0f);
+  ASSERT_EQ(st.optimizer.size(), 3u);
+  EXPECT_EQ(st.optimizer[1].f32()[0], -1.0f);
+  EXPECT_EQ(st.optimizer[2].i32()[1], 4);
+}
+
+TEST(Membership, BootstrapFrameRejectsStateThatMissesTheJoinersSlots) {
+  const std::vector<float> params = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f};
+  std::vector<Tensor> velocity;  // one buffer over slots of 2 and 3
+  velocity.push_back(Tensor::zeros(Shape{{2}}));
+  velocity.push_back(Tensor::zeros(Shape{{3}}));
+  const Tensor blob = core::seal_bootstrap_frame(
+      std::span<const float>(params), {}, std::span<const Tensor>(velocity));
+  const std::vector<int64_t> slots = {2, 3};
+  EXPECT_EQ(core::open_bootstrap_frame(blob, slots).optimizer.size(), 2u);
+
+  // Slots of other sizes, another slot count, or parameters that do not
+  // fill the slots all throw like a CRC failure.
+  const std::vector<int64_t> swapped = {3, 2};
+  const std::vector<int64_t> three = {2, 2, 1};
+  const std::vector<int64_t> longer = {2, 4};
+  EXPECT_THROW(core::open_bootstrap_frame(blob, swapped), std::runtime_error);
+  EXPECT_THROW(core::open_bootstrap_frame(blob, three), std::runtime_error);
+  EXPECT_THROW(core::open_bootstrap_frame(blob, longer), std::runtime_error);
+  EXPECT_THROW(core::open_bootstrap_frame(blob), std::runtime_error);
+
+  // The optimizer refuses a section that does not fit its buffers.
+  optim::OptimizerConfig adam;
+  adam.type = optim::OptimizerType::Adam;
+  EXPECT_THROW(optim::make_optimizer(adam)->install_state(velocity),
+               std::runtime_error);
+  EXPECT_THROW(optim::make_optimizer({})->install_state(velocity),
+               std::runtime_error);
 }
 
 TEST(Membership, BootstrapFrameDetectsCorruption) {
@@ -218,26 +262,34 @@ TEST(Membership, TrainConfigValidateRejectsBadConfigs) {
 // Elastic runs: shrink, grow, resume equivalence (the acceptance contract)
 
 TEST(Membership, ElasticShrinkGrowKeepsReplicasInSync) {
+  // The joiner adopts rank 0's optimizer state with its parameters, so a
+  // stateful optimizer (momentum, moments, step counts) stays in sync too.
   Benchmark b = tiny_cnn();
-  TrainConfig cfg = tiny_config(b, 4);
-  cfg.epochs = 4;
-  cfg.grace.compressor_spec = "topk(0.1)";  // EF state in play
-
   faults::FaultSpec spec;
   spec.churn = leave_then_rejoin(2, 1, 3);
   faults::FaultPlan plan(spec);
-  cfg.faults = &plan;
 
-  RunResult a = train(b.factory, cfg);
-  EXPECT_TRUE(a.replicas_in_sync);
-  EXPECT_EQ(a.faults.leaves, 1u);
-  EXPECT_EQ(a.faults.joins, 1u);
-  ASSERT_EQ(a.epochs.size(), 4u);
+  for (const optim::OptimizerType type :
+       {optim::OptimizerType::Sgd, optim::OptimizerType::Momentum,
+        optim::OptimizerType::Adam, optim::OptimizerType::RmsProp}) {
+    SCOPED_TRACE(optim::optimizer_name(type));
+    TrainConfig cfg = tiny_config(b, 4);
+    cfg.epochs = 4;
+    cfg.optimizer.type = type;
+    cfg.grace.compressor_spec = "topk(0.1)";  // EF state in play
+    cfg.faults = &plan;
 
-  // Deterministic replay, EF included.
-  RunResult c = train(b.factory, cfg);
-  EXPECT_EQ(a.final_parameters, c.final_parameters);
-  EXPECT_EQ(a.parameters_crc32, c.parameters_crc32);
+    RunResult a = train(b.factory, cfg);
+    EXPECT_TRUE(a.replicas_in_sync);
+    EXPECT_EQ(a.faults.leaves, 1u);
+    EXPECT_EQ(a.faults.joins, 1u);
+    ASSERT_EQ(a.epochs.size(), 4u);
+
+    // Deterministic replay, EF included.
+    RunResult c = train(b.factory, cfg);
+    EXPECT_EQ(a.final_parameters, c.final_parameters);
+    EXPECT_EQ(a.parameters_crc32, c.parameters_crc32);
+  }
 }
 
 TEST(Membership, ElasticResumeReproducesTheUninterruptedRunExactly) {

@@ -95,5 +95,34 @@ TEST(Optim, SetLr) {
   EXPECT_FLOAT_EQ(p[0], -0.5f);
 }
 
+TEST(Optim, ExportedStateContinuesTheSameTrajectory) {
+  // A fresh optimizer that installs another's exported state takes the
+  // same next step, bit for bit (the join-bootstrap contract). Slot 1 is
+  // never stepped before the export and travels as zeros.
+  const std::vector<int64_t> slots = {3, 2};
+  const std::vector<float> g0{0.5f, -1.0f, 2.0f}, g1{1.0f, -0.25f};
+  for (auto t : {OptimizerType::Sgd, OptimizerType::Momentum,
+                 OptimizerType::Nesterov, OptimizerType::Adam,
+                 OptimizerType::RmsProp}) {
+    SCOPED_TRACE(optimizer_name(t));
+    const OptimizerConfig cfg{.type = t, .lr = 0.1};
+    auto a = make_optimizer(cfg);
+    std::vector<float> p0{1.0f, 2.0f, 3.0f}, p1{-1.0f, 1.0f};
+    for (int i = 0; i < 3; ++i) a->apply(0, p0, g0);
+
+    const std::vector<Tensor> state = a->export_state(slots);
+    EXPECT_EQ(state.empty(), t == OptimizerType::Sgd);
+    auto b = make_optimizer(cfg);
+    b->install_state(state);
+    std::vector<float> q0 = p0, q1 = p1;
+    a->apply(0, p0, g0);
+    a->apply(1, p1, g1);
+    b->apply(0, q0, g0);
+    b->apply(1, q1, g1);
+    EXPECT_EQ(q0, p0);
+    EXPECT_EQ(q1, p1);
+  }
+}
+
 }  // namespace
 }  // namespace grace::optim

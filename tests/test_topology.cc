@@ -2,6 +2,7 @@
 // collective path, end-to-end training, and index-coding helpers.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
 #include "core/grace_world.h"
@@ -124,6 +125,75 @@ TEST(Hierarchical, CrashRebindReclampsRaggedRack) {
   sim::RunResult again = sim::train(b.factory, cfg);
   EXPECT_EQ(run.parameters_crc32, again.parameters_crc32);
   EXPECT_EQ(run.final_parameters, again.final_parameters);
+}
+
+TEST(Hierarchical, RackOfOneRunsTheRing) {
+  // One rank per rack is the flat ring, message for message: same
+  // parameters, same transport counters, clean, under a crash and under
+  // churn.
+  auto b = sim::make_cnn_classification(0.1);
+  faults::FaultSpec crash;
+  crash.crash_rank = 3;
+  crash.crash_epoch = 1;
+  crash.crash_iter = 1;
+  faults::FaultSpec churn;
+  churn.drop_prob = 0.02;
+  churn.churn = {{1, 2, false}, {2, 2, true}};
+  const faults::FaultPlan crash_plan(crash), churn_plan(churn);
+  for (const char* spec : {"none", "topk(0.1)"}) {
+    for (const faults::FaultPlan* plan :
+         {static_cast<const faults::FaultPlan*>(nullptr), &crash_plan,
+          &churn_plan}) {
+      SCOPED_TRACE(std::string(spec) + (plan == nullptr       ? " clean"
+                                        : plan == &crash_plan ? " crash"
+                                                              : " churn"));
+      sim::TrainConfig cfg = sim::default_config(b);
+      cfg.n_workers = 4;
+      cfg.net.n_workers = 4;
+      cfg.batch_per_worker = 4;
+      cfg.epochs = 3;
+      cfg.fusion_bytes = 4096;
+      cfg.grace.compressor_spec = spec;
+      cfg.faults = plan;
+      const sim::RunResult ring = sim::train(b.factory, cfg);
+      cfg.grace.topology.kind = comm::TopologyKind::Hierarchical;
+      cfg.grace.topology.ranks_per_rack = 1;
+      const sim::RunResult rack1 = sim::train(b.factory, cfg);
+      EXPECT_EQ(rack1.parameters_crc32, ring.parameters_crc32);
+      EXPECT_EQ(rack1.comm_messages, ring.comm_messages);
+      EXPECT_EQ(rack1.comm_payload_bytes, ring.comm_payload_bytes);
+    }
+  }
+}
+
+TEST(TopologyModel, KindsShareTheFlatFormulas) {
+  // The parameter server prices dense sums and gathers with the ring's
+  // formulas, and every kind prices push/pull the same way.
+  for (int n : {1, 4, 7}) {
+    SCOPED_TRACE(n);
+    comm::NetworkModel net;
+    net.n_workers = n;
+    comm::TopologyConfig cfg;
+    const comm::TopologyModel ring = comm::make_topology(cfg, net);
+    cfg.kind = comm::TopologyKind::ParameterServer;
+    const comm::TopologyModel ps = comm::make_topology(cfg, net);
+    cfg.kind = comm::TopologyKind::Hierarchical;
+    cfg.ranks_per_rack = 3;
+    cfg.cross_rack_gbps = 1.0;
+    const comm::TopologyModel hier = comm::make_topology(cfg, net);
+    for (uint64_t bytes : {0ull, 1ull, 4096ull, 3000017ull}) {
+      EXPECT_EQ(ps.allreduce_seconds(bytes), ring.allreduce_seconds(bytes));
+      EXPECT_EQ(ps.allreduce_volume(static_cast<int64_t>(bytes)),
+                ring.allreduce_volume(static_cast<int64_t>(bytes)));
+      EXPECT_EQ(ps.allgather_seconds(bytes, 3 * bytes + 5),
+                ring.allgather_seconds(bytes, 3 * bytes + 5));
+      EXPECT_EQ(ps.allgather_volume(bytes), ring.allgather_volume(bytes));
+      EXPECT_EQ(hier.push_pull_seconds(n * bytes, 2 * bytes + 7),
+                ring.push_pull_seconds(n * bytes, 2 * bytes + 7));
+      EXPECT_EQ(hier.push_pull_volume(bytes, 2 * bytes + 7),
+                ring.push_pull_volume(bytes, 2 * bytes + 7));
+    }
+  }
 }
 
 TEST(ParameterServer, CostModelChargesServerBottleneck) {

@@ -206,6 +206,21 @@ TEST(Trainer, DatasetSmallerThanGlobalBatchWrapsAround) {
   EXPECT_EQ(run.samples_dropped_per_epoch, 0);
 }
 
+TEST(Trainer, PricesTheWorkersItRuns) {
+  // train() prices the n_workers ranks it runs, as simulate_scale does: a
+  // stale net.n_workers changes no number. The codec clock is zeroed so
+  // the simulated seconds are deterministic.
+  Benchmark b = tiny_cnn();
+  TrainConfig cfg = tiny_config(b, 4);
+  cfg.time.compression_time_scale = 0.0;
+  const RunResult same = train(b.factory, cfg);
+  cfg.net.n_workers = 8;
+  const RunResult stale = train(b.factory, cfg);
+  EXPECT_EQ(stale.parameters_crc32, same.parameters_crc32);
+  EXPECT_EQ(stale.iteration_s, same.iteration_s);
+  EXPECT_EQ(stale.throughput, same.throughput);
+}
+
 TEST(Tasks, StandardSuiteShape) {
   auto suite = standard_suite(0.1);
   ASSERT_EQ(suite.size(), 5u);
