@@ -217,16 +217,11 @@ inline const char* fault_plan_arg(int argc, char** argv, const char* prog) {
 // Reads and parses a fault-plan JSON file; aborts with a diagnostic on I/O
 // or schema errors (a typoed plan must not silently run healthy).
 inline faults::FaultSpec load_fault_spec(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (!f) {
-    std::fprintf(stderr, "cannot open fault plan '%s'\n", path);
+  const std::string text = read_file(path);
+  if (text.empty()) {
+    std::fprintf(stderr, "cannot read fault plan '%s'\n", path);
     std::exit(2);
   }
-  std::string text;
-  char buf[4096];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
-  std::fclose(f);
   try {
     return faults::parse_fault_spec_json(text);
   } catch (const std::exception& e) {

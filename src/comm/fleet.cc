@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace grace::comm {
@@ -27,8 +26,6 @@ uint64_t draw(uint64_t seed, uint64_t domain, uint64_t a) {
   return mix(mix(mix(seed ^ 0x66c6ee5ull) ^ domain) ^ a);
 }
 
-constexpr uint64_t kDomainStraggler = 0xf1ee7501;
-constexpr uint64_t kDomainRack = 0xf1ee7502;
 constexpr uint64_t kDomainWan = 0xf1ee7503;
 constexpr uint64_t kDomainEdge = 0xf1ee7504;
 
@@ -135,75 +132,6 @@ FleetProfile FleetProfile::federated_edge(int n, uint64_t seed) {
     p.compute_scale = 2.0 + 3.0 * u;
   }
   return FleetProfile(std::move(ranks), "federated-edge");
-}
-
-FleetProfile FleetProfile::stragglers(int n, double slow_fraction,
-                                      double compute_slowdown,
-                                      uint64_t seed) {
-  if (!(slow_fraction >= 0.0 && slow_fraction <= 1.0)) {
-    throw std::invalid_argument("FleetProfile::stragglers: slow_fraction " +
-                                std::to_string(slow_fraction) +
-                                " outside [0,1]");
-  }
-  check_scale("compute_slowdown", compute_slowdown);
-  std::vector<LinkProfile> ranks(static_cast<size_t>(n));
-  for (int r = 1; r < n; ++r) {
-    if (unit(draw(seed, kDomainStraggler, static_cast<uint64_t>(r))) <
-        slow_fraction) {
-      ranks[static_cast<size_t>(r)].compute_scale = compute_slowdown;
-    }
-  }
-  return FleetProfile(std::move(ranks), "stragglers");
-}
-
-FleetProfile FleetProfile::mixed_racks(int n, int ranks_per_rack,
-                                       double slow_rack_fraction,
-                                       double bandwidth_drop, uint64_t seed) {
-  if (ranks_per_rack < 1) {
-    throw std::invalid_argument(
-        "FleetProfile::mixed_racks: ranks_per_rack must be >= 1, got " +
-        std::to_string(ranks_per_rack));
-  }
-  if (!(slow_rack_fraction >= 0.0 && slow_rack_fraction <= 1.0)) {
-    throw std::invalid_argument(
-        "FleetProfile::mixed_racks: slow_rack_fraction " +
-        std::to_string(slow_rack_fraction) + " outside [0,1]");
-  }
-  check_scale("bandwidth_drop", bandwidth_drop);
-  std::vector<LinkProfile> ranks(static_cast<size_t>(n));
-  const int n_racks = (n + ranks_per_rack - 1) / ranks_per_rack;
-  for (int rack = 0; rack < n_racks; ++rack) {
-    // Rack 0 holds rank 0 and stays fast so the root link never degrades.
-    if (rack == 0) continue;
-    if (unit(draw(seed, kDomainRack, static_cast<uint64_t>(rack))) >=
-        slow_rack_fraction) {
-      continue;
-    }
-    const int first = rack * ranks_per_rack;
-    const int last = std::min(n, first + ranks_per_rack);
-    for (int r = first; r < last; ++r) {
-      ranks[static_cast<size_t>(r)].bandwidth_scale = 1.0 / bandwidth_drop;
-    }
-  }
-  return FleetProfile(std::move(ranks), "mixed-racks");
-}
-
-std::string FleetProfile::to_string() const {
-  if (uniform_) {
-    return ranks_.empty() ? "uniform" : name_ + "(uniform," +
-                                            std::to_string(ranks_.size()) +
-                                            " ranks)";
-  }
-  double min_bw = 1.0, max_lat = 1.0, max_cs = 1.0;
-  for (const LinkProfile& p : ranks_) {
-    min_bw = std::min(min_bw, p.bandwidth_scale);
-    max_lat = std::max(max_lat, p.latency_scale);
-    max_cs = std::max(max_cs, p.compute_scale);
-  }
-  std::ostringstream os;
-  os << name_ << "(" << ranks_.size() << " ranks, bw>=x" << min_bw
-     << ", lat<=x" << max_lat << ", compute<=x" << max_cs << ")";
-  return os.str();
 }
 
 }  // namespace grace::comm

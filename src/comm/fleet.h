@@ -68,18 +68,6 @@ class FleetProfile {
   static FleetProfile flaky_wan(int n, uint64_t seed = 1);
   static FleetProfile federated_edge(int n, uint64_t seed = 1);
 
-  // Seeded distribution generators for simulated heterogeneous fleets.
-  // stragglers: `slow_fraction` of ranks run compute `compute_slowdown`×
-  // slower. mixed_racks: whole racks of `ranks_per_rack` draw a bandwidth
-  // drop (scale 1/bandwidth_drop) with probability `slow_rack_fraction`.
-  static FleetProfile stragglers(int n, double slow_fraction,
-                                 double compute_slowdown, uint64_t seed);
-  static FleetProfile mixed_racks(int n, int ranks_per_rack,
-                                  double slow_rack_fraction,
-                                  double bandwidth_drop, uint64_t seed);
-
-  std::string to_string() const;
-
  private:
   std::vector<LinkProfile> ranks_;
   std::string name_ = "uniform";

@@ -16,10 +16,6 @@ double NetworkModel::effective_bytes_per_sec() const {
   return bandwidth_gbps * 1e9 / 8.0 * efficiency;
 }
 
-double NetworkModel::link_seconds(size_t bytes) const {
-  return static_cast<double>(bytes) / effective_bytes_per_sec();
-}
-
 double NetworkModel::per_message_overhead_sec() const {
   // Kernel TCP: syscall + softirq path per message. RDMA: posted verbs.
   return transport == Transport::Tcp ? 20e-6 : 3e-6;

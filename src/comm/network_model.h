@@ -23,13 +23,6 @@ struct NetworkModel {
 
   // Effective payload bytes/second after transport efficiency.
   double effective_bytes_per_sec() const;
-  // Pure serialization time of `bytes` on one link at the effective rate —
-  // the irreducible occupancy a payload puts on the wire, with no latency
-  // or per-message overhead. The exchange scheduler (sim/scheduler.h)
-  // serializes concurrent fusion buckets on the simulated link, so the sum
-  // of the collectives' costs is a hard lower bound on the comm portion of
-  // an iteration; link_seconds is the analytic floor tests check against.
-  double link_seconds(size_t bytes) const;
   // Fixed software cost charged per message (syscalls, interrupts for TCP;
   // doorbell + completion for RDMA).
   double per_message_overhead_sec() const;

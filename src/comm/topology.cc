@@ -16,14 +16,6 @@ const char* topology_name(TopologyKind kind) {
   return "unknown";
 }
 
-TopologyKind parse_topology(std::string_view name) {
-  if (name == "ring") return TopologyKind::Ring;
-  if (name == "ps" || name == "parameter-server") return TopologyKind::ParameterServer;
-  if (name == "hierarchical" || name == "hier") return TopologyKind::Hierarchical;
-  throw std::invalid_argument("unknown topology '" + std::string(name) +
-                              "' (expected ring|ps|hierarchical)");
-}
-
 void TopologyConfig::validate(int n_workers) const {
   if (n_workers < 1) {
     throw std::invalid_argument("TopologyConfig: n_workers must be >= 1");

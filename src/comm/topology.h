@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "comm/network_model.h"
 
@@ -40,7 +39,6 @@ namespace grace::comm {
 enum class TopologyKind : uint8_t { Ring = 0, ParameterServer = 1, Hierarchical = 2 };
 
 const char* topology_name(TopologyKind kind);
-TopologyKind parse_topology(std::string_view name);
 
 struct TopologyConfig {
   TopologyKind kind = TopologyKind::Ring;

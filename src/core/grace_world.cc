@@ -26,13 +26,6 @@ ExchangeStats& ExchangeStats::operator+=(const ExchangeStats& o) {
   compress_seconds += o.compress_seconds;
   decompress_seconds += o.decompress_seconds;
   comm_seconds += o.comm_seconds;
-  // A fresh accumulator adopts the first bucket id it sees; mixing ids
-  // from different buckets degrades to "not bucket-scoped".
-  if (bucket < 0) {
-    bucket = o.bucket;
-  } else if (o.bucket >= 0 && o.bucket != bucket) {
-    bucket = -1;
-  }
   return *this;
 }
 

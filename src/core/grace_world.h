@@ -28,10 +28,6 @@ struct ExchangeStats {
   double compress_seconds = 0.0;  // measured: Q + memory update
   double decompress_seconds = 0.0;  // measured: Q^-1 over received payloads
   double comm_seconds = 0.0;      // simulated network time
-  // Fusion-bucket id this exchange belongs to (sim/scheduler.h), or -1 when
-  // the exchange is not bucket-scoped. Accumulating stats across different
-  // buckets resets the id to -1.
-  int32_t bucket = -1;
 
   ExchangeStats& operator+=(const ExchangeStats& o);
 };

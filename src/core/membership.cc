@@ -1,6 +1,7 @@
 #include "core/membership.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -119,7 +120,8 @@ int MembershipSchedule::segment_at(int epoch, int64_t iter) const {
 
 Tensor seal_bootstrap_frame(std::span<const float> params,
                             std::span<const Tensor> residuals,
-                            std::span<const Tensor> optimizer_state) {
+                            std::span<const Tensor> optimizer_state,
+                            std::string_view controller) {
   CompressedTensor ct;
   ct.parts.reserve(1 + residuals.size() + optimizer_state.size());
   ct.parts.push_back(Tensor::from(params));
@@ -128,6 +130,12 @@ Tensor seal_bootstrap_frame(std::span<const float> params,
                   optimizer_state.end());
   ct.ctx.ints = {static_cast<int64_t>(residuals.size()),
                  static_cast<int64_t>(optimizer_state.size())};
+  if (!controller.empty()) {
+    Tensor& snapshot = ct.parts.emplace_back(
+        DType::U8, Shape{{static_cast<int64_t>(controller.size())}});
+    std::memcpy(snapshot.u8().data(), controller.data(), controller.size());
+    ct.ctx.ints.push_back(1);
+  }
   // Honest wire accounting for the one-off transfer; the frame is raw.
   for (const Tensor& p : ct.parts) {
     ct.ctx.wire_bits += static_cast<uint64_t>(p.size_bytes()) * 8;
@@ -138,19 +146,30 @@ Tensor seal_bootstrap_frame(std::span<const float> params,
 BootstrapState open_bootstrap_frame(const Tensor& blob,
                                     std::span<const int64_t> slot_numels) {
   const CompressedTensor ct = deserialize(blob);  // throws on CRC mismatch
-  const std::vector<int64_t>& counts = ct.ctx.ints;  // residuals, optimizer
+  // Residuals, optimizer and, only when a controller ran, its one part.
+  const std::vector<int64_t>& counts = ct.ctx.ints;
+  const bool has_controller = counts.size() == 3;
   if (ct.parts.empty() || ct.parts.front().dtype() != DType::F32 ||
-      counts.size() != 2 || counts[0] < 0 || counts[1] < 0 ||
+      (counts.size() != 2 && !has_controller) || counts[0] < 0 ||
+      counts[1] < 0 ||
       ct.parts.size() - 1 != static_cast<uint64_t>(counts[0]) +
-                                 static_cast<uint64_t>(counts[1])) {
+                                 static_cast<uint64_t>(counts[1]) +
+                                 (has_controller ? 1 : 0) ||
+      (has_controller &&
+       (counts[2] != 1 || ct.parts.back().dtype() != DType::U8))) {
     throw std::runtime_error("open_bootstrap_frame: malformed sections");
   }
   BootstrapState out;
   const auto params = ct.parts.front().f32();
   out.params.assign(params.begin(), params.end());
   const auto residuals_end = ct.parts.begin() + 1 + counts[0];
+  const auto optimizer_end = residuals_end + counts[1];
   out.residuals.assign(ct.parts.begin() + 1, residuals_end);
-  out.optimizer.assign(residuals_end, ct.parts.end());
+  out.optimizer.assign(residuals_end, optimizer_end);
+  if (has_controller) {
+    const auto snapshot = ct.parts.back().u8();
+    out.controller.assign(snapshot.begin(), snapshot.end());
+  }
 
   const size_t slots = slot_numels.size();
   std::span<const Tensor> buffers(out.optimizer);

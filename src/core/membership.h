@@ -10,8 +10,8 @@
 // schedule, which is what makes staged elastic (and crashed) runs
 // bit-equal to uninterrupted ones.
 //
-// Joiners bootstrap their model parameters, error-feedback residuals and
-// optimizer state from the surviving rank 0 via a CRC-sealed frame on the
+// Joiners bootstrap their model parameters, error-feedback residuals,
+// optimizer state and adaptive controller from the surviving rank 0 via a CRC-sealed frame on the
 // existing serialize/deserialize path (core/compressed.h):
 // seal_bootstrap_frame on the survivor, one point-to-point send,
 // open_bootstrap_frame on the joiner. Residuals travel positionally in
@@ -22,6 +22,8 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "faults/fault_plan.h"
@@ -65,23 +67,27 @@ class MembershipSchedule {
 };
 
 // Join-bootstrap frames: flattened parameters, the sender's EF residuals
-// (in bucket order) and its optimizer state (optim::Optimizer::export_state),
-// each section counted, sealed with the CRC-32 trailer of
-// core/compressed.h serialize(). open_bootstrap_frame verifies the CRC and
-// the section counts, and checks the frame against the joiner's parameter
-// slots `slot_numels`: the parameters must fill them (when given), and the
+// (in bucket order), its optimizer state (optim::Optimizer::export_state)
+// and, when a controller runs, its control::Controller::snapshot() as one
+// U8 section, each section counted, sealed with the CRC-32 trailer of
+// core/compressed.h serialize(); a frame without a controller counts two
+// sections. open_bootstrap_frame verifies the CRC and the section
+// counts, and checks the frame against the joiner's parameter slots
+// `slot_numels`: the parameters must fill them (when given), and the
 // optimizer section must hold f32 tensors that cycle through the slots'
 // sizes, optionally followed by one i32 tensor of one entry per slot. Any
 // failure throws std::runtime_error, so a joiner can never install a
 // damaged or mismatched model.
 Tensor seal_bootstrap_frame(std::span<const float> params,
                             std::span<const Tensor> residuals,
-                            std::span<const Tensor> optimizer_state = {});
+                            std::span<const Tensor> optimizer_state = {},
+                            std::string_view controller = {});
 
 struct BootstrapState {
   std::vector<float> params;
   std::vector<Tensor> residuals;  // same order they were sealed in
   std::vector<Tensor> optimizer;  // optim::Optimizer::export_state order
+  std::string controller;         // empty when the frame carries none
 };
 BootstrapState open_bootstrap_frame(const Tensor& blob,
                                     std::span<const int64_t> slot_numels = {});

@@ -180,6 +180,29 @@ bool FaultPlan::outage_reconnect(int rank, int epoch, int64_t iter) const {
   return !in_outage(rank, epoch, iter) && in_outage(rank, epoch, iter - 1);
 }
 
+double FaultPlan::stall(int rank, int epoch, int64_t iter,
+                        FaultCounters& counters) const {
+  double stall_s = 0.0;
+  const double delay = straggler_delay(rank, epoch, iter);
+  if (delay > 0.0) {
+    ++counters.straggler_events;
+    counters.straggler_stall_s += delay;
+    stall_s += delay;
+  }
+  // Each outage window counts once, on entry; its reconnect stall is
+  // charged the first round after it ends.
+  if (in_outage(rank, epoch, iter) &&
+      (iter == 0 || !in_outage(rank, epoch, iter - 1))) {
+    ++counters.outages;
+  }
+  const double reconnect_s = spec_.outage_reconnect_stall_s;
+  if (reconnect_s > 0.0 && outage_reconnect(rank, epoch, iter)) {
+    counters.outage_stall_s += reconnect_s;
+    stall_s += reconnect_s;
+  }
+  return stall_s;
+}
+
 bool FaultPlan::participates(int rank, int epoch, int64_t iter) const {
   if (rank == 0) return true;
   if (in_outage(rank, epoch, iter)) return false;

@@ -11,17 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "faults/counters.h"
+
 namespace grace::faults {
 
 // Message::fault values for staged failed delivery attempts.
 inline constexpr uint8_t kAttemptDropped = 1;  // lost in transit, timeout
 inline constexpr uint8_t kAttemptCorrupt = 2;  // arrived bit-flipped, NACK
-
-// What the trainer does when the planned crash fires.
-enum class CrashPolicy {
-  Continue,  // the crash is a membership leave; survivors keep training
-  Halt,      // the whole run stops at the crash boundary
-};
 
 // One membership transition: `rank` leaves (join == false) or rejoins
 // (join == true) the fleet at the start of absolute epoch `epoch`. Epochs
@@ -55,9 +51,11 @@ struct FaultSpec {
   // carry their gradients in the error-feedback residual instead.
   double skip_round_prob = 0.0;
 
-  // Permanent crash: `crash_rank` exits just before iteration
-  // (crash_epoch, crash_iter). Rank 0 must survive (it owns evaluation and
-  // run bookkeeping), so crash_rank == 0 is rejected. -1 disables.
+  // Permanent crash: `crash_rank` leaves the fleet just before iteration
+  // (crash_epoch, crash_iter), and the survivors keep training (a
+  // membership leave, core/membership.h). Rank 0 must survive (it owns
+  // evaluation and run bookkeeping), so crash_rank == 0 is rejected. -1
+  // disables.
   int crash_rank = -1;
   int crash_epoch = 0;
   int64_t crash_iter = 0;
@@ -132,13 +130,15 @@ class FaultPlan {
   // coordinates alone, so every rank computes the same roster.
   bool participates(int rank, int epoch, int64_t iter) const;
 
+  // The stall the plan charges (rank, epoch, iter) on top of its link-fault
+  // retries: the straggler delay plus, on the first round after an outage
+  // window, the reconnect stall. Counts what it charges into `counters`
+  // (straggler_events, straggler_stall_s, outage_stall_s) and the outage
+  // windows (rank, epoch, iter) enters (outages).
+  double stall(int rank, int epoch, int64_t iter,
+               FaultCounters& counters) const;
+
   bool has_crash() const { return spec_.has_crash(); }
-  // True exactly at the crash boundary (the crashing rank exits before
-  // running this iteration).
-  bool crash_at(int epoch, int64_t iter) const {
-    return spec_.has_crash() && epoch == spec_.crash_epoch &&
-           iter == spec_.crash_iter;
-  }
 
  private:
   uint64_t hash(uint64_t kind, uint64_t a, uint64_t b, uint64_t c) const;

@@ -219,9 +219,7 @@ core::ExchangeHandle ExchangeScheduler::submit_bucket(core::GraceWorker& w,
                                                       size_t b,
                                                       bool instrument) {
   const BucketSpec& spec = plan_.at(b);
-  core::ExchangeHandle h = w.submit(pack(b), spec.name, instrument);
-  h.stats.bucket = spec.id;
-  return h;
+  return w.submit(pack(b), spec.name, instrument);
 }
 
 void ExchangeScheduler::apply_bucket(size_t b, const Tensor& aggregated,
@@ -255,10 +253,7 @@ core::ExchangeHandle ExchangeScheduler::submit_bucket_zero(
   w.absorb(real, spec.name);
   // submit_raw: a normal submit would compensate the zeros with beta*m —
   // shipping the residual we just deposited — and then wipe the residual.
-  core::ExchangeHandle h =
-      w.submit_raw(Tensor::zeros_like(real), spec.name, instrument);
-  h.stats.bucket = spec.id;
-  return h;
+  return w.submit_raw(Tensor::zeros_like(real), spec.name, instrument);
 }
 
 }  // namespace grace::sim

@@ -92,21 +92,19 @@ struct TrainConfig {
   // std::invalid_argument when it already holds iterations.
   CriticalPathCollector* critical_path = nullptr;
   // Optional deterministic fault plan (src/faults, docs/RESILIENCE.md; not
-  // owned). When set, the trainer installs a FaultInjector on the World
-  // (message drops / corruption with simulated retries), injects straggler
-  // stalls and skipped rounds, runs the plan's churn and crash as
-  // membership views (core/membership.h), and reports FaultCounters in
-  // RunResult::faults. When null — the default — runs are bit-identical to
-  // a build without the subsystem; the fault path costs one branch per
-  // message.
+  // owned). When set, the trainer runs the plan's churn and crash as
+  // membership views (core/membership.h), installs a FaultInjector on every
+  // view's World (message drops / corruption with simulated retries, drawn
+  // per view), skips the plan's degraded rounds, and after the join charges
+  // each iteration the plan's straggler and reconnect stalls
+  // (FaultPlan::stall) and reports FaultCounters in RunResult::faults. The
+  // crash is a leave of crash_rank at (crash_epoch, crash_iter): the
+  // survivors rebind like any membership change (compressor + error-feedback
+  // state carry over), finish the crash epoch on its frozen data partition,
+  // and the next epoch re-partitions over them; it counts as crashed_ranks,
+  // not leaves. When null — the default — runs are bit-identical to a build
+  // without the subsystem; the fault path costs one branch per message.
   const faults::FaultPlan* faults = nullptr;
-  // What the plan's crash does. Continue: the crash is a leave of
-  // crash_rank at (crash_epoch, crash_iter) — the survivors rebind like
-  // any membership change (compressor + error-feedback state carry over),
-  // finish the crash epoch on its frozen data partition, and the next
-  // epoch re-partitions over them; it counts as crashed_ranks, not leaves.
-  // Halt: every rank stops at the crash boundary. Ignored without a crash.
-  faults::CrashPolicy crash_policy = faults::CrashPolicy::Continue;
   // Epoch numbering offset: epoch e of this run uses the shuffle order,
   // lr-decay boundaries, fault schedule and membership view of epoch
   // start_epoch + e, so a run resumed from saved weights replays the tail
@@ -122,10 +120,9 @@ struct TrainConfig {
   // std::invalid_argument with a pointed message on: non-positive
   // n_workers / batch_per_worker / epochs, start_epoch < 0, a FleetProfile
   // smaller than the world, invalid net parameters, topology parameters
-  // that cannot drive n_workers ranks (net.n_workers plays no part), a
-  // churn plan combined with the adaptive controller (parked ranks would
-  // miss its signal allreduces), or a controller resume_state combined
-  // with churn.
+  // that cannot drive n_workers ranks (net.n_workers plays no part), or a
+  // controller resume_state with start_epoch 0 (a fresh run cannot resume
+  // a decision log).
   // Churn and crash events themselves are checked by
   // core::MembershipSchedule (leave of an absent rank, join of a present
   // one, rank 0 churning, a rank outside the fleet).

@@ -11,9 +11,11 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "comm/fleet.h"
+#include "core/compressed.h"
 #include "core/membership.h"
 #include "sim/tasks.h"
 #include "tensor/tensor.h"
@@ -206,6 +208,32 @@ TEST(Membership, BootstrapFrameDetectsCorruption) {
   EXPECT_THROW(core::open_bootstrap_frame(damaged), std::runtime_error);
 }
 
+TEST(Membership, BootstrapFrameCarriesTheControllerSnapshot) {
+  const std::vector<float> params = {1.0f, 2.0f, 3.0f};
+  const std::string snapshot = "grace.control.v1;policy=hysteresis";
+  const Tensor blob = core::seal_bootstrap_frame(
+      std::span<const float>(params), {}, {}, snapshot);
+  const core::BootstrapState st = core::open_bootstrap_frame(blob);
+  EXPECT_EQ(st.params, params);
+  EXPECT_EQ(st.controller, snapshot);
+  // A frame without a controller counts two sections.
+  const Tensor plain =
+      core::seal_bootstrap_frame(std::span<const float>(params), {});
+  EXPECT_EQ(core::deserialize(plain).ctx.ints.size(), 2u);
+  EXPECT_TRUE(core::open_bootstrap_frame(plain).controller.empty());
+
+  // A controller section that is not one U8 part throws like any other
+  // malformed section.
+  core::CompressedTensor two = core::deserialize(blob);
+  two.ctx.ints.back() = 2;
+  EXPECT_THROW(core::open_bootstrap_frame(core::serialize(two)),
+               std::runtime_error);
+  core::CompressedTensor f32 = core::deserialize(blob);
+  f32.parts.back() = Tensor::zeros(Shape{{4}});
+  EXPECT_THROW(core::open_bootstrap_frame(core::serialize(f32)),
+               std::runtime_error);
+}
+
 // ---------------------------------------------------------------------------
 // TrainConfig validation
 
@@ -225,18 +253,6 @@ TEST(Membership, TrainConfigValidateRejectsBadConfigs) {
     // A non-empty fleet smaller than the world cannot price every rank.
     TrainConfig cfg = tiny_config(b, 4);
     cfg.fleet = comm::FleetProfile::datacenter(2);
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  }
-  {
-    // Churn + adaptive controller: parked ranks would miss the signal
-    // allreduces.
-    TrainConfig cfg = tiny_config(b, 4);
-    faults::FaultSpec spec;
-    spec.churn = leave_then_rejoin(2, 1, 3);
-    faults::FaultPlan plan(spec);
-    cfg.faults = &plan;
-    cfg.grace.control.policy = "hysteresis";
-    cfg.grace.control.arms = {"none", "topk(0.01)"};
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
   }
   {
@@ -339,6 +355,92 @@ TEST(Membership, ElasticResumeReproducesTheUninterruptedRunExactly) {
   EXPECT_EQ(cont.epochs[1].train_loss, full.epochs[3].train_loss);
   EXPECT_EQ(cont.final_parameters, full.final_parameters);
   EXPECT_EQ(cont.parameters_crc32, full.parameters_crc32);
+}
+
+TEST(Membership, ResumeAtAViewBoundaryReplaysTheLinkFaults) {
+  // Every view draws its link faults from an injector of its own, whose
+  // per-link sequence numbers start with the view. A run staged at the
+  // epoch-1 boundary (rank 2 leaves there) and resumed at it therefore
+  // replays the uninterrupted run's retries — the regrown full view's
+  // included — and, on a clock without measured codec time, its seconds.
+  Benchmark b = tiny_cnn();
+  faults::FaultSpec spec;
+  spec.drop_prob = 0.05;
+  spec.churn = leave_then_rejoin(2, 1, 3);
+  const faults::FaultPlan plan(spec);
+  TrainConfig cfg = tiny_config(b, 4);
+  cfg.epochs = 4;
+  cfg.faults = &plan;
+  cfg.time.compression_time_scale = 0.0;
+  const RunResult full = train(b.factory, cfg);
+
+  TrainConfig stage_cfg = cfg;
+  stage_cfg.epochs = 1;
+  const RunResult stage = train(b.factory, stage_cfg);
+  const std::vector<float> saved = stage.final_parameters;
+  ReplicaFactory resumed = [&b, saved](uint64_t seed) {
+    auto model = b.factory(seed);
+    size_t at = 0;
+    for (auto& p : model->module().parameters()) {
+      auto v = p.value->data.f32();
+      std::copy_n(saved.begin() + static_cast<int64_t>(at), v.size(),
+                  v.begin());
+      at += v.size();
+    }
+    return model;
+  };
+  TrainConfig cont_cfg = cfg;
+  cont_cfg.start_epoch = 1;
+  cont_cfg.epochs = 3;
+  const RunResult cont = train(resumed, cont_cfg);
+
+  EXPECT_EQ(cont.parameters_crc32, full.parameters_crc32);
+  EXPECT_GT(full.faults.retries, 0u);
+  EXPECT_EQ(stage.faults.retries + cont.faults.retries, full.faults.retries);
+  ASSERT_EQ(full.epochs.size(), 4u);
+  ASSERT_EQ(cont.epochs.size(), 3u);
+  for (size_t e = 0; e < cont.epochs.size(); ++e) {
+    EXPECT_EQ(cont.epochs[e].epoch_sim_seconds,
+              full.epochs[e + 1].epoch_sim_seconds)
+        << "epoch " << cont.epochs[e].epoch;
+  }
+}
+
+TEST(Membership, ControllerFollowsTheJoinerThroughChurn) {
+  // Rank 2 sits out epochs 1-2 while the others decide every iteration;
+  // at epoch 3 it adopts live rank 0's controller from the join frame.
+  // The oracle is the fold's end-of-run snapshot comparison, which throws
+  // when a live rank's decisions part from the others'.
+  Benchmark b = tiny_cnn();
+  faults::FaultSpec spec;
+  spec.churn = leave_then_rejoin(2, 1, 3);
+  const faults::FaultPlan plan(spec);
+  for (const char* policy : {"hysteresis", "bandit"}) {
+    SCOPED_TRACE(policy);
+    TrainConfig cfg = tiny_config(b, 4);
+    cfg.epochs = 4;
+    cfg.faults = &plan;
+    cfg.grace.compressor_spec = "topk(0.05)";
+    cfg.grace.control.policy = policy;
+    cfg.grace.control.arms = {"none", "topk(0.05)"};
+    cfg.grace.control.start_arm = 1;
+    cfg.grace.control.decide_every_iters = 1;
+    cfg.grace.control.cosine_floor = 0.4;
+    cfg.grace.control.epsilon = 0.5;
+    const RunResult run = train(b.factory, cfg);
+    const RunResult replay = train(b.factory, cfg);
+
+    EXPECT_TRUE(run.replicas_in_sync);
+    EXPECT_EQ(run.faults.joins, 1u);
+    const auto parked_switches = std::count_if(
+        run.control.decisions.begin(), run.control.decisions.end(),
+        [](const control::ControlDecision& d) {
+          return d.epoch >= 1 && d.epoch <= 2 && d.to_arm != d.from_arm;
+        });
+    EXPECT_GT(parked_switches, 0);
+    EXPECT_EQ(replay.parameters_crc32, run.parameters_crc32);
+    EXPECT_EQ(replay.control.state, run.control.state);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -206,29 +206,7 @@ TEST(Resilience, PartialSkipsKeepReplicasInSyncDeterministically) {
 }
 
 // ---------------------------------------------------------------------------
-// Crash: halt and continue
-
-TEST(Resilience, CrashHaltStopsAtTheBoundary) {
-  Benchmark b = tiny_cnn();
-  TrainConfig cfg = tiny_config(b, 4);
-  cfg.epochs = 3;
-
-  RunResult full = train(b.factory, cfg);
-
-  faults::FaultSpec spec;
-  spec.crash_rank = 2;
-  spec.crash_epoch = 1;
-  spec.crash_iter = 1;
-  faults::FaultPlan plan(spec);
-  cfg.faults = &plan;
-  cfg.crash_policy = faults::CrashPolicy::Halt;
-  RunResult halted = train(b.factory, cfg);
-
-  EXPECT_LT(halted.epochs.size(), full.epochs.size());
-  EXPECT_LT(halted.total_sim_seconds, full.total_sim_seconds);
-  // The halted prefix matches the healthy run exactly.
-  EXPECT_EQ(halted.epochs[0].train_loss, full.epochs[0].train_loss);
-}
+// Crash: the survivors continue
 
 TEST(Resilience, CrashContinueHandsOffToSurvivorsExactly) {
   // The satellite acceptance test: rank 2 of a 4-rank run dies mid-epoch;
