@@ -4,13 +4,12 @@
 // quantizers (SignSGD/SIGNUM/QSGD/TernGrad) — plus the recommendation-task
 // exception where EF also hurts TopK / 8-bit / Natural.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 
 namespace {
 
-void run_panel(const grace::sim::Benchmark& b, bool classification) {
+void run_panel(const grace::sim::Benchmark& b) {
   using namespace grace;
   std::printf("\n%s - %s\n", b.task.c_str(), b.model.c_str());
   bench::print_rule(78);
@@ -23,11 +22,10 @@ void run_panel(const grace::sim::Benchmark& b, bool classification) {
     if (base_name == "dgc") continue;  // memory built-in; the flag is a no-op
     double q[2] = {0, 0};
     for (int ef = 0; ef < 2; ++ef) {
-      sim::TrainConfig cfg = sim::default_config(b);
-      cfg.grace.compressor_spec = spec;
-      cfg.grace.error_feedback = ef == 1;
-      bench::apply_paper_overrides(spec, cfg, classification);
-      sim::RunResult run = sim::train(b.factory, cfg);
+      const sim::RunResult run = bench::run_cell(
+          b, spec, [ef](sim::TrainConfig& cfg) {
+            cfg.grace.error_feedback = ef == 1;
+          });
       q[ef] = run.quality_metric == "test-perplexity" ? -run.best_quality
                                                       : run.best_quality;
     }
@@ -42,11 +40,10 @@ void run_panel(const grace::sim::Benchmark& b, bool classification) {
 
 int main() {
   using namespace grace;
-  const char* s = std::getenv("GRACE_SCALE");
-  const double scale = s ? std::atof(s) : 1.0;
+  const double scale = bench::scale_from_env();
   std::printf("Ablation: error feedback on/off (positive 'EF effect' = EF "
               "helps)\n");
-  run_panel(sim::make_cnn_classification(scale), true);
-  run_panel(sim::make_ncf_recommendation(scale), false);
+  run_panel(sim::make_cnn_classification(scale));
+  run_panel(sim::make_ncf_recommendation(scale));
   return 0;
 }

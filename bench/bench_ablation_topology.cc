@@ -5,15 +5,12 @@
 // uploads are heavily compressed; hierarchical trades leader-link fan-in
 // for a much shorter cross-machine ring.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 
 int main() {
   using namespace grace;
-  const char* s = std::getenv("GRACE_SCALE");
-  const double scale = s ? std::atof(s) : 1.0;
-  sim::Benchmark b = sim::make_mlp_classification(scale);
+  const sim::Benchmark b = sim::make_mlp_classification(bench::scale_from_env());
 
   std::printf("Topology ablation: ring vs parameter server vs hierarchical "
               "(mlp-wide, 8 workers, 10 Gbps TCP)\n");
@@ -26,14 +23,14 @@ int main() {
     double thr[3] = {0, 0, 0};
     double ps_quality = 0.0;
     for (int t = 0; t < 3; ++t) {
-      sim::TrainConfig cfg = sim::default_config(b);
-      cfg.grace.compressor_spec = spec;
-      cfg.grace.topology.kind = t == 0   ? comm::TopologyKind::Ring
-                                : t == 1 ? comm::TopologyKind::ParameterServer
-                                         : comm::TopologyKind::Hierarchical;
-      cfg.grace.topology.ranks_per_rack = 4;
-      bench::apply_paper_overrides(spec, cfg, /*classification=*/true);
-      sim::RunResult run = sim::train(b.factory, cfg);
+      const sim::RunResult run =
+          bench::run_cell(b, spec, [t](sim::TrainConfig& cfg) {
+            cfg.grace.topology.kind =
+                t == 0   ? comm::TopologyKind::Ring
+                : t == 1 ? comm::TopologyKind::ParameterServer
+                         : comm::TopologyKind::Hierarchical;
+            cfg.grace.topology.ranks_per_rack = 4;
+          });
       thr[t] = run.throughput;
       if (t == 1) ps_quality = run.best_quality;
     }

@@ -24,9 +24,8 @@
 //
 // GRACE_SCALE=<f> (default 1.0) scales the task datasets for smoke runs;
 // the epoch count is fixed so the TTQ resolution does not degrade.
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -98,10 +97,8 @@ void append_epochs_json(std::string& out, const sim::RunResult& r) {
   out += "[";
   for (size_t i = 0; i < r.epochs.size(); ++i) {
     if (i) out += ",";
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "{\"quality\":%.6f,\"seconds\":%.6f}",
-                  r.epochs[i].quality, r.epochs[i].cum_sim_seconds);
-    out += buf;
+    bench::appendf(out, "{\"quality\":%.6f,\"seconds\":%.6f}",
+                   r.epochs[i].quality, r.epochs[i].cum_sim_seconds);
   }
   out += "]";
 }
@@ -109,18 +106,10 @@ void append_epochs_json(std::string& out, const sim::RunResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool ci = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ci") == 0) {
-      ci = true;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\nusage: bench_adaptive [--ci]\n",
-                   argv[i]);
-      return 2;
-    }
-  }
-  double scale = 1.0;
-  if (const char* s = std::getenv("GRACE_SCALE")) scale = std::atof(s);
+  const bool ci =
+      bench::gate_args(argc, argv, "bench_adaptive", /*with_baseline=*/false)
+          .ci;
+  const double scale = bench::scale_from_env();
 
   struct ModelCase {
     sim::Benchmark bench;
@@ -131,11 +120,8 @@ int main(int argc, char** argv) {
   cases.push_back({sim::make_lstm_lm(0.5 * scale), 8});
 
   std::string json = "{\"benchmark\":\"adaptive\",\"schema\":\"grace.bench_adaptive.v1\"";
-  char head[160];
-  std::snprintf(head, sizeof head,
-                ",\"scale\":%g,\"target_margin\":%.2f,\"models\":[", scale,
-                kTargetMargin);
-  json += head;
+  bench::appendf(json, ",\"scale\":%g,\"target_margin\":%.2f,\"models\":[",
+                 scale, kTargetMargin);
 
   bool all_ok = true;
   for (size_t m = 0; m < cases.size(); ++m) {
@@ -175,12 +161,10 @@ int main(int argc, char** argv) {
     const double ctl_ttq = time_to_quality(ctl, target);
     double best_fixed_ttq = -1.0;
     if (m) json += ",";
-    char mh[256];
-    std::snprintf(mh, sizeof mh,
-                  "{\"model\":\"%s\",\"epochs\":%d,\"target_quality\":%.6f,"
-                  "\"arms\":[",
-                  bench.model.c_str(), epochs, target);
-    json += mh;
+    bench::appendf(json,
+                   "{\"model\":\"%s\",\"epochs\":%d,\"target_quality\":%.6f,"
+                   "\"arms\":[",
+                   bench.model.c_str(), epochs, target);
     for (size_t a = 0; a < kArms.size(); ++a) {
       const sim::RunResult& r = fixed[a];
       const double ttq = time_to_quality(r, target);
@@ -191,13 +175,11 @@ int main(int argc, char** argv) {
                   r.best_quality, r.total_sim_seconds / epochs,
                   ttq_str(ttq).c_str(), "-");
       if (a) json += ",";
-      char ab[192];
-      std::snprintf(ab, sizeof ab,
-                    "{\"spec\":\"%s\",\"best_quality\":%.6f,"
-                    "\"total_seconds\":%.6f,\"ttq_seconds\":%.6f,\"epochs\":",
-                    kArms[a].c_str(), r.best_quality, r.total_sim_seconds,
-                    ttq);
-      json += ab;
+      bench::appendf(json,
+                     "{\"spec\":\"%s\",\"best_quality\":%.6f,"
+                     "\"total_seconds\":%.6f,\"ttq_seconds\":%.6f,\"epochs\":",
+                     kArms[a].c_str(), r.best_quality, r.total_sim_seconds,
+                     ttq);
       append_epochs_json(json, r);
       json += "}";
     }
@@ -209,16 +191,14 @@ int main(int argc, char** argv) {
                 ctl.control.boundaries, ctl.control.switches, decisions_crc,
                 reproducible ? "yes" : "NO");
 
-    char cb[320];
-    std::snprintf(cb, sizeof cb,
-                  "],\"controller\":{\"policy\":\"hysteresis\","
-                  "\"best_quality\":%.6f,\"total_seconds\":%.6f,"
-                  "\"ttq_seconds\":%.6f,\"boundaries\":%d,\"switches\":%d,"
-                  "\"decisions_crc32\":%u,\"reproducible\":%s,\"epochs\":",
-                  ctl.best_quality, ctl.total_sim_seconds, ctl_ttq,
-                  ctl.control.boundaries, ctl.control.switches, decisions_crc,
-                  reproducible ? "true" : "false");
-    json += cb;
+    bench::appendf(json,
+                   "],\"controller\":{\"policy\":\"hysteresis\","
+                   "\"best_quality\":%.6f,\"total_seconds\":%.6f,"
+                   "\"ttq_seconds\":%.6f,\"boundaries\":%d,\"switches\":%d,"
+                   "\"decisions_crc32\":%u,\"reproducible\":%s,\"epochs\":",
+                   ctl.best_quality, ctl.total_sim_seconds, ctl_ttq,
+                   ctl.control.boundaries, ctl.control.switches, decisions_crc,
+                   reproducible ? "true" : "false");
     append_epochs_json(json, ctl);
     json += ",\"final_arms\":[";
     for (size_t b = 0; b < ctl.control.final_arms.size(); ++b) {
@@ -236,14 +216,7 @@ int main(int argc, char** argv) {
   }
   json += "]}\n";
 
-  std::FILE* out = std::fopen("BENCH_adaptive.json", "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open BENCH_adaptive.json for writing\n");
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
-  std::printf("wrote BENCH_adaptive.json\n");
+  if (!bench::write_bench_json("adaptive", json)) return 1;
 
   if (ci && !all_ok) {
     std::fprintf(stderr,

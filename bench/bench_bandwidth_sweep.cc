@@ -4,15 +4,12 @@
 // paper measured ~1.3% on average), while 10 -> 1 Gbps flips which methods
 // beat the baseline.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 
 int main() {
   using namespace grace;
-  const char* s = std::getenv("GRACE_SCALE");
-  const double scale = s ? std::atof(s) : 1.0;
-  sim::Benchmark b = sim::make_mlp_classification(scale);
+  const sim::Benchmark b = sim::make_mlp_classification(bench::scale_from_env());
 
   const std::vector<std::string> roster = {"none", "topk(0.01)",
                                            "randomk(0.01)", "qsgd(64)",
@@ -28,11 +25,9 @@ int main() {
   for (const auto& spec : roster) {
     double thr[3] = {0, 0, 0};
     for (int i = 0; i < 3; ++i) {
-      sim::TrainConfig cfg = sim::default_config(b);
-      cfg.net.bandwidth_gbps = bandwidths[i];
-      cfg.grace.compressor_spec = spec;
-      bench::apply_paper_overrides(spec, cfg, /*classification=*/true);
-      thr[i] = sim::train(b.factory, cfg).throughput;
+      thr[i] = bench::run_cell(b, spec, [&](sim::TrainConfig& cfg) {
+                 cfg.net.bandwidth_gbps = bandwidths[i];
+               }).throughput;
     }
     std::printf("%-16s %14.0f %14.0f %14.0f %17.1f%%\n", spec.c_str(), thr[0],
                 thr[1], thr[2], (thr[2] / thr[1] - 1.0) * 100.0);

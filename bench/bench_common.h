@@ -1,13 +1,17 @@
-// Shared helpers for the benchmark binaries (table formatting, the
-// compressor roster from the paper's evaluation, per-compressor optimizer
-// overrides from §V-A, and the run-report regression gate).
+// Shared helpers for the benchmark binaries: the compressor roster from the
+// paper's evaluation, the §V-A per-compressor overrides, run_cell (one cell
+// of a paper-figure matrix), gate_args (the regression gates' --ci parser),
+// write_bench_json (every BENCH_*.json), and the run-report gate.
 #pragma once
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -62,20 +66,30 @@ inline void apply_paper_overrides(const std::string& spec,
   }
 }
 
-// One cell of the fusion-bytes ablation: a full training run of `b` with
-// the given compressor and bucket cap (TrainConfig::fusion_bytes; 0 =
-// per-tensor, SIZE_MAX = all-in-one). `overlap` selects the exchange
-// timeline (TimeModel::overlap) versus the additive accounting.
-// bench_ablation_bucket sweeps the cap with overlap on;
-// bench_ablation_fusion runs the two legacy endpoints with overlap off, so
-// both tables come from the same harness and stay directly comparable.
-inline sim::RunResult run_bucket_cell(const sim::Benchmark& b,
-                                      const std::string& spec,
-                                      size_t fusion_bytes, bool overlap) {
+// GRACE_SCALE=<f> (default 1.0): the size factor every bench scales its
+// tasks or problem sizes by, so any bench shrinks for a smoke run.
+inline double scale_from_env() {
+  const char* s = std::getenv("GRACE_SCALE");
+  return s ? std::atof(s) : 1.0;
+}
+
+// One cell of a paper-figure matrix: a full training run of `b` with the
+// compressor `entry`, from sim::default_config. An entry ending in "+noef"
+// also forces error feedback off (the Fig. 6d TopK inset). `tweak` sets the
+// cell's axis (network, topology, fusion, overlap, EF); the §V-A overrides
+// apply last.
+inline sim::RunResult run_cell(
+    const sim::Benchmark& b, const std::string& entry,
+    const std::function<void(sim::TrainConfig&)>& tweak = {}) {
+  constexpr std::string_view kNoEf = "+noef";
   sim::TrainConfig cfg = sim::default_config(b);
+  std::string spec = entry;
+  if (spec.ends_with(kNoEf)) {
+    spec.resize(spec.size() - kNoEf.size());
+    cfg.grace.error_feedback = false;
+  }
   cfg.grace.compressor_spec = spec;
-  cfg.fusion_bytes = fusion_bytes;
-  cfg.time.overlap = overlap;
+  if (tweak) tweak(cfg);
   apply_paper_overrides(spec, cfg, b.quality_metric == "top1-accuracy");
   return sim::train(b.factory, cfg);
 }
@@ -97,23 +111,71 @@ inline std::string read_file(const char* path) {
   return text;
 }
 
-// `--ci <baseline.json>` — the shared flag of the run-report gates. Returns
-// the baseline path when present, nullptr otherwise; any other argument
-// aborts with a usage message (exit code 2).
-inline const char* ci_baseline_arg(int argc, char** argv, const char* prog) {
-  const char* path = nullptr;
+// The argument parser of the regression gates. `--ci` selects the CI run;
+// with `with_baseline` it takes the committed baseline path
+// (`--ci <baseline.json>`). Any other argument, or a --ci missing its path,
+// exits 2 with a usage message.
+struct GateArgs {
+  bool ci = false;
+  const char* baseline = nullptr;  // the --ci path when with_baseline
+};
+
+inline GateArgs gate_args(int argc, char** argv, const char* prog,
+                          bool with_baseline) {
+  GateArgs args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ci") == 0 && i + 1 < argc) {
-      path = argv[++i];
+    const bool ci = std::strcmp(argv[i], "--ci") == 0;
+    if (ci && !with_baseline) {
+      args.ci = true;
+    } else if (ci && i + 1 < argc) {
+      args.ci = true;
+      args.baseline = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "unknown argument '%s'\n"
-                   "usage: %s [--ci <baseline.json>]\n",
-                   argv[i], prog);
+      if (ci) {
+        std::fprintf(stderr, "--ci needs a baseline path\n");
+      } else {
+        std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
+      }
+      std::fprintf(stderr, "usage: %s [--ci%s]\n", prog,
+                   with_baseline ? " <baseline.json>" : "");
       std::exit(2);
     }
   }
-  return path;
+  return args;
+}
+
+// printf-style append: the builder behind every BENCH_*.json document.
+[[gnu::format(printf, 2, 3)]] inline void appendf(std::string& out,
+                                                  const char* fmt, ...) {
+  std::va_list args;
+  va_start(args, fmt);
+  std::va_list sized;
+  va_copy(sized, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, sized);
+  va_end(sized);
+  const size_t at = out.size();
+  out.resize(at + static_cast<size_t>(n) + 1);
+  std::vsnprintf(out.data() + at, static_cast<size_t>(n) + 1, fmt, args);
+  out.resize(at + static_cast<size_t>(n));
+  va_end(args);
+}
+
+// Writes `text` to BENCH_<name>.json in the working directory. Returns
+// false, after a diagnostic, when the file cannot be opened or written.
+inline bool write_bench_json(const std::string& name, const std::string& text) {
+  const std::string file = "BENCH_" + name + ".json";
+  std::FILE* f = std::fopen(file.c_str(), "w");
+  if (!f) {
+    std::fprintf(stderr, "cannot open %s for writing\n", file.c_str());
+    return false;
+  }
+  const bool written = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "cannot write %s\n", file.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", file.c_str());
+  return true;
 }
 
 // Pulls the line for `label` out of a one-cell-per-line BENCH_*.json;
@@ -141,22 +203,16 @@ inline int report_gate(
     const std::string& name,
     const std::vector<std::pair<std::string, std::string>>& rows,
     const char* baseline_path) {
-  const std::string file = "BENCH_" + name + ".json";
   const std::string prog = "bench_" + name;
-  std::FILE* out = std::fopen(file.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", file.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\"benchmark\":\"%s\",\"cells\":[\n", name.c_str());
+  std::string json;
+  appendf(json, "{\"benchmark\":\"%s\",\"cells\":[\n", name.c_str());
   for (size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(out, "{\"label\":\"%s\",\"report\":%s}%s\n",
-                 rows[i].first.c_str(), rows[i].second.c_str(),
-                 i + 1 < rows.size() ? "," : "");
+    appendf(json, "{\"label\":\"%s\",\"report\":%s}%s\n",
+            rows[i].first.c_str(), rows[i].second.c_str(),
+            i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(out, "]}\n");
-  std::fclose(out);
-  std::printf("wrote %s (%zu cells)\n", file.c_str(), rows.size());
+  json += "]}\n";
+  if (!write_bench_json(name, json)) return 1;
 
   if (baseline_path == nullptr) return 0;
 

@@ -9,8 +9,7 @@
 // Prints a table and writes BENCH_e2e.json (schema documented in README.md)
 // plus BENCH_e2e.trace.json, a Chrome trace-event export of the last cell's
 // per-rank timeline (load it in chrome://tracing or ui.perfetto.dev; see
-// docs/OBSERVABILITY.md). Not built by default:
-// cmake --build build --target bench_e2e.
+// docs/OBSERVABILITY.md).
 //
 // GRACE_SCALE=<f> (default 1.0) scales the task size for smoke runs.
 // --faults=<plan.json> runs the whole sweep under a deterministic fault
@@ -20,7 +19,6 @@
 // BENCH_e2e.report.json, and prints the last cell's report summary
 // (docs/OBSERVABILITY.md §4).
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,8 +67,7 @@ int main(int argc, char** argv) {
     std::printf("fault plan: %s\n", faults::fault_spec_json(plan.spec()).c_str());
   }
 
-  double scale = 1.0;
-  if (const char* s = std::getenv("GRACE_SCALE")) scale = std::atof(s);
+  const double scale = bench::scale_from_env();
 
   // A slow commodity network, the paper's testbed, and a fast RDMA fabric:
   // the comm phase shrinks ~25x across the sweep, which is exactly the
@@ -92,15 +89,11 @@ int main(int argc, char** argv) {
               "opt_ms", "KB/iter", "loss", "samples/s");
   bench::print_rule(114);
 
-  std::FILE* out = std::fopen("BENCH_e2e.json", "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open BENCH_e2e.json for writing\n");
-    return 1;
-  }
-  std::fprintf(out, "{\"benchmark\":\"e2e\",\"scale\":%g,\"task\":\"%s\",",
-               scale, bench.task.c_str());
-  std::fprintf(out, "\"runs\":[");
-
+  std::string json;
+  bench::appendf(json,
+                 "{\"benchmark\":\"e2e\",\"scale\":%g,\"task\":\"%s\","
+                 "\"runs\":[",
+                 scale, bench.task.c_str());
   bool first = true;
   std::string chrome_trace;  // last cell's per-rank timeline, exported below
   std::string report_rows;   // per-cell run reports when --report is on
@@ -152,48 +145,35 @@ int main(int argc, char** argv) {
           run.epochs.empty() ? 0.0 : run.epochs.back().train_loss,
           run.throughput);
 
-      if (!first) std::fprintf(out, ",");
+      if (!first) json += ",";
       first = false;
-      std::fprintf(out,
-                   "{\"network\":\"%s\",\"bandwidth_gbps\":%g,"
-                   "\"transport\":\"%s\",\"latency_us\":%g,\"result\":%s}",
-                   net.label, net.bandwidth_gbps,
-                   comm::transport_name(net.transport).c_str(), net.latency_us,
-                   sim::run_result_json(run).c_str());
+      bench::appendf(json,
+                     "{\"network\":\"%s\",\"bandwidth_gbps\":%g,"
+                     "\"transport\":\"%s\",\"latency_us\":%g,\"result\":%s}",
+                     net.label, net.bandwidth_gbps,
+                     comm::transport_name(net.transport).c_str(),
+                     net.latency_us, sim::run_result_json(run).c_str());
     }
     bench::print_rule(114);
   }
-  std::fprintf(out, "]}\n");
-  std::fclose(out);
+  json += "]}\n";
 
-  if (std::FILE* tf = std::fopen("BENCH_e2e.trace.json", "w")) {
-    std::fwrite(chrome_trace.data(), 1, chrome_trace.size(), tf);
-    std::fputc('\n', tf);
-    std::fclose(tf);
-  } else {
-    std::fprintf(stderr, "cannot open BENCH_e2e.trace.json for writing\n");
-    return 1;
-  }
-
-  if (want_report) {
-    if (std::FILE* rf = std::fopen("BENCH_e2e.report.json", "w")) {
-      std::fprintf(rf, "{\"benchmark\":\"e2e\",\"scale\":%g,\"cells\":[%s]}\n",
-                   scale, report_rows.c_str());
-      std::fclose(rf);
-    } else {
-      std::fprintf(stderr, "cannot open BENCH_e2e.report.json for writing\n");
-      return 1;
-    }
-    std::printf("\n%s", last_report_text.c_str());
-    std::printf("\nwrote BENCH_e2e.report.json\n");
-  }
-
+  if (want_report) std::printf("\n%s", last_report_text.c_str());
   std::printf(
       "\nPhases sum to the simulated iteration time; compression wins only\n"
       "where comm_ms dominates (slow links) and loses its codec cost back on\n"
-      "fast fabrics (paper Fig. 9).\n");
-  std::printf(
-      "\nwrote BENCH_e2e.json and BENCH_e2e.trace.json (open the trace in\n"
-      "chrome://tracing or ui.perfetto.dev)\n");
+      "fast fabrics (paper Fig. 9). Open the trace in chrome://tracing or\n"
+      "ui.perfetto.dev.\n\n");
+  if (!bench::write_bench_json("e2e", json) ||
+      !bench::write_bench_json("e2e.trace", chrome_trace + "\n")) {
+    return 1;
+  }
+  if (want_report) {
+    std::string report;
+    bench::appendf(report,
+                   "{\"benchmark\":\"e2e\",\"scale\":%g,\"cells\":[%s]}\n",
+                   scale, report_rows.c_str());
+    if (!bench::write_bench_json("e2e.report", report)) return 1;
+  }
   return 0;
 }

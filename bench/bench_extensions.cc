@@ -2,14 +2,12 @@
 // implement, evaluated on the standard testbed next to their closest
 // implemented relatives (same format as Figure 6's panels).
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 
 int main() {
   using namespace grace;
-  const char* s = std::getenv("GRACE_SCALE");
-  const double scale = s ? std::atof(s) : 1.0;
+  const double scale = bench::scale_from_env();
 
   struct Pair {
     const char* extension;
@@ -36,10 +34,7 @@ int main() {
                 "quality", "KB/iter", "overhead-ms", "smp/s");
     bench::print_rule(96);
     auto run_one = [&](const char* spec) {
-      sim::TrainConfig cfg = sim::default_config(b);
-      cfg.grace.compressor_spec = spec;
-      bench::apply_paper_overrides(spec, cfg, true);
-      sim::RunResult run = sim::train(b.factory, cfg);
+      const sim::RunResult run = bench::run_cell(b, spec);
       std::printf("%-26s %5s %12.4f %14.1f %12.2f %12.0f%s\n", spec,
                   run.error_feedback ? "on" : "off", run.best_quality,
                   run.wire_bytes_per_iter / 1024.0, run.compress_s * 1e3,

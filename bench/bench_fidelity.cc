@@ -7,9 +7,13 @@
 // trade-off: ratio alone is a misleading utility signal, per-tensor
 // fidelity is what predicts end-to-end usefulness.
 //
+// Sparsifiers run twice, with raw 32-bit indices and with the lossless
+// Rice wire stage (core/index_coding.h: delta + Golomb-Rice codes, the
+// related-work direction of Gajjala and DeepReduce); the `lossless` column
+// is the ratio that stage adds on top of the lossy one (TopK(0.01): ~1.6x).
+//
 // Prints a table and writes BENCH_fidelity.json (schema in
-// docs/OBSERVABILITY.md). Not built by default:
-//   cmake --build build --target bench_fidelity
+// docs/OBSERVABILITY.md).
 //
 // GRACE_SCALE=<f> (default 1.0) scales the task size for smoke runs;
 // GRACE_FIDELITY_EVERY=<k> (default 1) probes every k-th iteration.
@@ -37,8 +41,7 @@ int main(int argc, char** argv) {
     std::printf("fault plan: %s\n", faults::fault_spec_json(plan.spec()).c_str());
   }
 
-  double scale = 1.0;
-  if (const char* s = std::getenv("GRACE_SCALE")) scale = std::atof(s);
+  const double scale = bench::scale_from_env();
   int every_k = 1;
   if (const char* s = std::getenv("GRACE_FIDELITY_EVERY")) every_k = std::atoi(s);
   if (every_k < 1) every_k = 1;
@@ -70,15 +73,11 @@ int main(int argc, char** argv) {
               "resid_l2", "p99_cmp_us");
   bench::print_rule(116);
 
-  std::FILE* out = std::fopen("BENCH_fidelity.json", "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open BENCH_fidelity.json for writing\n");
-    return 1;
-  }
-  std::fprintf(out, "{\"benchmark\":\"fidelity\",\"scale\":%g,\"every_k\":%d,",
-               scale, every_k);
-  std::fprintf(out, "\"runs\":[");
-
+  std::string json;
+  bench::appendf(json,
+                 "{\"benchmark\":\"fidelity\",\"scale\":%g,\"every_k\":%d,"
+                 "\"runs\":[",
+                 scale, every_k);
   bool first = true;
   for (const Run& r : compressors) {
     const std::string& spec = r.spec;
@@ -111,20 +110,19 @@ int main(int argc, char** argv) {
     }
     bench::print_rule(116);
 
-    if (!first) std::fprintf(out, ",");
+    if (!first) json += ",";
     first = false;
-    std::fprintf(out, "{\"compressor\":\"%s\",\"wire_codec\":\"%s\",\"result\":%s}",
-                 spec.c_str(), core::wire_codec_name(r.wire_codec),
-                 sim::run_result_json(run).c_str());
+    bench::appendf(json,
+                   "{\"compressor\":\"%s\",\"wire_codec\":\"%s\",\"result\":%s}",
+                   spec.c_str(), core::wire_codec_name(r.wire_codec),
+                   sim::run_result_json(run).c_str());
   }
-  std::fprintf(out, "]}\n");
-  std::fclose(out);
+  json += "]}\n";
 
   std::printf(
       "\nHigh ratio with high cosine/sign-agreement is the paper's sweet\n"
       "spot; high ratio with high rel_err is where quality collapses\n"
       "(Figs. 6-8). resid_l2 > 0 marks methods whose error feedback is\n"
-      "carrying the dropped mass forward.\n");
-  std::printf("\nwrote BENCH_fidelity.json\n");
-  return 0;
+      "carrying the dropped mass forward.\n\n");
+  return bench::write_bench_json("fidelity", json) ? 0 : 1;
 }

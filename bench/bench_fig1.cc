@@ -3,14 +3,17 @@
 // accuracy vs epochs (all methods look equivalent); panel (b) plots accuracy
 // vs wall-time, where Randk wins and 8-bit loses to the baseline because of
 // its compression overhead.
+//
+// GRACE_SCALE=<f> (default 1.0) scales the dataset and the horizon (five
+// times the task's epochs: 30 at full scale) for smoke runs.
 #include <cstdio>
 
 #include "bench_common.h"
 
 int main() {
   using namespace grace;
-  sim::Benchmark b = sim::make_mlp_classification();
-  b.epochs = 30;  // heavy sparsifiers need many deliveries per coordinate
+  sim::Benchmark b = sim::make_mlp_classification(bench::scale_from_env());
+  b.epochs *= 5;  // heavy sparsifiers need many deliveries per coordinate
   std::printf("Figure 1: VGG-like (mlp-wide) classification, 8 workers, "
               "25 Gbps TCP\n\n");
 
@@ -20,11 +23,9 @@ int main() {
   };
   std::vector<Series> series;
   for (const char* spec : {"none", "randomk(0.01)", "eightbit"}) {
-    sim::TrainConfig cfg = sim::default_config(b);
-    cfg.net.bandwidth_gbps = 25.0;
-    cfg.grace.compressor_spec = spec;
-    bench::apply_paper_overrides(spec, cfg, /*classification=*/true);
-    series.push_back({spec, sim::train(b.factory, cfg)});
+    series.push_back({spec, bench::run_cell(b, spec, [](sim::TrainConfig& cfg) {
+                        cfg.net.bandwidth_gbps = 25.0;
+                      })});
   }
 
   std::printf("(a) accuracy vs epochs\n");

@@ -2,17 +2,14 @@
 // links. With the network bottleneck emphasized, many compressors now beat
 // the no-compression baseline in throughput.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 
 int main() {
   using namespace grace;
-  const char* s = std::getenv("GRACE_SCALE");
-  const double scale = s ? std::atof(s) : 1.0;
   // The paper's Fig. 10 model is its biggest classifier (ResNet-50); ours
   // is the parameter-heaviest benchmark, the VGG-like MLP.
-  sim::Benchmark b = sim::make_mlp_classification(scale);
+  const sim::Benchmark b = sim::make_mlp_classification(bench::scale_from_env());
 
   std::printf("Figure 10: quality vs relative throughput at 1 Gbps "
               "(mlp-wide, 8 workers, TCP)\n");
@@ -24,11 +21,8 @@ int main() {
   double base = 0.0;
   int faster_than_baseline = 0;
   for (const auto& spec : bench::evaluation_roster()) {
-    sim::TrainConfig cfg = sim::default_config(b);
-    cfg.net.bandwidth_gbps = 1.0;
-    cfg.grace.compressor_spec = spec;
-    bench::apply_paper_overrides(spec, cfg, /*classification=*/true);
-    sim::RunResult run = sim::train(b.factory, cfg);
+    const sim::RunResult run = bench::run_cell(
+        b, spec, [](sim::TrainConfig& cfg) { cfg.net.bandwidth_gbps = 1.0; });
     if (spec == "none") base = run.throughput;
     const double rel = base > 0 ? run.throughput / base : 1.0;
     if (spec != "none" && rel > 1.0) ++faster_than_baseline;

@@ -3,15 +3,12 @@
 // RDMA is consistently faster at equal link speed because of its lower
 // per-message software overhead and higher payload efficiency.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 
 int main() {
   using namespace grace;
-  const char* s = std::getenv("GRACE_SCALE");
-  const double scale = s ? std::atof(s) : 1.0;
-  sim::Benchmark b = sim::make_cnn_classification(scale);
+  const sim::Benchmark b = sim::make_cnn_classification(bench::scale_from_env());
 
   std::printf("Figure 9: throughput, TCP vs RDMA (cnn-small, 8 workers, "
               "10 Gbps)\n");
@@ -20,15 +17,13 @@ int main() {
               "RDMA (smp/s)", "RDMA/TCP");
   bench::print_rule(84);
 
-  auto roster = bench::evaluation_roster();
-  for (const auto& spec : roster) {
+  for (const auto& spec : bench::evaluation_roster()) {
     double thr[2] = {0, 0};
     for (int t = 0; t < 2; ++t) {
-      sim::TrainConfig cfg = sim::default_config(b);
-      cfg.net.transport = t == 0 ? comm::Transport::Tcp : comm::Transport::Rdma;
-      cfg.grace.compressor_spec = spec;
-      bench::apply_paper_overrides(spec, cfg, /*classification=*/true);
-      thr[t] = sim::train(b.factory, cfg).throughput;
+      thr[t] = bench::run_cell(b, spec, [t](sim::TrainConfig& cfg) {
+                 cfg.net.transport =
+                     t == 0 ? comm::Transport::Tcp : comm::Transport::Rdma;
+               }).throughput;
     }
     std::printf("%-18s %16.0f %16.0f %12.2f\n", spec.c_str(), thr[0], thr[1],
                 thr[1] / thr[0]);

@@ -7,7 +7,7 @@
 //
 // GRACE_SCALE=<f> (default 1.0) scales the problem sizes for smoke runs.
 //
-//   bench_kernels --check BENCH_kernels.baseline.json
+//   bench_kernels --ci BENCH_kernels.baseline.json
 //
 // reruns only the codec rows and fails (exit 1) when a measured
 // scalar-vs-SIMD speedup drops more than 15% below the committed
@@ -20,13 +20,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <numeric>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/helper_ops.h"
 #include "core/index_coding.h"
 #include "runtime/thread_pool.h"
@@ -152,35 +152,37 @@ double time_best(Fn&& fn) {
 }
 
 struct JsonWriter {
-  std::FILE* f = nullptr;
+  std::string text;
   bool first_in_scope = true;
-  void open(const char* path) { f = std::fopen(path, "w"); }
-  void raw(const char* s) { std::fputs(s, f); }
   void sep() {
-    if (!first_in_scope) std::fputs(",", f);
+    if (!first_in_scope) text += ",";
     first_in_scope = false;
   }
   void begin(const char* bracket) {
     sep();
-    std::fputs(bracket, f);
+    text += bracket;
     first_in_scope = true;
   }
   void end(const char* bracket) {
-    std::fputs(bracket, f);
+    text += bracket;
     first_in_scope = false;
   }
   void key(const char* k) {
     sep();
-    std::fprintf(f, "\"%s\":", k);
+    grace::bench::appendf(text, "\"%s\":", k);
     first_in_scope = true;
+  }
+  void str(const char* v) {
+    sep();
+    grace::bench::appendf(text, "\"%s\"", v);
   }
   void num(double v) {
     sep();
-    std::fprintf(f, "%.6g", v);
+    grace::bench::appendf(text, "%.6g", v);
   }
   void inum(int64_t v) {
     sep();
-    std::fprintf(f, "%lld", static_cast<long long>(v));
+    grace::bench::appendf(text, "%lld", static_cast<long long>(v));
   }
 };
 
@@ -290,26 +292,20 @@ void print_codec_rows(const std::vector<CodecRow>& rows, int64_t n) {
   }
 }
 
-// --check: compare this run's codec speedups against the committed
+// --ci: compare this run's codec speedups against the committed
 // baseline. The baseline stores min_speedup floors set ~15% under a
 // measured run (see BENCH_kernels.baseline.json); a speedup below its
 // floor is a regression beyond run-to-run noise and fails the check.
 int run_check(const char* baseline_path) {
-  std::FILE* f = std::fopen(baseline_path, "rb");
-  if (!f) {
-    std::fprintf(stderr, "cannot open baseline %s\n", baseline_path);
+  const std::string json = grace::bench::read_file(baseline_path);
+  if (json.empty()) {
+    std::fprintf(stderr, "cannot read baseline '%s'\n", baseline_path);
     return 1;
   }
-  std::string json;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) json.append(buf, got);
-  std::fclose(f);
 
-  int64_t n = 1 << 21;  // smaller than the full bench: the check is a ctest
-  if (const char* s = std::getenv("GRACE_SCALE")) {
-    n = std::max<int64_t>(1 << 12, static_cast<int64_t>(n * std::atof(s)));
-  }
+  // Smaller than the full bench: the check is a ctest.
+  const int64_t n = std::max<int64_t>(
+      1 << 12, static_cast<int64_t>((1 << 21) * grace::bench::scale_from_env()));
   const auto rows = run_codec_rows(n);
   print_codec_rows(rows, n);
 
@@ -354,17 +350,15 @@ int run_check(const char* baseline_path) {
 
 int main(int argc, char** argv) {
   using namespace grace;
-  if (argc >= 3 && std::strcmp(argv[1], "--check") == 0) {
-    return run_check(argv[2]);
-  }
-  double scale = 1.0;
-  if (const char* s = std::getenv("GRACE_SCALE")) scale = std::atof(s);
+  const bench::GateArgs args =
+      bench::gate_args(argc, argv, "bench_kernels", /*with_baseline=*/true);
+  if (args.ci) return run_check(args.baseline);
+  const double scale = bench::scale_from_env();
   auto scaled = [&](int64_t v) {
     return std::max<int64_t>(16, static_cast<int64_t>(v * scale));
   };
 
   JsonWriter out;
-  out.open("BENCH_kernels.json");
   out.begin("{");
   out.key("hardware_concurrency");
   out.inum(static_cast<int64_t>(std::thread::hardware_concurrency()));
@@ -460,10 +454,7 @@ int main(int argc, char** argv) {
                   r.bytes / r.seed_s / 1e9, r.bytes / r.par_s / 1e9,
                   r.seed_s / r.par_s);
       out.begin("{");
-      out.key("op");
-      out.sep();
-      std::fprintf(out.f, "\"%s\"", r.name);
-      out.first_in_scope = false;
+      out.key("op"); out.str(r.name);
       out.key("n"); out.inum(en);
       out.key("threads"); out.inum(threads);
       out.key("seed_seconds"); out.num(r.seed_s);
@@ -538,10 +529,7 @@ int main(int argc, char** argv) {
 
   // ---- Codec kernels: scalar vs SIMD (single thread) -------------------
   out.key("simd_level");
-  out.sep();
-  std::fprintf(out.f, "\"%s\"",
-               util::simd::level_name(util::simd::active_level()));
-  out.first_in_scope = false;
+  out.str(util::simd::level_name(util::simd::active_level()));
   out.key("codec");
   out.begin("[");
   const int64_t cn = scaled(1 << 22);
@@ -549,10 +537,7 @@ int main(int argc, char** argv) {
   print_codec_rows(codec_rows, cn);
   for (const auto& r : codec_rows) {
     out.begin("{");
-    out.key("kernel");
-    out.sep();
-    std::fprintf(out.f, "\"%s\"", r.kernel.c_str());
-    out.first_in_scope = false;
+    out.key("kernel"); out.str(r.kernel.c_str());
     out.key("n"); out.inum(cn);
     out.key("scalar_seconds"); out.num(r.baseline_seconds);
     out.key("simd_seconds"); out.num(r.seconds);
@@ -564,10 +549,9 @@ int main(int argc, char** argv) {
   out.end("]");
 
   out.end("}");
-  out.raw("\n");
-  std::fclose(out.f);
+  out.text += "\n";
   runtime::ThreadPool::global().resize(
       runtime::threads_from_env(std::getenv("GRACE_NUM_THREADS")));
-  std::printf("\nwrote BENCH_kernels.json\n");
-  return 0;
+  std::printf("\n");
+  return bench::write_bench_json("kernels", out.text) ? 0 : 1;
 }

@@ -55,7 +55,9 @@ constexpr Cell kCells[] = {
 int main(int argc, char** argv) {
   using namespace grace;
 
-  const char* baseline_path = bench::ci_baseline_arg(argc, argv, "bench_report");
+  const char* baseline_path =
+      bench::gate_args(argc, argv, "bench_report", /*with_baseline=*/true)
+          .baseline;
 
   sim::Benchmark bench = sim::make_cnn_classification(0.1);
   // Deterministic straggler + drop scenario for the faulted cell: rank 1

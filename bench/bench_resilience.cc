@@ -94,7 +94,8 @@ int main(int argc, char** argv) {
   using namespace grace;
 
   const char* baseline_path =
-      bench::ci_baseline_arg(argc, argv, "bench_resilience");
+      bench::gate_args(argc, argv, "bench_resilience", /*with_baseline=*/true)
+          .baseline;
 
   sim::Benchmark bench = sim::make_cnn_classification(0.1);
   const std::vector<Scenario> scenarios = make_scenarios();

@@ -11,8 +11,6 @@
 // GRACE_SCALE=<f> (default 1.0) scales the probe model; --ci runs a small
 // deterministic sweep for the slow-tier ctest gate.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -23,13 +21,9 @@
 
 int main(int argc, char** argv) {
   using namespace grace;
-  bool ci = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ci") == 0) ci = true;
-  }
-  const char* s = std::getenv("GRACE_SCALE");
-  double scale = s ? std::atof(s) : 1.0;
-  if (ci) scale = 0.1;
+  const bool ci =
+      bench::gate_args(argc, argv, "bench_scale", /*with_baseline=*/false).ci;
+  const double scale = ci ? 0.1 : bench::scale_from_env();
 
   sim::Benchmark b = sim::make_cnn_classification(scale);
 
@@ -49,13 +43,9 @@ int main(int argc, char** argv) {
               "compressor", "iter ms", "smp/s", "MB/iter/rank", "msgs total");
   bench::print_rule(100);
 
-  std::FILE* out = std::fopen("BENCH_scale.json", "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open BENCH_scale.json for writing\n");
-    return 1;
-  }
-  std::fprintf(out, "{\"benchmark\":\"scale\",\"scale\":%g,\"runs\":[", scale);
-
+  std::string json;
+  bench::appendf(json, "{\"benchmark\":\"scale\",\"scale\":%g,\"runs\":[",
+                 scale);
   bool first = true;
   for (int n : fleets) {
     for (int t = 0; t < 3; ++t) {
@@ -77,22 +67,20 @@ int main(int argc, char** argv) {
                     r.throughput,
                     static_cast<double>(r.wire_bytes_per_iter) / (1 << 20),
                     static_cast<unsigned long long>(r.comm_messages));
-        if (!first) std::fprintf(out, ",");
+        if (!first) json += ",";
         first = false;
-        std::fprintf(out, "%s", sim::scale_result_json(r).c_str());
+        json += sim::scale_result_json(r);
       }
     }
     bench::print_rule(100);
   }
-  std::fprintf(out, "]}\n");
-  std::fclose(out);
+  json += "]}\n";
 
   std::printf(
       "\nThe ring's per-rank traffic is rank-count independent but pays\n"
       "2(n-1) latency steps; the PS round serializes n uploads through the\n"
       "serving shard; the hierarchy keeps the cross-rack ring at n/16\n"
       "steps for intra-rack fan costs. Compression moves the crossover\n"
-      "points — that interaction is the sweep.\n");
-  std::printf("\nwrote BENCH_scale.json\n");
-  return 0;
+      "points — that interaction is the sweep.\n\n");
+  return bench::write_bench_json("scale", json) ? 0 : 1;
 }

@@ -1,6 +1,8 @@
 // Table II: the benchmark suite with baseline (no compression) quality.
 // Columns mirror the paper: task, model, dataset, trainable parameters,
 // gradient vectors, epochs, quality metric, measured baseline quality.
+//
+// GRACE_SCALE=<f> (default 1.0) scales the task sizes for smoke runs.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -14,10 +16,8 @@ int main() {
               "Model", "Dataset", "Params", "GradVec", "Epochs", "Metric",
               "Baseline", "Thr(smp/s)");
   bench::print_rule(118);
-  for (const auto& b : sim::standard_suite()) {
-    sim::TrainConfig cfg = sim::default_config(b);
-    cfg.grace.compressor_spec = "none";
-    sim::RunResult run = sim::train(b.factory, cfg);
+  for (const auto& b : sim::standard_suite(bench::scale_from_env())) {
+    const sim::RunResult run = bench::run_cell(b, "none");
     const double shown = run.quality_metric == "test-perplexity"
                              ? -run.best_quality  // stored as -ppl
                              : run.best_quality;

@@ -19,6 +19,7 @@ class ByteWriter {
     std::memcpy(buf_.data() + at, &v, sizeof(T));
   }
   void put_bytes(std::span<const std::byte> bytes) {
+    if (bytes.empty()) return;  // data() may be null; memcpy must not see it
     const auto at = buf_.size();
     buf_.resize(at + bytes.size());
     std::memcpy(buf_.data() + at, bytes.data(), bytes.size());
@@ -54,6 +55,7 @@ class ByteReader {
   }
   void get_bytes(std::span<std::byte> out) {
     check(out.size());
+    if (out.empty()) return;  // data() may be null; memcpy must not see it
     std::memcpy(out.data(), data_.data() + at_, out.size());
     at_ += out.size();
   }
