@@ -79,7 +79,7 @@ int main() {
         // compute and no earlier than the link drains (buckets serialize on
         // it), plus the optimizer step that follows the last bucket.
         const double bound_s =
-            std::max(run.compute_s, run.comm_s) + run.optimizer_s;
+            std::max(run.compute_s, run.phases.comm_s) + run.phases.optimizer_s;
         const double additive_s = run.phases.total_s();
         std::printf(
             "%-12s %-12s %8lld %10.3f %10.3f %10.3f %8.1f%% %12.0f %9.4f\n",

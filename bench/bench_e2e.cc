@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
       chrome_trace = sim::trace_chrome_json(trace);
       if (want_report) {
         const sim::RunReport report =
-            sim::build_run_report(run, {}, registry.get());
+            sim::build_run_report(run, registry.get());
         if (!report_rows.empty()) report_rows += ',';
         report_rows += "{\"network\":\"";
         report_rows += net.label;

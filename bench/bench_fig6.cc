@@ -50,7 +50,7 @@ int main() {
           base_throughput > 0 ? run.throughput / base_throughput : 1.0,
           quality, run.wire_bytes_per_iter / 1024.0,
           base_volume > 0 ? run.wire_bytes_per_iter / base_volume : 1.0,
-          run.compress_s * 1e3, run.comm_s * 1e3,
+          run.compress_s * 1e3, run.phases.comm_s * 1e3,
           run.replicas_in_sync ? "" : "  DIVERGED");
     }
   }

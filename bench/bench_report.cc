@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
     cfg.critical_path = &collector;
 
     const sim::RunResult run = sim::train(bench.factory, cfg);
-    const sim::RunReport report = sim::build_run_report(run, {}, &registry);
+    const sim::RunReport report = sim::build_run_report(run, &registry);
     rows.emplace_back(cell.label, sim::run_report_json(report));
     std::printf("--- %s ---\n%s\n", cell.label,
                 sim::run_report_text(report).c_str());

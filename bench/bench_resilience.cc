@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(fc.joins),
           static_cast<unsigned long long>(fc.degraded_iters));
 
-      const sim::RunReport report = sim::build_run_report(run, {}, &registry);
+      const sim::RunReport report = sim::build_run_report(run, &registry);
       rows.emplace_back(label, sim::run_report_json(report));
     }
     bench::print_rule(100);

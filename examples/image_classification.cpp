@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                 "compression %.2fms, network %.2fms\n",
                 run.best_quality, run.throughput,
                 run.wire_bytes_per_iter / 1024.0, run.compute_s * 1e3,
-                run.compress_s * 1e3, run.comm_s * 1e3);
+                run.compress_s * 1e3, run.phases.comm_s * 1e3);
   }
   return 0;
 }

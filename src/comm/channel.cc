@@ -49,9 +49,4 @@ std::optional<Message> Mailbox::take_for(int src, int tag, double timeout_s) {
   }
 }
 
-size_t Mailbox::pending() const {
-  std::lock_guard lock(mu_);
-  return queue_.size();
-}
-
 }  // namespace grace::comm

@@ -43,13 +43,11 @@ class Mailbox {
   // a crashed peer cannot hide in a collective.
   void require_deadline(bool on) { deadline_required_ = on; }
 
-  size_t pending() const;
-
  private:
   // Removes and returns the first queued (src, tag) match; mu_ must be held.
   std::optional<Message> match_locked(int src, int tag);
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Message> queue_;
   bool deadline_required_ = false;

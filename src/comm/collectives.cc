@@ -108,22 +108,6 @@ std::vector<Tensor> allgather(Comm& comm, const Tensor& mine, int tag) {
   return ring_allgather_strided(comm, mine, comm.size(), 1, tag);
 }
 
-void broadcast(Comm& comm, Tensor& tensor, int root, int tag) {
-  if (comm.size() == 1) return;
-  if (comm.rank() == root) {
-    for (int peer = 0; peer < comm.size(); ++peer) {
-      if (peer != root) comm.send(peer, tensor, tag);
-    }
-  } else {
-    tensor = comm.recv(root, tag);
-  }
-}
-
-void barrier(Comm& comm, int tag) {
-  float token = 1.0f;
-  allreduce_sum(comm, std::span<float>(&token, 1), tag);
-}
-
 void hierarchical_allreduce_sum(Comm& comm, std::span<float> data,
                                 int ranks_per_rack, int tag) {
   require_rack_size(ranks_per_rack);

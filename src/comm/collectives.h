@@ -1,6 +1,6 @@
 // Collective operations over a Comm handle. These are really executed by
 // concurrent worker threads — every rank must call the same collective with
-// the same tag. Semantics mirror Horovod's Allreduce / Allgather / Broadcast.
+// the same tag. Semantics mirror Horovod's Allreduce / Allgather.
 #pragma once
 
 #include <span>
@@ -19,12 +19,6 @@ void allreduce_sum(Comm& comm, std::span<float> data, int tag = 0);
 // different shapes/dtypes on different ranks (needed for sparsifiers whose
 // selected size differs per worker).
 std::vector<Tensor> allgather(Comm& comm, const Tensor& mine, int tag = 0);
-
-// Root's tensor is copied to every rank; other ranks' input is replaced.
-void broadcast(Comm& comm, Tensor& tensor, int root, int tag = 0);
-
-// All ranks wait until every rank has arrived.
-void barrier(Comm& comm, int tag = 0);
 
 // Two-level rack-aware allreduce (DESIGN.md §10): ranks are grouped into
 // racks of `ranks_per_rack` consecutive ranks (the last rack may be

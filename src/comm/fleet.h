@@ -41,11 +41,9 @@ class FleetProfile {
   // every per-rank profile is exactly 1.0/1.0/1.0). Consumers gate all new
   // arithmetic on this so uniform fleets stay bit-identical.
   bool uniform() const { return uniform_; }
-  bool empty() const { return ranks_.empty(); }
-  size_t size() const { return ranks_.size(); }
   const std::string& name() const { return name_; }
 
-  // Ranks beyond size() (and every rank of an empty profile) are uniform.
+  // Ranks beyond the profile (and every rank of an empty one) are uniform.
   const LinkProfile& rank(int r) const;
   double compute_scale(int r) const { return rank(r).compute_scale; }
 

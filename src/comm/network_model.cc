@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -47,18 +46,6 @@ double NetworkModel::allgather_seconds(size_t my_bytes, size_t others_bytes) con
                   latency_us * 1e-6 + 2.0 * per_message_overhead_sec());
 }
 
-double NetworkModel::broadcast_seconds(size_t bytes) const {
-  if (n_workers <= 1) return 0.0;
-  const double n = n_workers;
-  // Flat fan-out (comm/collectives.cc): the root serializes n-1 sends on
-  // its own link, so transmission occupancy scales with n-1, but the
-  // messages propagate independently — completion is the last send's
-  // finish plus ONE link latency. Unlike the rings above there are no
-  // sequential hops, so latency is correctly charged once.
-  return static_cast<double>(bytes) * (n - 1.0) / effective_bytes_per_sec() +
-         latency_us * 1e-6 + (n - 1.0) * per_message_overhead_sec();
-}
-
 double NetworkModel::parameter_server_seconds(size_t total_upload_bytes,
                                               size_t download_bytes) const {
   if (n_workers <= 1) return 0.0;
@@ -94,13 +81,6 @@ void NetworkModel::validate() const {
 
 std::string transport_name(Transport t) {
   return t == Transport::Tcp ? "TCP" : "RDMA";
-}
-
-std::string NetworkModel::to_string() const {
-  std::ostringstream os;
-  os << n_workers << " workers, " << bandwidth_gbps << " Gbps, "
-     << transport_name(transport);
-  return os.str();
 }
 
 }  // namespace grace::comm

@@ -34,9 +34,6 @@ struct NetworkModel {
   // and receives everyone else's payloads totalling `others_bytes`; each
   // step forwards one payload and pays the link latency.
   double allgather_seconds(size_t my_bytes, size_t others_bytes) const;
-  // Root sends `bytes` to n-1 peers (flat fan-out, serialized on the
-  // root's link; latency is paid once, not per peer).
-  double broadcast_seconds(size_t bytes) const;
   // Parameter-server round: the server's link absorbs every worker's
   // compressed upload, then pushes the (dense) aggregate back to n-1
   // workers. The server link is the bottleneck on both phases.
@@ -56,8 +53,6 @@ struct NetworkModel {
   // inf/NaN that propagates silently into BENCH_*.json. Called by the
   // trainer, the simulated world, and make_topology before any pricing.
   void validate() const;
-
-  std::string to_string() const;
 };
 
 std::string transport_name(Transport t);

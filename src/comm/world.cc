@@ -9,11 +9,7 @@ namespace grace::comm {
 World::World(int n) {
   assert(n >= 1);
   mailboxes_.reserve(static_cast<size_t>(n));
-  rank_bytes_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    mailboxes_.push_back(std::make_unique<Mailbox>());
-    rank_bytes_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
-  }
+  for (int i = 0; i < n; ++i) mailboxes_.push_back(std::make_unique<Mailbox>());
 }
 
 void World::install_faults(LinkFaults* faults) {
@@ -23,12 +19,8 @@ void World::install_faults(LinkFaults* faults) {
 
 int Comm::size() const { return world_->size(); }
 
-size_t Comm::bytes_sent() const {
-  return static_cast<size_t>(world_->rank_bytes_sent(rank_));
-}
-
 void Comm::send(int dst, Tensor payload, int tag) {
-  world_->count_send(rank_, payload.size_bytes());
+  world_->count_send(payload.size_bytes());
   if (LinkFaults* faults = world_->faults()) {
     faults->stage_attempts(*world_, rank_, dst, tag, payload);
   }

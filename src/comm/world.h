@@ -43,14 +43,6 @@ class Comm {
   void send(int dst, Tensor payload, int tag = 0);
   Tensor recv(int src, int tag = 0);
 
-  // Bytes this rank has pushed through send() since World construction.
-  // The count lives in a per-rank World slot, not in the handle: Comm is
-  // passed by value, and a per-handle counter silently loses every byte
-  // sent through a copy (the pre-PR-7 undercount bug). All handles for the
-  // same rank therefore agree, and summing over ranks equals
-  // World::payload_bytes_sent() by construction.
-  size_t bytes_sent() const;
-
  private:
   World* world_;
   int rank_;
@@ -71,14 +63,12 @@ class World {
   LinkFaults* faults() const { return faults_; }
 
   // World-wide transport counters: every send() from any rank (including
-  // collective internals) increments these. Per-rank byte totals live here
-  // too (shared by all Comm handles for a rank), so the world totals and
-  // Comm::bytes_sent() can never disagree.
-  void count_send(int src, size_t payload_bytes) {
+  // collective internals) increments these. They live in the World, not
+  // in the Comm handles, because Comm is passed by value and a per-handle
+  // count would lose every message sent through a copy.
+  void count_send(size_t payload_bytes) {
     messages_.fetch_add(1, std::memory_order_relaxed);
     payload_bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
-    rank_bytes_[static_cast<size_t>(src)]->fetch_add(payload_bytes,
-                                                     std::memory_order_relaxed);
   }
   uint64_t messages_sent() const {
     return messages_.load(std::memory_order_relaxed);
@@ -86,18 +76,12 @@ class World {
   uint64_t payload_bytes_sent() const {
     return payload_bytes_.load(std::memory_order_relaxed);
   }
-  uint64_t rank_bytes_sent(int rank) const {
-    return rank_bytes_.at(static_cast<size_t>(rank))
-        ->load(std::memory_order_relaxed);
-  }
 
  private:
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   LinkFaults* faults_ = nullptr;
   std::atomic<uint64_t> messages_{0};
   std::atomic<uint64_t> payload_bytes_{0};
-  // unique_ptr keeps slots stable; atomics are neither copyable nor movable.
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> rank_bytes_;
 };
 
 }  // namespace grace::comm

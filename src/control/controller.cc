@@ -33,14 +33,12 @@ std::string format_double(double v) {
 }
 
 double parse_double(const std::string& tok) {
-  try {
-    size_t used = 0;
-    const double v = std::stod(tok, &used);
-    if (used != tok.size()) throw std::invalid_argument(tok);
-    return v;
-  } catch (const std::exception&) {
+  double v = 0.0;
+  const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+  if (ec != std::errc{} || p != tok.data() + tok.size() || !std::isfinite(v)) {
     throw std::invalid_argument("control snapshot: bad number '" + tok + "'");
   }
+  return v;
 }
 
 int64_t parse_i64(const std::string& tok) {
@@ -48,6 +46,18 @@ int64_t parse_i64(const std::string& tok) {
   const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
   if (ec != std::errc{} || p != tok.data() + tok.size()) {
     throw std::invalid_argument("control snapshot: bad integer '" + tok + "'");
+  }
+  return v;
+}
+
+// A count the snapshot records, checked against [0, max] before the caller
+// narrows or replays it.
+int64_t parse_count(const std::string& tok, int64_t max, const char* what) {
+  const int64_t v = parse_i64(tok);
+  if (v < 0 || v > max) {
+    throw std::invalid_argument(std::string("control snapshot: ") + what +
+                                " " + tok + " outside [0, " +
+                                std::to_string(max) + "]");
   }
   return v;
 }
@@ -85,7 +95,7 @@ class FixedPolicy final : public ControlPolicy {
     return {current_arm, "fixed"};
   }
   std::string serialize_bucket(size_t) const override { return "-"; }
-  void restore_bucket(size_t, const std::string& token) override {
+  void restore_bucket(size_t, const std::string& token, int64_t) override {
     if (token != "-") {
       throw std::invalid_argument("control snapshot: fixed-policy token '" +
                                   token + "'");
@@ -159,14 +169,17 @@ class HysteresisRulePolicy final : public ControlPolicy {
     return std::to_string(st.worse) + ":" + std::to_string(st.better);
   }
 
-  void restore_bucket(size_t bucket, const std::string& token) override {
+  void restore_bucket(size_t bucket, const std::string& token,
+                      int64_t boundaries) override {
     const std::vector<std::string> parts = split(token, ':');
     if (parts.size() != 2) {
       throw std::invalid_argument("control snapshot: hysteresis token '" +
                                   token + "'");
     }
-    state_[bucket].worse = static_cast<int>(parse_i64(parts[0]));
-    state_[bucket].better = static_cast<int>(parse_i64(parts[1]));
+    state_[bucket].worse =
+        static_cast<int>(parse_count(parts[0], boundaries, "streak"));
+    state_[bucket].better =
+        static_cast<int>(parse_count(parts[1], boundaries, "streak"));
   }
 
  private:
@@ -251,7 +264,8 @@ class SeededBanditPolicy final : public ControlPolicy {
     return out;
   }
 
-  void restore_bucket(size_t bucket, const std::string& token) override {
+  void restore_bucket(size_t bucket, const std::string& token,
+                      int64_t boundaries) override {
     const std::vector<std::string> cells = split(token, ',');
     if (cells.size() != n_arms_) {
       throw std::invalid_argument("control snapshot: bandit token '" + token +
@@ -263,7 +277,7 @@ class SeededBanditPolicy final : public ControlPolicy {
         throw std::invalid_argument("control snapshot: bandit cell '" +
                                     cells[i] + "'");
       }
-      state_[bucket].cells[i].plays = parse_i64(kv[0]);
+      state_[bucket].cells[i].plays = parse_count(kv[0], boundaries, "plays");
       state_[bucket].cells[i].mean = parse_double(kv[1]);
     }
   }
@@ -421,8 +435,19 @@ void Controller::restore(const std::string& state) {
           cfg_.arms.size()) {
     throw std::invalid_argument("control snapshot: bucket/arm count mismatch");
   }
-  boundaries_ = static_cast<int>(parse_i64(field(fields, "boundaries")));
-  switches_ = static_cast<int>(parse_i64(field(fields, "switches")));
+  const int64_t boundaries = parse_count(field(fields, "boundaries"),
+                                         std::numeric_limits<int>::max(),
+                                         "boundaries");
+  // At most one switch, and one epsilon-greedy draw, per (bucket,
+  // boundary). Bounding the draws keeps a damaged snapshot from replaying
+  // an unbounded RNG sequence.
+  const int64_t per_bucket_boundary =
+      boundaries * static_cast<int64_t>(n_buckets());
+  boundaries_ = static_cast<int>(boundaries);
+  switches_ = static_cast<int>(parse_count(
+      field(fields, "switches"),
+      std::min<int64_t>(per_bucket_boundary, std::numeric_limits<int>::max()),
+      "switches"));
   std::vector<std::string> tokens;
   for (const std::string& f : fields) {
     if (f.size() >= 2 && f[0] == 'b' && f[1] == '=') tokens.push_back(f.substr(2));
@@ -444,9 +469,10 @@ void Controller::restore(const std::string& state) {
       throw std::invalid_argument("control snapshot: arm index out of range");
     }
     arms_now_[b] = static_cast<int>(arm);
-    policy_->restore_bucket(b, tokens[b].substr(bar + 1));
+    policy_->restore_bucket(b, tokens[b].substr(bar + 1), boundaries);
   }
-  policy_->replay_rng(parse_i64(field(fields, "draws")));
+  policy_->replay_rng(static_cast<uint64_t>(
+      parse_count(field(fields, "draws"), per_bucket_boundary, "draws")));
 }
 
 ControlSummary Controller::summary() const {

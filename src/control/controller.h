@@ -93,9 +93,13 @@ class ControlPolicy {
                          const WindowStats& w) = 0;
 
   // Per-bucket opaque state token for snapshots. Must not contain the
-  // characters ';' or '|' (snapshot field separators).
+  // characters ';' or '|' (snapshot field separators). `boundaries` is the
+  // snapshot's boundary count, which bounds every per-bucket counter (each
+  // boundary advances at most one by one); restore throws
+  // std::invalid_argument on a malformed or out-of-range token.
   virtual std::string serialize_bucket(size_t bucket) const = 0;
-  virtual void restore_bucket(size_t bucket, const std::string& token) = 0;
+  virtual void restore_bucket(size_t bucket, const std::string& token,
+                              int64_t boundaries) = 0;
   // Uniform draws consumed so far (bandit only); replayed on restore.
   virtual uint64_t rng_draws() const { return 0; }
   virtual void replay_rng(uint64_t draws);
@@ -127,11 +131,9 @@ class Controller {
   size_t n_buckets() const { return bucket_names_.size(); }
   size_t signal_size() const { return n_buckets() * kSignalsPerBucket; }
 
-  int arm(size_t bucket) const { return arms_now_[bucket]; }
   const std::string& arm_spec(size_t bucket) const {
     return cfg_.arms[static_cast<size_t>(arms_now_[bucket])];
   }
-  const std::vector<std::string>& bucket_names() const { return bucket_names_; }
 
   // Run one decision boundary over the cross-rank-aggregated signal vector
   // (size must equal signal_size()). Appends one decision per bucket to the
@@ -142,8 +144,6 @@ class Controller {
                                     int64_t iter);
 
   int boundaries() const { return boundaries_; }
-  int switches() const { return switches_; }
-  const std::vector<ControlDecision>& decisions() const { return decisions_; }
 
   // Serialized controller state: arm assignments, policy state, RNG
   // position, boundary/switch counters. Byte-deterministic; equal across

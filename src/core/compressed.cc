@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "core/index_coding.h"
@@ -59,10 +60,18 @@ class ByteReader {
     std::memcpy(out.data(), data_.data() + at_, out.size());
     at_ += out.size();
   }
+  size_t remaining() const { return data_.size() - at_; }
+  // A count of `item_bytes`-sized records that must still fit in the blob,
+  // checked before anything is sized from it.
+  uint32_t get_count(size_t item_bytes) {
+    const auto n = get<uint32_t>();
+    check(static_cast<size_t>(n) * item_bytes);
+    return n;
+  }
 
  private:
   void check(size_t n) const {
-    if (at_ + n > data_.size()) {
+    if (n > data_.size() - at_) {
       throw std::runtime_error("CompressedTensor deserialize: truncated blob");
     }
   }
@@ -75,11 +84,28 @@ void put_shape(ByteWriter& w, const Shape& s) {
   for (int64_t d : s.dims()) w.put<int64_t>(d);
 }
 
-Shape get_shape(ByteReader& r) {
-  const auto rank = r.get<uint32_t>();
+[[noreturn]] void malformed(const std::string& why) {
+  throw std::runtime_error("CompressedTensor deserialize: " + why);
+}
+
+// A shape whose element count is at most `max_numel`; negative dims and
+// counts that would overflow are rejected before any product is formed.
+Shape get_shape(ByteReader& r, int64_t max_numel) {
+  const auto rank = r.get_count(sizeof(int64_t));
   std::vector<int64_t> dims(rank);
-  for (auto& d : dims) d = r.get<int64_t>();
+  int64_t numel = 1;
+  for (auto& d : dims) {
+    d = r.get<int64_t>();
+    if (d < 0 || (d > 0 && numel > max_numel / d)) malformed("bad shape");
+    numel *= d;
+  }
   return Shape(std::move(dims));
+}
+
+DType get_dtype(ByteReader& r) {
+  const auto v = r.get<uint8_t>();
+  if (v > static_cast<uint8_t>(DType::U8)) malformed("unknown dtype");
+  return static_cast<DType>(v);
 }
 
 // Position of part j in ctx.index_parts, or -1 when j is not wire-coded.
@@ -206,45 +232,57 @@ CompressedTensor deserialize(const Tensor& blob) {
         "CompressedTensor deserialize: CRC32 mismatch (corrupt or truncated "
         "frame)");
   }
+  // Every count, enum and shape is checked against the bytes left before
+  // anything is sized from it: the CRC only proves the sender meant these
+  // bytes, not that they are well formed.
   ByteReader r(frame.first(frame.size() - util::kFrameCrcBytes));
   CompressedTensor ct;
-  ct.ctx.wire_codec = static_cast<WireCodec>(r.get<uint8_t>());
-  const auto n_index_parts = r.get<uint32_t>();
-  ct.ctx.index_parts.resize(n_index_parts);
+  const auto codec = r.get<uint8_t>();
+  if (codec > static_cast<uint8_t>(WireCodec::Rice)) {
+    malformed("unknown wire codec");
+  }
+  ct.ctx.wire_codec = static_cast<WireCodec>(codec);
+  ct.ctx.index_parts.resize(r.get_count(sizeof(int32_t)));
   for (auto& pi : ct.ctx.index_parts) pi = r.get<int32_t>();
-  const auto n_parts = r.get<uint32_t>();
+  // A part is at least its dtype byte and its shape rank.
+  const auto n_parts = r.get_count(sizeof(uint8_t) + sizeof(uint32_t));
   ct.parts.reserve(n_parts);
   if (ct.ctx.wire_codec != WireCodec::None) {
     ct.coded_indices.resize(ct.ctx.index_parts.size());
   }
   for (uint32_t j = 0; j < n_parts; ++j) {
-    const auto dtype = static_cast<DType>(r.get<uint8_t>());
-    Shape shape = get_shape(r);
-    Tensor t(dtype, std::move(shape));
+    const DType dtype = get_dtype(r);
     const int slot = coded_slot(ct.ctx, j);
     if (slot < 0) {
+      const auto elem = static_cast<int64_t>(dtype_size(dtype));
+      Tensor t(dtype,
+               get_shape(r, static_cast<int64_t>(r.remaining()) / elem));
       r.get_bytes(t.bytes());
-    } else {
-      if (dtype != DType::I32) {
-        throw std::runtime_error(
-            "CompressedTensor deserialize: coded part is not i32");
-      }
-      const auto coded_len = r.get<uint32_t>();
-      Tensor enc(DType::U8, Shape{{static_cast<int64_t>(coded_len)}});
-      r.get_bytes(enc.bytes());
-      const std::vector<int32_t> idx =
-          decode_indices(enc, t.numel(), ct.ctx.wire_codec);
-      std::copy(idx.begin(), idx.end(), t.i32().begin());
-      ct.coded_indices[static_cast<size_t>(slot)] = std::move(enc);
+      ct.parts.push_back(std::move(t));
+      continue;
     }
+    if (dtype != DType::I32) malformed("coded part is not i32");
+    // Both coders spend at least one bit per index.
+    Shape shape = get_shape(r, static_cast<int64_t>(r.remaining()) * 8);
+    const auto coded_len = r.get_count(1);
+    if (shape.numel() > static_cast<int64_t>(coded_len) * 8) {
+      malformed("coded part holds fewer bits than indices");
+    }
+    Tensor enc(DType::U8, Shape{{static_cast<int64_t>(coded_len)}});
+    r.get_bytes(enc.bytes());
+    Tensor t(dtype, std::move(shape));
+    const std::vector<int32_t> idx =
+        decode_indices(enc, t.numel(), ct.ctx.wire_codec);
+    std::copy(idx.begin(), idx.end(), t.i32().begin());
+    ct.coded_indices[static_cast<size_t>(slot)] = std::move(enc);
     ct.parts.push_back(std::move(t));
   }
-  ct.ctx.shape = get_shape(r);
-  const auto n_scalars = r.get<uint32_t>();
-  ct.ctx.scalars.resize(n_scalars);
+  // The original tensor's shape is not stored here, only bounded so that
+  // its element count (times any dtype size) cannot overflow.
+  ct.ctx.shape = get_shape(r, std::numeric_limits<int64_t>::max() / 8);
+  ct.ctx.scalars.resize(r.get_count(sizeof(float)));
   for (auto& s : ct.ctx.scalars) s = r.get<float>();
-  const auto n_ints = r.get<uint32_t>();
-  ct.ctx.ints.resize(n_ints);
+  ct.ctx.ints.resize(r.get_count(sizeof(int64_t)));
   for (auto& i : ct.ctx.ints) i = r.get<int64_t>();
   ct.ctx.wire_bits = r.get<uint64_t>();
   ct.ctx.raw_wire_bits = r.get<uint64_t>();

@@ -4,9 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "tensor/shape.h"
@@ -25,14 +22,6 @@ inline const char* wire_codec_name(WireCodec codec) {
     case WireCodec::Rice: return "rice";
   }
   return "unknown";
-}
-
-inline WireCodec parse_wire_codec(std::string_view name) {
-  if (name == "none") return WireCodec::None;
-  if (name == "varint") return WireCodec::Varint;
-  if (name == "rice") return WireCodec::Rice;
-  throw std::invalid_argument("unknown wire_codec '" + std::string(name) +
-                              "' (expected none|varint|rice)");
 }
 
 struct Context {

@@ -104,11 +104,6 @@ void GraceWorker::absorb(const Tensor& grad, const std::string& name) {
   memory_->update(name, compensated, Tensor::zeros_like(grad));
 }
 
-Tensor GraceWorker::exchange(const Tensor& grad, const std::string& name,
-                             ExchangeStats* stats) {
-  return wait(submit(grad, name, stats != nullptr), stats);
-}
-
 ExchangeHandle GraceWorker::submit(const Tensor& grad, const std::string& name,
                                    bool instrument) {
   return submit_impl(grad, name, instrument, /*use_memory=*/true);

@@ -37,9 +37,7 @@ struct ExchangeStats {
 // runs the compression stage (lines 5-6 of Algorithm 1: phi, Q, psi) and
 // captures the payload; wait() runs the communication and decompression
 // stages and returns the aggregate. Handles must be waited in submission
-// order, and every rank must submit the same (tensor, name) sequence — the
-// ordering contract exchange() always had, made explicit so a scheduler can
-// separate the stages.
+// order, and every rank must submit the same (tensor, name) sequence.
 struct ExchangeHandle {
   CompressedTensor payload;
   int tag = 0;
@@ -88,20 +86,12 @@ class GraceWorker {
   GraceWorker(const GraceConfig& cfg, comm::Comm comm,
               comm::NetworkModel net, uint64_t rng_seed);
 
-  // Compress-communicate-decompress one gradient tensor; every rank must
-  // call this with the same tensor order. Returns the aggregated gradient
-  // g_k (mean across workers, or the compressor's custom Agg). When
-  // `stats` is null the instrumentation is skipped entirely — no clock
-  // syscalls, no cost-model evaluation — so uninstrumented callers pay
-  // nothing for the accounting layer. Equivalent to wait(submit(...)).
-  Tensor exchange(const Tensor& grad, const std::string& name,
-                  ExchangeStats* stats = nullptr);
-
   // Stage 1 of an exchange: error-feedback compensation, compression, and
   // the memory update, leaving a handle holding the wire payload. All
   // compressor/EF state mutation (and RNG consumption) happens here, so a
   // submit-all-then-wait-all schedule is bit-identical to interleaved
-  // exchange() calls. When `instrument` is false no clocks are read.
+  // wait(submit(...)) calls. When `instrument` is false no clocks are
+  // read, so uninstrumented callers pay nothing for the accounting layer.
   ExchangeHandle submit(const Tensor& grad, const std::string& name,
                         bool instrument = false);
 
@@ -114,8 +104,10 @@ class GraceWorker {
                             bool instrument = false);
 
   // Stages 2-3: run the collective for a submitted payload and decompress
-  // the aggregate. Touches no compressor/EF state (decompress and Agg are
-  // const). Folds the handle's accumulated stats into `stats` when set.
+  // the aggregate g_k (mean across workers, or the compressor's custom
+  // Agg); every rank must wait on the same exchanges in the same order.
+  // Touches no compressor/EF state (decompress and Agg are const). Folds
+  // the handle's accumulated stats into `stats` when set.
   Tensor wait(ExchangeHandle&& h, ExchangeStats* stats = nullptr);
 
   // Degraded-mode support (docs/RESILIENCE.md). absorb() folds a gradient

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 namespace grace::core {
 namespace {
@@ -58,11 +60,11 @@ class BitReader {
   explicit BitReader(std::span<const uint8_t> data) : data_(data) {}
 
   // Requires count <= 56 (refill tops the accumulator up past 56 bits
-  // whenever input remains).
+  // whenever input remains). Throws on a truncated stream.
   uint64_t get_bits(int count) {
     assert(count >= 0 && count <= 56);
     refill();
-    assert(count <= fill_);
+    if (count > fill_) truncated();
     const uint64_t v = acc_ & ((uint64_t{1} << count) - 1);
     acc_ >>= count;
     fill_ -= count;
@@ -70,12 +72,12 @@ class BitReader {
   }
 
   // Count of consecutive one-bits up to the terminating zero (consumed).
+  // Throws on a truncated stream.
   uint32_t get_unary() {
     uint32_t q = 0;
     for (;;) {
       refill();
-      assert(fill_ > 0);  // truncated stream; framing CRC catches this
-      if (fill_ == 0) return q;
+      if (fill_ == 0) truncated();
       // High bits of acc_ beyond fill_ are zero, so countr_one is capped
       // at fill_: equality means every buffered bit was a one.
       const int ones = std::countr_one(acc_);
@@ -97,6 +99,9 @@ class BitReader {
   }
 
  private:
+  [[noreturn]] static void truncated() {
+    throw std::runtime_error("rice_decode_indices: truncated index stream");
+  }
   void refill() {
     while (fill_ <= 56 && byte_ < data_.size()) {
       acc_ |= static_cast<uint64_t>(data_[byte_++]) << fill_;
@@ -109,6 +114,19 @@ class BitReader {
   int fill_ = 0;
   size_t byte_ = 0;
 };
+
+// prev + delta as the next index of a strictly increasing int32 list;
+// throws when the stream encodes anything else.
+int32_t next_index(int32_t prev, uint64_t delta) {
+  const uint64_t limit =
+      static_cast<uint64_t>(std::numeric_limits<int32_t>::max()) -
+      static_cast<uint64_t>(int64_t{prev});
+  if (delta == 0 || delta > limit) {
+    throw std::runtime_error(
+        "index stream does not decode to increasing int32 indices");
+  }
+  return static_cast<int32_t>(int64_t{prev} + static_cast<int64_t>(delta));
+}
 
 }  // namespace
 
@@ -140,13 +158,17 @@ std::vector<int32_t> varint_decode_indices(const Tensor& encoded, int64_t n) {
     uint32_t delta = 0;
     int shift = 0;
     for (;;) {
-      assert(at < data.size());
+      // A 32-bit delta takes at most five bytes (shifts 0..28).
+      if (at >= data.size() || shift > 28) {
+        throw std::runtime_error(
+            "varint_decode_indices: truncated or overlong index stream");
+      }
       const uint8_t byte = data[at++];
       delta |= static_cast<uint32_t>(byte & 0x7F) << shift;
       if (!(byte & 0x80)) break;
       shift += 7;
     }
-    prev += static_cast<int32_t>(delta);
+    prev = next_index(prev, delta);
     out.push_back(prev);
   }
   return out;
@@ -184,19 +206,12 @@ std::vector<int32_t> rice_decode_indices(const Tensor& encoded, int64_t n) {
   out.reserve(static_cast<size_t>(n));
   int32_t prev = -1;
   for (int64_t i = 0; i < n; ++i) {
-    const uint32_t q = r.get_unary();
-    const auto rem = static_cast<uint32_t>(r.get_bits(k));
-    const uint32_t delta = (q << k) | rem;
-    prev += static_cast<int32_t>(delta) + 1;
+    const uint64_t q = r.get_unary();
+    const uint64_t rem = r.get_bits(k);
+    prev = next_index(prev, ((q << k) | rem) + 1);
     out.push_back(prev);
   }
   return out;
-}
-
-double bits_per_index(const Tensor& encoded, int64_t n) {
-  return n > 0 ? static_cast<double>(encoded.size_bytes()) * 8.0 /
-                     static_cast<double>(n)
-               : 0.0;
 }
 
 }  // namespace grace::core

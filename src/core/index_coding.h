@@ -29,7 +29,4 @@ std::vector<int32_t> varint_decode_indices(const Tensor& encoded, int64_t n);
 Tensor rice_encode_indices(std::span<const int32_t> indices, int k = -1);
 std::vector<int32_t> rice_decode_indices(const Tensor& encoded, int64_t n);
 
-// Bits per index for a coded payload (8 * bytes / n).
-double bits_per_index(const Tensor& encoded, int64_t n);
-
 }  // namespace grace::core

@@ -17,12 +17,6 @@ int MembershipView::live_rank(int physical) const {
   return static_cast<int>(it - ranks.begin());
 }
 
-MembershipSchedule::MembershipSchedule(
-    int n_ranks, std::span<const faults::ChurnEvent> events)
-    : MembershipSchedule(
-          n_ranks, faults::FaultSpec{.churn = std::vector<faults::ChurnEvent>(
-                                         events.begin(), events.end())}) {}
-
 MembershipSchedule::MembershipSchedule(int n_ranks,
                                        const faults::FaultSpec& spec) {
   if (n_ranks < 1) {

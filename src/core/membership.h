@@ -44,18 +44,16 @@ struct MembershipView {
 
 class MembershipSchedule {
  public:
-  // Full fleet {0..n_ranks-1} from (0, 0); churn events applied in epoch
-  // order, each at iteration 0 of its epoch. Throws std::invalid_argument
-  // on inconsistent plans: epoch < 1, rank outside [1, n_ranks), leave of
-  // an absent rank, join of a present rank, or a view that would drop to
+  // The whole membership story of a fault spec, starting from the full
+  // fleet {0..n_ranks-1} at (0, 0): its churn events, applied in epoch
+  // order at iteration 0 of their epoch, plus, when it plans a crash, the
+  // leave of crash_rank at (crash_epoch, crash_iter). Throws
+  // std::invalid_argument on inconsistent plans: a churn epoch < 1 (a
+  // crash may fall in epoch 0), rank outside [1, n_ranks), leave of an
+  // absent rank, join of a present rank, or a view that would drop to
   // zero members.
-  MembershipSchedule(int n_ranks, std::span<const faults::ChurnEvent> events);
-  // The whole membership story of a fault spec: its churn events plus, when
-  // it plans a crash, the leave of crash_rank at (crash_epoch, crash_iter).
-  // Same validation, except that a crash may fall in epoch 0.
   MembershipSchedule(int n_ranks, const faults::FaultSpec& spec);
 
-  bool elastic() const { return views_.size() > 1; }
   const std::vector<MembershipView>& views() const { return views_; }
   // The view governing iteration `iter` of absolute epoch `epoch` (the last
   // view starting at or before it) and its index in views().

@@ -52,8 +52,6 @@ class ResidualMemory final : public Memory {
   void clear(const std::string& name) override { residuals_.erase(name); }
   bool enabled() const override { return true; }
 
-  float beta() const { return beta_; }
-  float gamma() const { return gamma_; }
   // Residual for a tensor (zeros if never updated); exposed for tests and
   // the join-bootstrap path.
   const Tensor* residual(const std::string& name) const override;

@@ -1,5 +1,5 @@
 // Compression-fidelity probe hook (the observability counterpart of
-// ExchangeStats): an opt-in observer that GraceWorker::exchange notifies
+// ExchangeStats): an opt-in observer that GraceWorker::submit notifies
 // with per-tensor fidelity measurements — what compression *did* to the
 // gradient, not just how long it took. Ratio alone is a misleading utility
 // signal (arXiv:2407.01378); per-tensor reconstruction fidelity is what

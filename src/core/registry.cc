@@ -45,18 +45,6 @@ void register_compressor(const std::string& name, CompressorFactory factory) {
   extensions()[name] = std::move(factory);
 }
 
-std::string CompressorSpec::to_string() const {
-  if (args.empty()) return name;
-  std::ostringstream os;
-  os << name << '(';
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (i) os << ',';
-    os << args[i];
-  }
-  os << ')';
-  return os.str();
-}
-
 CompressorSpec parse_spec(const std::string& spec) {
   CompressorSpec out;
   const auto open = spec.find('(');
@@ -163,14 +151,6 @@ std::vector<std::string> extension_names() {
   std::vector<std::string> names = builtin_extension_names();
   for (const auto& [name, factory] : extensions()) names.push_back(name);
   return names;
-}
-
-std::vector<CompressorInfo> taxonomy() {
-  std::vector<CompressorInfo> rows;
-  for (const auto& name : registered_names()) {
-    rows.push_back(make_compressor(name)->info());
-  }
-  return rows;
 }
 
 }  // namespace grace::core

@@ -1,6 +1,5 @@
 // Compressor registry: builds compressors from spec strings like
-// "topk(0.01)", "qsgd(64)" or "powersgd(4)", and produces the Table I
-// taxonomy from the live implementations.
+// "topk(0.01)", "qsgd(64)" or "powersgd(4)".
 #pragma once
 
 #include <functional>
@@ -15,8 +14,6 @@ namespace grace::core {
 struct CompressorSpec {
   std::string name;
   std::vector<double> args;
-
-  std::string to_string() const;
 };
 
 // Parses "name", "name(a)", or "name(a,b)". Throws std::invalid_argument
@@ -43,8 +40,5 @@ std::vector<std::string> registered_names();
 // Methods Table I surveys but the paper does not implement, provided here
 // as extensions — plus any user-registered factories.
 std::vector<std::string> extension_names();
-
-// One Table I row per registered compressor, built from default instances.
-std::vector<CompressorInfo> taxonomy();
 
 }  // namespace grace::core

@@ -1,12 +1,15 @@
 #include "faults/fault_plan.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cctype>
-#include <cstdlib>
+#include <cmath>
 #include <iomanip>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 namespace grace::faults {
 namespace {
@@ -49,6 +52,13 @@ void check_prob(double p, const char* name) {
   }
 }
 
+void check_delay(double seconds, const char* name) {
+  if (!(std::isfinite(seconds) && seconds >= 0.0)) {
+    throw std::invalid_argument(std::string("FaultSpec: ") + name +
+                                " must be finite and non-negative");
+  }
+}
+
 }  // namespace
 
 FaultPlan::FaultPlan(const FaultSpec& spec) : spec_(spec) {
@@ -65,9 +75,8 @@ FaultPlan::FaultPlan(const FaultSpec& spec) : spec_(spec) {
         "FaultSpec: max_retries must be >= 1 (the final attempt is the "
         "guaranteed delivery)");
   }
-  if (spec.retry_timeout_s < 0.0 || spec.straggler_delay_s < 0.0) {
-    throw std::invalid_argument("FaultSpec: delays must be non-negative");
-  }
+  check_delay(spec.retry_timeout_s, "retry_timeout_s");
+  check_delay(spec.straggler_delay_s, "straggler_delay_s");
   if (spec.crash_rank == 0) {
     throw std::invalid_argument(
         "FaultSpec: crash_rank 0 is not supported — rank 0 owns evaluation "
@@ -86,10 +95,7 @@ FaultPlan::FaultPlan(const FaultSpec& spec) : spec_(spec) {
   if (spec.outage_iters < 1) {
     throw std::invalid_argument("FaultSpec: outage_iters must be >= 1");
   }
-  if (spec.outage_reconnect_stall_s < 0.0) {
-    throw std::invalid_argument(
-        "FaultSpec: outage_reconnect_stall_s must be non-negative");
-  }
+  check_delay(spec.outage_reconnect_stall_s, "outage_reconnect_stall_s");
   if (spec.outage_rank == 0) {
     throw std::invalid_argument(
         "FaultSpec: outage_rank 0 is not supported — rank 0 must stay "
@@ -245,9 +251,10 @@ std::string fault_spec_json(const FaultSpec& s) {
 namespace {
 
 // Minimal scanner for the flat {"key": number, ...} objects produced by
-// fault_spec_json. Deliberately strict: unknown keys, nesting, strings and
-// trailing garbage all throw, so a typoed plan fails loudly instead of
-// silently running healthy.
+// fault_spec_json. Deliberately strict: unknown keys, nesting, strings,
+// trailing garbage, anything but JSON number syntax, fractional or
+// out-of-range values of integer keys, and non-finite values all throw, so
+// a typoed plan fails loudly instead of silently running healthy.
 class FlatJsonParser {
  public:
   explicit FlatJsonParser(const std::string& text) : text_(text) {}
@@ -267,8 +274,7 @@ class FlatJsonParser {
         if (key == "churn") {
           parse_churn(spec);
         } else {
-          const double value = parse_number();
-          assign(spec, key, value);
+          assign(spec, key);
         }
         skip_ws();
         const char c = next();
@@ -309,12 +315,54 @@ class FlatJsonParser {
       key.push_back(c);
     }
   }
-  double parse_number() {
-    const char* begin = text_.c_str() + at_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) fail("expected a number");
-    at_ += static_cast<size_t>(end - begin);
+  bool digit_next() const {
+    return std::isdigit(static_cast<unsigned char>(peek())) != 0;
+  }
+  void skip_digits() {
+    while (digit_next()) ++at_;
+  }
+  // One JSON number token: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?.
+  // `integral` reports whether it has neither fraction nor exponent.
+  std::string_view number_token(bool& integral) {
+    const size_t begin = at_;
+    if (peek() == '-') ++at_;
+    if (peek() == '0') {
+      ++at_;
+    } else if (digit_next()) {
+      skip_digits();
+    } else {
+      fail("expected a number");
+    }
+    integral = true;
+    if (peek() == '.') {
+      integral = false;
+      ++at_;
+      if (!digit_next()) fail("expected a digit after '.'");
+      skip_digits();
+    }
+    if (peek() == 'e' || peek() == 'E') {
+      integral = false;
+      ++at_;
+      if (peek() == '+' || peek() == '-') ++at_;
+      if (!digit_next()) fail("expected an exponent digit");
+      skip_digits();
+    }
+    return std::string_view(text_).substr(begin, at_ - begin);
+  }
+  // The next number as a T. Integer fields take integer syntax only, and
+  // every value must fit T (JSON has no NaN or infinity, and an exponent
+  // too large for a double is out of range).
+  template <typename T>
+  T parse_number() {
+    bool integral = false;
+    const std::string_view tok = number_token(integral);
+    if (std::is_integral_v<T> && !integral) fail("expected an integer");
+    T v{};
+    const char* const last = tok.data() + tok.size();
+    const auto [end, ec] = std::from_chars(tok.data(), last, v);
+    if (ec != std::errc{} || end != last) {
+      fail("number out of range");
+    }
     return v;
   }
   // The one non-flat value: "churn":[{"epoch":e,"rank":r,"join":0|1},...].
@@ -334,13 +382,14 @@ class FlatJsonParser {
         skip_ws();
         expect(':');
         skip_ws();
-        const double v = parse_number();
         if (key == "epoch") {
-          e.epoch = static_cast<int>(v);
+          e.epoch = parse_number<int>();
         } else if (key == "rank") {
-          e.rank = static_cast<int>(v);
+          e.rank = parse_number<int>();
         } else if (key == "join") {
-          e.join = v != 0.0;
+          const int join = parse_number<int>();
+          if (join != 0 && join != 1) fail("churn join must be 0 or 1");
+          e.join = join == 1;
         } else {
           fail("unknown churn key \"" + key + "\"");
         }
@@ -358,41 +407,42 @@ class FlatJsonParser {
       skip_ws();
     }
   }
-  void assign(FaultSpec& s, const std::string& key, double v) {
+  // Parses the value of `key` with the type of its FaultSpec field.
+  void assign(FaultSpec& s, const std::string& key) {
     if (key == "seed") {
-      s.seed = static_cast<uint64_t>(v);
+      s.seed = parse_number<uint64_t>();
     } else if (key == "drop_prob") {
-      s.drop_prob = v;
+      s.drop_prob = parse_number<double>();
     } else if (key == "corrupt_prob") {
-      s.corrupt_prob = v;
+      s.corrupt_prob = parse_number<double>();
     } else if (key == "max_retries") {
-      s.max_retries = static_cast<int>(v);
+      s.max_retries = parse_number<int>();
     } else if (key == "retry_timeout_s") {
-      s.retry_timeout_s = v;
+      s.retry_timeout_s = parse_number<double>();
     } else if (key == "straggler_prob") {
-      s.straggler_prob = v;
+      s.straggler_prob = parse_number<double>();
     } else if (key == "straggler_delay_s") {
-      s.straggler_delay_s = v;
+      s.straggler_delay_s = parse_number<double>();
     } else if (key == "straggler_rank") {
-      s.straggler_rank = static_cast<int>(v);
+      s.straggler_rank = parse_number<int>();
     } else if (key == "skip_round_prob") {
-      s.skip_round_prob = v;
+      s.skip_round_prob = parse_number<double>();
     } else if (key == "crash_rank") {
-      s.crash_rank = static_cast<int>(v);
+      s.crash_rank = parse_number<int>();
     } else if (key == "crash_epoch") {
-      s.crash_epoch = static_cast<int>(v);
+      s.crash_epoch = parse_number<int>();
     } else if (key == "crash_iter") {
-      s.crash_iter = static_cast<int64_t>(v);
+      s.crash_iter = parse_number<int64_t>();
     } else if (key == "participation_rate") {
-      s.participation_rate = v;
+      s.participation_rate = parse_number<double>();
     } else if (key == "outage_prob") {
-      s.outage_prob = v;
+      s.outage_prob = parse_number<double>();
     } else if (key == "outage_iters") {
-      s.outage_iters = static_cast<int64_t>(v);
+      s.outage_iters = parse_number<int64_t>();
     } else if (key == "outage_reconnect_stall_s") {
-      s.outage_reconnect_stall_s = v;
+      s.outage_reconnect_stall_s = parse_number<double>();
     } else if (key == "outage_rank") {
-      s.outage_rank = static_cast<int>(v);
+      s.outage_rank = parse_number<int>();
     } else {
       fail("unknown key \"" + key + "\"");
     }

@@ -89,16 +89,19 @@ struct FaultSpec {
   }
 };
 
-// Flat-JSON round-trip: {"seed":1,"drop_prob":0.1,...}. Unknown keys and
-// malformed input throw std::invalid_argument; absent keys keep defaults.
+// Flat-JSON round-trip: {"seed":1,"drop_prob":0.1,...}. Unknown keys,
+// malformed input, non-JSON numbers, non-integral or out-of-range values
+// of integer fields and non-finite values throw std::invalid_argument;
+// absent keys keep defaults.
 std::string fault_spec_json(const FaultSpec& spec);
 FaultSpec parse_fault_spec_json(const std::string& text);
 
 class FaultPlan {
  public:
   FaultPlan() = default;
-  // Validates the spec (probabilities in [0,1], non-negative delays,
-  // max_retries >= 1, crash_rank != 0); throws std::invalid_argument.
+  // Validates the spec (probabilities in [0,1], finite non-negative
+  // delays, max_retries >= 1, crash_rank != 0); throws
+  // std::invalid_argument.
   explicit FaultPlan(const FaultSpec& spec);
 
   const FaultSpec& spec() const { return spec_; }
@@ -137,8 +140,6 @@ class FaultPlan {
   // windows (rank, epoch, iter) enters (outages).
   double stall(int rank, int epoch, int64_t iter,
                FaultCounters& counters) const;
-
-  bool has_crash() const { return spec_.has_crash(); }
 
  private:
   uint64_t hash(uint64_t kind, uint64_t a, uint64_t b, uint64_t c) const;

@@ -55,7 +55,7 @@ void FaultInjector::stage_attempts(comm::World& world, int src, int dst,
     }
     // The failed attempt really crossed the wire: it counts as transport
     // traffic even though no clean data arrived.
-    world.count_send(src, attempt_msg.fault_bytes);
+    world.count_send(attempt_msg.fault_bytes);
     ++slot.counters.attempts_staged;
     slot.counters.retransmitted_bytes += attempt_msg.fault_bytes;
     world.mailbox(dst).put(std::move(attempt_msg));

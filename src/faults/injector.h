@@ -29,11 +29,9 @@ class FaultInjector final : public comm::LinkFaults {
   void stage_attempts(comm::World& world, int src, int dst, int tag,
                       const Tensor& payload) override;
   void on_failed_attempt(int receiver, const comm::Message& attempt) override;
-  double recv_deadline_s() const override { return liveness_deadline_s_; }
-
-  // Liveness guard only (real time, not simulated); generous by default so
-  // slow CI boxes never trip it on a healthy run.
-  void set_liveness_deadline(double seconds) { liveness_deadline_s_ = seconds; }
+  // Liveness guard only (real time, not simulated); generous so slow CI
+  // boxes never trip it on a healthy run.
+  double recv_deadline_s() const override { return 30.0; }
 
   // Simulated fault-stall seconds `rank` accumulated since the last drain.
   // Single consumer per slot: the rank's own worker thread.
@@ -57,7 +55,6 @@ class FaultInjector final : public comm::LinkFaults {
 
   const FaultPlan* plan_;
   comm::NetworkModel net_;
-  double liveness_deadline_s_ = 30.0;
   std::vector<RankSlot> ranks_;
 };
 

@@ -3,8 +3,7 @@
 namespace grace::nn {
 
 Linear::Linear(Module& m, const std::string& name, int64_t in, int64_t out,
-               Rng& rng)
-    : in_(in), out_(out) {
+               Rng& rng) {
   w_ = m.register_parameter(name + ".W", he_normal(rng, Shape{{in, out}}, in)).value;
   b_ = m.register_parameter(name + ".b", Tensor::zeros(Shape{{out}})).value;
 }
@@ -30,8 +29,7 @@ Value Conv2dLayer::forward(const Value& x) const {
 }
 
 EmbeddingLayer::EmbeddingLayer(Module& m, const std::string& name,
-                               int64_t vocab, int64_t dim, Rng& rng)
-    : dim_(dim) {
+                               int64_t vocab, int64_t dim, Rng& rng) {
   Tensor t(DType::F32, Shape{{vocab, dim}});
   rng.fill_normal(t.f32(), 0.0f, 0.1f);
   table_ = m.register_parameter(name + ".table", std::move(t)).value;

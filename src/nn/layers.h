@@ -15,12 +15,9 @@ class Linear {
  public:
   Linear(Module& m, const std::string& name, int64_t in, int64_t out, Rng& rng);
   Value forward(const Value& x) const;  // x: (batch, in) -> (batch, out)
-  int64_t in_features() const { return in_; }
-  int64_t out_features() const { return out_; }
 
  private:
   Value w_, b_;
-  int64_t in_, out_;
 };
 
 class Conv2dLayer {
@@ -39,11 +36,9 @@ class EmbeddingLayer {
   EmbeddingLayer(Module& m, const std::string& name, int64_t vocab, int64_t dim,
                  Rng& rng);
   Value forward(std::vector<int32_t> ids) const;
-  int64_t dim() const { return dim_; }
 
  private:
   Value table_;
-  int64_t dim_;
 };
 
 class LstmCell {
@@ -53,7 +48,6 @@ class LstmCell {
   // Returns {h', c'} given input x: (batch, in) and state h,c: (batch, hidden).
   std::pair<Value, Value> forward(const Value& x, const Value& h,
                                   const Value& c) const;
-  int64_t hidden_size() const { return hidden_; }
 
  private:
   Value wx_, wh_, b_;

@@ -1,6 +1,5 @@
 #include "nn/module.h"
 
-#include <cassert>
 #include <cmath>
 
 #include "tensor/ops.h"
@@ -20,14 +19,6 @@ int64_t Module::num_parameters() const {
   int64_t n = 0;
   for (const auto& p : params_) n += p.value->data.numel();
   return n;
-}
-
-void Module::copy_parameters_from(const Module& other) {
-  assert(params_.size() == other.params_.size());
-  for (size_t i = 0; i < params_.size(); ++i) {
-    assert(params_[i].value->data.shape() == other.params_[i].value->data.shape());
-    ops::copy(params_[i].value->data.f32(), other.params_[i].value->data.f32());
-  }
 }
 
 Tensor he_normal(Rng& rng, Shape shape, int64_t fan_in) {

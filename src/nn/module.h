@@ -25,15 +25,11 @@ class Module {
   Parameter& register_parameter(std::string name, Tensor init);
 
   std::deque<Parameter>& parameters() { return params_; }
-  const std::deque<Parameter>& parameters() const { return params_; }
 
   // Sets every parameter gradient to zero (call between iterations).
   void zero_grad();
 
   int64_t num_parameters() const;
-
-  // Copies all parameter values from another module (same architecture).
-  void copy_parameters_from(const Module& other);
 
  private:
   std::deque<Parameter> params_;  // deque: stable references on registration

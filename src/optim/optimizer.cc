@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <string>
 
 #include "tensor/ops.h"
 
@@ -166,26 +165,6 @@ std::unique_ptr<Optimizer> make_optimizer(const OptimizerConfig& cfg) {
     case OptimizerType::RmsProp: return std::make_unique<RmsProp>(cfg);
   }
   throw std::invalid_argument("unknown optimizer type");
-}
-
-OptimizerType optimizer_type_from_name(const std::string& name) {
-  if (name == "sgd") return OptimizerType::Sgd;
-  if (name == "momentum") return OptimizerType::Momentum;
-  if (name == "nesterov") return OptimizerType::Nesterov;
-  if (name == "adam") return OptimizerType::Adam;
-  if (name == "rmsprop") return OptimizerType::RmsProp;
-  throw std::invalid_argument("unknown optimizer: " + name);
-}
-
-std::string optimizer_name(OptimizerType t) {
-  switch (t) {
-    case OptimizerType::Sgd: return "sgd";
-    case OptimizerType::Momentum: return "momentum";
-    case OptimizerType::Nesterov: return "nesterov";
-    case OptimizerType::Adam: return "adam";
-    case OptimizerType::RmsProp: return "rmsprop";
-  }
-  return "?";
 }
 
 }  // namespace grace::optim

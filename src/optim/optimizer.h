@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -44,7 +43,6 @@ class Optimizer {
 
   void set_lr(double lr) { cfg_.lr = lr; }
   double lr() const { return cfg_.lr; }
-  const OptimizerConfig& config() const { return cfg_; }
 
   // Join-bootstrap support (core/membership.h): the per-slot state for
   // parameter slots of sizes `slot_numels`, in a fixed order — buffer by
@@ -72,10 +70,5 @@ class Optimizer {
 };
 
 std::unique_ptr<Optimizer> make_optimizer(const OptimizerConfig& cfg);
-
-// Parses names used by benchmark configs: "sgd", "momentum", "nesterov",
-// "adam", "rmsprop". Throws std::invalid_argument on unknown names.
-OptimizerType optimizer_type_from_name(const std::string& name);
-std::string optimizer_name(OptimizerType t);
 
 }  // namespace grace::optim

@@ -58,14 +58,6 @@ CompressionFidelityProbe::Totals CompressionFidelityProbe::totals(
   return t;
 }
 
-int64_t CompressionFidelityProbe::samples() const {
-  int64_t total = 0;
-  for (const RankSlot& slot : ranks_) {
-    for (const Accum& a : slot.tensors) total += a.samples;
-  }
-  return total;
-}
-
 std::vector<TensorFidelitySummary> CompressionFidelityProbe::summaries() const {
   // Fold ranks in ascending order onto rank 0's tensor order; every rank
   // exchanges the same tensors in the same order, so lookups by name only

@@ -51,15 +51,12 @@ class CompressionFidelityProbe final : public core::ExchangeProbe {
   // leave the probe attached to sample every exchange.
   explicit CompressionFidelityProbe(int n_ranks, int every_k = 1);
 
-  int every_k() const { return every_k_; }
   bool should_sample(int64_t iteration) const {
     return iteration % every_k_ == 0;
   }
 
   void on_sample(const core::FidelitySample& sample) override;
 
-  // Total probed exchanges across all ranks.
-  int64_t samples() const;
   // Per-tensor aggregates in first-exchanged order (identical on every
   // rank because all ranks exchange tensors in the same order).
   std::vector<TensorFidelitySummary> summaries() const;
@@ -83,7 +80,7 @@ class CompressionFidelityProbe final : public core::ExchangeProbe {
   // Thread contract: rank r's slot is written only by rank r's worker
   // thread, so totals() for rank r may be called from that same thread
   // mid-run (the controller does); reading OTHER ranks' slots, and
-  // samples()/summaries(), is only safe after the workers have joined.
+  // summaries(), is only safe after the workers have joined.
 
   int n_ranks() const { return static_cast<int>(ranks_.size()); }
 

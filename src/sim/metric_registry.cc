@@ -147,20 +147,6 @@ std::vector<HistogramSnapshot> MetricRegistry::histograms() const {
   return out;
 }
 
-std::vector<CounterSnapshot> MetricRegistry::counters(int rank) const {
-  const RankSlot& slot = ranks_.at(static_cast<size_t>(rank));
-  std::vector<CounterSnapshot> out;
-  out.reserve(slot.counters.size());
-  for (const Counter& c : slot.counters) {
-    out.push_back(CounterSnapshot{c.name, c.value});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const CounterSnapshot& a, const CounterSnapshot& b) {
-              return a.name < b.name;
-            });
-  return out;
-}
-
 std::vector<HistogramSnapshot> MetricRegistry::histograms(int rank) const {
   const RankSlot& slot = ranks_.at(static_cast<size_t>(rank));
   std::vector<HistogramSnapshot> out;

@@ -67,10 +67,9 @@ class MetricRegistry {
   // Deterministic cross-rank merges, sorted by name.
   std::vector<CounterSnapshot> counters() const;
   std::vector<HistogramSnapshot> histograms() const;
-  // Single-rank views (same sort, no merge): the health detectors compare
+  // Single-rank view (same sort, no merge): the health detectors compare
   // per-rank series against the fleet (sim/report.h). Same read-after-run
   // discipline as the merged views.
-  std::vector<CounterSnapshot> counters(int rank) const;
   std::vector<HistogramSnapshot> histograms(int rank) const;
 
   int n_ranks() const { return static_cast<int>(ranks_.size()); }

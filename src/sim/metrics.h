@@ -52,7 +52,7 @@ struct PhaseBreakdown {
 struct TensorTraceSummary {
   std::string name;
   int64_t numel = 0;
-  int64_t exchanges = 0;      // number of exchange() calls
+  int64_t exchanges = 0;      // number of exchanges (wait() calls)
   double compress_s = 0.0;
   double comm_s = 0.0;
   double decompress_s = 0.0;
@@ -77,13 +77,13 @@ struct RunResult {
   // Mean logical bytes transmitted per iteration by one worker.
   double wire_bytes_per_iter = 0.0;
 
-  // Mean per-iteration breakdown (seconds). compress_s is the full
-  // compression overhead (compress + local/peer decompress + fixed
-  // per-tensor cost), taken as the slowest worker per iteration.
+  // Mean per-iteration totals that `phases` splits (seconds): compute_s is
+  // forward + backward, and compress_s the full compression overhead
+  // (compress + local/peer decompress + fixed per-tensor cost), taken as
+  // the slowest worker per iteration. The other phases live in `phases`
+  // only.
   double compute_s = 0.0;
   double compress_s = 0.0;
-  double comm_s = 0.0;
-  double optimizer_s = 0.0;
   double total_sim_seconds = 0.0;
 
   // Mean simulated iteration seconds. Equals phases.total_s() under the

@@ -18,6 +18,25 @@ namespace {
 
 constexpr std::string_view kSchema = "grace.run_report.v1";
 
+// Health-detector thresholds (rationale in OBSERVABILITY.md §4).
+// "stall_share": fault stalls claim more than this share of the mean
+// iteration.
+constexpr double kStallShare = 0.05;
+// "straggler_outlier": one rank's accumulated stall exceeds this multiple
+// of the mean over the other ranks (needs a MetricRegistry for the
+// per-rank series).
+constexpr double kStragglerRankRatio = 4.0;
+// "retry_storm": simulated retries exceed this fraction of the messages
+// sent.
+constexpr double kRetryStormRatio = 0.10;
+// "fidelity_collapse": any probed tensor's mean cosine similarity or sign
+// agreement falls below these floors.
+constexpr double kMinCosine = 0.70;
+constexpr double kMinSignAgreement = 0.60;
+// "overlap_regression": an overlap-enabled run recovers less than this
+// fraction of the additive iteration time.
+constexpr double kMinOverlapFraction = 0.05;
+
 void add_metric(RunReport& rep, std::string name, double value) {
   rep.metrics.push_back(ReportMetric{std::move(name), value});
 }
@@ -231,8 +250,8 @@ Extracted extract_report(const std::string& json) {
 
 }  // namespace
 
-RunReport build_run_report(const RunResult& result, const ReportOptions& opts,
-                           MetricRegistry* registry) {
+RunReport build_run_report(const RunResult& result,
+                           const MetricRegistry* registry) {
   RunReport rep;
   rep.model = result.model;
   rep.compressor = result.compressor;
@@ -253,8 +272,8 @@ RunReport build_run_report(const RunResult& result, const ReportOptions& opts,
   add_metric(rep, "comm_payload_bytes", static_cast<double>(result.comm_payload_bytes));
   add_metric(rep, "wire_bytes_per_iter", result.wire_bytes_per_iter);
   add_metric(rep, "compute_seconds", result.compute_s);
-  add_metric(rep, "comm_seconds", result.comm_s);
-  add_metric(rep, "optimizer_seconds", result.optimizer_s);
+  add_metric(rep, "comm_seconds", result.phases.comm_s);
+  add_metric(rep, "optimizer_seconds", result.phases.optimizer_s);
   add_metric(rep, "stall_seconds", result.phases.stall_s);
   add_metric(rep, "final_quality", result.final_quality);
   add_metric(rep, "best_quality", result.best_quality);
@@ -337,12 +356,12 @@ RunReport build_run_report(const RunResult& result, const ReportOptions& opts,
   const double stall_share =
       result.iteration_s > 0.0 ? result.phases.stall_s / result.iteration_s
                                : 0.0;
-  if (stall_share > opts.stall_share) {
+  if (stall_share > kStallShare) {
     std::ostringstream d;
     d.precision(3);
     d << "fault stalls claim " << stall_share * 100.0
       << "% of the mean iteration";
-    flag("stall_share", d.str(), stall_share, opts.stall_share);
+    flag("stall_share", d.str(), stall_share, kStallShare);
   }
 
   // Straggler outlier: one rank's accumulated simulated stall dwarfs the
@@ -365,7 +384,7 @@ RunReport build_run_report(const RunResult& result, const ReportOptions& opts,
         (total - rank_stall[worst]) / static_cast<double>(rank_stall.size() - 1);
     if (rank_stall[worst] > 0.0 &&
         (others_mean <= 0.0 ||
-         rank_stall[worst] > opts.straggler_rank_ratio * others_mean)) {
+         rank_stall[worst] > kStragglerRankRatio * others_mean)) {
       const double ratio = others_mean > 0.0
                                ? rank_stall[worst] / others_mean
                                : std::numeric_limits<double>::infinity();
@@ -375,7 +394,7 @@ RunReport build_run_report(const RunResult& result, const ReportOptions& opts,
         << "s vs fleet mean " << others_mean * 1e-9 << "s";
       flag("straggler_outlier", d.str(),
            std::isinf(ratio) ? rank_stall[worst] : ratio,
-           opts.straggler_rank_ratio);
+           kStragglerRankRatio);
     }
   }
 
@@ -384,27 +403,25 @@ RunReport build_run_report(const RunResult& result, const ReportOptions& opts,
     const double retry_ratio =
         static_cast<double>(result.faults.retries) /
         static_cast<double>(result.comm_messages);
-    if (retry_ratio > opts.retry_storm_ratio) {
+    if (retry_ratio > kRetryStormRatio) {
       std::ostringstream d;
       d.precision(3);
       d << result.faults.retries << " retries over " << result.comm_messages
         << " messages (" << retry_ratio * 100.0 << "%)";
-      flag("retry_storm", d.str(), retry_ratio, opts.retry_storm_ratio);
+      flag("retry_storm", d.str(), retry_ratio, kRetryStormRatio);
     }
   }
 
   // Fidelity collapse: a probed tensor's reconstruction dropped below the
   // floors.
-  if (probed && (min_cosine < opts.min_cosine ||
-                 min_sign < opts.min_sign_agreement)) {
+  if (probed && (min_cosine < kMinCosine || min_sign < kMinSignAgreement)) {
     std::ostringstream d;
     d.precision(3);
-    d << "min cosine " << min_cosine << " (floor " << opts.min_cosine
+    d << "min cosine " << min_cosine << " (floor " << kMinCosine
       << "), min sign agreement " << min_sign << " (floor "
-      << opts.min_sign_agreement << ")";
+      << kMinSignAgreement << ")";
     flag("fidelity_collapse", d.str(),
-         std::min(min_cosine / opts.min_cosine,
-                  min_sign / opts.min_sign_agreement),
+         std::min(min_cosine / kMinCosine, min_sign / kMinSignAgreement),
          1.0);
   }
 
@@ -412,29 +429,20 @@ RunReport build_run_report(const RunResult& result, const ReportOptions& opts,
   // hiding, and almost none of it was hidden.
   if (result.overlap_enabled && result.iteration_s > 0.0) {
     const double exchange_share =
-        (result.compress_s + result.comm_s) / result.iteration_s;
-    if (exchange_share > opts.min_overlap_fraction &&
-        result.overlap_fraction < opts.min_overlap_fraction) {
+        (result.compress_s + result.phases.comm_s) / result.iteration_s;
+    if (exchange_share > kMinOverlapFraction &&
+        result.overlap_fraction < kMinOverlapFraction) {
       std::ostringstream d;
       d.precision(3);
       d << "overlap recovered only " << result.overlap_fraction * 100.0
         << "% of the additive iteration despite "
         << exchange_share * 100.0 << "% exchange share";
       flag("overlap_regression", d.str(), result.overlap_fraction,
-           opts.min_overlap_fraction);
+           kMinOverlapFraction);
     }
   }
 
   add_metric(rep, "health.flags", static_cast<double>(rep.flags.size()));
-
-  // Mirror the verdicts into the registry so health counters ride the
-  // normal metric export path.
-  if (registry != nullptr) {
-    registry->inc(0, "health.flags", rep.flags.size());
-    for (const HealthFlag& f : rep.flags) {
-      registry->inc(0, "health.flag." + f.name);
-    }
-  }
   return rep;
 }
 

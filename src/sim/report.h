@@ -6,8 +6,7 @@
 //     outliers, retry storms, fidelity collapse, overlap regression).
 //     Detectors read only simulated / deterministic signals, so the same
 //     seed always produces the same flags; when a MetricRegistry is
-//     passed, the per-rank fault series sharpen the straggler detector and
-//     the verdicts are mirrored back as `health.*` counters.
+//     passed, its per-rank fault series feed the straggler detector.
 //
 //   * run_report_json / run_report_text — machine and human serializations
 //     of the report. The JSON is a pure function of the report (identical
@@ -35,32 +34,11 @@ namespace grace::sim {
 
 class MetricRegistry;
 
-// Thresholds for the health detectors (rationale in OBSERVABILITY.md §4).
-struct ReportOptions {
-  // "stall_share": fault stalls claim more than this share of the mean
-  // iteration.
-  double stall_share = 0.05;
-  // "straggler_outlier": one rank's accumulated stall exceeds this
-  // multiple of the mean over the other ranks (needs a MetricRegistry for
-  // the per-rank series).
-  double straggler_rank_ratio = 4.0;
-  // "retry_storm": simulated retries exceed this fraction of staged
-  // attempts.
-  double retry_storm_ratio = 0.10;
-  // "fidelity_collapse": any probed tensor's mean cosine similarity or
-  // sign agreement falls below these floors.
-  double min_cosine = 0.70;
-  double min_sign_agreement = 0.60;
-  // "overlap_regression": an overlap-enabled run recovers less than this
-  // fraction of the additive iteration time.
-  double min_overlap_fraction = 0.05;
-};
-
 struct HealthFlag {
   std::string name;       // stable detector id ("retry_storm", ...)
   std::string detail;     // human-readable explanation
   double value = 0.0;     // observed value that tripped the detector
-  double threshold = 0.0; // the configured threshold it crossed
+  double threshold = 0.0; // the threshold it crossed
 };
 
 // One row of the scoreboard. Values are doubles even for counters so the
@@ -82,12 +60,10 @@ struct RunReport {
 };
 
 // Builds the report. `registry` is optional: when present its per-rank
-// fault series feed the straggler detector, and every raised flag is
-// recorded back as a `health.flag.<name>` counter (plus `health.flags`)
-// on rank 0 so health verdicts ride the normal metric export path.
+// fault series feed the straggler detector. The detector thresholds are
+// fixed (rationale in OBSERVABILITY.md §4).
 RunReport build_run_report(const RunResult& result,
-                           const ReportOptions& opts = {},
-                           MetricRegistry* registry = nullptr);
+                           const MetricRegistry* registry = nullptr);
 
 // Deterministic JSON object ({"schema":"grace.run_report.v1",...}); equal
 // reports serialize byte-identically.

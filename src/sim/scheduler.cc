@@ -115,13 +115,13 @@ IterationClock iteration_clock(const TimeModel& time,
                                double fwd_flops_per_sample, int64_t batch,
                                bool compressing) {
   IterationClock c;
-  c.compute_s = time.compute_seconds(fwd_flops_per_sample, batch);
+  c.compute_s = TimeModel::compute_seconds(fwd_flops_per_sample, batch);
   const double backward_share =
-      time.backward_factor / (1.0 + time.backward_factor);
+      TimeModel::kBackwardFactor / (1.0 + TimeModel::kBackwardFactor);
   c.forward_s = c.compute_s * (1.0 - backward_share);
   c.backward_s = c.compute_s * backward_share;
   c.time_scale = time.compression_time_scale;
-  c.fixed_s = compressing ? time.compression_fixed_per_tensor : 0.0;
+  c.fixed_s = compressing ? TimeModel::kCompressionFixedPerTensor : 0.0;
   c.overlap = time.overlap;
   return c;
 }

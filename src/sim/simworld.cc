@@ -82,7 +82,7 @@ ScaleResult simulate_scale(const ReplicaFactory& factory,
   const bool allreduce_mode =
       grace.compressor().comm_mode() == core::CommMode::Allreduce;
   r.optimizer_s =
-      cfg.time.optimizer_seconds(model->module().num_parameters());
+      TimeModel::optimizer_seconds(model->module().num_parameters());
 
   // Submit every bucket through the real pipeline; from each payload take
   // the measured codec costs, the logical wire size, the physical blob

@@ -10,25 +10,26 @@
 namespace grace::sim {
 
 struct TimeModel {
-  // Effective fp32 rate of the simulated accelerator. The default is chosen
-  // so that model compute : communication ratios land in the same regimes
-  // as the paper's V100 + 10 Gbps testbed (see DESIGN.md).
-  double device_flops = 4e9;
+  // Effective fp32 rate of the simulated accelerator, chosen so that model
+  // compute : communication ratios land in the same regimes as the
+  // paper's V100 + 10 Gbps testbed (see DESIGN.md).
+  static constexpr double kDeviceFlops = 4e9;
   // Backward pass costs ~2x the forward pass.
-  double backward_factor = 2.0;
-  // Calibration between this host CPU and the testbed CPU for the measured
-  // compression kernels (1.0 = charge host CPU time as-is).
-  double compression_time_scale = 1.0;
+  static constexpr double kBackwardFactor = 2.0;
   // Fixed per-gradient-tensor cost of invoking the compression pipeline
   // (framework dispatch, kernel launches, device-host transfers — the
   // costs §V-D of the paper profiles). Charged once per tensor per
   // iteration whenever a non-identity compressor runs.
-  double compression_fixed_per_tensor = 120e-6;
+  static constexpr double kCompressionFixedPerTensor = 120e-6;
   // Optimizer update cost per parameter element (a handful of fused
   // reads/multiply-adds/writes on the simulated device). Charged once per
   // iteration so the optimizer phase participates in the per-phase
   // accounting; the share is tiny relative to forward+backward.
-  double optimizer_flops_per_param = 4.0;
+  static constexpr double kOptimizerFlopsPerParam = 4.0;
+
+  // Calibration between this host CPU and the testbed CPU for the measured
+  // compression kernels (1.0 = charge host CPU time as-is).
+  double compression_time_scale = 1.0;
   // Compute-communication overlap (sim/scheduler.h, DESIGN.md §7a). When
   // true, the iteration time comes from the per-rank exchange timeline: a
   // bucket's compression starts as soon as its gradients are ready during
@@ -39,14 +40,14 @@ struct TimeModel {
   // the phase breakdown sums exactly to the iteration time.
   bool overlap = false;
 
-  double compute_seconds(double fwd_flops_per_sample, int64_t batch) const {
-    return fwd_flops_per_sample * (1.0 + backward_factor) *
-           static_cast<double>(batch) / device_flops;
+  static double compute_seconds(double fwd_flops_per_sample, int64_t batch) {
+    return fwd_flops_per_sample * (1.0 + kBackwardFactor) *
+           static_cast<double>(batch) / kDeviceFlops;
   }
 
-  double optimizer_seconds(int64_t params) const {
-    return optimizer_flops_per_param * static_cast<double>(params) /
-           device_flops;
+  static double optimizer_seconds(int64_t params) {
+    return kOptimizerFlopsPerParam * static_cast<double>(params) /
+           kDeviceFlops;
   }
 };
 

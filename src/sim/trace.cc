@@ -147,22 +147,4 @@ std::string run_result_json(const RunResult& r) {
   return os.str();
 }
 
-std::string trace_events_json(const Trace& t) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << '[';
-  bool first = true;
-  for (const TraceEvent& ev : t.events()) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"rank\":" << ev.rank << ",\"epoch\":" << ev.epoch
-       << ",\"iter\":" << ev.iter << ",\"phase\":\"" << phase_name(ev.phase)
-       << "\",\"tensor\":" << ev.tensor << ",\"seconds\":" << ev.seconds
-       << ",\"bytes\":" << ev.bytes << ",\"start_seconds\":" << ev.start_s
-       << '}';
-  }
-  os << ']';
-  return os.str();
-}
-
 }  // namespace grace::sim

@@ -70,7 +70,6 @@ class Trace {
   uint64_t dropped() const;
 
   int n_ranks() const { return static_cast<int>(rings_.size()); }
-  size_t capacity_per_rank() const { return capacity_; }
 
  private:
   struct Ring {
@@ -87,7 +86,5 @@ class Trace {
 // test). run_result_json covers the per-phase breakdown, wire/byte
 // accounting, and the per-tensor trace summaries of one run.
 std::string run_result_json(const RunResult& r);
-// Raw retained events as a JSON array (bounded by the ring capacity).
-std::string trace_events_json(const Trace& t);
 
 }  // namespace grace::sim

@@ -45,6 +45,7 @@ struct WorkerLog {
   // exchanged row in row order.
   std::vector<core::ExchangeStats> buckets;
   bool in_sync = true;             // every check_sync this rank ran passed
+  bool error_feedback = false;     // whether this rank's worker runs EF
   // This rank's controller as the run left it (when one runs).
   std::unique_ptr<control::Controller> controller;
   // Rank 0 only: the evaluations, their epochs, and the final weights.
@@ -249,7 +250,7 @@ Setup::Setup(const ReplicaFactory& factory, const TrainConfig& cfg)
   clock = iteration_clock(cfg.time, fwd_flops_per_sample,
                           cfg.batch_per_worker, compressing);
   head.compute_s = clock.compute_s;
-  head.optimizer_s = cfg.time.optimizer_seconds(head.model_parameters);
+  head.phases.optimizer_s = TimeModel::optimizer_seconds(head.model_parameters);
 
   fidelity = cfg.fidelity != nullptr ? cfg.fidelity : ctl_probe.get();
   const CriticalPathCollector* const cpath = cfg.critical_path;
@@ -288,6 +289,7 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
   comm::Comm comm = setup.transport[0].world->comm(rank);
   core::GraceWorker grace(cfg.grace, comm, setup.transport[0].net,
                           cfg.seed * 7919ULL + static_cast<uint64_t>(rank));
+  log.error_feedback = grace.error_feedback_enabled();
   auto optimizer = optim::make_optimizer(cfg.optimizer);
   Rng batch_rng(cfg.seed * 104729ULL + static_cast<uint64_t>(rank));
 
@@ -656,7 +658,7 @@ void record(const Setup& setup, int rank, const IterationRow& row,
     metrics->observe(rank, "sched.overlap_saved_ns",
                      (bs.additive_end - bs.exchange_end) * 1e9);
   }
-  event(Phase::Optimizer, -1, setup.head.optimizer_s, 0);
+  event(Phase::Optimizer, -1, setup.head.phases.optimizer_s, 0);
   if (stall_s > 0.0) {
     event(Phase::Fault, -1, stall_s, 0);
     if (metrics) metrics->observe(rank, "fault.stall_ns", stall_s * 1e9);
@@ -679,7 +681,7 @@ RunResult fold(const Setup& setup, std::vector<WorkerLog>& logs) {
   const faults::FaultPlan* const plan = cfg.faults;
   const int n = cfg.n_workers;
   const IterationClock& clock = setup.clock;
-  const double optimizer_s = setup.head.optimizer_s;
+  const double optimizer_s = setup.head.phases.optimizer_s;
   const std::vector<BucketSpec>& bucket_plan = setup.bucket_plan;
   Trace* const trace = cfg.trace;
   MetricRegistry* const metrics = cfg.metrics;
@@ -759,15 +761,13 @@ RunResult fold(const Setup& setup, std::vector<WorkerLog>& logs) {
   if (cpath) result.critical_path = cpath->summary();
   if (total_iters > 0) {
     const auto iters = static_cast<double>(total_iters);
-    result.comm_s = comm_sum / iters;
     result.compress_s = (compress_sum + decompress_sum) / iters;
     result.wire_bytes_per_iter = bytes_sum / iters;
     result.phases.forward_s = clock.forward_s;
     result.phases.backward_s = clock.backward_s;
     result.phases.compress_s = compress_sum / iters;
-    result.phases.comm_s = result.comm_s;
+    result.phases.comm_s = comm_sum / iters;
     result.phases.decompress_s = decompress_sum / iters;
-    result.phases.optimizer_s = optimizer_s;
     result.phases.stall_s = stall_sum / iters;
     double iter_sum = 0.0;
     for (double sec : iter_seconds) iter_sum += sec;
@@ -947,10 +947,7 @@ RunResult fold(const Setup& setup, std::vector<WorkerLog>& logs) {
   result.parameters_crc32 = util::crc32(
       std::as_bytes(std::span<const float>(result.final_parameters)));
 
-  result.error_feedback =
-      core::GraceWorker(cfg.grace, setup.transport[0].world->comm(0),
-                        setup.transport[0].net, 0)
-          .error_feedback_enabled();
+  result.error_feedback = logs[0].error_feedback;
   return result;
 }
 

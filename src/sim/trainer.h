@@ -71,8 +71,8 @@ struct TrainConfig {
   // null (the default) no event is recorded.
   Trace* trace = nullptr;
   // Optional compression-fidelity probe (sim/fidelity.h, not owned). When
-  // set, every probe->every_k()-th iteration measures per-tensor
-  // reconstruction fidelity inside GraceWorker::exchange and the trainer
+  // set, every k-th iteration (its should_sample) measures per-tensor
+  // reconstruction fidelity inside GraceWorker::submit and the trainer
   // fills RunResult::fidelity. When null the cost is one branch per
   // iteration and one per exchange.
   CompressionFidelityProbe* fidelity = nullptr;

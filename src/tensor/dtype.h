@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 namespace grace {
 
@@ -16,15 +15,6 @@ inline size_t dtype_size(DType t) {
     case DType::U8: return 1;
   }
   return 0;
-}
-
-inline std::string dtype_name(DType t) {
-  switch (t) {
-    case DType::F32: return "f32";
-    case DType::I32: return "i32";
-    case DType::U8: return "u8";
-  }
-  return "?";
 }
 
 }  // namespace grace

@@ -96,19 +96,6 @@ void hadamard(std::span<float> y, std::span<const float> x) {
   });
 }
 
-float dot(std::span<const float> a, std::span<const float> b) {
-  assert(a.size() == b.size());
-  const float* ap = a.data();
-  const float* bp = b.data();
-  return static_cast<float>(reduce_double(ssize(a), [&](int64_t lo, int64_t hi) {
-    double acc = 0.0;
-    for (int64_t i = lo; i < hi; ++i) {
-      acc += static_cast<double>(ap[i]) * bp[i];
-    }
-    return acc;
-  }));
-}
-
 float sum(std::span<const float> x) {
   const float* p = x.data();
   return static_cast<float>(reduce_double(ssize(x), [&](int64_t lo, int64_t hi) {
@@ -116,10 +103,6 @@ float sum(std::span<const float> x) {
     for (int64_t i = lo; i < hi; ++i) acc += p[i];
     return acc;
   }));
-}
-
-float mean(std::span<const float> x) {
-  return x.empty() ? 0.0f : sum(x) / static_cast<float>(x.size());
 }
 
 float l1_norm(std::span<const float> x) {
@@ -167,18 +150,6 @@ float max(std::span<const float> x) {
       [](float acc, float part) { return std::max(acc, part); });
 }
 
-float min(std::span<const float> x) {
-  const float* p = x.data();
-  return runtime::parallel_reduce(
-      ssize(x), kReduceGrain, std::numeric_limits<float>::infinity(),
-      [&](int64_t lo, int64_t hi) {
-        float m = std::numeric_limits<float>::infinity();
-        for (int64_t i = lo; i < hi; ++i) m = std::min(m, p[i]);
-        return m;
-      },
-      [](float acc, float part) { return std::min(acc, part); });
-}
-
 int64_t argmax(std::span<const float> x) {
   struct Best {
     float v = -std::numeric_limits<float>::infinity();
@@ -210,29 +181,6 @@ int64_t count_nonzero(std::span<const float> x) {
         return c;
       },
       [](int64_t acc, int64_t part) { return acc + part; });
-}
-
-void abs_inplace(std::span<float> x) {
-  float* p = x.data();
-  runtime::parallel_for(ssize(x), kElemGrain, [&](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) p[i] = std::fabs(p[i]);
-  });
-}
-
-void sign_into(std::span<const float> x, std::span<float> out) {
-  assert(x.size() == out.size());
-  const float* xp = x.data();
-  float* op = out.data();
-  runtime::parallel_for(ssize(x), kElemGrain, [&](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) op[i] = xp[i] < 0.0f ? -1.0f : 1.0f;
-  });
-}
-
-void clamp(std::span<float> x, float lo, float hi) {
-  float* p = x.data();
-  runtime::parallel_for(ssize(x), kElemGrain, [&](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) p[i] = std::clamp(p[i], lo, hi);
-  });
 }
 
 std::vector<int32_t> topk_abs_indices(std::span<const float> x, int64_t k) {
@@ -281,18 +229,6 @@ std::vector<int32_t> topk_abs_indices(std::span<const float> x, int64_t k) {
   return idx;
 }
 
-float kth_largest_abs(std::span<const float> x, int64_t k) {
-  assert(k >= 1 && k <= static_cast<int64_t>(x.size()));
-  std::vector<float> mags(x.size());
-  const float* p = x.data();
-  runtime::parallel_for(ssize(x), kElemGrain, [&](int64_t b, int64_t e) {
-    util::simd::abs_into(p + b, mags.data() + b, e - b);
-  });
-  std::nth_element(mags.begin(), mags.begin() + (k - 1), mags.end(),
-                   std::greater<>());
-  return mags[static_cast<size_t>(k - 1)];
-}
-
 std::vector<int32_t> threshold_indices(std::span<const float> x, float threshold) {
   const auto n = static_cast<int64_t>(x.size());
   const float* p = x.data();
@@ -311,19 +247,6 @@ std::vector<int32_t> threshold_indices(std::span<const float> x, float threshold
   std::vector<int32_t> out;
   for (const auto& part : parts) out.insert(out.end(), part.begin(), part.end());
   return out;
-}
-
-float abs_quantile(std::span<const float> x, double q) {
-  if (x.empty()) return 0.0f;
-  std::vector<float> mags(x.size());
-  const float* p = x.data();
-  runtime::parallel_for(ssize(x), kElemGrain, [&](int64_t b, int64_t e) {
-    util::simd::abs_into(p + b, mags.data() + b, e - b);
-  });
-  const auto pos = static_cast<int64_t>(
-      q * static_cast<double>(mags.size() - 1) + 0.5);
-  std::nth_element(mags.begin(), mags.begin() + pos, mags.end());
-  return mags[static_cast<size_t>(pos)];
 }
 
 }  // namespace grace::ops

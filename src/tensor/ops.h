@@ -16,29 +16,17 @@ void axpy(std::span<float> y, float a, std::span<const float> x);  // y += a*x
 void copy(std::span<float> dst, std::span<const float> src);
 void hadamard(std::span<float> y, std::span<const float> x);   // y *= x
 
-float dot(std::span<const float> a, std::span<const float> b);
 float sum(std::span<const float> x);
-float mean(std::span<const float> x);
 float l1_norm(std::span<const float> x);
 float l2_norm(std::span<const float> x);
 float linf_norm(std::span<const float> x);  // max |x[i]|
 float max(std::span<const float> x);
-float min(std::span<const float> x);
 int64_t argmax(std::span<const float> x);
 int64_t count_nonzero(std::span<const float> x);
 
-void abs_inplace(std::span<float> x);
-void sign_into(std::span<const float> x, std::span<float> out);  // ±1 (0 -> +1)
-void clamp(std::span<float> x, float lo, float hi);
-
 // Indices of the k largest-magnitude elements (unsorted order by index).
 std::vector<int32_t> topk_abs_indices(std::span<const float> x, int64_t k);
-// Magnitude of the k-th largest |x[i]| (k >= 1). O(n) via nth_element.
-float kth_largest_abs(std::span<const float> x, int64_t k);
 // Indices where |x[i]| > threshold.
 std::vector<int32_t> threshold_indices(std::span<const float> x, float threshold);
-
-// q-quantile (q in [0,1]) of |values| computed on a copy. q=1 -> max.
-float abs_quantile(std::span<const float> x, double q);
 
 }  // namespace grace::ops

@@ -80,6 +80,4 @@ std::vector<int32_t> Rng::sample_indices(int64_t n, int64_t k) {
   return {chosen.begin(), chosen.end()};
 }
 
-Rng Rng::split() { return Rng(next_u64()); }
-
 }  // namespace grace

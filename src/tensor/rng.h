@@ -41,10 +41,6 @@ class Rng {
     }
   }
 
-  // A child generator with an independent stream; used to give each worker
-  // and each tensor its own deterministic stream.
-  Rng split();
-
  private:
   uint64_t s_[4];
   bool has_cached_normal_ = false;

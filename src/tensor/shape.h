@@ -16,22 +16,17 @@ class Shape {
   explicit Shape(std::vector<int64_t> dims) : dims_(std::move(dims)) {}
 
   int rank() const { return static_cast<int>(dims_.size()); }
-  int64_t dim(int i) const { return dims_.at(static_cast<size_t>(i)); }
   int64_t operator[](int i) const { return dims_.at(static_cast<size_t>(i)); }
   const std::vector<int64_t>& dims() const { return dims_; }
 
   // Total number of elements. 1 for a scalar shape.
   int64_t numel() const;
 
-  // Collapse to a rank-1 shape with the same number of elements.
-  Shape flattened() const { return Shape{{numel()}}; }
-
   // Interpret this shape as a 2-D matrix: first dimension x product of the
   // rest. Rank-1 shapes become (n, 1) columns. Used by low-rank compressors.
   Shape as_matrix() const;
 
   bool operator==(const Shape& o) const { return dims_ == o.dims_; }
-  bool operator!=(const Shape& o) const { return dims_ != o.dims_; }
 
   std::string to_string() const;
 

@@ -82,10 +82,6 @@ class Tensor {
     return f32()[0];
   }
 
-  bool same_layout(const Tensor& o) const {
-    return dtype_ == o.dtype_ && shape_ == o.shape_;
-  }
-
  private:
   DType dtype_ = DType::F32;
   Shape shape_{{0}};

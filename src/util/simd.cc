@@ -160,10 +160,6 @@ int64_t threshold_scalar(const float* x, int64_t lo, int64_t hi,
   return cnt;
 }
 
-void abs_scalar(const float* x, float* out, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) out[i] = std::fabs(x[i]);
-}
-
 // ------------------------------------------------------- SWAR pack/unpack
 // 8 code bytes fold into 8*B contiguous bits (and back) with three
 // merge-adjacent-fields steps; field masks are compile-time constants.
@@ -363,15 +359,6 @@ int64_t threshold_avx2(const float* x, int64_t lo, int64_t hi, float threshold,
   return cnt;
 }
 
-void abs_avx2(const float* x, float* out, int64_t n) {
-  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_and_ps(_mm256_loadu_ps(x + i), abs_mask));
-  }
-  for (; i < n; ++i) out[i] = std::fabs(x[i]);
-}
-
 #endif  // GRACE_SIMD_AVX2
 
 // --------------------------------------------------------- SSE4.1 kernels
@@ -475,15 +462,6 @@ int64_t threshold_sse(const float* x, int64_t lo, int64_t hi, float threshold,
   return cnt;
 }
 
-void abs_sse(const float* x, float* out, int64_t n) {
-  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFFFFFF));
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(out + i, _mm_and_ps(_mm_loadu_ps(x + i), abs_mask));
-  }
-  for (; i < n; ++i) out[i] = std::fabs(x[i]);
-}
-
 #endif  // GRACE_SIMD_SSE
 
 // ----------------------------------------------------------- NEON kernels
@@ -543,12 +521,6 @@ void dequantize_neon(const uint8_t* codes, float* out, int64_t n, float scale,
     }
   }
   for (; i < n; ++i) out[i] = dequantize_one(codes[i], scale, flevels);
-}
-
-void abs_neon(const float* x, float* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) vst1q_f32(out + i, vabsq_f32(vld1q_f32(x + i)));
-  for (; i < n; ++i) out[i] = std::fabs(x[i]);
 }
 
 #endif  // GRACE_SIMD_NEON
@@ -722,21 +694,6 @@ int64_t threshold_select(const float* x, int64_t lo, int64_t hi,
     case Level::Sse: return threshold_sse(x, lo, hi, threshold, out);
 #endif
     default: return threshold_scalar(x, lo, hi, threshold, out);
-  }
-}
-
-void abs_into(const float* x, float* out, int64_t n) {
-  switch (active_level()) {
-#ifdef GRACE_SIMD_AVX2
-    case Level::Avx2: abs_avx2(x, out, n); return;
-#endif
-#ifdef GRACE_SIMD_SSE
-    case Level::Sse: abs_sse(x, out, n); return;
-#endif
-#ifdef GRACE_SIMD_NEON
-    case Level::Neon: abs_neon(x, out, n); return;
-#endif
-    default: abs_scalar(x, out, n); return;
   }
 }
 

@@ -89,7 +89,4 @@ void gather_f32(const float* x, const int32_t* indices, float* out, int64_t n);
 int64_t threshold_select(const float* x, int64_t lo, int64_t hi,
                          float threshold, int32_t* out);
 
-// out[i] = |x[i]| (sign bit cleared; NaN payloads preserved bit-exactly).
-void abs_into(const float* x, float* out, int64_t n);
-
 }  // namespace grace::util::simd

@@ -1,6 +1,6 @@
 // Shared strict JSON validator for tests: enough JSON to check that the
-// emitted documents (run_result_json, trace_events_json, trace_chrome_json,
-// the BENCH_*.json wrappers) parse, and to walk their keys. Deliberately
+// emitted documents (run_result_json, trace_chrome_json, the BENCH_*.json
+// wrappers) parse, and to walk their keys. Deliberately
 // strict — no trailing commas, no comments, no unconsumed suffix.
 #pragma once
 

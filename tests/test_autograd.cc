@@ -206,19 +206,11 @@ TEST(AutogradModule, ZeroGradClears) {
   for (float g : a.value->grad.f32()) EXPECT_EQ(g, 0.0f);
 }
 
-TEST(AutogradModule, NumParametersAndCopy) {
+TEST(AutogradModule, NumParameters) {
   Rng rng(5);
-  Module a, b;
+  Module a;
   Linear la(a, "fc", 3, 2, rng);
-  Rng rng2(99);
-  Linear lb(b, "fc", 3, 2, rng2);
   EXPECT_EQ(a.num_parameters(), 3 * 2 + 2);
-  b.copy_parameters_from(a);
-  for (size_t i = 0; i < a.parameters().size(); ++i) {
-    auto pa = a.parameters()[i].value->data.f32();
-    auto pb = b.parameters()[i].value->data.f32();
-    for (size_t j = 0; j < pa.size(); ++j) EXPECT_EQ(pa[j], pb[j]);
-  }
 }
 
 }  // namespace

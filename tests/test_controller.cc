@@ -116,6 +116,14 @@ std::vector<float> signals_1bucket(float n, float cosine, float sign,
           1.0f * n, 32.0f * n,  256.0f * n};
 }
 
+// The controller's live state, read through its run summary.
+int arm(const Controller& ctl, size_t bucket) {
+  return ctl.summary().final_arms[bucket];
+}
+ControlDecision last_decision(const Controller& ctl) {
+  return ctl.summary().decisions.back();
+}
+
 ControlConfig hysteresis_cfg() {
   ControlConfig cfg;
   cfg.policy = "hysteresis";
@@ -139,11 +147,11 @@ TEST(HysteresisPolicy, SustainedBreachStepsOneArmLighter) {
   EXPECT_EQ(switched[0].from_arm, 1);
   EXPECT_EQ(switched[0].to_arm, 0);
   EXPECT_EQ(switched[0].signal, "cosine<floor");
-  EXPECT_EQ(ctl.arm(0), 0);
+  EXPECT_EQ(arm(ctl, 0), 0);
   // Already at the lightest arm: further breaches hold.
   EXPECT_TRUE(ctl.step(bad, 2, -1).empty());
   EXPECT_TRUE(ctl.step(bad, 3, -1).empty());
-  EXPECT_EQ(ctl.arm(0), 0);
+  EXPECT_EQ(arm(ctl, 0), 0);
 }
 
 TEST(HysteresisPolicy, SustainedHeadroomStepsOneArmHeavier) {
@@ -157,7 +165,7 @@ TEST(HysteresisPolicy, SustainedHeadroomStepsOneArmHeavier) {
   // At the heaviest arm the streak can no longer promote.
   EXPECT_TRUE(ctl.step(good, 2, -1).empty());
   EXPECT_TRUE(ctl.step(good, 3, -1).empty());
-  EXPECT_EQ(ctl.arm(0), 2);
+  EXPECT_EQ(arm(ctl, 0), 2);
 }
 
 TEST(HysteresisPolicy, InBandWindowResetsStreaksNoFlapping) {
@@ -168,8 +176,8 @@ TEST(HysteresisPolicy, InBandWindowResetsStreaksNoFlapping) {
   EXPECT_TRUE(ctl.step(bad, 0, -1).empty());     // breach streak 1
   EXPECT_TRUE(ctl.step(inband, 1, -1).empty());  // resets the streak
   EXPECT_TRUE(ctl.step(bad, 2, -1).empty());     // breach streak 1 again
-  EXPECT_EQ(ctl.arm(0), 1);                      // never switched
-  EXPECT_EQ(ctl.decisions().back().signal, "cosine<floor:wait");
+  EXPECT_EQ(arm(ctl, 0), 1);                      // never switched
+  EXPECT_EQ(last_decision(ctl).signal, "cosine<floor:wait");
 }
 
 TEST(HysteresisPolicy, EmptyWindowHoldsEverything) {
@@ -179,7 +187,7 @@ TEST(HysteresisPolicy, EmptyWindowHoldsEverything) {
   EXPECT_TRUE(ctl.step(bad, 0, -1).empty());
   // Idle windows neither advance nor reset the breach streak.
   EXPECT_TRUE(ctl.step(idle, 1, -1).empty());
-  EXPECT_EQ(ctl.decisions().back().signal, "idle");
+  EXPECT_EQ(last_decision(ctl).signal, "idle");
   const auto switched = ctl.step(bad, 2, -1);
   ASSERT_EQ(switched.size(), 1u);
   EXPECT_EQ(switched[0].to_arm, 0);
@@ -209,8 +217,8 @@ TEST(HysteresisPolicy, CheapBucketPinsToLightestArm) {
   // big bucket follows the ordinary hysteresis rules.
   ctl.step(sig, 1, -1);
   ctl.step(sig, 2, -1);
-  EXPECT_EQ(ctl.arm(0), 0);
-  EXPECT_EQ(ctl.decisions().back().bucket, 1);
+  EXPECT_EQ(arm(ctl, 0), 0);
+  EXPECT_EQ(last_decision(ctl).bucket, 1);
 }
 
 TEST(FixedPolicy, NeverSwitches) {
@@ -224,10 +232,10 @@ TEST(FixedPolicy, NeverSwitches) {
   two.insert(two.end(), bad.begin(), bad.end());
   two.insert(two.end(), bad.begin(), bad.end());
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(ctl.step(two, i, -1).empty());
-  EXPECT_EQ(ctl.switches(), 0);
+  EXPECT_EQ(ctl.summary().switches, 0);
   EXPECT_EQ(ctl.boundaries(), 4);
-  EXPECT_EQ(ctl.arm(0), 1);
-  EXPECT_EQ(ctl.arm(1), 1);
+  EXPECT_EQ(arm(ctl, 0), 1);
+  EXPECT_EQ(arm(ctl, 1), 1);
 }
 
 TEST(ControllerStep, RejectsWrongSignalSize) {
@@ -249,7 +257,7 @@ ControlConfig bandit_cfg() {
 // Windows whose reward depends on the arm currently played, so bandit
 // statistics evolve with the decision sequence.
 std::vector<float> bandit_window(const Controller& ctl) {
-  const float cos = ctl.arm(0) == 0 ? 0.99f : 0.80f;
+  const float cos = arm(ctl, 0) == 0 ? 0.99f : 0.80f;
   return signals_1bucket(8, cos, 0.9f, 0.1f);
 }
 
@@ -260,8 +268,8 @@ TEST(SeededBandit, SameSeedReplaysBitIdentically) {
     a.step(bandit_window(a), i, -1);
     b.step(bandit_window(b), i, -1);
   }
-  EXPECT_EQ(control::control_decisions_json(a.decisions()),
-            control::control_decisions_json(b.decisions()));
+  EXPECT_EQ(control::control_decisions_json(a.summary().decisions),
+            control::control_decisions_json(b.summary().decisions));
   EXPECT_EQ(a.snapshot(), b.snapshot());
 }
 
@@ -272,8 +280,8 @@ TEST(SeededBandit, DifferentSeedsDiverge) {
     a.step(bandit_window(a), i, -1);
     b.step(bandit_window(b), i, -1);
   }
-  EXPECT_NE(control::control_decisions_json(a.decisions()),
-            control::control_decisions_json(b.decisions()));
+  EXPECT_NE(control::control_decisions_json(a.summary().decisions),
+            control::control_decisions_json(b.summary().decisions));
 }
 
 TEST(SeededBandit, UcbDrawsNoRandomness) {
@@ -296,7 +304,7 @@ TEST(SeededBandit, SnapshotRoundTripsMidSequence) {
   resumed_cfg.resume_state = snap;
   Controller resumed(resumed_cfg, {"bucket0"}, 777);
   EXPECT_EQ(resumed.boundaries(), 10);
-  EXPECT_EQ(resumed.arm(0), full.arm(0));
+  EXPECT_EQ(arm(resumed, 0), arm(full, 0));
 
   for (int i = 10; i < 24; ++i) {
     full.step(bandit_window(full), i, -1);
@@ -304,8 +312,8 @@ TEST(SeededBandit, SnapshotRoundTripsMidSequence) {
   }
   EXPECT_EQ(resumed.snapshot(), full.snapshot());
   // The resumed log holds only the tail; it must equal the full log's tail.
-  const auto& tail = resumed.decisions();
-  const auto& all = full.decisions();
+  const auto tail = resumed.summary().decisions;
+  const auto all = full.summary().decisions;
   ASSERT_EQ(all.size(), 24u);
   ASSERT_EQ(tail.size(), 14u);
   for (size_t i = 0; i < tail.size(); ++i) {
@@ -343,6 +351,48 @@ TEST(ControllerSnapshot, RejectsCorruptOrMismatchedState) {
   ok.resume_state = snap;
   Controller resumed(ok, {"bucket0"}, 42);
   EXPECT_EQ(resumed.boundaries(), 1);
+}
+
+// `snap` with the value of its `key=` field replaced.
+std::string with_field(const std::string& snap, const std::string& key,
+                       const std::string& value) {
+  const size_t at = snap.find(";" + key + "=");
+  if (at == std::string::npos) return snap;
+  const size_t begin = at + key.size() + 2;
+  const size_t end = snap.find(';', begin);
+  return snap.substr(0, begin) + value +
+         (end == std::string::npos ? "" : snap.substr(end));
+}
+
+TEST(ControllerSnapshot, RejectsOutOfRangeCounts) {
+  // Ten boundaries over one bucket: at most ten draws, ten switches and
+  // ten plays per arm.
+  Controller ctl(bandit_cfg(), {"bucket0"}, 7);
+  for (int i = 0; i < 10; ++i) ctl.step(bandit_window(ctl), i, -1);
+  const std::string snap = ctl.snapshot();
+  auto resume = [](const std::string& state) {
+    ControlConfig cfg = bandit_cfg();
+    cfg.resume_state = state;
+    Controller c(cfg, {"bucket0"}, 7);
+  };
+  EXPECT_NO_THROW(resume(snap));
+  // draws=-1 would replay ~2^64 uniform draws: a hang, not an error.
+  EXPECT_THROW(resume(with_field(snap, "draws", "-1")), std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "draws", "11")), std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "boundaries", "-1")),
+               std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "switches", "-1")),
+               std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "switches", "11")),
+               std::invalid_argument);
+  // Bandit cells are "<plays>:<mean>", one per arm.
+  EXPECT_THROW(resume(with_field(snap, "b", "0|-1:0.5,4:0.5,4:0.5")),
+               std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "b", "0|11:0.5,4:0.5,4:0.5")),
+               std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "b", "0|4:nan,4:0.5,4:0.5")),
+               std::invalid_argument);
+  EXPECT_NO_THROW(resume(with_field(snap, "b", "0|4:0.5,4:0.5,2:0.5")));
 }
 
 // --- Trainer integration ---------------------------------------------------

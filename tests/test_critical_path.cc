@@ -258,7 +258,7 @@ void expect_honest(const RunResult& run, const std::string& what) {
     const WhatIfResult& w = cp.what_ifs[i];
     EXPECT_EQ(w.name, scenario_name(kScenarios[i]));
     EXPECT_GT(w.iteration_s, 0.0) << w.name;
-    EXPECT_GE(w.iteration_s, run.compute_s + run.optimizer_s - 1e-12)
+    EXPECT_GE(w.iteration_s, run.compute_s + run.phases.optimizer_s - 1e-12)
         << w.name;
     const bool swaps_accounting =
         !run.overlap_enabled && kScenarios[i] == Scenario::PerfectOverlap;

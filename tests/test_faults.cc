@@ -6,6 +6,8 @@
 // percentiles.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,7 +109,7 @@ TEST(CompressedCrc, TruncationThrows) {
 
 TEST(FaultSpecJson, RoundTripPreservesEveryField) {
   faults::FaultSpec s;
-  s.seed = 987654321;
+  s.seed = (uint64_t{1} << 60) + 1;  // above 2^53: not exact as a double
   s.drop_prob = 0.125;
   s.corrupt_prob = 0.0625;
   s.max_retries = 5;
@@ -185,6 +187,37 @@ TEST(FaultSpecJson, StrictParserRejectsTypos) {
                std::invalid_argument);
 }
 
+TEST(FaultSpecJson, RejectsNonJsonNumbers) {
+  for (const char* doc :
+       {"{\"drop_prob\": nan}", "{\"drop_prob\": inf}",
+        "{\"drop_prob\": -inf}", "{\"straggler_delay_s\": 0x10}",
+        "{\"drop_prob\": +0.5}", "{\"drop_prob\": .5}",
+        "{\"drop_prob\": 5.}", "{\"drop_prob\": 01}",
+        "{\"drop_prob\": 1e}", "{\"straggler_delay_s\": 1e999}"}) {
+    EXPECT_THROW(faults::parse_fault_spec_json(doc), std::invalid_argument)
+        << doc;
+  }
+}
+
+TEST(FaultSpecJson, IntegerKeysRejectFractionalAndOutOfRangeValues) {
+  for (const char* doc :
+       {"{\"max_retries\": 2.7}", "{\"max_retries\": 1e30}",
+        "{\"max_retries\": 2147483648}", "{\"seed\": -1}",
+        "{\"seed\": 18446744073709551616}", "{\"crash_iter\": 0.5}",
+        "{\"churn\": [{\"epoch\": 1.9, \"rank\": 1, \"join\": 0}]}",
+        "{\"churn\": [{\"epoch\": 1, \"rank\": 1, \"join\": 2}]}"}) {
+    EXPECT_THROW(faults::parse_fault_spec_json(doc), std::invalid_argument)
+        << doc;
+  }
+  // Integers in JSON syntax still parse, including the extremes.
+  const faults::FaultSpec s = faults::parse_fault_spec_json(
+      "{\"seed\": 18446744073709551615, \"max_retries\": 3, "
+      "\"crash_iter\": -1}");
+  EXPECT_EQ(s.seed, UINT64_MAX);
+  EXPECT_EQ(s.max_retries, 3);
+  EXPECT_EQ(s.crash_iter, -1);
+}
+
 // ---------------------------------------------------------------------------
 // FaultPlan decision functions
 
@@ -205,6 +238,19 @@ TEST(FaultPlan, ValidationRejectsBadSpecs) {
   s = {};
   s.straggler_delay_s = -1.0;
   EXPECT_THROW(faults::FaultPlan{s}, std::invalid_argument);
+  // Delays must be finite: a NaN or infinite stall would poison the clock.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    s = {};
+    s.retry_timeout_s = bad;
+    EXPECT_THROW(faults::FaultPlan{s}, std::invalid_argument);
+    s = {};
+    s.straggler_delay_s = bad;
+    EXPECT_THROW(faults::FaultPlan{s}, std::invalid_argument);
+    s = {};
+    s.outage_reconnect_stall_s = bad;
+    EXPECT_THROW(faults::FaultPlan{s}, std::invalid_argument);
+  }
   s = {};
   s.participation_rate = 0.0;  // nobody would ever participate
   EXPECT_THROW(faults::FaultPlan{s}, std::invalid_argument);
@@ -415,8 +461,8 @@ TEST(FaultPlan, CrashFiresAtExactCoordinates) {
   s.crash_epoch = 1;
   s.crash_iter = 3;
   faults::FaultPlan plan(s);
-  EXPECT_TRUE(plan.has_crash());
-  EXPECT_FALSE(faults::FaultPlan{}.has_crash());
+  EXPECT_TRUE(plan.spec().has_crash());
+  EXPECT_FALSE(faults::FaultPlan{}.spec().has_crash());
 }
 
 // ---------------------------------------------------------------------------
@@ -473,7 +519,6 @@ faults::FaultCounters roundtrip_under_faults(const faults::FaultSpec& spec,
   comm::NetworkModel net;
   net.n_workers = 2;
   faults::FaultInjector injector(&plan, net, 2);
-  injector.set_liveness_deadline(30.0);
   comm::World world(2);
   world.install_faults(&injector);
 

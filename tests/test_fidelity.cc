@@ -26,6 +26,13 @@ namespace {
 
 using grace::testing::JsonChecker;
 
+// Total probed exchanges across all ranks and tensors.
+int64_t total_samples(const CompressionFidelityProbe& probe) {
+  int64_t total = 0;
+  for (const TensorFidelitySummary& t : probe.summaries()) total += t.samples;
+  return total;
+}
+
 // One probed single-rank exchange: every fidelity quantity is then exactly
 // computable from the gradient and the compressor's reconstruction.
 core::FidelitySample probe_one(const core::GraceConfig& cfg,
@@ -41,7 +48,7 @@ core::FidelitySample probe_one(const core::GraceConfig& cfg,
   net.n_workers = 1;
   core::GraceWorker worker(cfg, world.comm(0), net, /*rng_seed=*/7);
   worker.set_probe(&capture);
-  worker.exchange(grad, "g");
+  worker.wait(worker.submit(grad, "g"));
   EXPECT_EQ(capture.samples.size(), 1u);
   return capture.samples.empty() ? core::FidelitySample{} : capture.samples[0];
 }
@@ -122,14 +129,14 @@ TEST(FidelityProbe, AccumulatesPerTensorAcrossRanksDeterministically) {
       worker.set_probe(&probe);
       Tensor g = Tensor::full(Shape{{8}}, static_cast<float>(rank + 1));
       for (int step = 0; step < 3; ++step) {
-        worker.exchange(g, "w", /*stats=*/nullptr);
-        worker.exchange(g, "b", /*stats=*/nullptr);
+        worker.wait(worker.submit(g, "w"));
+        worker.wait(worker.submit(g, "b"));
       }
     });
   }
   for (auto& t : threads) t.join();
 
-  EXPECT_EQ(probe.samples(), 12);  // 2 ranks x 2 tensors x 3 steps
+  EXPECT_EQ(total_samples(probe), 12);  // 2 ranks x 2 tensors x 3 steps
   const auto summaries = probe.summaries();
   ASSERT_EQ(summaries.size(), 2u);
   EXPECT_EQ(summaries[0].name, "w");  // first-exchanged order
@@ -184,7 +191,7 @@ TEST(FidelityTrainer, SamplesEveryKthIterationPerTensorPerRank) {
     EXPECT_GT(t.sign_agreement, 0.0) << t.name;
     EXPECT_GT(t.mean_wire_bits, 0.0) << t.name;
   }
-  EXPECT_EQ(probe.samples(),
+  EXPECT_EQ(total_samples(probe),
             sampled_iters * r.cfg.n_workers * run.gradient_tensors);
 }
 

@@ -24,8 +24,10 @@ std::vector<Tensor> exchange_on_ranks(const GraceConfig& cfg, int n,
     threads.emplace_back([&, rank] {
       GraceWorker worker(cfg, world.comm(rank), net, static_cast<uint64_t>(rank) + 1);
       ExchangeStats stats;
-      results[static_cast<size_t>(rank)] =
-          worker.exchange(grads[static_cast<size_t>(rank)], "g", &stats);
+      results[static_cast<size_t>(rank)] = worker.wait(
+          worker.submit(grads[static_cast<size_t>(rank)], "g",
+                        /*instrument=*/true),
+          &stats);
       if (rank == 0 && stats0) *stats0 = stats;
     });
   }
@@ -206,7 +208,7 @@ TEST(GraceWorker, ErrorFeedbackRecoversDroppedMassOverTime) {
   Tensor shipped = Tensor::zeros(Shape{{50}});
   const int rounds = 60;
   for (int k = 0; k < rounds; ++k) {
-    Tensor agg = worker.exchange(g, "g", nullptr);
+    Tensor agg = worker.wait(worker.submit(g, "g"));
     ops::add(shipped.f32(), agg.f32());
   }
   // Without EF only 10% of coordinates would ever ship; with EF every
@@ -230,7 +232,7 @@ TEST(GraceWorker, WithoutErrorFeedbackMassIsLost) {
   rng.fill_normal(g.f32(), 1.0f, 0.2f);
   Tensor shipped = Tensor::zeros(Shape{{50}});
   for (int k = 0; k < 20; ++k) {
-    ops::add(shipped.f32(), worker.exchange(g, "g", nullptr).f32());
+    ops::add(shipped.f32(), worker.wait(worker.submit(g, "g")).f32());
   }
   EXPECT_EQ(ops::count_nonzero(shipped.f32()), 5);  // same top-5 every round
 }

@@ -16,11 +16,15 @@
 namespace {
 
 using namespace grace;
-using core::bits_per_index;
 using core::rice_decode_indices;
 using core::rice_encode_indices;
 using core::varint_decode_indices;
 using core::varint_encode_indices;
+
+double bits_per_index(const Tensor& encoded, int64_t n) {
+  return static_cast<double>(encoded.size_bytes()) * 8.0 /
+         static_cast<double>(n);
+}
 
 std::vector<uint8_t> bytes_of(const Tensor& t) {
   auto s = t.u8();

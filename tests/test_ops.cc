@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "tensor/ops.h"
 #include "tensor/rng.h"
@@ -33,12 +34,7 @@ TEST(Ops, Hadamard) {
   EXPECT_EQ(y, v({2, -6, 0}));
 }
 
-TEST(Ops, DotSumMean) {
-  EXPECT_FLOAT_EQ(ops::dot(v({1, 2, 3}), v({4, 5, 6})), 32.0f);
-  EXPECT_FLOAT_EQ(ops::sum(v({1, 2, 3})), 6.0f);
-  EXPECT_FLOAT_EQ(ops::mean(v({1, 2, 3})), 2.0f);
-  EXPECT_FLOAT_EQ(ops::mean({}), 0.0f);
-}
+TEST(Ops, Sum) { EXPECT_FLOAT_EQ(ops::sum(v({1, 2, 3})), 6.0f); }
 
 TEST(Ops, Norms) {
   const auto x = v({3, -4, 0});
@@ -47,30 +43,14 @@ TEST(Ops, Norms) {
   EXPECT_FLOAT_EQ(ops::linf_norm(x), 4.0f);
 }
 
-TEST(Ops, MinMaxArgmax) {
+TEST(Ops, MaxArgmax) {
   const auto x = v({1, 9, -3, 9});
   EXPECT_FLOAT_EQ(ops::max(x), 9.0f);
-  EXPECT_FLOAT_EQ(ops::min(x), -3.0f);
   EXPECT_EQ(ops::argmax(x), 1);  // first maximum
 }
 
 TEST(Ops, CountNonzero) {
   EXPECT_EQ(ops::count_nonzero(v({0, 1, 0, -2})), 2);
-}
-
-TEST(Ops, SignAndAbs) {
-  auto x = v({-2, 0, 5});
-  std::vector<float> s(3);
-  ops::sign_into(x, s);
-  EXPECT_EQ(s, v({-1, 1, 1}));  // sign(0) == +1 by convention
-  ops::abs_inplace(x);
-  EXPECT_EQ(x, v({2, 0, 5}));
-}
-
-TEST(Ops, Clamp) {
-  auto x = v({-5, 0.5, 5});
-  ops::clamp(x, -1.0f, 1.0f);
-  EXPECT_EQ(x, v({-1, 0.5, 1}));
 }
 
 TEST(Ops, TopkAbsIndices) {
@@ -94,25 +74,10 @@ TEST(Ops, TopkTieBreaksByIndex) {
   EXPECT_EQ(idx, (std::vector<int32_t>{0, 1}));
 }
 
-TEST(Ops, KthLargestAbs) {
-  const auto x = v({0.1f, -9.0f, 3.0f, -0.5f, 8.0f});
-  EXPECT_FLOAT_EQ(ops::kth_largest_abs(x, 1), 9.0f);
-  EXPECT_FLOAT_EQ(ops::kth_largest_abs(x, 2), 8.0f);
-  EXPECT_FLOAT_EQ(ops::kth_largest_abs(x, 5), 0.1f);
-}
-
 TEST(Ops, ThresholdIndices) {
   const auto x = v({0.1f, -9.0f, 3.0f, -0.5f, 8.0f});
   EXPECT_EQ(ops::threshold_indices(x, 2.9f), (std::vector<int32_t>{1, 2, 4}));
   EXPECT_EQ(ops::threshold_indices(x, 100.0f).size(), 0u);
-}
-
-TEST(Ops, AbsQuantile) {
-  std::vector<float> x(101);
-  for (int i = 0; i <= 100; ++i) x[static_cast<size_t>(i)] = static_cast<float>(i);
-  EXPECT_FLOAT_EQ(ops::abs_quantile(x, 0.0), 0.0f);
-  EXPECT_FLOAT_EQ(ops::abs_quantile(x, 1.0), 100.0f);
-  EXPECT_NEAR(ops::abs_quantile(x, 0.5), 50.0f, 1.0f);
 }
 
 TEST(Ops, TopkMatchesKthLargestConsistency) {
@@ -121,7 +86,12 @@ TEST(Ops, TopkMatchesKthLargestConsistency) {
   rng.fill_normal(x, 0.0f, 1.0f);
   const int64_t k = 50;
   auto idx = ops::topk_abs_indices(x, k);
-  const float kth = ops::kth_largest_abs(x, k);
+  std::vector<float> mags(x.size());
+  std::transform(x.begin(), x.end(), mags.begin(),
+                 [](float f) { return std::fabs(f); });
+  std::nth_element(mags.begin(), mags.begin() + (k - 1), mags.end(),
+                   std::greater<>());
+  const float kth = mags[static_cast<size_t>(k - 1)];
   // Every selected element is >= the k-th largest magnitude.
   for (int32_t i : idx) EXPECT_GE(std::fabs(x[static_cast<size_t>(i)]), kth);
 }

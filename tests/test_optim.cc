@@ -76,15 +76,6 @@ TEST(Optim, RmsPropStep) {
   EXPECT_NEAR(p[0], -0.01f * 2.0f / std::sqrt(0.4f), 1e-5f);
 }
 
-TEST(Optim, NameRoundTrip) {
-  for (auto t : {OptimizerType::Sgd, OptimizerType::Momentum,
-                 OptimizerType::Nesterov, OptimizerType::Adam,
-                 OptimizerType::RmsProp}) {
-    EXPECT_EQ(optimizer_type_from_name(optimizer_name(t)), t);
-  }
-  EXPECT_THROW(optimizer_type_from_name("bogus"), std::invalid_argument);
-}
-
 TEST(Optim, SetLr) {
   auto opt = make_optimizer({.type = OptimizerType::Sgd, .lr = 0.1});
   opt->set_lr(0.5);
@@ -104,7 +95,7 @@ TEST(Optim, ExportedStateContinuesTheSameTrajectory) {
   for (auto t : {OptimizerType::Sgd, OptimizerType::Momentum,
                  OptimizerType::Nesterov, OptimizerType::Adam,
                  OptimizerType::RmsProp}) {
-    SCOPED_TRACE(optimizer_name(t));
+    SCOPED_TRACE(::testing::Message() << "optimizer " << static_cast<int>(t));
     const OptimizerConfig cfg{.type = t, .lr = 0.1};
     auto a = make_optimizer(cfg);
     std::vector<float> p0{1.0f, 2.0f, 3.0f}, p1{-1.0f, 1.0f};

@@ -402,13 +402,11 @@ TEST(Resilience, RegistryFaultCountersSumToTheRunTotals) {
     ASSERT_GT(run.faults.retries, 0u);
 
     uint64_t staged = 0, drops = 0, corruptions = 0, retries = 0;
-    for (int r = 0; r < cfg.n_workers; ++r) {
-      for (const CounterSnapshot& c : registry.counters(r)) {
-        if (c.name == "fault.attempts_staged") staged += c.value;
-        if (c.name == "fault.drops_detected") drops += c.value;
-        if (c.name == "fault.corruptions_detected") corruptions += c.value;
-        if (c.name == "fault.retries") retries += c.value;
-      }
+    for (const CounterSnapshot& c : registry.counters()) {
+      if (c.name == "fault.attempts_staged") staged += c.value;
+      if (c.name == "fault.drops_detected") drops += c.value;
+      if (c.name == "fault.corruptions_detected") corruptions += c.value;
+      if (c.name == "fault.retries") retries += c.value;
     }
     EXPECT_EQ(staged, run.faults.attempts_staged);
     EXPECT_EQ(drops, run.faults.drops_detected);

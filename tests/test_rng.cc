@@ -88,15 +88,6 @@ TEST(Rng, SampleIndicesKLargerThanNClamps) {
   EXPECT_EQ(rng.sample_indices(4, 100).size(), 4u);
 }
 
-TEST(Rng, SplitStreamsAreIndependent) {
-  Rng parent(9);
-  Rng child = parent.split();
-  // Child should not replay the parent's stream.
-  Rng parent2(9);
-  parent2.split();
-  EXPECT_NE(child.next_u64(), parent2.next_u64() + 1);  // smoke: no aliasing crash
-}
-
 TEST(Rng, FillNormalWritesEveryElement) {
   Rng rng(13);
   std::vector<float> v(64, 1e9f);

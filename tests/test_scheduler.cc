@@ -118,8 +118,8 @@ TEST(BucketPlan, PureFunctionOfInputsSoRanksAgree) {
 // GraceWorker submit/wait
 
 // Runs `iters` rounds of two-rank gradient exchange over `numels`-shaped
-// tensors, either through the legacy one-shot exchange() or through the
-// submit-all-then-wait-all schedule, and returns rank 0's aggregated
+// tensors, either interleaved (each submit() waited at once) or through
+// the submit-all-then-wait-all schedule, and returns rank 0's aggregated
 // outputs concatenated. Gradients are a deterministic function of (rank,
 // iteration, tensor), so both drivers see identical inputs.
 std::vector<float> run_exchanges(const std::string& spec,
@@ -155,7 +155,7 @@ std::vector<float> run_exchanges(const std::string& spec,
         for (auto& h : hs) aggs.push_back(w.wait(std::move(h)));
       } else {
         for (size_t t = 0; t < grads.size(); ++t) {
-          aggs.push_back(w.exchange(grads[t], "t" + std::to_string(t)));
+          aggs.push_back(w.wait(w.submit(grads[t], "t" + std::to_string(t))));
         }
       }
       if (rank == 0) {
@@ -176,7 +176,7 @@ TEST(SubmitWait, SubmitAllThenWaitAllMatchesInterleavedExchange) {
   // All compressor/EF state mutation and RNG consumption happen at
   // submit(); wait() is const with respect to compressor state. A
   // submit-all-then-wait-all schedule must therefore be bit-identical to
-  // the legacy interleaved exchange() — including for stateful (EF) and
+  // interleaved wait(submit()) calls — including for stateful (EF) and
   // randomized (QSGD) compressors.
   const std::vector<int64_t> numels = {48, 7, 130};
   for (const char* spec : {"none", "topk(0.25)", "qsgd(8)", "efsignsgd"}) {
@@ -343,7 +343,7 @@ TrainConfig tiny_config(const Benchmark& b) {
 }
 
 // The legacy trainer exchange loop, as it existed before the scheduler
-// refactor: per-tensor exchange() calls, or one fused exchange over the
+// refactor: one exchange per tensor, or one fused exchange over the
 // concatenation. Replicates exactly the parameter-affecting operations of
 // train() (same seeds, same epoch order, same slices, same optimizer
 // slots) and returns rank 0's final parameters, so the scheduler endpoints
@@ -394,7 +394,7 @@ std::vector<float> legacy_train_params(const Benchmark& b,
                       p.value->grad.f32());
             at += static_cast<size_t>(p.value->grad.numel());
           }
-          Tensor agg = grace.exchange(flat, "fused");
+          Tensor agg = grace.wait(grace.submit(flat, "fused"));
           auto a = agg.f32();
           at = 0;
           size_t slot = 0;
@@ -406,7 +406,7 @@ std::vector<float> legacy_train_params(const Benchmark& b,
         } else {
           size_t slot = 0;
           for (auto& p : model->module().parameters()) {
-            Tensor agg = grace.exchange(p.value->grad, p.name);
+            Tensor agg = grace.wait(grace.submit(p.value->grad, p.name));
             optimizer->apply(slot++, p.value->data.f32(), agg.f32());
           }
         }
@@ -517,8 +517,8 @@ TEST(SchedulerTrainer, OverlapBeatsAdditiveAndRespectsLowerBounds) {
   EXPECT_GT(run.overlap_saved_s, 0.0);
   EXPECT_GT(run.overlap_fraction, 0.0);
   EXPECT_LT(run.overlap_fraction, 1.0);
-  EXPECT_GE(run.iteration_s, run.compute_s + run.optimizer_s);
-  EXPECT_GE(run.iteration_s, run.comm_s + run.optimizer_s);
+  EXPECT_GE(run.iteration_s, run.compute_s + run.phases.optimizer_s);
+  EXPECT_GE(run.iteration_s, run.phases.comm_s + run.phases.optimizer_s);
 }
 
 TEST(SchedulerTrainer, FaultStallStillAccumulatesUnderOverlap) {
@@ -536,7 +536,7 @@ TEST(SchedulerTrainer, FaultStallStillAccumulatesUnderOverlap) {
   // The injected stall is pure bookkeeping and lands on top of the
   // pipeline critical path, exactly as it did on top of the additive sum.
   EXPECT_DOUBLE_EQ(run.phases.stall_s, 5e-3);
-  EXPECT_GE(run.iteration_s, run.compute_s + run.optimizer_s + 5e-3);
+  EXPECT_GE(run.iteration_s, run.compute_s + run.phases.optimizer_s + 5e-3);
   EXPECT_TRUE(run.replicas_in_sync);
 }
 

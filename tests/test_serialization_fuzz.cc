@@ -1,13 +1,23 @@
 // Property/fuzz testing of CompressedTensor serialization with randomized
-// payload structures, and of every compressor's serialize-transport-
-// decompress path under randomized shapes.
+// payload structures, of every compressor's serialize-transport-
+// decompress path under randomized shapes, and seeded mutation fuzzing of
+// every parser of outside bytes: wire frames, join-bootstrap frames,
+// fault-plan JSON and controller snapshots.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <exception>
+#include <string>
+#include <vector>
 
+#include "control/controller.h"
 #include "core/compressed.h"
+#include "core/membership.h"
 #include "core/registry.h"
+#include "faults/fault_plan.h"
 #include "tensor/rng.h"
+#include "util/crc32.h"
 
 namespace grace::core {
 namespace {
@@ -98,6 +108,177 @@ TEST(SerializationFuzz, EveryCompressorSurvivesRandomShapes) {
       }
     }
   }
+}
+
+// --- Mutation fuzzing of outside bytes --------------------------------------
+//
+// Each input is damaged by one to three seeded edits: a byte overwritten,
+// inserted or deleted, or the input truncated. New bytes are copied from
+// elsewhere in the input half the time (keeping the input's own alphabet:
+// digits, separators, plausible counts) and random otherwise. Every
+// mutant must either parse or throw a std::exception; a crash, hang or
+// sanitizer report fails the test. The seeds are fixed, so a failure
+// replays.
+
+// `Bytes` is a std::string or a std::vector<std::byte>.
+template <typename Bytes>
+Bytes mutate(Bytes bytes, Rng& rng) {
+  const int edits = 1 + static_cast<int>(rng.uniform_int(3));
+  for (int e = 0; e < edits; ++e) {
+    const auto n = static_cast<int64_t>(bytes.size());
+    const auto at = static_cast<size_t>(rng.uniform_int(n + 1));
+    auto value = static_cast<typename Bytes::value_type>(rng.uniform_int(256));
+    if (n > 0 && rng.uniform_int(2) == 0) {
+      value = bytes[static_cast<size_t>(rng.uniform_int(n))];
+    }
+    switch (rng.uniform_int(8)) {
+      case 0:
+        bytes.resize(at);  // truncation
+        break;
+      case 1:
+      case 2:
+        bytes.insert(bytes.begin() + static_cast<int64_t>(at), value);
+        break;
+      case 3:
+        if (at < bytes.size()) {
+          bytes.erase(bytes.begin() + static_cast<int64_t>(at));
+        }
+        break;
+      default:
+        if (at < bytes.size()) bytes[at] = value;
+        break;
+    }
+  }
+  return bytes;
+}
+
+// A mutant of a CRC-sealed frame whose trailer is re-sealed over the
+// damaged body, so the parser behind the checksum sees the damage.
+Tensor mutate_sealed(const Tensor& frame, Rng& rng) {
+  const auto all = frame.bytes();
+  std::vector<std::byte> body = mutate(
+      std::vector<std::byte>(
+          all.begin(), all.end() - static_cast<int64_t>(util::kFrameCrcBytes)),
+      rng);
+  const uint32_t crc = util::frame_crc(body);
+  for (size_t i = 0; i < util::kFrameCrcBytes; ++i) {
+    body.push_back(static_cast<std::byte>((crc >> (8 * i)) & 0xFFu));
+  }
+  Tensor out(DType::U8, Shape{{static_cast<int64_t>(body.size())}});
+  if (!body.empty()) std::memcpy(out.bytes().data(), body.data(), body.size());
+  return out;
+}
+
+// Runs `parse` on `trials` mutants from `next(rng)`; every one must parse
+// or throw a std::exception. Both outcomes must occur, so the mutants get
+// past the first check and still reach the error paths.
+template <typename Next, typename Parse>
+void fuzz(uint64_t seed, int trials, Next next, Parse parse) {
+  Rng rng(seed);
+  int parsed = 0, rejected = 0;
+  for (int t = 0; t < trials; ++t) {
+    auto input = next(rng);
+    try {
+      parse(input);
+      ++parsed;
+    } catch (const std::exception&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(MutationFuzz, CompressedTensorFrames) {
+  // Raw parts, and sparse parts behind each lossless index coder.
+  Rng rng(5);
+  Tensor grad(DType::F32, Shape({24, 8}));
+  rng.fill_normal(grad.f32(), 0.0f, 1.0f);
+  std::vector<Tensor> frames;
+  frames.push_back(
+      serialize(make_compressor("qsgd(16)")->compress(grad, "g", rng)));
+  const auto topk = make_compressor("topk(0.25)");
+  for (WireCodec codec : {WireCodec::Varint, WireCodec::Rice}) {
+    CompressedTensor ct = topk->compress(grad, "g", rng);
+    apply_wire_codec(ct, codec);
+    ASSERT_EQ(ct.ctx.wire_codec, codec);
+    frames.push_back(serialize(ct));
+  }
+  for (size_t f = 0; f < frames.size(); ++f) {
+    SCOPED_TRACE(f);
+    fuzz(100 + f, 3000,
+         [&](Rng& r) { return mutate_sealed(frames[f], r); },
+         [](const Tensor& blob) { deserialize(blob); });
+  }
+}
+
+TEST(MutationFuzz, BootstrapFrames) {
+  const std::vector<int64_t> slots = {12, 5};
+  std::vector<float> params(17);
+  for (size_t i = 0; i < params.size(); ++i) {
+    params[i] = 0.25f * static_cast<float>(i);
+  }
+  const std::vector<Tensor> residuals = {Tensor::zeros(Shape{{17}})};
+  // Two f32 buffers per slot, then one i32 step count per slot.
+  std::vector<Tensor> optimizer = {
+      Tensor::zeros(Shape{{12}}), Tensor::zeros(Shape{{5}}),
+      Tensor::zeros(Shape{{12}}), Tensor::zeros(Shape{{5}}),
+      Tensor(DType::I32, Shape{{2}})};
+  const Tensor frame = seal_bootstrap_frame(params, residuals, optimizer,
+                                            "grace.control.v1;policy=fixed");
+  ASSERT_NO_THROW(open_bootstrap_frame(frame, slots));
+  fuzz(200, 3000, [&](Rng& r) { return mutate_sealed(frame, r); },
+       [&](const Tensor& blob) { open_bootstrap_frame(blob, slots); });
+}
+
+TEST(MutationFuzz, FaultSpecJson) {
+  faults::FaultSpec spec;
+  spec.seed = 123456789;
+  spec.drop_prob = 0.125;
+  spec.corrupt_prob = 0.0625;
+  spec.straggler_prob = 0.25;
+  spec.straggler_delay_s = 2e-3;
+  spec.straggler_rank = 2;
+  spec.participation_rate = 0.75;
+  spec.outage_prob = 0.1;
+  spec.churn = {{1, 2, false}, {3, 2, true}};
+  const std::string doc = faults::fault_spec_json(spec);
+  fuzz(300, 3000, [&](Rng& r) { return mutate(doc, r); },
+       [](const std::string& text) {
+         faults::FaultPlan plan(faults::parse_fault_spec_json(text));
+       });
+}
+
+TEST(MutationFuzz, ControllerSnapshots) {
+  control::ControlConfig cfg;
+  cfg.policy = "bandit";
+  cfg.arms = {"none", "topk(0.05)", "topk(0.01)"};
+  cfg.epsilon = 0.5;
+  const std::vector<std::string> buckets = {"b0", "b1"};
+  control::Controller ctl(cfg, buckets, 17);
+  std::vector<float> signals(ctl.signal_size());
+  for (int i = 0; i < 12; ++i) {
+    for (size_t b = 0; b < buckets.size(); ++b) {
+      const float n = 4.0f;
+      const float cos = 0.6f + 0.03f * static_cast<float>(i % 5);
+      float* s = signals.data() + b * control::Controller::kSignalsPerBucket;
+      s[0] = n;
+      s[1] = cos * n;
+      s[2] = 0.9f * n;
+      s[3] = 0.1f * n;
+      s[4] = n;
+      s[5] = 32.0f * n;
+      s[6] = 256.0f * n;
+    }
+    ctl.step(signals, i, -1);
+  }
+  const std::string snap = ctl.snapshot();
+  fuzz(400, 2000, [&](Rng& r) { return mutate(snap, r); },
+       [&](const std::string& state) {
+         control::ControlConfig resumed = cfg;
+         resumed.resume_state = state;
+         control::Controller c(resumed, buckets, 17);
+       });
 }
 
 }  // namespace

@@ -259,31 +259,3 @@ TEST(SimdKernels, ThresholdSelectEqualAcrossLevels) {
     }
   }
 }
-
-TEST(SimdKernels, AbsBitwiseEqualPreservesNanPayload) {
-  LevelGuard guard;
-  for (int64_t n : kSizes) {
-    auto x = edge_inputs(n);
-    if (n > 2) {
-      // A negative NaN with a recognizable payload: abs must only clear
-      // the sign bit.
-      uint32_t bits = 0xFFC0DEAD;
-      std::memcpy(&x[2], &bits, 4);
-    }
-    simd::set_level_for_testing(simd::Level::Scalar);
-    std::vector<float> ref(static_cast<size_t>(n));
-    simd::abs_into(x.data(), ref.data(), n);
-    if (n > 2) {
-      uint32_t got_bits = 0;
-      std::memcpy(&got_bits, &ref[2], 4);
-      EXPECT_EQ(got_bits, 0x7FC0DEADu);
-    }
-    for (simd::Level l : available_levels()) {
-      simd::set_level_for_testing(l);
-      std::vector<float> got(static_cast<size_t>(n));
-      simd::abs_into(x.data(), got.data(), n);
-      ASSERT_EQ(std::memcmp(ref.data(), got.data(), got.size() * 4), 0)
-          << "level=" << simd::level_name(l) << " n=" << n;
-    }
-  }
-}

@@ -14,10 +14,6 @@ TEST(Shape, NumelAndRank) {
   EXPECT_EQ(Shape({2, 3, 4}).rank(), 3);
 }
 
-TEST(Shape, Flattened) {
-  EXPECT_EQ(Shape({2, 3, 4}).flattened(), Shape({24}));
-}
-
 TEST(Shape, AsMatrix) {
   EXPECT_EQ(Shape({6, 4}).as_matrix(), Shape({6, 4}));
   EXPECT_EQ(Shape({8, 3, 3, 3}).as_matrix(), Shape({8, 27}));
@@ -67,12 +63,6 @@ TEST(Tensor, CopyIsDeep) {
   Tensor b = a;
   b.f32()[0] = 9.0f;
   EXPECT_EQ(a.f32()[0], 1.0f);
-}
-
-TEST(Tensor, SameLayout) {
-  EXPECT_TRUE(Tensor::zeros(Shape{{3}}).same_layout(Tensor::zeros(Shape{{3}})));
-  EXPECT_FALSE(Tensor::zeros(Shape{{3}}).same_layout(Tensor::zeros(Shape{{4}})));
-  EXPECT_FALSE(Tensor::zeros(Shape{{3}}).same_layout(Tensor(DType::I32, Shape{{3}})));
 }
 
 }  // namespace

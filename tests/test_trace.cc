@@ -107,28 +107,6 @@ TEST(Trace, WraparoundDropsAreCountedPerRank) {
   EXPECT_EQ(events[6].rank, 2);
 }
 
-TEST(Trace, EventsJsonRoundTripsDoublesExactly) {
-  // Sub-microsecond phase durations must survive serialization bit-exactly
-  // (max_digits10 formatting); precision(9) used to truncate them.
-  const double seconds = 1.0 / 3.0 * 1e-7;
-  Trace trace(1, 4);
-  trace.record(0, TraceEvent{0, 0, 0, Phase::Compress, 0, seconds, 0});
-  const std::string json = trace_events_json(trace);
-  const size_t at = json.find("\"seconds\":");
-  ASSERT_NE(at, std::string::npos);
-  const double parsed = std::stod(json.substr(at + 10));
-  EXPECT_EQ(parsed, seconds);  // bitwise round-trip, not approximate
-}
-
-TEST(Trace, EventsJsonParses) {
-  Trace trace(1, 4);
-  trace.record(0, TraceEvent{1, 2, 0, Phase::Decompress, 3, 1e-4, 0});
-  const std::string json = trace_events_json(trace);
-  JsonChecker checker(json);
-  EXPECT_TRUE(checker.parse()) << json;
-  EXPECT_NE(json.find("\"decompress\""), std::string::npos);
-}
-
 // --- Traced end-to-end runs -------------------------------------------------
 
 struct TinyRun {
@@ -202,8 +180,6 @@ TEST(TraceSmoke, PhasesSumToIterationTime) {
               run.compute_s * 1e-9);
   EXPECT_NEAR(run.phases.compress_s + run.phases.decompress_s, run.compress_s,
               run.compress_s * 1e-9 + 1e-15);
-  EXPECT_DOUBLE_EQ(run.phases.comm_s, run.comm_s);
-  EXPECT_DOUBLE_EQ(run.phases.optimizer_s, run.optimizer_s);
 }
 
 TEST(TraceSmoke, TracingDoesNotPerturbTraining) {

@@ -89,7 +89,7 @@ TEST(Trainer, MetricsBookkeeping) {
   EXPECT_GT(run.throughput, 0.0);
   EXPECT_GT(run.wire_bytes_per_iter, 0.0);
   EXPECT_GT(run.compute_s, 0.0);
-  EXPECT_GT(run.comm_s, 0.0);
+  EXPECT_GT(run.phases.comm_s, 0.0);
   EXPECT_GT(run.total_sim_seconds, 0.0);
   // Cumulative time is monotone and ends at the total.
   double prev = 0.0;
@@ -117,9 +117,9 @@ TEST(Trainer, BaselineUsesLessCommTimeOnFasterNetwork) {
   Benchmark b = tiny_cnn();
   TrainConfig cfg = tiny_config(b);
   cfg.net.bandwidth_gbps = 1.0;
-  const double slow = train(b.factory, cfg).comm_s;
+  const double slow = train(b.factory, cfg).phases.comm_s;
   cfg.net.bandwidth_gbps = 25.0;
-  const double fast = train(b.factory, cfg).comm_s;
+  const double fast = train(b.factory, cfg).phases.comm_s;
   EXPECT_GT(slow, fast);
 }
 
