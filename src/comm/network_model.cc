@@ -1,6 +1,5 @@
 #include "comm/network_model.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -18,32 +17,6 @@ double NetworkModel::effective_bytes_per_sec() const {
 double NetworkModel::per_message_overhead_sec() const {
   // Kernel TCP: syscall + softirq path per message. RDMA: posted verbs.
   return transport == Transport::Tcp ? 20e-6 : 3e-6;
-}
-
-double NetworkModel::allreduce_seconds(size_t bytes) const {
-  if (n_workers <= 1) return 0.0;
-  const double n = n_workers;
-  const double steps = 2.0 * (n - 1.0);
-  const double chunk = static_cast<double>(bytes) / n;
-  return steps * (chunk / effective_bytes_per_sec() + latency_us * 1e-6 +
-                  per_message_overhead_sec());
-}
-
-double NetworkModel::allgather_seconds(size_t my_bytes, size_t others_bytes) const {
-  if (n_workers <= 1) return 0.0;
-  const double n = n_workers;
-  // Ring allgather (comm/collectives.cc): n-1 sequential steps. At every
-  // step each rank forwards one origin's payload to its successor while
-  // receiving another from its predecessor (full duplex), so a step moves
-  // one payload per link — on average (my + others) / n bytes — and pays
-  // the link latency plus a send and a receive software overhead. Latency
-  // is charged per step, exactly as allreduce_seconds charges its
-  // 2(n-1)-step ring.
-  const double steps = n - 1.0;
-  const double per_step_bytes =
-      (static_cast<double>(my_bytes) + static_cast<double>(others_bytes)) / n;
-  return steps * (per_step_bytes / effective_bytes_per_sec() +
-                  latency_us * 1e-6 + 2.0 * per_message_overhead_sec());
 }
 
 double NetworkModel::parameter_server_seconds(size_t total_upload_bytes,

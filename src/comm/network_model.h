@@ -1,11 +1,12 @@
 // Alpha-beta cost model for the simulated cluster network.
 //
 // The in-process collectives are executed for real (correct aggregation);
-// this model supplies the *time* those collectives would have taken on the
-// paper's testbed: n workers connected by point-to-point links of a given
-// bandwidth, using either kernel TCP or RDMA transports. Per-message software
-// overhead and payload efficiency differ by transport, which is what makes
-// RDMA consistently faster in Figure 9 even at equal link speed.
+// this model supplies the links of the paper's testbed those collectives
+// are priced over (comm/topology.h prices the dense sums and gathers): n
+// workers connected by point-to-point links of a given bandwidth, using
+// either kernel TCP or RDMA transports. Per-message software overhead and
+// payload efficiency differ by transport, which is what makes RDMA
+// consistently faster in Figure 9 even at equal link speed.
 #pragma once
 
 #include <cstddef>
@@ -27,13 +28,6 @@ struct NetworkModel {
   // doorbell + completion for RDMA).
   double per_message_overhead_sec() const;
 
-  // Ring allreduce of a `bytes`-sized dense buffer: 2(n-1) steps, each
-  // moving bytes/n per rank.
-  double allreduce_seconds(size_t bytes) const;
-  // Ring allgather over n-1 steps where this rank contributes `my_bytes`
-  // and receives everyone else's payloads totalling `others_bytes`; each
-  // step forwards one payload and pays the link latency.
-  double allgather_seconds(size_t my_bytes, size_t others_bytes) const;
   // Parameter-server round: the server's link absorbs every worker's
   // compressed upload, then pushes the (dense) aggregate back to n-1
   // workers. The server link is the bottleneck on both phases.

@@ -62,12 +62,12 @@ WireVolume ring_allreduce_volume(int n, int64_t numel) {
 }
 
 TopologyModel::TopologyModel(const TopologyConfig& cfg, const NetworkModel& net)
-    : hierarchical_(cfg.kind == TopologyKind::Hierarchical),
-      net_(net),
-      cross_net_(net),
-      m_(cfg.ranks_per_rack) {
-  if (cfg.cross_rack_gbps > 0.0) {
-    cross_net_.bandwidth_gbps = cfg.cross_rack_gbps;
+    : net_(net), cross_net_(net), m_(1) {
+  if (cfg.kind == TopologyKind::Hierarchical) {
+    m_ = cfg.ranks_per_rack;
+    if (cfg.cross_rack_gbps > 0.0) {
+      cross_net_.bandwidth_gbps = cfg.cross_rack_gbps;
+    }
   }
 }
 
@@ -82,9 +82,10 @@ double TopologyModel::fan_seconds(double bytes) const {
 // Two-level dense sum (comm/collectives.cc hierarchical_allreduce_sum):
 // every rack fans the full payload into its leader (racks in parallel, the
 // biggest rack governs), the R leaders run a ring allreduce over the
-// cross-rack links, leaders fan the result back out.
+// cross-rack links, leaders fan the result back out. At one rank per rack
+// the fans are free and the leader ring is the flat ring: 2(n-1) steps,
+// each moving bytes/n per rank.
 double TopologyModel::allreduce_seconds(uint64_t wire_bytes) const {
-  if (!hierarchical_) return net_.allreduce_seconds(wire_bytes);
   if (net_.n_workers <= 1) return 0.0;
   const double bytes = static_cast<double>(wire_bytes);
   const int R = racks();
@@ -100,7 +101,6 @@ double TopologyModel::allreduce_seconds(uint64_t wire_bytes) const {
 
 WireVolume TopologyModel::allreduce_volume(int64_t numel) const {
   const int n = net_.n_workers;
-  if (!hierarchical_) return ring_allreduce_volume(n, numel);
   if (n <= 1) return {};
   const int R = racks();
   const auto members = static_cast<uint64_t>(n - R);
@@ -113,17 +113,20 @@ WireVolume TopologyModel::allreduce_volume(int64_t numel) const {
 
 // Two-level blob gather (hierarchical_allgather): members send their blob
 // to the leader, leaders ring-allgather per-rack bundles, every leader then
-// fans the full n-blob bundle back to its members.
+// fans the full n-blob bundle back to its members. At one rank per rack
+// this is the flat ring allgather: n-1 steps, at each of which every rank
+// forwards one origin's payload to its successor while receiving another
+// (full duplex), so a step moves (my + others) / n bytes per link and pays
+// the link latency plus a send and a receive software overhead.
 double TopologyModel::allgather_seconds(uint64_t my, uint64_t others) const {
-  if (!hierarchical_) return net_.allgather_seconds(my, others);
   const int n = net_.n_workers;
   if (n <= 1) return 0.0;
-  const double avg =
-      (static_cast<double>(my) + static_cast<double>(others)) / n;
+  const double bytes = static_cast<double>(my) + static_cast<double>(others);
+  const double avg = bytes / n;
   const int R = racks();
   double t = fan_seconds(avg) + fan_seconds(avg * n);
   if (R > 1) {
-    const double per_step = avg * n / R;  // one rack bundle per link/step
+    const double per_step = bytes / R;  // one rack bundle per link/step
     t += (R - 1.0) * (per_step / cross_net_.effective_bytes_per_sec() +
                       cross_net_.latency_us * 1e-6 +
                       2.0 * cross_net_.per_message_overhead_sec());
@@ -139,7 +142,7 @@ WireVolume TopologyModel::allgather_volume(uint64_t blob_bytes) const {
   // one origin's payload per step, so each origin's blob crosses n-1 links.
   // One rank per rack degenerates to it: the implementation skips bundling
   // entirely, so no framing bytes hit the wire.
-  if (!hierarchical_ || m_ <= 1) {
+  if (m_ <= 1) {
     return WireVolume{un * (un - 1), un * (un - 1) * blob_bytes};
   }
   const int R = racks();

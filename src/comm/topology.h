@@ -24,9 +24,10 @@
 //                     to a rack leader, a ring across the R leaders (over
 //                     optionally slower cross-rack links), intra-rack
 //                     fan-out.
-// Dense sums and blob gathers are priced by the flat NetworkModel formulas
-// unless the kind is Hierarchical; push/pull is priced the same way for
-// every kind.
+// Dense sums and blob gathers are priced by the two-level formulas at the
+// model's rack size (ranks_per_rack()): Hierarchical's ranks_per_rack, and
+// one rank per rack — the flat ring — for every other kind. Push/pull is
+// priced the same way for every kind.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +51,7 @@ struct TopologyConfig {
   // every rank a leader (degenerates to a flat ring over all ranks).
   int ranks_per_rack = 8;
   // Hierarchical: bandwidth of the cross-rack (leader ring) links in Gbps;
-  // 0 means the same as NetworkModel::bandwidth_gbps.
+  // 0 means the same as NetworkModel::bandwidth_gbps. Other kinds ignore it.
   double cross_rack_gbps = 0.0;
 
   // Throws std::invalid_argument when the parameters cannot drive an
@@ -112,6 +113,10 @@ class TopologyModel {
   WireVolume push_pull_volume(uint64_t blob_bytes,
                               uint64_t download_bytes) const;
 
+  // The rack size the collectives run at (GraceWorker) and are priced at:
+  // TopologyConfig::ranks_per_rack for Hierarchical, 1 for other kinds.
+  int ranks_per_rack() const { return m_; }
+
  private:
   // Built only by make_topology, which validates the parameters first.
   friend TopologyModel make_topology(const TopologyConfig& cfg,
@@ -123,10 +128,9 @@ class TopologyModel {
   // of the largest rack, on the intra-rack links.
   double fan_seconds(double bytes) const;
 
-  bool hierarchical_;
   NetworkModel net_;
-  NetworkModel cross_net_;  // the leader ring's links (Hierarchical)
-  int m_;                   // ranks per rack (Hierarchical)
+  NetworkModel cross_net_;  // the leader ring's links
+  int m_;                   // ranks per rack
 };
 
 // Builds the cost/volume model for `cfg` over `net`. Validates both

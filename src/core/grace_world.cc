@@ -228,9 +228,7 @@ Tensor GraceWorker::exchange_collective(Compressor& q,
   // fans it out), but with racks of several ranks the sum association
   // differs from the flat ring's, so Allreduce-mode results are
   // float-close, not bit-equal, across rack sizes.
-  const int rack = topology_.kind == comm::TopologyKind::Hierarchical
-                       ? topology_.ranks_per_rack
-                       : 1;
+  const int rack = topo_.ranks_per_rack();
   Tensor aggregated;
   if (q.comm_mode() == CommMode::Allreduce) {
     // Lines 8-9: summing payloads commutes with Q^-1 for Allreduce-capable

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
+#include <string_view>
 
 namespace grace::faults {
 
@@ -30,25 +32,54 @@ struct FaultCounters {
   uint64_t outages = 0;            // connectivity windows entered
   double outage_stall_s = 0.0;     // reconnect stalls charged
 
-  FaultCounters& operator+=(const FaultCounters& o) {
-    attempts_staged += o.attempts_staged;
-    drops_detected += o.drops_detected;
-    corruptions_detected += o.corruptions_detected;
-    retries += o.retries;
-    retransmitted_bytes += o.retransmitted_bytes;
-    retry_stall_s += o.retry_stall_s;
-    straggler_events += o.straggler_events;
-    straggler_stall_s += o.straggler_stall_s;
-    rounds_skipped += o.rounds_skipped;
-    crashed_ranks += o.crashed_ranks;
-    degraded_iters += o.degraded_iters;
-    leaves += o.leaves;
-    joins += o.joins;
-    sat_out_rounds += o.sat_out_rounds;
-    outages += o.outages;
-    outage_stall_s += o.outage_stall_s;
-    return *this;
+  FaultCounters& operator+=(const FaultCounters& o);
+};
+
+// One FaultCounters field: the name it carries in run_result_json's
+// "faults" object and as the run report's "fault.<name>" row, and the
+// member itself — a count or simulated seconds, exactly one of the two set.
+struct FaultField {
+  std::string_view name;
+  uint64_t FaultCounters::*count = nullptr;
+  double FaultCounters::*seconds = nullptr;
+
+  double value(const FaultCounters& c) const {
+    return count != nullptr ? static_cast<double>(c.*count) : c.*seconds;
   }
 };
+
+// The one list of FaultCounters' fields, in declaration order. operator+=,
+// the JSON object, the report rows and their diff rules all iterate it.
+inline constexpr FaultField kFaultFields[] = {
+    {"attempts_staged", &FaultCounters::attempts_staged},
+    {"drops_detected", &FaultCounters::drops_detected},
+    {"corruptions_detected", &FaultCounters::corruptions_detected},
+    {"retries", &FaultCounters::retries},
+    {"retransmitted_bytes", &FaultCounters::retransmitted_bytes},
+    {"retry_stall_seconds", nullptr, &FaultCounters::retry_stall_s},
+    {"straggler_events", &FaultCounters::straggler_events},
+    {"straggler_stall_seconds", nullptr, &FaultCounters::straggler_stall_s},
+    {"rounds_skipped", &FaultCounters::rounds_skipped},
+    {"crashed_ranks", &FaultCounters::crashed_ranks},
+    {"degraded_iters", &FaultCounters::degraded_iters},
+    {"leaves", &FaultCounters::leaves},
+    {"joins", &FaultCounters::joins},
+    {"sat_out_rounds", &FaultCounters::sat_out_rounds},
+    {"outages", &FaultCounters::outages},
+    {"outage_stall_seconds", nullptr, &FaultCounters::outage_stall_s},
+};
+// Every field is 8 bytes wide, so a field missing from the list fails here.
+static_assert(sizeof(FaultCounters) == std::size(kFaultFields) * 8);
+
+inline FaultCounters& FaultCounters::operator+=(const FaultCounters& o) {
+  for (const FaultField& f : kFaultFields) {
+    if (f.count != nullptr) {
+      this->*f.count += o.*f.count;
+    } else {
+      this->*f.seconds += o.*f.seconds;
+    }
+  }
+  return *this;
+}
 
 }  // namespace grace::faults

@@ -37,9 +37,6 @@ class FaultInjector final : public comm::LinkFaults {
   // Single consumer per slot: the rank's own worker thread.
   double drain_stall(int rank);
 
-  const FaultCounters& rank_counters(int rank) const {
-    return ranks_.at(static_cast<size_t>(rank)).counters;
-  }
   // Link-layer totals, folded over ranks in ascending order.
   FaultCounters totals() const;
 

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
-#include <sstream>
-
-#include "sim/json_util.h"
 
 namespace grace::sim {
 
@@ -53,154 +49,63 @@ double HistogramSnapshot::percentile(double q) const {
   return max;
 }
 
+namespace {
+
+std::vector<HistogramSnapshot> sorted_by_name(std::vector<HistogramSnapshot> v) {
+  std::sort(v.begin(), v.end(),
+            [](const HistogramSnapshot& a, const HistogramSnapshot& b) {
+              return a.name < b.name;
+            });
+  return v;
+}
+
+}  // namespace
+
 MetricRegistry::MetricRegistry(int n_ranks)
     : ranks_(static_cast<size_t>(n_ranks)) {
   assert(n_ranks >= 1);
 }
 
-void MetricRegistry::inc(int rank, std::string_view name, uint64_t delta) {
-  RankSlot& slot = ranks_.at(static_cast<size_t>(rank));
-  for (Counter& c : slot.counters) {
-    if (c.name == name) {
-      c.value += delta;
-      return;
-    }
-  }
-  slot.counters.push_back(Counter{std::string(name), delta});
-}
-
 void MetricRegistry::observe(int rank, std::string_view name, double value) {
-  RankSlot& slot = ranks_.at(static_cast<size_t>(rank));
-  Hist* h = nullptr;
-  for (Hist& hist : slot.hists) {
-    if (hist.name == name) {
-      h = &hist;
-      break;
-    }
-  }
-  if (!h) {
-    slot.hists.push_back(Hist{});
-    h = &slot.hists.back();
-    h->name = std::string(name);
-    h->min = value;
-    h->max = value;
-  }
-  if (h->count == 0) {
-    h->min = value;
-    h->max = value;
+  std::vector<HistogramSnapshot>& hists = ranks_.at(static_cast<size_t>(rank));
+  const auto it =
+      std::find_if(hists.begin(), hists.end(),
+                   [&](const HistogramSnapshot& h) { return h.name == name; });
+  HistogramSnapshot& h = it != hists.end() ? *it : hists.emplace_back();
+  if (h.count == 0) {  // just created: every histogram holds a sample
+    h.name = name;
+    h.min = value;
+    h.max = value;
   } else {
-    h->min = std::min(h->min, value);
-    h->max = std::max(h->max, value);
+    h.min = std::min(h.min, value);
+    h.max = std::max(h.max, value);
   }
-  ++h->count;
-  h->sum += value;
-  ++h->buckets[static_cast<size_t>(histogram_bucket(value))];
-}
-
-std::vector<CounterSnapshot> MetricRegistry::counters() const {
-  std::vector<CounterSnapshot> out;
-  for (const RankSlot& slot : ranks_) {
-    for (const Counter& c : slot.counters) {
-      auto it = std::find_if(out.begin(), out.end(),
-                             [&](const CounterSnapshot& s) { return s.name == c.name; });
-      if (it == out.end()) {
-        out.push_back(CounterSnapshot{c.name, c.value});
-      } else {
-        it->value += c.value;
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const CounterSnapshot& a, const CounterSnapshot& b) {
-              return a.name < b.name;
-            });
-  return out;
+  ++h.count;
+  h.sum += value;
+  ++h.buckets[static_cast<size_t>(histogram_bucket(value))];
 }
 
 std::vector<HistogramSnapshot> MetricRegistry::histograms() const {
   std::vector<HistogramSnapshot> out;
-  for (const RankSlot& slot : ranks_) {
-    for (const Hist& h : slot.hists) {
+  for (const std::vector<HistogramSnapshot>& hists : ranks_) {
+    for (const HistogramSnapshot& h : hists) {
       auto it = std::find_if(out.begin(), out.end(),
                              [&](const HistogramSnapshot& s) { return s.name == h.name; });
-      HistogramSnapshot s;
-      s.name = h.name;
-      s.count = h.count;
-      s.sum = h.sum;
-      s.min = h.min;
-      s.max = h.max;
-      s.buckets = h.buckets;
       if (it == out.end()) {
-        out.push_back(std::move(s));
+        out.push_back(h);
       } else {
         // Count-weighted pooling: a rank that recorded only a handful of
         // samples before dying contributes exactly its samples, nothing
         // more (HistogramSnapshot::merge).
-        it->merge(s);
+        it->merge(h);
       }
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const HistogramSnapshot& a, const HistogramSnapshot& b) {
-              return a.name < b.name;
-            });
-  return out;
+  return sorted_by_name(std::move(out));
 }
 
 std::vector<HistogramSnapshot> MetricRegistry::histograms(int rank) const {
-  const RankSlot& slot = ranks_.at(static_cast<size_t>(rank));
-  std::vector<HistogramSnapshot> out;
-  out.reserve(slot.hists.size());
-  for (const Hist& h : slot.hists) {
-    HistogramSnapshot s;
-    s.name = h.name;
-    s.count = h.count;
-    s.sum = h.sum;
-    s.min = h.min;
-    s.max = h.max;
-    s.buckets = h.buckets;
-    out.push_back(std::move(s));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const HistogramSnapshot& a, const HistogramSnapshot& b) {
-              return a.name < b.name;
-            });
-  return out;
-}
-
-std::string metrics_json(const std::vector<CounterSnapshot>& counters,
-                         const std::vector<HistogramSnapshot>& histograms) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  auto escaped = [&](const std::string& s) { append_escaped(os, s); };
-  os << "{\"counters\":[";
-  for (size_t i = 0; i < counters.size(); ++i) {
-    if (i) os << ',';
-    os << "{\"name\":";
-    escaped(counters[i].name);
-    os << ",\"value\":" << counters[i].value << '}';
-  }
-  os << "],\"histograms\":[";
-  for (size_t i = 0; i < histograms.size(); ++i) {
-    const HistogramSnapshot& h = histograms[i];
-    if (i) os << ',';
-    os << "{\"name\":";
-    escaped(h.name);
-    os << ",\"count\":" << h.count << ",\"sum\":" << h.sum
-       << ",\"min\":" << h.min << ",\"max\":" << h.max
-       << ",\"mean\":" << h.mean() << ",\"p50\":" << h.percentile(0.5)
-       << ",\"p99\":" << h.percentile(0.99) << ",\"buckets\":[";
-    bool first = true;
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      if (h.buckets[static_cast<size_t>(b)] == 0) continue;
-      if (!first) os << ',';
-      first = false;
-      os << '[' << b << ',' << h.buckets[static_cast<size_t>(b)] << ']';
-    }
-    os << "]}";
-  }
-  os << "]}";
-  return os.str();
+  return sorted_by_name(ranks_.at(static_cast<size_t>(rank)));
 }
 
 }  // namespace grace::sim

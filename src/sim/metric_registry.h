@@ -1,13 +1,11 @@
-// Lock-free per-rank metrics: named monotonic counters and log2-bucketed
-// histograms. PhaseBreakdown reports *means*, which hide the tail — the
-// registry keeps full per-exchange latency and message-size distributions
-// so p50/p99/max survive aggregation. The registry is filled by train()
-// after the join from its per-rank log; only the adaptive controller's
-// control.* counters are written mid-run, each by its own rank's worker
-// thread into that rank's slot, so recording takes no locks and no
-// atomics. The merged cross-rank views (counters(), histograms()) are
-// deterministic — ranks are folded in ascending order, output sorted by
-// metric name — and must only be read after train() returns.
+// Per-rank metric distributions: log2-bucketed histograms. PhaseBreakdown
+// reports *means*, which hide the tail — the registry keeps full
+// per-exchange latency and message-size distributions so p50/p99/max
+// survive aggregation. It holds distributions only: a count or a total is
+// a histogram's own count or sum. Only train()'s fold writes it, after the
+// join, from the per-rank priced record; read it after train() returns.
+// The merged cross-rank view (histograms()) is deterministic — ranks are
+// folded in ascending order, output sorted by metric name.
 #pragma once
 
 #include <array>
@@ -28,11 +26,6 @@ int histogram_bucket(double v);
 // Representative value of a bucket (geometric midpoint of its range; 0.5
 // for bucket 0), the inverse used by percentile estimation.
 double histogram_bucket_value(int bucket);
-
-struct CounterSnapshot {
-  std::string name;
-  uint64_t value = 0;
-};
 
 struct HistogramSnapshot {
   std::string name;
@@ -60,46 +53,20 @@ class MetricRegistry {
  public:
   explicit MetricRegistry(int n_ranks);
 
-  // Record on behalf of `rank`; at most one thread per rank at a time.
-  void inc(int rank, std::string_view name, uint64_t delta = 1);
+  // Add one sample to `rank`'s histogram `name`.
   void observe(int rank, std::string_view name, double value);
 
-  // Deterministic cross-rank merges, sorted by name.
-  std::vector<CounterSnapshot> counters() const;
+  // Deterministic cross-rank merge, sorted by name.
   std::vector<HistogramSnapshot> histograms() const;
   // Single-rank view (same sort, no merge): the health detectors compare
-  // per-rank series against the fleet (sim/report.h). Same read-after-run
-  // discipline as the merged views.
+  // per-rank series against the fleet (sim/report.h).
   std::vector<HistogramSnapshot> histograms(int rank) const;
 
   int n_ranks() const { return static_cast<int>(ranks_.size()); }
 
  private:
-  struct Counter {
-    std::string name;
-    uint64_t value = 0;
-  };
-  struct Hist {
-    std::string name;
-    uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    std::array<uint64_t, kHistogramBuckets> buckets{};
-  };
-  // Cache-line separation between rank slots: ranks record concurrently.
-  struct alignas(64) RankSlot {
-    std::vector<Counter> counters;  // first-use order; linear lookup (few)
-    std::vector<Hist> hists;
-  };
-
-  std::vector<RankSlot> ranks_;
+  // Each rank's histograms in first-use order (linear lookup: a handful).
+  std::vector<std::vector<HistogramSnapshot>> ranks_;
 };
-
-// JSON object {"counters":[...],"histograms":[...]} with per-histogram
-// p50/p99 and sparse [bucket, count] pairs. Shared by run_result_json,
-// bench_fidelity and the tests.
-std::string metrics_json(const std::vector<CounterSnapshot>& counters,
-                         const std::vector<HistogramSnapshot>& histograms);
 
 }  // namespace grace::sim

@@ -120,9 +120,8 @@ struct RunResult {
   // Compression-fidelity aggregates (sim/fidelity.h), merged across ranks;
   // populated when TrainConfig::fidelity is set, empty otherwise.
   std::vector<TensorFidelitySummary> fidelity;
-  // Exchange-level counter / distribution snapshots (sim/metric_registry.h);
-  // populated when TrainConfig::metrics is set, empty otherwise.
-  std::vector<CounterSnapshot> metric_counters;
+  // Exchange-level distributions (sim/metric_registry.h), merged across
+  // ranks; populated when TrainConfig::metrics is set, empty otherwise.
   std::vector<HistogramSnapshot> metric_histograms;
 
   // Epoch sample accounting: iterations only cover whole global batches, so

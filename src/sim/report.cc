@@ -17,6 +17,8 @@ namespace grace::sim {
 namespace {
 
 constexpr std::string_view kSchema = "grace.run_report.v1";
+// Report rows of the FaultCounters fields: "fault.<FaultField::name>".
+constexpr std::string_view kFaultPrefix = "fault.";
 
 // Health-detector thresholds (rationale in OBSERVABILITY.md §4).
 // "stall_share": fault stalls claim more than this share of the mean
@@ -60,8 +62,9 @@ struct Rule {
 // Rel 1e-6 for simulated seconds (deterministic arithmetic, but serialized
 // through decimal), Rel 1.0 for measured codec timings — generous enough
 // for machine-to-machine noise, still two orders of magnitude tighter than
-// an injected 1000x compression_time_scale slowdown. Metrics not listed
-// here diff as notes.
+// an injected 1000x compression_time_scale slowdown. The fault.* rows take
+// their tier from faults::kFaultFields (counts Exact, seconds Rel 1e-6).
+// Metrics not listed here diff as notes.
 constexpr Rule kRules[] = {
     {"parameters_crc32", RuleKind::Exact, 0.0},
     {"replicas_in_sync", RuleKind::Exact, 0.0},
@@ -72,18 +75,6 @@ constexpr Rule kRules[] = {
     {"samples_per_epoch", RuleKind::Exact, 0.0},
     {"comm_messages", RuleKind::Exact, 0.0},
     {"comm_payload_bytes", RuleKind::Exact, 0.0},
-    {"fault.attempts_staged", RuleKind::Exact, 0.0},
-    {"fault.drops_detected", RuleKind::Exact, 0.0},
-    {"fault.corruptions_detected", RuleKind::Exact, 0.0},
-    {"fault.retries", RuleKind::Exact, 0.0},
-    {"fault.rounds_skipped", RuleKind::Exact, 0.0},
-    {"fault.degraded_iters", RuleKind::Exact, 0.0},
-    {"fault.crashed_ranks", RuleKind::Exact, 0.0},
-    {"fault.straggler_events", RuleKind::Exact, 0.0},
-    {"fault.leaves", RuleKind::Exact, 0.0},
-    {"fault.joins", RuleKind::Exact, 0.0},
-    {"fault.sat_out_rounds", RuleKind::Exact, 0.0},
-    {"fault.outages", RuleKind::Exact, 0.0},
     {"critical_path.iterations", RuleKind::Exact, 0.0},
     {"control.boundaries", RuleKind::Exact, 0.0},
     {"control.switches", RuleKind::Exact, 0.0},
@@ -93,8 +84,6 @@ constexpr Rule kRules[] = {
     {"comm_seconds", RuleKind::Rel, 1e-6},
     {"optimizer_seconds", RuleKind::Rel, 1e-6},
     {"stall_seconds", RuleKind::Rel, 1e-6},
-    {"fault.straggler_stall_seconds", RuleKind::Rel, 1e-6},
-    {"fault.outage_stall_seconds", RuleKind::Rel, 1e-6},
     {"final_quality", RuleKind::Abs, 1e-6},
     {"best_quality", RuleKind::Abs, 1e-6},
     {"fidelity.min_cosine", RuleKind::Abs, 1e-6},
@@ -116,6 +105,15 @@ constexpr Rule kRules[] = {
 const Rule* find_rule(std::string_view name) {
   for (const Rule& r : kRules) {
     if (r.name == name) return &r;
+  }
+  if (name.starts_with(kFaultPrefix)) {
+    static constexpr Rule kCount{"fault.*", RuleKind::Exact, 0.0};
+    static constexpr Rule kSeconds{"fault.*", RuleKind::Rel, 1e-6};
+    for (const faults::FaultField& f : faults::kFaultFields) {
+      if (f.name == name.substr(kFaultPrefix.size())) {
+        return f.count != nullptr ? &kCount : &kSeconds;
+      }
+    }
   }
   // What-if speedups divide two measured means; informational only.
   if (name.substr(0, 7) == "whatif.") {
@@ -283,20 +281,10 @@ RunReport build_run_report(const RunResult& result,
   add_metric(rep, "throughput", result.throughput);
   add_metric(rep, "overlap_fraction", result.overlap_fraction);
   add_metric(rep, "overlap_saved_seconds", result.overlap_saved_s);
-  add_metric(rep, "fault.attempts_staged", static_cast<double>(result.faults.attempts_staged));
-  add_metric(rep, "fault.drops_detected", static_cast<double>(result.faults.drops_detected));
-  add_metric(rep, "fault.corruptions_detected", static_cast<double>(result.faults.corruptions_detected));
-  add_metric(rep, "fault.retries", static_cast<double>(result.faults.retries));
-  add_metric(rep, "fault.rounds_skipped", static_cast<double>(result.faults.rounds_skipped));
-  add_metric(rep, "fault.degraded_iters", static_cast<double>(result.faults.degraded_iters));
-  add_metric(rep, "fault.crashed_ranks", static_cast<double>(result.faults.crashed_ranks));
-  add_metric(rep, "fault.straggler_events", static_cast<double>(result.faults.straggler_events));
-  add_metric(rep, "fault.straggler_stall_seconds", result.faults.straggler_stall_s);
-  add_metric(rep, "fault.leaves", static_cast<double>(result.faults.leaves));
-  add_metric(rep, "fault.joins", static_cast<double>(result.faults.joins));
-  add_metric(rep, "fault.sat_out_rounds", static_cast<double>(result.faults.sat_out_rounds));
-  add_metric(rep, "fault.outages", static_cast<double>(result.faults.outages));
-  add_metric(rep, "fault.outage_stall_seconds", result.faults.outage_stall_s);
+  for (const faults::FaultField& f : faults::kFaultFields) {
+    add_metric(rep, std::string(kFaultPrefix) + std::string(f.name),
+               f.value(result.faults));
+  }
 
   // Fidelity floors over the probed tensors (deterministic: the simulated
   // training arithmetic does not depend on measured codec time).

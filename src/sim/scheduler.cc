@@ -132,8 +132,8 @@ void price_rank(std::span<const core::ExchangeStats> stats,
   assert(stats.empty() || stats.size() == plan.size());
   // Scaling by exactly 1.0 (a uniform fleet) is bitwise identity.
   const double compute_s = clock.compute_s * compute_scale;
-  const double forward_s = clock.forward_s * compute_scale;
-  const double backward_s = clock.backward_s * compute_scale;
+  out.forward_s = clock.forward_s * compute_scale;
+  out.backward_s = clock.backward_s * compute_scale;
   int64_t total_numel = 0;
   for (const BucketSpec& b : plan) total_numel += b.numel;
   out.total = core::ExchangeStats{};
@@ -145,7 +145,7 @@ void price_rank(std::span<const core::ExchangeStats> stats,
         total_numel <= 0 ? 1.0
                          : static_cast<double>(ready_numel) /
                                static_cast<double>(total_numel);
-    const double ready_s = forward_s + backward_s * ready_fraction;
+    const double ready_s = out.forward_s + out.backward_s * ready_fraction;
     out.timings[b] = bucket_timing(stats[b], ready_s, clock.time_scale,
                                    clock.fixed_s, compute_scale);
     out.total += stats[b];

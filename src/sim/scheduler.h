@@ -144,6 +144,8 @@ struct RankCosts {
 // One rank's priced iteration.
 struct RankPrice {
   RankCosts costs;
+  double forward_s = 0.0;             // costs.compute_s's forward share
+  double backward_s = 0.0;            // and its backward share
   core::ExchangeStats total;          // the per-bucket stats, summed
   std::vector<BucketTiming> timings;  // per exchanged bucket, fleet-stretched
   BucketSchedule schedule;            // where those buckets landed

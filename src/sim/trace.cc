@@ -65,6 +65,36 @@ uint64_t Trace::dropped() const {
   return dropped;
 }
 
+namespace {
+
+// {"histograms":[...]} with per-histogram p50/p99 and sparse [bucket, count]
+// pairs.
+void append_histograms(std::ostream& os,
+                       const std::vector<HistogramSnapshot>& histograms) {
+  os << "{\"histograms\":[";
+  for (size_t i = 0; i < histograms.size(); ++i) {
+    const HistogramSnapshot& h = histograms[i];
+    if (i) os << ',';
+    os << "{\"name\":";
+    append_escaped(os, h.name);
+    os << ",\"count\":" << h.count << ",\"sum\":" << h.sum
+       << ",\"min\":" << h.min << ",\"max\":" << h.max
+       << ",\"mean\":" << h.mean() << ",\"p50\":" << h.percentile(0.5)
+       << ",\"p99\":" << h.percentile(0.99) << ",\"buckets\":[";
+    bool first = true;
+    for (int b = 0; b < kHistogramBuckets; ++b) {
+      if (h.buckets[static_cast<size_t>(b)] == 0) continue;
+      if (!first) os << ',';
+      first = false;
+      os << '[' << b << ',' << h.buckets[static_cast<size_t>(b)] << ']';
+    }
+    os << "]}";
+  }
+  os << "]}";
+}
+
+}  // namespace
+
 std::string run_result_json(const RunResult& r) {
   std::ostringstream os;
   // Round-trip precision: sub-microsecond phase sums must survive
@@ -109,22 +139,17 @@ std::string run_result_json(const RunResult& r) {
   os << ",\"replicas_in_sync\":" << (r.replicas_in_sync ? "true" : "false");
   os << ",\"parameters_crc32\":" << r.parameters_crc32;
   os << ",\"faults\":{";
-  os << "\"attempts_staged\":" << r.faults.attempts_staged
-     << ",\"drops_detected\":" << r.faults.drops_detected
-     << ",\"corruptions_detected\":" << r.faults.corruptions_detected
-     << ",\"retries\":" << r.faults.retries
-     << ",\"retransmitted_bytes\":" << r.faults.retransmitted_bytes
-     << ",\"retry_stall_seconds\":" << r.faults.retry_stall_s
-     << ",\"straggler_events\":" << r.faults.straggler_events
-     << ",\"straggler_stall_seconds\":" << r.faults.straggler_stall_s
-     << ",\"rounds_skipped\":" << r.faults.rounds_skipped
-     << ",\"crashed_ranks\":" << r.faults.crashed_ranks
-     << ",\"degraded_iters\":" << r.faults.degraded_iters
-     << ",\"leaves\":" << r.faults.leaves
-     << ",\"joins\":" << r.faults.joins
-     << ",\"sat_out_rounds\":" << r.faults.sat_out_rounds
-     << ",\"outages\":" << r.faults.outages
-     << ",\"outage_stall_seconds\":" << r.faults.outage_stall_s << '}';
+  for (size_t i = 0; i < std::size(faults::kFaultFields); ++i) {
+    const faults::FaultField& f = faults::kFaultFields[i];
+    if (i) os << ',';
+    os << '"' << f.name << "\":";
+    if (f.count != nullptr) {
+      os << r.faults.*f.count;
+    } else {
+      os << r.faults.*f.seconds;
+    }
+  }
+  os << '}';
   os << ",\"trace_events_dropped\":" << r.trace_events_dropped;
   os << ",\"tensors\":[";
   for (size_t i = 0; i < r.tensor_trace.size(); ++i) {
@@ -140,8 +165,8 @@ std::string run_result_json(const RunResult& r) {
   }
   os << ']';
   os << ",\"fidelity\":" << fidelity_summaries_json(r.fidelity);
-  os << ",\"metrics\":"
-     << metrics_json(r.metric_counters, r.metric_histograms);
+  os << ",\"metrics\":";
+  append_histograms(os, r.metric_histograms);
   os << ",\"control\":" << control::control_summary_json(r.control);
   os << '}';
   return os.str();

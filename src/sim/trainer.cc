@@ -253,20 +253,22 @@ Setup::Setup(const ReplicaFactory& factory, const TrainConfig& cfg)
   head.phases.optimizer_s = TimeModel::optimizer_seconds(head.model_parameters);
 
   fidelity = cfg.fidelity != nullptr ? cfg.fidelity : ctl_probe.get();
-  const CriticalPathCollector* const cpath = cfg.critical_path;
-  if (cpath != nullptr && cpath->n_ranks() != n) {
-    throw std::invalid_argument(
-        "TrainConfig: critical_path collector sized for a different world");
-  }
-  if (cpath != nullptr && cpath->iterations() > 0) {
+  // Every observer is indexed by physical rank: one sized for another world
+  // would throw on a worker thread (std::terminate) or after the whole run.
+  auto check_size = [n](const auto* observer, const char* what) {
+    if (observer != nullptr && observer->n_ranks() != n) {
+      throw std::invalid_argument(std::string("TrainConfig: ") + what +
+                                  " sized for a different world");
+    }
+  };
+  check_size(cfg.trace, "trace");
+  check_size(cfg.fidelity, "fidelity probe");
+  check_size(cfg.metrics, "metric registry");
+  check_size(cfg.critical_path, "critical_path collector");
+  if (cfg.critical_path != nullptr && cfg.critical_path->iterations() > 0) {
     throw std::invalid_argument(
         "TrainConfig: critical_path collector already holds another run's "
         "iterations; use a fresh collector per train() call");
-  }
-  if (ctl_cfg.enabled() && fidelity->n_ranks() < n) {
-    throw std::invalid_argument(
-        "TrainConfig: the controller's fidelity probe is sized for a "
-        "smaller world");
   }
 }
 
@@ -279,7 +281,6 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
   const std::vector<core::MembershipView>& views = membership.views();
   const faults::FaultPlan* const plan = cfg.faults;
   CompressionFidelityProbe* const fidelity = setup.fidelity;
-  MetricRegistry* const metrics = cfg.metrics;
   auto model = setup.factory(cfg.seed);  // same init seed on every worker
   // Every rank starts in view 0 — the full fleet — and moves only through
   // transition(), when the view in force changes.
@@ -430,12 +431,6 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
           d.bucket_name, ctl->arm_spec(static_cast<size_t>(d.bucket)));
       if (ctl_cfg.residual_carry == control::ResidualCarry::Flush) {
         grace.flush_residual(d.bucket_name);
-      }
-    }
-    if (metrics) {
-      metrics->inc(rank, "control.boundaries");
-      if (!switched.empty()) {
-        metrics->inc(rank, "control.switches", switched.size());
       }
     }
   };
@@ -599,14 +594,15 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
 }
 
 // One alive rank's iteration in the opt-in recorders, in the order it
-// happened. Trace and metric durations are the testbed-scaled stage seconds
-// before the rank's fleet stretch. Bucket events carry the bucket's stable
-// id and each stage's absolute start on the rank's simulated timeline
-// (Chrome traces then show overlap); the registry's per-exchange
-// distributions hold the same quantities, so its tails are comparable with
-// the phase means. Rank 0's bucket totals are the tensor_trace.
+// happened, read off the rank's priced record: every duration is the one
+// the charge and the critical path use, fleet stretch included. Bucket
+// events carry the bucket's stable id and each stage's absolute start on
+// the rank's simulated timeline (Chrome traces then show overlap); the
+// registry's per-exchange distributions hold the same quantities, so its
+// tails are comparable with the phase means. Rank 0's bucket totals are the
+// tensor_trace.
 void record(const Setup& setup, int rank, const IterationRow& row,
-            double stall_s, std::span<const core::ExchangeStats> stats,
+            std::span<const core::ExchangeStats> stats,
             const RankPrice& price, RunResult& result) {
   const TrainConfig& cfg = setup.cfg;
   const IterationClock& clock = setup.clock;
@@ -620,17 +616,15 @@ void record(const Setup& setup, int rank, const IterationRow& row,
                                    static_cast<int16_t>(rank), phase, tensor,
                                    seconds, bytes, start});
   };
-  const double compute_scale = cfg.fleet.compute_scale(rank);
-  event(Phase::Forward, -1, clock.forward_s * compute_scale, 0);
-  event(Phase::Backward, -1, clock.backward_s * compute_scale, 0);
+  event(Phase::Forward, -1, price.forward_s, 0);
+  event(Phase::Backward, -1, price.backward_s, 0);
   for (size_t b = 0; b < stats.size(); ++b) {
-    const core::ExchangeStats& s = stats[b];
-    const BucketTiming t =
-        bucket_timing(s, 0.0, clock.time_scale, clock.fixed_s, 1.0);
+    const uint64_t wire_bytes = stats[b].wire_bytes;
+    const BucketTiming& t = price.timings[b];
     const BucketSpan& span = price.schedule.spans[b];
     const int32_t id = bucket_plan[b].id;
     event(Phase::Compress, id, t.compress_s, 0, span.compress_start);
-    event(Phase::Comm, id, t.comm_s, s.wire_bytes, span.comm_start);
+    event(Phase::Comm, id, t.comm_s, wire_bytes, span.comm_start);
     event(Phase::Decompress, id, t.decompress_s, 0, span.decompress_start);
     if (trace && rank == 0) {
       TensorTraceSummary& sum = result.tensor_trace[b];
@@ -638,17 +632,14 @@ void record(const Setup& setup, int rank, const IterationRow& row,
       sum.compress_s += t.compress_s;
       sum.comm_s += t.comm_s;
       sum.decompress_s += t.decompress_s;
-      sum.wire_bytes += s.wire_bytes;
+      sum.wire_bytes += wire_bytes;
     }
     if (metrics) {
-      metrics->inc(rank, "exchange.count");
-      metrics->inc(rank, "exchange.wire_bytes_total", s.wire_bytes);
       metrics->observe(rank, "exchange.compress_ns", t.compress_s * 1e9);
       metrics->observe(rank, "exchange.decompress_ns", t.decompress_s * 1e9);
       metrics->observe(rank, "exchange.comm_ns", t.comm_s * 1e9);
       metrics->observe(rank, "exchange.wire_bytes",
-                       static_cast<double>(s.wire_bytes));
-      metrics->inc(rank, "sched.bucket_exchanges");
+                       static_cast<double>(wire_bytes));
       metrics->observe(rank, "sched.bucket_bytes",
                        static_cast<double>(bucket_plan[b].numel) * 4.0);
     }
@@ -659,6 +650,7 @@ void record(const Setup& setup, int rank, const IterationRow& row,
                      (bs.additive_end - bs.exchange_end) * 1e9);
   }
   event(Phase::Optimizer, -1, setup.head.phases.optimizer_s, 0);
+  const double stall_s = price.costs.stall_s;
   if (stall_s > 0.0) {
     event(Phase::Fault, -1, stall_s, 0);
     if (metrics) metrics->observe(rank, "fault.stall_ns", stall_s * 1e9);
@@ -684,7 +676,6 @@ RunResult fold(const Setup& setup, std::vector<WorkerLog>& logs) {
   const double optimizer_s = setup.head.phases.optimizer_s;
   const std::vector<BucketSpec>& bucket_plan = setup.bucket_plan;
   Trace* const trace = cfg.trace;
-  MetricRegistry* const metrics = cfg.metrics;
   CriticalPathCollector* const cpath = cfg.critical_path;
   RunResult result = setup.head;
   const auto total_iters = static_cast<int64_t>(logs[0].rows.size());
@@ -706,7 +697,8 @@ RunResult fold(const Setup& setup, std::vector<WorkerLog>& logs) {
   std::vector<RankPrice> prices(static_cast<size_t>(n));
   std::vector<size_t> next_bucket(static_cast<size_t>(n), 0);
   // Trainer-level fault tallies per physical rank, each summed in its row
-  // order: stragglers, outages and sat-out rounds, plus the run-wide
+  // order and then folded in rank order (the stall seconds' association):
+  // stragglers, outages and sat-out rounds, plus the run-wide
   // rounds_skipped and degraded_iters on rank 0.
   std::vector<faults::FaultCounters> rank_faults(static_cast<size_t>(n));
   std::vector<RankCosts> alive;
@@ -735,7 +727,7 @@ RunResult fold(const Setup& setup, std::vector<WorkerLog>& logs) {
       RankPrice& price = prices[static_cast<size_t>(r)];
       price_rank(stats, bucket_plan, clock, cfg.fleet.compute_scale(r),
                  stall_s, price);
-      record(setup, r, row, stall_s, stats, price, result);
+      record(setup, r, row, stats, price, result);
       alive.push_back(price.costs);
       alive_timings.push_back(price.timings);
     }
@@ -849,20 +841,11 @@ RunResult fold(const Setup& setup, std::vector<WorkerLog>& logs) {
   }
 
   // Resilience accounting: the trainer-level tallies, then the link-layer
-  // counters of every view's injector, whose live rank l belongs to
-  // physical rank view.ranks[l]. Everything is mirrored into the metric
-  // registry (before its snapshot below) so fault counters ride the same
-  // export path as the exchange metrics.
+  // counters of every view's injector.
   if (plan != nullptr) {
     for (const faults::FaultCounters& c : rank_faults) result.faults += c;
-    const std::vector<core::MembershipView>& views = setup.membership.views();
-    for (size_t v = 0; v < views.size(); ++v) {
-      const faults::FaultInjector& injector = *setup.transport[v].injector;
-      result.faults += injector.totals();
-      for (int l = 0; l < views[v].size(); ++l) {
-        rank_faults[static_cast<size_t>(views[v].ranks[static_cast<size_t>(l)])] +=
-            injector.rank_counters(l);
-      }
+    for (const ViewTransport& t : setup.transport) {
+      result.faults += t.injector->totals();
     }
     result.faults.crashed_ranks = setup.crash_in_run ? 1 : 0;
     // Membership churn: count the leave/join events that actually fired
@@ -878,38 +861,6 @@ RunResult fold(const Setup& setup, std::vector<WorkerLog>& logs) {
           ++result.faults.leaves;
         }
       }
-    }
-    if (metrics) {
-      // Link-layer and straggler counters per physical rank; run-wide
-      // facts once, on rank 0. Zero counters are not created.
-      using faults::FaultCounters;
-      struct Mirror {
-        const char* name;
-        uint64_t FaultCounters::*field;
-      };
-      static constexpr Mirror kPerRank[] = {
-          {"fault.attempts_staged", &FaultCounters::attempts_staged},
-          {"fault.drops_detected", &FaultCounters::drops_detected},
-          {"fault.corruptions_detected", &FaultCounters::corruptions_detected},
-          {"fault.retries", &FaultCounters::retries},
-          {"fault.straggler_events", &FaultCounters::straggler_events}};
-      static constexpr Mirror kRunWide[] = {
-          {"fault.rounds_skipped", &FaultCounters::rounds_skipped},
-          {"fault.crashed_ranks", &FaultCounters::crashed_ranks},
-          {"fault.leaves", &FaultCounters::leaves},
-          {"fault.joins", &FaultCounters::joins},
-          {"fault.sat_out_rounds", &FaultCounters::sat_out_rounds},
-          {"fault.outages", &FaultCounters::outages}};
-      auto mirror = [&](int r, const FaultCounters& c,
-                        std::span<const Mirror> fields) {
-        for (const Mirror& m : fields) {
-          if (c.*m.field) metrics->inc(r, m.name, c.*m.field);
-        }
-      };
-      for (int r = 0; r < n; ++r) {
-        mirror(r, rank_faults[static_cast<size_t>(r)], kPerRank);
-      }
-      mirror(0, result.faults, kRunWide);
     }
   }
 
@@ -938,10 +889,7 @@ RunResult fold(const Setup& setup, std::vector<WorkerLog>& logs) {
   // controller's internal probe stays internal: result.fidelity is only
   // populated when the caller asked for a probe.
   if (cfg.fidelity) result.fidelity = cfg.fidelity->summaries();
-  if (metrics) {
-    result.metric_counters = metrics->counters();
-    result.metric_histograms = metrics->histograms();
-  }
+  if (cfg.metrics) result.metric_histograms = cfg.metrics->histograms();
 
   result.final_parameters = std::move(logs[0].final_params);
   result.parameters_crc32 = util::crc32(

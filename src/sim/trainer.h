@@ -65,10 +65,14 @@ struct TrainConfig {
   // fusion did, now at bucket granularity: PowerSGD sees a flat vector,
   // Top-k selects across the bucket's layers.
   size_t fusion_bytes = 0;
+  // The four optional observers below are indexed by physical rank: each
+  // must be sized for n_workers ranks, or train() throws
+  // std::invalid_argument on the caller's thread.
+  //
   // Optional run tracer (sim/trace.h, not owned). When set, train() fills
-  // it after the join from its per-rank log with per-phase / per-bucket
-  // TraceEvents, and fills RunResult::tensor_trace from rank 0's log. When
-  // null (the default) no event is recorded.
+  // it after the join with per-phase / per-bucket TraceEvents carrying the
+  // priced (fleet-stretched) seconds, and fills RunResult::tensor_trace
+  // from rank 0's. When null (the default) no event is recorded.
   Trace* trace = nullptr;
   // Optional compression-fidelity probe (sim/fidelity.h, not owned). When
   // set, every k-th iteration (its should_sample) measures per-tensor
@@ -77,11 +81,10 @@ struct TrainConfig {
   // iteration and one per exchange.
   CompressionFidelityProbe* fidelity = nullptr;
   // Optional exchange-level metrics registry (sim/metric_registry.h, not
-  // owned). When set, train() fills it after the join from its per-rank
-  // log — every exchange's compress/decompress latency and message-size
-  // distributions plus counters — and snapshots it into
-  // RunResult::metric_counters / metric_histograms. The adaptive
-  // controller's control.* counters are the one part recorded mid-run.
+  // owned). When set, train() fills it after the join with every
+  // exchange's priced compress / comm / decompress seconds and message
+  // sizes as distributions, and snapshots it into
+  // RunResult::metric_histograms.
   MetricRegistry* metrics = nullptr;
   // Optional critical-path collector (sim/critical_path.h, not owned).
   // When set, train() fills it after the join from its per-rank log and

@@ -119,9 +119,6 @@ TEST(Histogram, MergeWidensTheEnvelope) {
 
 TEST(Registry, PerRankViewsDoNotMerge) {
   MetricRegistry reg(2);
-  reg.inc(0, "exchanges", 2);
-  reg.inc(1, "exchanges", 5);
-  reg.inc(1, "drops");
   reg.observe(0, "latency_ns", 10.0);
   reg.observe(1, "latency_ns", 1000.0);
   reg.observe(1, "latency_ns", 2000.0);
@@ -136,12 +133,8 @@ TEST(Registry, PerRankViewsDoNotMerge) {
   EXPECT_EQ(h1[0].count, 2u);
   EXPECT_EQ(h1[0].min, 1000.0);
 
-  // The merged views still pool across ranks (per-rank is a view, not a
+  // The merged view still pools across ranks (per-rank is a view, not a
   // different accounting).
-  const auto merged_c = reg.counters();
-  ASSERT_EQ(merged_c.size(), 2u);
-  EXPECT_EQ(merged_c[1].name, "exchanges");
-  EXPECT_EQ(merged_c[1].value, 7u);
   const auto merged_h = reg.histograms();
   ASSERT_EQ(merged_h.size(), 1u);
   EXPECT_EQ(merged_h[0].count, 3u);

@@ -1,10 +1,12 @@
-// Alpha-beta network cost model sanity and monotonicity.
+// Alpha-beta network cost model sanity and monotonicity. The flat ring
+// collectives are priced by the Ring topology model (comm/topology.h).
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <stdexcept>
 
 #include "comm/network_model.h"
+#include "comm/topology.h"
 
 namespace grace::comm {
 namespace {
@@ -17,15 +19,20 @@ NetworkModel base() {
   return net;
 }
 
+// The flat ring over `net`'s links.
+TopologyModel ring(const NetworkModel& net) {
+  return make_topology(TopologyConfig{}, net);
+}
+
 TEST(NetworkModel, SingleWorkerIsFree) {
   NetworkModel net = base();
   net.n_workers = 1;
-  EXPECT_EQ(net.allreduce_seconds(1 << 20), 0.0);
-  EXPECT_EQ(net.allgather_seconds(1 << 20, 0), 0.0);
+  EXPECT_EQ(ring(net).allreduce_seconds(1 << 20), 0.0);
+  EXPECT_EQ(ring(net).allgather_seconds(1 << 20, 0), 0.0);
 }
 
 TEST(NetworkModel, MoreBytesTakeLonger) {
-  NetworkModel net = base();
+  const TopologyModel net = ring(base());
   EXPECT_LT(net.allreduce_seconds(1 << 10), net.allreduce_seconds(1 << 24));
   EXPECT_LT(net.allgather_seconds(1 << 10, 7 << 10),
             net.allgather_seconds(1 << 24, 7ull << 24));
@@ -35,13 +42,15 @@ TEST(NetworkModel, FasterLinksAreFaster) {
   NetworkModel slow = base(), fast = base();
   slow.bandwidth_gbps = 1.0;
   fast.bandwidth_gbps = 25.0;
-  EXPECT_GT(slow.allreduce_seconds(10 << 20), fast.allreduce_seconds(10 << 20));
+  EXPECT_GT(ring(slow).allreduce_seconds(10 << 20),
+            ring(fast).allreduce_seconds(10 << 20));
 }
 
 TEST(NetworkModel, RdmaBeatsTcpAtEqualBandwidth) {
-  NetworkModel tcp = base(), rdma = base();
-  rdma.transport = Transport::Rdma;
-  for (size_t bytes : {1024u, 1u << 20, 1u << 26}) {
+  NetworkModel rdma_net = base();
+  rdma_net.transport = Transport::Rdma;
+  const TopologyModel tcp = ring(base()), rdma = ring(rdma_net);
+  for (uint64_t bytes : {1024u, 1u << 20, 1u << 26}) {
     EXPECT_GT(tcp.allreduce_seconds(bytes), rdma.allreduce_seconds(bytes));
     EXPECT_GT(tcp.allgather_seconds(bytes, 7 * bytes),
               rdma.allgather_seconds(bytes, 7 * bytes));
@@ -54,12 +63,12 @@ TEST(NetworkModel, LargeTransferApproachesWireRate) {
   // Ring allreduce moves 2(n-1)/n * bytes per rank.
   const double ideal = 2.0 * 7.0 / 8.0 * static_cast<double>(bytes) /
                        net.effective_bytes_per_sec();
-  const double modeled = net.allreduce_seconds(bytes);
+  const double modeled = ring(net).allreduce_seconds(bytes);
   EXPECT_NEAR(modeled, ideal, ideal * 0.05);  // latency amortized away
 }
 
 TEST(NetworkModel, SmallTransferDominatedByOverhead) {
-  NetworkModel net = base();
+  const TopologyModel net = ring(base());
   const double t1 = net.allreduce_seconds(64);
   const double t2 = net.allreduce_seconds(128);
   // Doubling a tiny payload barely changes the time.
@@ -67,7 +76,7 @@ TEST(NetworkModel, SmallTransferDominatedByOverhead) {
 }
 
 TEST(NetworkModel, AllgatherScalesWithPeerPayloads) {
-  NetworkModel net = base();
+  const TopologyModel net = ring(base());
   const double few = net.allgather_seconds(1 << 10, 7 << 10);
   const double many = net.allgather_seconds(1 << 10, 7 << 20);
   EXPECT_GT(many, few);
@@ -81,10 +90,10 @@ TEST(NetworkModel, AllgatherChargesLatencyPerRingStep) {
   NetworkModel lo = base(), hi = base();
   lo.latency_us = 0.0;
   hi.latency_us = 500.0;
-  const size_t mine = 1 << 10;
-  const size_t others = 7 << 10;
-  const double delta =
-      hi.allgather_seconds(mine, others) - lo.allgather_seconds(mine, others);
+  const uint64_t mine = 1 << 10;
+  const uint64_t others = 7 << 10;
+  const double delta = ring(hi).allgather_seconds(mine, others) -
+                       ring(lo).allgather_seconds(mine, others);
   const double n_minus_1 = static_cast<double>(hi.n_workers - 1);
   EXPECT_NEAR(delta, n_minus_1 * hi.latency_us * 1e-6, 1e-12);
 }
@@ -95,9 +104,9 @@ TEST(NetworkModel, HighLatencyRegimePinsStepRatio) {
   // approaches 2 regardless of payload.
   NetworkModel net = base();
   net.latency_us = 50000.0;  // 50 ms — dwarfs the microsecond wire times
-  const size_t bytes = 1 << 10;
-  const double ratio = net.allreduce_seconds(bytes) /
-                       net.allgather_seconds(bytes, 7 * bytes);
+  const uint64_t bytes = 1 << 10;
+  const double ratio = ring(net).allreduce_seconds(bytes) /
+                       ring(net).allgather_seconds(bytes, 7 * bytes);
   EXPECT_NEAR(ratio, 2.0, 0.01);
 }
 

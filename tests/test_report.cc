@@ -4,15 +4,20 @@
 // rerun but fails on an injected slowdown or a vanished metric.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "faults/counters.h"
 #include "faults/fault_plan.h"
 #include "json_checker.h"
 #include "sim/critical_path.h"
 #include "sim/metric_registry.h"
 #include "sim/report.h"
 #include "sim/tasks.h"
+#include "sim/trace.h"
 #include "sim/trainer.h"
 
 namespace grace::sim {
@@ -289,6 +294,57 @@ TEST(RunReport, FlagChangesAreNotesNotFailures) {
     if (n.find("cleared") != std::string::npos) cleared_noted = true;
   }
   EXPECT_TRUE(cleared_noted);
+}
+
+TEST(RunReport, EveryFaultCounterHasOneJsonKeyAndOneScoredRow) {
+  // faults::kFaultFields is the one list of FaultCounters' fields: each
+  // appears once in run_result_json's "faults" object and once as a
+  // fault.<name> report row, diffed exactly as a count or at rel 1e-6 as
+  // simulated seconds. Distinct values catch a row reading another member.
+  RunResult run;
+  for (size_t i = 0; i < std::size(faults::kFaultFields); ++i) {
+    const faults::FaultField& f = faults::kFaultFields[i];
+    if (f.count != nullptr) {
+      run.faults.*f.count = 100 + i;
+    } else {
+      run.faults.*f.seconds = 0.25 * static_cast<double>(i + 1);
+    }
+  }
+  const std::string json = run_result_json(run);
+  const size_t open = json.find("\"faults\":{");
+  ASSERT_NE(open, std::string::npos);
+  const std::string object = json.substr(open, json.find('}', open) - open);
+  const RunReport report = build_run_report(run);
+  const std::string report_json = run_report_json(report);
+  const ReportDiff diff = diff_reports(report_json, report_json);
+  ASSERT_TRUE(diff.pass) << report_diff_text(diff);
+
+  size_t rows = 0;
+  for (const ReportMetric& m : report.metrics) {
+    rows += m.name.starts_with("fault.") ? 1 : 0;
+  }
+  EXPECT_EQ(rows, std::size(faults::kFaultFields));
+  EXPECT_EQ(static_cast<size_t>(std::count(object.begin(), object.end(), ':')),
+            std::size(faults::kFaultFields) + 1);  // + the "faults" key
+  for (const faults::FaultField& f : faults::kFaultFields) {
+    SCOPED_TRACE(std::string(f.name));
+    const double value = f.value(run.faults);
+    const std::string key = "\"" + std::string(f.name) + "\":";
+    const size_t at = object.find(key);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_EQ(object.find(key, at + 1), std::string::npos);
+    EXPECT_EQ(std::strtod(object.c_str() + at + key.size(), nullptr), value);
+
+    const std::string row = "fault." + std::string(f.name);
+    const ReportMetric* m = find_metric(report, row);
+    ASSERT_NE(m, nullptr);
+    EXPECT_EQ(m->value, value);
+    for (const MetricDelta& d : diff.deltas) {
+      if (d.name == row) {
+        EXPECT_EQ(d.rule, f.count != nullptr ? "exact" : "rel<=1e-06");
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -374,47 +374,6 @@ TEST(Resilience, ThroughputCountsOnlyTheRanksThatRan) {
   EXPECT_EQ(run.samples_per_epoch, epoch0 * 4 * batch);
 }
 
-TEST(Resilience, RegistryFaultCountersSumToTheRunTotals) {
-  // Every injector a run uses — the base world's and each smaller view's —
-  // folds into its physical ranks' registry counters, so the per-rank
-  // fault.* counters sum to RunResult::faults under churn and under a crash.
-  Benchmark b = tiny_cnn();
-  faults::FaultSpec churn;
-  churn.seed = 5;
-  churn.drop_prob = 0.1;
-  churn.churn = {{/*epoch=*/1, /*rank=*/2, /*join=*/false},
-                 {/*epoch=*/3, /*rank=*/2, /*join=*/true}};
-  faults::FaultSpec crash;
-  crash.seed = 5;
-  crash.drop_prob = 0.1;
-  crash.crash_rank = 2;
-  crash.crash_epoch = 1;
-  crash.crash_iter = 2;
-  for (const faults::FaultSpec& spec : {churn, crash}) {
-    SCOPED_TRACE(spec.has_crash() ? "crash" : "churn");
-    TrainConfig cfg = tiny_config(b, 4);
-    cfg.epochs = 4;
-    const faults::FaultPlan plan(spec);
-    cfg.faults = &plan;
-    MetricRegistry registry(cfg.n_workers);
-    cfg.metrics = &registry;
-    const RunResult run = train(b.factory, cfg);
-    ASSERT_GT(run.faults.retries, 0u);
-
-    uint64_t staged = 0, drops = 0, corruptions = 0, retries = 0;
-    for (const CounterSnapshot& c : registry.counters()) {
-      if (c.name == "fault.attempts_staged") staged += c.value;
-      if (c.name == "fault.drops_detected") drops += c.value;
-      if (c.name == "fault.corruptions_detected") corruptions += c.value;
-      if (c.name == "fault.retries") retries += c.value;
-    }
-    EXPECT_EQ(staged, run.faults.attempts_staged);
-    EXPECT_EQ(drops, run.faults.drops_detected);
-    EXPECT_EQ(corruptions, run.faults.corruptions_detected);
-    EXPECT_EQ(retries, run.faults.retries);
-  }
-}
-
 TEST(Resilience, CrashedRunsReplayBitForBit) {
   Benchmark b = tiny_cnn();
   TrainConfig cfg = tiny_config(b, 4);

@@ -565,14 +565,20 @@ TEST(SchedulerTrainer, SchedulerStress) {
   RunResult run = train(b.factory, cfg);
   EXPECT_TRUE(run.replicas_in_sync);
   EXPECT_GT(run.iteration_s, 0.0);
-  bool saw_sched_counter = false;
-  for (const auto& c : run.metric_counters) {
-    if (c.name == "sched.bucket_exchanges") {
-      saw_sched_counter = true;
-      EXPECT_GT(c.value, 0u);
+  // Every bucket exchange of every rank-iteration is one sample.
+  const int64_t iters = static_cast<int64_t>(run.epochs.size()) *
+                        run.samples_per_epoch /
+                        (cfg.n_workers * cfg.batch_per_worker);
+  bool saw_bucket_bytes = false;
+  for (const HistogramSnapshot& h : run.metric_histograms) {
+    if (h.name == "sched.bucket_bytes") {
+      saw_bucket_bytes = true;
+      EXPECT_GT(h.count, 0u);
+      EXPECT_EQ(h.count, static_cast<uint64_t>(run.buckets_per_iter * iters *
+                                               cfg.n_workers));
     }
   }
-  EXPECT_TRUE(saw_sched_counter);
+  EXPECT_TRUE(saw_bucket_bytes);
   // Overlap is visible in the trace: some bucket stage starts before the
   // iteration's compute has finished.
   bool overlapped_event = false;

@@ -130,7 +130,8 @@ TEST(Hierarchical, CrashRebindReclampsRaggedRack) {
 TEST(Hierarchical, RackOfOneRunsTheRing) {
   // One rank per rack is the flat ring, message for message: same
   // parameters, same transport counters, clean, under a crash and under
-  // churn.
+  // churn. It is priced as the ring too: with the measured codec clock
+  // zeroed, the simulated iteration is bit-identical.
   auto b = sim::make_cnn_classification(0.1);
   faults::FaultSpec crash;
   crash.crash_rank = 3;
@@ -155,6 +156,7 @@ TEST(Hierarchical, RackOfOneRunsTheRing) {
       cfg.fusion_bytes = 4096;
       cfg.grace.compressor_spec = spec;
       cfg.faults = plan;
+      cfg.time.compression_time_scale = 0.0;
       const sim::RunResult ring = sim::train(b.factory, cfg);
       cfg.grace.topology.kind = comm::TopologyKind::Hierarchical;
       cfg.grace.topology.ranks_per_rack = 1;
@@ -162,26 +164,39 @@ TEST(Hierarchical, RackOfOneRunsTheRing) {
       EXPECT_EQ(rack1.parameters_crc32, ring.parameters_crc32);
       EXPECT_EQ(rack1.comm_messages, ring.comm_messages);
       EXPECT_EQ(rack1.comm_payload_bytes, ring.comm_payload_bytes);
+      EXPECT_EQ(rack1.iteration_s, ring.iteration_s);
     }
   }
 }
 
 TEST(TopologyModel, KindsShareTheFlatFormulas) {
-  // The parameter server prices dense sums and gathers with the ring's
-  // formulas, and every kind prices push/pull the same way.
+  // The model holds the one rack-size decision GraceWorker runs its
+  // collectives at: ranks_per_rack for Hierarchical, 1 for the other
+  // kinds, which ignore the rack knobs. Ring and the parameter server
+  // therefore price dense sums and gathers as the rack-of-one hierarchy,
+  // bit for bit, and every kind prices push/pull the same way.
   for (int n : {1, 4, 7}) {
     SCOPED_TRACE(n);
     comm::NetworkModel net;
     net.n_workers = n;
     comm::TopologyConfig cfg;
+    cfg.ranks_per_rack = 3;
+    cfg.cross_rack_gbps = 1.0;
     const comm::TopologyModel ring = comm::make_topology(cfg, net);
     cfg.kind = comm::TopologyKind::ParameterServer;
     const comm::TopologyModel ps = comm::make_topology(cfg, net);
     cfg.kind = comm::TopologyKind::Hierarchical;
-    cfg.ranks_per_rack = 3;
-    cfg.cross_rack_gbps = 1.0;
     const comm::TopologyModel hier = comm::make_topology(cfg, net);
-    for (uint64_t bytes : {0ull, 1ull, 4096ull, 3000017ull}) {
+    cfg.ranks_per_rack = 1;
+    cfg.cross_rack_gbps = 0.0;
+    const comm::TopologyModel rack1 = comm::make_topology(cfg, net);
+    EXPECT_EQ(ring.ranks_per_rack(), 1);
+    EXPECT_EQ(ps.ranks_per_rack(), 1);
+    EXPECT_EQ(hier.ranks_per_rack(), 3);
+    for (uint64_t bytes : {0ull, 1ull, 4096ull, 3000017ull, 987654321ull}) {
+      EXPECT_EQ(rack1.allreduce_seconds(bytes), ring.allreduce_seconds(bytes));
+      EXPECT_EQ(rack1.allgather_seconds(bytes, 3 * bytes + 5),
+                ring.allgather_seconds(bytes, 3 * bytes + 5));
       EXPECT_EQ(ps.allreduce_seconds(bytes), ring.allreduce_seconds(bytes));
       EXPECT_EQ(ps.allreduce_volume(static_cast<int64_t>(bytes)),
                 ring.allreduce_volume(static_cast<int64_t>(bytes)));

@@ -145,8 +145,7 @@ TEST(TraceSmoke, TracedRunEmitsValidJsonWithAllPhases) {
   for (const char* key :
        {"forward", "backward", "compress", "comm", "decompress", "optimizer",
         "phases", "iteration_seconds", "wire_bytes_per_iter", "tensors",
-        "samples_dropped_per_epoch", "fidelity", "metrics", "counters",
-        "histograms",
+        "samples_dropped_per_epoch", "fidelity", "metrics", "histograms",
         // Every faults::FaultCounters field.
         "faults", "attempts_staged", "drops_detected", "corruptions_detected",
         "retries", "retransmitted_bytes", "retry_stall_seconds",
@@ -260,6 +259,43 @@ TEST(TraceSmoke, TensorTraceKeepsWholeRunTotalsWhenTheRingWraps) {
     EXPECT_EQ(got.decompress_s, want.decompress_s);
     EXPECT_EQ(got.wire_bytes, want.wire_bytes);
   }
+}
+
+TEST(TraceSmoke, BucketStagesTileOnAHeterogeneousFleet) {
+  // The trace carries the seconds the run was charged: on a fleet whose
+  // rank 1 computes 3x slower, that rank's codec stages stretch like its
+  // timeline, so under additive accounting each bucket's compress, comm and
+  // decompress events tile end to start, exactly, on every rank.
+  TinyRun r = tiny_run();
+  r.cfg.fusion_bytes = SIZE_MAX;
+  r.cfg.fleet = comm::FleetProfile(
+      {comm::LinkProfile{}, comm::LinkProfile{1.0, 1.0, 3.0}});
+  Trace trace(r.cfg.n_workers);
+  r.cfg.trace = &trace;
+  const RunResult run = train(r.factory, r.cfg);
+  ASSERT_FALSE(run.overlap_enabled);
+
+  const std::vector<TraceEvent> events = trace.events();
+  int tiled = 0;
+  for (size_t i = 0; i + 2 < events.size(); ++i) {
+    if (events[i].phase != Phase::Compress) continue;
+    const TraceEvent& compress = events[i];
+    const TraceEvent& comm = events[i + 1];
+    const TraceEvent& decompress = events[i + 2];
+    SCOPED_TRACE(::testing::Message() << "rank " << compress.rank << " epoch "
+                                      << compress.epoch << " iter "
+                                      << compress.iter);
+    ASSERT_EQ(comm.phase, Phase::Comm);
+    ASSERT_EQ(decompress.phase, Phase::Decompress);
+    EXPECT_EQ(comm.start_s, compress.start_s + compress.seconds);
+    EXPECT_EQ(decompress.start_s, comm.start_s + comm.seconds);
+    ++tiled;
+  }
+  // One bucket per rank-iteration.
+  const int64_t iters = static_cast<int64_t>(run.epochs.size()) *
+                        run.samples_per_epoch /
+                        (r.cfg.n_workers * r.cfg.batch_per_worker);
+  EXPECT_EQ(tiled, iters * r.cfg.n_workers);
 }
 
 TEST(TraceSmoke, FusedRunTracesOneBucket) {
