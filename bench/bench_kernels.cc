@@ -1,7 +1,8 @@
 // Kernel micro-benchmarks for the parallel compute runtime: serial seed
 // kernels vs. the blocked/parallel kernels at several sizes and thread
 // counts, plus the single-thread codec kernels (quantize/pack/sign-pack
-// scalar vs SIMD, varint/rice index coding vs the seed bit-at-a-time
+// and qsgd's decode-accumulate scalar vs SIMD, the sliced frame CRC vs
+// the seed byte loop, varint/rice index coding vs the seed bit-at-a-time
 // writer). Prints a table and writes BENCH_kernels.json so successive PRs
 // can track the compute substrate's perf trajectory.
 //
@@ -33,6 +34,7 @@
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
+#include "util/crc32.h"
 #include "util/simd.h"
 
 namespace {
@@ -131,6 +133,17 @@ std::vector<uint8_t> seed_rice_encode(std::span<const int32_t> indices, int k) {
   return w.finish();
 }
 
+// The seed CRC-32: util/crc32.h's loop before slicing-by-8, one table
+// lookup per byte.
+uint32_t seed_crc32(std::span<const std::byte> data) {
+  const auto& table = grace::util::detail::kCrc32Tables[0];
+  uint32_t c = ~0u;
+  for (std::byte b : data) {
+    c = table[(c ^ static_cast<uint32_t>(b)) & 0xFFu] ^ (c >> 8);
+  }
+  return ~c;
+}
+
 // --- Timing: repeat until ~0.3 s elapsed, report best-of-rep seconds.
 
 template <typename Fn>
@@ -190,12 +203,14 @@ int threads_cap() { return 4; }
 
 // --- Codec kernels: scalar baseline vs optimized within one run, so the
 // --- speedup column is a ratio independent of absolute machine speed.
-// --- pack/pack_signs pin the same grace::util::simd entry point to the
-// --- scalar path via set_level_for_testing (bit packing does not
-// --- auto-vectorize, so that is genuinely scalar code); quantize8 uses
-// --- the seed's lround loop as baseline because the portable scalar
-// --- fallback itself is auto-vectorized by the compiler at -O3; rice uses
-// --- the seed bit-at-a-time writer; varint is byte-level and unchanged.
+// --- pack/pack_signs/qsgd_decode_add pin the same grace::util::simd
+// --- entry point to the scalar path via set_level_for_testing (bit
+// --- packing and the per-element sign bit do not auto-vectorize, so that
+// --- is genuinely scalar code); quantize8 uses the seed's lround loop as
+// --- baseline because the portable scalar fallback itself is
+// --- auto-vectorized by the compiler at -O3; crc32 uses the seed
+// --- one-lookup-per-byte loop; rice uses the seed bit-at-a-time writer;
+// --- varint is byte-level and unchanged.
 
 struct CodecRow {
   std::string kernel;
@@ -256,6 +271,32 @@ std::vector<CodecRow> run_codec_rows(int64_t n) {
     simd::pack_sign_bits(x.data(), packed.data(), n);
     sink = packed[0];
   });
+  {
+    // One peer of qsgd(64)'s gather fold: decode codes and signs and add
+    // them onto the accumulator. Bytes are the codes, signs and the
+    // accumulator read.
+    std::vector<uint8_t> qcodes(static_cast<size_t>(n));
+    for (size_t i = 0; i < qcodes.size(); ++i) {
+      qcodes[i] = static_cast<uint8_t>(std::fabs(x[i]) / scale * 64.0f);
+    }
+    simd::pack_sign_bits(x.data(), packed.data(), n);
+    std::vector<float> acc(static_cast<size_t>(n), 0.0f);
+    scalar_vs_simd("qsgd_decode_add", 5.125 * static_cast<double>(n), [&] {
+      simd::dequantize_signed(qcodes.data(), packed.data(), acc.data(), n,
+                              scale, 64, /*accumulate=*/true);
+      sink = static_cast<uint8_t>(acc[0] > 0.0f);
+    });
+  }
+  {
+    const auto frame = std::as_bytes(std::span<const float>(x));
+    const double seed_s = time_best([&] {
+      sink = static_cast<uint8_t>(seed_crc32(frame));
+    });
+    const double opt_s = time_best([&] {
+      sink = static_cast<uint8_t>(grace::util::crc32(frame));
+    });
+    rows.push_back({"crc32", seed_s, opt_s, 4.0 * static_cast<double>(n)});
+  }
 
   // Index coding on a 1%-sparse list over [0, n).
   const int64_t k = std::max<int64_t>(1, n / 100);

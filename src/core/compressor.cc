@@ -1,19 +1,26 @@
 #include "core/compressor.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "tensor/ops.h"
 
 namespace grace::core {
 
-Tensor Compressor::aggregate(const std::vector<Tensor>& decompressed) const {
-  assert(!decompressed.empty());
-  Tensor out = decompressed.front();
-  for (size_t i = 1; i < decompressed.size(); ++i) {
-    ops::add(out.f32(), decompressed[i].f32());
+void check_fold_size(const CompressedTensor& compressed,
+                     std::span<const float> acc) {
+  if (compressed.ctx.shape.numel() != static_cast<int64_t>(acc.size())) {
+    throw std::runtime_error(
+        "decompress_add: payload holds " +
+        std::to_string(compressed.ctx.shape.numel()) +
+        " elements, accumulator " + std::to_string(acc.size()));
   }
-  ops::scale(out.f32(), 1.0f / static_cast<float>(decompressed.size()));
-  return out;
+}
+
+void Compressor::decompress_add(const CompressedTensor& compressed,
+                                std::span<float> acc) const {
+  check_fold_size(compressed, acc);
+  ops::add(acc, decompress(compressed).f32());
 }
 
 std::string compressor_class_name(CompressorClass c) {

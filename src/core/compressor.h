@@ -6,8 +6,8 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "core/compressed.h"
 #include "tensor/rng.h"
@@ -46,10 +46,19 @@ class Compressor {
 
   virtual CompressorInfo info() const = 0;
 
-  // Agg in Algorithm 1: combine the decompressed gradients from all
-  // workers. Default: element-wise mean.
-  virtual Tensor aggregate(const std::vector<Tensor>& decompressed) const;
+  // One step of Agg in Algorithm 1, streamed: acc += Q^-1(compressed),
+  // bitwise equal to decompress then ops::add. The gather paths decompress
+  // the first peer's payload and fold every later one through this, so an
+  // override can decode straight into the accumulator with no dense
+  // temporary. Throws std::runtime_error unless ctx.shape.numel() ==
+  // acc.size().
+  virtual void decompress_add(const CompressedTensor& compressed,
+                              std::span<float> acc) const;
 };
+
+// The size rule of decompress_add, for overrides to run first.
+void check_fold_size(const CompressedTensor& compressed,
+                     std::span<const float> acc);
 
 std::string compressor_class_name(CompressorClass c);
 

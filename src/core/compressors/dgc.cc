@@ -84,7 +84,7 @@ class Dgc final : public Compressor {
   }
 
   Tensor decompress(const CompressedTensor& ct) const override {
-    return desparsify(ct.parts.at(0), ct.parts.at(1).i32(), ct.ctx.shape);
+    return desparsify(ct.parts.at(0), ct.parts.at(1), ct.ctx.shape);
   }
 
   CompressorInfo info() const override {

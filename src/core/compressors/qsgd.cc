@@ -2,12 +2,14 @@
 // rounding. Each |g[i]| / ||g||_2 lands in a level interval [l/s, (l+1)/s]
 // and rounds up with probability s|g[i]|/||g||_2 - l, making the operator
 // unbiased. Code words use ceil(log2(s+1)) bits plus a sign bit.
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 
 #include "core/compressors/compressors.h"
 #include "tensor/ops.h"
+#include "util/simd.h"
 
 namespace grace::core::compressors {
 namespace {
@@ -19,20 +21,22 @@ class Qsgd final : public Compressor {
   CompressedTensor compress(const Tensor& grad, const std::string&, Rng& rng) override {
     auto x = grad.f32();
     const float norm = ops::l2_norm(x);
-    Tensor codes(DType::U8, Shape{{grad.numel()}});
-    Tensor signs(DType::U8, Shape{{(grad.numel() + 7) / 8}});
+    const auto n = static_cast<int64_t>(x.size());
+    Tensor codes(DType::U8, Shape{{n}});
+    Tensor signs(DType::U8, Shape{{(n + 7) / 8}});
     auto c = codes.u8();
-    auto sg = signs.u8();
-    std::fill(sg.begin(), sg.end(), 0);
+    const auto fs = static_cast<float>(s_);
+    // Branch-free: the round-up adds the comparison, and the sign plane
+    // is packed in one vector pass. Exactly one uniform draw per element,
+    // in element order.
     for (size_t i = 0; i < x.size(); ++i) {
       const float ratio = norm > 0.0f ? std::fabs(x[i]) / norm : 0.0f;
-      auto level = static_cast<int>(ratio * static_cast<float>(s_));
-      const float p = ratio * static_cast<float>(s_) - static_cast<float>(level);
-      if (rng.bernoulli(p)) ++level;
-      if (level > s_) level = s_;
-      c[i] = static_cast<uint8_t>(level);
-      if (x[i] >= 0.0f) sg[i / 8] = static_cast<uint8_t>(sg[i / 8] | (1u << (i % 8)));
+      auto level = static_cast<int>(ratio * fs);
+      const float p = ratio * fs - static_cast<float>(level);
+      level += static_cast<int>(rng.uniform() < p);
+      c[i] = static_cast<uint8_t>(std::min(level, s_));
     }
+    util::simd::pack_sign_bits(x.data(), signs.u8().data(), n);
     CompressedTensor ct;
     ct.parts = {std::move(codes), std::move(signs)};
     ct.ctx.shape = grad.shape();
@@ -44,18 +48,17 @@ class Qsgd final : public Compressor {
   }
 
   Tensor decompress(const CompressedTensor& ct) const override {
-    Tensor out = Tensor::zeros(ct.ctx.shape);
-    auto o = out.f32();
-    auto c = ct.parts.at(0).u8();
-    auto sg = ct.parts.at(1).u8();
-    const float norm = ct.ctx.scalars.at(0);
-    for (size_t i = 0; i < o.size(); ++i) {
-      const float mag =
-          norm * static_cast<float>(c[i]) / static_cast<float>(s_);
-      const bool positive = (sg[i / 8] >> (i % 8)) & 1u;
-      o[i] = positive ? mag : -mag;
-    }
+    check_parts(ct);
+    Tensor out(DType::F32, ct.ctx.shape);
+    decode(ct, out.f32(), /*accumulate=*/false);
     return out;
+  }
+
+  void decompress_add(const CompressedTensor& ct,
+                      std::span<float> acc) const override {
+    check_fold_size(ct, acc);
+    check_parts(ct);
+    decode(ct, acc, /*accumulate=*/true);
   }
 
   CompressorInfo info() const override {
@@ -64,6 +67,25 @@ class Qsgd final : public Compressor {
   }
 
  private:
+  // A peer's frame passes its CRC whatever part sizes it claims; the
+  // decoder reads numel codes and (numel + 7) / 8 sign bytes, so check.
+  static void check_parts(const CompressedTensor& ct) {
+    const int64_t n = ct.ctx.shape.numel();
+    if (ct.parts.size() != 2 || ct.parts[0].dtype() != DType::U8 ||
+        ct.parts[1].dtype() != DType::U8 || ct.parts[0].numel() != n ||
+        ct.parts[1].numel() < (n + 7) / 8 || ct.ctx.scalars.size() != 1) {
+      throw std::runtime_error("qsgd: payload parts do not match its shape");
+    }
+  }
+
+  void decode(const CompressedTensor& ct, std::span<float> out,
+              bool accumulate) const {
+    util::simd::dequantize_signed(ct.parts[0].u8().data(),
+                                  ct.parts[1].u8().data(), out.data(),
+                                  static_cast<int64_t>(out.size()),
+                                  ct.ctx.scalars[0], s_, accumulate);
+  }
+
   int s_;
 };
 

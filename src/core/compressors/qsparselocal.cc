@@ -54,7 +54,7 @@ class QsparseLocal final : public Compressor {
     std::copy(codes.begin(), codes.end(), q.codes.u8().begin());
     Tensor values(DType::F32, Shape{{n}});
     dequantize(q, values.f32());
-    return desparsify(values, ct.parts.at(1).i32(), ct.ctx.shape);
+    return desparsify(values, ct.parts.at(1), ct.ctx.shape);
   }
 
   CompressorInfo info() const override {

@@ -30,8 +30,7 @@ class RandomK final : public Compressor {
   }
 
   Tensor decompress(const CompressedTensor& ct) const override {
-    Tensor out =
-        desparsify(ct.parts.at(0), ct.parts.at(1).i32(), ct.ctx.shape);
+    Tensor out = desparsify(ct.parts.at(0), ct.parts.at(1), ct.ctx.shape);
     if (ct.ctx.ints.at(0)) {
       const auto d = static_cast<float>(ct.ctx.shape.numel());
       const auto k = static_cast<float>(ct.parts.at(1).numel());

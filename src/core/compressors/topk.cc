@@ -29,7 +29,7 @@ class TopK final : public Compressor {
   }
 
   Tensor decompress(const CompressedTensor& ct) const override {
-    return desparsify(ct.parts.at(0), ct.parts.at(1).i32(), ct.ctx.shape);
+    return desparsify(ct.parts.at(0), ct.parts.at(1), ct.ctx.shape);
   }
 
   CompressorInfo info() const override {

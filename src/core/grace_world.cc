@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <ctime>
+#include <stdexcept>
 
 #include "core/registry.h"
 #include "tensor/ops.h"
@@ -17,6 +18,42 @@ double now_seconds() {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+// Agg in Algorithm 1, streamed over the gathered frames: peer 0's payload
+// is decompressed into the accumulator, every later peer in rank order goes
+// through decompress_add, and one scale by 1/n makes the mean. That fixed
+// order and per-element expression give every rank, and both gather paths,
+// the same bits. frames[local_rank] is not read: the local payload is used
+// as is. Deserialize, decode and the scale are charged to
+// decompress_seconds; the remote payloads' wire bytes are added to
+// remote_bytes.
+Tensor fold_frames(const Compressor& q, const CompressedTensor& local,
+                   int local_rank, const std::vector<Tensor>& frames,
+                   ExchangeStats* stats, uint64_t& remote_bytes) {
+  const double t0 = stats ? now_seconds() : 0.0;
+  Tensor mean;
+  for (int peer = 0; peer < static_cast<int>(frames.size()); ++peer) {
+    CompressedTensor remote;
+    if (peer != local_rank) {
+      remote = deserialize(frames[static_cast<size_t>(peer)]);
+      remote_bytes += remote.wire_bytes();
+    }
+    const CompressedTensor& ct = peer == local_rank ? local : remote;
+    if (peer == 0) {
+      // A remote frame sizes the accumulator only after it has shown the
+      // local payload's shape.
+      if (ct.ctx.shape != local.ctx.shape) {
+        throw std::runtime_error("gather: peer 0's payload has another shape");
+      }
+      mean = q.decompress(ct);
+    } else {
+      q.decompress_add(ct, mean.f32());
+    }
+  }
+  ops::scale(mean.f32(), 1.0f / static_cast<float>(frames.size()));
+  if (stats) stats->decompress_seconds += now_seconds() - t0;
+  return mean;
 }
 
 }  // namespace
@@ -243,26 +280,13 @@ Tensor GraceWorker::exchange_collective(Compressor& q,
     ops::scale(aggregated.f32(), 1.0f / static_cast<float>(comm_.size()));
     if (stats) stats->decompress_seconds += now_seconds() - t0;
   } else {
-    // Lines 11-13: gather every worker's payload, decompress all, Agg.
-    Tensor blob = serialize(compressed);
-    std::vector<Tensor> blobs =
-        comm::hierarchical_allgather(comm_, blob, rack, tag);
-    const double t0 = stats ? now_seconds() : 0.0;
-    std::vector<Tensor> decompressed;
-    decompressed.reserve(blobs.size());
+    // Lines 11-13: gather every worker's payload, then fold them into Agg.
+    const std::vector<Tensor> frames =
+        comm::hierarchical_allgather(comm_, serialize(compressed), rack, tag);
     uint64_t others_bytes = 0;
-    for (int peer = 0; peer < static_cast<int>(blobs.size()); ++peer) {
-      if (peer == comm_.rank()) {
-        decompressed.push_back(q.decompress(compressed));
-      } else {
-        CompressedTensor ct = deserialize(blobs[static_cast<size_t>(peer)]);
-        others_bytes += ct.wire_bytes();
-        decompressed.push_back(q.decompress(ct));
-      }
-    }
-    aggregated = q.aggregate(decompressed);
+    aggregated = fold_frames(q, compressed, comm_.rank(), frames, stats,
+                             others_bytes);
     if (stats) {
-      stats->decompress_seconds += now_seconds() - t0;
       stats->comm_seconds +=
           topo_.allgather_seconds(stats->wire_bytes, others_bytes);
     }
@@ -273,11 +297,11 @@ Tensor GraceWorker::exchange_collective(Compressor& q,
 Tensor GraceWorker::exchange_parameter_server(
     Compressor& q, const CompressedTensor& compressed, int tag,
     ExchangeStats* stats) {
-  // The serving shard collects every worker's compressed payload,
-  // decompresses, aggregates (Agg), and pushes the dense aggregate back.
-  // Equivalent result to the Allgather path because aggregation visits
-  // ranks in the same order. With ps_shards > 1 the serving rank is
-  // tag % ps_shards (mxnet-kvstore style bucket sharding): every rank
+  // The serving shard collects every worker's compressed payload, folds
+  // them into Agg, and pushes the dense aggregate back. Equivalent result
+  // to the Allgather path because both run fold_frames in rank order.
+  // With ps_shards > 1 the serving rank is tag % ps_shards
+  // (mxnet-kvstore style bucket sharding): every rank
   // advances next_tag_ identically, so all ranks agree on the shard with
   // no coordination, and consecutive fusion buckets land on different
   // server links.
@@ -287,24 +311,15 @@ Tensor GraceWorker::exchange_parameter_server(
   Tensor aggregated;
   uint64_t total_upload = stats ? stats->wire_bytes : 0;
   if (comm_.rank() == server) {
-    std::vector<Tensor> decompressed;
-    decompressed.reserve(static_cast<size_t>(n));
-    // Aggregation must visit ranks in rank order; this shard's own payload
-    // is slotted at its rank position.
+    // This shard's own payload folds in at its rank position.
+    std::vector<Tensor> frames(static_cast<size_t>(n));
     for (int peer = 0; peer < n; ++peer) {
-      if (peer == server) {
-        const double t0 = stats ? now_seconds() : 0.0;
-        decompressed.push_back(q.decompress(compressed));
-        if (stats) stats->decompress_seconds += now_seconds() - t0;
-        continue;
+      if (peer != server) {
+        frames[static_cast<size_t>(peer)] = comm_.recv(peer, tag);
       }
-      CompressedTensor ct = deserialize(comm_.recv(peer, tag));
-      total_upload += ct.wire_bytes();
-      const double t1 = stats ? now_seconds() : 0.0;
-      decompressed.push_back(q.decompress(ct));
-      if (stats) stats->decompress_seconds += now_seconds() - t1;
     }
-    aggregated = q.aggregate(decompressed);
+    aggregated =
+        fold_frames(q, compressed, server, frames, stats, total_upload);
     for (int peer = 0; peer < n; ++peer) {
       if (peer != server) comm_.send(peer, aggregated, tag);
     }

@@ -92,14 +92,27 @@ Tensor sparsify(std::span<const float> x, std::span<const int32_t> indices) {
   return values;
 }
 
-Tensor desparsify(const Tensor& values, std::span<const int32_t> indices,
+Tensor desparsify(const Tensor& values, const Tensor& indices,
                   const Shape& shape) {
+  // The parts come off the wire: a frame whose CRC checks out may still
+  // claim any dtype, index or count, and the scatter below trusts them.
+  const int64_t numel = shape.numel();
+  if (values.dtype() != DType::F32 || indices.dtype() != DType::I32 ||
+      values.numel() != indices.numel()) {
+    throw std::runtime_error("desparsify: need one f32 value per i32 index");
+  }
+  const auto idx = indices.i32();
+  for (int32_t i : idx) {
+    if (i < 0 || i >= numel) {
+      throw std::runtime_error("desparsify: index " + std::to_string(i) +
+                               " outside [0, " + std::to_string(numel) + ")");
+    }
+  }
   Tensor out = Tensor::zeros(shape);
   auto o = out.f32();
   auto v = values.f32();
-  assert(v.size() == indices.size());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    o[static_cast<size_t>(indices[i])] = v[i];
+  for (size_t i = 0; i < idx.size(); ++i) {
+    o[static_cast<size_t>(idx[i])] = v[i];
   }
   return out;
 }

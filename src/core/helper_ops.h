@@ -31,8 +31,10 @@ void dequantize(const Quantized& q, std::span<float> out);
 
 // Gather x[indices] into a dense values tensor.
 Tensor sparsify(std::span<const float> x, std::span<const int32_t> indices);
-// Scatter values back into a zero-filled tensor of `shape`.
-Tensor desparsify(const Tensor& values, std::span<const int32_t> indices,
+// Scatter values back into a zero-filled tensor of `shape`. Throws
+// std::runtime_error unless values is f32, indices is i32 with one index
+// per value, and every index lies in [0, shape.numel()).
+Tensor desparsify(const Tensor& values, const Tensor& indices,
                   const Shape& shape);
 
 // Pack n code words of `bits` bits each into a dense u8 tensor

@@ -94,6 +94,22 @@ void dequantize_scalar(const uint8_t* codes, float* out, int64_t n,
   }
 }
 
+// Signed dequantize for elements [first, n).
+template <bool Accumulate>
+void dequantize_signed_scalar(const uint8_t* codes, const uint8_t* signs,
+                              float* out, int64_t first, int64_t n, float norm,
+                              float flevels) {
+  for (int64_t i = first; i < n; ++i) {
+    const float mag = norm * static_cast<float>(codes[i]) / flevels;
+    const float v = (signs[i / 8] >> (i % 8)) & 1u ? mag : -mag;
+    if constexpr (Accumulate) {
+      out[i] += v;
+    } else {
+      out[i] = v;
+    }
+  }
+}
+
 // Pack code words for elements [first, n) assuming first * bits is on a
 // byte boundary. Builds each output byte in a register and stores it once.
 void pack_scalar_range(const uint8_t* codes, uint8_t* out, int64_t first,
@@ -277,6 +293,33 @@ void dequantize_avx2(const uint8_t* codes, float* out, int64_t n, float scale,
     _mm256_storeu_ps(out + i, r);
   }
   for (; i < n; ++i) out[i] = dequantize_one(codes[i], scale, flevels);
+}
+
+template <bool Accumulate>
+void dequantize_signed_avx2(const uint8_t* codes, const uint8_t* signs,
+                            float* out, int64_t n, float norm, int levels) {
+  const float flevels = static_cast<float>(levels);
+  const __m256 vnorm = _mm256_set1_ps(norm);
+  const __m256 vflev = _mm256_set1_ps(flevels);
+  const __m256i bit_of_lane = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  const __m256i sign_bit = _mm256_set1_epi32(INT32_MIN);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i bytes =
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i));
+    const __m256 c = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
+    const __m256 mag = _mm256_div_ps(_mm256_mul_ps(vnorm, c), vflev);
+    // Lanes whose sign bit is clear get the float sign bit flipped, which
+    // is exactly the scalar negation.
+    const __m256i clear = _mm256_cmpeq_epi32(
+        _mm256_and_si256(_mm256_set1_epi32(signs[i / 8]), bit_of_lane),
+        _mm256_setzero_si256());
+    __m256 v = _mm256_xor_ps(
+        mag, _mm256_castsi256_ps(_mm256_and_si256(clear, sign_bit)));
+    if constexpr (Accumulate) v = _mm256_add_ps(_mm256_loadu_ps(out + i), v);
+    _mm256_storeu_ps(out + i, v);
+  }
+  dequantize_signed_scalar<Accumulate>(codes, signs, out, i, n, norm, flevels);
 }
 
 void pack1_avx2(const uint8_t* codes, uint8_t* out, int64_t n) {
@@ -602,6 +645,26 @@ void dequantize_values(const uint8_t* codes, float* out, int64_t n,
     case Level::Neon: dequantize_neon(codes, out, n, scale, levels); return;
 #endif
     default: dequantize_scalar(codes, out, n, scale, levels); return;
+  }
+}
+
+void dequantize_signed(const uint8_t* codes, const uint8_t* signs, float* out,
+                       int64_t n, float norm, int levels, bool accumulate) {
+#ifdef GRACE_SIMD_AVX2
+  if (active_level() == Level::Avx2) {
+    if (accumulate) {
+      dequantize_signed_avx2<true>(codes, signs, out, n, norm, levels);
+    } else {
+      dequantize_signed_avx2<false>(codes, signs, out, n, norm, levels);
+    }
+    return;
+  }
+#endif
+  const auto flevels = static_cast<float>(levels);
+  if (accumulate) {
+    dequantize_signed_scalar<true>(codes, signs, out, 0, n, norm, flevels);
+  } else {
+    dequantize_signed_scalar<false>(codes, signs, out, 0, n, norm, flevels);
   }
 }
 

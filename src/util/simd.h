@@ -1,8 +1,9 @@
 // Runtime-dispatched SIMD kernels for the codec hot paths (CGX-style
 // hand-vectorized quantization, arXiv:2111.08617): quantize/dequantize,
-// k-bit code packing, sign packing, sparsify gather and the threshold
-// scan. One scalar reference implementation per kernel plus AVX2 / SSE4.1
-// / NEON variants chosen once at runtime.
+// QSGD's signed dequantize (write or accumulate), k-bit code packing,
+// sign packing, sparsify gather and the threshold scan. One scalar
+// reference implementation per kernel plus AVX2 / SSE4.1 / NEON variants
+// chosen once at runtime.
 //
 // Hard invariant: every vector path is BITWISE IDENTICAL to the scalar
 // reference — same IEEE-754 operation order (div, add, mul are exactly
@@ -59,6 +60,14 @@ void quantize_codes(const float* x, uint8_t* codes, int64_t n, float scale,
 // out[i] = (codes[i] / levels * 2 - 1) * scale, exactly this op order.
 void dequantize_values(const uint8_t* codes, float* out, int64_t n,
                        float scale, int levels);
+
+// Signed dequantize (QSGD's decode): v = (norm * codes[i]) / levels,
+// exactly this op order (no reciprocal, no FMA), negated where bit i of
+// `signs` is clear, so code 0 with a clear bit gives -0.0f. The write form
+// stores out[i] = v; the accumulate form adds, out[i] += v. `signs` holds
+// (n + 7) / 8 bytes, bit i of byte i / 8 (pack_sign_bits' layout).
+void dequantize_signed(const uint8_t* codes, const uint8_t* signs, float* out,
+                       int64_t n, float norm, int levels, bool accumulate);
 
 // Pack n code words of `bits` bits (bits in {1,2,4,8}, codes pre-masked
 // by the caller contract to < 2^bits is NOT required: high bits are

@@ -1,10 +1,13 @@
 // Contract properties every compressor must satisfy, run parameterized over
 // the full roster (Table I): shape/dtype restoration, wire accounting,
-// serialization transparency, determinism for deterministic operators, and
-// the delta-compressor error bound for methods that guarantee one.
+// serialization transparency, the gather fold (decompress_add),
+// determinism for deterministic operators, and the delta-compressor error
+// bound for methods that guarantee one.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 
 #include "core/registry.h"
 #include "tensor/ops.h"
@@ -98,13 +101,26 @@ TEST_P(CompressorContract, DeterministicOperatorsAreDeterministic) {
   }
 }
 
-TEST_P(CompressorContract, AggregateOfIdenticalInputsIsIdentity) {
+TEST_P(CompressorContract, DecompressAddEqualsDecompressThenAdd) {
+  // The gather paths fold every peer after the first through
+  // decompress_add; it must be bitwise the add of what decompress returns,
+  // signed zeros included.
   auto q = make_compressor(GetParam());
-  Tensor g = random_grad(12);
-  Tensor agg = q->aggregate({g, g, g});
-  for (int64_t i = 0; i < g.numel(); ++i) {
-    EXPECT_NEAR(agg.f32()[static_cast<size_t>(i)], g.f32()[static_cast<size_t>(i)], 1e-5f);
-  }
+  Rng rng(12);
+  auto ct = q->compress(random_grad(12), "t", rng);
+  Tensor expected = random_grad(14);
+  expected.f32()[0] = 0.0f;
+  expected.f32()[1] = -0.0f;
+  Tensor acc = expected;
+  ops::add(expected.f32(), q->decompress(ct).f32());
+  q->decompress_add(ct, acc.f32());
+  ASSERT_EQ(std::memcmp(acc.f32().data(), expected.f32().data(),
+                        expected.size_bytes()),
+            0)
+      << GetParam();
+  Tensor wrong = Tensor::zeros(Shape{{expected.numel() + 1}});
+  EXPECT_THROW(q->decompress_add(ct, wrong.f32()), std::runtime_error)
+      << GetParam();
 }
 
 TEST_P(CompressorContract, InfoIsConsistentWithRegistry) {

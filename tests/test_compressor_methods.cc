@@ -5,12 +5,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/compressors/compressors.h"
 #include "core/registry.h"
 #include "tensor/ops.h"
+#include "util/simd.h"
 
 namespace grace::core {
 namespace {
@@ -41,6 +46,87 @@ void expect_unbiased(Compressor& q, double tol) {
 TEST(Qsgd, Unbiased) {
   auto q = compressors::make_qsgd(4);  // coarse levels stress the dithering
   expect_unbiased(*q, 0.25);
+}
+
+// QSGD's codec as first written: a Bernoulli draw and a branch per
+// round-up, a branch per sign bit, and a division per decoded element.
+// The branch-free encode and the SIMD decode must reproduce it byte for
+// byte and leave the RNG in the same state.
+struct QsgdReference {
+  std::vector<uint8_t> codes, signs;
+  float norm = 0.0f;
+};
+
+QsgdReference qsgd_reference_encode(std::span<const float> x, int s, Rng& rng) {
+  QsgdReference r;
+  r.norm = ops::l2_norm(x);
+  r.codes.resize(x.size());
+  r.signs.assign((x.size() + 7) / 8, 0);
+  for (size_t i = 0; i < x.size(); ++i) {
+    const float ratio = r.norm > 0.0f ? std::fabs(x[i]) / r.norm : 0.0f;
+    auto level = static_cast<int>(ratio * static_cast<float>(s));
+    const float p = ratio * static_cast<float>(s) - static_cast<float>(level);
+    if (rng.bernoulli(p)) ++level;
+    if (level > s) level = s;
+    r.codes[i] = static_cast<uint8_t>(level);
+    if (x[i] >= 0.0f) {
+      r.signs[i / 8] = static_cast<uint8_t>(r.signs[i / 8] | (1u << (i % 8)));
+    }
+  }
+  return r;
+}
+
+std::vector<float> qsgd_reference_decode(const QsgdReference& r, int s) {
+  std::vector<float> out(r.codes.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    const float mag =
+        r.norm * static_cast<float>(r.codes[i]) / static_cast<float>(s);
+    out[i] = (r.signs[i / 8] >> (i % 8)) & 1u ? mag : -mag;
+  }
+  return out;
+}
+
+TEST(Qsgd, CodecMatchesReferenceLoop) {
+  Tensor zeros = Tensor::zeros(Shape{{37}});
+  Tensor signed_zeros = random_grad(8, 45);
+  for (size_t i = 0; i < 45; i += 3) {
+    signed_zeros.f32()[i] = i % 2 ? -0.0f : 0.0f;
+  }
+  Tensor all_negative_zero = Tensor::full(Shape{{9}}, -0.0f);
+  const std::vector<Tensor> inputs = {random_grad(6, 1021), zeros,
+                                      signed_zeros, all_negative_zero};
+  struct LevelReset {
+    ~LevelReset() { util::simd::clear_level_for_testing(); }
+  } reset;
+  for (util::simd::Level level :
+       {util::simd::Level::Scalar, util::simd::detected_level()}) {
+    util::simd::set_level_for_testing(level);
+    for (int s : {1, 4, 64, 255}) {
+      auto q = compressors::make_qsgd(s);
+      for (size_t t = 0; t < inputs.size(); ++t) {
+        SCOPED_TRACE(std::string(util::simd::level_name(level)) + " s=" +
+                     std::to_string(s) + " input " + std::to_string(t));
+        Rng rng(17 + t), ref_rng(17 + t);
+        const CompressedTensor ct = q->compress(inputs[t], "q", rng);
+        const QsgdReference ref =
+            qsgd_reference_encode(inputs[t].f32(), s, ref_rng);
+        const auto codes = ct.parts.at(0).u8();
+        const auto signs = ct.parts.at(1).u8();
+        EXPECT_TRUE(std::equal(codes.begin(), codes.end(), ref.codes.begin(),
+                               ref.codes.end()));
+        EXPECT_TRUE(std::equal(signs.begin(), signs.end(), ref.signs.begin(),
+                               ref.signs.end()));
+        EXPECT_EQ(ct.ctx.scalars, std::vector<float>{ref.norm});
+        EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+        const Tensor decoded = q->decompress(ct);
+        const std::vector<float> ref_decoded = qsgd_reference_decode(ref, s);
+        ASSERT_EQ(decoded.size_bytes(), ref_decoded.size() * sizeof(float));
+        EXPECT_EQ(std::memcmp(decoded.f32().data(), ref_decoded.data(),
+                              decoded.size_bytes()),
+                  0);
+      }
+    }
+  }
 }
 
 TEST(TernGrad, Unbiased) {

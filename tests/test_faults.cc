@@ -43,6 +43,39 @@ TEST(Crc32, ChainedEqualsWhole) {
   EXPECT_EQ(chained, whole);
 }
 
+// The byte-at-a-time loop, one table lookup per byte (util::crc32 before
+// slicing-by-8): the oracle the sliced CRC must reproduce.
+uint32_t crc32_byte_loop(std::span<const std::byte> data, uint32_t seed) {
+  const auto& table = util::detail::kCrc32Tables[0];
+  uint32_t c = ~seed;
+  for (std::byte b : data) {
+    c = table[(c ^ static_cast<uint32_t>(b)) & 0xFFu] ^ (c >> 8);
+  }
+  return ~c;
+}
+
+TEST(Crc32, SlicedEqualsByteLoop) {
+  // Every length 0..100 at every offset 0..7 covers the 8-byte steps, the
+  // byte tail and unaligned starts; the seeds cover chaining.
+  std::vector<std::byte> buf(108);
+  Rng rng(31);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.uniform_int(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 100; ++len) {
+      const std::span<const std::byte> data(buf.data() + offset, len);
+      for (uint32_t seed : {0u, 0xFFFFFFFFu, 0x12345678u}) {
+        ASSERT_EQ(util::crc32(data, seed), crc32_byte_loop(data, seed))
+            << "offset=" << offset << " len=" << len << " seed=" << seed;
+      }
+      const size_t split = len / 3;
+      EXPECT_EQ(util::crc32(data.subspan(split),
+                            util::crc32(data.first(split))),
+                crc32_byte_loop(data, 0))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
 TEST(Crc32, FrameDetectsEveryFlippedBit) {
   std::vector<std::byte> body(33);
   for (size_t i = 0; i < body.size(); ++i) body[i] = static_cast<std::byte>(i * 7);

@@ -119,7 +119,7 @@ TEST(Sparsify, RoundTrip) {
   ASSERT_EQ(values.numel(), 2);
   EXPECT_FLOAT_EQ(values.f32()[0], 2.0f);
   EXPECT_FLOAT_EQ(values.f32()[1], 5.0f);
-  Tensor dense = desparsify(values, idx, Shape{{2, 3}});
+  Tensor dense = desparsify(values, Tensor::from_i32(idx), Shape{{2, 3}});
   EXPECT_EQ(dense.shape(), Shape({2, 3}));
   EXPECT_FLOAT_EQ(dense.f32()[1], 2.0f);
   EXPECT_FLOAT_EQ(dense.f32()[4], 5.0f);
@@ -129,8 +129,24 @@ TEST(Sparsify, RoundTrip) {
 
 TEST(Sparsify, EmptySelection) {
   const std::vector<float> x{1, 2};
-  Tensor dense = desparsify(sparsify(x, {}), {}, Shape{{2}});
+  Tensor dense =
+      desparsify(sparsify(x, {}), Tensor::from_i32({}), Shape{{2}});
   EXPECT_EQ(ops::count_nonzero(dense.f32()), 0);
+}
+
+TEST(Sparsify, DesparsifyRejectsPartsOffTheShape) {
+  // Every sparsifier's decode scatters through desparsify, so it checks
+  // what a CRC-valid frame may still get wrong.
+  const Tensor values = Tensor::from(std::vector<float>{1.0f, 2.0f});
+  const Shape shape{{2, 3}};
+  auto indices = [](std::vector<int32_t> idx) { return Tensor::from_i32(idx); };
+  EXPECT_THROW(desparsify(values, indices({1, 6}), shape), std::runtime_error);
+  EXPECT_THROW(desparsify(values, indices({-1, 4}), shape), std::runtime_error);
+  EXPECT_THROW(desparsify(values, indices({1}), shape), std::runtime_error);
+  // Two u8 bytes would be read as two int32 indices.
+  EXPECT_THROW(desparsify(values, Tensor(DType::U8, Shape{{2}}), shape),
+               std::runtime_error);
+  EXPECT_NO_THROW(desparsify(values, indices({0, 5}), shape));
 }
 
 class PackTest : public ::testing::TestWithParam<int> {};

@@ -8,7 +8,9 @@
 #include <cmath>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "control/controller.h"
@@ -190,26 +192,60 @@ void fuzz(uint64_t seed, int trials, Next next, Parse parse) {
 }
 
 TEST(MutationFuzz, CompressedTensorFrames) {
-  // Raw parts, and sparse parts behind each lossless index coder.
+  // Raw parts, and sparse parts behind each lossless index coder. Every
+  // mutant that parses is also folded into an accumulator of the original
+  // size, as a gather would: the decoder must throw or stay in bounds.
   Rng rng(5);
   Tensor grad(DType::F32, Shape({24, 8}));
   rng.fill_normal(grad.f32(), 0.0f, 1.0f);
-  std::vector<Tensor> frames;
-  frames.push_back(
-      serialize(make_compressor("qsgd(16)")->compress(grad, "g", rng)));
+  const auto qsgd = make_compressor("qsgd(16)");
   const auto topk = make_compressor("topk(0.25)");
+  std::vector<std::pair<Tensor, const Compressor*>> frames;
+  frames.emplace_back(serialize(qsgd->compress(grad, "g", rng)), qsgd.get());
   for (WireCodec codec : {WireCodec::Varint, WireCodec::Rice}) {
     CompressedTensor ct = topk->compress(grad, "g", rng);
     apply_wire_codec(ct, codec);
     ASSERT_EQ(ct.ctx.wire_codec, codec);
-    frames.push_back(serialize(ct));
+    frames.emplace_back(serialize(ct), topk.get());
   }
   for (size_t f = 0; f < frames.size(); ++f) {
     SCOPED_TRACE(f);
-    fuzz(100 + f, 3000,
-         [&](Rng& r) { return mutate_sealed(frames[f], r); },
-         [](const Tensor& blob) { deserialize(blob); });
+    const auto& [frame, q] = frames[f];
+    fuzz(100 + f, 3000, [&](Rng& r) { return mutate_sealed(frame, r); },
+         [&](const Tensor& blob) {
+           const CompressedTensor ct = deserialize(blob);
+           Tensor acc = Tensor::zeros(grad.shape());
+           q->decompress_add(ct, acc.f32());
+         });
   }
+}
+
+// Frames whose CRC checks out but whose parts lie about their sizes: the
+// sender sealed the lie, so only the decoder can catch it.
+TEST(CraftedFrames, TopkIndexPastTheShapeThrows) {
+  Rng rng(3);
+  Tensor grad(DType::F32, Shape({64}));
+  rng.fill_normal(grad.f32(), 0.0f, 1.0f);
+  const auto topk = make_compressor("topk(0.25)");
+  CompressedTensor ct = topk->compress(grad, "g", rng);
+  ct.parts.at(1).i32()[0] = 1 << 28;
+  const CompressedTensor back = deserialize(serialize(ct));
+  EXPECT_THROW(topk->decompress(back), std::runtime_error);
+  Tensor acc = Tensor::zeros(grad.shape());
+  EXPECT_THROW(topk->decompress_add(back, acc.f32()), std::runtime_error);
+}
+
+TEST(CraftedFrames, QsgdCodesShorterThanTheShapeThrow) {
+  Rng rng(4);
+  Tensor grad(DType::F32, Shape({64}));
+  rng.fill_normal(grad.f32(), 0.0f, 1.0f);
+  const auto qsgd = make_compressor("qsgd(16)");
+  CompressedTensor ct = qsgd->compress(grad, "g", rng);
+  ct.parts.at(0) = Tensor(DType::U8, Shape({8}));  // 8 codes for 64 elements
+  const CompressedTensor back = deserialize(serialize(ct));
+  EXPECT_THROW(qsgd->decompress(back), std::runtime_error);
+  Tensor acc = Tensor::zeros(grad.shape());
+  EXPECT_THROW(qsgd->decompress_add(back, acc.f32()), std::runtime_error);
 }
 
 TEST(MutationFuzz, BootstrapFrames) {

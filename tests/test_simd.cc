@@ -149,6 +149,53 @@ TEST(SimdKernels, DequantizeBitwiseEqualAcrossLevels) {
   }
 }
 
+TEST(SimdKernels, DequantizeSignedBitwiseEqualAcrossLevels) {
+  // QSGD's decode in both forms. The accumulator starts on the edge
+  // values (signed zeros, NaN, infinities); the norms stay finite, so no
+  // lane adds two NaNs, whose result sign is the operand order's choice.
+  LevelGuard guard;
+  for (int64_t n : kSizes) {
+    std::vector<uint8_t> codes(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      codes[static_cast<size_t>(i)] = static_cast<uint8_t>((i * 37) % 65);
+    }
+    std::vector<uint8_t> signs(static_cast<size_t>((n + 7) / 8));
+    for (size_t b = 0; b < signs.size(); ++b) {
+      signs[b] = static_cast<uint8_t>(b * 101 + 0xB4);
+    }
+    codes[0] = 0;  // code 0 with sign bit 0 clear (0xB4 has bit 0 clear)
+    if (n > 1) codes[1] = 0;  // ... and with sign bit 1 clear as well
+    const std::vector<float> acc0 = edge_inputs(n);  // +0.0f, -0.0f first
+    for (float norm : {0.0f, 0.7f, 1e-30f, 3.0e38f}) {
+      for (int levels : {1, 64, 255}) {
+        for (bool accumulate : {false, true}) {
+          simd::set_level_for_testing(simd::Level::Scalar);
+          std::vector<float> ref = acc0;
+          simd::dequantize_signed(codes.data(), signs.data(), ref.data(), n,
+                                  norm, levels, accumulate);
+          // Written: code 0 with a clear bit is -0.0f. Accumulated:
+          // +0 + -0 is +0 and -0 + -0 stays -0.
+          EXPECT_EQ(ref[0], 0.0f);
+          EXPECT_NE(std::signbit(ref[0]), accumulate);
+          if (n > 1) {
+            EXPECT_TRUE(std::signbit(ref[1]) && ref[1] == 0.0f);
+          }
+          for (simd::Level l : available_levels()) {
+            simd::set_level_for_testing(l);
+            std::vector<float> got = acc0;
+            simd::dequantize_signed(codes.data(), signs.data(), got.data(),
+                                    n, norm, levels, accumulate);
+            ASSERT_EQ(std::memcmp(ref.data(), got.data(), got.size() * 4), 0)
+                << "level=" << simd::level_name(l) << " n=" << n
+                << " norm=" << norm << " levels=" << levels
+                << " accumulate=" << accumulate;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernels, PackBitwiseEqualAndRoundTrips) {
   LevelGuard guard;
   for (int64_t n : kSizes) {

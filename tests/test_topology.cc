@@ -2,6 +2,7 @@
 // collective path, end-to-end training, and index-coding helpers.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -9,6 +10,7 @@
 #include "core/index_coding.h"
 #include "sim/tasks.h"
 #include "tensor/ops.h"
+#include "util/simd.h"
 
 namespace grace::core {
 namespace {
@@ -58,6 +60,45 @@ TEST(ParameterServer, MatchesCollectiveAggregation) {
                     1e-5f)
             << spec << " rank " << r;
       }
+    }
+  }
+}
+
+TEST(ParameterServer, QsgdFoldIsBitEqualAcrossPathsAndLevels) {
+  // Allgather and the parameter server run one fold in rank order, so
+  // their qsgd means are bit-equal, and the decode kernel keeps them so
+  // at every SIMD level.
+  struct LevelReset {
+    ~LevelReset() { util::simd::clear_level_for_testing(); }
+  } reset;
+  const int n = 4;
+  Rng rng(8);
+  std::vector<Tensor> grads;
+  for (int r = 0; r < n; ++r) {
+    Tensor g(DType::F32, Shape{{1021}});
+    rng.fill_normal(g.f32(), 0.0f, 1.0f);
+    grads.push_back(std::move(g));
+  }
+  GraceConfig collective;
+  collective.compressor_spec = "qsgd(64)";
+  GraceConfig ps = collective;
+  ps.topology.kind = comm::TopologyKind::ParameterServer;
+  auto same = [](const Tensor& a, const Tensor& b) {
+    return a.size_bytes() == b.size_bytes() &&
+           std::memcmp(a.f32().data(), b.f32().data(), a.size_bytes()) == 0;
+  };
+  std::vector<Tensor> scalar_means;
+  for (util::simd::Level level :
+       {util::simd::Level::Scalar, util::simd::detected_level()}) {
+    util::simd::set_level_for_testing(level);
+    const auto a = run_exchange(collective, n, grads);
+    const auto b = run_exchange(ps, n, grads);
+    if (scalar_means.empty()) scalar_means = a;
+    for (size_t r = 0; r < a.size(); ++r) {
+      const char* name = util::simd::level_name(level);
+      EXPECT_TRUE(same(a[r], b[r])) << name << " rank " << r;
+      EXPECT_TRUE(same(a[r], a[0])) << name << " rank " << r;
+      EXPECT_TRUE(same(a[r], scalar_means[r])) << name << " rank " << r;
     }
   }
 }
