@@ -3,15 +3,16 @@
 // counts, plus the single-thread codec kernels (quantize/pack/sign-pack
 // and qsgd's decode-accumulate scalar vs SIMD, the sliced frame CRC vs
 // the seed byte loop, varint/rice index coding vs the seed bit-at-a-time
-// writer). Prints a table and writes BENCH_kernels.json so successive PRs
-// can track the compute substrate's perf trajectory.
+// writer, and one Adam step vs the seed Adam loop). Prints a table and
+// writes BENCH_kernels.json so successive PRs can track the compute
+// substrate's perf trajectory.
 //
 // GRACE_SCALE=<f> (default 1.0) scales the problem sizes for smoke runs.
 //
 //   bench_kernels --ci BENCH_kernels.baseline.json
 //
 // reruns only the codec rows and fails (exit 1) when a measured
-// scalar-vs-SIMD speedup drops more than 15% below the committed
+// baseline-vs-optimized speedup drops more than 15% below the committed
 // baseline's min_speedup. Speedups are ratios within one run, so the
 // check is robust to absolute machine speed; it is registered as a
 // slow-labelled ctest.
@@ -30,6 +31,7 @@
 #include "bench_common.h"
 #include "core/helper_ops.h"
 #include "core/index_coding.h"
+#include "optim/optimizer.h"
 #include "runtime/thread_pool.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
@@ -133,6 +135,30 @@ std::vector<uint8_t> seed_rice_encode(std::span<const int32_t> indices, int k) {
   return w.finish();
 }
 
+// The seed Adam step: optimizer.cc's loop before that file was compiled
+// with -fno-math-errno. Compiled here without the flag, std::sqrt may set
+// errno, which keeps GCC from vectorizing it.
+void seed_adam(const grace::optim::OptimizerConfig& cfg, int64_t step,
+               std::span<float> param, std::span<float> m, std::span<float> v,
+               std::span<const float> grad) {
+  const auto t = static_cast<double>(step);
+  const double b1 = cfg.beta1, b2 = cfg.beta2;
+  const double bias1 = 1.0 - std::pow(b1, t);
+  const double bias2 = 1.0 - std::pow(b2, t);
+  const double lr = cfg.lr;
+  for (size_t i = 0; i < param.size(); ++i) {
+    float g = grad[i];
+    if (cfg.weight_decay != 0.0) {
+      g += static_cast<float>(cfg.weight_decay) * param[i];
+    }
+    m[i] = static_cast<float>(b1 * m[i] + (1.0 - b1) * g);
+    v[i] = static_cast<float>(b2 * v[i] + (1.0 - b2) * g * g);
+    const double mhat = m[i] / bias1;
+    const double vhat = v[i] / bias2;
+    param[i] -= static_cast<float>(lr * mhat / (std::sqrt(vhat) + cfg.eps));
+  }
+}
+
 // The seed CRC-32: util/crc32.h's loop before slicing-by-8, one table
 // lookup per byte.
 uint32_t seed_crc32(std::span<const std::byte> data) {
@@ -210,13 +236,16 @@ int threads_cap() { return 4; }
 // --- baseline because the portable scalar fallback itself is
 // --- auto-vectorized by the compiler at -O3; crc32 uses the seed
 // --- one-lookup-per-byte loop; rice uses the seed bit-at-a-time writer;
-// --- varint is byte-level and unchanged.
+// --- varint is byte-level and unchanged; adam times the seed Adam loop
+// --- against Optimizer::apply on ncf-dense's ~171k parameters, whatever
+// --- the run's n.
 
 struct CodecRow {
   std::string kernel;
   double baseline_seconds = 0.0;  // scalar path (or seed bit-writer)
   double seconds = 0.0;           // active SIMD path (or 64-bit writer)
   double bytes = 0.0;             // input bytes processed per call
+  int64_t n = 0;                  // elements per call; 0: the run's n
   double speedup() const { return baseline_seconds / seconds; }
   double gb_per_s() const { return bytes / seconds / 1e9; }
 };
@@ -316,6 +345,31 @@ std::vector<CodecRow> run_codec_rows(int64_t n) {
     const double opt_s = time_best(
         [&] { sink = grace::core::rice_encode_indices(indices, 6).u8()[0]; });
     rows.push_back({"rice", seed_s, opt_s, ibytes});
+  }
+  {
+    namespace optim = grace::optim;
+    const int64_t params = 171'000;
+    const optim::OptimizerConfig cfg{.type = optim::OptimizerType::Adam,
+                                     .lr = 1e-3};
+    std::vector<float> grad(static_cast<size_t>(params));
+    Rng grng(31);
+    grng.fill_normal(grad, 0.0f, 1.0f);
+    std::vector<float> param(grad.size(), 0.0f), m(grad.size(), 0.0f),
+        v(grad.size(), 0.0f);
+    int64_t step = 0;
+    const double seed_s = time_best([&] {
+      seed_adam(cfg, ++step, param, m, v, grad);
+      sink = static_cast<uint8_t>(param[0] > 0.0f);
+    });
+    const auto adam = optim::make_optimizer(cfg);
+    std::fill(param.begin(), param.end(), 0.0f);
+    const double opt_s = time_best([&] {
+      adam->apply(0, param, grad);
+      sink = static_cast<uint8_t>(param[0] > 0.0f);
+    });
+    // Reads param, grad, m and v.
+    rows.push_back({"adam", seed_s, opt_s, 16.0 * static_cast<double>(params),
+                    params});
   }
   (void)sink;
   return rows;
@@ -579,7 +633,7 @@ int main(int argc, char** argv) {
   for (const auto& r : codec_rows) {
     out.begin("{");
     out.key("kernel"); out.str(r.kernel.c_str());
-    out.key("n"); out.inum(cn);
+    out.key("n"); out.inum(r.n > 0 ? r.n : cn);
     out.key("scalar_seconds"); out.num(r.baseline_seconds);
     out.key("simd_seconds"); out.num(r.seconds);
     out.key("scalar_gb_per_s"); out.num(r.bytes / r.baseline_seconds / 1e9);

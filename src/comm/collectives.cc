@@ -26,8 +26,8 @@ ChunkRange chunk_range(int64_t n, int parts, int idx) {
   return r;
 }
 
-Tensor slice_to_tensor(std::span<const float> data, ChunkRange r) {
-  return Tensor::from(data.subspan(static_cast<size_t>(r.begin), static_cast<size_t>(r.size)));
+std::span<float> slice(std::span<float> data, ChunkRange r) {
+  return data.subspan(static_cast<size_t>(r.begin), static_cast<size_t>(r.size));
 }
 
 // Ring allreduce over the `count` participants at ranks {0, stride,
@@ -41,27 +41,34 @@ void ring_allreduce_strided(Comm& comm, std::span<float> data, int count,
   const int next = ((idx + 1) % count) * stride;
   const int prev = ((idx + count - 1) % count) * stride;
   const auto total = static_cast<int64_t>(data.size());
+  // Each step refills the buffer received the step before and moves it
+  // into the message, so buffers circulate around the ring instead of
+  // being allocated per send. The one a rank holds after its last receive
+  // is kept for its next call: in steady state no step allocates.
+  thread_local Tensor buffer;
 
   // Phase 1: reduce-scatter. After count-1 steps, participant i holds the
   // full sum of chunk (i+1) mod count.
   for (int step = 0; step < count - 1; ++step) {
     const int send_chunk = (idx - step + count) % count;
     const int recv_chunk = (idx - step - 1 + 2 * count) % count;
-    comm.send(next, slice_to_tensor(data, chunk_range(total, count, send_chunk)), tag);
-    Tensor incoming = comm.recv(prev, tag);
+    buffer.assign(slice(data, chunk_range(total, count, send_chunk)));
+    comm.send(next, std::move(buffer), tag);
+    buffer = comm.recv(prev, tag);
     const ChunkRange r = chunk_range(total, count, recv_chunk);
-    assert(incoming.numel() == r.size);
-    ops::add(data.subspan(static_cast<size_t>(r.begin), static_cast<size_t>(r.size)), incoming.f32());
+    assert(buffer.numel() == r.size);
+    ops::add(slice(data, r), buffer.f32());
   }
   // Phase 2: allgather of the reduced chunks.
   for (int step = 0; step < count - 1; ++step) {
     const int send_chunk = (idx - step + 1 + count) % count;
     const int recv_chunk = (idx - step + 2 * count) % count;
-    comm.send(next, slice_to_tensor(data, chunk_range(total, count, send_chunk)), tag);
-    Tensor incoming = comm.recv(prev, tag);
+    buffer.assign(slice(data, chunk_range(total, count, send_chunk)));
+    comm.send(next, std::move(buffer), tag);
+    buffer = comm.recv(prev, tag);
     const ChunkRange r = chunk_range(total, count, recv_chunk);
-    assert(incoming.numel() == r.size);
-    ops::copy(data.subspan(static_cast<size_t>(r.begin), static_cast<size_t>(r.size)), incoming.f32());
+    assert(buffer.numel() == r.size);
+    ops::copy(slice(data, r), buffer.f32());
   }
 }
 

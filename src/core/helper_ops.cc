@@ -34,6 +34,15 @@ void check_pack_bits(int bits) {
   }
 }
 
+// A packed part comes off the wire: a CRC-valid frame can still carry one
+// too short for its shape, which the decoders would read past.
+void require_packed(const Tensor& packed, int64_t n_bytes, const char* what) {
+  if (packed.dtype() != DType::U8 || packed.numel() < n_bytes) {
+    throw std::runtime_error(std::string(what) +
+                             ": packed part is shorter than its shape");
+  }
+}
+
 }  // namespace
 
 Quantized quantize(std::span<const float> x, int bits) {
@@ -140,11 +149,10 @@ Tensor pack(std::span<const uint8_t> codes, int bits) {
 std::vector<uint8_t> unpack(const Tensor& packed, int bits, int64_t n) {
   check_pack_bits(bits);
   const int per_byte = 8 / bits;
-  auto in = packed.u8();
+  require_packed(packed, (n + per_byte - 1) / per_byte, "unpack");
   std::vector<uint8_t> codes(static_cast<size_t>(n));
-  const uint8_t* ip = in.data();
+  const uint8_t* ip = packed.u8().data();
   uint8_t* cp = codes.data();
-  assert(static_cast<int64_t>(in.size()) >= (n + per_byte - 1) / per_byte);
   runtime::parallel_for(n, kQuantGrain, [&](int64_t b, int64_t e) {
     simd::unpack_codes(ip + b / per_byte, cp + b, e - b, bits);
   });
@@ -165,7 +173,7 @@ Tensor pack_signs(std::span<const float> x) {
 
 void unpack_signs(const Tensor& packed, std::span<float> out) {
   const auto n = static_cast<int64_t>(out.size());
-  assert(static_cast<int64_t>(packed.u8().size()) >= (n + 7) / 8);
+  require_packed(packed, (n + 7) / 8, "unpack_signs");
   const uint8_t* ip = packed.u8().data();
   float* op = out.data();
   runtime::parallel_for(n, kQuantGrain, [&](int64_t b, int64_t e) {

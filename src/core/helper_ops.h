@@ -41,7 +41,9 @@ Tensor desparsify(const Tensor& values, const Tensor& indices,
 // (little-endian within each byte). unpack restores the code words.
 // Throws std::invalid_argument unless bits is one of {1, 2, 4, 8} — the
 // release build strips asserts, so this must be a real check: a bad width
-// would silently corrupt every code word on the wire.
+// would silently corrupt every code word on the wire. unpack (and
+// unpack_signs) also throw std::runtime_error unless `packed` is a u8 part
+// long enough for the codes asked for: it comes off the wire.
 Tensor pack(std::span<const uint8_t> codes, int bits);
 std::vector<uint8_t> unpack(const Tensor& packed, int bits, int64_t n);
 

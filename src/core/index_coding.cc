@@ -135,7 +135,8 @@ Tensor varint_encode_indices(std::span<const int32_t> indices) {
   int32_t prev = -1;
   for (int32_t idx : indices) {
     assert(idx > prev);
-    auto delta = static_cast<uint32_t>(idx - prev);
+    // In 64 bits: INT32_MAX - (-1) overflows int.
+    auto delta = static_cast<uint32_t>(int64_t{idx} - prev);
     prev = idx;
     while (delta >= 0x80) {
       out.push_back(static_cast<uint8_t>(delta | 0x80));
@@ -179,7 +180,7 @@ Tensor rice_encode_indices(std::span<const int32_t> indices, int k) {
     // Mean gap -> k = floor(log2(mean)); clamp to sane range.
     double mean = 1.0;
     if (!indices.empty()) {
-      mean = static_cast<double>(indices.back() + 1) /
+      mean = (static_cast<double>(indices.back()) + 1.0) /
              static_cast<double>(indices.size());
     }
     k = std::max(0, std::min(24, static_cast<int>(std::floor(std::log2(std::max(1.0, mean))))));
@@ -189,7 +190,8 @@ Tensor rice_encode_indices(std::span<const int32_t> indices, int k) {
   int32_t prev = -1;
   for (int32_t idx : indices) {
     assert(idx > prev);
-    const auto delta = static_cast<uint32_t>(idx - prev - 1);  // gaps >= 0
+    // Gaps >= 0, in 64 bits like the varint delta.
+    const auto delta = static_cast<uint32_t>(int64_t{idx} - prev - 1);
     prev = idx;
     w.put_ones(delta >> k);  // unary quotient
     // Terminating zero plus the k-bit binary remainder in one append.

@@ -89,6 +89,22 @@ int threads_from_env(const char* value) {
 
 int num_threads() { return ThreadPool::global().num_threads(); }
 
+namespace {
+// 0: no LaneLimit in force on this thread.
+thread_local int tl_lane_limit = 0;
+}  // namespace
+
+int lanes() {
+  const int pool = num_threads();
+  return tl_lane_limit == 0 ? pool : std::min(tl_lane_limit, pool);
+}
+
+LaneLimit::LaneLimit(int lanes) : previous_(tl_lane_limit) {
+  tl_lane_limit = std::max(1, lanes);
+}
+
+LaneLimit::~LaneLimit() { tl_lane_limit = previous_; }
+
 namespace detail {
 
 int64_t num_chunks(int64_t n, int64_t grain) {
@@ -150,8 +166,7 @@ void parallel_chunks_impl(
   region->n = n;
   region->chunks = chunks;
   region->body = &body;
-  const int64_t helpers =
-      std::min<int64_t>(pool.num_threads() - 1, chunks - 1);
+  const int64_t helpers = std::min<int64_t>(lanes() - 1, chunks - 1);
   for (int64_t i = 0; i < helpers; ++i) {
     pool.submit([region] { region->run_chunks(); });
   }

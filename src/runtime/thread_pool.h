@@ -1,9 +1,17 @@
 // Process-wide deterministic parallel compute runtime.
 //
 // One shared ThreadPool serves every caller in the process — trainer worker
-// threads (one per simulated rank) and the main thread alike — so kernels
-// never oversubscribe the machine no matter how many ranks are running.
-// Pool size comes from GRACE_NUM_THREADS (default: hardware_concurrency).
+// threads (one per simulated rank) and the main thread alike. Pool size
+// comes from GRACE_NUM_THREADS (default: hardware_concurrency).
+//
+// Lane rule: a thread's parallel regions use at most lanes() lanes — the
+// pool size, unless a LaneLimit scope narrows it. train() gives each of its
+// n rank threads max(1, pool / n) lanes. Without that share, each rank
+// fanned every multi-chunk kernel out to a pool whose cores the rank
+// threads themselves already filled: on a 4-vCPU avx2 host, 4 ranks over a
+// 4-lane pool trained hostbench's ncf-dense at about 2970 samples per
+// CPU-second, against about 4150 with a one-lane pool and bit-identical
+// losses.
 //
 // Determinism contract: parallel_for / parallel_reduce split [0, n) into
 // chunks whose boundaries depend only on (n, grain) — never on the thread
@@ -74,6 +82,25 @@ int threads_from_env(const char* value);
 // Total lanes (workers + caller) of the global pool.
 int num_threads();
 
+// Lanes the calling thread's parallel regions may use: the innermost
+// LaneLimit in force on this thread, capped at num_threads().
+int lanes();
+
+// Limits the calling thread's parallel regions to `lanes` lanes (at least
+// one) while in scope, and restores the previous limit when it ends. The
+// chunking is unchanged, so results stay bitwise identical.
+class LaneLimit {
+ public:
+  explicit LaneLimit(int lanes);
+  ~LaneLimit();
+
+  LaneLimit(const LaneLimit&) = delete;
+  LaneLimit& operator=(const LaneLimit&) = delete;
+
+ private:
+  int previous_;
+};
+
 namespace detail {
 
 // Fixed chunking of [0, n): ceil(n / grain) chunks of `grain` elements
@@ -81,8 +108,9 @@ namespace detail {
 int64_t num_chunks(int64_t n, int64_t grain);
 
 // Multi-threaded region execution (type-erased): runs body(chunk, begin,
-// end) once per chunk on the pool workers plus the caller; returns when
-// every chunk is done. Exceptions from body are rethrown on the caller.
+// end) once per chunk on at most lanes() - 1 pool workers plus the caller;
+// returns when every chunk is done. Exceptions from body are rethrown on
+// the caller.
 void parallel_chunks_impl(
     int64_t n, int64_t grain,
     const std::function<void(int64_t, int64_t, int64_t)>& body);
@@ -97,7 +125,7 @@ void parallel_chunks(int64_t n, int64_t grain, Body&& body) {
   if (n <= 0) return;
   if (grain < 1) grain = 1;
   const int64_t chunks = num_chunks(n, grain);
-  if (chunks == 1 || ThreadPool::global().num_threads() == 1) {
+  if (chunks == 1 || lanes() == 1) {
     // Same chunk boundaries, executed in order on the caller: bitwise
     // identical to the multi-threaded path.
     for (int64_t c = 0; c < chunks; ++c) {

@@ -277,6 +277,10 @@ Setup::Setup(const ReplicaFactory& factory, const TrainConfig& cfg)
 // the view in force, parks otherwise, and logs raw facts only.
 void run_worker(const Setup& setup, int rank, WorkerLog& log) {
   const TrainConfig& cfg = setup.cfg;
+  // This rank's share of the shared pool (the lane rule in
+  // runtime/thread_pool.h): the rank threads already fill the cores.
+  const runtime::LaneLimit lanes(
+      std::max(1, runtime::num_threads() / cfg.n_workers));
   const core::MembershipSchedule& membership = setup.membership;
   const std::vector<core::MembershipView>& views = membership.views();
   const faults::FaultPlan* const plan = cfg.faults;
@@ -908,10 +912,12 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   const Setup setup(factory, cfg);
 
   // Instantiate the shared compute pool before the per-rank worker threads
-  // start. All ranks then submit their kernel work to this one pool (sized
-  // by GRACE_NUM_THREADS, not by n), so running more simulated ranks never
-  // oversubscribes the machine; determinism of the kernels is unaffected
-  // because chunk boundaries ignore both rank count and pool size.
+  // start. All ranks submit their kernel work to this one pool (sized by
+  // GRACE_NUM_THREADS, not by n), each within its max(1, pool / n) lanes
+  // (the lane rule, DESIGN.md §7): up to n = pool ranks, no more threads
+  // run kernels at once than the pool has lanes. Determinism of the
+  // kernels is unaffected because chunk boundaries ignore the rank count,
+  // the pool size and the lanes.
   runtime::ThreadPool::global();
 
   std::vector<WorkerLog> logs(static_cast<size_t>(cfg.n_workers));

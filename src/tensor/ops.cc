@@ -200,9 +200,10 @@ std::vector<int32_t> topk_abs_indices(std::span<const float> x, int64_t k) {
   std::vector<int32_t> idx;
   // The two-level path does ~1.3x the comparisons of a single selection
   // (each chunk must keep min(k, chunk) candidates), so it only wins when
-  // chunks actually run concurrently. Both branches produce the identical
-  // unique top-k set, so the choice cannot break determinism.
-  if (runtime::num_threads() > 1 && n >= 2 * kTopkGrain && k < n / 4) {
+  // chunks actually run concurrently: when the caller has more than one
+  // lane. Both branches produce the identical unique top-k set, so the
+  // choice cannot break determinism.
+  if (runtime::lanes() > 1 && n >= 2 * kTopkGrain && k < n / 4) {
     // Per-chunk pre-selection: each chunk keeps its own top-k candidates
     // (a superset of the global winners it contains); candidates are laid
     // out at fixed per-chunk offsets, then reduced by one final selection.

@@ -23,6 +23,14 @@ Tensor Tensor::full(Shape shape, float v) {
   return t;
 }
 
+void Tensor::assign(std::span<const float> values) {
+  const auto n = static_cast<int64_t>(values.size());
+  dtype_ = DType::F32;
+  if (shape_.rank() != 1 || shape_[0] != n) shape_ = Shape{{n}};
+  data_.resize(values.size_bytes());
+  if (n > 0) std::memcpy(data_.data(), values.data(), values.size_bytes());
+}
+
 Tensor Tensor::reshaped(Shape s) const {
   Tensor t = *this;
   t.set_shape(std::move(s));

@@ -70,6 +70,10 @@ class Tensor {
   std::span<const std::byte> bytes() const { return {data_.data(), data_.size()}; }
   std::span<std::byte> bytes() { return {data_.data(), data_.size()}; }
 
+  // Refill as a 1-D f32 tensor holding a copy of `values`, reusing this
+  // tensor's storage: no allocation once its capacity suffices.
+  void assign(std::span<const float> values);
+
   // Reinterpret with a new shape; numel must match.
   Tensor reshaped(Shape s) const;
   void set_shape(Shape s) {

@@ -5,7 +5,9 @@
 #include <thread>
 
 #include "comm/collectives.h"
+#include "comm/network_model.h"
 #include "comm/topology.h"
+#include "faults/injector.h"
 #include "tensor/rng.h"
 
 namespace grace::comm {
@@ -185,6 +187,86 @@ TEST(Collectives, OneFloatAllreduceManyRanksEmptyChunks) {
     const WireVolume v = ring_allreduce_volume(n, 1);
     EXPECT_EQ(world.messages_sent(), v.messages) << "n=" << n;
     EXPECT_EQ(world.payload_bytes_sent(), v.bytes) << "n=" << n;
+  }
+}
+
+// The ring sends from the buffer it received the step before and keeps
+// one per rank thread across calls. Sizes grow, then shrink (remainders,
+// fewer elements than ranks, empty chunks), under a plan that drops ring
+// messages: sums and transport counts equal those of rank threads started
+// fresh, with fresh buffers, for every call.
+TEST(Collectives, ReusedRingBuffersMatchFreshOnes) {
+  const int n = 4;
+  const std::vector<int64_t> sizes = {1, 3, 4, 9, 1000, 40001,
+                                      4097, 998, 6, 2, 5};
+  struct Outcome {
+    std::vector<std::vector<float>> sums;  // [call * n + rank]
+    uint64_t messages = 0;
+    uint64_t bytes = 0;
+    faults::FaultCounters faults;
+  };
+  auto run = [&](bool fresh_threads) {
+    faults::FaultSpec spec;
+    spec.seed = 17;
+    spec.drop_prob = 0.3;
+    const faults::FaultPlan plan(spec);
+    NetworkModel net;
+    net.n_workers = n;
+    faults::FaultInjector injector(&plan, net, n);
+    World world(n);
+    world.install_faults(&injector);
+    Outcome out;
+    out.sums.resize(sizes.size() * static_cast<size_t>(n));
+    auto call = [&](int rank, size_t c) {
+      auto comm = world.comm(rank);
+      std::vector<float> data(static_cast<size_t>(sizes[c]));
+      Rng rng(1000 * c + static_cast<uint64_t>(rank));
+      rng.fill_normal(data, 0.0f, 1.0f);
+      allreduce_sum(comm, data, static_cast<int>(c));
+      out.sums[c * static_cast<size_t>(n) + static_cast<size_t>(rank)] =
+          std::move(data);
+    };
+    if (fresh_threads) {
+      for (size_t c = 0; c < sizes.size(); ++c) {
+        run_ranks(world, n, [&](int rank) { call(rank, c); });
+      }
+    } else {
+      run_ranks(world, n, [&](int rank) {
+        for (size_t c = 0; c < sizes.size(); ++c) call(rank, c);
+      });
+    }
+    out.messages = world.messages_sent();
+    out.bytes = world.payload_bytes_sent();
+    out.faults = injector.totals();
+    return out;
+  };
+  const Outcome reused = run(false);
+  const Outcome fresh = run(true);
+  // The plan really dropped ring messages, and the same ones both times.
+  EXPECT_GT(reused.faults.drops_detected, 0u);
+  EXPECT_EQ(reused.faults.drops_detected, fresh.faults.drops_detected);
+  EXPECT_EQ(reused.faults.retransmitted_bytes,
+            fresh.faults.retransmitted_bytes);
+  EXPECT_EQ(reused.messages, fresh.messages);
+  EXPECT_EQ(reused.bytes, fresh.bytes);
+  // Clean deliveries are the closed-form ring volume; each dropped attempt
+  // crossed the wire too.
+  uint64_t messages = reused.faults.attempts_staged;
+  uint64_t bytes = reused.faults.retransmitted_bytes;
+  for (int64_t size : sizes) {
+    const WireVolume v = ring_allreduce_volume(n, size);
+    messages += v.messages;
+    bytes += v.bytes;
+  }
+  EXPECT_EQ(reused.messages, messages);
+  EXPECT_EQ(reused.bytes, bytes);
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    for (int r = 0; r < n; ++r) {
+      const size_t at = c * static_cast<size_t>(n) + static_cast<size_t>(r);
+      ASSERT_EQ(reused.sums[at], fresh.sums[at]) << "call " << c << " rank " << r;
+      ASSERT_EQ(reused.sums[at], reused.sums[c * static_cast<size_t>(n)])
+          << "call " << c << " rank " << r;
+    }
   }
 }
 

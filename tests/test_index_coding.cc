@@ -64,6 +64,12 @@ TEST(IndexCoding, NearInt32MaxRoundTrips) {
   EXPECT_EQ(varint_decode_indices(varint_encode_indices(idx), 4), idx);
   EXPECT_EQ(rice_decode_indices(rice_encode_indices(idx), 4), idx);
   EXPECT_EQ(rice_decode_indices(rice_encode_indices(idx, 24), 4), idx);
+  // A first index of INT32_MAX: its gap from the -1 start is 2^31, which
+  // the encoders must compute wider than int.
+  const std::vector<int32_t> last = {top};
+  EXPECT_EQ(varint_decode_indices(varint_encode_indices(last), 1), last);
+  EXPECT_EQ(rice_decode_indices(rice_encode_indices(last), 1), last);
+  EXPECT_EQ(rice_decode_indices(rice_encode_indices(last, 24), 1), last);
 }
 
 TEST(IndexCoding, RiceKZero) {

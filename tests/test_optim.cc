@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "optim/optimizer.h"
+#include "tensor/rng.h"
 
 namespace grace::optim {
 namespace {
@@ -112,6 +116,114 @@ TEST(Optim, ExportedStateContinuesTheSameTrajectory) {
     b->apply(1, q1, g1);
     EXPECT_EQ(q0, p0);
     EXPECT_EQ(q1, p1);
+  }
+}
+
+// --- The vectorized optimizer loops against scalar references ----------
+//
+// optimizer.cc alone is compiled with -fno-math-errno so GCC vectorizes its
+// Adam and RMSProp loops. The references below are the seed loops,
+// compiled here without the flag; square root is correctly rounded in
+// scalar and vector form, so every bit must agree.
+
+float ref_grad(const OptimizerConfig& cfg, float grad, float param) {
+  float g = grad;
+  if (cfg.weight_decay != 0.0) {
+    g += static_cast<float>(cfg.weight_decay) * param;
+  }
+  return g;
+}
+
+void ref_adam_step(const OptimizerConfig& cfg, int64_t step,
+                   std::vector<float>& param, std::vector<float>& m,
+                   std::vector<float>& v, const std::vector<float>& grad) {
+  const auto t = static_cast<double>(step);
+  const double b1 = cfg.beta1, b2 = cfg.beta2;
+  const double bias1 = 1.0 - std::pow(b1, t);
+  const double bias2 = 1.0 - std::pow(b2, t);
+  for (size_t i = 0; i < param.size(); ++i) {
+    const float g = ref_grad(cfg, grad[i], param[i]);
+    m[i] = static_cast<float>(b1 * m[i] + (1.0 - b1) * g);
+    v[i] = static_cast<float>(b2 * v[i] + (1.0 - b2) * g * g);
+    const double mhat = m[i] / bias1;
+    const double vhat = v[i] / bias2;
+    param[i] -=
+        static_cast<float>(cfg.lr * mhat / (std::sqrt(vhat) + cfg.eps));
+  }
+}
+
+void ref_rmsprop_step(const OptimizerConfig& cfg, std::vector<float>& param,
+                      std::vector<float>& s, const std::vector<float>& grad) {
+  for (size_t i = 0; i < param.size(); ++i) {
+    const float g = ref_grad(cfg, grad[i], param[i]);
+    s[i] = static_cast<float>(cfg.rho * s[i] + (1.0 - cfg.rho) * g * g);
+    param[i] -= static_cast<float>(
+        cfg.lr * g / (std::sqrt(static_cast<double>(s[i])) + cfg.eps));
+  }
+}
+
+// Bit patterns, so NaNs compare too.
+std::vector<uint32_t> bits_of(std::span<const float> x) {
+  std::vector<uint32_t> out(x.size());
+  if (!x.empty()) std::memcpy(out.data(), x.data(), x.size_bytes());
+  return out;
+}
+
+// Normal gradients that change every step, with the same special value at
+// each of the first eight positions on every step: +-0, +-subnormal,
+// +-Inf, NaN and a huge finite value.
+std::vector<float> gradient(size_t n, int step) {
+  std::vector<float> g(n);
+  Rng rng(static_cast<uint64_t>(97 + step));
+  rng.fill_normal(g, 0.0f, 1.0f);
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -1e-40f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            3e38f};
+  for (size_t i = 0; i < std::min(n, std::size(specials)); ++i) {
+    g[i] = specials[i];
+  }
+  return g;
+}
+
+TEST(Optim, AdamAndRmsPropMatchScalarReferenceBitForBit) {
+  for (auto type : {OptimizerType::Adam, OptimizerType::RmsProp}) {
+    for (double wd : {0.0, 0.01}) {
+      for (size_t n : {size_t{1}, size_t{7}, size_t{13}, size_t{1001}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (type == OptimizerType::Adam ? "adam" : "rmsprop")
+                     << " wd=" << wd << " n=" << n);
+        const OptimizerConfig cfg{.type = type, .lr = 0.01,
+                                  .weight_decay = wd};
+        auto opt = make_optimizer(cfg);
+        std::vector<float> param(n), want;
+        Rng rng(5);
+        rng.fill_normal(param, 0.0f, 1.0f);
+        want = param;
+        std::vector<float> m(n, 0.0f), v(n, 0.0f);
+        for (int step = 1; step <= 3; ++step) {
+          const std::vector<float> g = gradient(n, step);
+          opt->apply(0, param, g);
+          if (type == OptimizerType::Adam) {
+            ref_adam_step(cfg, step, want, m, v, g);
+          } else {
+            ref_rmsprop_step(cfg, want, m, g);
+          }
+          ASSERT_EQ(bits_of(param), bits_of(want)) << "step " << step;
+        }
+        // The moment buffers too: [m, v, steps] for Adam, [s] for RMSProp.
+        const std::vector<int64_t> slots = {static_cast<int64_t>(n)};
+        const std::vector<Tensor> state = opt->export_state(slots);
+        EXPECT_EQ(bits_of(state.at(0).f32()), bits_of(m));
+        if (type == OptimizerType::Adam) {
+          EXPECT_EQ(bits_of(state.at(1).f32()), bits_of(v));
+        }
+      }
+    }
   }
 }
 

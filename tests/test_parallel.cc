@@ -1,14 +1,19 @@
 // The deterministic parallel runtime: thread-pool stress (nested
-// submission from many worker threads), the fixed-chunk determinism
-// contract of parallel_for / parallel_reduce, bitwise reproducibility of
-// GEMM / reductions / top-k across thread counts, and thread-count
-// invariance of full training runs.
+// submission from many worker threads), the per-thread lane limit, the
+// fixed-chunk determinism contract of parallel_for / parallel_reduce,
+// bitwise reproducibility of GEMM / reductions / top-k across thread
+// counts and lanes, and thread-count invariance of full training runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -139,6 +144,73 @@ TEST(ThreadPool, NestedSubmissionFromManyWorkerThreads) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+// --- Lanes per thread ---------------------------------------------------
+
+// The threads that ran at least one chunk of a 64-chunk region, each chunk
+// long enough that idle pool workers get the chance to claim some.
+std::set<std::thread::id> threads_running_chunks() {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  runtime::parallel_for(64, 1, [&](int64_t, int64_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    const std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  });
+  return ids;
+}
+
+TEST(LaneLimit, OneLaneRunsEveryChunkOnTheCaller) {
+  PoolGuard guard;
+  runtime::ThreadPool::global().resize(4);
+  const runtime::LaneLimit one(1);
+  EXPECT_EQ(runtime::lanes(), 1);
+  EXPECT_EQ(runtime::num_threads(), 4);  // the pool keeps its size
+  EXPECT_EQ(threads_running_chunks(),
+            std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(LaneLimit, TwoLanesUseAtMostTwoThreads) {
+  PoolGuard guard;
+  runtime::ThreadPool::global().resize(4);
+  {
+    const runtime::LaneLimit two(2);
+    EXPECT_EQ(runtime::lanes(), 2);
+    EXPECT_LE(threads_running_chunks().size(), 2u);
+  }
+  // A limit above the pool size is capped at it.
+  const runtime::LaneLimit wide(64);
+  EXPECT_EQ(runtime::lanes(), 4);
+}
+
+TEST(LaneLimit, LeavingTheScopeRestoresThePreviousLimit) {
+  PoolGuard guard;
+  runtime::ThreadPool::global().resize(4);
+  EXPECT_EQ(runtime::lanes(), 4);
+  {
+    const runtime::LaneLimit outer(2);
+    {
+      const runtime::LaneLimit inner(1);
+      EXPECT_EQ(runtime::lanes(), 1);
+    }
+    EXPECT_EQ(runtime::lanes(), 2);
+    EXPECT_THROW(
+        {
+          const runtime::LaneLimit thrown(1);
+          runtime::parallel_for(100, 10, [](int64_t, int64_t) {
+            throw std::runtime_error("body failed");
+          });
+        },
+        std::runtime_error);
+    EXPECT_EQ(runtime::lanes(), 2);
+  }
+  EXPECT_EQ(runtime::lanes(), 4);
+  // The limit belongs to the thread that set it.
+  const runtime::LaneLimit one(1);
+  int other = 0;
+  std::thread([&] { other = runtime::lanes(); }).join();
+  EXPECT_EQ(other, 4);
+}
+
 // --- Bitwise determinism across thread counts --------------------------
 
 std::vector<float> random_vec(size_t n, uint64_t seed) {
@@ -211,7 +283,8 @@ TEST(Determinism, GemmMatchesNaiveReference) {
 
 TEST(Determinism, TopkIdenticalAcrossThreadCountsAndMatchesBruteForce) {
   PoolGuard guard;
-  // Big enough to trigger the chunked pre-selection path (grain 65536).
+  // Big enough to trigger the chunked pre-selection path (grain 65536):
+  // n >= 2^17.
   const auto x = random_vec(150001, 41);
   const int64_t k = 2000;
 
@@ -221,6 +294,11 @@ TEST(Determinism, TopkIdenticalAcrossThreadCountsAndMatchesBruteForce) {
   for (int threads : {2, 8}) {
     runtime::ThreadPool::global().resize(threads);
     ASSERT_EQ(ops::topk_abs_indices(x, k), idx1) << threads;
+  }
+  {
+    // A one-lane caller on a wide pool takes the single-selection path.
+    const runtime::LaneLimit one(1);
+    ASSERT_EQ(ops::topk_abs_indices(x, k), idx1);
   }
 
   // Brute force: sort all indices by (|x| desc, index asc), take k.
@@ -238,31 +316,38 @@ TEST(Determinism, TopkIdenticalAcrossThreadCountsAndMatchesBruteForce) {
 
 TEST(Determinism, TrainerLossesBitwiseIdenticalAcrossThreadCounts) {
   PoolGuard guard;
-  for (const char* spec : {"none", "topk(0.1)"}) {
-    sim::Benchmark b = sim::make_cnn_classification(0.1);
-    sim::TrainConfig cfg = sim::default_config(b);
-    cfg.n_workers = 2;
-    cfg.net.n_workers = 2;
-    cfg.epochs = 1;
-    cfg.grace.compressor_spec = spec;
+  // At pool 4, 1, 2 and 4 ranks get 4, 2 and 1 lanes each.
+  for (int workers : {1, 2, 4}) {
+    for (const char* spec : {"none", "topk(0.1)"}) {
+      SCOPED_TRACE(std::string(spec) + " on " + std::to_string(workers) +
+                   " workers");
+      sim::Benchmark b = sim::make_cnn_classification(0.1);
+      sim::TrainConfig cfg = sim::default_config(b);
+      cfg.n_workers = workers;
+      cfg.net.n_workers = workers;
+      cfg.epochs = 1;
+      cfg.grace.compressor_spec = spec;
 
-    runtime::ThreadPool::global().resize(1);
-    const sim::RunResult r1 = sim::train(b.factory, cfg);
-    runtime::ThreadPool::global().resize(4);
-    const sim::RunResult r4 = sim::train(b.factory, cfg);
+      runtime::ThreadPool::global().resize(1);
+      const sim::RunResult r1 = sim::train(b.factory, cfg);
+      runtime::ThreadPool::global().resize(4);
+      const sim::RunResult r4 = sim::train(b.factory, cfg);
 
-    ASSERT_EQ(r1.epochs.size(), r4.epochs.size()) << spec;
-    for (size_t e = 0; e < r1.epochs.size(); ++e) {
-      // Bitwise-identical training trajectory: the per-epoch loss averages
-      // (doubles accumulated from every per-iteration float loss) and the
-      // eval quality must match exactly, not approximately.
-      EXPECT_EQ(r1.epochs[e].train_loss, r4.epochs[e].train_loss)
-          << spec << " epoch " << e;
-      EXPECT_EQ(r1.epochs[e].quality, r4.epochs[e].quality)
-          << spec << " epoch " << e;
+      ASSERT_EQ(r1.epochs.size(), r4.epochs.size());
+      for (size_t e = 0; e < r1.epochs.size(); ++e) {
+        // Bitwise-identical training trajectory: the per-epoch loss
+        // averages (doubles accumulated from every per-iteration float
+        // loss) and the eval quality must match exactly, not
+        // approximately.
+        EXPECT_EQ(r1.epochs[e].train_loss, r4.epochs[e].train_loss)
+            << "epoch " << e;
+        EXPECT_EQ(r1.epochs[e].quality, r4.epochs[e].quality)
+            << "epoch " << e;
+      }
+      EXPECT_EQ(r1.final_quality, r4.final_quality);
+      EXPECT_EQ(r1.parameters_crc32, r4.parameters_crc32);
+      EXPECT_TRUE(r4.replicas_in_sync);
     }
-    EXPECT_EQ(r1.final_quality, r4.final_quality) << spec;
-    EXPECT_TRUE(r4.replicas_in_sync) << spec;
   }
 }
 

@@ -248,6 +248,28 @@ TEST(CraftedFrames, QsgdCodesShorterThanTheShapeThrow) {
   EXPECT_THROW(qsgd->decompress_add(back, acc.f32()), std::runtime_error);
 }
 
+TEST(CraftedFrames, PackedPartsShorterThanTheShapeThrow) {
+  // unpack_signs and unpack serve seven decoders (efsignsgd, inceptionn,
+  // onebit, qsparselocal, signsgd, signum, terngrad); one frame goes
+  // through each helper.
+  const std::pair<const char*, int64_t> cases[] = {
+      {"signsgd", 2},    // 16 signs for 64 elements
+      {"terngrad", 4}};  // 16 2-bit codes for 64 elements
+  for (const auto& [spec, bytes] : cases) {
+    SCOPED_TRACE(spec);
+    Rng rng(6);
+    Tensor grad(DType::F32, Shape({64}));
+    rng.fill_normal(grad.f32(), 0.0f, 1.0f);
+    const auto q = make_compressor(spec);
+    CompressedTensor ct = q->compress(grad, "g", rng);
+    ct.parts.at(0) = Tensor(DType::U8, Shape({bytes}));
+    const CompressedTensor back = deserialize(serialize(ct));
+    EXPECT_THROW(q->decompress(back), std::runtime_error);
+    Tensor acc = Tensor::zeros(grad.shape());
+    EXPECT_THROW(q->decompress_add(back, acc.f32()), std::runtime_error);
+  }
+}
+
 TEST(MutationFuzz, BootstrapFrames) {
   const std::vector<int64_t> slots = {12, 5};
   std::vector<float> params(17);
