@@ -61,7 +61,6 @@ sim::TrainConfig cluster_config(const sim::Benchmark& b, int epochs) {
 sim::TrainConfig controller_config(const sim::Benchmark& b, int epochs) {
   sim::TrainConfig cfg = cluster_config(b, epochs);
   cfg.grace.compressor_spec = kArms.back();
-  cfg.grace.control.policy = "hysteresis";
   cfg.grace.control.arms = kArms;
   cfg.grace.control.start_arm = static_cast<int>(kArms.size()) - 1;
   cfg.grace.control.decide_every_iters = 1;
@@ -192,7 +191,7 @@ int main(int argc, char** argv) {
                 reproducible ? "yes" : "NO");
 
     bench::appendf(json,
-                   "],\"controller\":{\"policy\":\"hysteresis\","
+                   "],\"controller\":{"
                    "\"best_quality\":%.6f,\"total_seconds\":%.6f,"
                    "\"ttq_seconds\":%.6f,\"boundaries\":%d,\"switches\":%d,"
                    "\"decisions_crc32\":%u,\"reproducible\":%s,\"epochs\":",

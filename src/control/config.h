@@ -9,32 +9,18 @@
 // whole run. Setting `arms` turns it on: the trainer instantiates one
 // deterministic Controller per rank, feeds it cross-rank-aggregated
 // fidelity signals at decision boundaries, and switches each fusion
-// bucket's compressor between the listed arms.
+// bucket's compressor between the listed arms by the hysteresis rule
+// below. On a switch the bucket's error-feedback residual carries over:
+// the next arm's compensation folds it into its first compressed gradient.
 #pragma once
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace grace::control {
 
-// What happens to a bucket's error-feedback residual when the controller
-// switches its arm. Absorb keeps the residual — the next arm's compensation
-// folds it into its first compressed gradient (no work is lost, but the
-// residual was shaped by the *old* arm's error profile). Flush drops it —
-// the new arm starts from a clean slate (loses the pending correction, but
-// never replays another compressor's bias). Both are deterministic; the
-// trade-off is tested both ways in tests/test_controller.cc.
-enum class ResidualCarry { Absorb, Flush };
-
 struct ControlConfig {
-  // "fixed" never switches (the degenerate policy: today's behavior run
-  // through the controller machinery), "hysteresis" applies threshold
-  // rules with anti-flap bands, "bandit" runs a seeded epsilon-greedy /
-  // UCB1 search over the arm set.
-  std::string policy = "fixed";
-
   // Candidate compressor specs, ordered lightest (index 0, e.g. "none")
   // to heaviest compression. Empty disables the controller entirely.
   std::vector<std::string> arms;
@@ -47,11 +33,7 @@ struct ControlConfig {
   // boundaries — the crash/resume hand-off contract depends on it.
   int decide_every_iters = 0;
 
-  // Sampling cadence of the fidelity probe the trainer auto-attaches when
-  // the controller is on and no external probe was configured.
-  int probe_every_k = 1;
-
-  // HysteresisRule thresholds. A bucket whose signal window breaches any
+  // Hysteresis thresholds. A bucket whose signal window breaches any
   // floor/ceiling for `patience` consecutive boundaries steps one arm
   // lighter; a window clearing every threshold by the hysteresis `band`
   // for `patience` boundaries steps one arm heavier. Windows in between
@@ -65,26 +47,12 @@ struct ControlConfig {
   // bits pins to the lightest arm (index 0) and never promotes —
   // compressing a negligible payload buys no measurable wire time but
   // still pays the full fidelity cost (biases and small early layers are
-  // the classic case). 0 disables the rule. Hysteresis policy only.
+  // the classic case). 0 disables the rule.
   double cheap_bits = 0.0;
 
-  // SeededBandit. epsilon-greedy by default; ucb_c > 0 switches to UCB1
-  // with that exploration constant (and then draws no randomness at all).
-  // reward = (cosine + sign_agreement)/2 + ratio_weight * (1 - wire/dense).
-  double epsilon = 0.10;
-  double ucb_c = 0.0;
-  double ratio_weight = 0.25;
-  // Folded into the run seed for the bandit's Rng: all ranks draw the same
-  // stream (seeded from the run seed only, never the rank), so the decision
-  // sequence is identical everywhere and bit-reproducible under the seed.
-  uint64_t seed_salt = 0xC0117801ULL;
-
-  ResidualCarry residual_carry = ResidualCarry::Absorb;
-
   // Controller::snapshot() of a prior run (RunResult::control.state): a
-  // run resumed via TrainConfig::start_epoch restores arm assignments,
-  // policy state and the bandit's RNG position from it and replays the
-  // original run's decision tail exactly.
+  // run resumed via TrainConfig::start_epoch restores arm assignments and
+  // streaks from it and replays the original run's decision tail exactly.
   std::string resume_state;
 
   bool enabled() const { return !arms.empty(); }
@@ -93,10 +61,6 @@ struct ControlConfig {
   // additionally instantiates every arm spec up front so a typo fails on
   // the main thread, not inside a worker.
   void validate() const {
-    if (policy != "fixed" && policy != "hysteresis" && policy != "bandit") {
-      throw std::invalid_argument("ControlConfig: unknown policy '" + policy +
-                                  "' (expected fixed|hysteresis|bandit)");
-    }
     if (arms.empty()) {
       throw std::invalid_argument("ControlConfig: validate() on a disabled "
                                   "controller (arms is empty)");
@@ -107,16 +71,10 @@ struct ControlConfig {
     if (decide_every_iters < 0) {
       throw std::invalid_argument("ControlConfig: decide_every_iters < 0");
     }
-    if (probe_every_k < 1) {
-      throw std::invalid_argument("ControlConfig: probe_every_k < 1");
-    }
     if (patience < 1) throw std::invalid_argument("ControlConfig: patience < 1");
     if (band < 0.0) throw std::invalid_argument("ControlConfig: band < 0");
     if (cheap_bits < 0.0) {
       throw std::invalid_argument("ControlConfig: cheap_bits < 0");
-    }
-    if (epsilon < 0.0 || epsilon > 1.0) {
-      throw std::invalid_argument("ControlConfig: epsilon outside [0, 1]");
     }
   }
 };

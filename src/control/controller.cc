@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -25,22 +24,6 @@ uint32_t names_crc(const std::vector<std::string>& names) {
   return c;
 }
 
-std::string format_double(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-double parse_double(const std::string& tok) {
-  double v = 0.0;
-  const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec != std::errc{} || p != tok.data() + tok.size() || !std::isfinite(v)) {
-    throw std::invalid_argument("control snapshot: bad number '" + tok + "'");
-  }
-  return v;
-}
-
 int64_t parse_i64(const std::string& tok) {
   int64_t v = 0;
   const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
@@ -51,7 +34,7 @@ int64_t parse_i64(const std::string& tok) {
 }
 
 // A count the snapshot records, checked against [0, max] before the caller
-// narrows or replays it.
+// narrows it.
 int64_t parse_count(const std::string& tok, int64_t max, const char* what) {
   const int64_t v = parse_i64(tok);
   if (v < 0 || v > max) {
@@ -88,248 +71,19 @@ std::string field(const std::vector<std::string>& fields,
   throw std::invalid_argument("control snapshot: missing field '" + key + "'");
 }
 
-class FixedPolicy final : public ControlPolicy {
- public:
-  const char* name() const override { return "fixed"; }
-  Verdict decide(size_t, int current_arm, const WindowStats&) override {
-    return {current_arm, "fixed"};
-  }
-  std::string serialize_bucket(size_t) const override { return "-"; }
-  void restore_bucket(size_t, const std::string& token, int64_t) override {
-    if (token != "-") {
-      throw std::invalid_argument("control snapshot: fixed-policy token '" +
-                                  token + "'");
-    }
-  }
+// One bucket's signal window between two consecutive decision boundaries,
+// aggregated across all live ranks (means weighted by sample count).
+struct WindowStats {
+  double samples = 0.0;          // fidelity samples in the window, all ranks
+  double cosine = 1.0;           // mean cosine(compensated, reconstructed)
+  double sign_agreement = 1.0;   // mean elementwise sign agreement
+  double residual_rel = 0.0;     // sum residual_l2 / sum grad_l2
+  // Dense payload of one exchange of this bucket (numel * 32): the size
+  // signal behind ControlConfig::cheap_bits.
+  double dense_bits_per_sample = 0.0;
 };
 
-// Threshold rules with hysteresis. Arms are ordered lightest (index 0) to
-// heaviest; a sustained fidelity breach steps one arm LIGHTER (toward
-// index 0: less compression, more faithful gradients), a sustained
-// comfortable margin steps one arm HEAVIER. The band between "breach" and
-// "comfortable" resets both streaks, so a window hovering at a threshold
-// never flaps the arm back and forth.
-class HysteresisRulePolicy final : public ControlPolicy {
- public:
-  HysteresisRulePolicy(const ControlConfig& cfg, size_t n_buckets,
-                       size_t n_arms)
-      : cfg_(cfg), n_arms_(static_cast<int>(n_arms)), state_(n_buckets) {}
-
-  const char* name() const override { return "hysteresis"; }
-
-  Verdict decide(size_t bucket, int current_arm,
-                 const WindowStats& w) override {
-    Streaks& st = state_[bucket];
-    if (w.samples <= 0.0) {
-      // No fidelity evidence in this window (probe cadence skipped it, or
-      // the window had no exchanges): hold, and hold the streaks too.
-      return {current_arm, "idle"};
-    }
-    // Cheap-bucket rule: a dense payload under the threshold costs nothing
-    // on the wire, so there is no upside to compressing it — pin to the
-    // lightest arm immediately and never promote.
-    if (cfg_.cheap_bits > 0.0 && w.dense_bits_per_sample > 0.0 &&
-        w.dense_bits_per_sample < cfg_.cheap_bits) {
-      st.worse = 0;
-      st.better = 0;
-      if (current_arm > 0) return {0, "cheap"};
-      return {current_arm, "cheap:hold"};
-    }
-    std::string breach;
-    if (w.cosine < cfg_.cosine_floor) breach = "cosine<floor";
-    else if (w.sign_agreement < cfg_.sign_floor) breach = "sign<floor";
-    else if (w.residual_rel > cfg_.residual_ceiling) breach = "residual>ceiling";
-    if (!breach.empty()) {
-      st.better = 0;
-      if (++st.worse >= cfg_.patience && current_arm > 0) {
-        st.worse = 0;
-        return {current_arm - 1, breach};
-      }
-      return {current_arm, breach + ":wait"};
-    }
-    const bool comfortable =
-        w.cosine >= cfg_.cosine_floor + cfg_.band &&
-        w.sign_agreement >= cfg_.sign_floor + cfg_.band &&
-        w.residual_rel <= cfg_.residual_ceiling * (1.0 - cfg_.band);
-    if (comfortable) {
-      st.worse = 0;
-      if (++st.better >= cfg_.patience && current_arm + 1 < n_arms_) {
-        st.better = 0;
-        return {current_arm + 1, "headroom"};
-      }
-      return {current_arm, "headroom:wait"};
-    }
-    st.worse = 0;
-    st.better = 0;
-    return {current_arm, "in-band"};
-  }
-
-  std::string serialize_bucket(size_t bucket) const override {
-    const Streaks& st = state_[bucket];
-    return std::to_string(st.worse) + ":" + std::to_string(st.better);
-  }
-
-  void restore_bucket(size_t bucket, const std::string& token,
-                      int64_t boundaries) override {
-    const std::vector<std::string> parts = split(token, ':');
-    if (parts.size() != 2) {
-      throw std::invalid_argument("control snapshot: hysteresis token '" +
-                                  token + "'");
-    }
-    state_[bucket].worse =
-        static_cast<int>(parse_count(parts[0], boundaries, "streak"));
-    state_[bucket].better =
-        static_cast<int>(parse_count(parts[1], boundaries, "streak"));
-  }
-
- private:
-  struct Streaks {
-    int worse = 0;
-    int better = 0;
-  };
-  ControlConfig cfg_;
-  int n_arms_;
-  std::vector<Streaks> state_;
-};
-
-// Seeded bandit over the arm set. Reward blends fidelity (cosine + sign
-// agreement) with wire savings; epsilon-greedy draws exactly ONE uniform
-// per (bucket, boundary) — reused for both the explore coin and the arm
-// choice — so the RNG position is a pure function of the number of
-// decisions taken, which is what makes replay-after-restore exact. With
-// ucb_c > 0 the policy is UCB1 and consumes no randomness at all.
-class SeededBanditPolicy final : public ControlPolicy {
- public:
-  SeededBanditPolicy(const ControlConfig& cfg, size_t n_buckets, size_t n_arms,
-                     uint64_t run_seed)
-      : cfg_(cfg),
-        n_arms_(n_arms),
-        rng_(run_seed ^ cfg.seed_salt),
-        state_(n_buckets, Arms(n_arms)) {}
-
-  const char* name() const override { return "bandit"; }
-
-  Verdict decide(size_t bucket, int current_arm,
-                 const WindowStats& w) override {
-    Arms& a = state_[bucket];
-    if (w.samples > 0.0) {
-      const double reward = 0.5 * (w.cosine + w.sign_agreement) +
-                            cfg_.ratio_weight * (1.0 - w.wire_share);
-      Cell& c = a.cells[static_cast<size_t>(current_arm)];
-      c.plays += 1;
-      c.mean += (reward - c.mean) / static_cast<double>(c.plays);
-    }
-    // Bootstrap: play every arm once, in index order, before estimating.
-    for (size_t i = 0; i < n_arms_; ++i) {
-      if (a.cells[i].plays == 0) return {static_cast<int>(i), "bootstrap"};
-    }
-    if (cfg_.ucb_c > 0.0) {
-      int64_t total = 0;
-      for (const Cell& c : a.cells) total += c.plays;
-      size_t best = 0;
-      double best_score = -std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < n_arms_; ++i) {
-        const double score =
-            a.cells[i].mean +
-            cfg_.ucb_c * std::sqrt(std::log(static_cast<double>(total)) /
-                                   static_cast<double>(a.cells[i].plays));
-        if (score > best_score) {
-          best_score = score;
-          best = i;
-        }
-      }
-      return {static_cast<int>(best), "ucb"};
-    }
-    const double u = draw();
-    if (cfg_.epsilon > 0.0 && u < cfg_.epsilon) {
-      const auto pick = static_cast<size_t>(u / cfg_.epsilon *
-                                            static_cast<double>(n_arms_));
-      return {static_cast<int>(std::min(pick, n_arms_ - 1)), "explore"};
-    }
-    size_t best = 0;
-    for (size_t i = 1; i < n_arms_; ++i) {
-      if (a.cells[i].mean > a.cells[best].mean) best = i;
-    }
-    return {static_cast<int>(best), "exploit"};
-  }
-
-  std::string serialize_bucket(size_t bucket) const override {
-    std::string out;
-    const Arms& a = state_[bucket];
-    for (size_t i = 0; i < a.cells.size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(a.cells[i].plays) + ":" +
-             format_double(a.cells[i].mean);
-    }
-    return out;
-  }
-
-  void restore_bucket(size_t bucket, const std::string& token,
-                      int64_t boundaries) override {
-    const std::vector<std::string> cells = split(token, ',');
-    if (cells.size() != n_arms_) {
-      throw std::invalid_argument("control snapshot: bandit token '" + token +
-                                  "' does not match the arm count");
-    }
-    for (size_t i = 0; i < cells.size(); ++i) {
-      const std::vector<std::string> kv = split(cells[i], ':');
-      if (kv.size() != 2) {
-        throw std::invalid_argument("control snapshot: bandit cell '" +
-                                    cells[i] + "'");
-      }
-      state_[bucket].cells[i].plays = parse_count(kv[0], boundaries, "plays");
-      state_[bucket].cells[i].mean = parse_double(kv[1]);
-    }
-  }
-
-  uint64_t rng_draws() const override { return draws_; }
-  void replay_rng(uint64_t draws) override {
-    for (uint64_t i = 0; i < draws; ++i) draw();
-  }
-
- private:
-  double draw() {
-    ++draws_;
-    return rng_.uniform();
-  }
-
-  struct Cell {
-    int64_t plays = 0;
-    double mean = 0.0;
-  };
-  struct Arms {
-    explicit Arms(size_t n) : cells(n) {}
-    std::vector<Cell> cells;
-  };
-  ControlConfig cfg_;
-  size_t n_arms_;
-  Rng rng_;
-  uint64_t draws_ = 0;
-  std::vector<Arms> state_;
-};
-
-constexpr char kSnapshotMagic[] = "grace.control.v1";
-
-}  // namespace
-
-void ControlPolicy::replay_rng(uint64_t draws) {
-  if (draws != 0) {
-    throw std::invalid_argument(
-        "control snapshot: rng draws recorded for a policy that draws none");
-  }
-}
-
-std::unique_ptr<ControlPolicy> make_policy(const ControlConfig& cfg,
-                                           size_t n_buckets, size_t n_arms,
-                                           uint64_t run_seed) {
-  cfg.validate();
-  if (cfg.policy == "fixed") return std::make_unique<FixedPolicy>();
-  if (cfg.policy == "hysteresis") {
-    return std::make_unique<HysteresisRulePolicy>(cfg, n_buckets, n_arms);
-  }
-  return std::make_unique<SeededBanditPolicy>(cfg, n_buckets, n_arms, run_seed);
-}
-
+// Decode one bucket's slice of the aggregated signal vector into means.
 WindowStats window_from_signals(const float* s) {
   WindowStats w;
   w.samples = static_cast<double>(s[0]);
@@ -338,24 +92,71 @@ WindowStats window_from_signals(const float* s) {
   w.sign_agreement = static_cast<double>(s[2]) / w.samples;
   w.residual_rel =
       s[4] > 0.0f ? static_cast<double>(s[3]) / static_cast<double>(s[4]) : 0.0;
-  if (s[6] > 0.0f) {
-    w.wire_share = static_cast<double>(s[5]) / static_cast<double>(s[6]);
-  }
-  if (s[5] > 0.0f) {
-    w.compression_ratio =
-        static_cast<double>(s[6]) / static_cast<double>(s[5]);
-  }
   w.dense_bits_per_sample = static_cast<double>(s[6]) / w.samples;
   return w;
 }
 
+constexpr char kSnapshotMagic[] = "grace.control.v2";
+
+}  // namespace
+
 Controller::Controller(const ControlConfig& cfg,
-                       std::vector<std::string> bucket_names, uint64_t run_seed)
-    : cfg_(cfg), bucket_names_(std::move(bucket_names)) {
+                       std::vector<std::string> bucket_names)
+    : cfg_(cfg),
+      bucket_names_(std::move(bucket_names)),
+      arms_now_(bucket_names_.size(), cfg.start_arm),
+      streaks_(bucket_names_.size()) {
   cfg_.validate();
-  policy_ = make_policy(cfg_, bucket_names_.size(), cfg_.arms.size(), run_seed);
-  arms_now_.assign(bucket_names_.size(), cfg_.start_arm);
   if (!cfg_.resume_state.empty()) restore(cfg_.resume_state);
+}
+
+std::pair<int, std::string> Controller::decide(size_t b, const float* window) {
+  const WindowStats w = window_from_signals(window);
+  const int current_arm = arms_now_[b];
+  Streaks& st = streaks_[b];
+  if (w.samples <= 0.0) {
+    // No fidelity evidence in this window (the probe's cadence skipped it,
+    // or the window had no exchanges): hold, and hold the streaks too.
+    return {current_arm, "idle"};
+  }
+  // Cheap-bucket rule: a dense payload under the threshold costs nothing
+  // on the wire, so there is no upside to compressing it — pin to the
+  // lightest arm immediately and never promote.
+  if (cfg_.cheap_bits > 0.0 && w.dense_bits_per_sample > 0.0 &&
+      w.dense_bits_per_sample < cfg_.cheap_bits) {
+    st.worse = 0;
+    st.better = 0;
+    if (current_arm > 0) return {0, "cheap"};
+    return {current_arm, "cheap:hold"};
+  }
+  std::string breach;
+  if (w.cosine < cfg_.cosine_floor) breach = "cosine<floor";
+  else if (w.sign_agreement < cfg_.sign_floor) breach = "sign<floor";
+  else if (w.residual_rel > cfg_.residual_ceiling) breach = "residual>ceiling";
+  if (!breach.empty()) {
+    st.better = 0;
+    if (++st.worse >= cfg_.patience && current_arm > 0) {
+      st.worse = 0;
+      return {current_arm - 1, breach};
+    }
+    return {current_arm, breach + ":wait"};
+  }
+  const bool comfortable =
+      w.cosine >= cfg_.cosine_floor + cfg_.band &&
+      w.sign_agreement >= cfg_.sign_floor + cfg_.band &&
+      w.residual_rel <= cfg_.residual_ceiling * (1.0 - cfg_.band);
+  if (comfortable) {
+    st.worse = 0;
+    if (++st.better >= cfg_.patience &&
+        static_cast<size_t>(current_arm) + 1 < cfg_.arms.size()) {
+      st.better = 0;
+      return {current_arm + 1, "headroom"};
+    }
+    return {current_arm, "headroom:wait"};
+  }
+  st.worse = 0;
+  st.better = 0;
+  return {current_arm, "in-band"};
 }
 
 std::vector<ControlDecision> Controller::step(std::span<const float> signals,
@@ -367,10 +168,7 @@ std::vector<ControlDecision> Controller::step(std::span<const float> signals,
   }
   std::vector<ControlDecision> switched;
   for (size_t b = 0; b < n_buckets(); ++b) {
-    const WindowStats w =
-        window_from_signals(signals.data() + b * kSignalsPerBucket);
-    const ControlPolicy::Verdict v =
-        policy_->decide(b, arms_now_[b], w);
+    auto [arm, signal] = decide(b, signals.data() + b * kSignalsPerBucket);
     ControlDecision d;
     d.boundary = boundaries_;
     d.epoch = epoch;
@@ -378,11 +176,11 @@ std::vector<ControlDecision> Controller::step(std::span<const float> signals,
     d.bucket = static_cast<int>(b);
     d.bucket_name = bucket_names_[b];
     d.from_arm = arms_now_[b];
-    d.to_arm = v.arm;
-    d.signal = v.signal;
+    d.to_arm = arm;
+    d.signal = std::move(signal);
     decisions_.push_back(d);
-    if (v.arm != arms_now_[b]) {
-      arms_now_[b] = v.arm;
+    if (arm != arms_now_[b]) {
+      arms_now_[b] = arm;
       ++switches_;
       switched.push_back(d);
     }
@@ -393,18 +191,16 @@ std::vector<ControlDecision> Controller::step(std::span<const float> signals,
 
 std::string Controller::snapshot() const {
   std::string out = kSnapshotMagic;
-  out += ";policy=";
-  out += policy_->name();
   out += ";names_crc=" + std::to_string(names_crc(bucket_names_));
   out += ";arms_crc=" + std::to_string(names_crc(cfg_.arms));
   out += ";buckets=" + std::to_string(n_buckets());
   out += ";arms=" + std::to_string(cfg_.arms.size());
   out += ";boundaries=" + std::to_string(boundaries_);
   out += ";switches=" + std::to_string(switches_);
-  out += ";draws=" + std::to_string(policy_->rng_draws());
   for (size_t b = 0; b < n_buckets(); ++b) {
     out += ";b=" + std::to_string(arms_now_[b]) + "|" +
-           policy_->serialize_bucket(b);
+           std::to_string(streaks_[b].worse) + ":" +
+           std::to_string(streaks_[b].better);
   }
   return out;
 }
@@ -412,14 +208,9 @@ std::string Controller::snapshot() const {
 void Controller::restore(const std::string& state) {
   const std::vector<std::string> fields = split(state, ';');
   if (fields.empty() || fields[0] != kSnapshotMagic) {
-    throw std::invalid_argument(
-        "control snapshot: bad magic (expected grace.control.v1)");
-  }
-  if (field(fields, "policy") != policy_->name()) {
-    throw std::invalid_argument("control snapshot: policy '" +
-                                field(fields, "policy") +
-                                "' does not match configured policy '" +
-                                policy_->name() + "'");
+    throw std::invalid_argument(std::string("control snapshot: bad magic "
+                                            "(expected ") +
+                                kSnapshotMagic + ")");
   }
   if (parse_i64(field(fields, "names_crc")) != names_crc(bucket_names_)) {
     throw std::invalid_argument(
@@ -438,15 +229,12 @@ void Controller::restore(const std::string& state) {
   const int64_t boundaries = parse_count(field(fields, "boundaries"),
                                          std::numeric_limits<int>::max(),
                                          "boundaries");
-  // At most one switch, and one epsilon-greedy draw, per (bucket,
-  // boundary). Bounding the draws keeps a damaged snapshot from replaying
-  // an unbounded RNG sequence.
-  const int64_t per_bucket_boundary =
-      boundaries * static_cast<int64_t>(n_buckets());
   boundaries_ = static_cast<int>(boundaries);
+  // At most one switch per (bucket, boundary).
   switches_ = static_cast<int>(parse_count(
       field(fields, "switches"),
-      std::min<int64_t>(per_bucket_boundary, std::numeric_limits<int>::max()),
+      std::min<int64_t>(boundaries * static_cast<int64_t>(n_buckets()),
+                        std::numeric_limits<int>::max()),
       "switches"));
   std::vector<std::string> tokens;
   for (const std::string& f : fields) {
@@ -458,9 +246,14 @@ void Controller::restore(const std::string& state) {
                                 " bucket entries, found " +
                                 std::to_string(tokens.size()));
   }
+  // Each bucket entry is "<arm>|<worse>:<better>"; a streak advances by at
+  // most one per boundary.
   for (size_t b = 0; b < tokens.size(); ++b) {
     const size_t bar = tokens[b].find('|');
-    if (bar == std::string::npos) {
+    const std::vector<std::string> streaks =
+        bar == std::string::npos ? std::vector<std::string>{}
+                                 : split(tokens[b].substr(bar + 1), ':');
+    if (streaks.size() != 2) {
       throw std::invalid_argument("control snapshot: bucket entry '" +
                                   tokens[b] + "'");
     }
@@ -469,16 +262,16 @@ void Controller::restore(const std::string& state) {
       throw std::invalid_argument("control snapshot: arm index out of range");
     }
     arms_now_[b] = static_cast<int>(arm);
-    policy_->restore_bucket(b, tokens[b].substr(bar + 1), boundaries);
+    streaks_[b].worse =
+        static_cast<int>(parse_count(streaks[0], boundaries, "streak"));
+    streaks_[b].better =
+        static_cast<int>(parse_count(streaks[1], boundaries, "streak"));
   }
-  policy_->replay_rng(static_cast<uint64_t>(
-      parse_count(field(fields, "draws"), per_bucket_boundary, "draws")));
 }
 
 ControlSummary Controller::summary() const {
   ControlSummary s;
   s.enabled = true;
-  s.policy = policy_->name();
   s.arms = cfg_.arms;
   s.boundaries = boundaries_;
   s.switches = switches_;
@@ -514,8 +307,6 @@ std::string control_summary_json(const ControlSummary& s) {
     os << '}';
     return os.str();
   }
-  os << ",\"policy\":";
-  sim::append_escaped(os, s.policy);
   os << ",\"arms\":[";
   for (size_t i = 0; i < s.arms.size(); ++i) {
     if (i > 0) os << ',';

@@ -5,9 +5,11 @@
 // therefore belongs to exactly one worker.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "core/compressed.h"
 #include "tensor/rng.h"
@@ -59,6 +61,25 @@ class Compressor {
 // The size rule of decompress_add, for overrides to run first.
 void check_fold_size(const CompressedTensor& compressed,
                      std::span<const float> acc);
+
+// Decoder checks on a payload off the wire: a frame whose CRC checks out
+// may still lie about any part, count or dimension, and a decoder that
+// trusts one reads, writes or allocates out of bounds. Each throws
+// std::runtime_error naming `who` unless its rule holds.
+//
+// Part `i` exists, is of dtype `dtype` and holds exactly `numel` elements.
+const Tensor& wire_part(const CompressedTensor& compressed, size_t i,
+                        DType dtype, int64_t numel, const char* who);
+// ctx.ints[i] exists and lies in [lo, hi].
+int64_t wire_int(const CompressedTensor& compressed, size_t i, int64_t lo,
+                 int64_t hi, const char* who);
+// ctx.ints[0] and [1] are the rows and columns of ctx.shape's matrix view
+// (Shape::as_matrix), which the low-rank methods factor. Compared without
+// forming the product of the trailing dims: behind a leading 0 a lying
+// shape's trailing dims can overflow it, and then any column count is
+// harmless, as no element is read or written.
+std::pair<int64_t, int64_t> wire_matrix(const CompressedTensor& compressed,
+                                        const char* who);
 
 std::string compressor_class_name(CompressorClass c);
 

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "core/compressors/compressors.h"
+#include "core/helper_ops.h"
 #include "tensor/ops.h"
 
 namespace grace::core::compressors {
@@ -59,8 +60,12 @@ class Adaptive final : public Compressor {
     auto o = out.f32();
     const float pos_mean = ct.ctx.scalars.at(0);
     const float neg_mean = ct.ctx.scalars.at(1);
-    for (int32_t i : ct.parts.at(0).i32()) o[static_cast<size_t>(i)] = pos_mean;
-    for (int32_t i : ct.parts.at(1).i32()) o[static_cast<size_t>(i)] = neg_mean;
+    for (int32_t i : wire_indices(ct.parts.at(0), out.numel())) {
+      o[static_cast<size_t>(i)] = pos_mean;
+    }
+    for (int32_t i : wire_indices(ct.parts.at(1), out.numel())) {
+      o[static_cast<size_t>(i)] = neg_mean;
+    }
     return out;
   }
 

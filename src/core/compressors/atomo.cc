@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "core/compressors/compressors.h"
 #include "tensor/matmul.h"
@@ -104,13 +105,17 @@ class Atomo final : public Compressor {
   }
 
   Tensor decompress(const CompressedTensor& ct) const override {
-    const int64_t m = ct.ctx.ints.at(0);
-    const int64_t l = ct.ctx.ints.at(1);
+    const auto [m, l] = wire_matrix(ct, "atomo");
+    // One sigma per kept atom, and no more atoms than the matrix has ranks.
+    const int64_t kept = ct.parts.empty() ? 0 : ct.parts[0].numel();
+    if (kept > std::min(m, l)) {
+      throw std::runtime_error("atomo: more atoms than the matrix has ranks");
+    }
+    auto sigmas = wire_part(ct, 0, DType::F32, kept, "atomo").f32();
+    auto us = wire_part(ct, 1, DType::F32, kept * m, "atomo").f32();
+    auto vs = wire_part(ct, 2, DType::F32, kept * l, "atomo").f32();
     Tensor out = Tensor::zeros(ct.ctx.shape);
     auto o = out.f32();
-    auto sigmas = ct.parts.at(0).f32();
-    auto us = ct.parts.at(1).f32();
-    auto vs = ct.parts.at(2).f32();
     for (size_t i = 0; i < sigmas.size(); ++i) {
       const auto u = us.subspan(i * static_cast<size_t>(m), static_cast<size_t>(m));
       const auto v = vs.subspan(i * static_cast<size_t>(l), static_cast<size_t>(l));

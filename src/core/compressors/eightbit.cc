@@ -67,7 +67,7 @@ class EightBit final : public Compressor {
   Tensor decompress(const CompressedTensor& ct) const override {
     Tensor out = Tensor::zeros(ct.ctx.shape);
     auto o = out.f32();
-    auto c = ct.parts.at(0).u8();
+    auto c = wire_part(ct, 0, DType::U8, out.numel(), "eightbit").u8();
     const float scale = ct.ctx.scalars.at(0);
     for (size_t i = 0; i < o.size(); ++i) {
       const float mag = codebook()[c[i] & 0x7F] * scale;

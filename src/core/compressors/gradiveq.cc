@@ -108,13 +108,19 @@ class GradiVeq final : public Compressor {
   }
 
   Tensor decompress(const CompressedTensor& ct) const override {
-    const int64_t m = ct.ctx.ints.at(0);
-    const int64_t cols = ct.ctx.ints.at(1);
-    const int64_t r = ct.ctx.ints.at(2);
+    // The column matrix compress() derives from the element count.
+    const int64_t d = ct.ctx.shape.numel();
+    const int64_t want_m = std::min<int64_t>(kColumn, d);
+    const int64_t m = wire_int(ct, 0, want_m, want_m, "gradiveq");
+    const int64_t want_cols = m > 0 ? (d + m - 1) / m : 0;
+    const int64_t cols = wire_int(ct, 1, want_cols, want_cols, "gradiveq");
+    const int64_t r = wire_int(ct, 2, 0, m, "gradiveq");
+    const Tensor& coeffs = wire_part(ct, 0, DType::F32, r * cols, "gradiveq");
+    const Tensor& basis = wire_part(ct, 1, DType::F32, m * r, "gradiveq");
     // M~ = U C
     Tensor matrix(DType::F32, Shape{{m, cols}});
-    ops::gemm(false, false, m, cols, r, 1.0f, ct.parts.at(1).f32(),
-              ct.parts.at(0).f32(), 0.0f, matrix.f32());
+    ops::gemm(false, false, m, cols, r, 1.0f, basis.f32(), coeffs.f32(), 0.0f,
+              matrix.f32());
     Tensor out = Tensor::zeros(ct.ctx.shape);
     auto o = out.f32();
     auto mv = matrix.f32();

@@ -2,6 +2,7 @@
 // element carries a 2-bit tag selecting 0 / 8 / 16 / 32-bit representation
 // based on its magnitude relative to the tensor maximum. The original runs
 // on FPGA NICs; we reproduce the algorithmic behaviour on the CPU.
+#include <algorithm>
 #include <cmath>
 
 #include "core/compressors/compressors.h"
@@ -64,8 +65,12 @@ class Inceptionn final : public Compressor {
     auto o = out.f32();
     const float mx = ct.ctx.scalars.at(0);
     const auto tags = unpack(ct.parts.at(0), 2, ct.ctx.shape.numel());
-    auto codes8 = ct.parts.at(1).u8();
-    auto exact = ct.parts.at(2).f32();
+    // Tag 1 takes the next 8-bit code, tags 2 and 3 the next exact value.
+    const auto n8 = std::count(tags.begin(), tags.end(), uint8_t{1});
+    const auto n_exact = std::count_if(tags.begin(), tags.end(),
+                                       [](uint8_t t) { return t >= 2; });
+    auto codes8 = wire_part(ct, 1, DType::U8, n8, "inceptionn").u8();
+    auto exact = wire_part(ct, 2, DType::F32, n_exact, "inceptionn").f32();
     size_t at8 = 0, at_exact = 0;
     for (size_t i = 0; i < o.size(); ++i) {
       switch (tags[i]) {

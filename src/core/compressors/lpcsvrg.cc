@@ -51,7 +51,7 @@ class LpcSvrg final : public Compressor {
   Tensor decompress(const CompressedTensor& ct) const override {
     Tensor out = Tensor::zeros(ct.ctx.shape);
     auto o = out.f32();
-    auto c = ct.parts.at(0).u8();
+    auto c = wire_part(ct, 0, DType::U8, out.numel(), "lpcsvrg").u8();
     const float delta = ct.ctx.scalars.at(0);
     const int half_levels = 1 << (bits_ - 1);
     for (size_t i = 0; i < o.size(); ++i) {

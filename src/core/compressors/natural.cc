@@ -46,8 +46,9 @@ class Natural final : public Compressor {
   Tensor decompress(const CompressedTensor& ct) const override {
     Tensor out = Tensor::zeros(ct.ctx.shape);
     auto o = out.f32();
-    auto e = ct.parts.at(0).i32();
-    auto sg = ct.parts.at(1).u8();
+    const int64_t n = out.numel();
+    auto e = wire_part(ct, 0, DType::I32, n, "natural").i32();
+    auto sg = wire_part(ct, 1, DType::U8, (n + 7) / 8, "natural").u8();
     for (size_t i = 0; i < o.size(); ++i) {
       if (e[i] == kZeroCode) {
         o[i] = 0.0f;

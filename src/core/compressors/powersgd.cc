@@ -85,13 +85,13 @@ class PowerSgd final : public Compressor {
   }
 
   Tensor decompress(const CompressedTensor& ct) const override {
-    const int64_t m = ct.ctx.ints.at(0);
-    const int64_t l = ct.ctx.ints.at(1);
-    const int64_t r = ct.ctx.ints.at(2);
+    const auto [m, l] = wire_matrix(ct, "powersgd");
+    const int64_t r = wire_int(ct, 2, 0, std::min(m, l), "powersgd");
+    const Tensor& p = wire_part(ct, 0, DType::F32, m * r, "powersgd");
+    const Tensor& q = wire_part(ct, 1, DType::F32, l * r, "powersgd");
     Tensor out = Tensor::zeros(ct.ctx.shape);
     // M~ = P Q^T
-    ops::gemm(false, true, m, l, r, 1.0f, ct.parts.at(0).f32(),
-              ct.parts.at(1).f32(), 0.0f, out.f32());
+    ops::gemm(false, true, m, l, r, 1.0f, p.f32(), q.f32(), 0.0f, out.f32());
     return out;
   }
 

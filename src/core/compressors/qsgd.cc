@@ -71,10 +71,10 @@ class Qsgd final : public Compressor {
   // decoder reads numel codes and (numel + 7) / 8 sign bytes, so check.
   static void check_parts(const CompressedTensor& ct) {
     const int64_t n = ct.ctx.shape.numel();
-    if (ct.parts.size() != 2 || ct.parts[0].dtype() != DType::U8 ||
-        ct.parts[1].dtype() != DType::U8 || ct.parts[0].numel() != n ||
-        ct.parts[1].numel() < (n + 7) / 8 || ct.ctx.scalars.size() != 1) {
-      throw std::runtime_error("qsgd: payload parts do not match its shape");
+    wire_part(ct, 0, DType::U8, n, "qsgd");
+    wire_part(ct, 1, DType::U8, (n + 7) / 8, "qsgd");
+    if (ct.ctx.scalars.size() != 1) {
+      throw std::runtime_error("qsgd: payload needs exactly one norm");
     }
   }
 

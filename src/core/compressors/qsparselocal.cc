@@ -44,8 +44,11 @@ class QsparseLocal final : public Compressor {
   }
 
   Tensor decompress(const CompressedTensor& ct) const override {
-    const int64_t n = ct.ctx.ints.at(0);
-    const auto bits = static_cast<int>(ct.ctx.ints.at(1));
+    // One code and one index per kept element, no more than the tensor has.
+    const int64_t n =
+        wire_int(ct, 0, 0, ct.ctx.shape.numel(), "qsparselocal");
+    const auto bits = static_cast<int>(wire_int(ct, 1, 1, 8, "qsparselocal"));
+    wire_part(ct, 1, DType::I32, n, "qsparselocal");
     Quantized q;
     q.bits = bits;
     q.scale = ct.ctx.scalars.at(0);

@@ -4,6 +4,7 @@
 // (log2(buckets) bits) and decoded to the bucket's representative value.
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/compressors/compressors.h"
 #include "tensor/ops.h"
@@ -87,8 +88,12 @@ class SketchMl final : public Compressor {
   Tensor decompress(const CompressedTensor& ct) const override {
     Tensor out = Tensor::zeros(ct.ctx.shape);
     auto o = out.f32();
-    auto c = ct.parts.at(0).u8();
-    auto reps = ct.parts.at(1).f32();
+    auto c = wire_part(ct, 0, DType::U8, out.numel(), "sketchml").u8();
+    // One representative per bucket; every code names one of them.
+    auto reps = wire_part(ct, 1, DType::F32, buckets_, "sketchml").f32();
+    if (!c.empty() && *std::max_element(c.begin(), c.end()) >= reps.size()) {
+      throw std::runtime_error("sketchml: code past the last bucket");
+    }
     for (size_t i = 0; i < o.size(); ++i) o[i] = reps[c[i]];
     return out;
   }

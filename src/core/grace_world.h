@@ -147,9 +147,6 @@ class GraceWorker {
                                const std::string& spec);
   // The compressor a submit of `name` would use right now.
   Compressor& compressor_for(const std::string& name);
-  // Drop the error-feedback residual for `name` (the controller's Flush
-  // carry-over policy); no-op when EF is off or nothing is held.
-  void flush_residual(const std::string& name) { memory_->clear(name); }
 
   // Attach / detach a fidelity probe (core/probe.h, not owned). While set,
   // every exchange measures what compression did to the tensor (one extra

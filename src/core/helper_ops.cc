@@ -101,22 +101,29 @@ Tensor sparsify(std::span<const float> x, std::span<const int32_t> indices) {
   return values;
 }
 
-Tensor desparsify(const Tensor& values, const Tensor& indices,
-                  const Shape& shape) {
-  // The parts come off the wire: a frame whose CRC checks out may still
-  // claim any dtype, index or count, and the scatter below trusts them.
-  const int64_t numel = shape.numel();
-  if (values.dtype() != DType::F32 || indices.dtype() != DType::I32 ||
-      values.numel() != indices.numel()) {
-    throw std::runtime_error("desparsify: need one f32 value per i32 index");
+std::span<const int32_t> wire_indices(const Tensor& indices, int64_t numel) {
+  if (indices.dtype() != DType::I32) {
+    throw std::runtime_error("sparse payload: index part is not i32");
   }
   const auto idx = indices.i32();
   for (int32_t i : idx) {
     if (i < 0 || i >= numel) {
-      throw std::runtime_error("desparsify: index " + std::to_string(i) +
+      throw std::runtime_error("sparse payload: index " + std::to_string(i) +
                                " outside [0, " + std::to_string(numel) + ")");
     }
   }
+  return idx;
+}
+
+Tensor desparsify(const Tensor& values, const Tensor& indices,
+                  const Shape& shape) {
+  // The parts come off the wire: a frame whose CRC checks out may still
+  // claim any dtype, index or count, and the scatter below trusts them.
+  if (values.dtype() != DType::F32 || indices.dtype() != DType::I32 ||
+      values.numel() != indices.numel()) {
+    throw std::runtime_error("desparsify: need one f32 value per i32 index");
+  }
+  const auto idx = wire_indices(indices, shape.numel());
   Tensor out = Tensor::zeros(shape);
   auto o = out.f32();
   auto v = values.f32();

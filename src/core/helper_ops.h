@@ -36,6 +36,11 @@ Tensor sparsify(std::span<const float> x, std::span<const int32_t> indices);
 // per value, and every index lies in [0, shape.numel()).
 Tensor desparsify(const Tensor& values, const Tensor& indices,
                   const Shape& shape);
+// The index rule desparsify applies, for decoders that scatter by other
+// means: `indices` off the wire as positions into `numel` elements.
+// Throws std::runtime_error unless it is i32 and every index lies in
+// [0, numel).
+std::span<const int32_t> wire_indices(const Tensor& indices, int64_t numel);
 
 // Pack n code words of `bits` bits each into a dense u8 tensor
 // (little-endian within each byte). unpack restores the code words.

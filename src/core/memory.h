@@ -20,9 +20,6 @@ class Memory {
   // decompressed payload Q^-1(Q(phi)), store the new residual.
   virtual void update(const std::string& name, const Tensor& compensated,
                       const Tensor& decompressed) = 0;
-  // Drop any residual held for `name` (the controller's Flush carry-over
-  // policy when a bucket's compressor is switched). Default: nothing held.
-  virtual void clear(const std::string& /*name*/) {}
   // Join-bootstrap support (core/membership.h): the residual held for
   // `name` (null when none / memory off), and the inverse — overwrite it
   // with state shipped from a surviving rank.
@@ -49,7 +46,6 @@ class ResidualMemory final : public Memory {
   Tensor compensate(const Tensor& grad, const std::string& name) override;
   void update(const std::string& name, const Tensor& compensated,
               const Tensor& decompressed) override;
-  void clear(const std::string& name) override { residuals_.erase(name); }
   bool enabled() const override { return true; }
 
   // Residual for a tensor (zeros if never updated); exposed for tests and

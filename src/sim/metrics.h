@@ -114,8 +114,6 @@ struct RunResult {
   PhaseBreakdown phases;
   // Per-bucket rank-0 totals; populated when TrainConfig::trace is set.
   std::vector<TensorTraceSummary> tensor_trace;
-  // Events overwritten in the trace rings (0 when untraced or not full).
-  uint64_t trace_events_dropped = 0;
 
   // Compression-fidelity aggregates (sim/fidelity.h), merged across ranks;
   // populated when TrainConfig::fidelity is set, empty otherwise.

@@ -22,47 +22,23 @@ const char* phase_name(Phase p) {
   return "unknown";
 }
 
-Trace::Trace(int n_ranks, size_t capacity_per_rank)
-    : capacity_(capacity_per_rank == 0 ? 1 : capacity_per_rank),
-      rings_(static_cast<size_t>(n_ranks)) {
+Trace::Trace(int n_ranks) : ranks_(static_cast<size_t>(n_ranks)) {
   assert(n_ranks >= 1);
-  for (auto& ring : rings_) ring.buf.reserve(capacity_);
 }
 
 void Trace::record(int rank, const TraceEvent& ev) {
-  Ring& ring = rings_.at(static_cast<size_t>(rank));
-  if (ring.buf.size() < capacity_) {
-    ring.buf.push_back(ev);
-  } else {
-    ring.buf[ring.next] = ev;  // overwrite the oldest retained event
-  }
-  ring.next = (ring.next + 1) % capacity_;
-  ++ring.total;
+  ranks_.at(static_cast<size_t>(rank)).push_back(ev);
 }
 
 std::vector<TraceEvent> Trace::events() const {
   std::vector<TraceEvent> out;
   size_t total = 0;
-  for (const auto& ring : rings_) total += ring.buf.size();
+  for (const auto& events : ranks_) total += events.size();
   out.reserve(total);
-  for (const auto& ring : rings_) {
-    if (ring.buf.size() < capacity_) {
-      out.insert(out.end(), ring.buf.begin(), ring.buf.end());
-    } else {
-      // Full ring: oldest event sits at the write cursor.
-      out.insert(out.end(), ring.buf.begin() + static_cast<int64_t>(ring.next),
-                 ring.buf.end());
-      out.insert(out.end(), ring.buf.begin(),
-                 ring.buf.begin() + static_cast<int64_t>(ring.next));
-    }
+  for (const auto& events : ranks_) {
+    out.insert(out.end(), events.begin(), events.end());
   }
   return out;
-}
-
-uint64_t Trace::dropped() const {
-  uint64_t dropped = 0;
-  for (const auto& ring : rings_) dropped += ring.total - ring.buf.size();
-  return dropped;
 }
 
 namespace {
@@ -150,7 +126,6 @@ std::string run_result_json(const RunResult& r) {
     }
   }
   os << '}';
-  os << ",\"trace_events_dropped\":" << r.trace_events_dropped;
   os << ",\"tensors\":[";
   for (size_t i = 0; i < r.tensor_trace.size(); ++i) {
     const TensorTraceSummary& t = r.tensor_trace[i];

@@ -1,10 +1,8 @@
-// Run-level observability (DESIGN.md §8): ring-buffered trace events with
-// phase tags for the forward/backward pass, each fusion bucket's exchange
-// (compress / comm / decompress) and the optimizer step. The trace is
-// filled by train() after the join from its per-rank log, each rank's
-// events in the order they happened. Each rank owns a fixed-capacity ring,
-// so recording is allocation-free; when a ring fills, the oldest events are
-// overwritten and counted as dropped. Tracing is opt-in via
+// Run-level observability (DESIGN.md §8): trace events with phase tags
+// for the forward/backward pass, each fusion bucket's exchange (compress /
+// comm / decompress) and the optimizer step. The trace is filled by
+// train() after the join from its per-rank log, each rank's events in the
+// order they happened, and keeps every event. Tracing is opt-in via
 // TrainConfig::trace — when unset the trainer records nothing.
 #pragma once
 
@@ -56,30 +54,22 @@ struct TraceEvent {
   double start_s = -1.0;
 };
 
-// Per-rank ring buffers of TraceEvents. Not synchronized: one thread
-// records at a time (train() does, after its join).
+// Per-rank TraceEvent lists. Not synchronized: one thread records at a
+// time (train() does, after its join).
 class Trace {
  public:
-  explicit Trace(int n_ranks, size_t capacity_per_rank = size_t{1} << 16);
+  explicit Trace(int n_ranks);
 
   void record(int rank, const TraceEvent& ev);
 
-  // All retained events, oldest-first within each rank, ranks concatenated.
+  // Every recorded event, oldest-first within each rank, ranks
+  // concatenated.
   std::vector<TraceEvent> events() const;
-  // Events overwritten because a ring was full.
-  uint64_t dropped() const;
 
-  int n_ranks() const { return static_cast<int>(rings_.size()); }
+  int n_ranks() const { return static_cast<int>(ranks_.size()); }
 
  private:
-  struct Ring {
-    std::vector<TraceEvent> buf;
-    size_t next = 0;     // write cursor
-    uint64_t total = 0;  // events ever recorded into this ring
-  };
-
-  size_t capacity_;
-  std::vector<Ring> rings_;
+  std::vector<std::vector<TraceEvent>> ranks_;
 };
 
 // JSON serialization (no external deps; used by bench_e2e and the smoke

@@ -227,9 +227,10 @@ Setup::Setup(const ReplicaFactory& factory, const TrainConfig& cfg)
       core::parse_spec(cfg.grace.compressor_spec).name != "none";
 
   // Adaptive controller setup (src/control, DESIGN.md §11). Validate on
-  // this thread — a bad policy name or arm spec must not throw inside a
-  // worker — and auto-attach an internal fidelity probe when the caller
-  // did not supply one (the controller's signals come from the probe).
+  // this thread — a bad setting or arm spec must not throw inside a
+  // worker — and auto-attach an internal fidelity probe, sampling every
+  // iteration, when the caller did not supply one (the controller's
+  // signals come from the probe).
   const control::ControlConfig& ctl_cfg = cfg.grace.control;
   if (ctl_cfg.enabled()) {
     ctl_cfg.validate();
@@ -240,8 +241,7 @@ Setup::Setup(const ReplicaFactory& factory, const TrainConfig& cfg)
       compressing = compressing || core::parse_spec(arm).name != "none";
     }
     if (cfg.fidelity == nullptr) {
-      ctl_probe = std::make_unique<CompressionFidelityProbe>(
-          n, ctl_cfg.probe_every_k);
+      ctl_probe = std::make_unique<CompressionFidelityProbe>(n);
     }
   }
 
@@ -321,8 +321,7 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
   auto install_controller = [&](std::string state) {
     control::ControlConfig c = ctl_cfg;
     c.resume_state = std::move(state);  // the constructor restores from it
-    log.controller =
-        std::make_unique<control::Controller>(c, bucket_names, cfg.seed);
+    log.controller = std::make_unique<control::Controller>(c, bucket_names);
     ctl = log.controller.get();
     for (size_t b = 0; b < n_buckets; ++b) {
       grace.set_compressor_override(bucket_names[b], ctl->arm_spec(b));
@@ -408,7 +407,7 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
   // (totals are monotonic, so a resumed run sees the same windows as the
   // original run's tail); the windows are then summed across live ranks
   // with the deterministic ring allreduce — bit-identical on every rank
-  // — before the policy steps, so all controllers decide identically
+  // — before the controller steps, so all controllers decide identically
   // without any shared state. Every live rank calls this at the same
   // schedule points; the tag is the boundary count a joiner adopts too.
   auto control_step = [&](int epoch, int64_t it) {
@@ -433,9 +432,6 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
     for (const control::ControlDecision& d : switched) {
       grace.set_compressor_override(
           d.bucket_name, ctl->arm_spec(static_cast<size_t>(d.bucket)));
-      if (ctl_cfg.residual_carry == control::ResidualCarry::Flush) {
-        grace.flush_residual(d.bucket_name);
-      }
     }
   };
 
@@ -753,7 +749,6 @@ RunResult fold(const Setup& setup, std::vector<WorkerLog>& logs) {
     bytes_sum += static_cast<double>(prices[0].total.wire_bytes);
     if (cpath) cpath->add(charge, optimizer_s, alive_timings, cfg.time.overlap);
   }
-  if (trace) result.trace_events_dropped = trace->dropped();
   if (cpath) result.critical_path = cpath->summary();
   if (total_iters > 0) {
     const auto iters = static_cast<double>(total_iters);

@@ -1,9 +1,9 @@
 // Adaptive per-bucket compression controller (src/control, DESIGN.md §11):
-// policy unit tests driven with synthetic signal windows, snapshot
-// round-trips, and trainer-level determinism / resume / error-feedback
-// carry-over contracts. Also covers the satellite APIs that ride along:
-// the registry's unknown-spec error listing and the fidelity probe's
-// totals accessor.
+// hysteresis-rule unit tests driven with synthetic signal windows,
+// snapshot round-trips, and trainer-level determinism / resume /
+// error-feedback carry-over contracts. Also covers the satellite APIs that
+// ride along: the registry's unknown-spec error listing and the fidelity
+// probe's totals accessor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "control/controller.h"
-#include "core/memory.h"
 #include "core/registry.h"
 #include "sim/fidelity.h"
 #include "sim/tasks.h"
@@ -23,7 +22,6 @@ namespace {
 using control::ControlConfig;
 using control::ControlDecision;
 using control::Controller;
-using control::ResidualCarry;
 
 // --- Satellite: registry error message -----------------------------------
 
@@ -89,24 +87,7 @@ TEST(FidelityProbe, TotalsAreMonotonicSums) {
   EXPECT_EQ(probe.totals(0, "nope").samples, 0);
 }
 
-// --- Satellite: residual flush --------------------------------------------
-
-TEST(ResidualMemory, ClearDropsOneTensorsResidual) {
-  core::ResidualMemory mem(1.0f, 1.0f);
-  Tensor grad = Tensor::from(std::vector<float>{2, 2, 2, 2});
-  Tensor zero = Tensor::zeros({4});
-  // update(phi, Q^-1): residual = phi - decompressed = grad.
-  mem.update("w", mem.compensate(grad, "w"), zero);
-  ASSERT_NE(mem.residual("w"), nullptr);
-  mem.clear("w");
-  EXPECT_EQ(mem.residual("w"), nullptr);
-  // compensate after clear sees no residual: phi == grad.
-  Tensor phi = mem.compensate(grad, "w");
-  auto v = phi.f32();
-  for (float x : v) EXPECT_EQ(x, 2.0f);
-}
-
-// --- Policy unit tests (synthetic signal windows) -------------------------
+// --- Hysteresis rule (synthetic signal windows) ---------------------------
 
 // One bucket's 7-float signal slice encoding a window with `n` samples at
 // the given mean cosine / sign agreement and residual-to-gradient ratio.
@@ -126,7 +107,6 @@ ControlDecision last_decision(const Controller& ctl) {
 
 ControlConfig hysteresis_cfg() {
   ControlConfig cfg;
-  cfg.policy = "hysteresis";
   cfg.arms = {"none", "topk(0.05)", "topk(0.01)"};
   cfg.start_arm = 1;
   cfg.cosine_floor = 0.85;
@@ -138,7 +118,7 @@ ControlConfig hysteresis_cfg() {
 }
 
 TEST(HysteresisPolicy, SustainedBreachStepsOneArmLighter) {
-  Controller ctl(hysteresis_cfg(), {"bucket0"}, 42);
+  Controller ctl(hysteresis_cfg(), {"bucket0"});
   const auto bad = signals_1bucket(8, 0.5f, 0.9f, 0.1f);
   // patience = 2: first breach waits, second switches 1 -> 0.
   EXPECT_TRUE(ctl.step(bad, 0, -1).empty());
@@ -155,7 +135,7 @@ TEST(HysteresisPolicy, SustainedBreachStepsOneArmLighter) {
 }
 
 TEST(HysteresisPolicy, SustainedHeadroomStepsOneArmHeavier) {
-  Controller ctl(hysteresis_cfg(), {"bucket0"}, 42);
+  Controller ctl(hysteresis_cfg(), {"bucket0"});
   const auto good = signals_1bucket(8, 0.99f, 0.99f, 0.0f);
   EXPECT_TRUE(ctl.step(good, 0, -1).empty());
   const auto switched = ctl.step(good, 1, -1);
@@ -169,7 +149,7 @@ TEST(HysteresisPolicy, SustainedHeadroomStepsOneArmHeavier) {
 }
 
 TEST(HysteresisPolicy, InBandWindowResetsStreaksNoFlapping) {
-  Controller ctl(hysteresis_cfg(), {"bucket0"}, 42);
+  Controller ctl(hysteresis_cfg(), {"bucket0"});
   const auto bad = signals_1bucket(8, 0.5f, 0.9f, 0.1f);
   // Inside the hysteresis band: above the floor but under floor + band.
   const auto inband = signals_1bucket(8, 0.87f, 0.9f, 0.1f);
@@ -181,7 +161,7 @@ TEST(HysteresisPolicy, InBandWindowResetsStreaksNoFlapping) {
 }
 
 TEST(HysteresisPolicy, EmptyWindowHoldsEverything) {
-  Controller ctl(hysteresis_cfg(), {"bucket0"}, 42);
+  Controller ctl(hysteresis_cfg(), {"bucket0"});
   const auto bad = signals_1bucket(8, 0.5f, 0.9f, 0.1f);
   const auto idle = signals_1bucket(0, 0.0f, 0.0f, 0.0f);
   EXPECT_TRUE(ctl.step(bad, 0, -1).empty());
@@ -197,7 +177,7 @@ TEST(HysteresisPolicy, CheapBucketPinsToLightestArm) {
   ControlConfig cfg = hysteresis_cfg();
   cfg.start_arm = 2;
   cfg.cheap_bits = 1000.0;  // per-sample dense payload threshold
-  Controller ctl(cfg, {"tiny", "big"}, 42);
+  Controller ctl(cfg, {"tiny", "big"});
   // Both buckets post comfortable windows; only "tiny" is under the
   // cheap-bits threshold (dense 256 bits/sample vs 2560).
   std::vector<float> sig;
@@ -221,123 +201,34 @@ TEST(HysteresisPolicy, CheapBucketPinsToLightestArm) {
   EXPECT_EQ(last_decision(ctl).bucket, 1);
 }
 
-TEST(FixedPolicy, NeverSwitches) {
-  ControlConfig cfg;
-  cfg.policy = "fixed";
-  cfg.arms = {"none", "topk(0.01)"};
-  cfg.start_arm = 1;
-  Controller ctl(cfg, {"a", "b"}, 42);
-  const auto bad = signals_1bucket(8, 0.0f, 0.0f, 99.0f);
-  std::vector<float> two;
-  two.insert(two.end(), bad.begin(), bad.end());
-  two.insert(two.end(), bad.begin(), bad.end());
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ctl.step(two, i, -1).empty());
-  EXPECT_EQ(ctl.summary().switches, 0);
-  EXPECT_EQ(ctl.boundaries(), 4);
-  EXPECT_EQ(arm(ctl, 0), 1);
-  EXPECT_EQ(arm(ctl, 1), 1);
-}
-
 TEST(ControllerStep, RejectsWrongSignalSize) {
-  Controller ctl(hysteresis_cfg(), {"a", "b"}, 42);
+  Controller ctl(hysteresis_cfg(), {"a", "b"});
   const auto one = signals_1bucket(8, 0.9f, 0.9f, 0.1f);
   EXPECT_THROW(ctl.step(one, 0, -1), std::invalid_argument);
 }
 
-// --- Seeded bandit ---------------------------------------------------------
-
-ControlConfig bandit_cfg() {
-  ControlConfig cfg;
-  cfg.policy = "bandit";
-  cfg.arms = {"none", "topk(0.05)", "topk(0.01)"};
-  cfg.epsilon = 1.0;  // every post-bootstrap decision is an explore draw
-  return cfg;
-}
-
-// Windows whose reward depends on the arm currently played, so bandit
-// statistics evolve with the decision sequence.
-std::vector<float> bandit_window(const Controller& ctl) {
-  const float cos = arm(ctl, 0) == 0 ? 0.99f : 0.80f;
-  return signals_1bucket(8, cos, 0.9f, 0.1f);
-}
-
-TEST(SeededBandit, SameSeedReplaysBitIdentically) {
-  Controller a(bandit_cfg(), {"bucket0"}, 1234);
-  Controller b(bandit_cfg(), {"bucket0"}, 1234);
-  for (int i = 0; i < 32; ++i) {
-    a.step(bandit_window(a), i, -1);
-    b.step(bandit_window(b), i, -1);
-  }
-  EXPECT_EQ(control::control_decisions_json(a.summary().decisions),
-            control::control_decisions_json(b.summary().decisions));
-  EXPECT_EQ(a.snapshot(), b.snapshot());
-}
-
-TEST(SeededBandit, DifferentSeedsDiverge) {
-  Controller a(bandit_cfg(), {"bucket0"}, 1);
-  Controller b(bandit_cfg(), {"bucket0"}, 2);
-  for (int i = 0; i < 32; ++i) {
-    a.step(bandit_window(a), i, -1);
-    b.step(bandit_window(b), i, -1);
-  }
-  EXPECT_NE(control::control_decisions_json(a.summary().decisions),
-            control::control_decisions_json(b.summary().decisions));
-}
-
-TEST(SeededBandit, UcbDrawsNoRandomness) {
-  ControlConfig cfg = bandit_cfg();
-  cfg.ucb_c = 1.0;
-  Controller ctl(cfg, {"bucket0"}, 42);
-  for (int i = 0; i < 8; ++i) ctl.step(bandit_window(ctl), i, -1);
-  EXPECT_NE(ctl.snapshot().find(";draws=0;"), std::string::npos);
-}
-
-TEST(SeededBandit, SnapshotRoundTripsMidSequence) {
-  // Split one 24-boundary run at boundary 10: a controller restored from
-  // the snapshot (same seed) must replay the tail exactly, including the
-  // RNG position.
-  Controller full(bandit_cfg(), {"bucket0"}, 777);
-  for (int i = 0; i < 10; ++i) full.step(bandit_window(full), i, -1);
-  const std::string snap = full.snapshot();
-
-  ControlConfig resumed_cfg = bandit_cfg();
-  resumed_cfg.resume_state = snap;
-  Controller resumed(resumed_cfg, {"bucket0"}, 777);
-  EXPECT_EQ(resumed.boundaries(), 10);
-  EXPECT_EQ(arm(resumed, 0), arm(full, 0));
-
-  for (int i = 10; i < 24; ++i) {
-    full.step(bandit_window(full), i, -1);
-    resumed.step(bandit_window(resumed), i, -1);
-  }
-  EXPECT_EQ(resumed.snapshot(), full.snapshot());
-  // The resumed log holds only the tail; it must equal the full log's tail.
-  const auto tail = resumed.summary().decisions;
-  const auto all = full.summary().decisions;
-  ASSERT_EQ(all.size(), 24u);
-  ASSERT_EQ(tail.size(), 14u);
-  for (size_t i = 0; i < tail.size(); ++i) {
-    EXPECT_EQ(control::control_decisions_json({tail[i]}),
-              control::control_decisions_json({all[10 + i]}));
-  }
-}
+// --- Snapshots ------------------------------------------------------------
 
 TEST(ControllerSnapshot, RejectsCorruptOrMismatchedState) {
-  Controller ctl(hysteresis_cfg(), {"bucket0"}, 42);
+  Controller ctl(hysteresis_cfg(), {"bucket0"});
   ctl.step(signals_1bucket(8, 0.9f, 0.9f, 0.1f), 0, -1);
   const std::string snap = ctl.snapshot();
 
   auto resume_with = [](ControlConfig cfg, const std::string& state,
                         std::vector<std::string> names) {
     cfg.resume_state = state;
-    Controller c(cfg, std::move(names), 42);
+    Controller c(cfg, std::move(names));
   };
   // Bad magic.
   EXPECT_THROW(resume_with(hysteresis_cfg(), "garbage", {"bucket0"}),
                std::invalid_argument);
-  // Policy mismatch.
-  ControlConfig bandit = bandit_cfg();
-  EXPECT_THROW(resume_with(bandit, snap, {"bucket0"}), std::invalid_argument);
+  // A snapshot of the v1 grammar (which also recorded a policy and an RNG
+  // position) fails on its magic.
+  std::string v1 = snap;
+  ASSERT_EQ(v1.rfind("grace.control.v2;", 0), 0u);
+  v1.replace(0, 16, "grace.control.v1");
+  EXPECT_THROW(resume_with(hysteresis_cfg(), v1, {"bucket0"}),
+               std::invalid_argument);
   // Bucket-plan mismatch.
   EXPECT_THROW(resume_with(hysteresis_cfg(), snap, {"other_bucket"}),
                std::invalid_argument);
@@ -349,7 +240,7 @@ TEST(ControllerSnapshot, RejectsCorruptOrMismatchedState) {
   // Valid state restores cleanly.
   ControlConfig ok = hysteresis_cfg();
   ok.resume_state = snap;
-  Controller resumed(ok, {"bucket0"}, 42);
+  Controller resumed(ok, {"bucket0"});
   EXPECT_EQ(resumed.boundaries(), 1);
 }
 
@@ -365,34 +256,56 @@ std::string with_field(const std::string& snap, const std::string& key,
 }
 
 TEST(ControllerSnapshot, RejectsOutOfRangeCounts) {
-  // Ten boundaries over one bucket: at most ten draws, ten switches and
-  // ten plays per arm.
-  Controller ctl(bandit_cfg(), {"bucket0"}, 7);
-  for (int i = 0; i < 10; ++i) ctl.step(bandit_window(ctl), i, -1);
+  // Ten breaching boundaries over one bucket: the second switches 1 -> 0,
+  // the other eight grow the breach streak on the lightest arm. At most
+  // ten switches, and no streak longer than ten.
+  Controller ctl(hysteresis_cfg(), {"bucket0"});
+  const auto bad = signals_1bucket(8, 0.5f, 0.9f, 0.1f);
+  for (int i = 0; i < 10; ++i) ctl.step(bad, i, -1);
   const std::string snap = ctl.snapshot();
+  ASSERT_NE(snap.find(";b=0|8:0"), std::string::npos) << snap;
   auto resume = [](const std::string& state) {
-    ControlConfig cfg = bandit_cfg();
+    ControlConfig cfg = hysteresis_cfg();
     cfg.resume_state = state;
-    Controller c(cfg, {"bucket0"}, 7);
+    Controller c(cfg, {"bucket0"});
   };
   EXPECT_NO_THROW(resume(snap));
-  // draws=-1 would replay ~2^64 uniform draws: a hang, not an error.
-  EXPECT_THROW(resume(with_field(snap, "draws", "-1")), std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "draws", "11")), std::invalid_argument);
   EXPECT_THROW(resume(with_field(snap, "boundaries", "-1")),
+               std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "boundaries", "2147483648")),
                std::invalid_argument);
   EXPECT_THROW(resume(with_field(snap, "switches", "-1")),
                std::invalid_argument);
   EXPECT_THROW(resume(with_field(snap, "switches", "11")),
                std::invalid_argument);
-  // Bandit cells are "<plays>:<mean>", one per arm.
-  EXPECT_THROW(resume(with_field(snap, "b", "0|-1:0.5,4:0.5,4:0.5")),
-               std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "b", "0|11:0.5,4:0.5,4:0.5")),
-               std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "b", "0|4:nan,4:0.5,4:0.5")),
-               std::invalid_argument);
-  EXPECT_NO_THROW(resume(with_field(snap, "b", "0|4:0.5,4:0.5,2:0.5")));
+  EXPECT_NO_THROW(resume(with_field(snap, "switches", "10")));
+  // Bucket entries are "<arm>|<worse>:<better>".
+  EXPECT_THROW(resume(with_field(snap, "b", "0|-1:0")), std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "b", "0|11:0")), std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "b", "0|0:11")), std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "b", "3|0:0")), std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "b", "0|0")), std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "b", "0")), std::invalid_argument);
+  EXPECT_NO_THROW(resume(with_field(snap, "b", "2|10:10")));
+}
+
+TEST(ControllerSnapshot, RestoresAPendingStreak) {
+  // Cut after the first of two breaching windows (patience = 2): the
+  // restored controller carries the streak and switches on the next
+  // breach, exactly as the uninterrupted one does.
+  Controller full(hysteresis_cfg(), {"bucket0"});
+  const auto bad = signals_1bucket(8, 0.5f, 0.9f, 0.1f);
+  EXPECT_TRUE(full.step(bad, 0, -1).empty());
+  ControlConfig cfg = hysteresis_cfg();
+  cfg.resume_state = full.snapshot();
+  Controller resumed(cfg, {"bucket0"});
+  const auto a = full.step(bad, 1, -1);
+  const auto b = resumed.step(bad, 1, -1);
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(control::control_decisions_json(a),
+            control::control_decisions_json(b));
+  EXPECT_EQ(resumed.snapshot(), full.snapshot());
 }
 
 // --- Trainer integration ---------------------------------------------------
@@ -405,7 +318,6 @@ sim::TrainConfig controller_config(const sim::Benchmark& b, int workers) {
   cfg.net.n_workers = workers;
   cfg.epochs = 2;
   cfg.grace.compressor_spec = "topk(0.05)";
-  cfg.grace.control.policy = "hysteresis";
   cfg.grace.control.arms = {"none", "topk(0.05)"};
   cfg.grace.control.start_arm = 1;
   cfg.grace.control.decide_every_iters = 2;
@@ -425,19 +337,6 @@ TEST(TrainerControl, SameSeedYieldsByteIdenticalDecisionLogs) {
   EXPECT_EQ(control::control_decisions_json(r1.control.decisions),
             control::control_decisions_json(r2.control.decisions));
   EXPECT_EQ(r1.control.state, r2.control.state);
-  EXPECT_EQ(r1.parameters_crc32, r2.parameters_crc32);
-  EXPECT_TRUE(r1.replicas_in_sync);
-}
-
-TEST(TrainerControl, BanditRunsAreSeedReproducible) {
-  sim::Benchmark b = tiny_cnn();
-  sim::TrainConfig cfg = controller_config(b, 2);
-  cfg.grace.control.policy = "bandit";
-  cfg.grace.control.epsilon = 0.5;
-  sim::RunResult r1 = train(b.factory, cfg);
-  sim::RunResult r2 = train(b.factory, cfg);
-  EXPECT_EQ(control::control_decisions_json(r1.control.decisions),
-            control::control_decisions_json(r2.control.decisions));
   EXPECT_EQ(r1.parameters_crc32, r2.parameters_crc32);
   EXPECT_TRUE(r1.replicas_in_sync);
 }
@@ -466,10 +365,10 @@ TEST(TrainerControl, CrashParksTheCasualtyOutOfTheDecisionLoop) {
   EXPECT_EQ(r1.parameters_crc32, r2.parameters_crc32);
 }
 
-TEST(TrainerControl, FixedPolicyMatchesUncontrolledRunBitForBit) {
-  // The degenerate policy run through the whole controller machinery —
-  // probe attach, per-bucket override routing, boundary allreduces — must
-  // not perturb training at all.
+TEST(TrainerControl, OneArmControllerMatchesUncontrolledRunBitForBit) {
+  // A one-arm controller cannot switch, so running it through the whole
+  // controller machinery — probe attach, per-bucket override routing,
+  // boundary allreduces — must not perturb training at all.
   sim::Benchmark b = tiny_cnn();
   sim::TrainConfig plain = sim::default_config(b);
   plain.n_workers = 2;
@@ -479,7 +378,6 @@ TEST(TrainerControl, FixedPolicyMatchesUncontrolledRunBitForBit) {
   sim::RunResult base = train(b.factory, plain);
 
   sim::TrainConfig ctl = plain;
-  ctl.grace.control.policy = "fixed";
   ctl.grace.control.arms = {"topk(0.05)"};
   sim::RunResult run = train(b.factory, ctl);
 
@@ -489,30 +387,20 @@ TEST(TrainerControl, FixedPolicyMatchesUncontrolledRunBitForBit) {
   EXPECT_EQ(run.parameters_crc32, base.parameters_crc32);
 }
 
-TEST(TrainerControl, ResidualCarryAbsorbAndFlushBothDeterministic) {
+TEST(TrainerControl, ForcedSwitchWithErrorFeedbackIsDeterministic) {
   // Force a switch at the very first boundary (impossible cosine floor)
   // with error feedback on, so a residual is pending when the arm changes:
-  // Absorb keeps it, Flush drops it, and the two trajectories split.
+  // the next arm's compensation absorbs it, identically on every run.
   sim::Benchmark b = tiny_cnn();
-  auto make = [&](ResidualCarry carry) {
-    sim::TrainConfig cfg = controller_config(b, 2);
-    cfg.grace.error_feedback = true;
-    cfg.grace.control.cosine_floor = 0.999;
-    cfg.grace.control.patience = 1;
-    cfg.grace.control.residual_carry = carry;
-    return cfg;
-  };
-  sim::RunResult absorb1 = train(b.factory, make(ResidualCarry::Absorb));
-  sim::RunResult absorb2 = train(b.factory, make(ResidualCarry::Absorb));
-  sim::RunResult flush1 = train(b.factory, make(ResidualCarry::Flush));
-  sim::RunResult flush2 = train(b.factory, make(ResidualCarry::Flush));
-  ASSERT_GT(absorb1.control.switches, 0);
-  ASSERT_GT(flush1.control.switches, 0);
-  EXPECT_EQ(absorb1.parameters_crc32, absorb2.parameters_crc32);
-  EXPECT_EQ(flush1.parameters_crc32, flush2.parameters_crc32);
-  EXPECT_NE(absorb1.parameters_crc32, flush1.parameters_crc32);
-  EXPECT_TRUE(absorb1.replicas_in_sync);
-  EXPECT_TRUE(flush1.replicas_in_sync);
+  sim::TrainConfig cfg = controller_config(b, 2);
+  cfg.grace.error_feedback = true;
+  cfg.grace.control.cosine_floor = 0.999;
+  cfg.grace.control.patience = 1;
+  sim::RunResult r1 = train(b.factory, cfg);
+  sim::RunResult r2 = train(b.factory, cfg);
+  ASSERT_GT(r1.control.switches, 0);
+  EXPECT_EQ(r1.parameters_crc32, r2.parameters_crc32);
+  EXPECT_TRUE(r1.replicas_in_sync);
 }
 
 TEST(TrainerControl, ResumeReplaysDecisionTailAndWeightsExactly) {

@@ -392,7 +392,7 @@ TEST(ChromeTrace, ExportIsValidTraceEventJson) {
 }
 
 TEST(ChromeTrace, LaysEventsEndToEndPerRank) {
-  Trace trace(2, 8);
+  Trace trace(2);
   trace.record(0, TraceEvent{0, 0, 0, Phase::Forward, -1, 1.0, 0});
   trace.record(0, TraceEvent{0, 0, 0, Phase::Backward, -1, 2.0, 0});
   trace.record(1, TraceEvent{0, 0, 1, Phase::Forward, -1, 0.5, 0});

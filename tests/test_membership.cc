@@ -208,7 +208,7 @@ TEST(Membership, BootstrapFrameDetectsCorruption) {
 
 TEST(Membership, BootstrapFrameCarriesTheControllerSnapshot) {
   const std::vector<float> params = {1.0f, 2.0f, 3.0f};
-  const std::string snapshot = "grace.control.v1;policy=hysteresis";
+  const std::string snapshot = "grace.control.v2;boundaries=0";
   const Tensor blob = core::seal_bootstrap_frame(
       std::span<const float>(params), {}, {}, snapshot);
   const core::BootstrapState st = core::open_bootstrap_frame(blob);
@@ -414,32 +414,27 @@ TEST(Membership, ControllerFollowsTheJoinerThroughChurn) {
   faults::FaultSpec spec;
   spec.churn = leave_then_rejoin(2, 1, 3);
   const faults::FaultPlan plan(spec);
-  for (const char* policy : {"hysteresis", "bandit"}) {
-    SCOPED_TRACE(policy);
-    TrainConfig cfg = tiny_config(b, 4);
-    cfg.epochs = 4;
-    cfg.faults = &plan;
-    cfg.grace.compressor_spec = "topk(0.05)";
-    cfg.grace.control.policy = policy;
-    cfg.grace.control.arms = {"none", "topk(0.05)"};
-    cfg.grace.control.start_arm = 1;
-    cfg.grace.control.decide_every_iters = 1;
-    cfg.grace.control.cosine_floor = 0.4;
-    cfg.grace.control.epsilon = 0.5;
-    const RunResult run = train(b.factory, cfg);
-    const RunResult replay = train(b.factory, cfg);
+  TrainConfig cfg = tiny_config(b, 4);
+  cfg.epochs = 4;
+  cfg.faults = &plan;
+  cfg.grace.compressor_spec = "topk(0.05)";
+  cfg.grace.control.arms = {"none", "topk(0.05)"};
+  cfg.grace.control.start_arm = 1;
+  cfg.grace.control.decide_every_iters = 1;
+  cfg.grace.control.cosine_floor = 0.4;
+  const RunResult run = train(b.factory, cfg);
+  const RunResult replay = train(b.factory, cfg);
 
-    EXPECT_TRUE(run.replicas_in_sync);
-    EXPECT_EQ(run.faults.joins, 1u);
-    const auto parked_switches = std::count_if(
-        run.control.decisions.begin(), run.control.decisions.end(),
-        [](const control::ControlDecision& d) {
-          return d.epoch >= 1 && d.epoch <= 2 && d.to_arm != d.from_arm;
-        });
-    EXPECT_GT(parked_switches, 0);
-    EXPECT_EQ(replay.parameters_crc32, run.parameters_crc32);
-    EXPECT_EQ(replay.control.state, run.control.state);
-  }
+  EXPECT_TRUE(run.replicas_in_sync);
+  EXPECT_EQ(run.faults.joins, 1u);
+  const auto parked_switches = std::count_if(
+      run.control.decisions.begin(), run.control.decisions.end(),
+      [](const control::ControlDecision& d) {
+        return d.epoch >= 1 && d.epoch <= 2 && d.to_arm != d.from_arm;
+      });
+  EXPECT_GT(parked_switches, 0);
+  EXPECT_EQ(replay.parameters_crc32, run.parameters_crc32);
+  EXPECT_EQ(replay.control.state, run.control.state);
 }
 
 // ---------------------------------------------------------------------------

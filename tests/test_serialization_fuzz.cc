@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -192,16 +193,24 @@ void fuzz(uint64_t seed, int trials, Next next, Parse parse) {
 }
 
 TEST(MutationFuzz, CompressedTensorFrames) {
-  // Raw parts, and sparse parts behind each lossless index coder. Every
-  // mutant that parses is also folded into an accumulator of the original
-  // size, as a gather would: the decoder must throw or stay in bounds.
+  // One frame per registered spec, and sparse parts behind each lossless
+  // index coder. Every mutant that parses is also folded into an
+  // accumulator of the original size, as a gather would: the decoder must
+  // throw or stay in bounds.
   Rng rng(5);
   Tensor grad(DType::F32, Shape({24, 8}));
   rng.fill_normal(grad.f32(), 0.0f, 1.0f);
-  const auto qsgd = make_compressor("qsgd(16)");
-  const auto topk = make_compressor("topk(0.25)");
+  std::vector<std::string> roster = registered_names();
+  for (const auto& name : extension_names()) roster.push_back(name);
+  ASSERT_EQ(roster.size(), 26u);
+  std::vector<std::unique_ptr<Compressor>> codecs;
   std::vector<std::pair<Tensor, const Compressor*>> frames;
-  frames.emplace_back(serialize(qsgd->compress(grad, "g", rng)), qsgd.get());
+  for (const std::string& spec : roster) {
+    codecs.push_back(make_compressor(spec));
+    frames.emplace_back(serialize(codecs.back()->compress(grad, "g", rng)),
+                        codecs.back().get());
+  }
+  const auto topk = make_compressor("topk(0.25)");
   for (WireCodec codec : {WireCodec::Varint, WireCodec::Rice}) {
     CompressedTensor ct = topk->compress(grad, "g", rng);
     apply_wire_codec(ct, codec);
@@ -209,7 +218,7 @@ TEST(MutationFuzz, CompressedTensorFrames) {
     frames.emplace_back(serialize(ct), topk.get());
   }
   for (size_t f = 0; f < frames.size(); ++f) {
-    SCOPED_TRACE(f);
+    SCOPED_TRACE(f < roster.size() ? roster[f] : "coded topk");
     const auto& [frame, q] = frames[f];
     fuzz(100 + f, 3000, [&](Rng& r) { return mutate_sealed(frame, r); },
          [&](const Tensor& blob) {
@@ -270,6 +279,57 @@ TEST(CraftedFrames, PackedPartsShorterThanTheShapeThrow) {
   }
 }
 
+TEST(CraftedFrames, LyingFramesThrow) {
+  // One lie per row, each in a frame sealed under a valid CRC: an index
+  // past the shape, a matrix with more rows than the shape, a part shorter
+  // than the shape, too few centroids or tagged values, and a kept-element
+  // count no shape holds.
+  using Lie = void (*)(CompressedTensor&);
+  const std::pair<const char*, Lie> cases[] = {
+      {"adaptive(0.25)",
+       [](CompressedTensor& ct) { ct.parts.at(0).i32()[0] = 1 << 28; }},
+      {"powersgd(2)", [](CompressedTensor& ct) { ct.ctx.ints.at(0) *= 64; }},
+      {"gradzip(2)", [](CompressedTensor& ct) { ct.ctx.ints.at(0) *= 64; }},
+      {"atomo(2)", [](CompressedTensor& ct) { ct.ctx.ints.at(0) *= 64; }},
+      {"gradiveq(2)", [](CompressedTensor& ct) { ct.ctx.ints.at(0) *= 64; }},
+      {"eightbit",
+       [](CompressedTensor& ct) {
+         ct.parts.at(0) = Tensor(DType::U8, Shape({4}));
+       }},
+      {"natural",
+       [](CompressedTensor& ct) {
+         ct.parts.at(0) = Tensor(DType::I32, Shape({4}));
+       }},
+      {"lpcsvrg",
+       [](CompressedTensor& ct) {
+         ct.parts.at(0) = Tensor(DType::U8, Shape({4}));
+       }},
+      {"sketchml(16)",
+       [](CompressedTensor& ct) {
+         ct.parts.at(1) = Tensor::zeros(Shape({1}));
+       }},
+      {"inceptionn",
+       [](CompressedTensor& ct) {
+         ct.parts.at(1) = Tensor(DType::U8, Shape({0}));
+         ct.parts.at(2) = Tensor(DType::F32, Shape({0}));
+       }},
+      {"qsparselocal",
+       [](CompressedTensor& ct) { ct.ctx.ints.at(0) = int64_t{1} << 52; }}};
+  for (const auto& [spec, lie] : cases) {
+    SCOPED_TRACE(spec);
+    Rng rng(8);
+    Tensor grad(DType::F32, Shape({16, 8}));
+    rng.fill_normal(grad.f32(), 0.0f, 1.0f);
+    const auto q = make_compressor(spec);
+    CompressedTensor ct = q->compress(grad, "g", rng);
+    lie(ct);
+    const CompressedTensor back = deserialize(serialize(ct));
+    EXPECT_THROW(q->decompress(back), std::runtime_error);
+    Tensor acc = Tensor::zeros(grad.shape());
+    EXPECT_THROW(q->decompress_add(back, acc.f32()), std::runtime_error);
+  }
+}
+
 TEST(MutationFuzz, BootstrapFrames) {
   const std::vector<int64_t> slots = {12, 5};
   std::vector<float> params(17);
@@ -283,7 +343,7 @@ TEST(MutationFuzz, BootstrapFrames) {
       Tensor::zeros(Shape{{12}}), Tensor::zeros(Shape{{5}}),
       Tensor(DType::I32, Shape{{2}})};
   const Tensor frame = seal_bootstrap_frame(params, residuals, optimizer,
-                                            "grace.control.v1;policy=fixed");
+                                            "grace.control.v2;boundaries=0");
   ASSERT_NO_THROW(open_bootstrap_frame(frame, slots));
   fuzz(200, 3000, [&](Rng& r) { return mutate_sealed(frame, r); },
        [&](const Tensor& blob) { open_bootstrap_frame(blob, slots); });
@@ -308,17 +368,21 @@ TEST(MutationFuzz, FaultSpecJson) {
 }
 
 TEST(MutationFuzz, ControllerSnapshots) {
+  // Bucket b0 breaches the cosine floor and steps down to the lightest
+  // arm, b1 clears every threshold on the heaviest: with patience 3 both
+  // end with nonzero streaks (a breach streak on b0, a headroom one on b1).
   control::ControlConfig cfg;
-  cfg.policy = "bandit";
   cfg.arms = {"none", "topk(0.05)", "topk(0.01)"};
-  cfg.epsilon = 0.5;
+  cfg.start_arm = 2;
+  cfg.patience = 3;
   const std::vector<std::string> buckets = {"b0", "b1"};
-  control::Controller ctl(cfg, buckets, 17);
+  control::Controller ctl(cfg, buckets);
   std::vector<float> signals(ctl.signal_size());
   for (int i = 0; i < 12; ++i) {
     for (size_t b = 0; b < buckets.size(); ++b) {
       const float n = 4.0f;
-      const float cos = 0.6f + 0.03f * static_cast<float>(i % 5);
+      const float cos =
+          b == 0 ? 0.6f + 0.03f * static_cast<float>(i % 5) : 0.99f;
       float* s = signals.data() + b * control::Controller::kSignalsPerBucket;
       s[0] = n;
       s[1] = cos * n;
@@ -331,11 +395,12 @@ TEST(MutationFuzz, ControllerSnapshots) {
     ctl.step(signals, i, -1);
   }
   const std::string snap = ctl.snapshot();
+  ASSERT_NE(snap.find(";b=0|6:0;b=2|0:12"), std::string::npos) << snap;
   fuzz(400, 2000, [&](Rng& r) { return mutate(snap, r); },
        [&](const std::string& state) {
          control::ControlConfig resumed = cfg;
          resumed.resume_state = state;
-         control::Controller c(resumed, buckets, 17);
+         control::Controller c(resumed, buckets);
        });
 }
 
