@@ -58,8 +58,7 @@ inline void apply_paper_overrides(const std::string& spec,
     cfg.grace.ef_beta = 1.0f;
     cfg.grace.ef_gamma = static_cast<float>(cfg.optimizer.lr);
     if (cfg.optimizer.type == optim::OptimizerType::Sgd ||
-        cfg.optimizer.type == optim::OptimizerType::Momentum ||
-        cfg.optimizer.type == optim::OptimizerType::Nesterov) {
+        cfg.optimizer.type == optim::OptimizerType::Momentum) {
       cfg.optimizer.type = optim::OptimizerType::Sgd;
       cfg.optimizer.lr = 1.0;
     }

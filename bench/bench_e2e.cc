@@ -6,20 +6,18 @@
 // compression only pays when the comm phase it shrinks dominates the
 // compute + codec phases it adds.
 //
-// Prints a table and writes BENCH_e2e.json (schema documented in README.md)
-// plus BENCH_e2e.trace.json, a Chrome trace-event export of the last cell's
+// Every cell also runs with the critical-path collector and the metric
+// registry attached. Prints a table and the last cell's run report
+// (docs/OBSERVABILITY.md §4), and writes BENCH_e2e.json (schema documented
+// in README.md), BENCH_e2e.report.json (the per-cell run reports) and
+// BENCH_e2e.trace.json, a Chrome trace-event export of the last cell's
 // per-rank timeline (load it in chrome://tracing or ui.perfetto.dev; see
 // docs/OBSERVABILITY.md).
 //
 // GRACE_SCALE=<f> (default 1.0) scales the task size for smoke runs.
 // --faults=<plan.json> runs the whole sweep under a deterministic fault
 // plan (docs/RESILIENCE.md); resilience counters land in the JSON.
-// --report additionally attaches the critical-path collector + metric
-// registry to every cell, writes the per-cell run reports to
-// BENCH_e2e.report.json, and prints the last cell's report summary
-// (docs/OBSERVABILITY.md §4).
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,22 +43,7 @@ struct NetConfig {
 int main(int argc, char** argv) {
   using namespace grace;
 
-  const char* plan_path = nullptr;
-  bool want_report = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--faults=", 0) == 0 && arg.size() > 9) {
-      plan_path = argv[i] + 9;
-    } else if (arg == "--report") {
-      want_report = true;
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument '%s'\n"
-                   "usage: bench_e2e [--faults=<plan.json>] [--report]\n",
-                   argv[i]);
-      return 2;
-    }
-  }
+  const char* plan_path = bench::fault_plan_arg(argc, argv, "bench_e2e");
   faults::FaultPlan plan;
   if (plan_path != nullptr) {
     plan = faults::FaultPlan(bench::load_fault_spec(plan_path));
@@ -96,7 +79,7 @@ int main(int argc, char** argv) {
                  scale, bench.task.c_str());
   bool first = true;
   std::string chrome_trace;  // last cell's per-rank timeline, exported below
-  std::string report_rows;   // per-cell run reports when --report is on
+  std::string report_rows;   // per-cell run reports
   std::string last_report_text;
   for (const NetConfig& net : networks) {
     for (const std::string& spec : compressors) {
@@ -110,30 +93,23 @@ int main(int argc, char** argv) {
       if (plan_path != nullptr) cfg.faults = &plan;
 
       sim::Trace trace(cfg.n_workers);
+      sim::MetricRegistry registry(cfg.n_workers);
+      sim::CriticalPathCollector collector(cfg.n_workers);
       cfg.trace = &trace;
-      std::unique_ptr<sim::MetricRegistry> registry;
-      std::unique_ptr<sim::CriticalPathCollector> collector;
-      if (want_report) {
-        registry = std::make_unique<sim::MetricRegistry>(cfg.n_workers);
-        collector = std::make_unique<sim::CriticalPathCollector>(cfg.n_workers);
-        cfg.metrics = registry.get();
-        cfg.critical_path = collector.get();
-      }
+      cfg.metrics = &registry;
+      cfg.critical_path = &collector;
       sim::RunResult run = sim::train(bench.factory, cfg);
       chrome_trace = sim::trace_chrome_json(trace);
-      if (want_report) {
-        const sim::RunReport report =
-            sim::build_run_report(run, registry.get());
-        if (!report_rows.empty()) report_rows += ',';
-        report_rows += "{\"network\":\"";
-        report_rows += net.label;
-        report_rows += "\",\"compressor\":\"";
-        report_rows += spec;
-        report_rows += "\",\"report\":";
-        report_rows += sim::run_report_json(report);
-        report_rows += '}';
-        last_report_text = sim::run_report_text(report);
-      }
+      const sim::RunReport report = sim::build_run_report(run, &registry);
+      if (!report_rows.empty()) report_rows += ',';
+      report_rows += "{\"network\":\"";
+      report_rows += net.label;
+      report_rows += "\",\"compressor\":\"";
+      report_rows += spec;
+      report_rows += "\",\"report\":";
+      report_rows += sim::run_report_json(report);
+      report_rows += '}';
+      last_report_text = sim::run_report_text(report);
 
       const sim::PhaseBreakdown& p = run.phases;
       std::printf(
@@ -158,22 +134,18 @@ int main(int argc, char** argv) {
   }
   json += "]}\n";
 
-  if (want_report) std::printf("\n%s", last_report_text.c_str());
+  std::printf("\n%s", last_report_text.c_str());
   std::printf(
       "\nPhases sum to the simulated iteration time; compression wins only\n"
       "where comm_ms dominates (slow links) and loses its codec cost back on\n"
       "fast fabrics (paper Fig. 9). Open the trace in chrome://tracing or\n"
       "ui.perfetto.dev.\n\n");
-  if (!bench::write_bench_json("e2e", json) ||
-      !bench::write_bench_json("e2e.trace", chrome_trace + "\n")) {
-    return 1;
-  }
-  if (want_report) {
-    std::string report;
-    bench::appendf(report,
-                   "{\"benchmark\":\"e2e\",\"scale\":%g,\"cells\":[%s]}\n",
-                   scale, report_rows.c_str());
-    if (!bench::write_bench_json("e2e.report", report)) return 1;
-  }
-  return 0;
+  std::string report;
+  bench::appendf(report,
+                 "{\"benchmark\":\"e2e\",\"scale\":%g,\"cells\":[%s]}\n",
+                 scale, report_rows.c_str());
+  const bool ok = bench::write_bench_json("e2e", json) &&
+                  bench::write_bench_json("e2e.trace", chrome_trace + "\n") &&
+                  bench::write_bench_json("e2e.report", report);
+  return ok ? 0 : 1;
 }

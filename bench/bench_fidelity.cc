@@ -15,12 +15,10 @@
 // Prints a table and writes BENCH_fidelity.json (schema in
 // docs/OBSERVABILITY.md).
 //
-// GRACE_SCALE=<f> (default 1.0) scales the task size for smoke runs;
-// GRACE_FIDELITY_EVERY=<k> (default 1) probes every k-th iteration.
+// GRACE_SCALE=<f> (default 1.0) scales the task size for smoke runs.
 // --faults=<plan.json> runs the sweep under a deterministic fault plan
 // (docs/RESILIENCE.md) — fidelity under packet loss and corruption.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -42,9 +40,6 @@ int main(int argc, char** argv) {
   }
 
   const double scale = bench::scale_from_env();
-  int every_k = 1;
-  if (const char* s = std::getenv("GRACE_FIDELITY_EVERY")) every_k = std::atoi(s);
-  if (every_k < 1) every_k = 1;
 
   // A Table I cross-section: quantizers (1-bit through 8-bit, stochastic
   // and deterministic), sparsifiers (top-k family), the EF-centric method
@@ -75,9 +70,8 @@ int main(int argc, char** argv) {
 
   std::string json;
   bench::appendf(json,
-                 "{\"benchmark\":\"fidelity\",\"scale\":%g,\"every_k\":%d,"
-                 "\"runs\":[",
-                 scale, every_k);
+                 "{\"benchmark\":\"fidelity\",\"scale\":%g,\"runs\":[",
+                 scale);
   bool first = true;
   for (const Run& r : compressors) {
     const std::string& spec = r.spec;
@@ -86,7 +80,7 @@ int main(int argc, char** argv) {
     cfg.grace.wire_codec = r.wire_codec;
     bench::apply_paper_overrides(spec, cfg, /*classification_task=*/true);
 
-    sim::CompressionFidelityProbe probe(cfg.n_workers, every_k);
+    sim::CompressionFidelityProbe probe(cfg.n_workers);
     sim::MetricRegistry registry(cfg.n_workers);
     cfg.fidelity = &probe;
     cfg.metrics = &registry;

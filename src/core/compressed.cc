@@ -119,17 +119,6 @@ int coded_slot(const Context& ctx, uint32_t part) {
   return -1;
 }
 
-Tensor encode_indices(std::span<const int32_t> indices, WireCodec codec) {
-  return codec == WireCodec::Varint ? varint_encode_indices(indices)
-                                    : rice_encode_indices(indices);
-}
-
-std::vector<int32_t> decode_indices(const Tensor& encoded, int64_t n,
-                                    WireCodec codec) {
-  return codec == WireCodec::Varint ? varint_decode_indices(encoded, n)
-                                    : rice_decode_indices(encoded, n);
-}
-
 }  // namespace
 
 uint64_t CompressedTensor::storage_bytes() const {
@@ -167,7 +156,7 @@ void apply_wire_codec(CompressedTensor& ct, WireCodec codec) {
       }
       prev = v;
     }
-    Tensor enc = encode_indices(idx, codec);
+    Tensor enc = rice_encode_indices(idx);
     const uint64_t raw_bits = static_cast<uint64_t>(idx.size()) * 32;
     const uint64_t coded_bits = static_cast<uint64_t>(enc.size_bytes()) * 8;
     if (coded_bits >= raw_bits) continue;  // coding loses; ship raw
@@ -207,7 +196,7 @@ Tensor serialize(const CompressedTensor& ct) {
     if (static_cast<size_t>(slot) < ct.coded_indices.size()) {
       encp = &ct.coded_indices[static_cast<size_t>(slot)];
     } else {
-      enc = encode_indices(p.i32(), ct.ctx.wire_codec);
+      enc = rice_encode_indices(p.i32());
       encp = &enc;
     }
     w.put<uint32_t>(static_cast<uint32_t>(encp->size_bytes()));
@@ -237,11 +226,11 @@ CompressedTensor deserialize(const Tensor& blob) {
   // bytes, not that they are well formed.
   ByteReader r(frame.first(frame.size() - util::kFrameCrcBytes));
   CompressedTensor ct;
-  const auto codec = r.get<uint8_t>();
-  if (codec > static_cast<uint8_t>(WireCodec::Rice)) {
+  const auto codec = static_cast<WireCodec>(r.get<uint8_t>());
+  if (codec != WireCodec::None && codec != WireCodec::Rice) {
     malformed("unknown wire codec");
   }
-  ct.ctx.wire_codec = static_cast<WireCodec>(codec);
+  ct.ctx.wire_codec = codec;
   ct.ctx.index_parts.resize(r.get_count(sizeof(int32_t)));
   for (auto& pi : ct.ctx.index_parts) pi = r.get<int32_t>();
   // A part is at least its dtype byte and its shape rank.
@@ -262,7 +251,7 @@ CompressedTensor deserialize(const Tensor& blob) {
       continue;
     }
     if (dtype != DType::I32) malformed("coded part is not i32");
-    // Both coders spend at least one bit per index.
+    // The rice coder spends at least one bit per index.
     Shape shape = get_shape(r, static_cast<int64_t>(r.remaining()) * 8);
     const auto coded_len = r.get_count(1);
     if (shape.numel() > static_cast<int64_t>(coded_len) * 8) {
@@ -271,8 +260,7 @@ CompressedTensor deserialize(const Tensor& blob) {
     Tensor enc(DType::U8, Shape{{static_cast<int64_t>(coded_len)}});
     r.get_bytes(enc.bytes());
     Tensor t(dtype, std::move(shape));
-    const std::vector<int32_t> idx =
-        decode_indices(enc, t.numel(), ct.ctx.wire_codec);
+    const std::vector<int32_t> idx = rice_decode_indices(enc, t.numel());
     std::copy(idx.begin(), idx.end(), t.i32().begin());
     ct.coded_indices[static_cast<size_t>(slot)] = std::move(enc);
     ct.parts.push_back(std::move(t));

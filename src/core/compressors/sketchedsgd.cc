@@ -8,6 +8,7 @@
 // Extension beyond the paper's 16 implemented methods.
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/compressors/compressors.h"
 #include "tensor/ops.h"
@@ -82,11 +83,16 @@ class SketchedSgd final : public Compressor {
     // heavy hitters. The hash seed travels in ctx so any receiver can
     // reconstruct the geometry.
     const auto d = ct.ctx.shape.numel();
+    const Tensor& sketch = ct.parts.at(0);
+    if (sketch.dtype() != DType::F32 || sketch.shape().rank() != 2 ||
+        sketch.shape()[0] < 1 || sketch.shape()[1] < 1) {
+      throw std::runtime_error("sketchedsgd: sketch part is not a matrix");
+    }
     SketchGeometry geom;
-    geom.rows = ct.parts.at(0).shape()[0];
-    geom.cols = ct.parts.at(0).shape()[1];
+    geom.rows = sketch.shape()[0];
+    geom.cols = sketch.shape()[1];
     geom.seed = static_cast<uint64_t>(ct.ctx.ints.at(0));
-    auto s = ct.parts.at(0).f32();
+    auto s = sketch.f32();
     Tensor estimates = Tensor::zeros(Shape{{d}});
     auto e = estimates.f32();
     std::vector<float> row_vals(static_cast<size_t>(geom.rows));

@@ -9,6 +9,7 @@
 // Extension beyond the paper's 16 implemented methods.
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/compressors/compressors.h"
 #include "tensor/ops.h"
@@ -71,8 +72,12 @@ class ThreeLc final : public Compressor {
     auto o = out.f32();
     const float m = ct.ctx.scalars.at(0);
     const auto d = ct.ctx.shape.numel();
+    const Tensor& packed = ct.parts.at(0);
+    if (packed.dtype() != DType::U8) {
+      throw std::runtime_error("threelc: packed part is not u8");
+    }
     int64_t i = 0;
-    for (uint8_t code : ct.parts.at(0).u8()) {
+    for (uint8_t code : packed.u8()) {
       int64_t groups = 1;
       if (code >= kRunBase) {
         groups = 2 + (code - kRunBase);

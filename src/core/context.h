@@ -11,14 +11,14 @@
 namespace grace::core {
 
 // Lossless wire stage for sparse-index payloads (core/index_coding.h):
-// which delta codec, if any, serialize() runs the tagged index parts
-// through. None ships raw 32-bit indices (the seed behavior).
-enum class WireCodec : uint8_t { None = 0, Varint = 1, Rice = 2 };
+// whether serialize() Rice-codes the tagged index parts. None ships raw
+// 32-bit indices (the seed behavior). The values are the frame's codec
+// byte; deserialize() rejects any other byte, 1 included.
+enum class WireCodec : uint8_t { None = 0, Rice = 2 };
 
 inline const char* wire_codec_name(WireCodec codec) {
   switch (codec) {
     case WireCodec::None: return "none";
-    case WireCodec::Varint: return "varint";
     case WireCodec::Rice: return "rice";
   }
   return "unknown";

@@ -151,8 +151,7 @@ class GraceWorker {
   // Attach / detach a fidelity probe (core/probe.h, not owned). While set,
   // every exchange measures what compression did to the tensor (one extra
   // decompress when error feedback is off) and reports a FidelitySample;
-  // when null (the default) the cost is a single pointer test. Callers
-  // toggle this between iterations to sample every K-th exchange.
+  // when null (the default) the cost is a single pointer test.
   // `probe_rank` overrides the rank recorded on samples: in a smaller
   // membership view comm_.rank() is the LIVE rank, which would alias one
   // rank's samples into another's slot; the trainer passes the

@@ -18,8 +18,8 @@ namespace grace::core {
 // is in [1, 8]. Non-finite elements map to deterministic codes: NaN to the
 // midpoint code (dequantizes near 0), +/-Inf to the clamp rails; a
 // non-positive or NaN scale emits the midpoint code everywhere.
-// The hot loops dispatch through util/simd.h; every SIMD level produces
-// bit-identical codes (GRACE_NO_SIMD=1 reproduces the default run).
+// The hot loops dispatch through util/simd.h; the AVX2 and scalar paths
+// produce bit-identical codes.
 struct Quantized {
   Tensor codes;  // u8, one code per element
   float scale = 0.0f;

@@ -130,51 +130,6 @@ int32_t next_index(int32_t prev, uint64_t delta) {
 
 }  // namespace
 
-Tensor varint_encode_indices(std::span<const int32_t> indices) {
-  std::vector<uint8_t> out;
-  int32_t prev = -1;
-  for (int32_t idx : indices) {
-    assert(idx > prev);
-    // In 64 bits: INT32_MAX - (-1) overflows int.
-    auto delta = static_cast<uint32_t>(int64_t{idx} - prev);
-    prev = idx;
-    while (delta >= 0x80) {
-      out.push_back(static_cast<uint8_t>(delta | 0x80));
-      delta >>= 7;
-    }
-    out.push_back(static_cast<uint8_t>(delta));
-  }
-  Tensor t(DType::U8, Shape{{static_cast<int64_t>(out.size())}});
-  std::copy(out.begin(), out.end(), t.u8().begin());
-  return t;
-}
-
-std::vector<int32_t> varint_decode_indices(const Tensor& encoded, int64_t n) {
-  std::vector<int32_t> out;
-  out.reserve(static_cast<size_t>(n));
-  auto data = encoded.u8();
-  size_t at = 0;
-  int32_t prev = -1;
-  for (int64_t i = 0; i < n; ++i) {
-    uint32_t delta = 0;
-    int shift = 0;
-    for (;;) {
-      // A 32-bit delta takes at most five bytes (shifts 0..28).
-      if (at >= data.size() || shift > 28) {
-        throw std::runtime_error(
-            "varint_decode_indices: truncated or overlong index stream");
-      }
-      const uint8_t byte = data[at++];
-      delta |= static_cast<uint32_t>(byte & 0x7F) << shift;
-      if (!(byte & 0x80)) break;
-      shift += 7;
-    }
-    prev = next_index(prev, delta);
-    out.push_back(prev);
-  }
-  return out;
-}
-
 Tensor rice_encode_indices(std::span<const int32_t> indices, int k) {
   if (k < 0) {
     // Mean gap -> k = floor(log2(mean)); clamp to sane range.
@@ -190,7 +145,7 @@ Tensor rice_encode_indices(std::span<const int32_t> indices, int k) {
   int32_t prev = -1;
   for (int32_t idx : indices) {
     assert(idx > prev);
-    // Gaps >= 0, in 64 bits like the varint delta.
+    // Gaps >= 0, in 64 bits: INT32_MAX - (-1) overflows int.
     const auto delta = static_cast<uint32_t>(int64_t{idx} - prev - 1);
     prev = idx;
     w.put_ones(delta >> k);  // unary quotient

@@ -2,14 +2,10 @@
 // since index lists are sorted, delta + variable-length coding cuts that
 // substantially (the direction the paper's related work explores via
 // Huffman coding [Gajjala et al.] and value/index compression
-// [DeepReduce]). Two schemes:
-//
-//   varint      — 7 bits per byte, LEB128-style; good general purpose
-//   rice(k)     — Golomb-Rice with divisor 2^k; near-optimal for the
-//                 geometric gap distribution of uniformly-sparse indices,
-//                 with k chosen from the mean gap
-//
-// Both code the deltas of the (strictly increasing) index list.
+// [DeepReduce]). The scheme is Golomb-Rice with divisor 2^k over the
+// deltas of the (strictly increasing) index list: near-optimal for the
+// geometric gap distribution of uniformly-sparse indices, with k chosen
+// from the mean gap.
 #pragma once
 
 #include <cstdint>
@@ -20,12 +16,9 @@
 
 namespace grace::core {
 
-// LEB128 on deltas. Indices must be non-negative and strictly increasing.
-Tensor varint_encode_indices(std::span<const int32_t> indices);
-std::vector<int32_t> varint_decode_indices(const Tensor& encoded, int64_t n);
-
 // Golomb-Rice on deltas; k is stored in the payload. Auto-picks
-// k = floor(log2(mean gap)) when k < 0.
+// k = floor(log2(mean gap)) when k < 0. Indices must be non-negative and
+// strictly increasing.
 Tensor rice_encode_indices(std::span<const int32_t> indices, int k = -1);
 std::vector<int32_t> rice_decode_indices(const Tensor& encoded, int64_t n);
 

@@ -17,12 +17,16 @@ struct CompressorSpec {
 };
 
 // Parses "name", "name(a)", or "name(a,b)". Throws std::invalid_argument
-// on malformed specs.
+// on malformed specs, including an argument that is not one whole finite
+// number ("0.01x", "nan", "inf").
 CompressorSpec parse_spec(const std::string& spec);
 
 // Instantiate a compressor. Missing args fall back to the paper's defaults
 // (Randk/Topk/Thresholdv/DGC/Adaptive 0.01, QSGD/SketchML 64, PowerSGD 4).
-// Throws std::invalid_argument for unknown names.
+// Throws std::invalid_argument for unknown names, for more arguments than
+// the method takes, and for an argument outside the method's domain
+// (ratios in (0, 1], decay factors in [0, 1), integers integral and in
+// range).
 std::unique_ptr<Compressor> make_compressor(const std::string& spec);
 
 // Extension point: register a user-defined compressor under a new base

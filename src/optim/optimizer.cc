@@ -72,46 +72,29 @@ void Optimizer::install_state(std::span<const Tensor> state) {
 
 namespace {
 
-// Shared weight-decay handling: returns grad[i] + wd * param[i].
-inline float g_at(const OptimizerConfig& cfg, std::span<const float> grad,
-                  std::span<const float> param, size_t i) {
-  float g = grad[i];
-  if (cfg.weight_decay != 0.0) {
-    g += static_cast<float>(cfg.weight_decay) * param[i];
-  }
-  return g;
-}
-
 class Sgd final : public Optimizer {
  public:
   using Optimizer::Optimizer;
   void apply(size_t, std::span<float> param,
              std::span<const float> grad) override {
     const auto lr = static_cast<float>(cfg_.lr);
-    for (size_t i = 0; i < param.size(); ++i) {
-      param[i] -= lr * g_at(cfg_, grad, param, i);
-    }
+    for (size_t i = 0; i < param.size(); ++i) param[i] -= lr * grad[i];
   }
 };
 
 class Momentum final : public Optimizer {
  public:
-  Momentum(OptimizerConfig cfg, bool nesterov)
-      : Optimizer(cfg, /*n_buffers=*/1), nesterov_(nesterov) {}
+  explicit Momentum(OptimizerConfig cfg) : Optimizer(cfg, /*n_buffers=*/1) {}
   void apply(size_t slot, std::span<float> param,
              std::span<const float> grad) override {
     auto v = state(0, slot, param.size());
     const auto lr = static_cast<float>(cfg_.lr);
-    const auto mu = static_cast<float>(cfg_.momentum);
+    const auto mu = static_cast<float>(kMomentum);
     for (size_t i = 0; i < param.size(); ++i) {
-      const float g = g_at(cfg_, grad, param, i);
-      v[i] = mu * v[i] + g;
-      param[i] -= lr * (nesterov_ ? g + mu * v[i] : v[i]);
+      v[i] = mu * v[i] + grad[i];
+      param[i] -= lr * v[i];
     }
   }
-
- private:
-  bool nesterov_;
 };
 
 class Adam final : public Optimizer {
@@ -123,17 +106,16 @@ class Adam final : public Optimizer {
     auto m = state(0, slot, param.size());
     auto v = state(1, slot, param.size());
     const auto t = static_cast<double>(step(slot));
-    const double b1 = cfg_.beta1, b2 = cfg_.beta2;
-    const double bias1 = 1.0 - std::pow(b1, t);
-    const double bias2 = 1.0 - std::pow(b2, t);
+    const double bias1 = 1.0 - std::pow(kBeta1, t);
+    const double bias2 = 1.0 - std::pow(kBeta2, t);
     const double lr = cfg_.lr;
     for (size_t i = 0; i < param.size(); ++i) {
-      const float g = g_at(cfg_, grad, param, i);
-      m[i] = static_cast<float>(b1 * m[i] + (1.0 - b1) * g);
-      v[i] = static_cast<float>(b2 * v[i] + (1.0 - b2) * g * g);
+      const float g = grad[i];
+      m[i] = static_cast<float>(kBeta1 * m[i] + (1.0 - kBeta1) * g);
+      v[i] = static_cast<float>(kBeta2 * v[i] + (1.0 - kBeta2) * g * g);
       const double mhat = m[i] / bias1;
       const double vhat = v[i] / bias2;
-      param[i] -= static_cast<float>(lr * mhat / (std::sqrt(vhat) + cfg_.eps));
+      param[i] -= static_cast<float>(lr * mhat / (std::sqrt(vhat) + kEps));
     }
   }
 };
@@ -144,12 +126,11 @@ class RmsProp final : public Optimizer {
   void apply(size_t slot, std::span<float> param,
              std::span<const float> grad) override {
     auto s = state(0, slot, param.size());
-    const double rho = cfg_.rho;
     const double lr = cfg_.lr;
     for (size_t i = 0; i < param.size(); ++i) {
-      const float g = g_at(cfg_, grad, param, i);
-      s[i] = static_cast<float>(rho * s[i] + (1.0 - rho) * g * g);
-      param[i] -= static_cast<float>(lr * g / (std::sqrt(static_cast<double>(s[i])) + cfg_.eps));
+      const float g = grad[i];
+      s[i] = static_cast<float>(kRho * s[i] + (1.0 - kRho) * g * g);
+      param[i] -= static_cast<float>(lr * g / (std::sqrt(static_cast<double>(s[i])) + kEps));
     }
   }
 };
@@ -159,8 +140,7 @@ class RmsProp final : public Optimizer {
 std::unique_ptr<Optimizer> make_optimizer(const OptimizerConfig& cfg) {
   switch (cfg.type) {
     case OptimizerType::Sgd: return std::make_unique<Sgd>(cfg);
-    case OptimizerType::Momentum: return std::make_unique<Momentum>(cfg, false);
-    case OptimizerType::Nesterov: return std::make_unique<Momentum>(cfg, true);
+    case OptimizerType::Momentum: return std::make_unique<Momentum>(cfg);
     case OptimizerType::Adam: return std::make_unique<Adam>(cfg);
     case OptimizerType::RmsProp: return std::make_unique<RmsProp>(cfg);
   }

@@ -13,17 +13,19 @@
 
 namespace grace::optim {
 
-enum class OptimizerType { Sgd, Momentum, Nesterov, Adam, RmsProp };
+enum class OptimizerType { Sgd, Momentum, Adam, RmsProp };
+
+// The hyperparameters every task runs with; only the type and the
+// learning rate vary.
+inline constexpr double kMomentum = 0.9;  // Momentum
+inline constexpr double kBeta1 = 0.9;     // Adam
+inline constexpr double kBeta2 = 0.999;   // Adam
+inline constexpr double kRho = 0.9;       // RMSProp decay
+inline constexpr double kEps = 1e-8;      // Adam / RMSProp
 
 struct OptimizerConfig {
   OptimizerType type = OptimizerType::Sgd;
   double lr = 0.01;
-  double momentum = 0.9;       // Momentum / Nesterov
-  double beta1 = 0.9;          // Adam
-  double beta2 = 0.999;        // Adam
-  double rho = 0.9;            // RMSProp decay
-  double eps = 1e-8;
-  double weight_decay = 0.0;   // L2 added to the gradient
 };
 
 class Optimizer {

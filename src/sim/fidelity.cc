@@ -8,9 +8,8 @@
 
 namespace grace::sim {
 
-CompressionFidelityProbe::CompressionFidelityProbe(int n_ranks, int every_k)
-    : every_k_(every_k < 1 ? 1 : every_k),
-      ranks_(static_cast<size_t>(n_ranks)) {
+CompressionFidelityProbe::CompressionFidelityProbe(int n_ranks)
+    : ranks_(static_cast<size_t>(n_ranks)) {
   assert(n_ranks >= 1);
 }
 

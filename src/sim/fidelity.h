@@ -1,12 +1,11 @@
 // Compression-fidelity observability (the second layer on top of
 // sim/trace): a CompressionFidelityProbe attaches to every GraceWorker via
-// TrainConfig::fidelity and, every K-th iteration, records what compression
+// TrainConfig::fidelity and, on every exchange, records what compression
 // did to each gradient tensor — achieved wire ratio, relative L2
 // reconstruction error, cosine similarity, sign-agreement rate and the
 // error-feedback residual norm (the quantities behind the paper's
 // Figures 6-8 quality/ratio trade-off). Like tracing, it is opt-in and
-// zero-cost when off: the trainer performs one null test per iteration and
-// GraceWorker one per exchange.
+// zero-cost when off: GraceWorker performs one null test per exchange.
 #pragma once
 
 #include <cstdint>
@@ -46,14 +45,7 @@ struct TensorFidelitySummary {
 // needs no synchronization.
 class CompressionFidelityProbe final : public core::ExchangeProbe {
  public:
-  // Sample every `every_k`-th iteration (clamped to >= 1). The trainer
-  // consults should_sample(); standalone GraceWorker users can simply
-  // leave the probe attached to sample every exchange.
-  explicit CompressionFidelityProbe(int n_ranks, int every_k = 1);
-
-  bool should_sample(int64_t iteration) const {
-    return iteration % every_k_ == 0;
-  }
+  explicit CompressionFidelityProbe(int n_ranks);
 
   void on_sample(const core::FidelitySample& sample) override;
 
@@ -103,7 +95,6 @@ class CompressionFidelityProbe final : public core::ExchangeProbe {
     std::vector<Accum> tensors;  // first-seen order; linear lookup (few)
   };
 
-  int every_k_;
   std::vector<RankSlot> ranks_;
 };
 

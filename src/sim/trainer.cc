@@ -223,14 +223,16 @@ Setup::Setup(const ReplicaFactory& factory, const TrainConfig& cfg)
     }
   }
 
+  // Instantiate the base spec here, like the arms below: a bad spec must
+  // throw on this thread, not inside a worker.
+  core::make_compressor(cfg.grace.compressor_spec);
   bool compressing =
       core::parse_spec(cfg.grace.compressor_spec).name != "none";
 
   // Adaptive controller setup (src/control, DESIGN.md §11). Validate on
   // this thread — a bad setting or arm spec must not throw inside a
-  // worker — and auto-attach an internal fidelity probe, sampling every
-  // iteration, when the caller did not supply one (the controller's
-  // signals come from the probe).
+  // worker — and auto-attach an internal fidelity probe when the caller
+  // did not supply one (the controller's signals come from the probe).
   const control::ControlConfig& ctl_cfg = cfg.grace.control;
   if (ctl_cfg.enabled()) {
     ctl_cfg.validate();
@@ -294,6 +296,11 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
   comm::Comm comm = setup.transport[0].world->comm(rank);
   core::GraceWorker grace(cfg.grace, comm, setup.transport[0].net,
                           cfg.seed * 7919ULL + static_cast<uint64_t>(rank));
+  // The probe samples every exchange. Samples are recorded under the
+  // stable physical rank, not comm_.rank(): after a membership rebind the
+  // live rank would alias another rank's samples into this slot, which
+  // would skew the controller's per-rank windows.
+  grace.set_probe(fidelity, rank);
   log.error_feedback = grace.error_feedback_enabled();
   auto optimizer = optim::make_optimizer(cfg.optimizer);
   Rng batch_rng(cfg.seed * 104729ULL + static_cast<uint64_t>(rank));
@@ -467,19 +474,6 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
         // undrained stall is never read.
         log.rows.emplace_back();
         continue;
-      }
-      if (fidelity) {
-        // Sample every K-th iteration: attach the probe to this worker's
-        // exchanges for exactly the sampled iterations. Samples are
-        // recorded under the stable physical rank, not comm_.rank() —
-        // after a membership rebind the live rank would alias another
-        // rank's samples into this slot, which would skew the
-        // controller's per-rank windows.
-        grace.set_probe(
-            fidelity->should_sample(epoch * iters_per_epoch + it)
-                ? fidelity
-                : nullptr,
-            rank);
       }
       const int64_t base = it * sched_global_batch +
                            static_cast<int64_t>(sched_rank) * cfg.batch_per_worker;

@@ -75,10 +75,9 @@ struct TrainConfig {
   // from rank 0's. When null (the default) no event is recorded.
   Trace* trace = nullptr;
   // Optional compression-fidelity probe (sim/fidelity.h, not owned). When
-  // set, every k-th iteration (its should_sample) measures per-tensor
-  // reconstruction fidelity inside GraceWorker::submit and the trainer
-  // fills RunResult::fidelity. When null the cost is one branch per
-  // iteration and one per exchange.
+  // set, every exchange measures per-tensor reconstruction fidelity inside
+  // GraceWorker::submit and the trainer fills RunResult::fidelity. When
+  // null the cost is one branch per exchange.
   CompressionFidelityProbe* fidelity = nullptr;
   // Optional exchange-level metrics registry (sim/metric_registry.h, not
   // owned). When set, train() fills it after the join with every

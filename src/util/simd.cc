@@ -5,33 +5,14 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 // Compile-time ISA availability. The build uses -march=native by default
-// (GRACE_NATIVE), so these mirror the build host; a generic build keeps
+// (GRACE_NATIVE), so this mirrors the build host; a generic build keeps
 // only the scalar reference and detected_level() reports Scalar.
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__AVX2__)
 #define GRACE_SIMD_AVX2 1
-#endif
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__SSE4_1__)
-#define GRACE_SIMD_SSE 1
-#endif
-#if defined(__aarch64__) && defined(__ARM_NEON)
-#define GRACE_SIMD_NEON 1
-#endif
-
-#if defined(GRACE_SIMD_AVX2) || defined(GRACE_SIMD_SSE)
 #include <immintrin.h>
-#endif
-#if defined(GRACE_SIMD_NEON)
-#include <arm_neon.h>
-#endif
-
-// The SWAR pack/unpack fold reads 8 code bytes as one uint64 and relies on
-// byte k sitting at bits [8k, 8k+8) — little-endian only.
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-#define GRACE_SIMD_SWAR 1
 #endif
 
 namespace grace::util::simd {
@@ -39,22 +20,11 @@ namespace {
 
 // ---------------------------------------------------------------- dispatch
 
-bool env_no_simd() {
-  static const bool disabled = [] {
-    const char* e = std::getenv("GRACE_NO_SIMD");
-    return e != nullptr && *e != '\0' && !(e[0] == '0' && e[1] == '\0');
-  }();
-  return disabled;
-}
-
 std::atomic<int> g_override{-1};
 
-bool level_available(Level level) {
-  const Level d = detected_level();
-  if (level == Level::Scalar) return true;
-  if (level == Level::Neon || d == Level::Neon) return level == d;
-  return static_cast<int>(level) <= static_cast<int>(d);  // x86 ladder
-}
+#ifdef GRACE_SIMD_AVX2
+bool avx2() { return active_level() == Level::Avx2; }
+#endif
 
 // ---------------------------------------------------------- scalar kernels
 // These are the semantic reference: every vector variant below replicates
@@ -179,8 +149,11 @@ int64_t threshold_scalar(const float* x, int64_t lo, int64_t hi,
 // ------------------------------------------------------- SWAR pack/unpack
 // 8 code bytes fold into 8*B contiguous bits (and back) with three
 // merge-adjacent-fields steps; field masks are compile-time constants.
+// The fold reads 8 code bytes as one uint64 with byte k at bits
+// [8k, 8k+8), which holds on every (little-endian) x86 host; the AVX2
+// level packs and unpacks through it.
 
-#ifdef GRACE_SIMD_SWAR
+#ifdef GRACE_SIMD_AVX2
 
 constexpr uint64_t field_mask(int width, int stride) {
   uint64_t m = 0;
@@ -232,11 +205,7 @@ void unpack_swar(const uint8_t* packed, uint8_t* codes, int64_t n) {
   if (i < n) unpack_scalar_range(packed, codes, i, n, B);
 }
 
-#endif  // GRACE_SIMD_SWAR
-
 // ----------------------------------------------------------- AVX2 kernels
-
-#ifdef GRACE_SIMD_AVX2
 
 void quantize_avx2(const float* x, uint8_t* codes, int64_t n, float scale,
                    int levels) {
@@ -331,11 +300,7 @@ void pack1_avx2(const uint8_t* codes, uint8_t* out, int64_t n) {
     const auto m = static_cast<uint32_t>(_mm256_movemask_epi8(v));
     std::memcpy(out + i / 8, &m, 4);
   }
-#ifdef GRACE_SIMD_SWAR
   if (i < n) pack_swar<1>(codes + i, out + i / 8, n - i);
-#else
-  if (i < n) pack_scalar_range(codes, out, i, n, 1);
-#endif
 }
 
 void pack_signs_avx2(const float* x, uint8_t* out, int64_t n) {
@@ -404,170 +369,6 @@ int64_t threshold_avx2(const float* x, int64_t lo, int64_t hi, float threshold,
 
 #endif  // GRACE_SIMD_AVX2
 
-// --------------------------------------------------------- SSE4.1 kernels
-
-#ifdef GRACE_SIMD_SSE
-
-void quantize_sse(const float* x, uint8_t* codes, int64_t n, float scale,
-                  int levels) {
-  const float flevels = static_cast<float>(levels);
-  const auto mid = static_cast<uint8_t>(levels / 2);
-  const __m128 vscale = _mm_set1_ps(scale);
-  const __m128 vone = _mm_set1_ps(1.0f);
-  const __m128 vhalf = _mm_set1_ps(0.5f);
-  const __m128 vflev = _mm_set1_ps(flevels);
-  const __m128 vzero = _mm_setzero_ps();
-  const __m128i vmid = _mm_set1_epi32(levels / 2);
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m128i q[4];
-    for (int g = 0; g < 4; ++g) {
-      const __m128 v = _mm_loadu_ps(x + i + 4 * g);
-      const __m128 t = _mm_mul_ps(
-          _mm_mul_ps(_mm_add_ps(_mm_div_ps(v, vscale), vone), vhalf), vflev);
-      const __m128 nan_mask = _mm_cmpunord_ps(t, t);
-      const __m128 u =
-          _mm_add_ps(_mm_min_ps(_mm_max_ps(t, vzero), vflev), vhalf);
-      q[g] = _mm_blendv_epi8(_mm_cvttps_epi32(u), vmid,
-                             _mm_castps_si128(nan_mask));
-    }
-    const __m128i b = _mm_packus_epi16(_mm_packus_epi32(q[0], q[1]),
-                                       _mm_packus_epi32(q[2], q[3]));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(codes + i), b);
-  }
-  for (; i < n; ++i) codes[i] = quantize_one(x[i], scale, flevels, mid);
-}
-
-void dequantize_sse(const uint8_t* codes, float* out, int64_t n, float scale,
-                    int levels) {
-  const float flevels = static_cast<float>(levels);
-  const __m128 vflev = _mm_set1_ps(flevels);
-  const __m128 vtwo = _mm_set1_ps(2.0f);
-  const __m128 vone = _mm_set1_ps(1.0f);
-  const __m128 vscale = _mm_set1_ps(scale);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    int32_t four;
-    std::memcpy(&four, codes + i, 4);
-    const __m128 f =
-        _mm_cvtepi32_ps(_mm_cvtepu8_epi32(_mm_cvtsi32_si128(four)));
-    const __m128 r = _mm_mul_ps(
-        _mm_sub_ps(_mm_mul_ps(_mm_div_ps(f, vflev), vtwo), vone), vscale);
-    _mm_storeu_ps(out + i, r);
-  }
-  for (; i < n; ++i) out[i] = dequantize_one(codes[i], scale, flevels);
-}
-
-void pack_signs_sse(const float* x, uint8_t* out, int64_t n) {
-  const __m128 vzero = _mm_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const auto lo = static_cast<uint32_t>(
-        _mm_movemask_ps(_mm_cmpge_ps(_mm_loadu_ps(x + i), vzero)));
-    const auto hi = static_cast<uint32_t>(
-        _mm_movemask_ps(_mm_cmpge_ps(_mm_loadu_ps(x + i + 4), vzero)));
-    out[i / 8] = static_cast<uint8_t>(lo | (hi << 4));
-  }
-  if (i < n) pack_signs_scalar_range(x, out, i, n);
-}
-
-void unpack_signs_sse(const uint8_t* packed, float* out, int64_t n) {
-  const __m128i bit_lo = _mm_setr_epi32(1, 2, 4, 8);
-  const __m128i bit_hi = _mm_setr_epi32(16, 32, 64, 128);
-  const __m128 pos = _mm_set1_ps(1.0f);
-  const __m128 neg = _mm_set1_ps(-1.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i b = _mm_set1_epi32(packed[i / 8]);
-    const __m128i lo = _mm_cmpeq_epi32(_mm_and_si128(b, bit_lo), bit_lo);
-    const __m128i hi = _mm_cmpeq_epi32(_mm_and_si128(b, bit_hi), bit_hi);
-    _mm_storeu_ps(out + i, _mm_blendv_ps(neg, pos, _mm_castsi128_ps(lo)));
-    _mm_storeu_ps(out + i + 4, _mm_blendv_ps(neg, pos, _mm_castsi128_ps(hi)));
-  }
-  if (i < n) unpack_signs_scalar_range(packed, out, i, n);
-}
-
-int64_t threshold_sse(const float* x, int64_t lo, int64_t hi, float threshold,
-                      int32_t* out) {
-  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFFFFFF));
-  const __m128 vthr = _mm_set1_ps(threshold);
-  int64_t cnt = 0;
-  int64_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    const __m128 v = _mm_and_ps(_mm_loadu_ps(x + i), abs_mask);
-    auto m = static_cast<uint32_t>(_mm_movemask_ps(_mm_cmpgt_ps(v, vthr)));
-    while (m != 0) {
-      out[cnt++] = static_cast<int32_t>(i + std::countr_zero(m));
-      m &= m - 1;
-    }
-  }
-  cnt += threshold_scalar(x, i, hi, threshold, out + cnt);
-  return cnt;
-}
-
-#endif  // GRACE_SIMD_SSE
-
-// ----------------------------------------------------------- NEON kernels
-// AArch64 only; untested on the x86 CI host, kept to the float kernels
-// whose op-for-op IEEE mapping is direct (vdivq/vaddq/vmulq are exactly
-// rounded, vcvtq_s32_f32 truncates like cvttps).
-
-#ifdef GRACE_SIMD_NEON
-
-void quantize_neon(const float* x, uint8_t* codes, int64_t n, float scale,
-                   int levels) {
-  const float flevels = static_cast<float>(levels);
-  const auto mid = static_cast<uint8_t>(levels / 2);
-  const float32x4_t vscale = vdupq_n_f32(scale);
-  const float32x4_t vone = vdupq_n_f32(1.0f);
-  const float32x4_t vhalf = vdupq_n_f32(0.5f);
-  const float32x4_t vflev = vdupq_n_f32(flevels);
-  const float32x4_t vzero = vdupq_n_f32(0.0f);
-  const int32x4_t vmid = vdupq_n_s32(levels / 2);
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    uint16x4_t half16[4];
-    for (int g = 0; g < 4; ++g) {
-      const float32x4_t v = vld1q_f32(x + i + 4 * g);
-      const float32x4_t t = vmulq_f32(
-          vmulq_f32(vaddq_f32(vdivq_f32(v, vscale), vone), vhalf), vflev);
-      const uint32x4_t finite = vceqq_f32(t, t);  // false on NaN
-      const float32x4_t u =
-          vaddq_f32(vminq_f32(vmaxq_f32(t, vzero), vflev), vhalf);
-      const int32x4_t ci = vbslq_s32(finite, vcvtq_s32_f32(u), vmid);
-      half16[g] = vqmovun_s32(ci);
-    }
-    const uint8x8_t lo = vqmovn_u16(vcombine_u16(half16[0], half16[1]));
-    const uint8x8_t hi = vqmovn_u16(vcombine_u16(half16[2], half16[3]));
-    vst1q_u8(codes + i, vcombine_u8(lo, hi));
-  }
-  for (; i < n; ++i) codes[i] = quantize_one(x[i], scale, flevels, mid);
-}
-
-void dequantize_neon(const uint8_t* codes, float* out, int64_t n, float scale,
-                     int levels) {
-  const float flevels = static_cast<float>(levels);
-  const float32x4_t vflev = vdupq_n_f32(flevels);
-  const float32x4_t vtwo = vdupq_n_f32(2.0f);
-  const float32x4_t vone = vdupq_n_f32(1.0f);
-  const float32x4_t vscale = vdupq_n_f32(scale);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const uint16x8_t w = vmovl_u8(vld1_u8(codes + i));
-    const uint32x4_t lo = vmovl_u16(vget_low_u16(w));
-    const uint32x4_t hi = vmovl_u16(vget_high_u16(w));
-    for (int g = 0; g < 2; ++g) {
-      const float32x4_t f = vcvtq_f32_u32(g == 0 ? lo : hi);
-      const float32x4_t r = vmulq_f32(
-          vsubq_f32(vmulq_f32(vdivq_f32(f, vflev), vtwo), vone), vscale);
-      vst1q_f32(out + i + 4 * g, r);
-    }
-  }
-  for (; i < n; ++i) out[i] = dequantize_one(codes[i], scale, flevels);
-}
-
-#endif  // GRACE_SIMD_NEON
-
 }  // namespace
 
 // ----------------------------------------------------------- dispatch API
@@ -575,37 +376,28 @@ void dequantize_neon(const uint8_t* codes, float* out, int64_t n, float scale,
 const char* level_name(Level level) {
   switch (level) {
     case Level::Scalar: return "scalar";
-    case Level::Sse: return "sse";
     case Level::Avx2: return "avx2";
-    case Level::Neon: return "neon";
   }
   return "unknown";
 }
 
 Level detected_level() {
-  static const Level detected = [] {
 #ifdef GRACE_SIMD_AVX2
-    if (__builtin_cpu_supports("avx2")) return Level::Avx2;
-#endif
-#ifdef GRACE_SIMD_SSE
-    if (__builtin_cpu_supports("sse4.1")) return Level::Sse;
-#endif
-#ifdef GRACE_SIMD_NEON
-    return Level::Neon;
-#endif
-    return Level::Scalar;
-  }();
+  static const Level detected =
+      __builtin_cpu_supports("avx2") ? Level::Avx2 : Level::Scalar;
   return detected;
+#else
+  return Level::Scalar;
+#endif
 }
 
 Level active_level() {
   const int ov = g_override.load(std::memory_order_relaxed);
-  if (ov >= 0) return static_cast<Level>(ov);
-  return env_no_simd() ? Level::Scalar : detected_level();
+  return ov >= 0 ? static_cast<Level>(ov) : detected_level();
 }
 
 Level set_level_for_testing(Level level) {
-  const Level effective = level_available(level) ? level : Level::Scalar;
+  const Level effective = level == detected_level() ? level : Level::Scalar;
   g_override.store(static_cast<int>(effective), std::memory_order_relaxed);
   return effective;
 }
@@ -618,40 +410,30 @@ void clear_level_for_testing() {
 
 void quantize_codes(const float* x, uint8_t* codes, int64_t n, float scale,
                     int levels) {
-  switch (active_level()) {
 #ifdef GRACE_SIMD_AVX2
-    case Level::Avx2: quantize_avx2(x, codes, n, scale, levels); return;
-#endif
-#ifdef GRACE_SIMD_SSE
-    case Level::Sse: quantize_sse(x, codes, n, scale, levels); return;
-#endif
-#ifdef GRACE_SIMD_NEON
-    case Level::Neon: quantize_neon(x, codes, n, scale, levels); return;
-#endif
-    default: quantize_scalar(x, codes, n, scale, levels); return;
+  if (avx2()) {
+    quantize_avx2(x, codes, n, scale, levels);
+    return;
   }
+#endif
+  quantize_scalar(x, codes, n, scale, levels);
 }
 
 void dequantize_values(const uint8_t* codes, float* out, int64_t n,
                        float scale, int levels) {
-  switch (active_level()) {
 #ifdef GRACE_SIMD_AVX2
-    case Level::Avx2: dequantize_avx2(codes, out, n, scale, levels); return;
-#endif
-#ifdef GRACE_SIMD_SSE
-    case Level::Sse: dequantize_sse(codes, out, n, scale, levels); return;
-#endif
-#ifdef GRACE_SIMD_NEON
-    case Level::Neon: dequantize_neon(codes, out, n, scale, levels); return;
-#endif
-    default: dequantize_scalar(codes, out, n, scale, levels); return;
+  if (avx2()) {
+    dequantize_avx2(codes, out, n, scale, levels);
+    return;
   }
+#endif
+  dequantize_scalar(codes, out, n, scale, levels);
 }
 
 void dequantize_signed(const uint8_t* codes, const uint8_t* signs, float* out,
                        int64_t n, float norm, int levels, bool accumulate) {
 #ifdef GRACE_SIMD_AVX2
-  if (active_level() == Level::Avx2) {
+  if (avx2()) {
     if (accumulate) {
       dequantize_signed_avx2<true>(codes, signs, out, n, norm, levels);
     } else {
@@ -674,23 +456,14 @@ void pack_codes(const uint8_t* codes, uint8_t* out, int64_t n, int bits) {
     std::memcpy(out, codes, static_cast<size_t>(n));
     return;
   }
-  const Level level = active_level();
 #ifdef GRACE_SIMD_AVX2
-  if (level == Level::Avx2 && bits == 1) {
-    pack1_avx2(codes, out, n);
-    return;
-  }
-#endif
-#ifdef GRACE_SIMD_SWAR
-  if (level != Level::Scalar) {
+  if (avx2()) {
     switch (bits) {
-      case 1: pack_swar<1>(codes, out, n); return;
+      case 1: pack1_avx2(codes, out, n); return;
       case 2: pack_swar<2>(codes, out, n); return;
       default: pack_swar<4>(codes, out, n); return;
     }
   }
-#else
-  (void)level;
 #endif
   pack_scalar_range(codes, out, 0, n, bits);
 }
@@ -701,8 +474,8 @@ void unpack_codes(const uint8_t* packed, uint8_t* codes, int64_t n, int bits) {
     std::memcpy(codes, packed, static_cast<size_t>(n));
     return;
   }
-#ifdef GRACE_SIMD_SWAR
-  if (active_level() != Level::Scalar) {
+#ifdef GRACE_SIMD_AVX2
+  if (avx2()) {
     switch (bits) {
       case 1: unpack_swar<1>(packed, codes, n); return;
       case 2: unpack_swar<2>(packed, codes, n); return;
@@ -714,50 +487,42 @@ void unpack_codes(const uint8_t* packed, uint8_t* codes, int64_t n, int bits) {
 }
 
 void pack_sign_bits(const float* x, uint8_t* out, int64_t n) {
-  switch (active_level()) {
 #ifdef GRACE_SIMD_AVX2
-    case Level::Avx2: pack_signs_avx2(x, out, n); return;
-#endif
-#ifdef GRACE_SIMD_SSE
-    case Level::Sse: pack_signs_sse(x, out, n); return;
-#endif
-    default: pack_signs_scalar_range(x, out, 0, n); return;
+  if (avx2()) {
+    pack_signs_avx2(x, out, n);
+    return;
   }
+#endif
+  pack_signs_scalar_range(x, out, 0, n);
 }
 
 void unpack_sign_values(const uint8_t* packed, float* out, int64_t n) {
-  switch (active_level()) {
 #ifdef GRACE_SIMD_AVX2
-    case Level::Avx2: unpack_signs_avx2(packed, out, n); return;
-#endif
-#ifdef GRACE_SIMD_SSE
-    case Level::Sse: unpack_signs_sse(packed, out, n); return;
-#endif
-    default: unpack_signs_scalar_range(packed, out, 0, n); return;
+  if (avx2()) {
+    unpack_signs_avx2(packed, out, n);
+    return;
   }
+#endif
+  unpack_signs_scalar_range(packed, out, 0, n);
 }
 
 void gather_f32(const float* x, const int32_t* indices, float* out,
                 int64_t n) {
-  switch (active_level()) {
 #ifdef GRACE_SIMD_AVX2
-    case Level::Avx2: gather_avx2(x, indices, out, n); return;
-#endif
-    default: gather_scalar(x, indices, out, n); return;
+  if (avx2()) {
+    gather_avx2(x, indices, out, n);
+    return;
   }
+#endif
+  gather_scalar(x, indices, out, n);
 }
 
 int64_t threshold_select(const float* x, int64_t lo, int64_t hi,
                          float threshold, int32_t* out) {
-  switch (active_level()) {
 #ifdef GRACE_SIMD_AVX2
-    case Level::Avx2: return threshold_avx2(x, lo, hi, threshold, out);
+  if (avx2()) return threshold_avx2(x, lo, hi, threshold, out);
 #endif
-#ifdef GRACE_SIMD_SSE
-    case Level::Sse: return threshold_sse(x, lo, hi, threshold, out);
-#endif
-    default: return threshold_scalar(x, lo, hi, threshold, out);
-  }
+  return threshold_scalar(x, lo, hi, threshold, out);
 }
 
 }  // namespace grace::util::simd

@@ -2,22 +2,22 @@
 // hand-vectorized quantization, arXiv:2111.08617): quantize/dequantize,
 // QSGD's signed dequantize (write or accumulate), k-bit code packing,
 // sign packing, sparsify gather and the threshold scan. One scalar
-// reference implementation per kernel plus AVX2 / SSE4.1 / NEON variants
-// chosen once at runtime.
+// reference implementation per kernel plus an AVX2 variant chosen once at
+// runtime.
 //
 // Hard invariant: every vector path is BITWISE IDENTICAL to the scalar
 // reference — same IEEE-754 operation order (div, add, mul are exactly
 // rounded; no FMA contraction, no reassociation), same rounding rule,
 // same NaN handling. The repo's determinism guarantees (bit-identical
 // training under any GRACE_NUM_THREADS) extend to "under any SIMD
-// level": setting GRACE_NO_SIMD=1 must reproduce the default run bit for
-// bit. tests/test_simd.cc enforces this per kernel; the training-CRC
-// check rides the existing determinism tests.
+// level": a -DGRACE_NATIVE=OFF (scalar-only) build reproduces the default
+// run bit for bit. tests/test_simd.cc enforces this per kernel; the
+// training-CRC check rides the existing determinism tests.
 //
-// Dispatch order: set_level_for_testing() override > GRACE_NO_SIMD env >
-// detected_level() (compile-time ISA macros ANDed with cpuid). Kernels
-// dispatch per call; callers hand them whole chunks (the runtime's
-// parallel_for grain, kilobytes at a time) so the switch is amortized.
+// Dispatch order: set_level_for_testing() override > detected_level()
+// (the compile-time ISA macro ANDed with cpuid). Kernels dispatch per
+// call; callers hand them whole chunks (the runtime's parallel_for grain,
+// kilobytes at a time) so the check is amortized.
 #pragma once
 
 #include <cstdint>
@@ -26,17 +26,15 @@ namespace grace::util::simd {
 
 enum class Level : int {
   Scalar = 0,
-  Sse = 1,   // SSE4.1 (x86 128-bit)
-  Avx2 = 2,  // AVX2 (x86 256-bit)
-  Neon = 3,  // AArch64 NEON (128-bit)
+  Avx2 = 1,  // AVX2 (x86 256-bit)
 };
 
 const char* level_name(Level level);
 
 // Best level this binary supports on this CPU (compile-time ISA AND cpuid).
 Level detected_level();
-// Level kernels actually dispatch on: test override, else GRACE_NO_SIMD
-// (any value but "0" forces Scalar), else detected_level().
+// Level kernels actually dispatch on: the test override, else
+// detected_level().
 Level active_level();
 
 // Force a level for A/B testing (bench_kernels, tests). Requests the

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/compressed.h"
+#include "util/crc32.h"
 
 namespace grace::core {
 namespace {
@@ -87,35 +88,49 @@ CompressedTensor sparse_sample(int64_t k, int64_t range) {
 
 TEST(WireCodec, Names) {
   EXPECT_STREQ(wire_codec_name(WireCodec::None), "none");
-  EXPECT_STREQ(wire_codec_name(WireCodec::Varint), "varint");
   EXPECT_STREQ(wire_codec_name(WireCodec::Rice), "rice");
 }
 
 TEST(WireCodec, ApplyShrinksWireAndFrameAndRoundTrips) {
-  for (WireCodec codec : {WireCodec::Varint, WireCodec::Rice}) {
-    CompressedTensor ct = sparse_sample(512, 1 << 18);
-    const uint64_t raw_bits = ct.ctx.wire_bits;
-    const size_t raw_frame = serialize(ct).size_bytes();
-    apply_wire_codec(ct, codec);
-    EXPECT_EQ(ct.ctx.wire_codec, codec);
-    EXPECT_EQ(ct.ctx.raw_wire_bits, raw_bits);
-    EXPECT_LT(ct.ctx.wire_bits, raw_bits);
-    // Raw parts stay intact for decompress(); the coded payload rides in
-    // the cache and the frame really shrinks.
-    ASSERT_EQ(ct.parts.size(), 2u);
-    EXPECT_EQ(ct.parts[1].dtype(), DType::I32);
-    ASSERT_EQ(ct.coded_indices.size(), 1u);
-    Tensor blob = serialize(ct);
-    EXPECT_LT(blob.size_bytes(), raw_frame);
-    CompressedTensor back = deserialize(blob);
-    ASSERT_EQ(back.parts.size(), 2u);
-    EXPECT_EQ(back.parts[1].dtype(), DType::I32);
-    for (int64_t i = 0; i < 512; ++i) {
-      ASSERT_EQ(back.parts[1].i32()[static_cast<size_t>(i)],
-                ct.parts[1].i32()[static_cast<size_t>(i)]);
-    }
-    EXPECT_EQ(back.ctx, ct.ctx);
+  CompressedTensor ct = sparse_sample(512, 1 << 18);
+  const uint64_t raw_bits = ct.ctx.wire_bits;
+  const size_t raw_frame = serialize(ct).size_bytes();
+  apply_wire_codec(ct, WireCodec::Rice);
+  EXPECT_EQ(ct.ctx.wire_codec, WireCodec::Rice);
+  EXPECT_EQ(ct.ctx.raw_wire_bits, raw_bits);
+  EXPECT_LT(ct.ctx.wire_bits, raw_bits);
+  // Raw parts stay intact for decompress(); the coded payload rides in
+  // the cache and the frame really shrinks.
+  ASSERT_EQ(ct.parts.size(), 2u);
+  EXPECT_EQ(ct.parts[1].dtype(), DType::I32);
+  ASSERT_EQ(ct.coded_indices.size(), 1u);
+  Tensor blob = serialize(ct);
+  EXPECT_LT(blob.size_bytes(), raw_frame);
+  CompressedTensor back = deserialize(blob);
+  ASSERT_EQ(back.parts.size(), 2u);
+  EXPECT_EQ(back.parts[1].dtype(), DType::I32);
+  for (int64_t i = 0; i < 512; ++i) {
+    ASSERT_EQ(back.parts[1].i32()[static_cast<size_t>(i)],
+              ct.parts[1].i32()[static_cast<size_t>(i)]);
   }
+  EXPECT_EQ(back.ctx, ct.ctx);
+}
+
+TEST(WireCodec, RetiredCodecByteOneThrows) {
+  // The frame's first byte is the codec: 0 none, 2 rice. Any other value,
+  // 1 included, is malformed even under a valid CRC.
+  CompressedTensor ct = sparse_sample(64, 1 << 12);
+  apply_wire_codec(ct, WireCodec::Rice);
+  Tensor blob = serialize(ct);
+  auto bytes = blob.u8();
+  ASSERT_EQ(bytes[0], 2);
+  bytes[0] = 1;
+  const size_t body = bytes.size() - util::kFrameCrcBytes;
+  const uint32_t crc = util::frame_crc(blob.bytes().first(body));
+  for (size_t i = 0; i < util::kFrameCrcBytes; ++i) {
+    bytes[body + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  EXPECT_THROW(deserialize(blob), std::runtime_error);
 }
 
 TEST(WireCodec, NoneAndUntaggedAreNoOps) {
@@ -133,9 +148,10 @@ TEST(WireCodec, NoneAndUntaggedAreNoOps) {
 }
 
 TEST(WireCodec, NotAWinShipsRaw) {
-  // Two indices whose gaps both exceed 2^28: each varint delta costs 5
-  // bytes, so the coded payload (80 bits) loses to 2 * 32 raw bits and the
-  // stage must keep the part raw and leave accounting untouched.
+  // Two indices whose gaps both exceed 2^28: auto-k clamps at 24, so each
+  // gap costs a unary quotient of 31 or 32 bits plus 25, and the coded
+  // payload (15 bytes) loses to 2 * 32 raw bits. The stage must keep the
+  // part raw and leave accounting untouched.
   CompressedTensor ct;
   Tensor idx(DType::I32, Shape{{2}});
   idx.i32()[0] = 1 << 29;
@@ -144,7 +160,7 @@ TEST(WireCodec, NotAWinShipsRaw) {
   ct.ctx.shape = Shape{{2}};
   ct.ctx.wire_bits = 64;
   ct.ctx.index_parts = {0};
-  apply_wire_codec(ct, WireCodec::Varint);
+  apply_wire_codec(ct, WireCodec::Rice);
   EXPECT_EQ(ct.ctx.wire_codec, WireCodec::None);
   EXPECT_EQ(ct.ctx.wire_bits, 64u);
   EXPECT_EQ(ct.ctx.raw_wire_bits, 0u);
@@ -167,13 +183,13 @@ TEST(WireCodec, RejectsMalformedTaggedParts) {
   // Tag pointing at a non-I32 part.
   CompressedTensor wrong = sparse_sample(4, 1 << 10);
   wrong.ctx.index_parts = {0};
-  EXPECT_THROW(apply_wire_codec(wrong, WireCodec::Varint),
+  EXPECT_THROW(apply_wire_codec(wrong, WireCodec::Rice),
                std::invalid_argument);
 
   // Tag out of range.
   CompressedTensor oob = sparse_sample(4, 1 << 10);
   oob.ctx.index_parts = {5};
-  EXPECT_THROW(apply_wire_codec(oob, WireCodec::Varint), std::invalid_argument);
+  EXPECT_THROW(apply_wire_codec(oob, WireCodec::Rice), std::invalid_argument);
 }
 
 TEST(WireCodec, DeserializeReencodesWhenCacheEmpty) {

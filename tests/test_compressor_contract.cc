@@ -213,6 +213,48 @@ TEST(Registry, RejectsMalformed) {
   EXPECT_THROW(make_compressor("topk(x)"), std::invalid_argument);
 }
 
+TEST(Registry, MalformedSpecsThrow) {
+  // Each row used to run as some other spec, cast a non-finite or huge
+  // double to an integer, or fail deep inside compress().
+  for (const char* spec : {
+           "bogus",           // unknown method
+           "topk(0.01x)",     // trailing characters after the number
+           "qsgd(64abc)",
+           "topk(nan)",       // not finite
+           "randomk(inf)",
+           "dgc(nan)",
+           "signum(nan)",
+           "thresholdv(nan)",
+           "topk(1e30)",      // ratios lie in (0, 1]
+           "topk(-1)",
+           "topk(0)",
+           "dgc(0.01,1)",     // decay factors lie in [0, 1)
+           "qsgd(1e10)",      // integers must be integral and in range
+           "qsgd(6.5)",
+           "sketchml(0)",
+           "sketchml(1e10)",
+           "powersgd(0)",
+           "powersgd(-1)",
+           "randomk(0.1,2)",
+           "topk(0.1,0.2)",   // more arguments than the method takes
+           "none(1)",
+       }) {
+    EXPECT_THROW(make_compressor(spec), std::invalid_argument) << spec;
+  }
+  // The domains' edges and every default still build.
+  for (const char* spec : {"topk(1)", "signum(0)", "qsgd(1)", "qsgd(255)",
+                           "sketchml(256)", "randomk(0.5,1)", "threelc(1.5)",
+                           "atomo(2,2)", "thresholdv(0)"}) {
+    EXPECT_NO_THROW(make_compressor(spec)) << spec;
+  }
+  for (const auto& name : registered_names()) {
+    EXPECT_NO_THROW(make_compressor(name)) << name;
+  }
+  for (const auto& name : extension_names()) {
+    EXPECT_NO_THROW(make_compressor(name)) << name;
+  }
+}
+
 TEST(Registry, TaxonomyCoversSeventeenMethods) {
   const auto names = registered_names();
   EXPECT_EQ(names.size(), 17u);  // 16 methods + baseline, per Table I

@@ -174,15 +174,15 @@ TinyRun tiny_run(int workers = 2) {
   return r;
 }
 
-TEST(FidelityTrainer, SamplesEveryKthIterationPerTensorPerRank) {
+TEST(FidelityTrainer, SamplesEveryIterationPerTensorPerRank) {
   TinyRun r = tiny_run();
-  CompressionFidelityProbe probe(r.cfg.n_workers, /*every_k=*/2);
+  CompressionFidelityProbe probe(r.cfg.n_workers);
   r.cfg.fidelity = &probe;
   RunResult run = train(r.factory, r.cfg);
 
-  // 64 samples / (2 workers x 8) = 4 iterations; every_k=2 samples
-  // iterations 0 and 2.
-  const int64_t sampled_iters = 2;
+  // 64 samples / (2 workers x 8) = 4 iterations, each sampled on every
+  // rank.
+  const int64_t sampled_iters = 4;
   ASSERT_EQ(static_cast<int64_t>(run.fidelity.size()), run.gradient_tensors);
   for (const auto& t : run.fidelity) {
     EXPECT_EQ(t.samples, sampled_iters * r.cfg.n_workers) << t.name;
@@ -202,7 +202,7 @@ TEST(FidelityTrainer, ProbeAndMetricsDoNotPerturbTraining) {
   RunResult base = train(plain.factory, plain.cfg);
 
   TinyRun instrumented = tiny_run();
-  CompressionFidelityProbe probe(instrumented.cfg.n_workers, /*every_k=*/1);
+  CompressionFidelityProbe probe(instrumented.cfg.n_workers);
   MetricRegistry registry(instrumented.cfg.n_workers);
   instrumented.cfg.fidelity = &probe;
   instrumented.cfg.metrics = &registry;
@@ -356,7 +356,7 @@ TEST(FidelityJson, BenchDocumentShapeParses) {
   r.cfg.fidelity = &probe;
   RunResult run = train(r.factory, r.cfg);
 
-  std::string doc = "{\"benchmark\":\"fidelity\",\"scale\":0.1,\"every_k\":1,"
+  std::string doc = "{\"benchmark\":\"fidelity\",\"scale\":0.1,"
                     "\"runs\":[{\"compressor\":\"topk(0.1)\",\"result\":";
   doc += run_result_json(run);
   doc += "}]}";

@@ -1,5 +1,5 @@
-// Edge cases for the lossless index coders and the 64-bit-accumulator bit
-// I/O behind them: empty and single-element lists, indices at the top of
+// Edge cases for the lossless index coder and the 64-bit-accumulator bit
+// I/O behind it: empty and single-element lists, indices at the top of
 // the int32 range, rice with k = 0, forced vs auto divisor choice, and a
 // golden-bytes check that pins the stream format (LSB-first within each
 // byte — the format the original bit-at-a-time writer produced, which
@@ -18,8 +18,6 @@ namespace {
 using namespace grace;
 using core::rice_decode_indices;
 using core::rice_encode_indices;
-using core::varint_decode_indices;
-using core::varint_encode_indices;
 
 double bits_per_index(const Tensor& encoded, int64_t n) {
   return static_cast<double>(encoded.size_bytes()) * 8.0 /
@@ -35,10 +33,6 @@ std::vector<uint8_t> bytes_of(const Tensor& t) {
 
 TEST(IndexCoding, EmptyList) {
   const std::vector<int32_t> empty;
-  Tensor v = varint_encode_indices(empty);
-  EXPECT_EQ(v.numel(), 0);
-  EXPECT_TRUE(varint_decode_indices(v, 0).empty());
-
   Tensor r = rice_encode_indices(empty);
   EXPECT_EQ(r.numel(), 1);  // just the 5-bit k header, padded to a byte
   EXPECT_TRUE(rice_decode_indices(r, 0).empty());
@@ -47,7 +41,6 @@ TEST(IndexCoding, EmptyList) {
 TEST(IndexCoding, SingleIndex) {
   for (int32_t idx : {0, 1, 127, 128, 1 << 20}) {
     const std::vector<int32_t> one = {idx};
-    EXPECT_EQ(varint_decode_indices(varint_encode_indices(one), 1), one);
     EXPECT_EQ(rice_decode_indices(rice_encode_indices(one), 1), one);
     for (int k : {0, 1, 5, 12}) {
       EXPECT_EQ(rice_decode_indices(rice_encode_indices(one, k), 1), one)
@@ -61,13 +54,11 @@ TEST(IndexCoding, NearInt32MaxRoundTrips) {
   // First delta alone is > 2^30; auto-k clamps at 24 so the unary
   // quotients stay bounded.
   const std::vector<int32_t> idx = {top - 1000000, top - 7, top - 1, top};
-  EXPECT_EQ(varint_decode_indices(varint_encode_indices(idx), 4), idx);
   EXPECT_EQ(rice_decode_indices(rice_encode_indices(idx), 4), idx);
   EXPECT_EQ(rice_decode_indices(rice_encode_indices(idx, 24), 4), idx);
   // A first index of INT32_MAX: its gap from the -1 start is 2^31, which
-  // the encoders must compute wider than int.
+  // the encoder must compute wider than int.
   const std::vector<int32_t> last = {top};
-  EXPECT_EQ(varint_decode_indices(varint_encode_indices(last), 1), last);
   EXPECT_EQ(rice_decode_indices(rice_encode_indices(last), 1), last);
   EXPECT_EQ(rice_decode_indices(rice_encode_indices(last, 24), 1), last);
 }
@@ -104,9 +95,6 @@ TEST(IndexCoding, GoldenStreamBytes) {
   // 0), then quotient 0 + remainder 1 -> 14 bits total.
   EXPECT_EQ(bytes_of(rice_encode_indices(std::vector<int32_t>{0, 1, 3}, 2)),
             (std::vector<uint8_t>{0x02, 0x10}));
-  // varint({0,300}): delta 1 -> 0x01; delta 300 -> 0xAC 0x02 (LEB128).
-  EXPECT_EQ(bytes_of(varint_encode_indices(std::vector<int32_t>{0, 300})),
-            (std::vector<uint8_t>{0x01, 0xAC, 0x02}));
 }
 
 TEST(IndexCoding, SparseSampleRoundTrips) {
@@ -114,7 +102,6 @@ TEST(IndexCoding, SparseSampleRoundTrips) {
   for (int64_t k : {int64_t{1}, int64_t{100}, int64_t{4096}}) {
     const auto idx = rng.sample_indices(1 << 20, k);
     const int64_t n = static_cast<int64_t>(idx.size());
-    EXPECT_EQ(varint_decode_indices(varint_encode_indices(idx), n), idx);
     EXPECT_EQ(rice_decode_indices(rice_encode_indices(idx), n), idx);
   }
 }

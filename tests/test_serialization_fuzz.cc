@@ -172,6 +172,54 @@ Tensor mutate_sealed(const Tensor& frame, Rng& rng) {
   return out;
 }
 
+// A structure-aware mutant of a parsed frame: one edit a byte mutant
+// seldom produces, reserialized so that its CRC is valid. The edit resizes
+// one part along its first dimension (empty, shorter or longer), changes
+// one part's dtype, or sets one ctx.ints entry to a boundary value (0, -1,
+// 2^31 or a dimension of the tensor x 64). The coded-index cache rides
+// along, so a coded part keeps its stream while its shape changes.
+Tensor mutate_structure(CompressedTensor ct, Rng& rng) {
+  const auto edit = rng.uniform_int(3);
+  if (edit == 2 && !ct.ctx.ints.empty()) {
+    const auto& dims = ct.ctx.shape.dims();
+    const int64_t dim =
+        dims.empty() ? 1 : dims[static_cast<size_t>(rng.uniform_int(
+                               static_cast<int64_t>(dims.size())))];
+    const int64_t boundary[] = {0, -1, int64_t{1} << 31, dim * 64};
+    ct.ctx.ints[static_cast<size_t>(rng.uniform_int(
+        static_cast<int64_t>(ct.ctx.ints.size())))] =
+        boundary[rng.uniform_int(4)];
+    return serialize(ct);
+  }
+  if (ct.parts.empty()) return serialize(ct);
+  Tensor& part = ct.parts[static_cast<size_t>(
+      rng.uniform_int(static_cast<int64_t>(ct.parts.size())))];
+  DType dtype = part.dtype();
+  std::vector<int64_t> dims = part.shape().dims();
+  if (edit == 1) {
+    dtype = static_cast<DType>((static_cast<int>(dtype) + 1 +
+                                rng.uniform_int(2)) % 3);
+  } else {
+    if (dims.empty()) dims.push_back(1);
+    const int64_t d0 = dims[0];
+    switch (rng.uniform_int(3)) {
+      case 0: dims[0] = 0; break;
+      case 1: dims[0] = d0 > 0 ? rng.uniform_int(d0) : 1; break;
+      default: dims[0] = d0 + 1 + rng.uniform_int(d0 + 8); break;
+    }
+  }
+  // The old bytes as far as they reach, random bytes after them.
+  Tensor edited(dtype, Shape(std::move(dims)));
+  const auto from = part.bytes();
+  auto to = edited.bytes();
+  for (size_t i = 0; i < to.size(); ++i) {
+    to[i] = i < from.size() ? from[i]
+                            : static_cast<std::byte>(rng.uniform_int(256));
+  }
+  part = std::move(edited);
+  return serialize(ct);
+}
+
 // Runs `parse` on `trials` mutants from `next(rng)`; every one must parse
 // or throw a std::exception. Both outcomes must occur, so the mutants get
 // past the first check and still reach the error paths.
@@ -193,10 +241,11 @@ void fuzz(uint64_t seed, int trials, Next next, Parse parse) {
 }
 
 TEST(MutationFuzz, CompressedTensorFrames) {
-  // One frame per registered spec, and sparse parts behind each lossless
-  // index coder. Every mutant that parses is also folded into an
-  // accumulator of the original size, as a gather would: the decoder must
-  // throw or stay in bounds.
+  // One frame per registered spec, and sparse parts behind the lossless
+  // index coder, each given byte mutants and structure-aware mutants.
+  // Every mutant that parses is also folded into an accumulator of the
+  // original size, as a gather would: the decoder must throw or stay in
+  // bounds.
   Rng rng(5);
   Tensor grad(DType::F32, Shape({24, 8}));
   rng.fill_normal(grad.f32(), 0.0f, 1.0f);
@@ -211,21 +260,32 @@ TEST(MutationFuzz, CompressedTensorFrames) {
                         codecs.back().get());
   }
   const auto topk = make_compressor("topk(0.25)");
-  for (WireCodec codec : {WireCodec::Varint, WireCodec::Rice}) {
-    CompressedTensor ct = topk->compress(grad, "g", rng);
-    apply_wire_codec(ct, codec);
-    ASSERT_EQ(ct.ctx.wire_codec, codec);
-    frames.emplace_back(serialize(ct), topk.get());
-  }
+  CompressedTensor coded = topk->compress(grad, "g", rng);
+  apply_wire_codec(coded, WireCodec::Rice);
+  ASSERT_EQ(coded.ctx.wire_codec, WireCodec::Rice);
+  frames.emplace_back(serialize(coded), topk.get());
   for (size_t f = 0; f < frames.size(); ++f) {
     SCOPED_TRACE(f < roster.size() ? roster[f] : "coded topk");
     const auto& [frame, q] = frames[f];
-    fuzz(100 + f, 3000, [&](Rng& r) { return mutate_sealed(frame, r); },
-         [&](const Tensor& blob) {
-           const CompressedTensor ct = deserialize(blob);
-           Tensor acc = Tensor::zeros(grad.shape());
-           q->decompress_add(ct, acc.f32());
-         });
+    auto fold = [&](const Tensor& blob) {
+      const CompressedTensor ct = deserialize(blob);
+      Tensor acc = Tensor::zeros(grad.shape());
+      q->decompress_add(ct, acc.f32());
+    };
+    fuzz(100 + f, 3000, [&](Rng& r) { return mutate_sealed(frame, r); }, fold);
+    // Structure-aware mutants parse unless they lie about a coded part, so
+    // only the rejections must occur.
+    const CompressedTensor parsed = deserialize(frame);
+    Rng rng_s(300 + f);
+    int rejected = 0;
+    for (int t = 0; t < 300; ++t) {
+      try {
+        fold(mutate_structure(parsed, rng_s));
+      } catch (const std::exception&) {
+        ++rejected;
+      }
+    }
+    EXPECT_GT(rejected, 0);
   }
 }
 
@@ -282,8 +342,9 @@ TEST(CraftedFrames, PackedPartsShorterThanTheShapeThrow) {
 TEST(CraftedFrames, LyingFramesThrow) {
   // One lie per row, each in a frame sealed under a valid CRC: an index
   // past the shape, a matrix with more rows than the shape, a part shorter
-  // than the shape, too few centroids or tagged values, and a kept-element
-  // count no shape holds.
+  // than the shape, too few centroids or tagged values, a kept-element
+  // count no shape holds, and a part of the wrong dtype or an empty
+  // sketch.
   using Lie = void (*)(CompressedTensor&);
   const std::pair<const char*, Lie> cases[] = {
       {"adaptive(0.25)",
@@ -314,7 +375,19 @@ TEST(CraftedFrames, LyingFramesThrow) {
          ct.parts.at(2) = Tensor(DType::F32, Shape({0}));
        }},
       {"qsparselocal",
-       [](CompressedTensor& ct) { ct.ctx.ints.at(0) = int64_t{1} << 52; }}};
+       [](CompressedTensor& ct) { ct.ctx.ints.at(0) = int64_t{1} << 52; }},
+      {"none",
+       [](CompressedTensor& ct) {
+         ct.parts.at(0) = Tensor(DType::F32, Shape({4}));
+       }},
+      {"threelc",
+       [](CompressedTensor& ct) {
+         ct.parts.at(0) = Tensor(DType::F32, Shape({4}));
+       }},
+      {"sketchedsgd",
+       [](CompressedTensor& ct) {
+         ct.parts.at(0) = Tensor(DType::U8, Shape({0, 8}));
+       }}};
   for (const auto& [spec, lie] : cases) {
     SCOPED_TRACE(spec);
     Rng rng(8);

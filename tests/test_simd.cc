@@ -2,12 +2,11 @@
 // identical to the scalar reference, including NaN/Inf/-0.0 handling and
 // ragged tails. Each test runs the kernel pinned to Scalar, then replays
 // it at every level this binary+CPU can honor and memcmp's the outputs.
-// GRACE_NO_SIMD routes through the same scalar code path these tests pin,
-// so the env override is covered by the same equality.
+// A -DGRACE_NATIVE=OFF build runs the same scalar code path these tests
+// pin, so it is covered by the same equality.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -24,8 +23,8 @@ namespace simd = grace::util::simd;
 // clamps unsupported requests to Scalar).
 std::vector<simd::Level> available_levels() {
   std::vector<simd::Level> out;
-  for (simd::Level l : {simd::Level::Sse, simd::Level::Avx2, simd::Level::Neon}) {
-    if (simd::set_level_for_testing(l) == l) out.push_back(l);
+  if (simd::set_level_for_testing(simd::Level::Avx2) == simd::Level::Avx2) {
+    out.push_back(simd::Level::Avx2);
   }
   simd::clear_level_for_testing();
   return out;
@@ -62,8 +61,7 @@ constexpr int64_t kSizes[] = {1, 7, 8, 9, 31, 32, 33, 1021};
 
 TEST(SimdDispatch, SetLevelClampsAndOverrides) {
   LevelGuard guard;
-  for (simd::Level l : {simd::Level::Scalar, simd::Level::Sse,
-                        simd::Level::Avx2, simd::Level::Neon}) {
+  for (simd::Level l : {simd::Level::Scalar, simd::Level::Avx2}) {
     const simd::Level got = simd::set_level_for_testing(l);
     // Unsupported requests clamp to Scalar; either way the override wins.
     EXPECT_TRUE(got == l || got == simd::Level::Scalar)
@@ -71,9 +69,7 @@ TEST(SimdDispatch, SetLevelClampsAndOverrides) {
     EXPECT_EQ(simd::active_level(), got);
   }
   simd::clear_level_for_testing();
-  if (std::getenv("GRACE_NO_SIMD") == nullptr) {
-    EXPECT_EQ(simd::active_level(), simd::detected_level());
-  }
+  EXPECT_EQ(simd::active_level(), simd::detected_level());
 }
 
 TEST(SimdDispatch, LevelNames) {

@@ -267,15 +267,6 @@ TEST(ParameterServer, CostModelChargesServerBottleneck) {
 
 // --- Index coding ------------------------------------------------------
 
-TEST(IndexCoding, VarintRoundTrip) {
-  for (int64_t n : {0, 1, 5, 1000}) {
-    Rng rng(static_cast<uint64_t>(n) + 1);
-    auto indices = rng.sample_indices(100000, n);
-    Tensor coded = varint_encode_indices(indices);
-    EXPECT_EQ(varint_decode_indices(coded, static_cast<int64_t>(indices.size())), indices);
-  }
-}
-
 TEST(IndexCoding, RiceRoundTrip) {
   for (int64_t n : {0, 1, 7, 2000}) {
     Rng rng(static_cast<uint64_t>(n) + 11);
@@ -286,18 +277,13 @@ TEST(IndexCoding, RiceRoundTrip) {
 }
 
 TEST(IndexCoding, BeatsRawThirtyTwoBits) {
-  // Uniform 1% sparsity over 1M coordinates: mean gap 100 -> both coders
-  // should land well under 32 bits/index (raw i32).
+  // Uniform 1% sparsity over 1M coordinates: mean gap 100 -> rice should
+  // land well under 32 bits/index (raw i32).
   Rng rng(3);
   auto indices = rng.sample_indices(1 << 20, 10000);
-  const auto n = static_cast<int64_t>(indices.size());
-  auto bits_per_index = [n](const Tensor& coded) {
-    return static_cast<double>(coded.size_bytes()) * 8.0 /
-           static_cast<double>(n);
-  };
-  const double varint_bits = bits_per_index(varint_encode_indices(indices));
-  const double rice_bits = bits_per_index(rice_encode_indices(indices));
-  EXPECT_LT(varint_bits, 17.0);
+  const Tensor coded = rice_encode_indices(indices);
+  const double rice_bits = static_cast<double>(coded.size_bytes()) * 8.0 /
+                           static_cast<double>(indices.size());
   EXPECT_LT(rice_bits, 12.0);  // near-entropy for geometric gaps
 }
 
@@ -305,12 +291,6 @@ TEST(IndexCoding, RiceHandlesAdjacentIndices) {
   const std::vector<int32_t> indices{0, 1, 2, 3, 4};
   Tensor coded = rice_encode_indices(indices, 0);
   EXPECT_EQ(rice_decode_indices(coded, 5), indices);
-}
-
-TEST(IndexCoding, VarintLargeDeltas) {
-  const std::vector<int32_t> indices{0, 1 << 20, (1 << 28) + 7};
-  Tensor coded = varint_encode_indices(indices);
-  EXPECT_EQ(varint_decode_indices(coded, 3), indices);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // metrics bookkeeping, and end-to-end learning under compression.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "data/synthetic_images.h"
 #include "models/cnn_small.h"
 #include "sim/tasks.h"
@@ -219,6 +221,18 @@ TEST(Trainer, PricesTheWorkersItRuns) {
   EXPECT_EQ(stale.parameters_crc32, same.parameters_crc32);
   EXPECT_EQ(stale.iteration_s, same.iteration_s);
   EXPECT_EQ(stale.throughput, same.throughput);
+}
+
+TEST(Trainer, InvalidCompressorSpecThrowsOnTheCallersThread) {
+  // A spec that parses but cannot be instantiated must throw from train()
+  // before any worker starts; thrown inside a worker it would terminate
+  // the process.
+  Benchmark b = tiny_cnn();
+  for (const char* spec : {"bogus", "sketchml(0)"}) {
+    TrainConfig cfg = tiny_config(b);
+    cfg.grace.compressor_spec = spec;
+    EXPECT_THROW(train(b.factory, cfg), std::invalid_argument) << spec;
+  }
 }
 
 TEST(Tasks, StandardSuiteShape) {
