@@ -49,8 +49,11 @@ Value conv2d(const Value& x, const Value& weight, const Value& bias,
     auto& xn = *nd.parents[0];
     auto& wn = *nd.parents[1];
     auto& bn = *nd.parents[2];
+    // No dX for an input that needs none (the data batch): that skips a
+    // GEMM, a col2im and the dcols buffer per sample.
+    const bool want_dx = xn.requires_grad;
     Tensor bcols(DType::F32, Shape{{crows, ccols}});
-    Tensor dcols(DType::F32, Shape{{crows, ccols}});
+    Tensor dcols = want_dx ? Tensor(DType::F32, Shape{{crows, ccols}}) : Tensor();
     for (int64_t i = 0; i < n; ++i) {
       auto gi = g.subspan(static_cast<size_t>(i * oc * ccols), static_cast<size_t>(oc * ccols));
       // dB: sum over spatial positions.
@@ -65,11 +68,13 @@ Value conv2d(const Value& x, const Value& weight, const Value& bias,
                   c, h, w, kh, kw, stride, pad, bcols.f32());
       ops::gemm(false, true, oc, crows, ccols, 1.0f, gi, bcols.f32(), 1.0f,
                 wn.grad.f32());
-      // dX_i = col2im(W^T * gi)
-      ops::gemm(true, false, crows, ccols, oc, 1.0f, wn.data.f32(), gi,
-                0.0f, dcols.f32());
-      ops::col2im(dcols.f32(), c, h, w, kh, kw, stride, pad,
-                  xn.grad.f32().subspan(static_cast<size_t>(i * c * h * w), static_cast<size_t>(c * h * w)));
+      if (want_dx) {
+        // dX_i = col2im(W^T * gi)
+        ops::gemm(true, false, crows, ccols, oc, 1.0f, wn.data.f32(), gi,
+                  0.0f, dcols.f32());
+        ops::col2im(dcols.f32(), c, h, w, kh, kw, stride, pad,
+                    xn.grad.f32().subspan(static_cast<size_t>(i * c * h * w), static_cast<size_t>(c * h * w)));
+      }
     }
   };
   return node;

@@ -102,9 +102,11 @@ Value matmul(const Value& a, const Value& b) {
   ops::gemm(false, false, m, n2, k, 1.0f, a->data.f32(), b->data.f32(), 0.0f,
             out.f32());
   return binary(a, b, std::move(out), [m, k, n2](Node& n) {
-    // dA = dC * B^T ; dB = A^T * dC
-    ops::gemm(false, true, m, k, n2, 1.0f, n.grad.f32(), n.parents[1]->data.f32(),
-              1.0f, n.parents[0]->grad.f32());
+    // dA = dC * B^T (skipped when A needs no gradient) ; dB = A^T * dC
+    if (n.parents[0]->requires_grad) {
+      ops::gemm(false, true, m, k, n2, 1.0f, n.grad.f32(), n.parents[1]->data.f32(),
+                1.0f, n.parents[0]->grad.f32());
+    }
     ops::gemm(true, false, k, n2, m, 1.0f, n.parents[0]->data.f32(), n.grad.f32(),
               1.0f, n.parents[1]->grad.f32());
   });

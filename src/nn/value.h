@@ -24,6 +24,10 @@ struct Node {
   std::vector<Value> parents;
   // Propagates this->grad into parents' grad tensors. Null for leaves.
   std::function<void(Node&)> backward_fn;
+  // False for a leaf whose gradient nobody reads: a data batch, an LSTM's
+  // zero state. Backward need not write such a node's grad, and conv2d
+  // (its dX) and matmul (its dA) skip it, so it stays all zero. Parameters
+  // and op outputs keep true.
   bool requires_grad = true;
 
   explicit Node(Tensor d) : data(std::move(d)), grad(Tensor::zeros_like(data)) {}

@@ -141,6 +141,65 @@ void gemm_nn(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
   }
 }
 
+// The output positions o in [0, out) whose input position o * stride + off
+// lies in [0, in), as the half-open range [lo, hi); lo == hi when none does.
+struct ValidSpan {
+  int64_t lo, hi;
+};
+
+ValidSpan valid_span(int64_t out, int64_t in, int64_t stride, int64_t off) {
+  const int64_t lo = off >= 0 ? 0 : (stride - 1 - off) / stride;
+  const int64_t hi = in - 1 - off < 0 ? 0 : (in - 1 - off) / stride + 1;
+  const int64_t lo_c = std::min(lo, out);
+  return {lo_c, std::clamp(hi, lo_c, out)};
+}
+
+// The lowering's row kernels take their geometry by value and test no
+// element: each computes the span of output columns that read inside the
+// image once per row, and copies or adds that span straight. A
+// per-element bounds test inside a parallel_for body stays scalar (GCC 12
+// would not vectorize the loads of the closure's captured sizes); DESIGN.md
+// §7 has the measured cost.
+
+// One im2col row: dst(oh x ow)[oi, oj] = plane(h x w)[oi*stride + di,
+// oj*stride + dj], or 0 where that falls in the padding. One fill zeroes
+// the whole row block first: cheaper than a fill per padding border.
+void im2col_row(const float* __restrict__ plane, float* __restrict__ dst,
+                int64_t h, int64_t w, int64_t oh, int64_t ow, int64_t stride,
+                int64_t di, int64_t dj) {
+  const ValidSpan rows = valid_span(oh, h, stride, di);
+  const ValidSpan span = valid_span(ow, w, stride, dj);
+  std::fill(dst, dst + oh * ow, 0.0f);
+  for (int64_t oi = rows.lo; oi < rows.hi; ++oi) {
+    const float* src = plane + (oi * stride + di) * w;
+    float* d = dst + oi * ow;
+    if (stride == 1) {
+      for (int64_t oj = span.lo; oj < span.hi; ++oj) d[oj] = src[oj + dj];
+    } else {
+      for (int64_t oj = span.lo; oj < span.hi; ++oj) d[oj] = src[oj * stride + dj];
+    }
+  }
+}
+
+// One col2im row, the adjoint of im2col_row: plane[oi*stride + di,
+// oj*stride + dj] += src(oh x ow)[oi, oj] wherever that lies in the image.
+// Each pixel receives at most one term per row.
+void col2im_row(const float* __restrict__ src, float* __restrict__ plane,
+                int64_t h, int64_t w, int64_t oh, int64_t ow, int64_t stride,
+                int64_t di, int64_t dj) {
+  const ValidSpan rows = valid_span(oh, h, stride, di);
+  const ValidSpan span = valid_span(ow, w, stride, dj);
+  for (int64_t oi = rows.lo; oi < rows.hi; ++oi) {
+    const float* s = src + oi * ow;
+    float* d = plane + (oi * stride + di) * w;
+    if (stride == 1) {
+      for (int64_t oj = span.lo; oj < span.hi; ++oj) d[oj + dj] += s[oj];
+    } else {
+      for (int64_t oj = span.lo; oj < span.hi; ++oj) d[oj * stride + dj] += s[oj];
+    }
+  }
+}
+
 }  // namespace
 
 void transpose(std::span<const float> in, int64_t m, int64_t n,
@@ -199,15 +258,8 @@ void im2col(std::span<const float> img, int64_t c, int64_t h, int64_t w,
       const int64_t ch = row / (kh * kw);
       const int64_t ki = (row / kw) % kh;
       const int64_t kj = row % kw;
-      float* dst = out + row * oh * ow;
-      for (int64_t oi = 0; oi < oh; ++oi) {
-        const int64_t ii = oi * stride + ki - pad;
-        for (int64_t oj = 0; oj < ow; ++oj) {
-          const int64_t jj = oj * stride + kj - pad;
-          const bool in_bounds = ii >= 0 && ii < h && jj >= 0 && jj < w;
-          dst[oi * ow + oj] = in_bounds ? src[(ch * h + ii) * w + jj] : 0.0f;
-        }
-      }
+      im2col_row(src + ch * h * w, out + row * oh * ow, h, w, oh, ow, stride,
+                 ki - pad, kj - pad);
     }
   });
 }
@@ -229,16 +281,8 @@ void col2im(std::span<const float> cols, int64_t c, int64_t h, int64_t w,
       for (int64_t ki = 0; ki < kh; ++ki) {
         for (int64_t kj = 0; kj < kw; ++kj) {
           const int64_t row = (ch * kh + ki) * kw + kj;
-          const float* src = in + row * oh * ow;
-          for (int64_t oi = 0; oi < oh; ++oi) {
-            const int64_t ii = oi * stride + ki - pad;
-            if (ii < 0 || ii >= h) continue;
-            for (int64_t oj = 0; oj < ow; ++oj) {
-              const int64_t jj = oj * stride + kj - pad;
-              if (jj < 0 || jj >= w) continue;
-              out[(ch * h + ii) * w + jj] += src[oi * ow + oj];
-            }
-          }
+          col2im_row(in + row * oh * ow, out + ch * h * w, h, w, oh, ow,
+                     stride, ki - pad, kj - pad);
         }
       }
     }

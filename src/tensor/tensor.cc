@@ -1,6 +1,8 @@
 #include "tensor/tensor.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace grace {
 
@@ -29,6 +31,12 @@ void Tensor::assign(std::span<const float> values) {
   if (shape_.rank() != 1 || shape_[0] != n) shape_ = Shape{{n}};
   data_.resize(values.size_bytes());
   if (n > 0) std::memcpy(data_.data(), values.data(), values.size_bytes());
+}
+
+void Tensor::fail(const char* check, int64_t want, int64_t have) {
+  throw std::runtime_error(std::string("Tensor: ") + check + " mismatch: want " +
+                           std::to_string(want) + ", have " +
+                           std::to_string(have));
 }
 
 Tensor Tensor::reshaped(Shape s) const {

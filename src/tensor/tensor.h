@@ -41,29 +41,29 @@ class Tensor {
   size_t size_bytes() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
 
-  // Typed views. The dtype is asserted, not converted.
+  // Typed views. The dtype is checked (std::runtime_error), not converted.
   std::span<float> f32() {
-    assert(dtype_ == DType::F32);
+    check_dtype(DType::F32);
     return {reinterpret_cast<float*>(data_.data()), static_cast<size_t>(numel())};
   }
   std::span<const float> f32() const {
-    assert(dtype_ == DType::F32);
+    check_dtype(DType::F32);
     return {reinterpret_cast<const float*>(data_.data()), static_cast<size_t>(numel())};
   }
   std::span<int32_t> i32() {
-    assert(dtype_ == DType::I32);
+    check_dtype(DType::I32);
     return {reinterpret_cast<int32_t*>(data_.data()), static_cast<size_t>(numel())};
   }
   std::span<const int32_t> i32() const {
-    assert(dtype_ == DType::I32);
+    check_dtype(DType::I32);
     return {reinterpret_cast<const int32_t*>(data_.data()), static_cast<size_t>(numel())};
   }
   std::span<uint8_t> u8() {
-    assert(dtype_ == DType::U8);
+    check_dtype(DType::U8);
     return {reinterpret_cast<uint8_t*>(data_.data()), static_cast<size_t>(numel())};
   }
   std::span<const uint8_t> u8() const {
-    assert(dtype_ == DType::U8);
+    check_dtype(DType::U8);
     return {reinterpret_cast<const uint8_t*>(data_.data()), static_cast<size_t>(numel())};
   }
 
@@ -74,10 +74,10 @@ class Tensor {
   // tensor's storage: no allocation once its capacity suffices.
   void assign(std::span<const float> values);
 
-  // Reinterpret with a new shape; numel must match.
+  // Reinterpret with a new shape; numel must match (std::runtime_error).
   Tensor reshaped(Shape s) const;
   void set_shape(Shape s) {
-    assert(s.numel() == numel());
+    if (s.numel() != numel()) fail("element count", s.numel(), numel());
     shape_ = std::move(s);
   }
 
@@ -87,6 +87,15 @@ class Tensor {
   }
 
  private:
+  void check_dtype(DType want) const {
+    if (dtype_ != want) {
+      fail("dtype", static_cast<int64_t>(want), static_cast<int64_t>(dtype_));
+    }
+  }
+  // Throws std::runtime_error naming the failed check. Out of line, so each
+  // inline check above stays one compare in every build.
+  [[noreturn]] static void fail(const char* check, int64_t want, int64_t have);
+
   DType dtype_ = DType::F32;
   Shape shape_{{0}};
   std::vector<std::byte> data_;

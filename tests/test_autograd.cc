@@ -2,6 +2,8 @@
 // tape mechanics (topological order, accumulation, reuse).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "nn/conv_ops.h"
 #include "nn/gradcheck.h"
 #include "nn/layers.h"
@@ -195,6 +197,65 @@ TEST_F(OpGradCheck, LstmCellThroughTime) {
     auto [h2, c2] = cell.forward(x1.value, h1, c1);
     return sum_all(hadamard(h2, h2));
   });
+}
+
+// --- requires_grad == false: backward may leave that gradient unwritten ----
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return std::ranges::equal(a.bytes(), b.bytes());
+}
+
+bool all_zero(const Tensor& t) {
+  return std::ranges::all_of(t.f32(), [](float v) { return v == 0.0f; });
+}
+
+struct OpGrads {
+  Tensor x, w, b;
+};
+
+// Runs loss(op(x, w, b)) backward with x flagged as needing a gradient or
+// not; w and b always need one.
+OpGrads run_backward(const Tensor& x, const Tensor& w, const Tensor& b,
+                     bool x_requires_grad,
+                     Value (*op)(const Value&, const Value&, const Value&)) {
+  auto xv = make_value(x, x_requires_grad);
+  auto wv = make_value(w);
+  auto bv = make_value(b);
+  auto y = op(xv, wv, bv);
+  backward(mean_all(hadamard(y, y)));
+  return {xv->grad, wv->grad, bv->grad};
+}
+
+TEST(RequiresGrad, Conv2dSkipsTheInputGradientOnly) {
+  Rng rng(31);
+  const Tensor x = randn(rng, Shape{{3, 2, 6, 5}});
+  const Tensor w = randn(rng, Shape{{4, 2, 3, 3}}, 0.5f);
+  const Tensor b = randn(rng, Shape{{4}});
+  const auto op = [](const Value& xv, const Value& wv, const Value& bv) {
+    return conv2d(xv, wv, bv, /*stride=*/1, /*pad=*/1);
+  };
+  const OpGrads with = run_backward(x, w, b, true, op);
+  const OpGrads without = run_backward(x, w, b, false, op);
+  EXPECT_TRUE(bitwise_equal(with.w, without.w));
+  EXPECT_TRUE(bitwise_equal(with.b, without.b));
+  EXPECT_FALSE(all_zero(with.x));
+  EXPECT_TRUE(all_zero(without.x));
+}
+
+TEST(RequiresGrad, MatmulSkipsTheLeftOperandGradientOnly) {
+  Rng rng(32);
+  const Tensor x = randn(rng, Shape{{5, 7}});
+  const Tensor w = randn(rng, Shape{{7, 3}});
+  const Tensor b = randn(rng, Shape{{3}});
+  const auto op = [](const Value& xv, const Value& wv, const Value& bv) {
+    return add_bias(matmul(xv, wv), bv);
+  };
+  const OpGrads with = run_backward(x, w, b, true, op);
+  const OpGrads without = run_backward(x, w, b, false, op);
+  EXPECT_TRUE(bitwise_equal(with.w, without.w));
+  EXPECT_TRUE(bitwise_equal(with.b, without.b));
+  EXPECT_FALSE(all_zero(with.x));
+  EXPECT_TRUE(all_zero(without.x));
 }
 
 TEST(AutogradModule, ZeroGradClears) {

@@ -1,8 +1,11 @@
 // GEMM, transpose, im2col/col2im.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "runtime/thread_pool.h"
 #include "tensor/matmul.h"
 #include "tensor/rng.h"
 
@@ -114,6 +117,119 @@ TEST(Conv, Col2ImIsAdjointOfIm2Col) {
   for (size_t i = 0; i < col_n; ++i) lhs += static_cast<double>(cols[i]) * y[i];
   for (size_t i = 0; i < img_n; ++i) rhs += static_cast<double>(x[i]) * img[i];
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+// The per-element loops ops::im2col and ops::col2im ran before they split
+// each row into padding and a valid span: the reference their output must
+// match bit for bit.
+void im2col_reference(const std::vector<float>& img, int64_t c, int64_t h,
+                      int64_t w, int64_t kh, int64_t kw, int64_t stride,
+                      int64_t pad, std::vector<float>& cols) {
+  const int64_t oh = ops::conv_out_dim(h, kh, stride, pad);
+  const int64_t ow = ops::conv_out_dim(w, kw, stride, pad);
+  for (int64_t row = 0; row < c * kh * kw; ++row) {
+    const int64_t ch = row / (kh * kw);
+    const int64_t ki = (row / kw) % kh;
+    const int64_t kj = row % kw;
+    for (int64_t oi = 0; oi < oh; ++oi) {
+      const int64_t ii = oi * stride + ki - pad;
+      for (int64_t oj = 0; oj < ow; ++oj) {
+        const int64_t jj = oj * stride + kj - pad;
+        const bool in_bounds = ii >= 0 && ii < h && jj >= 0 && jj < w;
+        cols[static_cast<size_t>((row * oh + oi) * ow + oj)] =
+            in_bounds ? img[static_cast<size_t>((ch * h + ii) * w + jj)] : 0.0f;
+      }
+    }
+  }
+}
+
+void col2im_reference(const std::vector<float>& cols, int64_t c, int64_t h,
+                      int64_t w, int64_t kh, int64_t kw, int64_t stride,
+                      int64_t pad, std::vector<float>& img) {
+  const int64_t oh = ops::conv_out_dim(h, kh, stride, pad);
+  const int64_t ow = ops::conv_out_dim(w, kw, stride, pad);
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int64_t ki = 0; ki < kh; ++ki) {
+      for (int64_t kj = 0; kj < kw; ++kj) {
+        const int64_t row = (ch * kh + ki) * kw + kj;
+        for (int64_t oi = 0; oi < oh; ++oi) {
+          const int64_t ii = oi * stride + ki - pad;
+          if (ii < 0 || ii >= h) continue;
+          for (int64_t oj = 0; oj < ow; ++oj) {
+            const int64_t jj = oj * stride + kj - pad;
+            if (jj < 0 || jj >= w) continue;
+            img[static_cast<size_t>((ch * h + ii) * w + jj)] +=
+                cols[static_cast<size_t>((row * oh + oi) * ow + oj)];
+          }
+        }
+      }
+    }
+  }
+}
+
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Strides {1, 2, 3} x pads {0, 1, 2} x kernels {1x1, 3x3, 2x3} over images
+// down to 1x2 and 2x1, smaller than the kernel: all-padding rows, rows whose
+// valid span is empty, and spans that start or end inside the padding.
+// Every output element is first set to NaN, so one the lowering skips
+// fails the bitwise compare; a trailing guard catches a write past the end.
+void check_lowering_matches_reference() {
+  constexpr float kGuard = -7.0f;
+  Rng rng(11);
+  int64_t cases = 0;
+  for (const int64_t stride : {1, 2, 3}) {
+    for (const int64_t pad : {0, 1, 2}) {
+      for (const auto& [kh, kw] : {std::pair<int64_t, int64_t>{1, 1}, {3, 3}, {2, 3}}) {
+        for (const auto& [h, w] : {std::pair<int64_t, int64_t>{1, 2}, {2, 1}, {5, 4}, {7, 9}}) {
+          if (h + 2 * pad < kh || w + 2 * pad < kw) continue;  // no output
+          const int64_t c = 3;
+          const int64_t oh = ops::conv_out_dim(h, kh, stride, pad);
+          const int64_t ow = ops::conv_out_dim(w, kw, stride, pad);
+          const auto img_n = static_cast<size_t>(c * h * w);
+          const auto col_n = static_cast<size_t>(c * kh * kw * oh * ow);
+          SCOPED_TRACE(::testing::Message() << "stride " << stride << " pad " << pad
+                                            << " kernel " << kh << "x" << kw
+                                            << " image " << h << "x" << w);
+          std::vector<float> img(img_n);
+          rng.fill_normal(img, 0.0f, 1.0f);
+          std::vector<float> want(col_n), got(col_n + 1, std::nanf(""));
+          got[col_n] = kGuard;
+          im2col_reference(img, c, h, w, kh, kw, stride, pad, want);
+          ops::im2col(img, c, h, w, kh, kw, stride, pad, got);
+          EXPECT_EQ(got[col_n], kGuard);
+          got.pop_back();
+          EXPECT_TRUE(bitwise_equal(got, want));
+
+          // col2im accumulates into an image that already holds a sum.
+          std::vector<float> cols(col_n), base(img_n);
+          rng.fill_normal(cols, 0.0f, 1.0f);
+          rng.fill_normal(base, 0.0f, 1.0f);
+          std::vector<float> want_img = base, got_img = base;
+          got_img.push_back(kGuard);
+          col2im_reference(cols, c, h, w, kh, kw, stride, pad, want_img);
+          ops::col2im(cols, c, h, w, kh, kw, stride, pad, got_img);
+          EXPECT_EQ(got_img.back(), kGuard);
+          got_img.pop_back();
+          EXPECT_TRUE(bitwise_equal(got_img, want_img));
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 96);
+}
+
+TEST(Conv, LoweringMatchesReferenceLoopsOnOneLane) {
+  const runtime::LaneLimit one(1);
+  check_lowering_matches_reference();
+}
+
+TEST(Conv, LoweringMatchesReferenceLoopsOnThePool) {
+  check_lowering_matches_reference();
 }
 
 }  // namespace

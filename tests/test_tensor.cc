@@ -1,6 +1,9 @@
 // Tensor, Shape and dtype-storage behaviour.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+
 #include "tensor/tensor.h"
 
 namespace grace {
@@ -47,6 +50,24 @@ TEST(Tensor, Reshaped) {
   Tensor r = t.reshaped(Shape{{3, 4}});
   EXPECT_EQ(r.shape(), Shape({3, 4}));
   EXPECT_EQ(r.numel(), t.numel());
+}
+
+// Both checks hold in every build, not only under assert: a decoder that
+// trusts a frame's part would otherwise read a part of another dtype, or
+// build a tensor whose shape outruns its storage.
+TEST(Tensor, ViewOfAnotherDtypeThrows) {
+  Tensor t = Tensor::zeros(Shape{{4}});
+  EXPECT_THROW(t.u8(), std::runtime_error);
+  EXPECT_THROW(std::as_const(t).i32(), std::runtime_error);
+  EXPECT_THROW(Tensor(DType::U8, Shape{{4}}).f32(), std::runtime_error);
+  EXPECT_EQ(t.f32().size(), 4u);
+}
+
+TEST(Tensor, ReshapeToAnotherElementCountThrows) {
+  Tensor t = Tensor::zeros(Shape{{3, 4}});
+  EXPECT_THROW(t.reshaped(Shape{{5, 3}}), std::runtime_error);
+  EXPECT_THROW(t.set_shape(Shape{{13}}), std::runtime_error);
+  EXPECT_EQ(t.shape(), Shape({3, 4}));
 }
 
 TEST(Tensor, ScalarItem) {
