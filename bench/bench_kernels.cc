@@ -1,9 +1,11 @@
 // Kernel micro-benchmarks for the parallel compute runtime: serial seed
 // kernels vs. the blocked/parallel kernels at several sizes and thread
 // counts, plus the single-thread codec kernels (quantize/pack/sign-pack
-// and qsgd's decode-accumulate scalar vs SIMD, the sliced frame CRC vs
-// the seed byte loop, rice index coding vs the seed bit-at-a-time writer,
-// and one Adam step vs the seed Adam loop). Prints a table and
+// and qsgd's decode-accumulate scalar vs SIMD, qsgd's block encode vs the
+// seed one-pass loop, the frame CRC vs the seed byte loop and vs a copy of
+// slicing-by-8, rice index coding vs the seed bit-at-a-time writer, one
+// Adam step vs the seed Adam loop, and the conv lowering's im2col and
+// col2im vs their per-element reference loops). Prints a table and
 // writes BENCH_kernels.json so successive PRs can track the compute
 // substrate's perf trajectory.
 //
@@ -18,18 +20,22 @@
 // slow-labelled ctest. Without a SIMD level (a -DGRACE_NATIVE=OFF build or
 // a CPU without AVX2) the rows that time a util/simd kernel are skipped.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/compressors/compressors.h"
 #include "core/helper_ops.h"
 #include "core/index_coding.h"
 #include "optim/optimizer.h"
@@ -168,6 +174,97 @@ uint32_t seed_crc32(std::span<const std::byte> data) {
   return ~c;
 }
 
+// The frame CRC's slicing-by-8 loop as util/crc32.h had it before the
+// carry-less-multiply fold: the baseline of the crc32_clmul row.
+uint32_t sliced_crc32(std::span<const std::byte> data) {
+  const auto& t = grace::util::detail::kCrc32Tables;
+  uint32_t c = ~0u;
+  size_t i = 0;
+  for (; i + 8 <= data.size(); i += 8) {
+    uint32_t lo = 0, hi = 0;
+    std::memcpy(&lo, data.data() + i, 4);
+    std::memcpy(&hi, data.data() + i + 4, 4);
+    lo ^= c;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; i < data.size(); ++i) {
+    c = t[0][(c ^ static_cast<uint32_t>(data[i])) & 0xFFu] ^ (c >> 8);
+  }
+  return ~c;
+}
+
+// One draw as an out-of-line call, as Rng::uniform was before it moved
+// into tensor/rng.h.
+[[gnu::noinline]] double seed_uniform(Rng& rng) { return rng.uniform(); }
+
+// qsgd's encode before the block split: one pass over the elements, one
+// out-of-line draw each, into freshly allocated outputs as compress does.
+void seed_qsgd_encode(std::span<const float> x, int s, Rng& rng,
+                      std::vector<uint8_t>& codes, std::vector<uint8_t>& signs) {
+  const float norm = grace::ops::l2_norm(x);
+  codes.assign(x.size(), 0);
+  signs.assign((x.size() + 7) / 8, 0);
+  const auto fs = static_cast<float>(s);
+  for (size_t i = 0; i < x.size(); ++i) {
+    const float ratio = norm > 0.0f ? std::fabs(x[i]) / norm : 0.0f;
+    auto level = static_cast<int>(ratio * fs);
+    const float p = ratio * fs - static_cast<float>(level);
+    level += static_cast<int>(seed_uniform(rng) < p);
+    codes[i] = static_cast<uint8_t>(std::min(level, s));
+  }
+  grace::util::simd::pack_sign_bits(x.data(), signs.data(),
+                                    static_cast<int64_t>(x.size()));
+}
+
+// The conv lowering's per-element loops before im2col and col2im split
+// each row into padding and a valid span (tests/test_matmul.cc keeps the
+// same pair as its oracle).
+[[gnu::noipa]] void reference_im2col(const float* img, int64_t c, int64_t h, int64_t w,
+                      int64_t kh, int64_t kw, int64_t stride, int64_t pad,
+                      float* cols) {
+  const int64_t oh = grace::ops::conv_out_dim(h, kh, stride, pad);
+  const int64_t ow = grace::ops::conv_out_dim(w, kw, stride, pad);
+  for (int64_t row = 0; row < c * kh * kw; ++row) {
+    const int64_t ch = row / (kh * kw);
+    const int64_t ki = (row / kw) % kh;
+    const int64_t kj = row % kw;
+    for (int64_t oi = 0; oi < oh; ++oi) {
+      const int64_t ii = oi * stride + ki - pad;
+      for (int64_t oj = 0; oj < ow; ++oj) {
+        const int64_t jj = oj * stride + kj - pad;
+        const bool in_bounds = ii >= 0 && ii < h && jj >= 0 && jj < w;
+        cols[(row * oh + oi) * ow + oj] =
+            in_bounds ? img[(ch * h + ii) * w + jj] : 0.0f;
+      }
+    }
+  }
+}
+
+[[gnu::noipa]] void reference_col2im(const float* cols, int64_t c, int64_t h, int64_t w,
+                      int64_t kh, int64_t kw, int64_t stride, int64_t pad,
+                      float* img) {
+  const int64_t oh = grace::ops::conv_out_dim(h, kh, stride, pad);
+  const int64_t ow = grace::ops::conv_out_dim(w, kw, stride, pad);
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int64_t ki = 0; ki < kh; ++ki) {
+      for (int64_t kj = 0; kj < kw; ++kj) {
+        const int64_t row = (ch * kh + ki) * kw + kj;
+        for (int64_t oi = 0; oi < oh; ++oi) {
+          const int64_t ii = oi * stride + ki - pad;
+          if (ii < 0 || ii >= h) continue;
+          for (int64_t oj = 0; oj < ow; ++oj) {
+            const int64_t jj = oj * stride + kj - pad;
+            if (jj < 0 || jj >= w) continue;
+            img[(ch * h + ii) * w + jj] += cols[(row * oh + oi) * ow + oj];
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- Timing: repeat until ~0.3 s elapsed, report best-of-rep seconds.
 
 template <typename Fn>
@@ -186,6 +283,27 @@ double time_best(Fn&& fn) {
     if (reps >= 50) break;
   }
   return best;
+}
+
+// Best-of-rep seconds of a baseline and an optimized kernel timed in
+// alternation, so a burst of load on a shared host hits both sides of the
+// ratio alike.
+template <typename Base, typename Opt>
+std::pair<double, double> time_best_pair(Base&& base, Opt&& opt) {
+  using clock = std::chrono::steady_clock;
+  const auto once = [](auto& fn) {
+    const auto t0 = clock::now();
+    fn();
+    return std::chrono::duration<double>(clock::now() - t0).count();
+  };
+  double best_base = 1e100, best_opt = 1e100, total = 0.0;
+  for (int reps = 0; reps < 200 && (total < 0.6 || reps < 3); ++reps) {
+    const double b = once(base), o = once(opt);
+    best_base = std::min(best_base, b);
+    best_opt = std::min(best_opt, o);
+    total += b + o;
+  }
+  return {best_base, best_opt};
 }
 
 struct JsonWriter {
@@ -233,9 +351,13 @@ int threads_cap() { return 4; }
 // --- is genuinely scalar code); quantize8 uses the seed's lround loop as
 // --- baseline because the portable scalar fallback itself is
 // --- auto-vectorized by the compiler at -O3; crc32 uses the seed
-// --- one-lookup-per-byte loop; rice uses the seed bit-at-a-time writer;
-// --- adam times the seed Adam loop against Optimizer::apply on
-// --- ncf-dense's ~171k parameters, whatever the run's n.
+// --- one-lookup-per-byte loop and crc32_clmul a copy of slicing-by-8;
+// --- qsgd_encode times the seed one-pass encode, one out-of-line draw per
+// --- element, against Qsgd::compress; rice uses the seed bit-at-a-time
+// --- writer; adam times the seed Adam loop against Optimizer::apply on
+// --- ncf-dense's ~171k parameters, whatever the run's n; im2col and
+// --- col2im time the per-element reference loops against the library on
+// --- a fixed batch of conv inputs.
 
 struct CodecRow {
   std::string kernel;
@@ -326,6 +448,108 @@ std::vector<CodecRow> run_codec_rows(int64_t n) {
       sink = static_cast<uint8_t>(grace::util::crc32(frame));
     });
     rows.push_back({"crc32", seed_s, opt_s, 4.0 * static_cast<double>(n)});
+    // The carry-less-multiply fold against the slicing-by-8 it replaced;
+    // at the Scalar level util::crc32 is that loop, so the row is skipped.
+    const double sliced_s = time_best([&] {
+      sink = static_cast<uint8_t>(sliced_crc32(frame));
+    });
+    rows.push_back({.kernel = "crc32_clmul", .baseline_seconds = sliced_s,
+                    .seconds = opt_s, .bytes = 4.0 * static_cast<double>(n),
+                    .simd = true});
+  }
+  {
+    // qsgd(64)'s whole encode on one lane, as a train() rank runs it: the
+    // norm, the levels with one draw per element, and the sign plane, on
+    // a tensor the size of mlp-qsgd's largest (768 x 256), whatever the
+    // run's n.
+    const grace::runtime::LaneLimit one_lane(1);
+    const int64_t qn = 768 * 256;
+    const grace::Tensor grad =
+        grace::Tensor::from(std::span<const float>(x).first(static_cast<size_t>(
+            std::min(n, qn))));
+    std::vector<uint8_t> seed_codes, seed_signs;
+    Rng seed_rng(37), rng_q(37);
+    const auto qsgd = grace::core::compressors::make_qsgd(64);
+    const auto [seed_s, opt_s] = time_best_pair(
+        [&] {
+          seed_qsgd_encode(grad.f32(), 64, seed_rng, seed_codes, seed_signs);
+          sink = seed_codes[0];
+        },
+        [&] { sink = qsgd->compress(grad, "g", rng_q).parts[0].u8()[0]; });
+    // Its level pass is auto-vectorized for the build's ISA: a generic
+    // (SSE2) build reads 0.9-1.1x, so the row counts as a SIMD row.
+    rows.push_back({.kernel = "qsgd_encode", .baseline_seconds = seed_s,
+                    .seconds = opt_s,
+                    .bytes = 4.0 * static_cast<double>(grad.numel()),
+                    .n = grad.numel(), .simd = true});
+  }
+  {
+    // The conv lowering on one lane, over a batch of 8 of each of
+    // cnn-small's two convolution inputs (3x16x16 and 16x8x8; 3x3 kernel,
+    // stride 1, pad 1), as a train() rank's conv2d runs it.
+    const grace::runtime::LaneLimit one_lane(1);
+    struct Conv {
+      int64_t c, h, w, img_n, col_n;
+    };
+    constexpr int64_t kBatch = 8, kK = 3;
+    std::vector<Conv> convs;
+    int64_t img_total = 0, col_total = 0;
+    for (const auto& [c, h, w] : {std::array<int64_t, 3>{3, 16, 16}, {16, 8, 8}}) {
+      const int64_t oh = grace::ops::conv_out_dim(h, kK, 1, 1);
+      const int64_t ow = grace::ops::conv_out_dim(w, kK, 1, 1);
+      convs.push_back({c, h, w, c * h * w, c * kK * kK * oh * ow});
+      img_total += kBatch * convs.back().img_n;
+      col_total += kBatch * convs.back().col_n;
+    }
+    std::vector<float> imgs(static_cast<size_t>(img_total));
+    std::vector<float> cols(static_cast<size_t>(col_total));
+    Rng crng(41);
+    crng.fill_normal(imgs, 0.0f, 1.0f);
+    // Calls fn(conv, image, columns) for every image of the batch.
+    const auto each_image = [&](auto&& fn) {
+      float* img = imgs.data();
+      float* col = cols.data();
+      for (const Conv& cv : convs) {
+        for (int64_t b = 0; b < kBatch; ++b) {
+          fn(cv, img, col);
+          img += cv.img_n;
+          col += cv.col_n;
+        }
+      }
+    };
+    const auto [im2col_ref, im2col_lib] = time_best_pair(
+        [&] {
+          each_image([](const Conv& cv, float* img, float* col) {
+            reference_im2col(img, cv.c, cv.h, cv.w, kK, kK, 1, 1, col);
+          });
+          sink = static_cast<uint8_t>(cols[0] > 0.0f);
+        },
+        [&] {
+          each_image([](const Conv& cv, float* img, float* col) {
+            grace::ops::im2col({img, static_cast<size_t>(cv.img_n)}, cv.c,
+                               cv.h, cv.w, kK, kK, 1, 1,
+                               {col, static_cast<size_t>(cv.col_n)});
+          });
+          sink = static_cast<uint8_t>(cols[0] > 0.0f);
+        });
+    const double col_bytes = 4.0 * static_cast<double>(col_total);
+    rows.push_back({"im2col", im2col_ref, im2col_lib, col_bytes, col_total});
+    const auto [col2im_ref, col2im_lib] = time_best_pair(
+        [&] {
+          each_image([](const Conv& cv, float* img, float* col) {
+            reference_col2im(col, cv.c, cv.h, cv.w, kK, kK, 1, 1, img);
+          });
+          sink = static_cast<uint8_t>(imgs[0] > 0.0f);
+        },
+        [&] {
+          each_image([](const Conv& cv, float* img, float* col) {
+            grace::ops::col2im({col, static_cast<size_t>(cv.col_n)}, cv.c,
+                               cv.h, cv.w, kK, kK, 1, 1,
+                               {img, static_cast<size_t>(cv.img_n)});
+          });
+          sink = static_cast<uint8_t>(imgs[0] > 0.0f);
+        });
+    rows.push_back({"col2im", col2im_ref, col2im_lib, col_bytes, col_total});
   }
 
   // Index coding on a 1%-sparse list over [0, n).
@@ -400,7 +624,7 @@ int run_check(const char* baseline_path) {
 
   // The SIMD rows' floors were set for AVX2. Without a vector level each
   // of them times scalar code against itself or a seed loop, so only
-  // crc32, rice and adam are enforced.
+  // crc32, rice, adam, im2col and col2im are enforced.
   namespace simd = grace::util::simd;
   const bool scalar = simd::active_level() == simd::Level::Scalar;
   int rc = 0;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/ops.h"
 
@@ -28,6 +29,14 @@ ChunkRange chunk_range(int64_t n, int parts, int idx) {
 
 std::span<float> slice(std::span<float> data, ChunkRange r) {
   return data.subspan(static_cast<size_t>(r.begin), static_cast<size_t>(r.size));
+}
+
+// A received chunk or vector must hold exactly the floats it stands for:
+// the ops that fold it in would otherwise read past it or leave a gap.
+[[noreturn]] void wrong_size(const char* what, int64_t want, int64_t have) {
+  throw std::runtime_error(std::string("allreduce: ") + what + " holds " +
+                           std::to_string(have) + " floats, want " +
+                           std::to_string(want));
 }
 
 // Ring allreduce over the `count` participants at ranks {0, stride,
@@ -56,7 +65,9 @@ void ring_allreduce_strided(Comm& comm, std::span<float> data, int count,
     comm.send(next, std::move(buffer), tag);
     buffer = comm.recv(prev, tag);
     const ChunkRange r = chunk_range(total, count, recv_chunk);
-    assert(buffer.numel() == r.size);
+    if (buffer.numel() != r.size) {
+      wrong_size("received chunk", r.size, buffer.numel());
+    }
     ops::add(slice(data, r), buffer.f32());
   }
   // Phase 2: allgather of the reduced chunks.
@@ -67,7 +78,9 @@ void ring_allreduce_strided(Comm& comm, std::span<float> data, int count,
     comm.send(next, std::move(buffer), tag);
     buffer = comm.recv(prev, tag);
     const ChunkRange r = chunk_range(total, count, recv_chunk);
-    assert(buffer.numel() == r.size);
+    if (buffer.numel() != r.size) {
+      wrong_size("received chunk", r.size, buffer.numel());
+    }
     ops::copy(slice(data, r), buffer.f32());
   }
 }
@@ -76,11 +89,11 @@ void ring_allreduce_strided(Comm& comm, std::span<float> data, int count,
 // per participant, indexed by ring position (position i originated at rank
 // i * stride). Tensors keep their own shapes, so participants may
 // contribute different sizes.
-std::vector<Tensor> ring_allgather_strided(Comm& comm, const Tensor& mine,
+std::vector<Tensor> ring_allgather_strided(Comm& comm, Tensor mine,
                                            int count, int stride, int tag) {
   const int idx = comm.rank() / stride;
   std::vector<Tensor> out(static_cast<size_t>(count));
-  out[static_cast<size_t>(idx)] = mine;
+  out[static_cast<size_t>(idx)] = std::move(mine);
   if (count == 1) return out;
   // count-1 steps, each participant forwards exactly one tensor per step
   // (at step s it passes along the tensor that originated s hops
@@ -111,8 +124,8 @@ void allreduce_sum(Comm& comm, std::span<float> data, int tag) {
   ring_allreduce_strided(comm, data, comm.size(), 1, tag);
 }
 
-std::vector<Tensor> allgather(Comm& comm, const Tensor& mine, int tag) {
-  return ring_allgather_strided(comm, mine, comm.size(), 1, tag);
+std::vector<Tensor> allgather(Comm& comm, Tensor mine, int tag) {
+  return ring_allgather_strided(comm, std::move(mine), comm.size(), 1, tag);
 }
 
 void hierarchical_allreduce_sum(Comm& comm, std::span<float> data,
@@ -130,7 +143,9 @@ void hierarchical_allreduce_sum(Comm& comm, std::span<float> data,
   if (rank != leader) {
     comm.send(leader, Tensor::from(data), tag);
     Tensor summed = comm.recv(leader, tag);
-    assert(summed.numel() == static_cast<int64_t>(data.size()));
+    if (summed.numel() != static_cast<int64_t>(data.size())) {
+      wrong_size("rack sum", static_cast<int64_t>(data.size()), summed.numel());
+    }
     ops::copy(data, summed.f32());
     return;
   }
@@ -139,7 +154,10 @@ void hierarchical_allreduce_sum(Comm& comm, std::span<float> data,
   const int rack_end = std::min(leader + m, n);
   for (int member = leader + 1; member < rack_end; ++member) {
     Tensor incoming = comm.recv(member, tag);
-    assert(incoming.numel() == static_cast<int64_t>(data.size()));
+    if (incoming.numel() != static_cast<int64_t>(data.size())) {
+      wrong_size("rack member's vector", static_cast<int64_t>(data.size()),
+                 incoming.numel());
+    }
     ops::add(data, incoming.f32());
   }
   const int racks = (n + m - 1) / m;
@@ -151,26 +169,30 @@ void hierarchical_allreduce_sum(Comm& comm, std::span<float> data,
   }
 }
 
-std::vector<Tensor> hierarchical_allgather(Comm& comm, const Tensor& mine,
+std::vector<Tensor> hierarchical_allgather(Comm& comm, Tensor mine,
                                            int ranks_per_rack, int tag) {
   require_rack_size(ranks_per_rack);
   if (mine.dtype() != DType::U8) {
     throw std::invalid_argument("hierarchical_allgather: blobs must be U8");
   }
   const int n = comm.size();
-  if (n == 1) return {mine};
+  if (n == 1) {
+    std::vector<Tensor> out;
+    out.push_back(std::move(mine));
+    return out;
+  }
   const int m = ranks_per_rack;
-  if (m == 1) return allgather(comm, mine, tag);
+  if (m == 1) return allgather(comm, std::move(mine), tag);
   const int rank = comm.rank();
   const int leader = (rank / m) * m;
   if (rank != leader) {
-    comm.send(leader, mine, tag);
+    comm.send(leader, std::move(mine), tag);
     return unpack_blob_bundle(comm.recv(leader, tag));
   }
   // Fan-in: collect this rack's blobs in rank order.
   const int rack_end = std::min(leader + m, n);
   std::vector<Tensor> rack(static_cast<size_t>(rack_end - leader));
-  rack[0] = mine;
+  rack[0] = std::move(mine);
   for (int member = leader + 1; member < rack_end; ++member) {
     rack[static_cast<size_t>(member - leader)] = comm.recv(member, tag);
   }
@@ -256,13 +278,12 @@ std::vector<Tensor> unpack_blob_bundle(const Tensor& bundle) {
   }
   std::vector<Tensor> out;
   out.reserve(lens.size());
+  const auto bytes = bundle.bytes();
   for (const uint64_t len : lens) {
-    Tensor blob(DType::U8, Shape{{static_cast<int64_t>(len)}});
-    if (len > 0) {
-      std::memcpy(blob.u8().data(), src.data() + off, static_cast<size_t>(len));
-    }
+    const auto blob = bytes.subspan(off, static_cast<size_t>(len));
+    out.emplace_back(DType::U8, Shape{{static_cast<int64_t>(len)}},
+                     std::vector<std::byte>(blob.begin(), blob.end()));
     off += static_cast<size_t>(len);
-    out.push_back(std::move(blob));
   }
   return out;
 }

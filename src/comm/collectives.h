@@ -17,8 +17,9 @@ void allreduce_sum(Comm& comm, std::span<float> data, int tag = 0);
 
 // Gathers one tensor per rank, returned in rank order. Tensors may have
 // different shapes/dtypes on different ranks (needed for sparsifiers whose
-// selected size differs per worker).
-std::vector<Tensor> allgather(Comm& comm, const Tensor& mine, int tag = 0);
+// selected size differs per worker). `mine` is taken by value: a caller
+// that moves it in (a serialized frame) has it moved into the result.
+std::vector<Tensor> allgather(Comm& comm, Tensor mine, int tag = 0);
 
 // Two-level rack-aware allreduce (DESIGN.md §10): ranks are grouped into
 // racks of `ranks_per_rack` consecutive ranks (the last rack may be
@@ -38,7 +39,7 @@ void hierarchical_allreduce_sum(Comm& comm, std::span<float> data,
 // their blob to the rack leader, leaders ring-allgather per-rack bundles,
 // and each leader sends the full n-blob bundle back to its members.
 // Throws std::invalid_argument for non-U8 input or ranks_per_rack < 1.
-std::vector<Tensor> hierarchical_allgather(Comm& comm, const Tensor& mine,
+std::vector<Tensor> hierarchical_allgather(Comm& comm, Tensor mine,
                                            int ranks_per_rack, int tag = 0);
 
 // Bundle framing used by hierarchical_allgather (and priced by

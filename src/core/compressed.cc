@@ -1,6 +1,5 @@
 #include "core/compressed.h"
 
-#include <cassert>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -11,19 +10,29 @@
 namespace grace::core {
 namespace {
 
+// Sizes a frame: the same field sequence as ByteWriter, counted only.
+struct ByteCounter {
+  size_t bytes = 0;
+  template <typename T>
+  void put(T) {
+    bytes += sizeof(T);
+  }
+  void put_bytes(std::span<const std::byte> b) { bytes += b.size(); }
+};
+
+// Writes a frame of known size into storage reserved up front, so every
+// byte is written once, with no grow, no zero fill and no final copy: the
+// buffer becomes the blob's storage.
 class ByteWriter {
  public:
+  explicit ByteWriter(size_t frame_bytes) { buf_.reserve(frame_bytes); }
   template <typename T>
   void put(T v) {
-    const auto at = buf_.size();
-    buf_.resize(at + sizeof(T));
-    std::memcpy(buf_.data() + at, &v, sizeof(T));
+    const auto* p = reinterpret_cast<const std::byte*>(&v);
+    buf_.insert(buf_.end(), p, p + sizeof(T));
   }
   void put_bytes(std::span<const std::byte> bytes) {
-    if (bytes.empty()) return;  // data() may be null; memcpy must not see it
-    const auto at = buf_.size();
-    buf_.resize(at + bytes.size());
-    std::memcpy(buf_.data() + at, bytes.data(), bytes.size());
+    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
   // Appends the little-endian CRC32 of everything written so far, closing
   // the frame per the util/crc32.h convention. Must be the last write.
@@ -33,10 +42,9 @@ class ByteWriter {
       buf_.push_back(static_cast<std::byte>((crc >> (8 * i)) & 0xFFu));
     }
   }
-  Tensor finish() const {
-    Tensor t(DType::U8, Shape{{static_cast<int64_t>(buf_.size())}});
-    std::memcpy(t.bytes().data(), buf_.data(), buf_.size());
-    return t;
+  Tensor finish() && {
+    const auto n = static_cast<int64_t>(buf_.size());
+    return Tensor(DType::U8, Shape{{n}}, std::move(buf_));
   }
 
  private:
@@ -54,11 +62,12 @@ class ByteReader {
     at_ += sizeof(T);
     return v;
   }
-  void get_bytes(std::span<std::byte> out) {
-    check(out.size());
-    if (out.empty()) return;  // data() may be null; memcpy must not see it
-    std::memcpy(out.data(), data_.data() + at_, out.size());
-    at_ += out.size();
+  // The next n bytes, as a view into the blob.
+  std::span<const std::byte> take(size_t n) {
+    check(n);
+    const auto out = data_.subspan(at_, n);
+    at_ += n;
+    return out;
   }
   size_t remaining() const { return data_.size() - at_; }
   // A count of `item_bytes`-sized records that must still fit in the blob,
@@ -79,9 +88,49 @@ class ByteReader {
   size_t at_ = 0;
 };
 
-void put_shape(ByteWriter& w, const Shape& s) {
-  w.put<uint32_t>(static_cast<uint32_t>(s.rank()));
-  for (int64_t d : s.dims()) w.put<int64_t>(d);
+template <typename W>
+void put_shape(W& w, const Shape& s) {
+  w.put(static_cast<uint32_t>(s.rank()));
+  for (int64_t d : s.dims()) w.put(d);
+}
+
+// The frame's fields in the order compressed.h documents, through a
+// ByteCounter or a ByteWriter. coded[j] is part j's delta-coded payload,
+// or null when the part travels raw.
+template <typename W>
+void put_fields(W& w, const CompressedTensor& ct,
+                const std::vector<const Tensor*>& coded) {
+  // Wire-stage header first: deserialize must know which parts are coded
+  // before it reads them.
+  w.put(static_cast<uint8_t>(ct.ctx.wire_codec));
+  w.put(static_cast<uint32_t>(ct.ctx.index_parts.size()));
+  for (int32_t pi : ct.ctx.index_parts) w.put(pi);
+  w.put(static_cast<uint32_t>(ct.parts.size()));
+  for (size_t j = 0; j < ct.parts.size(); ++j) {
+    const Tensor& p = ct.parts[j];
+    w.put(static_cast<uint8_t>(p.dtype()));
+    put_shape(w, p.shape());
+    if (coded[j] == nullptr) {
+      w.put_bytes(p.bytes());
+    } else {
+      w.put(static_cast<uint32_t>(coded[j]->size_bytes()));
+      w.put_bytes(coded[j]->bytes());
+    }
+  }
+  put_shape(w, ct.ctx.shape);
+  w.put(static_cast<uint32_t>(ct.ctx.scalars.size()));
+  for (float s : ct.ctx.scalars) w.put(s);
+  w.put(static_cast<uint32_t>(ct.ctx.ints.size()));
+  for (int64_t i : ct.ctx.ints) w.put(i);
+  w.put(ct.ctx.wire_bits);
+  w.put(ct.ctx.raw_wire_bits);
+}
+
+// A tensor holding a copy of `bytes`, built from them with no zero fill.
+Tensor tensor_from_bytes(DType dtype, Shape shape,
+                         std::span<const std::byte> bytes) {
+  return Tensor(dtype, std::move(shape),
+                std::vector<std::byte>(bytes.begin(), bytes.end()));
 }
 
 [[noreturn]] void malformed(const std::string& why) {
@@ -173,48 +222,29 @@ void apply_wire_codec(CompressedTensor& ct, WireCodec codec) {
 }
 
 Tensor serialize(const CompressedTensor& ct) {
-  ByteWriter w;
-  // Wire-stage header first: deserialize must know which parts are coded
-  // before it reads them.
-  w.put<uint8_t>(static_cast<uint8_t>(ct.ctx.wire_codec));
-  w.put<uint32_t>(static_cast<uint32_t>(ct.ctx.index_parts.size()));
-  for (int32_t pi : ct.ctx.index_parts) w.put<int32_t>(pi);
-  w.put<uint32_t>(static_cast<uint32_t>(ct.parts.size()));
+  // Coded parts use the cache apply_wire_codec left, or are re-encoded.
+  std::vector<const Tensor*> coded(ct.parts.size(), nullptr);
+  std::vector<Tensor> encoded;
+  if (ct.ctx.wire_codec != WireCodec::None) encoded.reserve(ct.parts.size());
   for (uint32_t j = 0; j < ct.parts.size(); ++j) {
-    const Tensor& p = ct.parts[j];
-    w.put<uint8_t>(static_cast<uint8_t>(p.dtype()));
-    put_shape(w, p.shape());
     const int slot = coded_slot(ct.ctx, j);
-    if (slot < 0) {
-      w.put_bytes(p.bytes());
-      continue;
-    }
-    // Coded part: u32 byte length + the delta-coded payload. Use the
-    // cache when apply_wire_codec left one; re-encode otherwise.
-    Tensor enc;
-    const Tensor* encp = nullptr;
+    if (slot < 0) continue;
     if (static_cast<size_t>(slot) < ct.coded_indices.size()) {
-      encp = &ct.coded_indices[static_cast<size_t>(slot)];
+      coded[j] = &ct.coded_indices[static_cast<size_t>(slot)];
     } else {
-      enc = rice_encode_indices(p.i32());
-      encp = &enc;
+      coded[j] = &encoded.emplace_back(rice_encode_indices(ct.parts[j].i32()));
     }
-    w.put<uint32_t>(static_cast<uint32_t>(encp->size_bytes()));
-    w.put_bytes(encp->bytes());
   }
-  put_shape(w, ct.ctx.shape);
-  w.put<uint32_t>(static_cast<uint32_t>(ct.ctx.scalars.size()));
-  for (float s : ct.ctx.scalars) w.put<float>(s);
-  w.put<uint32_t>(static_cast<uint32_t>(ct.ctx.ints.size()));
-  for (int64_t i : ct.ctx.ints) w.put<int64_t>(i);
-  w.put<uint64_t>(ct.ctx.wire_bits);
-  w.put<uint64_t>(ct.ctx.raw_wire_bits);
+  ByteCounter size;
+  put_fields(size, ct, coded);
+  ByteWriter w(size.bytes + util::kFrameCrcBytes);
+  put_fields(w, ct, coded);
   w.seal_crc32();
-  return w.finish();
+  return std::move(w).finish();
 }
 
 CompressedTensor deserialize(const Tensor& blob) {
-  assert(blob.dtype() == DType::U8);
+  if (blob.dtype() != DType::U8) malformed("blob is not U8");
   const auto frame = blob.bytes();
   if (!util::frame_crc_ok(frame)) {
     throw std::runtime_error(
@@ -244,10 +274,9 @@ CompressedTensor deserialize(const Tensor& blob) {
     const int slot = coded_slot(ct.ctx, j);
     if (slot < 0) {
       const auto elem = static_cast<int64_t>(dtype_size(dtype));
-      Tensor t(dtype,
-               get_shape(r, static_cast<int64_t>(r.remaining()) / elem));
-      r.get_bytes(t.bytes());
-      ct.parts.push_back(std::move(t));
+      Shape shape = get_shape(r, static_cast<int64_t>(r.remaining()) / elem);
+      const auto bytes = r.take(static_cast<size_t>(shape.numel() * elem));
+      ct.parts.push_back(tensor_from_bytes(dtype, std::move(shape), bytes));
       continue;
     }
     if (dtype != DType::I32) malformed("coded part is not i32");
@@ -257,13 +286,12 @@ CompressedTensor deserialize(const Tensor& blob) {
     if (shape.numel() > static_cast<int64_t>(coded_len) * 8) {
       malformed("coded part holds fewer bits than indices");
     }
-    Tensor enc(DType::U8, Shape{{static_cast<int64_t>(coded_len)}});
-    r.get_bytes(enc.bytes());
-    Tensor t(dtype, std::move(shape));
-    const std::vector<int32_t> idx = rice_decode_indices(enc, t.numel());
-    std::copy(idx.begin(), idx.end(), t.i32().begin());
+    Tensor enc = tensor_from_bytes(
+        DType::U8, Shape{{static_cast<int64_t>(coded_len)}}, r.take(coded_len));
+    const std::vector<int32_t> idx = rice_decode_indices(enc, shape.numel());
     ct.coded_indices[static_cast<size_t>(slot)] = std::move(enc);
-    ct.parts.push_back(std::move(t));
+    ct.parts.push_back(tensor_from_bytes(dtype, std::move(shape),
+                                         std::as_bytes(std::span(idx))));
   }
   // The original tensor's shape is not stored here, only bounded so that
   // its element count (times any dtype size) cannot overflow.

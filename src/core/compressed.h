@@ -49,6 +49,18 @@ void apply_wire_codec(CompressedTensor& ct, WireCodec codec);
 // damaged payload is detected and retransmitted (docs/RESILIENCE.md)
 // instead of silently aggregated. The trailer is physical framing only —
 // ctx.wire_bits, the logical wire size, is unchanged by it.
+//
+// Frame layout, fields in host byte order (little-endian on every
+// supported host), in this order:
+//   u8 ctx.wire_codec; u32 count + i32 each of ctx.index_parts;
+//   u32 part count; per part: u8 dtype, u32 rank, i64 each dim, then the
+//     raw bytes, or (a coded part) a u32 byte length and the coded payload;
+//   u32 rank + i64 each dim of ctx.shape; u32 count + f32 each scalar;
+//   u32 count + i64 each of ctx.ints; u64 wire_bits; u64 raw_wire_bits;
+//   the u32 CRC32 trailer.
+// serialize sizes the frame first and writes each byte once into the
+// blob's own storage; deserialize builds each part straight from the
+// frame's bytes.
 Tensor serialize(const CompressedTensor& ct);
 CompressedTensor deserialize(const Tensor& blob);
 

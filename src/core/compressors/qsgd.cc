@@ -24,18 +24,7 @@ class Qsgd final : public Compressor {
     const auto n = static_cast<int64_t>(x.size());
     Tensor codes(DType::U8, Shape{{n}});
     Tensor signs(DType::U8, Shape{{(n + 7) / 8}});
-    auto c = codes.u8();
-    const auto fs = static_cast<float>(s_);
-    // Branch-free: the round-up adds the comparison, and the sign plane
-    // is packed in one vector pass. Exactly one uniform draw per element,
-    // in element order.
-    for (size_t i = 0; i < x.size(); ++i) {
-      const float ratio = norm > 0.0f ? std::fabs(x[i]) / norm : 0.0f;
-      auto level = static_cast<int>(ratio * fs);
-      const float p = ratio * fs - static_cast<float>(level);
-      level += static_cast<int>(rng.uniform() < p);
-      c[i] = static_cast<uint8_t>(std::min(level, s_));
-    }
+    encode_levels(x.data(), codes.u8().data(), n, norm, rng);
     util::simd::pack_sign_bits(x.data(), signs.u8().data(), n);
     CompressedTensor ct;
     ct.parts = {std::move(codes), std::move(signs)};
@@ -75,6 +64,31 @@ class Qsgd final : public Compressor {
     wire_part(ct, 1, DType::U8, (n + 7) / 8, "qsgd");
     if (ct.ctx.scalars.size() != 1) {
       throw std::runtime_error("qsgd: payload needs exactly one norm");
+    }
+  }
+
+  // Levels in blocks of kQsgdDrawBlock. A sequential pass draws the
+  // block's uniforms in element order, exactly one per element whatever
+  // the input; a branch-free pass the compiler vectorizes then rounds up
+  // where double(u) < double(p), with |x| / norm kept a division.
+  void encode_levels(const float* x, uint8_t* c, int64_t n, float norm,
+                     Rng& rng) const {
+    const auto fs = static_cast<float>(s_);
+    double u[kQsgdDrawBlock];
+    for (int64_t b = 0; b < n; b += kQsgdDrawBlock) {
+      const int64_t m = std::min(kQsgdDrawBlock, n - b);
+      for (int64_t j = 0; j < m; ++j) u[j] = rng.uniform();
+      if (!(norm > 0.0f)) {  // a zero (or NaN) norm puts every level at 0
+        std::fill_n(c + b, m, uint8_t{0});
+        continue;
+      }
+      for (int64_t j = 0; j < m; ++j) {
+        const float scaled = std::fabs(x[b + j]) / norm * fs;
+        const int level = static_cast<int>(scaled);
+        const float p = scaled - static_cast<float>(level);
+        const int up = u[j] < static_cast<double>(p);
+        c[b + j] = static_cast<uint8_t>(std::min(level + up, s_));
+      }
     }
   }
 

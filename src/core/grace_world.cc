@@ -164,9 +164,14 @@ ExchangeHandle GraceWorker::submit_impl(const Tensor& grad,
 
   // Lines 5-6: g~ = Q(phi(m, g)); m = psi(...). submit_raw skips both
   // memory touches: the payload is Q(g) and the residual stays untouched.
+  // With error feedback off, compress reads the gradient itself: phi is
+  // the identity, and NoMemory::compensate would only copy it.
   const double t0 = sp ? now_seconds() : 0.0;
-  Tensor compensated = use_memory ? memory_->compensate(grad, name) : grad;
-  h.payload = q.compress(compensated, name, rng_);
+  const bool feedback = use_memory && memory_->enabled();
+  Tensor compensated;
+  if (feedback) compensated = memory_->compensate(grad, name);
+  const Tensor& input = feedback ? compensated : grad;
+  h.payload = q.compress(input, name, rng_);
   // Lossless wire stage, inside the timed region: the coding cost lands in
   // compress_seconds and the coded size in wire_bytes, so the scheduler's
   // codec-rate pipeline and the NetworkModel both see the real trade.
@@ -174,7 +179,7 @@ ExchangeHandle GraceWorker::submit_impl(const Tensor& grad,
     apply_wire_codec(h.payload, wire_codec_);
   }
   Tensor reconstruction;  // Q^-1(Q(phi)); only materialized when needed
-  if (use_memory && memory_->enabled()) {
+  if (feedback) {
     reconstruction = q.decompress(h.payload);
     memory_->update(name, compensated, reconstruction);
   }
@@ -185,7 +190,7 @@ ExchangeHandle GraceWorker::submit_impl(const Tensor& grad,
   if (probe_) {
     // Outside the timed region: probing must not inflate compress_seconds.
     if (reconstruction.empty()) reconstruction = q.decompress(h.payload);
-    probe_fidelity(name, compensated, h.payload, reconstruction);
+    probe_fidelity(name, input, h.payload, reconstruction);
   }
   return h;
 }

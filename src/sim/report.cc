@@ -64,7 +64,8 @@ struct Rule {
 // for machine-to-machine noise, still two orders of magnitude tighter than
 // an injected 1000x compression_time_scale slowdown. The fault.* rows take
 // their tier from faults::kFaultFields (counts Exact, seconds Rel 1e-6).
-// Metrics not listed here diff as notes.
+// Metrics not listed here diff as notes. A metric with a non-note rule
+// must be in the baseline: one the current report adds fails the diff.
 constexpr Rule kRules[] = {
     {"parameters_crc32", RuleKind::Exact, 0.0},
     {"replicas_in_sync", RuleKind::Exact, 0.0},
@@ -586,12 +587,22 @@ ReportDiff diff_reports(const std::string& baseline_json,
     }
     diff.deltas.push_back(std::move(d));
   }
+  // A gated metric the baseline lacks fails: otherwise a row nobody
+  // recorded would pass every run, whatever its value.
   for (const ReportMetric& c : cur.metrics) {
     bool known = false;
     for (const ReportMetric& b : base.metrics) {
       if (b.name == c.name) { known = true; break; }
     }
-    if (!known) diff.notes.push_back("new metric (not in baseline): " + c.name);
+    if (known) continue;
+    const Rule* rule = find_rule(c.name);
+    if (rule != nullptr && rule->kind != RuleKind::Note) {
+      diff.pass = false;
+      diff.failures.push_back("metric missing from baseline: " + c.name +
+                              " (rule " + rule_label(rule) + ")");
+    } else {
+      diff.notes.push_back("new metric (not in baseline): " + c.name);
+    }
   }
 
   // Flag-set changes are advisory: the detectors that matter numerically

@@ -20,9 +20,10 @@
 //     counters), tight relative tolerance for deterministic simulated
 //     times, loose tolerance for measured codec timings (robust to machine
 //     noise, still fails on order-of-magnitude slowdowns). Metrics present
-//     in the baseline but missing from the current report fail the diff;
-//     unknown new metrics are notes. bench_report --ci turns the verdict
-//     into a CI exit code.
+//     in the baseline but missing from the current report fail the diff,
+//     and so does a current metric with a non-note rule that the baseline
+//     lacks; unknown new metrics are notes. bench_report --ci turns the
+//     verdict into a CI exit code.
 #pragma once
 
 #include <string>
@@ -91,8 +92,9 @@ struct ReportDiff {
 };
 
 // Compares two run_report_json documents. Verdict rules: a baseline
-// metric missing from `current_json` fails; each known metric applies its
-// comparison rule; flag-set changes and unknown metrics become notes.
+// metric missing from `current_json` fails, as does a current metric with
+// a non-note rule missing from `baseline_json`; each known metric applies
+// its comparison rule; flag-set changes and unknown metrics become notes.
 ReportDiff diff_reports(const std::string& baseline_json,
                         const std::string& current_json);
 std::string report_diff_text(const ReportDiff& diff);

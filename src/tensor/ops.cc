@@ -1,10 +1,11 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "runtime/thread_pool.h"
 #include "util/simd.h"
@@ -21,6 +22,18 @@ constexpr int64_t kElemGrain = 4096;
 constexpr int64_t kReduceGrain = 8192;
 
 int64_t ssize(std::span<const float> x) { return static_cast<int64_t>(x.size()); }
+
+// Out of line, so each binary kernel's check stays one compare.
+[[noreturn]] void size_mismatch(const char* op, size_t dst, size_t src) {
+  throw std::invalid_argument(std::string("ops::") + op + ": destination has " +
+                              std::to_string(dst) + " elements, source " +
+                              std::to_string(src));
+}
+
+void check_sizes(const char* op, std::span<const float> y,
+                 std::span<const float> x) {
+  if (y.size() != x.size()) size_mismatch(op, y.size(), x.size());
+}
 
 // Ordered chunked double-precision reduction of fn over [0, n). The chunk
 // partials are combined in ascending chunk order, which fixes the
@@ -48,11 +61,10 @@ void scale(std::span<float> x, float a) {
   });
 }
 
-// The binary kernels iterate over the destination length (as the serial
-// seed kernels did): the asserted contract is equal sizes, but iterating
-// over y keeps a caller that violates it from scribbling past y.
+// The binary kernels need equal sizes and throw std::invalid_argument in
+// every build otherwise, before touching either span.
 void add(std::span<float> y, std::span<const float> x) {
-  assert(y.size() == x.size());
+  check_sizes("add", y, x);
   float* yp = y.data();
   const float* xp = x.data();
   runtime::parallel_for(ssize(y), kElemGrain, [&](int64_t b, int64_t e) {
@@ -61,7 +73,7 @@ void add(std::span<float> y, std::span<const float> x) {
 }
 
 void sub(std::span<float> y, std::span<const float> x) {
-  assert(y.size() == x.size());
+  check_sizes("sub", y, x);
   float* yp = y.data();
   const float* xp = x.data();
   runtime::parallel_for(ssize(y), kElemGrain, [&](int64_t b, int64_t e) {
@@ -70,7 +82,7 @@ void sub(std::span<float> y, std::span<const float> x) {
 }
 
 void axpy(std::span<float> y, float a, std::span<const float> x) {
-  assert(y.size() == x.size());
+  check_sizes("axpy", y, x);
   float* yp = y.data();
   const float* xp = x.data();
   runtime::parallel_for(ssize(y), kElemGrain, [&](int64_t b, int64_t e) {
@@ -79,16 +91,16 @@ void axpy(std::span<float> y, float a, std::span<const float> x) {
 }
 
 void copy(std::span<float> dst, std::span<const float> src) {
-  assert(dst.size() == src.size());
+  check_sizes("copy", dst, src);
   float* dp = dst.data();
   const float* sp = src.data();
-  runtime::parallel_for(ssize(src), kElemGrain, [&](int64_t b, int64_t e) {
+  runtime::parallel_for(ssize(dst), kElemGrain, [&](int64_t b, int64_t e) {
     std::copy(sp + b, sp + e, dp + b);
   });
 }
 
 void hadamard(std::span<float> y, std::span<const float> x) {
-  assert(y.size() == x.size());
+  check_sizes("hadamard", y, x);
   float* yp = y.data();
   const float* xp = x.data();
   runtime::parallel_for(ssize(y), kElemGrain, [&](int64_t b, int64_t e) {

@@ -9,6 +9,8 @@
 namespace grace::ops {
 
 void fill(std::span<float> x, float v);
+// The binary kernels throw std::invalid_argument, in every build, when the
+// two spans differ in size.
 void scale(std::span<float> x, float a);                       // x *= a
 void add(std::span<float> y, std::span<const float> x);        // y += x
 void sub(std::span<float> y, std::span<const float> x);        // y -= x

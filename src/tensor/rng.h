@@ -13,10 +13,22 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  uint64_t next_u64();
+  // Inline: codecs draw once per element, and an out-of-line call per draw
+  // cost more than the draw itself.
+  uint64_t next_u64() {
+    const uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  // Uniform in [0, 1).
-  double uniform();
+  // Uniform in [0, 1): the top 53 bits of one next_u64().
+  double uniform() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
   // Uniform in [lo, hi).
   double uniform(double lo, double hi);
   // Uniform integer in [0, n). n must be > 0.
@@ -42,6 +54,8 @@ class Rng {
   }
 
  private:
+  static uint64_t rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t s_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

@@ -6,6 +6,15 @@
 
 namespace grace {
 
+Tensor::Tensor(DType dtype, Shape shape, std::vector<std::byte> storage)
+    : dtype_(dtype), shape_(std::move(shape)), data_(std::move(storage)) {
+  const auto want = static_cast<size_t>(shape_.numel()) * dtype_size(dtype_);
+  if (data_.size() != want) {
+    fail("storage bytes", static_cast<int64_t>(want),
+         static_cast<int64_t>(data_.size()));
+  }
+}
+
 Tensor Tensor::from(std::span<const float> values, Shape shape) {
   assert(static_cast<int64_t>(values.size()) == shape.numel());
   Tensor t(DType::F32, std::move(shape));

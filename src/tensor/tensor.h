@@ -24,6 +24,9 @@ class Tensor {
       : dtype_(dtype),
         shape_(std::move(shape)),
         data_(static_cast<size_t>(shape_.numel()) * dtype_size(dtype)) {}
+  // Adopts `storage` as the tensor's bytes, with no zero fill and no copy.
+  // Its size must be numel * dtype size (std::runtime_error).
+  Tensor(DType dtype, Shape shape, std::vector<std::byte> storage);
 
   static Tensor zeros(Shape shape) { return Tensor(DType::F32, std::move(shape)); }
   static Tensor zeros_like(const Tensor& t) { return Tensor(t.dtype(), t.shape()); }

@@ -1,9 +1,15 @@
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven
-// (slicing-by-8 on little-endian hosts, one byte per step elsewhere) and
-// header-only so every layer — comm, core, faults — can share one frame
-// convention without a dependency cycle. CRC-32 detects every single-bit
-// error and every burst error up to 32 bits, which is exactly the integrity
-// guarantee the fault-injection subsystem exercises (docs/RESILIENCE.md).
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), shared by every
+// layer — comm, core, faults — as one frame convention. CRC-32 detects
+// every single-bit error and every burst error up to 32 bits, which is
+// exactly the integrity guarantee the fault-injection subsystem exercises
+// (docs/RESILIENCE.md).
+//
+// Two paths give the same value. At util::simd's Avx2 level, on a CPU with
+// PCLMULQDQ, inputs of 64 bytes or more fold with carry-less multiplies
+// (simd::crc32_update; Gopal et al., Intel, 2009). Tails, shorter inputs,
+// the Scalar level and builds without those instructions (e.g.
+// -DGRACE_NATIVE=OFF) run the table-driven slicing-by-8 below (one byte
+// per step on big-endian hosts).
 //
 // Frame convention (core::serialize / faults::FaultInjector): the last
 // 4 bytes of a framed blob are the little-endian CRC-32 of every byte
@@ -15,6 +21,8 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+
+#include "util/simd.h"
 
 namespace grace::util {
 
@@ -42,13 +50,10 @@ constexpr std::array<std::array<uint32_t, 256>, 8> make_crc32_tables() {
 
 inline constexpr auto kCrc32Tables = make_crc32_tables();
 
-}  // namespace detail
-
-// CRC of `data`; pass a previous result as `seed` to checksum a stream in
-// chunks (crc32(b, crc32(a)) == crc32(ab)).
-inline uint32_t crc32(std::span<const std::byte> data, uint32_t seed = 0) {
-  const auto& t = detail::kCrc32Tables;
-  uint32_t c = ~seed;
+// Slicing-by-8 from the register state `c` (the complemented CRC);
+// returns the state after `data`.
+inline uint32_t crc32_sliced(std::span<const std::byte> data, uint32_t c) {
+  const auto& t = kCrc32Tables;
   size_t i = 0;
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
   // Two little-endian words put input byte j at bits [8j, 8j + 8), the
@@ -66,7 +71,16 @@ inline uint32_t crc32(std::span<const std::byte> data, uint32_t seed = 0) {
   for (; i < data.size(); ++i) {
     c = t[0][(c ^ static_cast<uint32_t>(data[i])) & 0xFFu] ^ (c >> 8);
   }
-  return ~c;
+  return c;
+}
+
+}  // namespace detail
+
+// CRC of `data`; pass a previous result as `seed` to checksum a stream in
+// chunks (crc32(b, crc32(a)) == crc32(ab)).
+inline uint32_t crc32(std::span<const std::byte> data, uint32_t seed = 0) {
+  return ~simd::crc32_update(data.data(), static_cast<int64_t>(data.size()),
+                             ~seed);
 }
 
 inline constexpr size_t kFrameCrcBytes = 4;

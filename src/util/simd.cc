@@ -7,12 +7,18 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/crc32.h"
+
 // Compile-time ISA availability. The build uses -march=native by default
 // (GRACE_NATIVE), so this mirrors the build host; a generic build keeps
 // only the scalar reference and detected_level() reports Scalar.
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__AVX2__)
 #define GRACE_SIMD_AVX2 1
 #include <immintrin.h>
+// The CRC fold also needs PCLMULQDQ, which cpuid reports on its own.
+#ifdef __PCLMUL__
+#define GRACE_SIMD_CLMUL 1
+#endif
 #endif
 
 namespace grace::util::simd {
@@ -24,6 +30,12 @@ std::atomic<int> g_override{-1};
 
 #ifdef GRACE_SIMD_AVX2
 bool avx2() { return active_level() == Level::Avx2; }
+#endif
+#ifdef GRACE_SIMD_CLMUL
+bool clmul() {
+  static const bool supported = __builtin_cpu_supports("pclmul");
+  return supported && avx2();
+}
 #endif
 
 // ---------------------------------------------------------- scalar kernels
@@ -369,6 +381,59 @@ int64_t threshold_avx2(const float* x, int64_t lo, int64_t hi, float threshold,
 
 #endif  // GRACE_SIMD_AVX2
 
+#ifdef GRACE_SIMD_CLMUL
+
+// CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC Computation
+// for Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009), in
+// the bit-reflected domain of 0xEDB88320. Four 128-bit lanes fold 64
+// bytes per step, fold into one lane, then take 16 bytes per step; the
+// last lane reduces to 32 bits by one more fold and a Barrett step. n is
+// a multiple of 16 and at least 64; every load stays inside [data,
+// data + n). Takes and returns the register state (the complemented CRC),
+// as detail::crc32_sliced does.
+uint32_t crc32_clmul(const std::byte* data, int64_t n, uint32_t state) {
+  // Constants from the paper's appendix: x^(k) mod P(x), bit-reflected and
+  // shifted left by one, and the Barrett pair (P', mu').
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+  const auto load = [&](int64_t at) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + at));
+  };
+  // a * x^k + b, with k's pair of constants in `k`.
+  const auto fold = [](__m128i a, __m128i k, __m128i b) {
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(a, k, 0x00),
+                                       _mm_clmulepi64_si128(a, k, 0x11)),
+                         b);
+  };
+
+  __m128i x1 = _mm_xor_si128(load(0), _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i x2 = load(16), x3 = load(32), x4 = load(48);
+  int64_t at = 64;
+  for (; at + 64 <= n; at += 64) {
+    x1 = fold(x1, k1k2, load(at));
+    x2 = fold(x2, k1k2, load(at + 16));
+    x3 = fold(x3, k1k2, load(at + 32));
+    x4 = fold(x4, k1k2, load(at + 48));
+  }
+  x1 = fold(x1, k3k4, x2);
+  x1 = fold(x1, k3k4, x3);
+  x1 = fold(x1, k3k4, x4);
+  for (; at + 16 <= n; at += 16) x1 = fold(x1, k3k4, load(at));
+
+  // 128 -> 64 bits, then 64 -> 32 by Barrett reduction.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+  return static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+
+#endif  // GRACE_SIMD_CLMUL
+
 }  // namespace
 
 // ----------------------------------------------------------- dispatch API
@@ -523,6 +588,18 @@ int64_t threshold_select(const float* x, int64_t lo, int64_t hi,
   if (avx2()) return threshold_avx2(x, lo, hi, threshold, out);
 #endif
   return threshold_scalar(x, lo, hi, threshold, out);
+}
+
+uint32_t crc32_update(const std::byte* data, int64_t n, uint32_t state) {
+#ifdef GRACE_SIMD_CLMUL
+  if (n >= 64 && clmul()) {
+    const int64_t folded = n & ~int64_t{15};
+    state = crc32_clmul(data, folded, state);
+    data += folded;
+    n -= folded;
+  }
+#endif
+  return util::detail::crc32_sliced({data, static_cast<size_t>(n)}, state);
 }
 
 }  // namespace grace::util::simd

@@ -1,7 +1,8 @@
 // Runtime-dispatched SIMD kernels for the codec hot paths (CGX-style
 // hand-vectorized quantization, arXiv:2111.08617): quantize/dequantize,
 // QSGD's signed dequantize (write or accumulate), k-bit code packing,
-// sign packing, sparsify gather and the threshold scan. One scalar
+// sign packing, sparsify gather, the threshold scan and the frame CRC's
+// carry-less-multiply fold. One scalar
 // reference implementation per kernel plus an AVX2 variant chosen once at
 // runtime.
 //
@@ -20,6 +21,7 @@
 // kilobytes at a time) so the check is amortized.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace grace::util::simd {
@@ -95,5 +97,12 @@ void gather_f32(const float* x, const int32_t* indices, float* out, int64_t n);
 // order; returns how many were written. out must have room for hi - lo.
 int64_t threshold_select(const float* x, int64_t lo, int64_t hi,
                          float threshold, int32_t* out);
+
+// util::crc32's register update: the state (the complemented CRC) after
+// absorbing data[0, n). At Avx2 on a CPU with PCLMULQDQ, whole 16-byte
+// blocks of an input of at least 64 bytes fold by carry-less
+// multiplication; the tail, shorter inputs and the Scalar level run
+// slicing-by-8 (util::detail::crc32_sliced). Both give the same CRC.
+uint32_t crc32_update(const std::byte* data, int64_t n, uint32_t state);
 
 }  // namespace grace::util::simd

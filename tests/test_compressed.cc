@@ -1,7 +1,14 @@
 // CompressedTensor serialization and Context equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/compressed.h"
+#include "core/registry.h"
 #include "util/crc32.h"
 
 namespace grace::core {
@@ -36,6 +43,108 @@ TEST(Compressed, SerializeRoundTrip) {
   EXPECT_EQ(back.parts[2].dtype(), DType::U8);
   EXPECT_EQ(back.parts[2].u8()[4], 200);
   EXPECT_EQ(back.ctx, ct.ctx);
+}
+
+// The frame layout compressed.h documents, appended field by field.
+class ReferenceFrame {
+ public:
+  explicit ReferenceFrame(const CompressedTensor& ct) {
+    put<uint8_t>(static_cast<uint8_t>(ct.ctx.wire_codec));
+    put<uint32_t>(static_cast<uint32_t>(ct.ctx.index_parts.size()));
+    for (int32_t pi : ct.ctx.index_parts) put<int32_t>(pi);
+    put<uint32_t>(static_cast<uint32_t>(ct.parts.size()));
+    for (size_t j = 0; j < ct.parts.size(); ++j) {
+      const Tensor& part = ct.parts[j];
+      put<uint8_t>(static_cast<uint8_t>(part.dtype()));
+      put_shape(part.shape());
+      const auto& tags = ct.ctx.index_parts;
+      const auto slot = std::find(tags.begin(), tags.end(), static_cast<int32_t>(j));
+      if (ct.ctx.wire_codec == WireCodec::None || slot == tags.end()) {
+        put_bytes(part.bytes());
+        continue;
+      }
+      const Tensor& coded = ct.coded_indices.at(static_cast<size_t>(slot - tags.begin()));
+      put<uint32_t>(static_cast<uint32_t>(coded.size_bytes()));
+      put_bytes(coded.bytes());
+    }
+    put_shape(ct.ctx.shape);
+    put<uint32_t>(static_cast<uint32_t>(ct.ctx.scalars.size()));
+    for (float v : ct.ctx.scalars) put<float>(v);
+    put<uint32_t>(static_cast<uint32_t>(ct.ctx.ints.size()));
+    for (int64_t v : ct.ctx.ints) put<int64_t>(v);
+    put<uint64_t>(ct.ctx.wire_bits);
+    put<uint64_t>(ct.ctx.raw_wire_bits);
+    const uint32_t crc = util::crc32(bytes);
+    for (int i = 0; i < 4; ++i) put<uint8_t>(static_cast<uint8_t>(crc >> (8 * i)));
+  }
+
+  std::vector<std::byte> bytes;
+
+ private:
+  template <typename T>
+  void put(T v) {
+    std::byte raw[sizeof(T)];
+    std::memcpy(raw, &v, sizeof(T));
+    bytes.insert(bytes.end(), raw, raw + sizeof(T));
+  }
+  void put_bytes(std::span<const std::byte> b) {
+    bytes.insert(bytes.end(), b.begin(), b.end());
+  }
+  void put_shape(const Shape& s) {
+    put<uint32_t>(static_cast<uint32_t>(s.rank()));
+    for (int64_t d : s.dims()) put<int64_t>(d);
+  }
+};
+
+bool same_bytes(std::span<const std::byte> a, std::span<const std::byte> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+TEST(Compressed, FrameMatchesTheDocumentedLayoutAndRoundTrips) {
+  // serialize sizes the frame first and writes it once into the blob's
+  // storage; the bytes must be the documented fields in order. One frame
+  // per compressor spec, plus a Rice-coded topk frame.
+  Rng rng(3);
+  Tensor grad(DType::F32, Shape({40, 12}));
+  rng.fill_normal(grad.f32(), 0.0f, 1.0f);
+  std::vector<std::string> roster = registered_names();
+  for (const auto& name : extension_names()) roster.push_back(name);
+  std::vector<std::pair<std::string, CompressedTensor>> payloads;
+  for (const std::string& spec : roster) {
+    payloads.emplace_back(spec, make_compressor(spec)->compress(grad, "g", rng));
+  }
+  CompressedTensor coded = make_compressor("topk(0.25)")->compress(grad, "g", rng);
+  apply_wire_codec(coded, WireCodec::Rice);
+  ASSERT_EQ(coded.ctx.wire_codec, WireCodec::Rice);
+  payloads.emplace_back("coded topk", std::move(coded));
+
+  for (const auto& [name, ct] : payloads) {
+    SCOPED_TRACE(name);
+    const Tensor blob = serialize(ct);
+    ASSERT_EQ(blob.dtype(), DType::U8);
+    EXPECT_TRUE(same_bytes(blob.bytes(), ReferenceFrame(ct).bytes));
+
+    const CompressedTensor back = deserialize(blob);
+    ASSERT_EQ(back.parts.size(), ct.parts.size());
+    for (size_t j = 0; j < ct.parts.size(); ++j) {
+      EXPECT_EQ(back.parts[j].dtype(), ct.parts[j].dtype()) << "part " << j;
+      EXPECT_EQ(back.parts[j].shape(), ct.parts[j].shape()) << "part " << j;
+      EXPECT_TRUE(same_bytes(back.parts[j].bytes(), ct.parts[j].bytes()))
+          << "part " << j;
+    }
+    ASSERT_EQ(back.coded_indices.size(), ct.coded_indices.size());
+    for (size_t j = 0; j < ct.coded_indices.size(); ++j) {
+      EXPECT_TRUE(same_bytes(back.coded_indices[j].bytes(),
+                             ct.coded_indices[j].bytes()));
+    }
+    EXPECT_EQ(back.ctx, ct.ctx);
+    // The round-tripped payload serializes to the same frame.
+    EXPECT_TRUE(same_bytes(serialize(back).bytes(), blob.bytes()));
+  }
+}
+
+TEST(Compressed, NonU8BlobThrows) {
+  EXPECT_THROW(deserialize(Tensor::zeros(Shape{{16}})), std::runtime_error);
 }
 
 TEST(Compressed, EmptyParts) {

@@ -50,8 +50,9 @@ TEST(Qsgd, Unbiased) {
 
 // QSGD's codec as first written: a Bernoulli draw and a branch per
 // round-up, a branch per sign bit, and a division per decoded element.
-// The branch-free encode and the SIMD decode must reproduce it byte for
-// byte and leave the RNG in the same state.
+// The block encode (a block's draws first, then a vectorized level pass)
+// and the SIMD decode must reproduce it byte for byte and leave the RNG in
+// the same state.
 struct QsgdReference {
   std::vector<uint8_t> codes, signs;
   float norm = 0.0f;
@@ -93,8 +94,17 @@ TEST(Qsgd, CodecMatchesReferenceLoop) {
     signed_zeros.f32()[i] = i % 2 ? -0.0f : 0.0f;
   }
   Tensor all_negative_zero = Tensor::full(Shape{{9}}, -0.0f);
-  const std::vector<Tensor> inputs = {random_grad(6, 1021), zeros,
-                                      signed_zeros, all_negative_zero};
+  // compress draws and encodes in blocks of kQsgdDrawBlock: sizes on and
+  // around one block and a partial block after several, plus one past
+  // l2_norm's reduce grain (8192), so the norm sums several chunks.
+  constexpr int64_t kBlock = compressors::kQsgdDrawBlock;
+  std::vector<Tensor> inputs = {random_grad(6, 1021), zeros, signed_zeros,
+                                all_negative_zero};
+  for (int64_t n : {kBlock - 1, kBlock, kBlock + 1, 3 * kBlock + 5,
+                    int64_t{8192} * 2 + 37}) {
+    inputs.push_back(random_grad(static_cast<uint64_t>(60 + n), n));
+  }
+  inputs.push_back(Tensor::zeros(Shape{{kBlock + 3}}));
   struct LevelReset {
     ~LevelReset() { util::simd::clear_level_for_testing(); }
   } reset;

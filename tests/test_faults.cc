@@ -20,6 +20,7 @@
 #include "sim/metric_registry.h"
 #include "tensor/rng.h"
 #include "util/crc32.h"
+#include "util/simd.h"
 
 namespace grace {
 namespace {
@@ -44,7 +45,7 @@ TEST(Crc32, ChainedEqualsWhole) {
 }
 
 // The byte-at-a-time loop, one table lookup per byte (util::crc32 before
-// slicing-by-8): the oracle the sliced CRC must reproduce.
+// slicing-by-8): the oracle both CRC paths must reproduce.
 uint32_t crc32_byte_loop(std::span<const std::byte> data, uint32_t seed) {
   const auto& table = util::detail::kCrc32Tables[0];
   uint32_t c = ~seed;
@@ -55,23 +56,47 @@ uint32_t crc32_byte_loop(std::span<const std::byte> data, uint32_t seed) {
 }
 
 TEST(Crc32, SlicedEqualsByteLoop) {
-  // Every length 0..100 at every offset 0..7 covers the 8-byte steps, the
-  // byte tail and unaligned starts; the seeds cover chaining.
-  std::vector<std::byte> buf(108);
+  // At the Scalar level (slicing-by-8 alone) and the detected one (the
+  // carry-less-multiply fold from 64 bytes on): every length 0..300 at
+  // every offset 0..15 covers the 8-byte steps, the 16- and 64-byte folds,
+  // their tails and unaligned starts; three long inputs cover many folds.
+  // The seeds cover chaining, and so do splits at len / 3 and at every
+  // 64-byte boundary.
+  constexpr size_t kLong[] = {65535, 65536, 300001};
+  std::vector<std::byte> buf(kLong[2] + 16);
   Rng rng(31);
   for (auto& b : buf) b = static_cast<std::byte>(rng.uniform_int(256));
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t len = 0; len <= 100; ++len) {
-      const std::span<const std::byte> data(buf.data() + offset, len);
-      for (uint32_t seed : {0u, 0xFFFFFFFFu, 0x12345678u}) {
-        ASSERT_EQ(util::crc32(data, seed), crc32_byte_loop(data, seed))
-            << "offset=" << offset << " len=" << len << " seed=" << seed;
-      }
-      const size_t split = len / 3;
-      EXPECT_EQ(util::crc32(data.subspan(split),
+  struct LevelReset {
+    ~LevelReset() { util::simd::clear_level_for_testing(); }
+  } reset;
+  const auto check = [&](size_t offset, size_t len) {
+    const std::span<const std::byte> data(buf.data() + offset, len);
+    for (uint32_t seed : {0u, 0xFFFFFFFFu, 0x12345678u}) {
+      ASSERT_EQ(util::crc32(data, seed), crc32_byte_loop(data, seed))
+          << "offset=" << offset << " len=" << len << " seed=" << seed;
+    }
+    const uint32_t whole = crc32_byte_loop(data, 0);
+    std::vector<size_t> splits = {len / 3};
+    for (size_t at = 64; at < len; at += len > 300 ? 64 * 997 : 64) {
+      splits.push_back(at);
+    }
+    for (size_t split : splits) {
+      ASSERT_EQ(util::crc32(data.subspan(split),
                             util::crc32(data.first(split))),
-                crc32_byte_loop(data, 0))
-          << "offset=" << offset << " len=" << len;
+                whole)
+          << "offset=" << offset << " len=" << len << " split=" << split;
+    }
+  };
+  for (util::simd::Level level :
+       {util::simd::Level::Scalar, util::simd::detected_level()}) {
+    SCOPED_TRACE(util::simd::level_name(level));
+    util::simd::set_level_for_testing(level);
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t len = 0; len <= 300; ++len) check(offset, len);
+    }
+    for (size_t len : kLong) {
+      check(0, len);
+      check(7, len);
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 
 #include "tensor/ops.h"
 #include "tensor/rng.h"
@@ -32,6 +33,25 @@ TEST(Ops, Hadamard) {
   auto y = v({2, 3, 4});
   ops::hadamard(y, v({1, -2, 0}));
   EXPECT_EQ(y, v({2, -6, 0}));
+}
+
+TEST(Ops, MismatchedSizesThrow) {
+  // Checked in every build, before either span is touched: a longer source
+  // must not write past the destination, a shorter one must not be read
+  // past its end.
+  auto y = v({1, 2, 3, 4});
+  const auto before = y;
+  const auto longer = v({1, 2, 3, 4, 5, 6});
+  const auto shorter = v({1, 2});
+  for (const auto* x : {&longer, &shorter}) {
+    const std::span<const float> xs(*x);
+    EXPECT_THROW(ops::add(y, xs), std::invalid_argument);
+    EXPECT_THROW(ops::sub(y, xs), std::invalid_argument);
+    EXPECT_THROW(ops::axpy(y, 2.0f, xs), std::invalid_argument);
+    EXPECT_THROW(ops::copy(y, xs), std::invalid_argument);
+    EXPECT_THROW(ops::hadamard(y, xs), std::invalid_argument);
+  }
+  EXPECT_EQ(y, before);
 }
 
 TEST(Ops, Sum) { EXPECT_FLOAT_EQ(ops::sum(v({1, 2, 3})), 6.0f); }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -258,10 +259,69 @@ TEST(RunReport, VanishedBaselineMetricFailsUnknownMetricIsANote) {
   }
   EXPECT_TRUE(unknown_noted);
 
-  // The reverse direction only gains a metric: that is a note, not a
-  // regression.
+  // The reverse direction loses comm_messagesX and gains comm_messages, an
+  // exact-rule row its baseline lacks: both fail.
   const ReportDiff gained = diff_reports(renamed, json);
-  EXPECT_FALSE(gained.pass);  // comm_messagesX vanished in this direction
+  EXPECT_FALSE(gained.pass);
+  bool gained_reported = false;
+  for (const std::string& f : gained.failures) {
+    gained_reported = gained_reported ||
+                      f.find("missing from baseline: comm_messages ") !=
+                          std::string::npos;
+  }
+  EXPECT_TRUE(gained_reported);
+}
+
+// The cell's line with metric row `name` cut out of its "metrics" object
+// (other objects of the line reuse some names).
+std::string without_row(const std::string& line, const std::string& name) {
+  const size_t open = line.find("\"metrics\":{");
+  const size_t close = line.find('}', open);
+  const size_t at = line.find("\"" + name + "\":", open);
+  if (open == std::string::npos || at == std::string::npos || at > close) {
+    return line;
+  }
+  const size_t end = line.find_first_of(",}", at);
+  return line[end] == ','
+             ? line.substr(0, at) + line.substr(end + 1)
+             : line.substr(0, at - 1) + line.substr(end);  // drop the comma before
+}
+
+TEST(RunReport, DeletingAnyGatedBaselineRowFailsTheGate) {
+  // bench_report_check and bench_resilience_check diff each cell of their
+  // committed baseline against a fresh run. Here the committed cell itself
+  // stands in for the fresh run: cut any one row with a non-note rule out
+  // of a copy of the baseline and the diff must fail, since the current
+  // report then carries a gated row the baseline never recorded. Deleting
+  // a note row stays a note. Every fault.* row must be in every cell.
+  for (const char* file :
+       {"BENCH_report.baseline.json", "BENCH_resilience.baseline.json"}) {
+    std::ifstream in(std::string(GRACE_SOURCE_DIR) + "/" + file);
+    ASSERT_TRUE(in) << file;
+    int cells = 0;
+    for (std::string line; std::getline(in, line);) {
+      if (line.find("\"label\":") == std::string::npos) continue;
+      ++cells;
+      SCOPED_TRACE(std::string(file) + ": " + line.substr(0, 40));
+      const ReportDiff self = diff_reports(line, line);
+      ASSERT_TRUE(self.pass) << report_diff_text(self);
+      int gated = 0;
+      for (const MetricDelta& d : self.deltas) {
+        const std::string cut = without_row(line, d.name);
+        ASSERT_NE(cut, line) << d.name;
+        const ReportDiff diff = diff_reports(cut, line);
+        EXPECT_EQ(diff.pass, d.rule == "note") << d.name << " (" << d.rule << ")";
+        gated += d.rule != "note";
+      }
+      EXPECT_GT(gated, 0);
+      for (const faults::FaultField& f : faults::kFaultFields) {
+        EXPECT_NE(line.find("\"fault." + std::string(f.name) + "\":"),
+                  std::string::npos)
+            << f.name;
+      }
+    }
+    EXPECT_GT(cells, 0) << file;
+  }
 }
 
 TEST(RunReport, FlagChangesAreNotesNotFailures) {

@@ -14,6 +14,22 @@ TEST(Rng, DeterministicForSeed) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
+TEST(Rng, StreamMatchesGoldenValues) {
+  // xoshiro256++ seeded by SplitMix64, recorded before next_u64 and
+  // uniform moved inline: every stochastic compressor's draws, and so
+  // every parameters_crc32 pin, rest on this exact stream.
+  const uint64_t golden[] = {
+      0xd0764d4f4476689fULL, 0x519e4174576f3791ULL, 0xfbe07cfb0c24ed8cULL,
+      0xb37d9f600cd835b8ULL, 0xcb231c3874846a73ULL, 0x968d9f004e50de7dULL,
+      0x201718ff221a3556ULL, 0x9ae94e070ed8cb46ULL};
+  Rng rng(42);
+  for (uint64_t want : golden) EXPECT_EQ(rng.next_u64(), want);
+  // uniform() is the top 53 bits of one draw.
+  Rng u(42);
+  EXPECT_EQ(u.uniform(), static_cast<double>(golden[0] >> 11) * 0x1.0p-53);
+  EXPECT_EQ(u.uniform(), 0x1.467905d15dbccp-2);
+}
+
 TEST(Rng, DifferentSeedsDiffer) {
   Rng a(1), b(2);
   int same = 0;
