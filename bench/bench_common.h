@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,6 +21,7 @@
 #include "faults/fault_plan.h"
 #include "sim/report.h"
 #include "sim/tasks.h"
+#include "util/json.h"
 
 namespace grace::bench {
 
@@ -177,27 +180,13 @@ inline bool write_bench_json(const std::string& name, const std::string& text) {
   return true;
 }
 
-// Pulls the line for `label` out of a one-cell-per-line BENCH_*.json;
-// empty when absent.
-inline std::string baseline_line(const std::string& baseline,
-                                 const std::string& label) {
-  const std::string key = "\"label\":\"" + label + "\"";
-  const size_t at = baseline.find(key);
-  if (at == std::string::npos) return {};
-  const size_t begin = baseline.rfind('\n', at);
-  size_t end = baseline.find('\n', at);
-  if (end == std::string::npos) end = baseline.size();
-  return baseline.substr(begin == std::string::npos ? 0 : begin + 1,
-                         end - (begin == std::string::npos ? 0 : begin + 1));
-}
-
 // The run-report regression gate (docs/OBSERVABILITY.md §4) of
 // bench_<name>: writes `rows` — (label, run_report_json) cells — to
-// BENCH_<name>.json, one self-contained cell per line. With a
-// `baseline_path`, it then diffs every cell against the baseline's line of
-// the same label under the sim::diff_reports verdict rules. Returns the
-// process exit code: 1 when the file cannot be written or read, a cell is
-// missing from the baseline, no cell matched, or any cell fails; else 0.
+// BENCH_<name>.json, one cell per line. With a `baseline_path`, it then
+// diffs every cell against the baseline cell of the same label under the
+// sim::diff_reports verdict rules. Returns the process exit code: 1 when
+// a file cannot be written or read, the baseline is not JSON or repeats a
+// label, a cell is missing from either side, or any cell fails; else 0.
 inline int report_gate(
     const std::string& name,
     const std::vector<std::pair<std::string, std::string>>& rows,
@@ -221,33 +210,43 @@ inline int report_gate(
     std::fprintf(stderr, "cannot read baseline '%s'\n", baseline_path);
     return 1;
   }
-  int failures = 0;
-  int matched = 0;
-  for (const auto& [label, current] : rows) {
-    const std::string base = baseline_line(baseline, label);
-    if (base.empty()) {
-      std::fprintf(stderr, "FAIL cell '%s' missing from baseline\n",
-                   label.c_str());
-      ++failures;
-      continue;
+  std::map<std::string, std::string> cells;  // label -> report text
+  try {
+    const util::json::Value doc = util::json::parse(baseline);
+    const util::json::Value& list = doc.at("cells");
+    for (const util::json::Value& cell : list.array()) {
+      const std::string& label = cell.at("label").string();
+      // A cell the matrix no longer produces would silently stop being
+      // gated, and of a repeated label only one cell would be.
+      if (std::none_of(rows.begin(), rows.end(),
+                       [&](const auto& row) { return row.first == label; })) {
+        cell.fail("cell '" + label + "' is not in the matrix");
+      }
+      if (!cells.emplace(label, cell.at("report").text()).second) {
+        cell.fail("repeated label '" + label + "'");
+      }
     }
-    ++matched;
-    const sim::ReportDiff diff = sim::diff_reports(base, current);
+    for (const auto& [label, current] : rows) {
+      if (cells.count(label) == 0) list.fail("no cell '" + label + "'");
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "FAIL baseline '%s': %s\n", baseline_path,
+                 e.what());
+    return 1;
+  }
+  int failures = 0;
+  for (const auto& [label, current] : rows) {
+    const sim::ReportDiff diff = sim::diff_reports(cells.at(label), current);
     std::printf("--- diff %s ---\n%s", label.c_str(),
                 sim::report_diff_text(diff).c_str());
     if (!diff.pass) ++failures;
-  }
-  if (matched == 0) {
-    // A renamed matrix must not silently pass an empty comparison.
-    std::fprintf(stderr, "FAIL no baseline cells matched the matrix\n");
-    return 1;
   }
   if (failures > 0) {
     std::fprintf(stderr, "%s --ci: %d cell(s) FAILED\n", prog.c_str(),
                  failures);
     return 1;
   }
-  std::printf("%s --ci: all %d cells PASS\n", prog.c_str(), matched);
+  std::printf("%s --ci: all %zu cells PASS\n", prog.c_str(), rows.size());
   return 0;
 }
 

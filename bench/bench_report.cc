@@ -1,8 +1,7 @@
 // Run-report regression gate (docs/OBSERVABILITY.md §4): a fixed, fast,
 // deterministic matrix of training runs — compressors x accounting modes
 // plus one faulted cell — each distilled into a RunReport and written to
-// BENCH_report.json, one cell per line so every line is a self-contained
-// report document.
+// BENCH_report.json, one cell per line.
 //
 //   bench_report                      # run the matrix, write BENCH_report.json
 //   bench_report --ci <baseline.json> # additionally diff every cell against

@@ -6,8 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/json_util.h"
 #include "util/crc32.h"
+#include "util/json.h"
 
 namespace grace::control {
 namespace {
@@ -290,10 +290,10 @@ std::string control_decisions_json(const std::vector<ControlDecision>& d) {
     os << "{\"boundary\":" << d[i].boundary << ",\"epoch\":" << d[i].epoch
        << ",\"iter\":" << d[i].iter << ",\"bucket\":" << d[i].bucket
        << ",\"name\":";
-    sim::append_escaped(os, d[i].bucket_name);
+    util::json::append_escaped(os, d[i].bucket_name);
     os << ",\"from\":" << d[i].from_arm << ",\"to\":" << d[i].to_arm
        << ",\"signal\":";
-    sim::append_escaped(os, d[i].signal);
+    util::json::append_escaped(os, d[i].signal);
     os << '}';
   }
   os << ']';
@@ -310,7 +310,7 @@ std::string control_summary_json(const ControlSummary& s) {
   os << ",\"arms\":[";
   for (size_t i = 0; i < s.arms.size(); ++i) {
     if (i > 0) os << ',';
-    sim::append_escaped(os, s.arms[i]);
+    util::json::append_escaped(os, s.arms[i]);
   }
   os << "],\"boundaries\":" << s.boundaries << ",\"switches\":" << s.switches
      << ",\"final_arms\":[";
@@ -321,11 +321,11 @@ std::string control_summary_json(const ControlSummary& s) {
   os << "],\"buckets\":[";
   for (size_t i = 0; i < s.bucket_names.size(); ++i) {
     if (i > 0) os << ',';
-    sim::append_escaped(os, s.bucket_names[i]);
+    util::json::append_escaped(os, s.bucket_names[i]);
   }
   os << "],\"decisions\":" << control_decisions_json(s.decisions)
      << ",\"state\":";
-  sim::append_escaped(os, s.state);
+  util::json::append_escaped(os, s.state);
   os << '}';
   return os.str();
 }

@@ -136,7 +136,7 @@ class Controller {
   std::vector<ControlDecision> decisions_;
 };
 
-// Deterministic JSON for the decision log / summary (json_util.h escaping)
+// Deterministic JSON for the decision log / summary (util/json.h escaping)
 // — byte-identical across runs with equal decisions.
 std::string control_decisions_json(const std::vector<ControlDecision>& d);
 std::string control_summary_json(const ControlSummary& s);

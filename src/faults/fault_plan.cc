@@ -1,15 +1,17 @@
 #include "faults/fault_plan.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cctype>
 #include <cmath>
 #include <iomanip>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
+#include <variant>
+
+#include "util/json.h"
 
 namespace grace::faults {
 namespace {
@@ -56,6 +58,54 @@ void check_delay(double seconds, const char* name) {
   if (!(std::isfinite(seconds) && seconds >= 0.0)) {
     throw std::invalid_argument(std::string("FaultSpec: ") + name +
                                 " must be finite and non-negative");
+  }
+}
+
+// One FaultSpec field and its plan key. fault_spec_json writes the fields
+// in this order; parse_fault_spec_json reads each with the member's type.
+struct SpecField {
+  std::string_view name;
+  std::variant<uint64_t FaultSpec::*, int FaultSpec::*, int64_t FaultSpec::*,
+               double FaultSpec::*>
+      member;
+};
+
+constexpr SpecField kSpecFields[] = {
+    {"seed", &FaultSpec::seed},
+    {"drop_prob", &FaultSpec::drop_prob},
+    {"corrupt_prob", &FaultSpec::corrupt_prob},
+    {"max_retries", &FaultSpec::max_retries},
+    {"retry_timeout_s", &FaultSpec::retry_timeout_s},
+    {"straggler_prob", &FaultSpec::straggler_prob},
+    {"straggler_delay_s", &FaultSpec::straggler_delay_s},
+    {"straggler_rank", &FaultSpec::straggler_rank},
+    {"skip_round_prob", &FaultSpec::skip_round_prob},
+    {"crash_rank", &FaultSpec::crash_rank},
+    {"crash_epoch", &FaultSpec::crash_epoch},
+    {"crash_iter", &FaultSpec::crash_iter},
+    {"participation_rate", &FaultSpec::participation_rate},
+    {"outage_prob", &FaultSpec::outage_prob},
+    {"outage_iters", &FaultSpec::outage_iters},
+    {"outage_reconnect_stall_s", &FaultSpec::outage_reconnect_stall_s},
+    {"outage_rank", &FaultSpec::outage_rank},
+};
+
+// [{"epoch":e,"rank":r,"join":0|1},...]
+void read_churn(const util::json::Value& v, std::vector<ChurnEvent>& churn) {
+  for (const util::json::Value& event : v.array()) {
+    ChurnEvent& e = churn.emplace_back();
+    for (const auto& [name, value] : event.object()) {
+      const int n = value.number<int>();
+      if (name == "epoch") {
+        e.epoch = n;
+      } else if (name == "rank") {
+        e.rank = n;
+      } else if (name == "join" && (n == 0 || n == 1)) {
+        e.join = n == 1;
+      } else {
+        value.fail("expected churn \"epoch\", \"rank\" or \"join\" 0 or 1");
+      }
+    }
   }
 }
 
@@ -222,22 +272,13 @@ bool FaultPlan::participates(int rank, int epoch, int64_t iter) const {
 std::string fault_spec_json(const FaultSpec& s) {
   std::ostringstream os;
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "{\"seed\":" << s.seed << ",\"drop_prob\":" << s.drop_prob
-     << ",\"corrupt_prob\":" << s.corrupt_prob
-     << ",\"max_retries\":" << s.max_retries
-     << ",\"retry_timeout_s\":" << s.retry_timeout_s
-     << ",\"straggler_prob\":" << s.straggler_prob
-     << ",\"straggler_delay_s\":" << s.straggler_delay_s
-     << ",\"straggler_rank\":" << s.straggler_rank
-     << ",\"skip_round_prob\":" << s.skip_round_prob
-     << ",\"crash_rank\":" << s.crash_rank
-     << ",\"crash_epoch\":" << s.crash_epoch
-     << ",\"crash_iter\":" << s.crash_iter
-     << ",\"participation_rate\":" << s.participation_rate
-     << ",\"outage_prob\":" << s.outage_prob
-     << ",\"outage_iters\":" << s.outage_iters
-     << ",\"outage_reconnect_stall_s\":" << s.outage_reconnect_stall_s
-     << ",\"outage_rank\":" << s.outage_rank << ",\"churn\":[";
+  char sep = '{';
+  for (const SpecField& f : kSpecFields) {
+    os << sep << '"' << f.name << "\":";
+    std::visit([&](auto member) { os << s.*member; }, f.member);
+    sep = ',';
+  }
+  os << ",\"churn\":[";
   for (size_t i = 0; i < s.churn.size(); ++i) {
     const ChurnEvent& e = s.churn[i];
     if (i > 0) os << ",";
@@ -248,215 +289,25 @@ std::string fault_spec_json(const FaultSpec& s) {
   return os.str();
 }
 
-namespace {
-
-// Minimal scanner for the flat {"key": number, ...} objects produced by
-// fault_spec_json. Deliberately strict: unknown keys, nesting, strings,
-// trailing garbage, anything but JSON number syntax, fractional or
-// out-of-range values of integer keys, and non-finite values all throw, so
-// a typoed plan fails loudly instead of silently running healthy.
-class FlatJsonParser {
- public:
-  explicit FlatJsonParser(const std::string& text) : text_(text) {}
-
-  void parse_into(FaultSpec& spec) {
-    skip_ws();
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++at_;
-    } else {
-      for (;;) {
-        const std::string key = parse_key();
-        skip_ws();
-        expect(':');
-        skip_ws();
-        if (key == "churn") {
-          parse_churn(spec);
-        } else {
-          assign(spec, key);
-        }
-        skip_ws();
-        const char c = next();
-        if (c == '}') break;
-        if (c != ',') fail("expected ',' or '}'");
-        skip_ws();
-      }
-    }
-    skip_ws();
-    if (at_ != text_.size()) fail("trailing characters after object");
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::invalid_argument("fault plan JSON: " + why + " at offset " +
-                                std::to_string(at_));
-  }
-  char peek() const { return at_ < text_.size() ? text_[at_] : '\0'; }
-  char next() {
-    if (at_ >= text_.size()) fail("unexpected end of input");
-    return text_[at_++];
-  }
-  void expect(char c) {
-    if (next() != c) fail(std::string("expected '") + c + "'");
-  }
-  void skip_ws() {
-    while (at_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[at_])) != 0) {
-      ++at_;
-    }
-  }
-  std::string parse_key() {
-    expect('"');
-    std::string key;
-    for (;;) {
-      const char c = next();
-      if (c == '"') return key;
-      key.push_back(c);
-    }
-  }
-  bool digit_next() const {
-    return std::isdigit(static_cast<unsigned char>(peek())) != 0;
-  }
-  void skip_digits() {
-    while (digit_next()) ++at_;
-  }
-  // One JSON number token: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?.
-  // `integral` reports whether it has neither fraction nor exponent.
-  std::string_view number_token(bool& integral) {
-    const size_t begin = at_;
-    if (peek() == '-') ++at_;
-    if (peek() == '0') {
-      ++at_;
-    } else if (digit_next()) {
-      skip_digits();
-    } else {
-      fail("expected a number");
-    }
-    integral = true;
-    if (peek() == '.') {
-      integral = false;
-      ++at_;
-      if (!digit_next()) fail("expected a digit after '.'");
-      skip_digits();
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      integral = false;
-      ++at_;
-      if (peek() == '+' || peek() == '-') ++at_;
-      if (!digit_next()) fail("expected an exponent digit");
-      skip_digits();
-    }
-    return std::string_view(text_).substr(begin, at_ - begin);
-  }
-  // The next number as a T. Integer fields take integer syntax only, and
-  // every value must fit T (JSON has no NaN or infinity, and an exponent
-  // too large for a double is out of range).
-  template <typename T>
-  T parse_number() {
-    bool integral = false;
-    const std::string_view tok = number_token(integral);
-    if (std::is_integral_v<T> && !integral) fail("expected an integer");
-    T v{};
-    const char* const last = tok.data() + tok.size();
-    const auto [end, ec] = std::from_chars(tok.data(), last, v);
-    if (ec != std::errc{} || end != last) {
-      fail("number out of range");
-    }
-    return v;
-  }
-  // The one non-flat value: "churn":[{"epoch":e,"rank":r,"join":0|1},...].
-  void parse_churn(FaultSpec& spec) {
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++at_;
-      return;
-    }
-    for (;;) {
-      ChurnEvent e;
-      expect('{');
-      skip_ws();
-      for (;;) {
-        const std::string key = parse_key();
-        skip_ws();
-        expect(':');
-        skip_ws();
-        if (key == "epoch") {
-          e.epoch = parse_number<int>();
-        } else if (key == "rank") {
-          e.rank = parse_number<int>();
-        } else if (key == "join") {
-          const int join = parse_number<int>();
-          if (join != 0 && join != 1) fail("churn join must be 0 or 1");
-          e.join = join == 1;
-        } else {
-          fail("unknown churn key \"" + key + "\"");
-        }
-        skip_ws();
-        const char c = next();
-        if (c == '}') break;
-        if (c != ',') fail("expected ',' or '}' in churn event");
-        skip_ws();
-      }
-      spec.churn.push_back(e);
-      skip_ws();
-      const char c = next();
-      if (c == ']') break;
-      if (c != ',') fail("expected ',' or ']' in churn array");
-      skip_ws();
-    }
-  }
-  // Parses the value of `key` with the type of its FaultSpec field.
-  void assign(FaultSpec& s, const std::string& key) {
-    if (key == "seed") {
-      s.seed = parse_number<uint64_t>();
-    } else if (key == "drop_prob") {
-      s.drop_prob = parse_number<double>();
-    } else if (key == "corrupt_prob") {
-      s.corrupt_prob = parse_number<double>();
-    } else if (key == "max_retries") {
-      s.max_retries = parse_number<int>();
-    } else if (key == "retry_timeout_s") {
-      s.retry_timeout_s = parse_number<double>();
-    } else if (key == "straggler_prob") {
-      s.straggler_prob = parse_number<double>();
-    } else if (key == "straggler_delay_s") {
-      s.straggler_delay_s = parse_number<double>();
-    } else if (key == "straggler_rank") {
-      s.straggler_rank = parse_number<int>();
-    } else if (key == "skip_round_prob") {
-      s.skip_round_prob = parse_number<double>();
-    } else if (key == "crash_rank") {
-      s.crash_rank = parse_number<int>();
-    } else if (key == "crash_epoch") {
-      s.crash_epoch = parse_number<int>();
-    } else if (key == "crash_iter") {
-      s.crash_iter = parse_number<int64_t>();
-    } else if (key == "participation_rate") {
-      s.participation_rate = parse_number<double>();
-    } else if (key == "outage_prob") {
-      s.outage_prob = parse_number<double>();
-    } else if (key == "outage_iters") {
-      s.outage_iters = parse_number<int64_t>();
-    } else if (key == "outage_reconnect_stall_s") {
-      s.outage_reconnect_stall_s = parse_number<double>();
-    } else if (key == "outage_rank") {
-      s.outage_rank = parse_number<int>();
-    } else {
-      fail("unknown key \"" + key + "\"");
-    }
-  }
-
-  const std::string& text_;
-  size_t at_ = 0;
-};
-
-}  // namespace
-
 FaultSpec parse_fault_spec_json(const std::string& text) {
+  const util::json::Value doc = util::json::parse(text);
   FaultSpec spec;
-  FlatJsonParser(text).parse_into(spec);
+  for (const auto& [name, value] : doc.object()) {
+    const auto field =
+        std::find_if(std::begin(kSpecFields), std::end(kSpecFields),
+                     [&](const SpecField& f) { return f.name == name; });
+    if (name == "churn") {
+      read_churn(value, spec.churn);
+    } else if (field == std::end(kSpecFields)) {
+      value.fail("unknown fault plan key \"" + name + "\"");
+    } else {
+      std::visit(
+          [&](auto member) {
+            spec.*member = value.number<std::decay_t<decltype(spec.*member)>>();
+          },
+          field->member);
+    }
+  }
   return spec;
 }
 

@@ -89,10 +89,10 @@ struct FaultSpec {
   }
 };
 
-// Flat-JSON round-trip: {"seed":1,"drop_prob":0.1,...}. Unknown keys,
-// malformed input, non-JSON numbers, non-integral or out-of-range values
-// of integer fields and non-finite values throw std::invalid_argument;
-// absent keys keep defaults.
+// Flat-JSON round-trip: {"seed":1,"drop_prob":0.1,...}. Unknown or
+// repeated keys, malformed input, non-JSON numbers, non-integral or
+// out-of-range values of integer fields and non-finite values throw
+// std::invalid_argument; absent keys keep defaults.
 std::string fault_spec_json(const FaultSpec& spec);
 FaultSpec parse_fault_spec_json(const std::string& text);
 

@@ -6,7 +6,7 @@
 #include <limits>
 #include <sstream>
 
-#include "sim/json_util.h"
+#include "util/json.h"
 
 namespace grace::sim {
 
@@ -347,12 +347,12 @@ std::string critical_path_json(const CriticalPathSummary& s) {
      << ",\"stall_seconds\":" << s.mean.stall_s
      << ",\"iteration_seconds\":" << s.mean.iteration_s
      << ",\"binding\":";
-  append_escaped(os, resource_name(s.mean.binding));
+  util::json::append_escaped(os, resource_name(s.mean.binding));
   os << '}';
   os << ",\"bound_iterations\":{";
   for (size_t r = 0; r < kNumResources; ++r) {
     if (r) os << ',';
-    append_escaped(os, resource_name(static_cast<Resource>(r)));
+    util::json::append_escaped(os, resource_name(static_cast<Resource>(r)));
     os << ':' << s.bound_iters[r];
   }
   os << '}';
@@ -361,7 +361,7 @@ std::string critical_path_json(const CriticalPathSummary& s) {
     const WhatIfResult& w = s.what_ifs[i];
     if (i) os << ',';
     os << "{\"name\":";
-    append_escaped(os, w.name);
+    util::json::append_escaped(os, w.name);
     os << ",\"iteration_seconds\":" << w.iteration_s
        << ",\"speedup\":" << w.speedup << '}';
   }

@@ -4,7 +4,7 @@
 #include <limits>
 #include <sstream>
 
-#include "sim/json_util.h"
+#include "util/json.h"
 
 namespace grace::sim {
 
@@ -125,7 +125,7 @@ std::string fidelity_summaries_json(
     const TensorFidelitySummary& s = summaries[i];
     if (i) os << ',';
     os << "{\"name\":";
-    append_escaped(os, s.name);
+    util::json::append_escaped(os, s.name);
     os << ",\"numel\":" << s.numel << ",\"samples\":" << s.samples
        << ",\"compression_ratio\":" << s.compression_ratio
        << ",\"mean_wire_bits\":" << s.mean_wire_bits

@@ -2,16 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string_view>
 
 #include "control/controller.h"
-#include "sim/json_util.h"
 #include "sim/metric_registry.h"
 #include "util/crc32.h"
+#include "util/json.h"
 
 namespace grace::sim {
 namespace {
@@ -137,113 +137,22 @@ std::string rule_label(const Rule* rule) {
   return "note";
 }
 
-// --- Targeted JSON extraction ---------------------------------------------
-// The diff only needs the flat "metrics" object and the flag names out of
-// documents this file itself serialized, so a small scanner suffices (the
-// repo carries no external JSON dependency). It tolerates whitespace and
-// member order but not nesting inside "metrics".
-
+// The metric rows and flag names of a run_report_json document; a document
+// of another shape or off the grammar throws std::invalid_argument.
 struct Extracted {
-  bool ok = false;
   std::vector<ReportMetric> metrics;
   std::vector<std::string> flag_names;
 };
 
-size_t skip_ws(const std::string& s, size_t i) {
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                          s[i] == '\r')) {
-    ++i;
-  }
-  return i;
-}
-
-// Parses a JSON string literal starting at the opening quote; returns the
-// index one past the closing quote, or npos. Escapes are unwound enough to
-// keep scanning correct (the extracted names are plain ASCII).
-size_t parse_string(const std::string& s, size_t i, std::string* out) {
-  if (i >= s.size() || s[i] != '"') return std::string::npos;
-  ++i;
-  std::string v;
-  while (i < s.size() && s[i] != '"') {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      v += s[i + 1];
-      i += 2;
-    } else {
-      v += s[i];
-      ++i;
-    }
-  }
-  if (i >= s.size()) return std::string::npos;
-  if (out) *out = v;
-  return i + 1;
-}
-
-Extracted extract_report(const std::string& json) {
+Extracted extract_rows(const std::string& json) {
+  const util::json::Value doc = util::json::parse(json);
   Extracted out;
-  const size_t mpos = json.find("\"metrics\"");
-  if (mpos == std::string::npos) return out;
-  size_t i = skip_ws(json, mpos + 9);
-  if (i >= json.size() || json[i] != ':') return out;
-  i = skip_ws(json, i + 1);
-  if (i >= json.size() || json[i] != '{') return out;
-  i = skip_ws(json, i + 1);
-  while (i < json.size() && json[i] != '}') {
-    std::string name;
-    i = parse_string(json, i, &name);
-    if (i == std::string::npos) return out;
-    i = skip_ws(json, i);
-    if (i >= json.size() || json[i] != ':') return out;
-    i = skip_ws(json, i + 1);
-    const char* begin = json.c_str() + i;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) return out;
-    i = static_cast<size_t>(end - json.c_str());
-    out.metrics.push_back(ReportMetric{std::move(name), v});
-    i = skip_ws(json, i);
-    if (i < json.size() && json[i] == ',') i = skip_ws(json, i + 1);
+  for (const auto& [name, value] : doc.at("metrics").object()) {
+    out.metrics.push_back(ReportMetric{name, value.number()});
   }
-  if (i >= json.size()) return out;
-
-  // Flag names: each flag object leads with "name".
-  const size_t fpos = json.find("\"flags\"");
-  if (fpos != std::string::npos) {
-    i = skip_ws(json, fpos + 7);
-    if (i < json.size() && json[i] == ':') {
-      i = skip_ws(json, i + 1);
-      if (i < json.size() && json[i] == '[') {
-        i = skip_ws(json, i + 1);
-        while (i < json.size() && json[i] == '{') {
-          const size_t npos_ = json.find("\"name\"", i);
-          if (npos_ == std::string::npos) break;
-          size_t j = skip_ws(json, npos_ + 6);
-          if (j >= json.size() || json[j] != ':') break;
-          j = skip_ws(json, j + 1);
-          std::string name;
-          j = parse_string(json, j, &name);
-          if (j == std::string::npos) break;
-          out.flag_names.push_back(std::move(name));
-          // Skip to the end of this flag object: the "detail" member is the
-          // last one and its string may contain braces, so walk strings.
-          i = j;
-          int depth = 1;
-          while (i < json.size() && depth > 0) {
-            if (json[i] == '"') {
-              i = parse_string(json, i, nullptr);
-              if (i == std::string::npos) return out;
-              continue;
-            }
-            if (json[i] == '{') ++depth;
-            if (json[i] == '}') --depth;
-            ++i;
-          }
-          i = skip_ws(json, i);
-          if (i < json.size() && json[i] == ',') i = skip_ws(json, i + 1);
-        }
-      }
-    }
+  for (const util::json::Value& flag : doc.at("flags").array()) {
+    out.flag_names.push_back(flag.at("name").string());
   }
-  out.ok = true;
   return out;
 }
 
@@ -439,20 +348,20 @@ std::string run_report_json(const RunReport& report) {
   std::ostringstream os;
   os.precision(std::numeric_limits<double>::max_digits10);
   os << "{\"schema\":";
-  append_escaped(os, kSchema);
+  util::json::append_escaped(os, kSchema);
   os << ",\"model\":";
-  append_escaped(os, report.model);
+  util::json::append_escaped(os, report.model);
   os << ",\"compressor\":";
-  append_escaped(os, report.compressor);
+  util::json::append_escaped(os, report.compressor);
   os << ",\"topology\":";
-  append_escaped(os, report.topology);
+  util::json::append_escaped(os, report.topology);
   os << ",\"quality_metric\":";
-  append_escaped(os, report.quality_metric);
+  util::json::append_escaped(os, report.quality_metric);
   os << ",\"overlap\":" << (report.overlap_enabled ? "true" : "false");
   os << ",\"metrics\":{";
   for (size_t i = 0; i < report.metrics.size(); ++i) {
     if (i) os << ',';
-    append_escaped(os, report.metrics[i].name);
+    util::json::append_escaped(os, report.metrics[i].name);
     os << ':' << report.metrics[i].value;
   }
   os << "},\"flags\":[";
@@ -460,10 +369,10 @@ std::string run_report_json(const RunReport& report) {
     const HealthFlag& f = report.flags[i];
     if (i) os << ',';
     os << "{\"name\":";
-    append_escaped(os, f.name);
+    util::json::append_escaped(os, f.name);
     os << ",\"value\":" << f.value << ",\"threshold\":" << f.threshold
        << ",\"detail\":";
-    append_escaped(os, f.detail);
+    util::json::append_escaped(os, f.detail);
     os << '}';
   }
   os << "],\"critical_path\":" << critical_path_json(report.critical_path);
@@ -524,12 +433,17 @@ std::string run_report_text(const RunReport& report) {
 ReportDiff diff_reports(const std::string& baseline_json,
                         const std::string& current_json) {
   ReportDiff diff;
-  const Extracted base = extract_report(baseline_json);
-  const Extracted cur = extract_report(current_json);
-  if (!base.ok || !cur.ok) {
+  Extracted base;
+  Extracted cur;
+  const char* reading = "baseline";
+  try {
+    base = extract_rows(baseline_json);
+    reading = "current";
+    cur = extract_rows(current_json);
+  } catch (const std::invalid_argument& e) {
     diff.pass = false;
-    diff.failures.push_back(!base.ok ? "baseline report is not parseable"
-                                     : "current report is not parseable");
+    diff.failures.push_back(std::string(reading) +
+                            " report is not parseable: " + e.what());
     return diff;
   }
   if (base.metrics.empty()) {

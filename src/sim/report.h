@@ -91,10 +91,11 @@ struct ReportDiff {
   std::vector<std::string> failures;   // human-readable failure lines
 };
 
-// Compares two run_report_json documents. Verdict rules: a baseline
-// metric missing from `current_json` fails, as does a current metric with
-// a non-note rule missing from `baseline_json`; each known metric applies
-// its comparison rule; flag-set changes and unknown metrics become notes.
+// Compares two run_report_json documents. Verdict rules: a document off
+// the JSON grammar (a `nan` metric included) or a baseline metric missing
+// from `current_json` fails, as does a current metric with a non-note rule
+// missing from `baseline_json`; each known metric applies its comparison
+// rule; flag-set changes and unknown metrics become notes.
 ReportDiff diff_reports(const std::string& baseline_json,
                         const std::string& current_json);
 std::string report_diff_text(const ReportDiff& diff);

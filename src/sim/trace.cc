@@ -4,8 +4,8 @@
 #include <limits>
 #include <sstream>
 
-#include "sim/json_util.h"
 #include "sim/metrics.h"
+#include "util/json.h"
 
 namespace grace::sim {
 
@@ -52,7 +52,7 @@ void append_histograms(std::ostream& os,
     const HistogramSnapshot& h = histograms[i];
     if (i) os << ',';
     os << "{\"name\":";
-    append_escaped(os, h.name);
+    util::json::append_escaped(os, h.name);
     os << ",\"count\":" << h.count << ",\"sum\":" << h.sum
        << ",\"min\":" << h.min << ",\"max\":" << h.max
        << ",\"mean\":" << h.mean() << ",\"p50\":" << h.percentile(0.5)
@@ -78,13 +78,13 @@ std::string run_result_json(const RunResult& r) {
   os.precision(std::numeric_limits<double>::max_digits10);
   os << '{';
   os << "\"model\":";
-  append_escaped(os, r.model);
+  util::json::append_escaped(os, r.model);
   os << ",\"compressor\":";
-  append_escaped(os, r.compressor);
+  util::json::append_escaped(os, r.compressor);
   os << ",\"topology\":";
-  append_escaped(os, r.topology);
+  util::json::append_escaped(os, r.topology);
   os << ",\"quality_metric\":";
-  append_escaped(os, r.quality_metric);
+  util::json::append_escaped(os, r.quality_metric);
   os << ",\"phases\":{";
   os << "\"forward\":" << r.phases.forward_s
      << ",\"backward\":" << r.phases.backward_s
@@ -131,7 +131,7 @@ std::string run_result_json(const RunResult& r) {
     const TensorTraceSummary& t = r.tensor_trace[i];
     if (i) os << ',';
     os << "{\"name\":";
-    append_escaped(os, t.name);
+    util::json::append_escaped(os, t.name);
     os << ",\"numel\":" << t.numel << ",\"exchanges\":" << t.exchanges
        << ",\"compress_seconds\":" << t.compress_s
        << ",\"comm_seconds\":" << t.comm_s

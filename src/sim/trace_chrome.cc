@@ -7,8 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "sim/json_util.h"
 #include "sim/trace.h"
+#include "util/json.h"
 
 namespace grace::sim {
 namespace {
@@ -34,7 +34,7 @@ void emit_counter_track(std::ostringstream& os, int rank,
   for (const CounterSample& s : samples) {
     running = cumulative ? s.value : running + s.value;
     os << ",{\"ph\":\"C\",\"pid\":0,\"tid\":" << rank << ",\"name\":";
-    append_escaped(os, name);
+    util::json::append_escaped(os, name);
     os << ",\"ts\":" << s.ts_us << ",\"args\":{\"" << arg
        << "\":" << running << "}}";
   }
@@ -91,9 +91,9 @@ std::string trace_chrome_json(const Trace& t) {
                              ? iter_base_us[rank] + ev.start_s * 1e6
                              : cursor_us[rank];
     os << ",{\"ph\":\"X\",\"pid\":0,\"tid\":" << ev.rank << ",\"name\":";
-    append_escaped(os, phase_name(ev.phase));
+    util::json::append_escaped(os, phase_name(ev.phase));
     os << ",\"cat\":";
-    append_escaped(os, phase_name(ev.phase));
+    util::json::append_escaped(os, phase_name(ev.phase));
     os << ",\"ts\":" << ts_us << ",\"dur\":" << dur_us
        << ",\"args\":{\"epoch\":" << ev.epoch << ",\"iter\":" << ev.iter
        << ",\"tensor\":" << ev.tensor << ",\"bytes\":" << ev.bytes << "}}";

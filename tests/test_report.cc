@@ -4,22 +4,21 @@
 // rerun but fails on an injected slowdown or a vanished metric.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "faults/counters.h"
 #include "faults/fault_plan.h"
-#include "json_checker.h"
 #include "sim/critical_path.h"
 #include "sim/metric_registry.h"
 #include "sim/report.h"
 #include "sim/tasks.h"
 #include "sim/trace.h"
 #include "sim/trainer.h"
+#include "util/json.h"
 
 namespace grace::sim {
 namespace {
@@ -77,12 +76,11 @@ TEST(RunReport, CarriesTheScoreboardAndSerializesDeterministically) {
   // The JSON is a pure function of the report: parse-clean, stable keys,
   // byte-identical on re-serialization.
   const std::string json = run_report_json(report);
-  testing::JsonChecker checker(json);
-  ASSERT_TRUE(checker.parse()) << json;
+  const util::json::Value doc = util::json::parse(json);
   for (const char* key : {"schema", "model", "compressor", "topology",
                           "quality_metric", "overlap", "metrics", "flags",
                           "critical_path"}) {
-    EXPECT_TRUE(checker.keys().count(key)) << key;
+    EXPECT_NO_THROW(doc.at(key)) << key;
   }
   EXPECT_EQ(json, run_report_json(report));
 
@@ -272,19 +270,24 @@ TEST(RunReport, VanishedBaselineMetricFailsUnknownMetricIsANote) {
   EXPECT_TRUE(gained_reported);
 }
 
-// The cell's line with metric row `name` cut out of its "metrics" object
-// (other objects of the line reuse some names).
-std::string without_row(const std::string& line, const std::string& name) {
-  const size_t open = line.find("\"metrics\":{");
-  const size_t close = line.find('}', open);
-  const size_t at = line.find("\"" + name + "\":", open);
+// The report with metric row `name` cut out of its "metrics" object
+// (other objects of the report reuse some names).
+std::string without_row(const std::string& report, const std::string& name) {
+  const size_t open = report.find("\"metrics\":{");
+  const size_t close = report.find('}', open);
+  const size_t at = report.find("\"" + name + "\":", open);
   if (open == std::string::npos || at == std::string::npos || at > close) {
-    return line;
+    return report;
   }
-  const size_t end = line.find_first_of(",}", at);
-  return line[end] == ','
-             ? line.substr(0, at) + line.substr(end + 1)
-             : line.substr(0, at - 1) + line.substr(end);  // drop the comma before
+  const size_t end = report.find_first_of(",}", at);
+  return report[end] == ','
+             ? report.substr(0, at) + report.substr(end + 1)
+             : report.substr(0, at - 1) + report.substr(end);  // drop the comma before
+}
+
+std::string read_source_file(const std::string& file) {
+  std::ifstream in(std::string(GRACE_SOURCE_DIR) + "/" + file);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 TEST(RunReport, DeletingAnyGatedBaselineRowFailsTheGate) {
@@ -296,32 +299,70 @@ TEST(RunReport, DeletingAnyGatedBaselineRowFailsTheGate) {
   // a note row stays a note. Every fault.* row must be in every cell.
   for (const char* file :
        {"BENCH_report.baseline.json", "BENCH_resilience.baseline.json"}) {
-    std::ifstream in(std::string(GRACE_SOURCE_DIR) + "/" + file);
-    ASSERT_TRUE(in) << file;
+    const std::string text = read_source_file(file);
+    ASSERT_FALSE(text.empty()) << file;
+    const util::json::Value doc = util::json::parse(text);
     int cells = 0;
-    for (std::string line; std::getline(in, line);) {
-      if (line.find("\"label\":") == std::string::npos) continue;
+    for (const util::json::Value& cell : doc.at("cells").array()) {
       ++cells;
-      SCOPED_TRACE(std::string(file) + ": " + line.substr(0, 40));
-      const ReportDiff self = diff_reports(line, line);
+      SCOPED_TRACE(std::string(file) + ": " + cell.at("label").string());
+      const std::string report(cell.at("report").text());
+      const ReportDiff self = diff_reports(report, report);
       ASSERT_TRUE(self.pass) << report_diff_text(self);
       int gated = 0;
       for (const MetricDelta& d : self.deltas) {
-        const std::string cut = without_row(line, d.name);
-        ASSERT_NE(cut, line) << d.name;
-        const ReportDiff diff = diff_reports(cut, line);
+        const std::string cut = without_row(report, d.name);
+        ASSERT_NE(cut, report) << d.name;
+        const ReportDiff diff = diff_reports(cut, report);
         EXPECT_EQ(diff.pass, d.rule == "note") << d.name << " (" << d.rule << ")";
         gated += d.rule != "note";
       }
       EXPECT_GT(gated, 0);
+      const util::json::Value& metrics = cell.at("report").at("metrics");
       for (const faults::FaultField& f : faults::kFaultFields) {
-        EXPECT_NE(line.find("\"fault." + std::string(f.name) + "\":"),
-                  std::string::npos)
-            << f.name;
+        EXPECT_NO_THROW(metrics.at("fault." + std::string(f.name))) << f.name;
       }
     }
     EXPECT_GT(cells, 0) << file;
   }
+}
+
+TEST(RunReport, NonJsonNumberInAGatedRowFails) {
+  // run_report_json writes a NaN metric as `nan`, and every comparison
+  // with NaN is false: a reader that took the token would pass any rule.
+  // The diff must fail a `nan` in a rel row (iteration_seconds, rel<=1)
+  // or an abs row (final_quality, abs<=1e-6), on either side.
+  const std::string text = read_source_file("BENCH_report.baseline.json");
+  const util::json::Value doc = util::json::parse(text);
+  const util::json::Value* cell = nullptr;
+  for (const util::json::Value& c : doc.at("cells").array()) {
+    if (c.at("label").string() == "none-additive") cell = &c;
+  }
+  ASSERT_NE(cell, nullptr);
+  const util::json::Value& committed = cell->at("report");
+  const std::string report(committed.text());
+  ASSERT_TRUE(diff_reports(report, report).pass);
+  for (const char* row : {"iteration_seconds", "final_quality"}) {
+    const std::string cell_row = "\"" + std::string(row) + "\":" +
+        std::string(committed.at("metrics").at(row).text());
+    const size_t at = report.find(cell_row);
+    ASSERT_NE(at, std::string::npos) << row;
+    std::string broken = report;
+    broken.replace(at, cell_row.size(), "\"" + std::string(row) + "\":nan");
+    EXPECT_FALSE(diff_reports(broken, report).pass) << row;
+    EXPECT_FALSE(diff_reports(report, broken).pass) << row;
+  }
+
+  // The emitter writes a NaN metric as that same token.
+  RunResult run;
+  run.final_quality = std::numeric_limits<double>::quiet_NaN();
+  const std::string json = run_report_json(build_run_report(run));
+  ASSERT_NE(json.find("\"final_quality\":nan,"), std::string::npos);
+  const ReportDiff diff = diff_reports(json, json);
+  EXPECT_FALSE(diff.pass);
+  ASSERT_FALSE(diff.failures.empty());
+  EXPECT_NE(diff.failures[0].find("not parseable"), std::string::npos)
+      << diff.failures[0];
 }
 
 TEST(RunReport, FlagChangesAreNotesNotFailures) {
@@ -371,9 +412,8 @@ TEST(RunReport, EveryFaultCounterHasOneJsonKeyAndOneScoredRow) {
     }
   }
   const std::string json = run_result_json(run);
-  const size_t open = json.find("\"faults\":{");
-  ASSERT_NE(open, std::string::npos);
-  const std::string object = json.substr(open, json.find('}', open) - open);
+  const util::json::Value doc = util::json::parse(json);
+  const util::json::Value& object = doc.at("faults");
   const RunReport report = build_run_report(run);
   const std::string report_json = run_report_json(report);
   const ReportDiff diff = diff_reports(report_json, report_json);
@@ -384,16 +424,12 @@ TEST(RunReport, EveryFaultCounterHasOneJsonKeyAndOneScoredRow) {
     rows += m.name.starts_with("fault.") ? 1 : 0;
   }
   EXPECT_EQ(rows, std::size(faults::kFaultFields));
-  EXPECT_EQ(static_cast<size_t>(std::count(object.begin(), object.end(), ':')),
-            std::size(faults::kFaultFields) + 1);  // + the "faults" key
+  // The reader rejects a repeated key, so one member per field is exact.
+  EXPECT_EQ(object.object().size(), std::size(faults::kFaultFields));
   for (const faults::FaultField& f : faults::kFaultFields) {
     SCOPED_TRACE(std::string(f.name));
     const double value = f.value(run.faults);
-    const std::string key = "\"" + std::string(f.name) + "\":";
-    const size_t at = object.find(key);
-    ASSERT_NE(at, std::string::npos);
-    EXPECT_EQ(object.find(key, at + 1), std::string::npos);
-    EXPECT_EQ(std::strtod(object.c_str() + at + key.size(), nullptr), value);
+    EXPECT_EQ(object.at(f.name).number(), value);
 
     const std::string row = "fault." + std::string(f.name);
     const ReportMetric* m = find_metric(report, row);

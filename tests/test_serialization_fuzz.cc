@@ -2,12 +2,15 @@
 // payload structures, of every compressor's serialize-transport-
 // decompress path under randomized shapes, and seeded mutation fuzzing of
 // every parser of outside bytes: wire frames, join-bootstrap frames,
-// fault-plan JSON and controller snapshots.
+// fault-plan JSON, run reports, the committed gate baselines and
+// controller snapshots.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <exception>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -19,8 +22,10 @@
 #include "core/membership.h"
 #include "core/registry.h"
 #include "faults/fault_plan.h"
+#include "sim/report.h"
 #include "tensor/rng.h"
 #include "util/crc32.h"
+#include "util/json.h"
 
 namespace grace::core {
 namespace {
@@ -438,6 +443,55 @@ TEST(MutationFuzz, FaultSpecJson) {
        [](const std::string& text) {
          faults::FaultPlan plan(faults::parse_fault_spec_json(text));
        });
+}
+
+TEST(MutationFuzz, RunReports) {
+  // A report raising all four detectors' flags, so the mutants reach the
+  // flag list as well as the metric rows. diff_reports returns a verdict
+  // for every mutant, on either side of the diff; a failing verdict counts
+  // as a rejection.
+  sim::RunResult run;
+  run.model = "synthetic";
+  run.iteration_s = 1.0;
+  run.phases.stall_s = 0.2;
+  run.comm_messages = 100;
+  run.faults.retries = 20;
+  sim::TensorFidelitySummary fid;
+  fid.name = "g";
+  fid.samples = 5;
+  fid.cosine_similarity = 0.5;
+  fid.sign_agreement = 0.5;
+  run.fidelity.push_back(fid);
+  run.overlap_enabled = true;
+  run.compress_s = 0.2;
+  run.phases.comm_s = 0.3;
+  run.overlap_fraction = 0.01;
+  const sim::RunReport report = sim::build_run_report(run);
+  ASSERT_EQ(report.flags.size(), 4u);
+  const std::string doc = sim::run_report_json(report);
+  ASSERT_TRUE(sim::diff_reports(doc, doc).pass);
+  fuzz(500, 3000, [&](Rng& r) { return mutate(doc, r); },
+       [&](const std::string& text) {
+         sim::ReportDiff as_baseline;
+         EXPECT_NO_THROW(as_baseline = sim::diff_reports(text, doc));
+         EXPECT_NO_THROW(sim::diff_reports(doc, text));
+         if (!as_baseline.pass) throw std::runtime_error("failing verdict");
+       });
+}
+
+TEST(MutationFuzz, GateBaselines) {
+  // The three committed baselines the regression gates read.
+  uint64_t seed = 600;
+  for (const char* file :
+       {"BENCH_report.baseline.json", "BENCH_resilience.baseline.json",
+        "BENCH_kernels.baseline.json"}) {
+    SCOPED_TRACE(file);
+    std::ifstream in(std::string(GRACE_SOURCE_DIR) + "/" + file);
+    const std::string doc(std::istreambuf_iterator<char>(in), {});
+    ASSERT_NO_THROW(util::json::parse(doc));
+    fuzz(seed++, 1000, [&](Rng& r) { return mutate(doc, r); },
+         [](const std::string& text) { util::json::parse(text); });
+  }
 }
 
 TEST(MutationFuzz, ControllerSnapshots) {

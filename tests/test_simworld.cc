@@ -8,11 +8,11 @@
 #include <string>
 
 #include "comm/topology.h"
-#include "json_checker.h"
 #include "sim/critical_path.h"
 #include "sim/simworld.h"
 #include "sim/tasks.h"
 #include "sim/trainer.h"
+#include "util/json.h"
 
 namespace grace::sim {
 namespace {
@@ -252,14 +252,13 @@ TEST(SimWorld, JsonExportParsesAndCarriesTheSchema) {
   cfg.grace.topology.ranks_per_rack = 8;
   const ScaleResult r = simulate_scale(b.factory, cfg);
   const std::string json = scale_result_json(r);
-  testing::JsonChecker checker(json);
-  ASSERT_TRUE(checker.parse()) << json;
+  const util::json::Value doc = util::json::parse(json);
   for (const char* key :
        {"model", "compressor", "topology", "n_workers", "iters_per_epoch",
         "buckets_per_iter", "phases", "iteration_seconds",
         "additive_iteration_seconds", "total_sim_seconds", "throughput",
         "wire_bytes_per_iter", "comm_messages", "comm_payload_bytes"}) {
-    EXPECT_TRUE(checker.keys().count(key)) << key;
+    EXPECT_NO_THROW(doc.at(key)) << key;
   }
 }
 
