@@ -4,8 +4,10 @@
 // and qsgd's decode-accumulate scalar vs SIMD, qsgd's block encode vs the
 // seed one-pass loop, the frame CRC vs the seed byte loop and vs a copy of
 // slicing-by-8, rice index coding vs the seed bit-at-a-time writer, one
-// Adam step vs the seed Adam loop, and the conv lowering's im2col and
-// col2im vs their per-element reference loops). Prints a table and
+// Adam step vs the seed Adam loop, the conv lowering's im2col and col2im
+// vs their per-element reference loops, top-k's radix select vs the
+// comparator nth_element, and GEMM's operand transpose scalar vs SIMD).
+// Each row times its two sides in alternation. Prints a table and
 // writes BENCH_kernels.json so successive PRs can track the compute
 // substrate's perf trajectory.
 //
@@ -81,8 +83,9 @@ void seed_axpy(std::span<float> y, float a, std::span<const float> x) {
   for (size_t i = 0; i < y.size(); ++i) y[i] += a * x[i];
 }
 
-std::vector<int32_t> seed_topk(std::span<const float> x, int64_t k) {
-  std::vector<int32_t> idx(x.size());
+// Into idx, which keeps its capacity across calls.
+void seed_topk(std::span<const float> x, int64_t k, std::vector<int32_t>& idx) {
+  idx.resize(x.size());
   std::iota(idx.begin(), idx.end(), 0);
   auto cmp = [&](int32_t a, int32_t b) {
     const float fa = std::fabs(x[static_cast<size_t>(a)]);
@@ -92,7 +95,6 @@ std::vector<int32_t> seed_topk(std::span<const float> x, int64_t k) {
   std::nth_element(idx.begin(), idx.begin() + k, idx.end(), cmp);
   idx.resize(static_cast<size_t>(k));
   std::sort(idx.begin(), idx.end());
-  return idx;
 }
 
 // Like the real core::quantize, allocates its output per call.
@@ -199,6 +201,13 @@ uint32_t sliced_crc32(std::span<const std::byte> data) {
   return ~c;
 }
 
+// The first 64-byte boundary at or after p (a float buffer has 16 floats
+// to spare for it).
+float* aligned_to_line(float* p) {
+  const auto at = reinterpret_cast<uintptr_t>(p);
+  return reinterpret_cast<float*>((at + 63) & ~uintptr_t{63});
+}
+
 // One draw as an out-of-line call, as Rng::uniform was before it moved
 // into tensor/rng.h.
 [[gnu::noinline]] double seed_uniform(Rng& rng) { return rng.uniform(); }
@@ -291,21 +300,26 @@ double time_best(Fn&& fn) {
 
 // Best-of-rep seconds of a baseline and an optimized kernel timed in
 // alternation, so a burst of load on a shared host hits both sides of the
-// ratio alike.
+// ratio alike. Each turn runs its side twice and times the second run, so
+// the first warms for it what the other side's run left cold: caches,
+// branch history, and the core's state for wide vector instructions.
 template <typename Base, typename Opt>
 std::pair<double, double> time_best_pair(Base&& base, Opt&& opt) {
   using clock = std::chrono::steady_clock;
-  const auto once = [](auto& fn) {
+  double total = 0.0;
+  const auto turn = [&](auto& fn) {
     const auto t0 = clock::now();
     fn();
-    return std::chrono::duration<double>(clock::now() - t0).count();
+    const auto t1 = clock::now();
+    fn();
+    const auto t2 = clock::now();
+    total += std::chrono::duration<double>(t2 - t0).count();
+    return std::chrono::duration<double>(t2 - t1).count();
   };
-  double best_base = 1e100, best_opt = 1e100, total = 0.0;
-  for (int reps = 0; reps < 200 && (total < 0.6 || reps < 3); ++reps) {
-    const double b = once(base), o = once(opt);
-    best_base = std::min(best_base, b);
-    best_opt = std::min(best_opt, o);
-    total += b + o;
+  double best_base = 1e100, best_opt = 1e100;
+  for (int reps = 0; reps < 400 && (total < 1.2 || reps < 3); ++reps) {
+    best_base = std::min(best_base, turn(base));
+    best_opt = std::min(best_opt, turn(opt));
   }
   return {best_base, best_opt};
 }
@@ -361,7 +375,9 @@ int threads_cap() { return 4; }
 // --- writer; adam times the seed Adam loop against Optimizer::apply on
 // --- ncf-dense's ~171k parameters, whatever the run's n; im2col and
 // --- col2im time the per-element reference loops against the library on
-// --- a fixed batch of conv inputs.
+// --- a fixed batch of conv inputs; topk_radix times the comparator
+// --- nth_element against the radix select and transpose the scalar loop
+// --- against the tile kernel, on cnn-topk's shapes.
 
 struct CodecRow {
   std::string kernel;
@@ -385,29 +401,37 @@ std::vector<CodecRow> run_codec_rows(int64_t n) {
   std::vector<uint8_t> packed(static_cast<size_t>(n));
   volatile uint8_t sink = 0;
 
-  // Times one kernel under the scalar override, then at the detected level.
+  // Times one kernel under the scalar override and at the detected level,
+  // in alternation.
   auto scalar_vs_simd = [&](const char* name, double bytes, auto&& fn) {
-    simd::set_level_for_testing(simd::Level::Scalar);
-    const double sc = time_best(fn);
+    const auto [sc, si] = time_best_pair(
+        [&] {
+          simd::set_level_for_testing(simd::Level::Scalar);
+          fn();
+        },
+        [&] {
+          simd::clear_level_for_testing();
+          fn();
+        });
     simd::clear_level_for_testing();
-    const double si = time_best(fn);
     rows.push_back({.kernel = name, .baseline_seconds = sc, .seconds = si,
                     .bytes = bytes, .simd = true});
   };
 
   {
     // Baseline: the seed's genuinely-scalar lround loop (non-allocating).
-    const double seed_s = time_best([&] {
-      for (size_t i = 0; i < x.size(); ++i) {
-        const float t = (x[i] / scale + 1.0f) * 0.5f * 255.0f;
-        codes[i] = static_cast<uint8_t>(std::lround(std::clamp(t, 0.0f, 255.0f)));
-      }
-      sink = codes[0];
-    });
-    const double opt_s = time_best([&] {
-      simd::quantize_codes(x.data(), codes.data(), n, scale, 255);
-      sink = codes[0];
-    });
+    const auto [seed_s, opt_s] = time_best_pair(
+        [&] {
+          for (size_t i = 0; i < x.size(); ++i) {
+            const float t = (x[i] / scale + 1.0f) * 0.5f * 255.0f;
+            codes[i] = static_cast<uint8_t>(std::lround(std::clamp(t, 0.0f, 255.0f)));
+          }
+          sink = codes[0];
+        },
+        [&] {
+          simd::quantize_codes(x.data(), codes.data(), n, scale, 255);
+          sink = codes[0];
+        });
     rows.push_back({.kernel = "quantize8", .baseline_seconds = seed_s,
                     .seconds = opt_s, .bytes = 4.0 * static_cast<double>(n),
                     .simd = true});
@@ -429,36 +453,35 @@ std::vector<CodecRow> run_codec_rows(int64_t n) {
   });
   {
     // One peer of qsgd(64)'s gather fold: decode codes and signs and add
-    // them onto the accumulator. Bytes are the codes, signs and the
-    // accumulator read.
-    std::vector<uint8_t> qcodes(static_cast<size_t>(n));
+    // them onto the accumulator, on a tensor the size of mlp-qsgd's
+    // largest (768 x 256), whatever the run's n. Bytes are the codes,
+    // signs and the accumulator read.
+    const int64_t qn = std::min<int64_t>(n, 768 * 256);
+    std::vector<uint8_t> qcodes(static_cast<size_t>(qn));
     for (size_t i = 0; i < qcodes.size(); ++i) {
       qcodes[i] = static_cast<uint8_t>(std::fabs(x[i]) / scale * 64.0f);
     }
-    simd::pack_sign_bits(x.data(), packed.data(), n);
-    std::vector<float> acc(static_cast<size_t>(n), 0.0f);
-    scalar_vs_simd("qsgd_decode_add", 5.125 * static_cast<double>(n), [&] {
-      simd::dequantize_signed(qcodes.data(), packed.data(), acc.data(), n,
+    simd::pack_sign_bits(x.data(), packed.data(), qn);
+    std::vector<float> acc(static_cast<size_t>(qn), 0.0f);
+    scalar_vs_simd("qsgd_decode_add", 5.125 * static_cast<double>(qn), [&] {
+      simd::dequantize_signed(qcodes.data(), packed.data(), acc.data(), qn,
                               scale, 64, /*accumulate=*/true);
       sink = static_cast<uint8_t>(acc[0] > 0.0f);
     });
+    rows.back().n = qn;
   }
   {
     const auto frame = std::as_bytes(std::span<const float>(x));
-    const double seed_s = time_best([&] {
-      sink = static_cast<uint8_t>(seed_crc32(frame));
-    });
-    const double opt_s = time_best([&] {
-      sink = static_cast<uint8_t>(grace::util::crc32(frame));
-    });
+    const auto crc = [&] { sink = static_cast<uint8_t>(grace::util::crc32(frame)); };
+    const auto [seed_s, opt_s] = time_best_pair(
+        [&] { sink = static_cast<uint8_t>(seed_crc32(frame)); }, crc);
     rows.push_back({"crc32", seed_s, opt_s, 4.0 * static_cast<double>(n)});
     // The carry-less-multiply fold against the slicing-by-8 it replaced;
     // at the Scalar level util::crc32 is that loop, so the row is skipped.
-    const double sliced_s = time_best([&] {
-      sink = static_cast<uint8_t>(sliced_crc32(frame));
-    });
+    const auto [sliced_s, clmul_s] = time_best_pair(
+        [&] { sink = static_cast<uint8_t>(sliced_crc32(frame)); }, crc);
     rows.push_back({.kernel = "crc32_clmul", .baseline_seconds = sliced_s,
-                    .seconds = opt_s, .bytes = 4.0 * static_cast<double>(n),
+                    .seconds = clmul_s, .bytes = 4.0 * static_cast<double>(n),
                     .simd = true});
   }
   {
@@ -505,8 +528,14 @@ std::vector<CodecRow> run_codec_rows(int64_t n) {
       img_total += kBatch * convs.back().img_n;
       col_total += kBatch * convs.back().col_n;
     }
-    std::vector<float> imgs(static_cast<size_t>(img_total));
-    std::vector<float> cols(static_cast<size_t>(col_total));
+    // Images and columns at fixed cache-line-aligned places in one buffer,
+    // half a page apart, so where the heap puts them cannot move the
+    // ratios.
+    std::vector<float> store(static_cast<size_t>(img_total + col_total + 528));
+    const std::span<float> imgs(aligned_to_line(store.data()),
+                                static_cast<size_t>(img_total));
+    const std::span<float> cols(imgs.data() + img_total + 512,
+                                static_cast<size_t>(col_total));
     Rng crng(41);
     crng.fill_normal(imgs, 0.0f, 1.0f);
     // Calls fn(conv, image, columns) for every image of the batch.
@@ -555,6 +584,73 @@ std::vector<CodecRow> run_codec_rows(int64_t n) {
         });
     rows.push_back({"col2im", col2im_ref, col2im_lib, col_bytes, col_total});
   }
+  {
+    // Top-k on one lane over cnn-topk's two large gradients, conv2.W (4608)
+    // and fc.W (5120), at its 1%: the comparator nth_element the radix
+    // select replaced against ops::topk_abs_indices. Both live in one
+    // cache-line-aligned buffer, so where the heap puts them cannot move
+    // the ratio.
+    const grace::runtime::LaneLimit one_lane(1);
+    constexpr int64_t kSizes[] = {4608, 5120};
+    std::vector<float> store(4608 + 5120 + 16);
+    float* const base = aligned_to_line(store.data());
+    std::vector<std::span<const float>> grads;
+    float* at = base;
+    for (const int64_t gn : kSizes) {
+      const std::span<float> g(at, static_cast<size_t>(gn));
+      Rng grng(static_cast<uint64_t>(43 + gn));
+      grng.fill_normal(g, 0.0f, 1e-3f);
+      grads.emplace_back(g);
+      at += gn;
+    }
+    std::vector<int32_t> idx;
+    const auto [nth_s, radix_s] = time_best_pair(
+        [&] {
+          for (const auto g : grads) {
+            seed_topk(g, std::ssize(g) / 100, idx);
+            sink = static_cast<uint8_t>(idx[0]);
+          }
+        },
+        [&] {
+          for (const auto g : grads) {
+            sink = static_cast<uint8_t>(
+                grace::ops::topk_abs_indices(g, std::ssize(g) / 100)[0]);
+          }
+        });
+    // Its second pass is util::simd's threshold scan, so the row counts as
+    // a SIMD row (a generic build reads about 3.3x).
+    rows.push_back({.kernel = "topk_radix", .baseline_seconds = nth_s,
+                    .seconds = radix_s, .bytes = 4.0 * (4608 + 5120),
+                    .n = 4608 + 5120, .simd = true});
+  }
+  {
+    // GEMM's operand transpose on one lane, on the shapes cnn-topk's
+    // backward transposes (conv1's and conv2's cols, fc.W, the fc input):
+    // the scalar loop against the tile kernel. Source and destination sit
+    // at fixed cache-line-aligned places in one buffer.
+    const grace::runtime::LaneLimit one_lane(1);
+    const std::array<std::pair<int64_t, int64_t>, 4> shapes{
+        {{27, 256}, {144, 64}, {512, 10}, {8, 512}}};
+    int64_t moved = 0, largest = 0;
+    for (const auto& [tm, tn] : shapes) {
+      moved += tm * tn;
+      largest = std::max(largest, tm * tn);
+    }
+    const auto size = static_cast<size_t>(largest);
+    std::vector<float> store(2 * size + 32);
+    const std::span<float> in(aligned_to_line(store.data()), size);
+    const std::span<float> out(aligned_to_line(in.data() + size + 16), size);
+    Rng trng(47);
+    trng.fill_normal(in, 0.0f, 1.0f);
+    scalar_vs_simd("transpose", 4.0 * static_cast<double>(moved), [&] {
+      for (const auto& [tm, tn] : shapes) {
+        grace::ops::transpose(in.first(static_cast<size_t>(tm * tn)), tm, tn,
+                              out);
+      }
+      sink = static_cast<uint8_t>(out[0] > 0.0f);
+    });
+    rows.back().n = moved;
+  }
 
   // Index coding on a 1%-sparse list over [0, n).
   const int64_t k = std::max<int64_t>(1, n / 100);
@@ -562,9 +658,8 @@ std::vector<CodecRow> run_codec_rows(int64_t n) {
   auto indices = irng.sample_indices(n, k);
   const double ibytes = 4.0 * static_cast<double>(k);
   {
-    const double seed_s =
-        time_best([&] { sink = seed_rice_encode(indices, 6)[0]; });
-    const double opt_s = time_best(
+    const auto [seed_s, opt_s] = time_best_pair(
+        [&] { sink = seed_rice_encode(indices, 6)[0]; },
         [&] { sink = grace::core::rice_encode_indices(indices, 6).u8()[0]; });
     rows.push_back({"rice", seed_s, opt_s, ibytes});
   }
@@ -576,19 +671,19 @@ std::vector<CodecRow> run_codec_rows(int64_t n) {
     std::vector<float> grad(static_cast<size_t>(params));
     Rng grng(31);
     grng.fill_normal(grad, 0.0f, 1.0f);
-    std::vector<float> param(grad.size(), 0.0f), m(grad.size(), 0.0f),
-        v(grad.size(), 0.0f);
+    std::vector<float> seed_param(grad.size(), 0.0f), m(grad.size(), 0.0f),
+        v(grad.size(), 0.0f), param(grad.size(), 0.0f);
     int64_t step = 0;
-    const double seed_s = time_best([&] {
-      seed_adam(cfg, ++step, param, m, v, grad);
-      sink = static_cast<uint8_t>(param[0] > 0.0f);
-    });
     const auto adam = optim::make_optimizer(cfg);
-    std::fill(param.begin(), param.end(), 0.0f);
-    const double opt_s = time_best([&] {
-      adam->apply(0, param, grad);
-      sink = static_cast<uint8_t>(param[0] > 0.0f);
-    });
+    const auto [seed_s, opt_s] = time_best_pair(
+        [&] {
+          seed_adam(cfg, ++step, seed_param, m, v, grad);
+          sink = static_cast<uint8_t>(seed_param[0] > 0.0f);
+        },
+        [&] {
+          adam->apply(0, param, grad);
+          sink = static_cast<uint8_t>(param[0] > 0.0f);
+        });
     // Reads param, grad, m and v.
     rows.push_back({"adam", seed_s, opt_s, 16.0 * static_cast<double>(params),
                     params});
@@ -806,7 +901,8 @@ int main(int argc, char** argv) {
               "seed Mel/s", "runtime Mel/s", "speedup");
   for (int threads : {1, 2, threads_cap()}) {
     runtime::ThreadPool::global().resize(threads);
-    const double seed_s = time_best([&] { seed_topk(tx, tk); });
+    std::vector<int32_t> idx;
+    const double seed_s = time_best([&] { seed_topk(tx, tk, idx); });
     const double par_s = time_best([&] { ops::topk_abs_indices(tx, tk); });
     std::printf("%-18s %8d %12.2f %12.2f %8.2fx\n", "", threads,
                 static_cast<double>(tn) / seed_s / 1e6,

@@ -281,8 +281,8 @@ std::vector<Tensor> unpack_blob_bundle(const Tensor& bundle) {
   const auto bytes = bundle.bytes();
   for (const uint64_t len : lens) {
     const auto blob = bytes.subspan(off, static_cast<size_t>(len));
-    out.emplace_back(DType::U8, Shape{{static_cast<int64_t>(len)}},
-                     std::vector<std::byte>(blob.begin(), blob.end()));
+    out.push_back(Tensor::from_bytes(
+        DType::U8, Shape{{static_cast<int64_t>(len)}}, blob));
     off += static_cast<size_t>(len);
   }
   return out;

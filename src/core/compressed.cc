@@ -28,11 +28,13 @@ class ByteWriter {
   explicit ByteWriter(size_t frame_bytes) { buf_.reserve(frame_bytes); }
   template <typename T>
   void put(T v) {
-    const auto* p = reinterpret_cast<const std::byte*>(&v);
-    buf_.insert(buf_.end(), p, p + sizeof(T));
+    put_bytes(std::as_bytes(std::span<const T, 1>(&v, 1)));
   }
+  // A grow of Bytes writes nothing, so each byte is written once, here.
   void put_bytes(std::span<const std::byte> bytes) {
-    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+    const size_t at = buf_.size();
+    buf_.resize(at + bytes.size());
+    if (!bytes.empty()) std::memcpy(buf_.data() + at, bytes.data(), bytes.size());
   }
   // Appends the little-endian CRC32 of everything written so far, closing
   // the frame per the util/crc32.h convention. Must be the last write.
@@ -48,7 +50,7 @@ class ByteWriter {
   }
 
  private:
-  std::vector<std::byte> buf_;
+  Bytes buf_;
 };
 
 class ByteReader {
@@ -124,13 +126,6 @@ void put_fields(W& w, const CompressedTensor& ct,
   for (int64_t i : ct.ctx.ints) w.put(i);
   w.put(ct.ctx.wire_bits);
   w.put(ct.ctx.raw_wire_bits);
-}
-
-// A tensor holding a copy of `bytes`, built from them with no zero fill.
-Tensor tensor_from_bytes(DType dtype, Shape shape,
-                         std::span<const std::byte> bytes) {
-  return Tensor(dtype, std::move(shape),
-                std::vector<std::byte>(bytes.begin(), bytes.end()));
 }
 
 [[noreturn]] void malformed(const std::string& why) {
@@ -276,7 +271,7 @@ CompressedTensor deserialize(const Tensor& blob) {
       const auto elem = static_cast<int64_t>(dtype_size(dtype));
       Shape shape = get_shape(r, static_cast<int64_t>(r.remaining()) / elem);
       const auto bytes = r.take(static_cast<size_t>(shape.numel() * elem));
-      ct.parts.push_back(tensor_from_bytes(dtype, std::move(shape), bytes));
+      ct.parts.push_back(Tensor::from_bytes(dtype, std::move(shape), bytes));
       continue;
     }
     if (dtype != DType::I32) malformed("coded part is not i32");
@@ -286,11 +281,11 @@ CompressedTensor deserialize(const Tensor& blob) {
     if (shape.numel() > static_cast<int64_t>(coded_len) * 8) {
       malformed("coded part holds fewer bits than indices");
     }
-    Tensor enc = tensor_from_bytes(
+    Tensor enc = Tensor::from_bytes(
         DType::U8, Shape{{static_cast<int64_t>(coded_len)}}, r.take(coded_len));
     const std::vector<int32_t> idx = rice_decode_indices(enc, shape.numel());
     ct.coded_indices[static_cast<size_t>(slot)] = std::move(enc);
-    ct.parts.push_back(tensor_from_bytes(dtype, std::move(shape),
+    ct.parts.push_back(Tensor::from_bytes(dtype, std::move(shape),
                                          std::as_bytes(std::span(idx))));
   }
   // The original tensor's shape is not stored here, only bounded so that

@@ -8,6 +8,42 @@
 #include "tensor/ops.h"
 
 namespace grace::nn {
+namespace {
+
+// One plane of maxpool2x2: dst(oh x ow)[i, j] is the largest input of the
+// 2x2 window at (2i, 2j) of src (2oh x w), scanned (0,0), (0,1), (1,0),
+// (1,1) with a strict > from -inf, and at[i, j] that input's plane
+// offset. NaN never wins, and a window with nothing above -inf keeps -inf
+// and offset 0. A plain function with its geometry by value and selects
+// instead of branches, as DESIGN.md §7 asks of a parallel_for body.
+void maxpool_plane(const float* __restrict__ src, float* __restrict__ dst,
+                   int32_t* __restrict__ at, int64_t w, int64_t oh,
+                   int64_t ow) {
+  for (int64_t i = 0; i < oh; ++i) {
+    const float* r0 = src + 2 * i * w;
+    const float* r1 = r0 + w;
+    const auto off0 = static_cast<int32_t>(2 * i * w);
+    const auto off1 = static_cast<int32_t>(off0 + w);
+    for (int64_t j = 0; j < ow; ++j) {
+      float best = -std::numeric_limits<float>::infinity();
+      int32_t best_at = 0;
+      const auto take = [&](float v, int32_t off) {
+        const bool win = v > best;
+        best = win ? v : best;
+        best_at = win ? off : best_at;
+      };
+      const auto col = static_cast<int32_t>(2 * j);
+      take(r0[2 * j], off0 + col);
+      take(r0[2 * j + 1], off0 + col + 1);
+      take(r1[2 * j], off1 + col);
+      take(r1[2 * j + 1], off1 + col + 1);
+      dst[i * ow + j] = best;
+      at[i * ow + j] = best_at;
+    }
+  }
+}
+
+}  // namespace
 
 Value conv2d(const Value& x, const Value& weight, const Value& bias,
              int64_t stride, int64_t pad) {
@@ -23,8 +59,9 @@ Value conv2d(const Value& x, const Value& weight, const Value& bias,
   const int64_t col_rows = c * kh * kw;
   const int64_t col_cols = oh * ow;
 
-  Tensor out(DType::F32, Shape{{n, oc, oh, ow}});
-  Tensor cols(DType::F32, Shape{{col_rows, col_cols}});
+  // The GEMM (beta 0) writes every element of out, im2col every one of cols.
+  Tensor out = Tensor::for_overwrite(DType::F32, Shape{{n, oc, oh, ow}});
+  Tensor cols = Tensor::for_overwrite(DType::F32, Shape{{col_rows, col_cols}});
   auto xv = x->data.f32();
   auto wv = weight->data.f32();
   auto bv = bias->data.f32();
@@ -50,10 +87,16 @@ Value conv2d(const Value& x, const Value& weight, const Value& bias,
     auto& wn = *nd.parents[1];
     auto& bn = *nd.parents[2];
     // No dX for an input that needs none (the data batch): that skips a
-    // GEMM, a col2im and the dcols buffer per sample.
+    // GEMM, a col2im and the dcols buffer per sample. W^T is the same for
+    // every sample, so it is transposed once.
     const bool want_dx = xn.requires_grad;
-    Tensor bcols(DType::F32, Shape{{crows, ccols}});
-    Tensor dcols = want_dx ? Tensor(DType::F32, Shape{{crows, ccols}}) : Tensor();
+    Tensor bcols = Tensor::for_overwrite(DType::F32, Shape{{crows, ccols}});
+    Tensor dcols, wt;
+    if (want_dx) {
+      dcols = Tensor::for_overwrite(DType::F32, Shape{{crows, ccols}});
+      wt = Tensor::for_overwrite(DType::F32, Shape{{crows, oc}});
+      ops::transpose(wn.data.f32(), oc, crows, wt.f32());
+    }
     for (int64_t i = 0; i < n; ++i) {
       auto gi = g.subspan(static_cast<size_t>(i * oc * ccols), static_cast<size_t>(oc * ccols));
       // dB: sum over spatial positions.
@@ -70,8 +113,8 @@ Value conv2d(const Value& x, const Value& weight, const Value& bias,
                 wn.grad.f32());
       if (want_dx) {
         // dX_i = col2im(W^T * gi)
-        ops::gemm(true, false, crows, ccols, oc, 1.0f, wn.data.f32(), gi,
-                  0.0f, dcols.f32());
+        ops::gemm(false, false, crows, ccols, oc, 1.0f, wt.f32(), gi, 0.0f,
+                  dcols.f32());
         ops::col2im(dcols.f32(), c, h, w, kh, kw, stride, pad,
                     xn.grad.f32().subspan(static_cast<size_t>(i * c * h * w), static_cast<size_t>(c * h * w)));
       }
@@ -85,33 +128,18 @@ Value maxpool2x2(const Value& x) {
   assert(xs.rank() == 4 && xs[2] % 2 == 0 && xs[3] % 2 == 0);
   const int64_t n = xs[0], c = xs[1], h = xs[2], w = xs[3];
   const int64_t oh = h / 2, ow = w / 2;
-  Tensor out(DType::F32, Shape{{n, c, oh, ow}});
-  // Remember which input position won each window for the backward pass.
-  std::vector<int32_t> argmaxes(static_cast<size_t>(out.numel()));
-  auto xv = x->data.f32();
-  auto ov = out.f32();
+  // Every window writes its output and, for the backward pass, the plane
+  // offset of the input that won it.
+  Tensor out = Tensor::for_overwrite(DType::F32, Shape{{n, c, oh, ow}});
+  Tensor argmaxes = Tensor::for_overwrite(DType::I32, Shape{{n, c, oh, ow}});
+  const float* xv = x->data.f32().data();
+  float* ov = out.f32().data();
+  int32_t* av = argmaxes.i32().data();
   // Each (n, c) plane is independent: disjoint reads and writes.
   runtime::parallel_for(n * c, /*grain=*/1, [&](int64_t g0, int64_t g1) {
     for (int64_t img = g0; img < g1; ++img) {
-      const auto src = xv.subspan(static_cast<size_t>(img * h * w), static_cast<size_t>(h * w));
-      for (int64_t i = 0; i < oh; ++i) {
-        for (int64_t j = 0; j < ow; ++j) {
-          float best = -std::numeric_limits<float>::infinity();
-          int32_t best_at = 0;
-          for (int64_t di = 0; di < 2; ++di) {
-            for (int64_t dj = 0; dj < 2; ++dj) {
-              const auto at = static_cast<int32_t>((2 * i + di) * w + 2 * j + dj);
-              if (src[static_cast<size_t>(at)] > best) {
-                best = src[static_cast<size_t>(at)];
-                best_at = at;
-              }
-            }
-          }
-          const auto out_at = static_cast<size_t>((img * oh + i) * ow + j);
-          ov[out_at] = best;
-          argmaxes[out_at] = best_at;
-        }
-      }
+      maxpool_plane(xv + img * h * w, ov + img * oh * ow, av + img * oh * ow,
+                    w, oh, ow);
     }
   });
   auto node = make_value(std::move(out));
@@ -119,6 +147,7 @@ Value maxpool2x2(const Value& x) {
   node->backward_fn = [n, c, h, w, oh, ow, argmaxes = std::move(argmaxes)](Node& nd) {
     auto g = nd.grad.f32();
     auto gx = nd.parents[0]->grad.f32();
+    const auto at = argmaxes.i32();
     // argmaxes are plane-local offsets, so each plane scatters into its own
     // disjoint slice of gx.
     runtime::parallel_for(n * c, /*grain=*/1, [&](int64_t g0, int64_t g1) {
@@ -126,7 +155,7 @@ Value maxpool2x2(const Value& x) {
         auto gdst = gx.subspan(static_cast<size_t>(img * h * w), static_cast<size_t>(h * w));
         const auto base = static_cast<size_t>(img * oh * ow);
         for (int64_t k = 0; k < oh * ow; ++k) {
-          gdst[static_cast<size_t>(argmaxes[base + static_cast<size_t>(k)])] += g[base + static_cast<size_t>(k)];
+          gdst[static_cast<size_t>(at[base + static_cast<size_t>(k)])] += g[base + static_cast<size_t>(k)];
         }
       }
     });

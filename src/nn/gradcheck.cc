@@ -30,8 +30,10 @@ GradCheckResult gradcheck(Module& m, const std::function<Value()>& loss_fn,
       const double numeric = (up - down) / (2.0 * eps);
       const double analytic = grads[at];
       const double denom = std::max({std::fabs(numeric), std::fabs(analytic), 1e-4});
-      result.max_rel_error =
-          std::max(result.max_rel_error, std::fabs(numeric - analytic) / denom);
+      const double error = std::fabs(numeric - analytic) / denom;
+      // A NaN error must stick: std::max would drop it, and a NaN loss
+      // would pass every check.
+      if (!(error <= result.max_rel_error)) result.max_rel_error = error;
       ++result.checked;
     }
   }

@@ -98,7 +98,8 @@ Value matmul(const Value& a, const Value& b) {
   const int64_t k = a->data.shape()[1];
   const int64_t n2 = b->data.shape()[1];
   assert(b->data.shape()[0] == k);
-  Tensor out(DType::F32, Shape{{m, n2}});
+  // The GEMM (beta 0) writes every element of out.
+  Tensor out = Tensor::for_overwrite(DType::F32, Shape{{m, n2}});
   ops::gemm(false, false, m, n2, k, 1.0f, a->data.f32(), b->data.f32(), 0.0f,
             out.f32());
   return binary(a, b, std::move(out), [m, k, n2](Node& n) {
@@ -113,8 +114,10 @@ Value matmul(const Value& a, const Value& b) {
 }
 
 Value relu(const Value& a) {
-  Tensor out = a->data;
-  for (auto& v : out.f32()) v = v > 0.0f ? v : 0.0f;
+  Tensor out = Tensor::for_overwrite(DType::F32, a->data.shape());
+  const auto src = a->data.f32();
+  const auto dst = out.f32();
+  for (size_t i = 0; i < dst.size(); ++i) dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
   return unary(a, std::move(out), [](Node& n) {
     auto g = n.grad.f32();
     auto ga = n.parents[0]->grad.f32();

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "util/json.h"
 
@@ -340,13 +341,19 @@ std::string critical_path_json(const CriticalPathSummary& s) {
   os << "{\"collected\":" << (s.collected ? "true" : "false")
      << ",\"iterations\":" << s.iterations;
   os << ",\"attribution\":{";
-  os << "\"compute_seconds\":" << s.mean.compute_s
-     << ",\"codec_seconds\":" << s.mean.codec_s
-     << ",\"link_seconds\":" << s.mean.link_s
-     << ",\"optimizer_seconds\":" << s.mean.optimizer_s
-     << ",\"stall_seconds\":" << s.mean.stall_s
-     << ",\"iteration_seconds\":" << s.mean.iteration_s
-     << ",\"binding\":";
+  const std::pair<const char*, double> attribution[] = {
+      {"compute_seconds", s.mean.compute_s},
+      {"codec_seconds", s.mean.codec_s},
+      {"link_seconds", s.mean.link_s},
+      {"optimizer_seconds", s.mean.optimizer_s},
+      {"stall_seconds", s.mean.stall_s},
+      {"iteration_seconds", s.mean.iteration_s}};
+  for (const auto& [name, value] : attribution) {
+    os << '"' << name << "\":";
+    util::json::append_number(os, value);
+    os << ',';
+  }
+  os << "\"binding\":";
   util::json::append_escaped(os, resource_name(s.mean.binding));
   os << '}';
   os << ",\"bound_iterations\":{";
@@ -362,8 +369,11 @@ std::string critical_path_json(const CriticalPathSummary& s) {
     if (i) os << ',';
     os << "{\"name\":";
     util::json::append_escaped(os, w.name);
-    os << ",\"iteration_seconds\":" << w.iteration_s
-       << ",\"speedup\":" << w.speedup << '}';
+    os << ",\"iteration_seconds\":";
+    util::json::append_number(os, w.iteration_s);
+    os << ",\"speedup\":";
+    util::json::append_number(os, w.speedup);
+    os << '}';
   }
   os << "]}";
   return os.str();

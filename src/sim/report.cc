@@ -148,7 +148,11 @@ Extracted extract_rows(const std::string& json) {
   const util::json::Value doc = util::json::parse(json);
   Extracted out;
   for (const auto& [name, value] : doc.at("metrics").object()) {
-    out.metrics.push_back(ReportMetric{name, value.number()});
+    // run_report_json writes a NaN or an infinity as null; it reads back
+    // as NaN, which fails any gated rule.
+    out.metrics.push_back(ReportMetric{
+        name, value.text() == "null" ? std::numeric_limits<double>::quiet_NaN()
+                                     : value.number()});
   }
   for (const util::json::Value& flag : doc.at("flags").array()) {
     out.flag_names.push_back(flag.at("name").string());
@@ -362,7 +366,8 @@ std::string run_report_json(const RunReport& report) {
   for (size_t i = 0; i < report.metrics.size(); ++i) {
     if (i) os << ',';
     util::json::append_escaped(os, report.metrics[i].name);
-    os << ':' << report.metrics[i].value;
+    os << ':';
+    util::json::append_number(os, report.metrics[i].value);
   }
   os << "},\"flags\":[";
   for (size_t i = 0; i < report.flags.size(); ++i) {
@@ -370,8 +375,11 @@ std::string run_report_json(const RunReport& report) {
     if (i) os << ',';
     os << "{\"name\":";
     util::json::append_escaped(os, f.name);
-    os << ",\"value\":" << f.value << ",\"threshold\":" << f.threshold
-       << ",\"detail\":";
+    os << ",\"value\":";
+    util::json::append_number(os, f.value);
+    os << ",\"threshold\":";
+    util::json::append_number(os, f.threshold);
+    os << ",\"detail\":";
     util::json::append_escaped(os, f.detail);
     os << '}';
   }
@@ -474,6 +482,17 @@ ReportDiff diff_reports(const std::string& baseline_json,
     d.delta = c->value - b.value;
     d.rel = d.delta / std::max(std::abs(b.value), 1e-12);
     d.rule = rule_label(rule);
+    if (rule != nullptr && rule->kind != RuleKind::Note &&
+        (std::isnan(b.value) || std::isnan(c->value))) {
+      // Every comparison with NaN is false, so no rule below would fail.
+      diff.pass = false;
+      d.failed = true;
+      diff.failures.push_back(d.name + ": null (not a finite number) in the " +
+                              (std::isnan(b.value) ? "baseline" : "current") +
+                              " report breaks rule " + d.rule);
+      diff.deltas.push_back(std::move(d));
+      continue;
+    }
     if (rule != nullptr) {
       switch (rule->kind) {
         case RuleKind::Exact:

@@ -67,7 +67,8 @@ RunReport build_run_report(const RunResult& result,
                            const MetricRegistry* registry = nullptr);
 
 // Deterministic JSON object ({"schema":"grace.run_report.v1",...}); equal
-// reports serialize byte-identically.
+// reports serialize byte-identically. A NaN or infinite number is written
+// as null.
 std::string run_report_json(const RunReport& report);
 // Human-readable multi-line summary (attribution ledger, what-ifs, flags).
 std::string run_report_text(const RunReport& report);
@@ -94,8 +95,9 @@ struct ReportDiff {
 // Compares two run_report_json documents. Verdict rules: a document off
 // the JSON grammar (a `nan` metric included) or a baseline metric missing
 // from `current_json` fails, as does a current metric with a non-note rule
-// missing from `baseline_json`; each known metric applies its comparison
-// rule; flag-set changes and unknown metrics become notes.
+// missing from `baseline_json`; a metric with a non-note rule that is null
+// on either side fails, naming it; each known metric applies its
+// comparison rule; flag-set changes and unknown metrics become notes.
 ReportDiff diff_reports(const std::string& baseline_json,
                         const std::string& current_json);
 std::string report_diff_text(const ReportDiff& diff);

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <vector>
 
 #include "runtime/thread_pool.h"
 #include "tensor/ops.h"
+#include "tensor/tensor.h"
+#include "util/simd.h"
 
 namespace grace::ops {
 namespace {
@@ -207,13 +208,11 @@ void transpose(std::span<const float> in, int64_t m, int64_t n,
   assert(static_cast<int64_t>(in.size()) >= m * n);
   assert(static_cast<int64_t>(out.size()) >= m * n);
   // Parallel over output rows: each task writes a disjoint row range of
-  // `out` and gathers a strided column of `in`.
+  // `out`. The grain is a multiple of the kernel's 8-row tiles.
   float* o = out.data();
   const float* x = in.data();
   runtime::parallel_for(n, /*grain=*/64, [&](int64_t j0, int64_t j1) {
-    for (int64_t j = j0; j < j1; ++j) {
-      for (int64_t i = 0; i < m; ++i) o[j * m + i] = x[i * n + j];
-    }
+    util::simd::transpose_f32(x, m, n, o, j0, j1);
   });
 }
 
@@ -227,19 +226,20 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     scale(c.subspan(0, static_cast<size_t>(m * n)), beta);
   }
   // Materialize transposes once; the blocked kernel then always runs on
-  // contiguous row-major operands.
-  std::vector<float> abuf, bbuf;
+  // contiguous row-major operands. The transpose writes every element of
+  // its buffer, so the buffer starts unwritten.
+  Tensor abuf, bbuf;
   const float* ap = a.data();
   const float* bp = b.data();
   if (trans_a) {
-    abuf.resize(static_cast<size_t>(m * k));
-    transpose(a, k, m, abuf);
-    ap = abuf.data();
+    abuf = Tensor::for_overwrite(DType::F32, Shape{{m, k}});
+    transpose(a, k, m, abuf.f32());
+    ap = abuf.f32().data();
   }
   if (trans_b) {
-    bbuf.resize(static_cast<size_t>(k * n));
-    transpose(b, n, k, bbuf);
-    bp = bbuf.data();
+    bbuf = Tensor::for_overwrite(DType::F32, Shape{{k, n}});
+    transpose(b, n, k, bbuf.f32());
+    bp = bbuf.f32().data();
   }
   gemm_nn(m, n, k, alpha, ap, bp, c.data());
 }

@@ -1,9 +1,11 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -43,6 +45,59 @@ double reduce_double(int64_t n, Map&& map) {
   return runtime::parallel_reduce(
       n, kReduceGrain, 0.0, std::forward<Map>(map),
       [](double acc, double part) { return acc + part; });
+}
+
+// Top-k orders elements by key, the sign-cleared bits of the float, then
+// by index. For values other than NaN the unsigned order of the keys is
+// the order of |x|, and +0 and -0 tie; a NaN's key lies above +inf's.
+inline uint32_t abs_key(float v) {
+  return std::bit_cast<uint32_t>(v) & 0x7FFFFFFFu;
+}
+
+// Where the top k ends: the k-th largest key, and how many elements holding
+// it the top k takes (the lowest-index ones).
+struct TopkCut {
+  uint32_t key;
+  int64_t ties;
+};
+
+// The need-th largest key of exponent bucket d (1 <= need <= count, the
+// bucket's size), as a cut. Each entry of sel holds a key in its high
+// half; the bucket's keys are among them, with larger ones. The mantissa's
+// top, middle and low bytes narrow the bucket by radix select, one
+// histogram each, over the keys that still match. Once every matching key
+// is needed, the smallest of them is the cut.
+TopkCut cut_in_bucket(std::span<const uint64_t> sel, uint32_t d,
+                      int64_t count, int64_t need) {
+  uint32_t prefix = d << 23;    // the key bits fixed so far
+  uint32_t mask = 0xFFu << 23;  // which bits those are
+  for (const int shift : {15, 7, 0}) {
+    if (need == count) break;
+    std::array<uint32_t, 256> hist{};
+    uint32_t b = 0;  // the largest digit, where the walk down starts
+    for (const uint64_t s : sel) {
+      const auto key = static_cast<uint32_t>(s >> 32);
+      if ((key & mask) == prefix) {
+        const uint32_t digit = (key >> shift) & 0xFFu;
+        ++hist[digit];
+        b = std::max(b, digit);
+      }
+    }
+    while (hist[b] < need) need -= hist[b--];
+    count = hist[b];
+    prefix |= b << shift;
+    mask |= 0xFFu << shift;
+  }
+  // After the low byte the matching keys are all equal, so need of them
+  // tie; otherwise every matching key is taken.
+  uint32_t least = 0xFFFFFFFFu;
+  for (const uint64_t s : sel) {
+    const auto key = static_cast<uint32_t>(s >> 32);
+    if ((key & mask) == prefix) least = std::min(least, key);
+  }
+  int64_t equal = 0;
+  for (const uint64_t s : sel) equal += static_cast<uint32_t>(s >> 32) == least;
+  return {least, need == count ? equal : need};
 }
 
 }  // namespace
@@ -199,47 +254,54 @@ std::vector<int32_t> topk_abs_indices(std::span<const float> x, int64_t k) {
   const auto n = static_cast<int64_t>(x.size());
   k = std::clamp<int64_t>(k, 0, n);
   if (k == 0) return {};
-  auto cmp = [&](int32_t a, int32_t b) {
-    const float fa = std::fabs(x[static_cast<size_t>(a)]);
-    const float fb = std::fabs(x[static_cast<size_t>(b)]);
-    // Break magnitude ties by index so selection is deterministic.
-    return fa != fb ? fa > fb : a < b;
-  };
-  // The comparator is a strict total order, so the top-k set is unique:
-  // the two-level selection below returns exactly the same indices as a
-  // single global nth_element, with any thread count.
-  constexpr int64_t kTopkGrain = 1 << 16;
-  std::vector<int32_t> idx;
-  // The two-level path does ~1.3x the comparisons of a single selection
-  // (each chunk must keep min(k, chunk) candidates), so it only wins when
-  // chunks actually run concurrently: when the caller has more than one
-  // lane. Both branches produce the identical unique top-k set, so the
-  // choice cannot break determinism.
-  if (runtime::lanes() > 1 && n >= 2 * kTopkGrain && k < n / 4) {
-    // Per-chunk pre-selection: each chunk keeps its own top-k candidates
-    // (a superset of the global winners it contains); candidates are laid
-    // out at fixed per-chunk offsets, then reduced by one final selection.
-    const int64_t chunks = runtime::detail::num_chunks(n, kTopkGrain);
-    std::vector<std::vector<int32_t>> parts(static_cast<size_t>(chunks));
-    runtime::detail::parallel_chunks(
-        n, kTopkGrain, [&](int64_t c, int64_t lo, int64_t hi) {
-          auto& part = parts[static_cast<size_t>(c)];
-          part.resize(static_cast<size_t>(hi - lo));
-          std::iota(part.begin(), part.end(), static_cast<int32_t>(lo));
-          const auto keep = std::min<int64_t>(k, hi - lo);
-          std::nth_element(part.begin(), part.begin() + (keep - 1), part.end(),
-                           cmp);
-          part.resize(static_cast<size_t>(keep));
-        });
-    for (const auto& part : parts) idx.insert(idx.end(), part.begin(), part.end());
-  } else {
-    idx.resize(static_cast<size_t>(n));
-    std::iota(idx.begin(), idx.end(), 0);
+  const float* p = x.data();
+  // Pass 1: a histogram of the keys' top byte, the exponent. Walking it
+  // down from the largest exponent finds bucket d, which holds the k-th
+  // largest key; the buckets above d supply k - need of the k.
+  std::array<uint32_t, 256> hist{};
+  uint32_t d = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    const uint32_t e = abs_key(p[i]) >> 23;
+    ++hist[e];
+    d = std::max(d, e);
   }
-  std::nth_element(idx.begin(), idx.begin() + k, idx.end(), cmp);
-  idx.resize(static_cast<size_t>(k));
-  std::sort(idx.begin(), idx.end());
-  return idx;
+  int64_t need = k;
+  while (hist[d] < need) need -= hist[d--];
+  // Pass 2, the last over all of x: the indices of bucket d and above, in
+  // index order; pass 1 counted them. Those keys are at least floor, the
+  // bits of 2^(d - 127), so for d > 0 they are the |x| above the float
+  // just below it: the vector threshold scan. A NaN fails that compare,
+  // so with anything in the top bucket (inf and NaN), or when every key
+  // qualifies, a plain loop collects them.
+  const uint32_t floor = d << 23;
+  std::vector<int32_t> above(static_cast<size_t>(k - need + hist[d]));
+  if (d > 0 && hist[255] == 0) {
+    util::simd::threshold_select(p, 0, n, std::bit_cast<float>(floor - 1),
+                                 above.data());
+  } else {
+    size_t c = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      if (abs_key(p[i]) >= floor) above[c++] = static_cast<int32_t>(i);
+    }
+  }
+  // Each with its key in the high half, so the passes below read no x.
+  std::vector<uint64_t> sel(above.size());
+  for (size_t j = 0; j < above.size(); ++j) {
+    sel[j] = uint64_t{abs_key(p[above[j]])} << 32 | static_cast<uint32_t>(above[j]);
+  }
+  const TopkCut cut = cut_in_bucket(sel, d, hist[d], need);
+  // Keep every key above the cut and the lowest-index `ties` keys equal
+  // to it: exactly k, in index order.
+  size_t kept = 0;
+  int64_t ties = cut.ties;
+  for (const uint64_t s : sel) {
+    const auto key = static_cast<uint32_t>(s >> 32);
+    if (key > cut.key || (key == cut.key && ties-- > 0)) {
+      above[kept++] = static_cast<int32_t>(s & 0xFFFFFFFFu);
+    }
+  }
+  above.resize(kept);
+  return above;
 }
 
 std::vector<int32_t> threshold_indices(std::span<const float> x, float threshold) {

@@ -26,7 +26,10 @@ float max(std::span<const float> x);
 int64_t argmax(std::span<const float> x);
 int64_t count_nonzero(std::span<const float> x);
 
-// Indices of the k largest-magnitude elements (unsorted order by index).
+// Indices of the k largest-magnitude elements, in ascending index order
+// (k is clamped to [0, x.size()]). Elements rank by |x| descending, then by
+// index ascending, so +0 and -0 tie and the set is unique; a NaN ranks
+// above +inf (NaNs among themselves by payload bits).
 std::vector<int32_t> topk_abs_indices(std::span<const float> x, int64_t k);
 // Indices where |x[i]| > threshold.
 std::vector<int32_t> threshold_indices(std::span<const float> x, float threshold);

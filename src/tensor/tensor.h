@@ -9,7 +9,9 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "tensor/dtype.h"
@@ -17,16 +19,53 @@
 
 namespace grace {
 
+namespace detail {
+// std::allocator, except that a construct with no value default-initializes:
+// growing a vector of bytes leaves the new bytes unwritten.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0) {
+      ::new (static_cast<void*>(p)) U;
+    } else {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+};
+}  // namespace detail
+
+// A tensor's storage: `Bytes(n)` allocates n bytes without writing them.
+using Bytes = std::vector<std::byte, detail::DefaultInitAllocator<std::byte>>;
+
 class Tensor {
  public:
   Tensor() = default;
-  Tensor(DType dtype, Shape shape)
-      : dtype_(dtype),
-        shape_(std::move(shape)),
-        data_(static_cast<size_t>(shape_.numel()) * dtype_size(dtype)) {}
+  // Zero-filled.
+  Tensor(DType dtype, Shape shape);
   // Adopts `storage` as the tensor's bytes, with no zero fill and no copy.
   // Its size must be numel * dtype size (std::runtime_error).
-  Tensor(DType dtype, Shape shape, std::vector<std::byte> storage);
+  Tensor(DType dtype, Shape shape, Bytes storage);
+  // Storage for a kernel that writes every element, left unwritten. A
+  // sanitizer build fills it with 0xFF bytes (a NaN as f32), so an element
+  // the kernel skips shows up in the bitwise tests.
+  static Tensor for_overwrite(DType dtype, Shape shape);
+  // A copy of `bytes`, numel * dtype size of them (std::runtime_error).
+  static Tensor from_bytes(DType dtype, Shape shape,
+                           std::span<const std::byte> bytes);
+  // Out of line, one memcpy each: Bytes' allocator would have every copy
+  // site inline a byte loop instead.
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
+  Tensor(Tensor&&) = default;
+  Tensor& operator=(Tensor&&) = default;
 
   static Tensor zeros(Shape shape) { return Tensor(DType::F32, std::move(shape)); }
   static Tensor zeros_like(const Tensor& t) { return Tensor(t.dtype(), t.shape()); }
@@ -101,7 +140,7 @@ class Tensor {
 
   DType dtype_ = DType::F32;
   Shape shape_{{0}};
-  std::vector<std::byte> data_;
+  Bytes data_;
 };
 
 }  // namespace grace

@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
@@ -30,6 +31,14 @@ void append_escaped(std::ostream& os, std::string_view s) {
     }
   }
   os << '"';
+}
+
+void append_number(std::ostream& os, double v) {
+  if (std::isfinite(v)) {
+    os << v;
+  } else {
+    os << "null";
+  }
 }
 
 // Recursive descent over `text` from byte offset `at`; each value records

@@ -1,6 +1,6 @@
 // Strict RFC 8259 JSON: the reader of every JSON document the repo takes
-// in (fault plans, run reports, gate baselines) and the escaper every
-// emitter writes names with. Input off the grammar (NaN, hex, a leading
+// in (fault plans, run reports, gate baselines), the escaper every emitter
+// writes names with, and the run report's number writer. Input off the grammar (NaN, hex, a leading
 // '+' or zero, a trailing comma, a raw control character, a lone
 // surrogate), a duplicate member name or nesting past kMaxDepth throws
 // std::invalid_argument naming the byte offset. Bytes >= 0x80 in strings
@@ -23,6 +23,10 @@ inline constexpr int kMaxDepth = 64;  // the repo's documents nest <= 6
 // Writes `s` as a quoted string literal: '"' and '\\' escaped, control
 // characters (< 0x20) as \u00XX.
 void append_escaped(std::ostream& os, std::string_view s);
+
+// Writes `v` as a number at the stream's precision, or as null when it is
+// a NaN or an infinity, which JSON has no token for.
+void append_number(std::ostream& os, double v);
 
 class Value {
  public:

@@ -158,6 +158,13 @@ int64_t threshold_scalar(const float* x, int64_t lo, int64_t hi,
   return cnt;
 }
 
+void transpose_scalar(const float* in, int64_t m, int64_t n, float* out,
+                      int64_t j0, int64_t j1) {
+  for (int64_t j = j0; j < j1; ++j) {
+    for (int64_t i = 0; i < m; ++i) out[j * m + i] = in[i * n + j];
+  }
+}
+
 // ------------------------------------------------------- SWAR pack/unpack
 // 8 code bytes fold into 8*B contiguous bits (and back) with three
 // merge-adjacent-fields steps; field masks are compile-time constants.
@@ -379,6 +386,48 @@ int64_t threshold_avx2(const float* x, int64_t lo, int64_t hi, float threshold,
   return cnt;
 }
 
+// out[c * ld_out + r] = in[r * ld_in + c] for r, c in [0, 8).
+inline void transpose8x8_avx2(const float* in, int64_t ld_in, float* out,
+                              int64_t ld_out) {
+  __m256 r[8];
+  for (int k = 0; k < 8; ++k) r[k] = _mm256_loadu_ps(in + k * ld_in);
+  // Pairs of rows interleaved, then quads: for c < 4, q[c] holds column c
+  // of rows 0-3 in its low half and column c + 4 in its high half, and
+  // q[c + 4] the same of rows 4-7.
+  __m256 t[8], q[8];
+  for (int k = 0; k < 8; k += 2) {
+    t[k] = _mm256_unpacklo_ps(r[k], r[k + 1]);
+    t[k + 1] = _mm256_unpackhi_ps(r[k], r[k + 1]);
+  }
+  for (int k = 0; k < 8; k += 4) {
+    q[k] = _mm256_shuffle_ps(t[k], t[k + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    q[k + 1] = _mm256_shuffle_ps(t[k], t[k + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    q[k + 2] = _mm256_shuffle_ps(t[k + 1], t[k + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    q[k + 3] = _mm256_shuffle_ps(t[k + 1], t[k + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (int c = 0; c < 4; ++c) {
+    _mm256_storeu_ps(out + c * ld_out,
+                     _mm256_permute2f128_ps(q[c], q[c + 4], 0x20));
+    _mm256_storeu_ps(out + (c + 4) * ld_out,
+                     _mm256_permute2f128_ps(q[c], q[c + 4], 0x31));
+  }
+}
+
+void transpose_avx2(const float* in, int64_t m, int64_t n, float* out,
+                    int64_t j0, int64_t j1) {
+  int64_t j = j0;
+  for (; j + 8 <= j1; j += 8) {
+    int64_t i = 0;
+    for (; i + 8 <= m; i += 8) {
+      transpose8x8_avx2(in + i * n + j, n, out + j * m + i, m);
+    }
+    for (int64_t jj = j; jj < j + 8; ++jj) {
+      for (int64_t ii = i; ii < m; ++ii) out[jj * m + ii] = in[ii * n + jj];
+    }
+  }
+  transpose_scalar(in, m, n, out, j, j1);
+}
+
 #endif  // GRACE_SIMD_AVX2
 
 #ifdef GRACE_SIMD_CLMUL
@@ -588,6 +637,17 @@ int64_t threshold_select(const float* x, int64_t lo, int64_t hi,
   if (avx2()) return threshold_avx2(x, lo, hi, threshold, out);
 #endif
   return threshold_scalar(x, lo, hi, threshold, out);
+}
+
+void transpose_f32(const float* in, int64_t m, int64_t n, float* out,
+                   int64_t j0, int64_t j1) {
+#ifdef GRACE_SIMD_AVX2
+  if (avx2()) {
+    transpose_avx2(in, m, n, out, j0, j1);
+    return;
+  }
+#endif
+  transpose_scalar(in, m, n, out, j0, j1);
 }
 
 uint32_t crc32_update(const std::byte* data, int64_t n, uint32_t state) {

@@ -1,8 +1,8 @@
 // Runtime-dispatched SIMD kernels for the codec hot paths (CGX-style
 // hand-vectorized quantization, arXiv:2111.08617): quantize/dequantize,
 // QSGD's signed dequantize (write or accumulate), k-bit code packing,
-// sign packing, sparsify gather, the threshold scan and the frame CRC's
-// carry-less-multiply fold. One scalar
+// sign packing, sparsify gather, the threshold scan, the GEMM's operand
+// transpose and the frame CRC's carry-less-multiply fold. One scalar
 // reference implementation per kernel plus an AVX2 variant chosen once at
 // runtime.
 //
@@ -94,9 +94,17 @@ void gather_f32(const float* x, const int32_t* indices, float* out, int64_t n);
 
 // Threshold scan: append the indices i in [lo, hi) with |x[i]| > threshold
 // (NaN compares false, as in the scalar fabs test) to out, in ascending
-// order; returns how many were written. out must have room for hi - lo.
+// order; returns how many were written. Only those are written, so out
+// needs room for as many as qualify (at most hi - lo).
 int64_t threshold_select(const float* x, int64_t lo, int64_t hi,
                          float threshold, int32_t* out);
+
+// Transpose, for the output rows [j0, j1): out(n x m)[j, i] = in(m x n)[i, j].
+// At Avx2 whole 8x8 tiles pass through registers; the edges and the
+// Scalar level run the strided reference loop. It only moves bits, so
+// every level writes the same output.
+void transpose_f32(const float* in, int64_t m, int64_t n, float* out,
+                   int64_t j0, int64_t j1);
 
 // util::crc32's register update: the state (the complemented CRC) after
 // absorbing data[0, n). At Avx2 on a CPU with PCLMULQDQ, whole 16-byte

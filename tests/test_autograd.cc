@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "nn/conv_ops.h"
 #include "nn/gradcheck.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
+#include "runtime/thread_pool.h"
 
 namespace grace::nn {
 namespace {
@@ -256,6 +261,97 @@ TEST(RequiresGrad, MatmulSkipsTheLeftOperandGradientOnly) {
   EXPECT_TRUE(bitwise_equal(with.b, without.b));
   EXPECT_FALSE(all_zero(with.x));
   EXPECT_TRUE(all_zero(without.x));
+}
+
+// --- maxpool2x2 against a per-window loop ----------------------------------
+
+// Each 2x2 window scanned (0,0), (0,1), (1,0), (1,1) with a strict > from
+// -inf: the forward values, and the backward scatter of g onto the winners'
+// plane offsets (offset 0 for a window with nothing above -inf).
+struct PoolReference {
+  std::vector<float> out, grad;
+};
+
+PoolReference maxpool_reference(const Tensor& x, std::span<const float> g) {
+  const int64_t planes = x.shape()[0] * x.shape()[1];
+  const int64_t h = x.shape()[2], w = x.shape()[3], oh = h / 2, ow = w / 2;
+  const auto xv = x.f32();
+  PoolReference ref{std::vector<float>(static_cast<size_t>(planes * oh * ow)),
+                    std::vector<float>(xv.size(), 0.0f)};
+  for (int64_t p = 0; p < planes; ++p) {
+    for (int64_t i = 0; i < oh; ++i) {
+      for (int64_t j = 0; j < ow; ++j) {
+        float best = -std::numeric_limits<float>::infinity();
+        int64_t at = 0;
+        for (int64_t di = 0; di < 2; ++di) {
+          for (int64_t dj = 0; dj < 2; ++dj) {
+            const int64_t off = (2 * i + di) * w + 2 * j + dj;
+            const float v = xv[static_cast<size_t>(p * h * w + off)];
+            if (v > best) {
+              best = v;
+              at = off;
+            }
+          }
+        }
+        const auto o = static_cast<size_t>((p * oh + i) * ow + j);
+        ref.out[o] = best;
+        ref.grad[static_cast<size_t>(p * h * w + at)] += g[o];
+      }
+    }
+  }
+  return ref;
+}
+
+void check_maxpool_matches_reference() {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(33);
+  Tensor x = randn(rng, Shape{{2, 3, 6, 8}});
+  // Windows of plane 0 in scan order (0,0), (0,1), (1,0), (1,1): ties, all
+  // -inf, a leading NaN, all NaN, -inf and NaN, a tie above the first,
+  // and -0 against +0.
+  const std::array<std::array<float, 4>, 7> windows{{
+      {0.5f, 0.5f, 0.5f, 0.5f}, {-inf, -inf, -inf, -inf}, {nan, 1.0f, 3.0f, 2.0f},
+      {nan, nan, nan, nan}, {-inf, nan, -inf, nan}, {1.0f, 2.0f, 2.0f, 2.0f},
+      {-0.0f, 0.0f, 0.0f, -0.0f}}};
+  const int64_t w = 8;
+  auto xv = x.f32();
+  for (size_t k = 0; k < windows.size(); ++k) {
+    const int64_t wi = static_cast<int64_t>(k) / 4, wj = static_cast<int64_t>(k) % 4;
+    for (int64_t q = 0; q < 4; ++q) {
+      xv[static_cast<size_t>((2 * wi + q / 2) * w + 2 * wj + q % 2)] =
+          windows[k][static_cast<size_t>(q)];
+    }
+  }
+  auto xn = make_value(x);
+  auto y = maxpool2x2(xn);
+  rng.fill_normal(y->grad.f32(), 0.0f, 1.0f);
+  const PoolReference ref = maxpool_reference(x, y->grad.f32());
+  y->backward_fn(*y);
+  EXPECT_TRUE(std::ranges::equal(y->data.bytes(), std::as_bytes(std::span(ref.out))));
+  EXPECT_TRUE(std::ranges::equal(xn->grad.bytes(), std::as_bytes(std::span(ref.grad))));
+}
+
+TEST(Relu, WritesTheClampOfEveryElement) {
+  Rng rng(34);
+  Tensor x = randn(rng, Shape{{3, 37}});
+  auto xv = x.f32();
+  xv[0] = -0.0f;
+  xv[1] = std::numeric_limits<float>::quiet_NaN();
+  xv[2] = std::numeric_limits<float>::infinity();
+  std::vector<float> want(xv.size());
+  for (size_t i = 0; i < want.size(); ++i) want[i] = xv[i] > 0.0f ? xv[i] : 0.0f;
+  const auto y = relu(make_value(x));
+  EXPECT_TRUE(std::ranges::equal(y->data.bytes(), std::as_bytes(std::span(want))));
+}
+
+TEST(MaxPool, MatchesAPerWindowLoopOnOneLane) {
+  const runtime::LaneLimit one(1);
+  check_maxpool_matches_reference();
+}
+
+TEST(MaxPool, MatchesAPerWindowLoopOnThePool) {
+  check_maxpool_matches_reference();
 }
 
 TEST(AutogradModule, ZeroGradClears) {

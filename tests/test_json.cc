@@ -171,7 +171,7 @@ TEST(Json, DoublesAtMaxDigits10ReadBackBitwise) {
   for (const double d : values) {
     std::ostringstream os;
     os.precision(std::numeric_limits<double>::max_digits10);
-    os << d;
+    append_number(os, d);
     const std::string text = os.str();
     const double back = parse(text).number();
     uint64_t a = 0;
@@ -179,6 +179,20 @@ TEST(Json, DoublesAtMaxDigits10ReadBackBitwise) {
     std::memcpy(&a, &d, sizeof d);
     std::memcpy(&b, &back, sizeof back);
     EXPECT_EQ(a, b) << text;
+  }
+}
+
+TEST(Json, NonFiniteNumbersAreWrittenAsNull) {
+  for (const double d : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    std::ostringstream os;
+    os << '[';
+    append_number(os, d);
+    os << ']';
+    const std::string text = os.str();
+    EXPECT_EQ(text, "[null]");
+    EXPECT_NO_THROW(parse(text));
   }
 }
 

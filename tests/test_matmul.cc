@@ -1,8 +1,10 @@
 // GEMM, transpose, im2col/col2im.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "runtime/thread_pool.h"
@@ -43,32 +45,80 @@ TEST(Matmul, Transpose) {
   EXPECT_EQ(out, (std::vector<float>{1, 4, 2, 5, 3, 6}));
 }
 
+// A plain transpose loop: out(n x m) = in(m x n)^T.
+std::vector<float> reference_transpose(const std::vector<float>& in, int64_t m,
+                                       int64_t n) {
+  std::vector<float> out(in.size());
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      out[static_cast<size_t>(j * m + i)] = in[static_cast<size_t>(i * n + j)];
+    }
+  }
+  return out;
+}
+
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// (m, n, k) of small cases and of cnn-small's transposed GEMMs, where m and
+// n are not multiples of 8: conv1's and conv2's dW (A * cols^T), conv2's
+// dX (W^T * G), the classifier's dA (G * W^T) and dW (X^T * G).
+constexpr std::array<std::array<int64_t, 3>, 7> kTransShapes{{
+    {4, 3, 5}, {3, 5, 4}, {16, 27, 256}, {32, 144, 64}, {144, 64, 32},
+    {8, 512, 10}, {512, 10, 8}}};
+
 TEST(Matmul, TransAFlagMatchesExplicitTranspose) {
   Rng rng(1);
-  const int64_t m = 4, k = 5, n = 3;
-  std::vector<float> at(static_cast<size_t>(k * m)), b(static_cast<size_t>(k * n));
-  rng.fill_normal(at, 0.0f, 1.0f);
-  rng.fill_normal(b, 0.0f, 1.0f);
-  std::vector<float> a(static_cast<size_t>(m * k));
-  ops::transpose(at, k, m, a);
-  std::vector<float> c1(static_cast<size_t>(m * n)), c2(static_cast<size_t>(m * n));
-  ops::gemm(true, false, m, n, k, 1.0f, at, b, 0.0f, c1);
-  ops::gemm(false, false, m, n, k, 1.0f, a, b, 0.0f, c2);
-  for (size_t i = 0; i < c1.size(); ++i) EXPECT_NEAR(c1[i], c2[i], 1e-5f);
+  for (const auto& [m, n, k] : kTransShapes) {
+    SCOPED_TRACE(::testing::Message() << m << "x" << n << "x" << k);
+    std::vector<float> at(static_cast<size_t>(k * m)), b(static_cast<size_t>(k * n));
+    rng.fill_normal(at, 0.0f, 1.0f);
+    rng.fill_normal(b, 0.0f, 1.0f);
+    const std::vector<float> a = reference_transpose(at, k, m);
+    std::vector<float> c1(static_cast<size_t>(m * n)), c2(static_cast<size_t>(m * n));
+    ops::gemm(true, false, m, n, k, 1.0f, at, b, 0.0f, c1);
+    ops::gemm(false, false, m, n, k, 1.0f, a, b, 0.0f, c2);
+    EXPECT_TRUE(bitwise_equal(c1, c2));
+  }
 }
 
 TEST(Matmul, TransBFlagMatchesExplicitTranspose) {
   Rng rng(2);
-  const int64_t m = 3, k = 4, n = 5;
-  std::vector<float> a(static_cast<size_t>(m * k)), bt(static_cast<size_t>(n * k));
-  rng.fill_normal(a, 0.0f, 1.0f);
-  rng.fill_normal(bt, 0.0f, 1.0f);
-  std::vector<float> b(static_cast<size_t>(k * n));
-  ops::transpose(bt, n, k, b);
-  std::vector<float> c1(static_cast<size_t>(m * n)), c2(static_cast<size_t>(m * n));
-  ops::gemm(false, true, m, n, k, 1.0f, a, bt, 0.0f, c1);
-  ops::gemm(false, false, m, n, k, 1.0f, a, b, 0.0f, c2);
-  for (size_t i = 0; i < c1.size(); ++i) EXPECT_NEAR(c1[i], c2[i], 1e-5f);
+  for (const auto& [m, n, k] : kTransShapes) {
+    SCOPED_TRACE(::testing::Message() << m << "x" << n << "x" << k);
+    std::vector<float> a(static_cast<size_t>(m * k)), bt(static_cast<size_t>(n * k));
+    rng.fill_normal(a, 0.0f, 1.0f);
+    rng.fill_normal(bt, 0.0f, 1.0f);
+    const std::vector<float> b = reference_transpose(bt, n, k);
+    std::vector<float> c1(static_cast<size_t>(m * n)), c2(static_cast<size_t>(m * n));
+    ops::gemm(false, true, m, n, k, 1.0f, a, bt, 0.0f, c1);
+    ops::gemm(false, false, m, n, k, 1.0f, a, b, 0.0f, c2);
+    EXPECT_TRUE(bitwise_equal(c1, c2));
+  }
+}
+
+// ops::transpose splits the output rows over the pool in 64-row chunks.
+void check_transpose_matches_reference() {
+  Rng rng(3);
+  for (const auto& [m, n] : {std::pair<int64_t, int64_t>{27, 256}, {144, 64},
+                             {33, 200}, {256, 27}}) {
+    std::vector<float> in(static_cast<size_t>(m * n));
+    rng.fill_normal(in, 0.0f, 1.0f);
+    std::vector<float> out(in.size());
+    ops::transpose(in, m, n, out);
+    EXPECT_TRUE(bitwise_equal(out, reference_transpose(in, m, n))) << m << "x" << n;
+  }
+}
+
+TEST(Matmul, TransposeMatchesTheLoopOnOneLane) {
+  const runtime::LaneLimit one(1);
+  check_transpose_matches_reference();
+}
+
+TEST(Matmul, TransposeMatchesTheLoopOnThePool) {
+  check_transpose_matches_reference();
 }
 
 TEST(Conv, OutDim) {
@@ -165,11 +215,6 @@ void col2im_reference(const std::vector<float>& cols, int64_t c, int64_t h,
       }
     }
   }
-}
-
-bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 // Strides {1, 2, 3} x pads {0, 1, 2} x kernels {1x1, 3x3, 2x3} over images

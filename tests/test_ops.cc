@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 
+#include "runtime/thread_pool.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 
@@ -114,6 +118,89 @@ TEST(Ops, TopkMatchesKthLargestConsistency) {
   const float kth = mags[static_cast<size_t>(k - 1)];
   // Every selected element is >= the k-th largest magnitude.
   for (int32_t i : idx) EXPECT_GE(std::fabs(x[static_cast<size_t>(i)]), kth);
+}
+
+// topk_abs_indices' documented order by brute force: every index sorted by
+// the sign-cleared bits of its value descending (|x| for non-NaN values,
+// NaN above +inf), then by index.
+std::vector<int32_t> topk_ranking(const std::vector<float>& x) {
+  const auto key = [&](int32_t i) {
+    return std::bit_cast<uint32_t>(x[static_cast<size_t>(i)]) & 0x7FFFFFFFu;
+  };
+  std::vector<int32_t> idx(x.size());
+  std::iota(idx.begin(), idx.end(), 0);
+  std::sort(idx.begin(), idx.end(), [&](int32_t a, int32_t b) {
+    return key(a) != key(b) ? key(a) > key(b) : a < b;
+  });
+  return idx;
+}
+
+// The first k of the ranking (all of it for k past its end), ascending.
+std::vector<int32_t> first_k(const std::vector<int32_t>& ranking, int64_t k) {
+  std::vector<int32_t> out(ranking.begin(),
+                           ranking.begin() + std::min(k, std::ssize(ranking)));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Inputs that reach each branch of the radix select: normal values, heavy
+// ties (a few distinct magnitudes, signs mixed, +0 and -0), mostly zeros and
+// subnormals (the k-th largest key in the bottom bucket), and +-inf.
+std::vector<std::vector<float>> topk_inputs(int64_t n, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  std::vector<std::vector<float>> out(4, std::vector<float>(static_cast<size_t>(n)));
+  rng.fill_normal(out[0], 0.0f, 1e-3f);
+  const float ties[] = {0.0f, -0.0f, 1.0f, -1.0f, 0.5f, -0.5f, 1.5f};
+  for (int64_t i = 0; i < n; ++i) {
+    const auto at = static_cast<size_t>(i);
+    out[1][at] = ties[rng.next_u64() % std::size(ties)];
+    const uint64_t r = rng.next_u64() % 8;
+    out[2][at] = r < 5 ? (r % 2 ? -0.0f : 0.0f)
+                       : (r == 5 ? denorm * static_cast<float>(rng.next_u64() % 4)
+                                 : -std::numeric_limits<float>::min() * 0.5f);
+    out[3][at] = r == 0 ? inf : (r == 1 ? -inf : out[0][at]);
+  }
+  return out;
+}
+
+void check_topk_matches_brute_force() {
+  Rng rng(19);
+  for (const int64_t n : {1, 2, 10, 16, 432, 4608, 5120, 150001}) {
+    for (const auto& x : topk_inputs(n, rng)) {
+      const std::vector<int32_t> ranking = topk_ranking(x);
+      for (const int64_t k : {int64_t{1}, int64_t{2}, n / 100, n / 10, n / 2,
+                              n - 1, n}) {
+        if (k < 1) continue;
+        SCOPED_TRACE(::testing::Message() << "n " << n << " k " << k);
+        EXPECT_EQ(ops::topk_abs_indices(x, k), first_k(ranking, k));
+      }
+    }
+  }
+}
+
+TEST(Ops, TopkMatchesBruteForce) {
+  {
+    const runtime::LaneLimit one(1);
+    check_topk_matches_brute_force();
+  }
+  check_topk_matches_brute_force();
+}
+
+TEST(Ops, TopkRanksNanAboveInfinity) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const int64_t n : {int64_t{8}, int64_t{4096}}) {
+    std::vector<float> x(static_cast<size_t>(n), 1.0f);
+    x[5] = -inf;
+    x[3] = nan;
+    x[1] = -nan;
+    x[7] = inf;
+    EXPECT_EQ(ops::topk_abs_indices(x, 2), (std::vector<int32_t>{1, 3}));
+    EXPECT_EQ(ops::topk_abs_indices(x, 3), (std::vector<int32_t>{1, 3, 5}));
+    EXPECT_EQ(ops::topk_abs_indices(x, 5), (std::vector<int32_t>{0, 1, 3, 5, 7}));
+    EXPECT_EQ(ops::topk_abs_indices(x, 5), first_k(topk_ranking(x), 5));
+  }
 }
 
 }  // namespace

@@ -328,10 +328,10 @@ TEST(RunReport, DeletingAnyGatedBaselineRowFailsTheGate) {
 }
 
 TEST(RunReport, NonJsonNumberInAGatedRowFails) {
-  // run_report_json writes a NaN metric as `nan`, and every comparison
-  // with NaN is false: a reader that took the token would pass any rule.
-  // The diff must fail a `nan` in a rel row (iteration_seconds, rel<=1)
-  // or an abs row (final_quality, abs<=1e-6), on either side.
+  // Every comparison with NaN is false: a reader that took a `nan` token
+  // as NaN would pass any rule. The diff must fail a `nan` in a rel row
+  // (iteration_seconds, rel<=1) or an abs row (final_quality, abs<=1e-6),
+  // on either side, as a document off the grammar.
   const std::string text = read_source_file("BENCH_report.baseline.json");
   const util::json::Value doc = util::json::parse(text);
   const util::json::Value* cell = nullptr;
@@ -353,16 +353,32 @@ TEST(RunReport, NonJsonNumberInAGatedRowFails) {
     EXPECT_FALSE(diff_reports(report, broken).pass) << row;
   }
 
-  // The emitter writes a NaN metric as that same token.
+  // The emitter writes a NaN metric as null, which parses, and the diff
+  // fails the gated row by name, on either side.
   RunResult run;
   run.final_quality = std::numeric_limits<double>::quiet_NaN();
   const std::string json = run_report_json(build_run_report(run));
-  ASSERT_NE(json.find("\"final_quality\":nan,"), std::string::npos);
+  ASSERT_NE(json.find("\"final_quality\":null,"), std::string::npos);
+  EXPECT_NO_THROW(util::json::parse(json));
   const ReportDiff diff = diff_reports(json, json);
   EXPECT_FALSE(diff.pass);
   ASSERT_FALSE(diff.failures.empty());
-  EXPECT_NE(diff.failures[0].find("not parseable"), std::string::npos)
+  EXPECT_EQ(diff.failures[0].rfind("final_quality: null", 0), 0u)
       << diff.failures[0];
+  for (const char* row : {"iteration_seconds", "final_quality"}) {
+    const std::string cell_row = "\"" + std::string(row) + "\":" +
+        std::string(committed.at("metrics").at(row).text());
+    std::string nulled = report;
+    nulled.replace(report.find(cell_row), cell_row.size(),
+                   "\"" + std::string(row) + "\":null");
+    for (const ReportDiff& d :
+         {diff_reports(nulled, report), diff_reports(report, nulled)}) {
+      EXPECT_FALSE(d.pass) << row;
+      ASSERT_EQ(d.failures.size(), 1u) << row;
+      EXPECT_EQ(d.failures[0].rfind(std::string(row) + ": null", 0), 0u)
+          << d.failures[0];
+    }
+  }
 }
 
 TEST(RunReport, FlagChangesAreNotesNotFailures) {

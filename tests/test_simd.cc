@@ -6,9 +6,11 @@
 // pin, so it is covered by the same equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "tensor/rng.h"
@@ -298,6 +300,48 @@ TEST(SimdKernels, ThresholdSelectEqualAcrossLevels) {
                               static_cast<size_t>(nref) * 4),
                   0)
             << "level=" << simd::level_name(l) << " thr=" << thr;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, TransposeBitwiseEqualToTheScalarLoop) {
+  LevelGuard guard;
+  constexpr uint32_t kGuard = 0x7FA5A5A5u;  // a NaN payload no input holds
+  Rng rng(17);
+  // cnn-small's conv operands (27x256, 144x64) and every tile edge.
+  for (const auto& [m, n] : {std::pair<int64_t, int64_t>{1, 1}, {7, 9}, {8, 8},
+                             {33, 17}, {27, 256}, {144, 64}}) {
+    // Random bit patterns: NaN payloads, -0 and subnormals included.
+    std::vector<uint32_t> in(static_cast<size_t>(m * n));
+    for (auto& v : in) v = static_cast<uint32_t>(rng.next_u64());
+    std::vector<uint32_t> want(in.size());
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        want[static_cast<size_t>(j * m + i)] = in[static_cast<size_t>(i * n + j)];
+      }
+    }
+    const auto* src = reinterpret_cast<const float*>(in.data());
+    // The whole output, and ranges of output rows that start and end off
+    // the 8-row tiles, as parallel_for hands them out.
+    const std::pair<int64_t, int64_t> ranges[] = {
+        {0, n}, {std::min<int64_t>(3, n), n}, {0, std::max<int64_t>(0, n - 2)}};
+    std::vector<simd::Level> levels = available_levels();
+    levels.push_back(simd::Level::Scalar);
+    for (simd::Level l : levels) {
+      simd::set_level_for_testing(l);
+      for (const auto& [j0, j1] : ranges) {
+        std::vector<uint32_t> got(in.size() + 1, kGuard);
+        simd::transpose_f32(src, m, n, reinterpret_cast<float*>(got.data()), j0, j1);
+        SCOPED_TRACE(::testing::Message() << "level=" << simd::level_name(l) << " "
+                                          << m << "x" << n << " rows " << j0 << ".." << j1);
+        EXPECT_EQ(got.back(), kGuard);
+        for (int64_t j = 0; j < n; ++j) {
+          for (int64_t i = 0; i < m; ++i) {
+            const auto at = static_cast<size_t>(j * m + i);
+            ASSERT_EQ(got[at], j >= j0 && j < j1 ? want[at] : kGuard) << j << "," << i;
+          }
+        }
       }
     }
   }

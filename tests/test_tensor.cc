@@ -1,6 +1,7 @@
 // Tensor, Shape and dtype-storage behaviour.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -29,6 +30,21 @@ TEST(Shape, ToString) { EXPECT_EQ(Shape({2, 3}).to_string(), "[2,3]"); }
 TEST(Tensor, ZeroInitialized) {
   Tensor t = Tensor::zeros(Shape{{5}});
   for (float v : t.f32()) EXPECT_EQ(v, 0.0f);
+}
+
+TEST(Tensor, ForOverwriteLeavesTheStorageToTheKernel) {
+  Tensor t = Tensor::for_overwrite(DType::F32, Shape({3, 5}));
+  EXPECT_EQ(t.shape(), Shape({3, 5}));
+  EXPECT_EQ(t.size_bytes(), 60u);
+#ifdef __SANITIZE_ADDRESS__
+  // A sanitizer build fills it with NaN bytes, so an element a kernel
+  // skips fails a bitwise compare.
+  for (float v : t.f32()) EXPECT_TRUE(std::isnan(v));
+#endif
+  // Zero-filled tensors stay zero-filled, also in recycled storage.
+  t = Tensor();
+  const Tensor zeros(DType::F32, Shape({3, 5}));
+  for (float v : zeros.f32()) EXPECT_EQ(v, 0.0f);
 }
 
 TEST(Tensor, FromValues) {
