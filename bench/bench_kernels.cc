@@ -454,8 +454,11 @@ std::vector<CodecRow> run_codec_rows(int64_t n) {
   {
     // One peer of qsgd(64)'s gather fold: decode codes and signs and add
     // them onto the accumulator, on a tensor the size of mlp-qsgd's
-    // largest (768 x 256), whatever the run's n. Bytes are the codes,
-    // signs and the accumulator read.
+    // largest (768 x 256), whatever the run's n. At the run's 2M the
+    // vector side streams an 8 MB accumulator, so the ratio follows the
+    // memory bandwidth other processes leave: on a shared 4-vCPU host it
+    // fell under the floor in 5 of 20 runs (14.0-15.8x). Bytes are the
+    // codes, signs and the accumulator read.
     const int64_t qn = std::min<int64_t>(n, 768 * 256);
     std::vector<uint8_t> qcodes(static_cast<size_t>(qn));
     for (size_t i = 0; i < qcodes.size(); ++i) {
@@ -617,11 +620,9 @@ std::vector<CodecRow> run_codec_rows(int64_t n) {
                 grace::ops::topk_abs_indices(g, std::ssize(g) / 100)[0]);
           }
         });
-    // Its second pass is util::simd's threshold scan, so the row counts as
-    // a SIMD row (a generic build reads about 3.3x).
     rows.push_back({.kernel = "topk_radix", .baseline_seconds = nth_s,
                     .seconds = radix_s, .bytes = 4.0 * (4608 + 5120),
-                    .n = 4608 + 5120, .simd = true});
+                    .n = 4608 + 5120});
   }
   {
     // GEMM's operand transpose on one lane, on the shapes cnn-topk's
@@ -745,7 +746,7 @@ int run_check(const char* baseline_path) {
 
   // The SIMD rows' floors were set for AVX2. Without a vector level each
   // of them times scalar code against itself or a seed loop, so only
-  // crc32, rice, adam, im2col and col2im are enforced.
+  // crc32, rice, adam, im2col, col2im and topk_radix are enforced.
   namespace simd = grace::util::simd;
   const bool scalar = simd::active_level() == simd::Level::Scalar;
   int rc = 0;

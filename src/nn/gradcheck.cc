@@ -31,9 +31,11 @@ GradCheckResult gradcheck(Module& m, const std::function<Value()>& loss_fn,
       const double analytic = grads[at];
       const double denom = std::max({std::fabs(numeric), std::fabs(analytic), 1e-4});
       const double error = std::fabs(numeric - analytic) / denom;
-      // A NaN error must stick: std::max would drop it, and a NaN loss
-      // would pass every check.
-      if (!(error <= result.max_rel_error)) result.max_rel_error = error;
+      // A NaN error must stick: std::max would drop it, and so would a
+      // later finite error, since nothing compares above NaN.
+      if (std::isnan(error) || error > result.max_rel_error) {
+        result.max_rel_error = error;
+      }
       ++result.checked;
     }
   }

@@ -268,21 +268,12 @@ std::vector<int32_t> topk_abs_indices(std::span<const float> x, int64_t k) {
   int64_t need = k;
   while (hist[d] < need) need -= hist[d--];
   // Pass 2, the last over all of x: the indices of bucket d and above, in
-  // index order; pass 1 counted them. Those keys are at least floor, the
-  // bits of 2^(d - 127), so for d > 0 they are the |x| above the float
-  // just below it: the vector threshold scan. A NaN fails that compare,
-  // so with anything in the top bucket (inf and NaN), or when every key
-  // qualifies, a plain loop collects them.
+  // index order; pass 1 counted them.
   const uint32_t floor = d << 23;
   std::vector<int32_t> above(static_cast<size_t>(k - need + hist[d]));
-  if (d > 0 && hist[255] == 0) {
-    util::simd::threshold_select(p, 0, n, std::bit_cast<float>(floor - 1),
-                                 above.data());
-  } else {
-    size_t c = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      if (abs_key(p[i]) >= floor) above[c++] = static_cast<int32_t>(i);
-    }
+  size_t c = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    if (abs_key(p[i]) >= floor) above[c++] = static_cast<int32_t>(i);
   }
   // Each with its key in the high half, so the passes below read no x.
   std::vector<uint64_t> sel(above.size());

@@ -94,8 +94,7 @@ void gather_f32(const float* x, const int32_t* indices, float* out, int64_t n);
 
 // Threshold scan: append the indices i in [lo, hi) with |x[i]| > threshold
 // (NaN compares false, as in the scalar fabs test) to out, in ascending
-// order; returns how many were written. Only those are written, so out
-// needs room for as many as qualify (at most hi - lo).
+// order; returns how many were written. out must have room for hi - lo.
 int64_t threshold_select(const float* x, int64_t lo, int64_t hi,
                          float threshold, int32_t* out);
 

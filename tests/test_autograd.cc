@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <span>
 #include <vector>
@@ -343,6 +344,24 @@ TEST(Relu, WritesTheClampOfEveryElement) {
   for (size_t i = 0; i < want.size(); ++i) want[i] = xv[i] > 0.0f ? xv[i] : 0.0f;
   const auto y = relu(make_value(x));
   EXPECT_TRUE(std::ranges::equal(y->data.bytes(), std::as_bytes(std::span(want))));
+}
+
+TEST(GradCheck, ANanGradientSticksPastLaterFiniteSamples) {
+  // gradcheck differentiates the first loss_fn graph, which scales a by
+  // NaN; later calls scale it by 1. So a's one sample compares a NaN
+  // analytic gradient with a numeric 1, and b's four finite samples
+  // follow it.
+  Rng rng(35);
+  Module m;
+  auto& a = m.register_parameter("a", randn(rng, Shape{{1}}));
+  auto& b = m.register_parameter("b", randn(rng, Shape{{4}}));
+  int calls = 0;
+  const auto result = gradcheck(m, [&] {
+    const float s = calls++ == 0 ? std::numeric_limits<float>::quiet_NaN() : 1.0f;
+    return add(sum_all(scale(a.value, s)), sum_all(b.value));
+  }, rng);
+  EXPECT_EQ(result.checked, 5);
+  EXPECT_TRUE(std::isnan(result.max_rel_error)) << result.max_rel_error;
 }
 
 TEST(MaxPool, MatchesAPerWindowLoopOnOneLane) {
