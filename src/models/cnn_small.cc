@@ -1,10 +1,5 @@
 #include "models/cnn_small.h"
 
-#include <algorithm>
-#include <numeric>
-
-#include "tensor/ops.h"
-
 namespace grace::models {
 namespace {
 // Channel widths chosen so convolution FLOPs dominate the parameter count
@@ -32,6 +27,18 @@ CnnSmall::CnnSmall(std::shared_ptr<const data::ImageDataset> data,
            2.0 * static_cast<double>(flat_dim_ * data_->classes);
 }
 
+CnnSmall::CnnSmall(const CnnSmall& src)
+    : data_(src.data_),
+      conv1_(std::make_unique<nn::Conv2dLayer>(module_, *src.conv1_)),
+      conv2_(std::make_unique<nn::Conv2dLayer>(module_, *src.conv2_)),
+      fc_(std::make_unique<nn::Linear>(module_, *src.fc_)),
+      flops_(src.flops_),
+      flat_dim_(src.flat_dim_) {}
+
+std::unique_ptr<DistributedModel> CnnSmall::replicate() const {
+  return std::unique_ptr<DistributedModel>(new CnnSmall(*this));
+}
+
 nn::Value CnnSmall::forward(const Tensor& batch_x) {
   auto x = nn::make_value(batch_x, /*requires_grad=*/false);
   auto h1 = nn::maxpool2x2(nn::relu(conv1_->forward(x)));
@@ -52,29 +59,8 @@ float CnnSmall::forward_backward(std::span<const int64_t> indices, Rng&) {
 }
 
 EvalResult CnnSmall::evaluate() {
-  constexpr int64_t kBatch = 64;
-  const int64_t n = data_->test_size();
-  int64_t correct = 0;
-  double loss_sum = 0.0;
-  for (int64_t at = 0; at < n; at += kBatch) {
-    const int64_t b = std::min(kBatch, n - at);
-    std::vector<int64_t> idx(static_cast<size_t>(b));
-    std::iota(idx.begin(), idx.end(), at);
-    Tensor bx = data::gather_rows(data_->test_x, idx);
-    std::vector<int32_t> by(static_cast<size_t>(b));
-    for (int64_t i = 0; i < b; ++i) by[static_cast<size_t>(i)] = data_->test_y[static_cast<size_t>(at + i)];
-    auto logits = forward(bx);
-    auto z = logits->data.f32();
-    const int64_t classes = data_->classes;
-    for (int64_t i = 0; i < b; ++i) {
-      const auto row = z.subspan(static_cast<size_t>(i * classes), static_cast<size_t>(classes));
-      if (ops::argmax(row) == by[static_cast<size_t>(i)]) ++correct;
-    }
-    loss_sum += static_cast<double>(
-                    nn::softmax_cross_entropy(logits, std::move(by))->data.item()) *
-                static_cast<double>(b);
-  }
-  return {static_cast<double>(correct) / static_cast<double>(n), loss_sum / static_cast<double>(n)};
+  return evaluate_classifier(*data_, /*batch=*/64,
+                             [this](const Tensor& bx) { return forward(bx); });
 }
 
 }  // namespace grace::models

@@ -13,6 +13,7 @@ class CnnSmall final : public DistributedModel {
   CnnSmall(std::shared_ptr<const data::ImageDataset> data, uint64_t init_seed);
 
   nn::Module& module() override { return module_; }
+  std::unique_ptr<DistributedModel> replicate() const override;
   float forward_backward(std::span<const int64_t> indices, Rng& rng) override;
   EvalResult evaluate() override;
   int64_t train_size() const override { return data_->train_size(); }
@@ -21,6 +22,7 @@ class CnnSmall final : public DistributedModel {
   std::string quality_metric() const override { return "top1-accuracy"; }
 
  private:
+  CnnSmall(const CnnSmall& src);  // replicate()
   nn::Value forward(const Tensor& batch_x);
 
   std::shared_ptr<const data::ImageDataset> data_;

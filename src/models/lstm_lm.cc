@@ -22,6 +22,20 @@ LstmLm::LstmLm(std::shared_ptr<const data::TextDataset> data,
            static_cast<double>(seq_len_);
 }
 
+LstmLm::LstmLm(const LstmLm& src)
+    : data_(src.data_),
+      embed_(std::make_unique<nn::EmbeddingLayer>(module_, *src.embed_)),
+      cell_(std::make_unique<nn::LstmCell>(module_, *src.cell_)),
+      head_(std::make_unique<nn::Linear>(module_, *src.head_)),
+      embed_dim_(src.embed_dim_),
+      hidden_(src.hidden_),
+      seq_len_(src.seq_len_),
+      flops_(src.flops_) {}
+
+std::unique_ptr<DistributedModel> LstmLm::replicate() const {
+  return std::unique_ptr<DistributedModel>(new LstmLm(*this));
+}
+
 int64_t LstmLm::train_size() const {
   return static_cast<int64_t>(data_->train_tokens.size()) - seq_len_ - 1;
 }
@@ -56,6 +70,7 @@ float LstmLm::forward_backward(std::span<const int64_t> indices, Rng&) {
 }
 
 double LstmLm::test_perplexity() {
+  const nn::NoGrad no_tape;
   // Non-overlapping windows across the test stream, batched.
   const auto n = static_cast<int64_t>(data_->test_tokens.size()) - 1;
   constexpr int64_t kBatch = 32;

@@ -16,6 +16,7 @@ class LstmLm final : public DistributedModel {
          int64_t embed_dim = 24, int64_t hidden = 48, int64_t seq_len = 12);
 
   nn::Module& module() override { return module_; }
+  std::unique_ptr<DistributedModel> replicate() const override;
   float forward_backward(std::span<const int64_t> indices, Rng& rng) override;
   EvalResult evaluate() override;
   int64_t train_size() const override;
@@ -26,6 +27,8 @@ class LstmLm final : public DistributedModel {
   double test_perplexity();
 
  private:
+  LstmLm(const LstmLm& src);  // replicate()
+
   // Mean cross-entropy over the windows starting at the given stream
   // offsets of `stream`.
   nn::Value window_loss(const std::vector<int32_t>& stream,

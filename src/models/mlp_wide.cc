@@ -1,10 +1,5 @@
 #include "models/mlp_wide.h"
 
-#include <algorithm>
-#include <numeric>
-
-#include "tensor/ops.h"
-
 namespace grace::models {
 
 MlpWide::MlpWide(std::shared_ptr<const data::ImageDataset> data,
@@ -17,6 +12,18 @@ MlpWide::MlpWide(std::shared_ptr<const data::ImageDataset> data,
   fc3_ = std::make_unique<nn::Linear>(module_, "fc3", hidden, data_->classes, rng);
   flops_ = 2.0 * static_cast<double>(in_dim_ * hidden + hidden * hidden +
                                      hidden * data_->classes);
+}
+
+MlpWide::MlpWide(const MlpWide& src)
+    : data_(src.data_),
+      fc1_(std::make_unique<nn::Linear>(module_, *src.fc1_)),
+      fc2_(std::make_unique<nn::Linear>(module_, *src.fc2_)),
+      fc3_(std::make_unique<nn::Linear>(module_, *src.fc3_)),
+      flops_(src.flops_),
+      in_dim_(src.in_dim_) {}
+
+std::unique_ptr<DistributedModel> MlpWide::replicate() const {
+  return std::unique_ptr<DistributedModel>(new MlpWide(*this));
 }
 
 nn::Value MlpWide::forward(const Tensor& batch_x) {
@@ -39,29 +46,8 @@ float MlpWide::forward_backward(std::span<const int64_t> indices, Rng&) {
 }
 
 EvalResult MlpWide::evaluate() {
-  constexpr int64_t kBatch = 128;
-  const int64_t n = data_->test_size();
-  int64_t correct = 0;
-  double loss_sum = 0.0;
-  for (int64_t at = 0; at < n; at += kBatch) {
-    const int64_t b = std::min(kBatch, n - at);
-    std::vector<int64_t> idx(static_cast<size_t>(b));
-    std::iota(idx.begin(), idx.end(), at);
-    Tensor bx = data::gather_rows(data_->test_x, idx);
-    std::vector<int32_t> by(static_cast<size_t>(b));
-    for (int64_t i = 0; i < b; ++i) by[static_cast<size_t>(i)] = data_->test_y[static_cast<size_t>(at + i)];
-    auto logits = forward(bx);
-    auto z = logits->data.f32();
-    const int64_t classes = data_->classes;
-    for (int64_t i = 0; i < b; ++i) {
-      const auto row = z.subspan(static_cast<size_t>(i * classes), static_cast<size_t>(classes));
-      if (ops::argmax(row) == by[static_cast<size_t>(i)]) ++correct;
-    }
-    loss_sum += static_cast<double>(
-                    nn::softmax_cross_entropy(logits, std::move(by))->data.item()) *
-                static_cast<double>(b);
-  }
-  return {static_cast<double>(correct) / static_cast<double>(n), loss_sum / static_cast<double>(n)};
+  return evaluate_classifier(*data_, /*batch=*/128,
+                             [this](const Tensor& bx) { return forward(bx); });
 }
 
 }  // namespace grace::models

@@ -15,6 +15,7 @@ class MlpWide final : public DistributedModel {
           int64_t hidden = 512);
 
   nn::Module& module() override { return module_; }
+  std::unique_ptr<DistributedModel> replicate() const override;
   float forward_backward(std::span<const int64_t> indices, Rng& rng) override;
   EvalResult evaluate() override;
   int64_t train_size() const override { return data_->train_size(); }
@@ -23,6 +24,7 @@ class MlpWide final : public DistributedModel {
   std::string quality_metric() const override { return "top1-accuracy"; }
 
  private:
+  MlpWide(const MlpWide& src);  // replicate()
   nn::Value forward(const Tensor& batch_x);
 
   std::shared_ptr<const data::ImageDataset> data_;

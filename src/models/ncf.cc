@@ -27,6 +27,21 @@ NcfRecommender::NcfRecommender(std::shared_ptr<const data::RecsysDataset> data,
            static_cast<double>(1 + negatives_);
 }
 
+NcfRecommender::NcfRecommender(const NcfRecommender& src)
+    : data_(src.data_),
+      user_emb_(std::make_unique<nn::EmbeddingLayer>(module_, *src.user_emb_)),
+      item_emb_(std::make_unique<nn::EmbeddingLayer>(module_, *src.item_emb_)),
+      fc1_(std::make_unique<nn::Linear>(module_, *src.fc1_)),
+      fc2_(std::make_unique<nn::Linear>(module_, *src.fc2_)),
+      out_(std::make_unique<nn::Linear>(module_, *src.out_)),
+      embed_dim_(src.embed_dim_),
+      negatives_(src.negatives_),
+      flops_(src.flops_) {}
+
+std::unique_ptr<DistributedModel> NcfRecommender::replicate() const {
+  return std::unique_ptr<DistributedModel>(new NcfRecommender(*this));
+}
+
 nn::Value NcfRecommender::score(std::vector<int32_t> users,
                                 std::vector<int32_t> items) {
   auto u = user_emb_->forward(std::move(users));
@@ -62,6 +77,7 @@ float NcfRecommender::forward_backward(std::span<const int64_t> indices,
 EvalResult NcfRecommender::evaluate() {
   // Leave-one-out: the held-out positive must rank in the top 10 among
   // kEvalNegatives random unseen items. Fixed seed => deterministic metric.
+  const nn::NoGrad no_tape;
   Rng rng(0xE7A1);
   const int64_t users_n = std::min<int64_t>(kEvalUsers, data_->n_users);
   int64_t hits = 0;

@@ -19,6 +19,7 @@ class NcfRecommender final : public DistributedModel {
                  int64_t negatives_per_positive = 2);
 
   nn::Module& module() override { return module_; }
+  std::unique_ptr<DistributedModel> replicate() const override;
   float forward_backward(std::span<const int64_t> indices, Rng& rng) override;
   EvalResult evaluate() override;
   int64_t train_size() const override { return data_->train_size(); }
@@ -27,6 +28,8 @@ class NcfRecommender final : public DistributedModel {
   std::string quality_metric() const override { return "hit-rate@10"; }
 
  private:
+  NcfRecommender(const NcfRecommender& src);  // replicate()
+
   // Sigmoid-less scores for (user, item) pairs; shape (n, 1).
   nn::Value score(std::vector<int32_t> users, std::vector<int32_t> items);
 

@@ -22,6 +22,19 @@ UNetMini::UNetMini(std::shared_ptr<const data::SegmentationDataset> data,
                   kC1 * (kC2 + kC1) * kK * kK * hw + kC1 * hw);
 }
 
+UNetMini::UNetMini(const UNetMini& src)
+    : data_(src.data_),
+      enc1_(std::make_unique<nn::Conv2dLayer>(module_, *src.enc1_)),
+      enc2_(std::make_unique<nn::Conv2dLayer>(module_, *src.enc2_)),
+      dec1_(std::make_unique<nn::Conv2dLayer>(module_, *src.dec1_)),
+      head_(std::make_unique<nn::Conv2dLayer>(module_, *src.head_)),
+      iou_threshold_(src.iou_threshold_),
+      flops_(src.flops_) {}
+
+std::unique_ptr<DistributedModel> UNetMini::replicate() const {
+  return std::unique_ptr<DistributedModel>(new UNetMini(*this));
+}
+
 nn::Value UNetMini::forward(const Tensor& batch_x) {
   auto x = nn::make_value(batch_x, /*requires_grad=*/false);
   auto e1 = nn::relu(enc1_->forward(x));                  // (N, 8, H, W)
@@ -40,6 +53,7 @@ float UNetMini::forward_backward(std::span<const int64_t> indices, Rng&) {
 }
 
 EvalResult UNetMini::evaluate() {
+  const nn::NoGrad no_tape;
   constexpr int64_t kBatch = 32;
   const int64_t n = data_->test_size();
   double inter = 0.0, uni = 0.0, loss_sum = 0.0;

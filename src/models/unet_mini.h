@@ -16,6 +16,7 @@ class UNetMini final : public DistributedModel {
            uint64_t init_seed, float iou_threshold = 0.5f);
 
   nn::Module& module() override { return module_; }
+  std::unique_ptr<DistributedModel> replicate() const override;
   float forward_backward(std::span<const int64_t> indices, Rng& rng) override;
   EvalResult evaluate() override;
   int64_t train_size() const override { return data_->train_size(); }
@@ -24,6 +25,7 @@ class UNetMini final : public DistributedModel {
   std::string quality_metric() const override { return "iou"; }
 
  private:
+  UNetMini(const UNetMini& src);  // replicate()
   nn::Value forward(const Tensor& batch_x);
 
   std::shared_ptr<const data::SegmentationDataset> data_;

@@ -77,9 +77,8 @@ Value conv2d(const Value& x, const Value& weight, const Value& bias,
     }
   }
 
-  auto node = make_value(std::move(out));
-  node->parents = {x, weight, bias};
-  node->backward_fn = [n, c, h, w, oc, kh, kw, stride, pad, oh, ow](Node& nd) {
+  return make_node(std::move(out), {x, weight, bias},
+                   [n, c, h, w, oc, kh, kw, stride, pad, oh, ow](Node& nd) {
     const int64_t crows = c * kh * kw;
     const int64_t ccols = oh * ow;
     auto g = nd.grad.f32();
@@ -119,8 +118,7 @@ Value conv2d(const Value& x, const Value& weight, const Value& bias,
                     xn.grad.f32().subspan(static_cast<size_t>(i * c * h * w), static_cast<size_t>(c * h * w)));
       }
     }
-  };
-  return node;
+  });
 }
 
 Value maxpool2x2(const Value& x) {
@@ -142,9 +140,8 @@ Value maxpool2x2(const Value& x) {
                     w, oh, ow);
     }
   });
-  auto node = make_value(std::move(out));
-  node->parents = {x};
-  node->backward_fn = [n, c, h, w, oh, ow, argmaxes = std::move(argmaxes)](Node& nd) {
+  return make_node(std::move(out), {x},
+                   [n, c, h, w, oh, ow, argmaxes = std::move(argmaxes)](Node& nd) {
     auto g = nd.grad.f32();
     auto gx = nd.parents[0]->grad.f32();
     const auto at = argmaxes.i32();
@@ -159,8 +156,7 @@ Value maxpool2x2(const Value& x) {
         }
       }
     });
-  };
-  return node;
+  });
 }
 
 Value upsample2x(const Value& x) {
@@ -182,9 +178,7 @@ Value upsample2x(const Value& x) {
       }
     }
   });
-  auto node = make_value(std::move(out));
-  node->parents = {x};
-  node->backward_fn = [n, c, h, w, oh, ow](Node& nd) {
+  return make_node(std::move(out), {x}, [n, c, h, w, oh, ow](Node& nd) {
     auto g = nd.grad.f32();
     auto gx = nd.parents[0]->grad.f32();
     runtime::parallel_for(n * c, /*grain=*/1, [&](int64_t g0, int64_t g1) {
@@ -198,8 +192,7 @@ Value upsample2x(const Value& x) {
         }
       }
     });
-  };
-  return node;
+  });
 }
 
 Value concat_channels(const Value& a, const Value& b) {
@@ -220,9 +213,7 @@ Value concat_channels(const Value& a, const Value& b) {
     std::copy_n(bv.begin() + i * c2 * plane, c2 * plane,
                 ov.begin() + (i * (c1 + c2) + c1) * plane);
   }
-  auto node = make_value(std::move(out));
-  node->parents = {a, b};
-  node->backward_fn = [n, c1, c2, plane](Node& nd) {
+  return make_node(std::move(out), {a, b}, [n, c1, c2, plane](Node& nd) {
     auto g = nd.grad.f32();
     auto ga = nd.parents[0]->grad.f32();
     auto gb = nd.parents[1]->grad.f32();
@@ -234,8 +225,7 @@ Value concat_channels(const Value& a, const Value& b) {
         gb[static_cast<size_t>(i * c2 * plane + k)] += g[static_cast<size_t>((i * (c1 + c2) + c1) * plane + k)];
       }
     }
-  };
-  return node;
+  });
 }
 
 }  // namespace grace::nn

@@ -1,5 +1,8 @@
 // Reusable layers. Each layer registers its parameters into the owning
 // Module at construction and exposes a pure forward() over graph values.
+// A layer's copying constructor registers into another Module a copy of
+// the source layer's current parameters, under the same names and in the
+// same order as the layer's own constructor (model replicas, DESIGN.md §12).
 #pragma once
 
 #include <string>
@@ -14,9 +17,11 @@ namespace grace::nn {
 class Linear {
  public:
   Linear(Module& m, const std::string& name, int64_t in, int64_t out, Rng& rng);
+  Linear(Module& m, const Linear& src);
   Value forward(const Value& x) const;  // x: (batch, in) -> (batch, out)
 
  private:
+  std::string name_;
   Value w_, b_;
 };
 
@@ -24,9 +29,11 @@ class Conv2dLayer {
  public:
   Conv2dLayer(Module& m, const std::string& name, int64_t in_ch, int64_t out_ch,
               int64_t kernel, int64_t stride, int64_t pad, Rng& rng);
+  Conv2dLayer(Module& m, const Conv2dLayer& src);
   Value forward(const Value& x) const;
 
  private:
+  std::string name_;
   Value w_, b_;
   int64_t stride_, pad_;
 };
@@ -35,9 +42,11 @@ class EmbeddingLayer {
  public:
   EmbeddingLayer(Module& m, const std::string& name, int64_t vocab, int64_t dim,
                  Rng& rng);
+  EmbeddingLayer(Module& m, const EmbeddingLayer& src);
   Value forward(std::vector<int32_t> ids) const;
 
  private:
+  std::string name_;
   Value table_;
 };
 
@@ -45,11 +54,13 @@ class LstmCell {
  public:
   LstmCell(Module& m, const std::string& name, int64_t in, int64_t hidden,
            Rng& rng);
+  LstmCell(Module& m, const LstmCell& src);
   // Returns {h', c'} given input x: (batch, in) and state h,c: (batch, hidden).
   std::pair<Value, Value> forward(const Value& x, const Value& h,
                                   const Value& c) const;
 
  private:
+  std::string name_;
   Value wx_, wh_, b_;
   int64_t hidden_;
 };

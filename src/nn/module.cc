@@ -7,7 +7,10 @@
 namespace grace::nn {
 
 Parameter& Module::register_parameter(std::string name, Tensor init) {
-  params_.push_back(Parameter{std::move(name), make_value(std::move(init))});
+  // Not make_value: a parameter gets its gradient under a NoGrad guard too.
+  auto leaf = std::make_shared<Node>(std::move(init));
+  leaf->grad = Tensor::zeros_like(leaf->data);
+  params_.push_back(Parameter{std::move(name), std::move(leaf)});
   return params_.back();
 }
 

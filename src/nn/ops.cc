@@ -7,30 +7,12 @@
 #include "tensor/ops.h"
 
 namespace grace::nn {
-namespace {
-
-Value unary(const Value& a, Tensor out, std::function<void(Node&)> bw) {
-  auto n = make_value(std::move(out));
-  n->parents = {a};
-  n->backward_fn = std::move(bw);
-  return n;
-}
-
-Value binary(const Value& a, const Value& b, Tensor out,
-             std::function<void(Node&)> bw) {
-  auto n = make_value(std::move(out));
-  n->parents = {a, b};
-  n->backward_fn = std::move(bw);
-  return n;
-}
-
-}  // namespace
 
 Value add(const Value& a, const Value& b) {
   assert(a->data.shape() == b->data.shape());
   Tensor out = a->data;
   ops::add(out.f32(), b->data.f32());
-  return binary(a, b, std::move(out), [](Node& n) {
+  return make_node(std::move(out), {a, b}, [](Node& n) {
     ops::add(n.parents[0]->grad.f32(), n.grad.f32());
     ops::add(n.parents[1]->grad.f32(), n.grad.f32());
   });
@@ -40,7 +22,7 @@ Value sub(const Value& a, const Value& b) {
   assert(a->data.shape() == b->data.shape());
   Tensor out = a->data;
   ops::sub(out.f32(), b->data.f32());
-  return binary(a, b, std::move(out), [](Node& n) {
+  return make_node(std::move(out), {a, b}, [](Node& n) {
     ops::add(n.parents[0]->grad.f32(), n.grad.f32());
     ops::axpy(n.parents[1]->grad.f32(), -1.0f, n.grad.f32());
   });
@@ -50,7 +32,7 @@ Value hadamard(const Value& a, const Value& b) {
   assert(a->data.shape() == b->data.shape());
   Tensor out = a->data;
   ops::hadamard(out.f32(), b->data.f32());
-  return binary(a, b, std::move(out), [](Node& n) {
+  return make_node(std::move(out), {a, b}, [](Node& n) {
     auto g = n.grad.f32();
     auto ga = n.parents[0]->grad.f32();
     auto gb = n.parents[1]->grad.f32();
@@ -66,7 +48,7 @@ Value hadamard(const Value& a, const Value& b) {
 Value scale(const Value& a, float s) {
   Tensor out = a->data;
   ops::scale(out.f32(), s);
-  return unary(a, std::move(out), [s](Node& n) {
+  return make_node(std::move(out), {a}, [s](Node& n) {
     ops::axpy(n.parents[0]->grad.f32(), s, n.grad.f32());
   });
 }
@@ -82,7 +64,7 @@ Value add_bias(const Value& x, const Value& bias) {
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t j = 0; j < d; ++j) o[static_cast<size_t>(i * d + j)] += b[static_cast<size_t>(j)];
   }
-  return binary(x, bias, std::move(out), [m, d](Node& n) {
+  return make_node(std::move(out), {x, bias}, [m, d](Node& n) {
     ops::add(n.parents[0]->grad.f32(), n.grad.f32());
     auto gb = n.parents[1]->grad.f32();
     auto g = n.grad.f32();
@@ -102,7 +84,7 @@ Value matmul(const Value& a, const Value& b) {
   Tensor out = Tensor::for_overwrite(DType::F32, Shape{{m, n2}});
   ops::gemm(false, false, m, n2, k, 1.0f, a->data.f32(), b->data.f32(), 0.0f,
             out.f32());
-  return binary(a, b, std::move(out), [m, k, n2](Node& n) {
+  return make_node(std::move(out), {a, b}, [m, k, n2](Node& n) {
     // dA = dC * B^T (skipped when A needs no gradient) ; dB = A^T * dC
     if (n.parents[0]->requires_grad) {
       ops::gemm(false, true, m, k, n2, 1.0f, n.grad.f32(), n.parents[1]->data.f32(),
@@ -118,7 +100,7 @@ Value relu(const Value& a) {
   const auto src = a->data.f32();
   const auto dst = out.f32();
   for (size_t i = 0; i < dst.size(); ++i) dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
-  return unary(a, std::move(out), [](Node& n) {
+  return make_node(std::move(out), {a}, [](Node& n) {
     auto g = n.grad.f32();
     auto ga = n.parents[0]->grad.f32();
     auto da = n.parents[0]->data.f32();
@@ -131,7 +113,7 @@ Value relu(const Value& a) {
 Value sigmoid(const Value& a) {
   Tensor out = a->data;
   for (auto& v : out.f32()) v = 1.0f / (1.0f + std::exp(-v));
-  return unary(a, std::move(out), [](Node& n) {
+  return make_node(std::move(out), {a}, [](Node& n) {
     auto g = n.grad.f32();
     auto ga = n.parents[0]->grad.f32();
     auto y = n.data.f32();
@@ -142,7 +124,7 @@ Value sigmoid(const Value& a) {
 Value tanh_op(const Value& a) {
   Tensor out = a->data;
   for (auto& v : out.f32()) v = std::tanh(v);
-  return unary(a, std::move(out), [](Node& n) {
+  return make_node(std::move(out), {a}, [](Node& n) {
     auto g = n.grad.f32();
     auto ga = n.parents[0]->grad.f32();
     auto y = n.data.f32();
@@ -153,7 +135,7 @@ Value tanh_op(const Value& a) {
 Value reshape(const Value& a, Shape shape) {
   assert(shape.numel() == a->data.numel());
   Tensor out = a->data.reshaped(std::move(shape));
-  return unary(a, std::move(out), [](Node& n) {
+  return make_node(std::move(out), {a}, [](Node& n) {
     ops::add(n.parents[0]->grad.f32(), n.grad.f32());
   });
 }
@@ -171,7 +153,7 @@ Value slice_cols(const Value& a, int64_t start, int64_t len) {
       dst[static_cast<size_t>(i * len + j)] = src[static_cast<size_t>(i * n0 + start + j)];
     }
   }
-  return unary(a, std::move(out), [m, n0, start, len](Node& n) {
+  return make_node(std::move(out), {a}, [m, n0, start, len](Node& n) {
     auto g = n.grad.f32();
     auto ga = n.parents[0]->grad.f32();
     for (int64_t i = 0; i < m; ++i) {
@@ -196,7 +178,7 @@ Value concat_cols(const Value& a, const Value& b) {
     for (int64_t j = 0; j < n1; ++j) o[static_cast<size_t>(i * (n1 + n2) + j)] = da[static_cast<size_t>(i * n1 + j)];
     for (int64_t j = 0; j < n2; ++j) o[static_cast<size_t>(i * (n1 + n2) + n1 + j)] = db[static_cast<size_t>(i * n2 + j)];
   }
-  return binary(a, b, std::move(out), [m, n1, n2](Node& n) {
+  return make_node(std::move(out), {a, b}, [m, n1, n2](Node& n) {
     auto g = n.grad.f32();
     auto ga = n.parents[0]->grad.f32();
     auto gb = n.parents[1]->grad.f32();
@@ -209,7 +191,7 @@ Value concat_cols(const Value& a, const Value& b) {
 
 Value sum_all(const Value& a) {
   Tensor out = Tensor::scalar(ops::sum(a->data.f32()));
-  return unary(a, std::move(out), [](Node& n) {
+  return make_node(std::move(out), {a}, [](Node& n) {
     const float g = n.grad.f32()[0];
     for (auto& v : n.parents[0]->grad.f32()) v += g;
   });
@@ -218,7 +200,7 @@ Value sum_all(const Value& a) {
 Value mean_all(const Value& a) {
   const auto inv = 1.0f / static_cast<float>(a->data.numel());
   Tensor out = Tensor::scalar(ops::sum(a->data.f32()) * inv);
-  return unary(a, std::move(out), [inv](Node& n) {
+  return make_node(std::move(out), {a}, [inv](Node& n) {
     const float g = n.grad.f32()[0] * inv;
     for (auto& v : n.parents[0]->grad.f32()) v += g;
   });
@@ -236,9 +218,8 @@ Value embedding(const Value& table, std::vector<int32_t> ids) {
     assert(row >= 0 && row < table->data.shape()[0]);
     for (int64_t j = 0; j < dim; ++j) o[static_cast<size_t>(i * dim + j)] = t[static_cast<size_t>(row * dim + j)];
   }
-  auto node = make_value(std::move(out));
-  node->parents = {table};
-  node->backward_fn = [dim, ids = std::move(ids)](Node& n) {
+  return make_node(std::move(out), {table},
+                   [dim, ids = std::move(ids)](Node& n) {
     auto g = n.grad.f32();
     auto gt = n.parents[0]->grad.f32();
     for (size_t i = 0; i < ids.size(); ++i) {
@@ -247,8 +228,7 @@ Value embedding(const Value& table, std::vector<int32_t> ids) {
         gt[static_cast<size_t>(row * dim + j)] += g[i * static_cast<size_t>(dim) + static_cast<size_t>(j)];
       }
     }
-  };
-  return node;
+  });
 }
 
 Value softmax_cross_entropy(const Value& logits, std::vector<int32_t> labels) {
@@ -274,10 +254,9 @@ Value softmax_cross_entropy(const Value& logits, std::vector<int32_t> labels) {
     loss -= std::log(std::max(1e-12, static_cast<double>(pl)));
   }
   Tensor out = Tensor::scalar(static_cast<float>(loss / static_cast<double>(m)));
-  auto node = make_value(std::move(out));
-  node->parents = {logits};
-  node->backward_fn = [m, c, probs = std::move(probs),
-                       labels = std::move(labels)](Node& n) {
+  return make_node(std::move(out), {logits},
+                   [m, c, probs = std::move(probs),
+                    labels = std::move(labels)](Node& n) {
     const float g = n.grad.f32()[0] / static_cast<float>(m);
     auto gl = n.parents[0]->grad.f32();
     auto pb = probs.f32();
@@ -287,8 +266,7 @@ Value softmax_cross_entropy(const Value& logits, std::vector<int32_t> labels) {
         gl[static_cast<size_t>(i * c + j)] += g * (pb[static_cast<size_t>(i * c + j)] - y);
       }
     }
-  };
-  return node;
+  });
 }
 
 Value bce_with_logits(const Value& logits, Tensor targets) {
@@ -304,9 +282,8 @@ Value bce_with_logits(const Value& logits, Tensor targets) {
             std::log1p(std::exp(-std::fabs(zi)));
   }
   Tensor out = Tensor::scalar(static_cast<float>(loss / static_cast<double>(n)));
-  auto node = make_value(std::move(out));
-  node->parents = {logits};
-  node->backward_fn = [n, targets = std::move(targets)](Node& nd) {
+  return make_node(std::move(out), {logits},
+                   [n, targets = std::move(targets)](Node& nd) {
     const float g = nd.grad.f32()[0] / static_cast<float>(n);
     auto gl = nd.parents[0]->grad.f32();
     auto zb = nd.parents[0]->data.f32();
@@ -315,8 +292,7 @@ Value bce_with_logits(const Value& logits, Tensor targets) {
       const float s = 1.0f / (1.0f + std::exp(-zb[static_cast<size_t>(i)]));
       gl[static_cast<size_t>(i)] += g * (s - tb[static_cast<size_t>(i)]);
     }
-  };
-  return node;
+  });
 }
 
 Value mse_loss(const Value& pred, Tensor target) {
@@ -330,9 +306,8 @@ Value mse_loss(const Value& pred, Tensor target) {
     loss += d * d;
   }
   Tensor out = Tensor::scalar(static_cast<float>(loss / static_cast<double>(n)));
-  auto node = make_value(std::move(out));
-  node->parents = {pred};
-  node->backward_fn = [n, target = std::move(target)](Node& nd) {
+  return make_node(std::move(out), {pred},
+                   [n, target = std::move(target)](Node& nd) {
     const float g = 2.0f * nd.grad.f32()[0] / static_cast<float>(n);
     auto gp = nd.parents[0]->grad.f32();
     auto pb = nd.parents[0]->data.f32();
@@ -340,8 +315,7 @@ Value mse_loss(const Value& pred, Tensor target) {
     for (int64_t i = 0; i < n; ++i) {
       gp[static_cast<size_t>(i)] += g * (pb[static_cast<size_t>(i)] - tb[static_cast<size_t>(i)]);
     }
-  };
-  return node;
+  });
 }
 
 }  // namespace grace::nn

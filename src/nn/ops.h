@@ -1,5 +1,6 @@
 // Differentiable operations. Each returns a new graph node whose backward
-// closure accumulates into the parents. Shapes use the convention:
+// closure accumulates into the parents (under a NoGrad guard, a plain value:
+// see nn/value.h). Shapes use the convention:
 // matrices are (rows, cols) row-major; batches are along rows.
 #pragma once
 

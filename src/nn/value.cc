@@ -1,14 +1,35 @@
 #include "nn/value.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 #include <unordered_set>
 
 namespace grace::nn {
+namespace {
+
+// True while a NoGrad guard is alive on this thread.
+thread_local bool tape_off = false;
+
+}  // namespace
+
+NoGrad::NoGrad() : was_off_(tape_off) { tape_off = true; }
+
+NoGrad::~NoGrad() { tape_off = was_off_; }
 
 Value make_value(Tensor data, bool requires_grad) {
   auto n = std::make_shared<Node>(std::move(data));
-  n->requires_grad = requires_grad;
+  n->requires_grad = requires_grad && !tape_off;
+  if (!tape_off) n->grad = Tensor::zeros_like(n->data);
+  return n;
+}
+
+Value make_node(Tensor data, std::vector<Value> parents,
+                std::function<void(Node&)> backward_fn) {
+  auto n = make_value(std::move(data));
+  if (!tape_off) {
+    n->parents = std::move(parents);
+    n->backward_fn = std::move(backward_fn);
+  }
   return n;
 }
 
@@ -40,9 +61,19 @@ std::vector<Node*> topo_order(const Value& root) {
 }
 
 void backward(const Value& root) {
-  assert(root && root->data.numel() == 1);
+  if (!root || root->data.numel() != 1) {
+    throw std::invalid_argument("nn::backward: the root must be a scalar");
+  }
+  const std::vector<Node*> order = topo_order(root);
+  for (const Node* n : order) {
+    if (n->grad.size_bytes() != n->data.size_bytes()) {
+      throw std::logic_error(
+          "nn::backward: the graph holds a node built under NoGrad, which "
+          "has no gradient");
+    }
+  }
   root->grad.f32()[0] = 1.0f;
-  for (Node* n : topo_order(root)) {
+  for (Node* n : order) {
     if (n->backward_fn) n->backward_fn(*n);
   }
 }

@@ -65,10 +65,10 @@ struct ViewTransport {
 // Everything train() fixes on the caller's thread before any worker
 // starts; read-only afterwards, bar the shared worlds, injectors and probe.
 struct Setup {
-  Setup(const ReplicaFactory& factory, const TrainConfig& cfg);
+  // `model` is rank 0's replica, read to size the run.
+  Setup(models::DistributedModel& model, const TrainConfig& cfg);
   Setup(Setup&&) = delete;  // the workers hold its address
 
-  const ReplicaFactory& factory;
   const TrainConfig& cfg;
   const core::MembershipSchedule membership;
   std::vector<ViewTransport> transport;  // index-aligned with the views
@@ -153,32 +153,27 @@ void TrainConfig::validate() const {
 
 namespace {
 
-Setup::Setup(const ReplicaFactory& factory, const TrainConfig& cfg)
-    : factory(factory),
-      cfg(cfg),
+Setup::Setup(models::DistributedModel& model, const TrainConfig& cfg)
+    : cfg(cfg),
       membership(cfg.n_workers, cfg.faults != nullptr ? cfg.faults->spec()
                                                       : faults::FaultSpec{}) {
   const int n = cfg.n_workers;
-  // Peek at the model to size the run (every worker builds its own replica).
-  double fwd_flops_per_sample = 0.0;
-  {
-    auto probe = factory(cfg.seed);
-    head.model = probe->name();
-    head.quality_metric = probe->quality_metric();
-    head.model_parameters = probe->module().num_parameters();
-    head.gradient_tensors = static_cast<int64_t>(probe->module().parameters().size());
-    fwd_flops_per_sample = probe->flops_per_sample();
-    train_n = probe->train_size();
-    // The bucket plan is a pure function of (tensor sizes, fusion_bytes),
-    // so this probe-side plan matches every worker's scheduler exactly.
-    std::vector<std::string> pnames;
-    for (auto& p : probe->module().parameters()) {
-      pnames.push_back(p.name);
-      slot_numels.push_back(p.value->data.numel());
-    }
-    bucket_plan = plan_buckets(slot_numels, pnames, cfg.fusion_bytes);
-    head.buckets_per_iter = static_cast<int64_t>(bucket_plan.size());
+  head.model = model.name();
+  head.quality_metric = model.quality_metric();
+  head.model_parameters = model.module().num_parameters();
+  head.gradient_tensors = static_cast<int64_t>(model.module().parameters().size());
+  const double fwd_flops_per_sample = model.flops_per_sample();
+  train_n = model.train_size();
+  // The bucket plan is a pure function of (tensor sizes, fusion_bytes),
+  // and every replica has rank 0's sizes, so this plan matches every
+  // worker's scheduler exactly.
+  std::vector<std::string> pnames;
+  for (auto& p : model.module().parameters()) {
+    pnames.push_back(p.name);
+    slot_numels.push_back(p.value->data.numel());
   }
+  bucket_plan = plan_buckets(slot_numels, pnames, cfg.fusion_bytes);
+  head.buckets_per_iter = static_cast<int64_t>(bucket_plan.size());
   head.compressor = cfg.grace.compressor_spec;
   head.topology = cfg.grace.topology.to_string();
 
@@ -274,10 +269,12 @@ Setup::Setup(const ReplicaFactory& factory, const TrainConfig& cfg)
   }
 }
 
-// One worker thread: Algorithm 1 for physical rank `rank` over the
-// membership schedule — it computes, exchanges and steps while a member of
-// the view in force, parks otherwise, and logs raw facts only.
-void run_worker(const Setup& setup, int rank, WorkerLog& log) {
+// One worker thread: Algorithm 1 for physical rank `rank` on its own
+// replica `model` over the membership schedule — it computes, exchanges and
+// steps while a member of the view in force, parks otherwise, and logs raw
+// facts only.
+void run_worker(const Setup& setup, int rank, models::DistributedModel& model,
+                WorkerLog& log) {
   const TrainConfig& cfg = setup.cfg;
   // This rank's share of the shared pool (the lane rule in
   // runtime/thread_pool.h): the rank threads already fill the cores.
@@ -287,7 +284,6 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
   const std::vector<core::MembershipView>& views = membership.views();
   const faults::FaultPlan* const plan = cfg.faults;
   CompressionFidelityProbe* const fidelity = setup.fidelity;
-  auto model = setup.factory(cfg.seed);  // same init seed on every worker
   // Every rank starts in view 0 — the full fleet — and moves only through
   // transition(), when the view in force changes.
   int seg = 0;
@@ -305,11 +301,11 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
   auto optimizer = optim::make_optimizer(cfg.optimizer);
   Rng batch_rng(cfg.seed * 104729ULL + static_cast<uint64_t>(rank));
 
-  const int64_t train_n = model->train_size();
+  const int64_t train_n = model.train_size();
   // Every exchange flows through the bucket scheduler; the legacy
   // per-tensor and all-fused paths are its fusion_bytes = 0 / SIZE_MAX
   // endpoints (sim/scheduler.h).
-  ExchangeScheduler sched(model->module().parameters(), cfg.fusion_bytes);
+  ExchangeScheduler sched(model.module().parameters(), cfg.fusion_bytes);
   const size_t n_buckets = sched.n_buckets();
   std::vector<core::ExchangeHandle> handles;  // per-iter, reused
   handles.reserve(n_buckets);
@@ -370,7 +366,7 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
       const core::BootstrapState st =
           core::open_bootstrap_frame(comm.recv(0, btag), setup.slot_numels);
       size_t at = 0;
-      for (auto& p : model->module().parameters()) {
+      for (auto& p : model.module().parameters()) {
         auto vals = p.value->data.f32();
         std::copy_n(st.params.begin() + static_cast<int64_t>(at),
                     vals.size(), vals.begin());
@@ -386,7 +382,7 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
       for (int r : view.ranks) {
         if (prev.contains(r)) continue;
         if (frame.empty()) {
-          const std::vector<float> params = flat_parameters(*model);
+          const std::vector<float> params = flat_parameters(model);
           std::vector<Tensor> residuals;
           if (grace.error_feedback_enabled()) {
             residuals.reserve(n_buckets);
@@ -492,8 +488,8 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
         }
         slice = wrapped;
       }
-      model->module().zero_grad();
-      const float loss = model->forward_backward(slice, batch_rng);
+      model.module().zero_grad();
+      const float loss = model.forward_backward(slice, batch_rng);
 
       const bool skip_round = plan != nullptr && plan->round_skipped(epoch, it);
       // Partial participation: a sat-out rank folds its gradients into the
@@ -562,7 +558,7 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
       // All replicas must hold identical parameters: allreduce the sum of
       // all parameter values and compare against view size * local.
       float checksum = 0.0f;
-      for (auto& p : model->module().parameters()) {
+      for (auto& p : model.module().parameters()) {
         checksum += ops::sum(p.value->data.f32());
       }
       float global = checksum;
@@ -575,7 +571,7 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
 
     if (rank == 0 &&
         (epoch % cfg.eval_every == 0 || e0 == cfg.epochs - 1)) {
-      log.evals.push_back(model->evaluate());
+      log.evals.push_back(model.evaluate());
       log.eval_epochs.push_back(epoch);
     }
   }
@@ -583,7 +579,7 @@ void run_worker(const Setup& setup, int rank, WorkerLog& log) {
   if (rank == 0) {
     // Snapshot the final weights: the cheap handle for bit-identical
     // replay checks and crash hand-off equivalence tests.
-    log.final_params = flat_parameters(*model);
+    log.final_params = flat_parameters(model);
   }
 }
 
@@ -898,7 +894,14 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   // Fail fast, on this thread: a throw from a worker thread would
   // std::terminate.
   cfg.validate();
-  const Setup setup(factory, cfg);
+  // One build per call: rank 0's replica sizes the run, and every other
+  // rank starts from a copy of it, made here before any worker starts.
+  std::vector<std::unique_ptr<models::DistributedModel>> replicas;
+  replicas.push_back(factory(cfg.seed));
+  const Setup setup(*replicas[0], cfg);
+  for (int rank = 1; rank < cfg.n_workers; ++rank) {
+    replicas.push_back(replicas[0]->replicate());
+  }
 
   // Instantiate the shared compute pool before the per-rank worker threads
   // start. All ranks submit their kernel work to this one pool (sized by
@@ -914,6 +917,7 @@ RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg) {
   threads.reserve(logs.size());
   for (int rank = 0; rank < cfg.n_workers; ++rank) {
     threads.emplace_back(run_worker, std::cref(setup), rank,
+                         std::ref(*replicas[static_cast<size_t>(rank)]),
                          std::ref(logs[static_cast<size_t>(rank)]));
   }
   for (auto& t : threads) t.join();

@@ -23,6 +23,8 @@ class CompressionFidelityProbe;
 class MetricRegistry;
 class CriticalPathCollector;
 
+// Builds a model from an init seed. train() calls it once per run, for rank
+// 0's replica, and gives every other rank a replicate() of that one.
 using ReplicaFactory =
     std::function<std::unique_ptr<models::DistributedModel>(uint64_t init_seed)>;
 
@@ -131,8 +133,10 @@ struct TrainConfig {
   void validate() const;
 };
 
-// Runs the full training loop; every worker sees the same `factory` and
-// builds its replica with the same init seed (identical start state).
+// Runs the full training loop. `factory(cfg.seed)` runs once, on the
+// caller's thread, and builds rank 0's replica; the other ranks get copies
+// of it (DistributedModel::replicate), made before any worker starts, so
+// every worker starts from the same parameters.
 RunResult train(const ReplicaFactory& factory, const TrainConfig& cfg);
 
 }  // namespace grace::sim

@@ -1,12 +1,18 @@
 // Autograd engine: finite-difference gradient checks for every op, plus
-// tape mechanics (topological order, accumulation, reuse).
+// tape mechanics (topological order, accumulation, reuse, the root checks)
+// and NoGrad guards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <span>
+#include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "nn/conv_ops.h"
@@ -371,6 +377,164 @@ TEST(MaxPool, MatchesAPerWindowLoopOnOneLane) {
 
 TEST(MaxPool, MatchesAPerWindowLoopOnThePool) {
   check_maxpool_matches_reference();
+}
+
+// --- backward's root checks ------------------------------------------------
+
+TEST(Autograd, BackwardRejectsANullOrNonScalarRoot) {
+  EXPECT_THROW(backward(nullptr), std::invalid_argument);
+  auto x = make_value(Tensor::from(std::vector<float>{1, 2}));
+  auto y = scale(x, 2.0f);
+  EXPECT_THROW(backward(y), std::invalid_argument);
+  // Nothing was seeded or propagated.
+  EXPECT_TRUE(all_zero(y->grad));
+  EXPECT_TRUE(all_zero(x->grad));
+}
+
+TEST(Autograd, BackwardRejectsARootBuiltUnderNoGrad) {
+  auto x = make_value(Tensor::from(std::vector<float>{1, 2}));
+  Value root, mid;
+  {
+    const NoGrad guard;
+    root = sum_all(x);
+    mid = scale(x, 2.0f);
+  }
+  EXPECT_THROW(backward(root), std::logic_error);
+  // A taped root over a node built under the guard: that node has no
+  // gradient for sum_all's closure to accumulate into.
+  EXPECT_THROW(backward(sum_all(mid)), std::logic_error);
+  EXPECT_TRUE(all_zero(x->grad));
+}
+
+// --- NoGrad ----------------------------------------------------------------
+
+// Every op of ops.h and conv_ops.h on fixed inputs.
+std::vector<std::pair<const char*, std::function<Value()>>> every_op(Rng& rng) {
+  const auto leaf = [&](Shape shape) { return make_value(randn(rng, std::move(shape))); };
+  const Value a = leaf(Shape{{3, 4}}), b = leaf(Shape{{3, 4}});
+  const Value bias = leaf(Shape{{4}}), k = leaf(Shape{{4, 5}});
+  const Value table = leaf(Shape{{7, 4}});
+  const Value img = leaf(Shape{{2, 2, 4, 4}}), img1 = leaf(Shape{{2, 1, 4, 4}});
+  const Value w = leaf(Shape{{3, 2, 3, 3}}), cb = leaf(Shape{{3}});
+  const Tensor targets = Tensor::from(
+      std::vector<float>{0, 1, 1, 0, 0.5f, 1, 0, 0, 1, 0.25f, 0, 1}, Shape{{3, 4}});
+  return {
+      {"add", [=] { return add(a, b); }},
+      {"sub", [=] { return sub(a, b); }},
+      {"hadamard", [=] { return hadamard(a, b); }},
+      {"scale", [=] { return scale(a, 1.5f); }},
+      {"add_bias", [=] { return add_bias(a, bias); }},
+      {"matmul", [=] { return matmul(a, k); }},
+      {"relu", [=] { return relu(a); }},
+      {"sigmoid", [=] { return sigmoid(a); }},
+      {"tanh_op", [=] { return tanh_op(a); }},
+      {"reshape", [=] { return reshape(a, Shape{{4, 3}}); }},
+      {"slice_cols", [=] { return slice_cols(a, 1, 2); }},
+      {"concat_cols", [=] { return concat_cols(a, b); }},
+      {"sum_all", [=] { return sum_all(a); }},
+      {"mean_all", [=] { return mean_all(a); }},
+      {"embedding", [=] { return embedding(table, {0, 3, 3, 6}); }},
+      {"softmax_cross_entropy", [=] { return softmax_cross_entropy(a, {0, 3, 1}); }},
+      {"bce_with_logits", [=] { return bce_with_logits(a, targets); }},
+      {"mse_loss", [=] { return mse_loss(a, targets); }},
+      {"conv2d", [=] { return conv2d(img, w, cb, 1, 1); }},
+      {"maxpool2x2", [=] { return maxpool2x2(img); }},
+      {"upsample2x", [=] { return upsample2x(img); }},
+      {"concat_channels", [=] { return concat_channels(img, img1); }},
+  };
+}
+
+TEST(NoGrad, OpOutputsEqualTheTapedOnesAndHoldNoGraph) {
+  Rng rng(36);
+  for (const auto& [name, run] : every_op(rng)) {
+    const Value taped = run();
+    ASSERT_FALSE(taped->parents.empty()) << name;
+    ASSERT_TRUE(taped->backward_fn) << name;
+    ASSERT_EQ(taped->grad.size_bytes(), taped->data.size_bytes()) << name;
+    const NoGrad guard;
+    const Value bare = run();
+    EXPECT_EQ(bare->data.shape(), taped->data.shape()) << name;
+    EXPECT_TRUE(bitwise_equal(bare->data, taped->data)) << name;
+    EXPECT_TRUE(bare->parents.empty()) << name;
+    EXPECT_FALSE(bare->backward_fn) << name;
+    EXPECT_TRUE(bare->grad.empty()) << name;
+    EXPECT_FALSE(bare->requires_grad) << name;
+  }
+}
+
+TEST(NoGrad, GuardsNestAndRestore) {
+  const auto x = make_value(Tensor::from(std::vector<float>{1, -2}));
+  const auto taped = [&] { return relu(x)->backward_fn != nullptr; };
+  EXPECT_TRUE(taped());
+  {
+    const NoGrad outer;
+    EXPECT_FALSE(taped());
+    {
+      const NoGrad inner;
+      EXPECT_FALSE(taped());
+    }
+    EXPECT_FALSE(taped());  // the inner guard restored the outer's state
+  }
+  EXPECT_TRUE(taped());
+}
+
+TEST(NoGrad, AParameterRegisteredUnderAGuardGetsItsGradient) {
+  Module m;
+  Parameter* p = nullptr;
+  {
+    const NoGrad guard;
+    p = &m.register_parameter("a", Tensor::from(std::vector<float>{1, 2, 3}));
+    EXPECT_EQ(p->value->grad.shape(), p->value->data.shape());
+    EXPECT_TRUE(all_zero(p->value->grad));
+    EXPECT_TRUE(p->value->requires_grad);
+    // A plain leaf made under the guard gets none.
+    EXPECT_TRUE(make_value(Tensor::from(std::vector<float>{1}))->grad.empty());
+  }
+  backward(sum_all(scale(p->value, 2.0f)));
+  for (float g : p->value->grad.f32()) EXPECT_EQ(g, 2.0f);
+}
+
+TEST(NoGrad, AGuardOnOneThreadLeavesAnotherThreadsTape) {
+  // Rank 0 evaluates under a guard while the other ranks train: a thread
+  // that computes gradients while another thread's guard is alive gets
+  // the gradients of a one-thread run, bit for bit.
+  Rng rng(37);
+  Module m;
+  Conv2dLayer conv(m, "conv", 2, 3, 3, 1, 1, rng);
+  Linear fc(m, "fc", 3 * 3 * 3, 4, rng);
+  const Tensor x = randn(rng, Shape{{2, 2, 6, 6}});
+  const auto loss = [&] {
+    auto h = maxpool2x2(relu(conv.forward(make_value(x, false))));
+    return softmax_cross_entropy(fc.forward(reshape(h, Shape{{2, 27}})), {1, 3});
+  };
+  m.zero_grad();
+  backward(loss());
+  std::vector<Tensor> want;
+  for (auto& p : m.parameters()) want.push_back(p.value->grad);
+
+  std::atomic<int> stage{0};  // 1: the guard is open; 2: training is done
+  std::atomic<bool> guarded_nodes_bare{true};
+  std::thread evaluator([&] {
+    const NoGrad guard;
+    stage = 1;
+    while (stage.load() != 2) {
+      const Value y = loss();
+      if (!y->grad.empty() || y->backward_fn) guarded_nodes_bare = false;
+    }
+  });
+  while (stage.load() != 1) std::this_thread::yield();
+  for (int rep = 0; rep < 20; ++rep) {
+    m.zero_grad();
+    // Caught, so that the evaluator is joined on this path too.
+    EXPECT_NO_THROW(backward(loss())) << "rep " << rep;
+    size_t i = 0;
+    for (auto& p : m.parameters()) {
+      EXPECT_TRUE(bitwise_equal(p.value->grad, want[i++])) << p.name << " rep " << rep;
+    }
+  }
+  stage = 2;
+  evaluator.join();
+  EXPECT_TRUE(guarded_nodes_bare);
 }
 
 TEST(AutogradModule, ZeroGradClears) {
