@@ -1,5 +1,5 @@
 // Adaptive-controller benchmark (DESIGN.md §11): time-to-quality of the
-// per-bucket hysteresis controller against every fixed arm of its own arm
+// per-bucket ratchet controller against every fixed arm of its own arm
 // set, on two models. The controller's win mechanism is per-bucket mixing:
 // small tensors whose fidelity collapses under aggressive top-k step to a
 // lighter arm (their dense form is nearly free on the wire), while the
@@ -58,23 +58,14 @@ sim::TrainConfig cluster_config(const sim::Benchmark& b, int epochs) {
   return cfg;
 }
 
+// The controller's ratchet starts every bucket on the heaviest arm and
+// steps it lighter while its window cosine breaches the floor; buckets
+// under ~2.5 KB dense (biases, small early layers) pin to the uncompressed
+// arm: their wire cost is noise, their fidelity is not.
 sim::TrainConfig controller_config(const sim::Benchmark& b, int epochs) {
   sim::TrainConfig cfg = cluster_config(b, epochs);
   cfg.grace.compressor_spec = kArms.back();
   cfg.grace.control.arms = kArms;
-  cfg.grace.control.start_arm = static_cast<int>(kArms.size()) - 1;
-  cfg.grace.control.decide_every_iters = 1;
-  // One-way ratchet: start at the heaviest arm and step lighter while the
-  // window cosine breaches the floor. The promotion band is unreachable
-  // (floor + band > 1), so a bucket that has settled never flaps back.
-  cfg.grace.control.cosine_floor = 0.60;
-  cfg.grace.control.sign_floor = 0.0;  // cosine is the binding signal here
-  cfg.grace.control.residual_ceiling = 1e9;
-  cfg.grace.control.band = 0.50;
-  cfg.grace.control.patience = 2;
-  // Buckets under ~2.5 KB dense (biases, small early layers) pin to the
-  // uncompressed arm: their wire cost is noise, their fidelity is not.
-  cfg.grace.control.cheap_bits = 20000.0;
   return cfg;
 }
 

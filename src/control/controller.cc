@@ -71,91 +71,54 @@ std::string field(const std::vector<std::string>& fields,
   throw std::invalid_argument("control snapshot: missing field '" + key + "'");
 }
 
-// One bucket's signal window between two consecutive decision boundaries,
-// aggregated across all live ranks (means weighted by sample count).
-struct WindowStats {
-  double samples = 0.0;          // fidelity samples in the window, all ranks
-  double cosine = 1.0;           // mean cosine(compensated, reconstructed)
-  double sign_agreement = 1.0;   // mean elementwise sign agreement
-  double residual_rel = 0.0;     // sum residual_l2 / sum grad_l2
-  // Dense payload of one exchange of this bucket (numel * 32): the size
-  // signal behind ControlConfig::cheap_bits.
-  double dense_bits_per_sample = 0.0;
-};
-
-// Decode one bucket's slice of the aggregated signal vector into means.
-WindowStats window_from_signals(const float* s) {
-  WindowStats w;
-  w.samples = static_cast<double>(s[0]);
-  if (w.samples <= 0.0) return w;
-  w.cosine = static_cast<double>(s[1]) / w.samples;
-  w.sign_agreement = static_cast<double>(s[2]) / w.samples;
-  w.residual_rel =
-      s[4] > 0.0f ? static_cast<double>(s[3]) / static_cast<double>(s[4]) : 0.0;
-  w.dense_bits_per_sample = static_cast<double>(s[6]) / w.samples;
-  return w;
-}
-
-constexpr char kSnapshotMagic[] = "grace.control.v2";
+constexpr char kSnapshotMagic[] = "grace.control.v3";
 
 }  // namespace
 
 Controller::Controller(const ControlConfig& cfg,
-                       std::vector<std::string> bucket_names)
+                       std::vector<std::string> bucket_names,
+                       const std::vector<int64_t>& bucket_numels)
     : cfg_(cfg),
       bucket_names_(std::move(bucket_names)),
-      arms_now_(bucket_names_.size(), cfg.start_arm),
-      streaks_(bucket_names_.size()) {
-  cfg_.validate();
+      arms_now_(bucket_names_.size(), static_cast<int>(cfg.arms.size()) - 1),
+      breaches_(bucket_names_.size(), 0) {
+  if (!cfg_.enabled()) {
+    throw std::invalid_argument("Controller: the arm set is empty");
+  }
+  if (bucket_numels.size() != n_buckets()) {
+    throw std::invalid_argument("Controller: " +
+                                std::to_string(bucket_numels.size()) +
+                                " bucket sizes for " +
+                                std::to_string(n_buckets()) + " buckets");
+  }
+  for (const int64_t numel : bucket_numels) {
+    cheap_.push_back(static_cast<double>(numel) * 32.0 < kCheapBits);
+  }
   if (!cfg_.resume_state.empty()) restore(cfg_.resume_state);
 }
 
 std::pair<int, std::string> Controller::decide(size_t b, const float* window) {
-  const WindowStats w = window_from_signals(window);
+  const double samples = static_cast<double>(window[0]);
   const int current_arm = arms_now_[b];
-  Streaks& st = streaks_[b];
-  if (w.samples <= 0.0) {
-    // No fidelity evidence in this window (the probe's cadence skipped it,
-    // or the window had no exchanges): hold, and hold the streaks too.
+  int& breaches = breaches_[b];
+  if (samples <= 0.0) {
+    // No fidelity evidence in this window (the window had no exchanges):
+    // hold, and hold the streak too.
     return {current_arm, "idle"};
   }
-  // Cheap-bucket rule: a dense payload under the threshold costs nothing
-  // on the wire, so there is no upside to compressing it — pin to the
-  // lightest arm immediately and never promote.
-  if (cfg_.cheap_bits > 0.0 && w.dense_bits_per_sample > 0.0 &&
-      w.dense_bits_per_sample < cfg_.cheap_bits) {
-    st.worse = 0;
-    st.better = 0;
+  if (cheap_[b]) {
+    breaches = 0;
     if (current_arm > 0) return {0, "cheap"};
     return {current_arm, "cheap:hold"};
   }
-  std::string breach;
-  if (w.cosine < cfg_.cosine_floor) breach = "cosine<floor";
-  else if (w.sign_agreement < cfg_.sign_floor) breach = "sign<floor";
-  else if (w.residual_rel > cfg_.residual_ceiling) breach = "residual>ceiling";
-  if (!breach.empty()) {
-    st.better = 0;
-    if (++st.worse >= cfg_.patience && current_arm > 0) {
-      st.worse = 0;
-      return {current_arm - 1, breach};
+  if (static_cast<double>(window[1]) / samples < kCosineFloor) {
+    if (++breaches >= kPatience && current_arm > 0) {
+      breaches = 0;
+      return {current_arm - 1, "cosine<floor"};
     }
-    return {current_arm, breach + ":wait"};
+    return {current_arm, "cosine<floor:wait"};
   }
-  const bool comfortable =
-      w.cosine >= cfg_.cosine_floor + cfg_.band &&
-      w.sign_agreement >= cfg_.sign_floor + cfg_.band &&
-      w.residual_rel <= cfg_.residual_ceiling * (1.0 - cfg_.band);
-  if (comfortable) {
-    st.worse = 0;
-    if (++st.better >= cfg_.patience &&
-        static_cast<size_t>(current_arm) + 1 < cfg_.arms.size()) {
-      st.better = 0;
-      return {current_arm + 1, "headroom"};
-    }
-    return {current_arm, "headroom:wait"};
-  }
-  st.worse = 0;
-  st.better = 0;
+  breaches = 0;
   return {current_arm, "in-band"};
 }
 
@@ -199,8 +162,7 @@ std::string Controller::snapshot() const {
   out += ";switches=" + std::to_string(switches_);
   for (size_t b = 0; b < n_buckets(); ++b) {
     out += ";b=" + std::to_string(arms_now_[b]) + "|" +
-           std::to_string(streaks_[b].worse) + ":" +
-           std::to_string(streaks_[b].better);
+           std::to_string(breaches_[b]);
   }
   return out;
 }
@@ -246,14 +208,11 @@ void Controller::restore(const std::string& state) {
                                 " bucket entries, found " +
                                 std::to_string(tokens.size()));
   }
-  // Each bucket entry is "<arm>|<worse>:<better>"; a streak advances by at
-  // most one per boundary.
+  // Each bucket entry is "<arm>|<breaches>"; a streak advances by at most
+  // one per boundary.
   for (size_t b = 0; b < tokens.size(); ++b) {
     const size_t bar = tokens[b].find('|');
-    const std::vector<std::string> streaks =
-        bar == std::string::npos ? std::vector<std::string>{}
-                                 : split(tokens[b].substr(bar + 1), ':');
-    if (streaks.size() != 2) {
+    if (bar == std::string::npos) {
       throw std::invalid_argument("control snapshot: bucket entry '" +
                                   tokens[b] + "'");
     }
@@ -262,10 +221,8 @@ void Controller::restore(const std::string& state) {
       throw std::invalid_argument("control snapshot: arm index out of range");
     }
     arms_now_[b] = static_cast<int>(arm);
-    streaks_[b].worse =
-        static_cast<int>(parse_count(streaks[0], boundaries, "streak"));
-    streaks_[b].better =
-        static_cast<int>(parse_count(streaks[1], boundaries, "streak"));
+    breaches_[b] = static_cast<int>(
+        parse_count(tokens[b].substr(bar + 1), boundaries, "streak"));
   }
 }
 

@@ -8,11 +8,10 @@
 // never communicates itself; determinism is an invariant the trainer
 // verifies after the run by comparing snapshots.
 //
-// Decision boundaries are epoch ends (always — the crash/resume hand-off
-// depends on it) plus optional every-k-iteration points inside an epoch.
-// Between boundaries nothing switches: a bucket's compressor is constant
-// for every iteration of a window, so error feedback and compressor state
-// see a stable operator.
+// Every iteration ends a decision boundary, and so does every epoch (the
+// crash/resume hand-off aligns on epoch ends). Between boundaries nothing
+// switches, so error feedback and compressor state see a stable operator
+// for at least one exchange.
 //
 // Signal windows are DIFFERENCES of the fidelity probe's monotonic totals
 // between consecutive boundaries. That makes the window at boundary t a
@@ -21,11 +20,15 @@
 // replay the original decision tail exactly: both runs see identical
 // windows at every post-resume boundary.
 //
-// The decision rule is hysteresis over arms ordered lightest (index 0) to
-// heaviest: a sustained fidelity breach steps one arm LIGHTER (less
-// compression, more faithful gradients), a sustained comfortable margin
-// steps one arm HEAVIER, and a window in the band between the two resets
-// both streaks, so a window hovering at a threshold never flaps the arm.
+// The rule is a one-way ratchet over arms ordered lightest (index 0) to
+// heaviest. Every bucket starts on the heaviest arm. A bucket whose window
+// mean cosine sits under kCosineFloor at kPatience consecutive boundaries
+// steps one arm lighter (less compression, more faithful gradients); a
+// window at or above the floor resets the streak, so a window hovering at
+// the floor never switches. A bucket whose dense payload is under
+// kCheapBits pins to arm 0 at its first sampled boundary: compressing it
+// buys no measurable wire time but pays the full fidelity cost (biases and
+// small early layers are the classic case). Nothing ever steps heavier.
 #pragma once
 
 #include <cstdint>
@@ -68,23 +71,27 @@ struct ControlSummary {
 
 class Controller {
  public:
+  // The ratchet's constants: the window mean cosine a bucket must reach,
+  // the consecutive breaching boundaries that step it one arm lighter, and
+  // the dense payload (numel * 32 bits) under which it pins to arm 0.
+  static constexpr double kCosineFloor = 0.60;
+  static constexpr int kPatience = 2;
+  static constexpr double kCheapBits = 20000.0;
+
   // Signal layout: kSignalsPerBucket floats per bucket, in bucket-plan
   // order. The trainer fills one slice per bucket from the fidelity
   // probe's totals, allreduce-sums the whole vector, then calls step().
-  //   [0] samples   [1] sum cosine      [2] sum sign-agreement
-  //   [3] sum residual_l2   [4] sum grad_l2
-  //   [5] sum wire_bits     [6] sum dense_bits
-  // The rule reads no wire bits; slot [5] stays because the vector's
-  // length sets the allreduce's chunk boundaries, and so each element's
-  // float summation order.
-  static constexpr size_t kSignalsPerBucket = 7;
+  //   [0] samples   [1] sum cosine
+  static constexpr size_t kSignalsPerBucket = 2;
 
-  // `bucket_names` must be the bucket-plan names in plan order; they key
-  // the snapshot's identity check (resuming against a different bucket
-  // plan is a config error, not a silent misassignment). Throws
-  // std::invalid_argument when cfg.resume_state is set but does not match
-  // this run's arms/bucket plan.
-  Controller(const ControlConfig& cfg, std::vector<std::string> bucket_names);
+  // `bucket_names` and `bucket_numels` describe the bucket plan in plan
+  // order. The names key the snapshot's identity check (resuming against a
+  // different bucket plan is a config error, not a silent misassignment);
+  // the sizes decide which buckets are cheap. Throws std::invalid_argument
+  // when the arm set is empty, the two lists differ in length, or
+  // cfg.resume_state is set but does not match this run's arms/bucket plan.
+  Controller(const ControlConfig& cfg, std::vector<std::string> bucket_names,
+             const std::vector<int64_t>& bucket_numels);
 
   size_t n_buckets() const { return bucket_names_.size(); }
   size_t signal_size() const { return n_buckets() * kSignalsPerBucket; }
@@ -103,7 +110,7 @@ class Controller {
 
   int boundaries() const { return boundaries_; }
 
-  // Serialized controller state: arm assignments, streaks and the
+  // Serialized controller state: arm assignments, breach streaks and the
   // boundary/switch counters. Byte-deterministic; equal across ranks iff
   // the decision sequences were equal (the trainer asserts this). Does NOT
   // include the decision log — a resumed run's log contains only its own
@@ -114,23 +121,17 @@ class Controller {
   ControlSummary summary() const;
 
  private:
-  // Consecutive boundaries whose window breached a threshold (`worse`) or
-  // cleared every threshold by the band (`better`).
-  struct Streaks {
-    int worse = 0;
-    int better = 0;
-  };
-
-  // The hysteresis rule for bucket `b` over its aggregated window (one
+  // The ratchet for bucket `b` over its aggregated window (one
   // kSignalsPerBucket slice): the bucket's next arm and what triggered it.
-  // Advances or resets the bucket's streaks.
+  // Advances or resets the bucket's breach streak.
   std::pair<int, std::string> decide(size_t b, const float* window);
   void restore(const std::string& state);
 
   ControlConfig cfg_;
   std::vector<std::string> bucket_names_;
+  std::vector<bool> cheap_;       // index-aligned with the bucket plan
   std::vector<int> arms_now_;
-  std::vector<Streaks> streaks_;  // index-aligned with arms_now_
+  std::vector<int> breaches_;     // consecutive breaching boundaries
   int boundaries_ = 0;
   int switches_ = 0;
   std::vector<ControlDecision> decisions_;

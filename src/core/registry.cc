@@ -30,15 +30,12 @@ class SpecArgs {
 
   const CompressorSpec& parsed() const { return parsed_; }
 
-  // True when the spec names `method`; throws when it passes that method
-  // more than `arity` arguments.
-  bool is(const char* method, size_t arity) const {
-    if (parsed_.name != method) return false;
+  // Throws when the spec passes its method more than `arity` arguments.
+  void check_arity(size_t arity) const {
     if (parsed_.args.size() > arity) {
-      reject(std::string(method) + " takes at most " + std::to_string(arity) +
+      reject(parsed_.name + " takes at most " + std::to_string(arity) +
              " argument" + (arity == 1 ? "" : "s"));
     }
-    return true;
   }
 
   // Argument i as a real in `d`; `fallback` when absent.
@@ -82,32 +79,121 @@ constexpr SpecArgs::Domain kDecay{0.0, 1.0, false, true, "in [0, 1)"};
 constexpr SpecArgs::Domain kNonNegative{0.0, kFloatMax, false, false,
                                         "a non-negative float"};
 
+// One built-in method: its spec name, the most arguments it takes, whether
+// it is one of the paper's Table I methods (or an extension Table I surveys
+// without the paper implementing it), and its factory over a spec already
+// known to name it. The one list make_compressor, registered_names() and
+// extension_names() read, in Table I order.
+using Args = const SpecArgs&;
+struct Builtin {
+  const char* name;
+  size_t arity;
+  bool table1;
+  std::unique_ptr<Compressor> (*make)(Args);
+};
+
+using namespace compressors;
+
+constexpr Builtin kBuiltins[] = {
+    {"none", 0, true, [](Args) { return make_none(); }},
+    {"eightbit", 0, true, [](Args) { return make_eightbit(); }},
+    {"onebit", 0, true, [](Args) { return make_onebit(); }},
+    {"signsgd", 0, true, [](Args) { return make_signsgd(); }},
+    {"signum", 1, true,
+     [](Args a) { return make_signum(a.real(0, 0.9, kDecay)); }},
+    // Level codes are stored one per u8.
+    {"qsgd", 1, true,
+     [](Args a) { return make_qsgd(a.integer(0, 64, 1, 255)); }},
+    {"natural", 0, true, [](Args) { return make_natural(); }},
+    {"terngrad", 0, true, [](Args) { return make_terngrad(); }},
+    {"efsignsgd", 0, true, [](Args) { return make_efsignsgd(); }},
+    {"inceptionn", 0, true, [](Args) { return make_inceptionn(); }},
+    {"randomk", 2, true,
+     [](Args a) {
+       return make_randomk(a.real(0, 0.01, kRatio), a.integer(1, 0, 0, 1) != 0);
+     }},
+    {"topk", 1, true,
+     [](Args a) { return make_topk(a.real(0, 0.01, kRatio)); }},
+    {"thresholdv", 1, true,
+     [](Args a) { return make_thresholdv(a.real(0, 0.01, kNonNegative)); }},
+    {"dgc", 2, true,
+     [](Args a) {
+       return make_dgc(a.real(0, 0.01, kRatio), a.real(1, 0.9, kDecay));
+     }},
+    {"adaptive", 1, true,
+     [](Args a) { return make_adaptive(a.real(0, 0.01, kRatio)); }},
+    // Bucket codes are stored one per u8.
+    {"sketchml", 1, true,
+     [](Args a) { return make_sketchml(a.integer(0, 64, 1, 256)); }},
+    {"powersgd", 1, true,
+     [](Args a) { return make_powersgd(a.integer(0, 4, 1, kIntMax)); }},
+    // Surveyed-but-not-implemented methods from Table I, provided as
+    // built-in extensions beyond the paper's 16.
+    {"lpcsvrg", 1, false,
+     [](Args a) { return make_lpcsvrg(a.integer(0, 4, 2, 8)); }},
+    {"wangni", 1, false,
+     [](Args a) { return make_wangni(a.real(0, 0.01, kRatio)); }},
+    // The sparsity multiplier s of 3LC lies in [1, 2).
+    {"threelc", 1, false,
+     [](Args a) {
+       return make_threelc(
+           a.real(0, 1.0, {1.0, 2.0, false, true, "in [1, 2)"}));
+     }},
+    {"sketchedsgd", 3, false,
+     [](Args a) {
+       return make_sketchedsgd(a.integer(0, 5, 1, kIntMax),
+                               a.real(1, 0.05, kRatio),
+                               a.real(2, 0.01, kRatio));
+     }},
+    {"atomo", 2, false,
+     [](Args a) {
+       return make_atomo(a.integer(0, 4, 1, kIntMax),
+                         a.real(1, 0.75, {0.0, kFloatMax, true, false,
+                                          "a positive float"}));
+     }},
+    {"qsparselocal", 2, false,
+     [](Args a) {
+       return make_qsparselocal(a.real(0, 0.01, kRatio), a.integer(1, 4, 1, 8));
+     }},
+    {"varbased", 1, false,
+     [](Args a) { return make_varbased(a.real(0, 1.0, kNonNegative)); }},
+    {"gradiveq", 2, false,
+     [](Args a) {
+       return make_gradiveq(a.integer(0, 4, 1, kIntMax),
+                            a.integer(1, 10, 1, kIntMax));
+     }},
+    {"gradzip", 2, false,
+     [](Args a) {
+       return make_gradzip(a.integer(0, 4, 1, kIntMax),
+                           a.real(1, 1e-3, kNonNegative));
+     }},
+};
+
+const Builtin* find_builtin(const std::string& name) {
+  for (const Builtin& b : kBuiltins) {
+    if (name == b.name) return &b;
+  }
+  return nullptr;
+}
+
+// The built-in names of Table I (`table1`) or of the extensions, in order.
+std::vector<std::string> builtin_names(bool table1) {
+  std::vector<std::string> names;
+  for (const Builtin& b : kBuiltins) {
+    if (b.table1 == table1) names.emplace_back(b.name);
+  }
+  return names;
+}
+
 std::map<std::string, CompressorFactory>& extensions() {
   static std::map<std::string, CompressorFactory> map;
   return map;
 }
 
-const std::vector<std::string>& builtin_extension_names() {
-  static const std::vector<std::string> names = {
-      "lpcsvrg",  "wangni",   "threelc", "sketchedsgd", "atomo",
-      "qsparselocal", "varbased", "gradiveq", "gradzip"};
-  return names;
-}
-
-bool is_builtin(const std::string& name) {
-  for (const auto& b : registered_names()) {
-    if (b == name) return true;
-  }
-  for (const auto& b : builtin_extension_names()) {
-    if (b == name) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 void register_compressor(const std::string& name, CompressorFactory factory) {
-  if (is_builtin(name)) {
+  if (find_builtin(name) != nullptr) {
     throw std::invalid_argument("cannot override built-in compressor: " + name);
   }
   extensions()[name] = std::move(factory);
@@ -141,61 +227,10 @@ CompressorSpec parse_spec(const std::string& spec) {
 }
 
 std::unique_ptr<Compressor> make_compressor(const std::string& spec_str) {
-  using namespace compressors;
   const SpecArgs a(spec_str);
-  if (a.is("none", 0)) return make_none();
-  if (a.is("eightbit", 0)) return make_eightbit();
-  if (a.is("onebit", 0)) return make_onebit();
-  if (a.is("signsgd", 0)) return make_signsgd();
-  if (a.is("signum", 1)) return make_signum(a.real(0, 0.9, kDecay));
-  // Level codes are stored one per u8.
-  if (a.is("qsgd", 1)) return make_qsgd(a.integer(0, 64, 1, 255));
-  if (a.is("natural", 0)) return make_natural();
-  if (a.is("terngrad", 0)) return make_terngrad();
-  if (a.is("efsignsgd", 0)) return make_efsignsgd();
-  if (a.is("inceptionn", 0)) return make_inceptionn();
-  if (a.is("randomk", 2)) {
-    return make_randomk(a.real(0, 0.01, kRatio), a.integer(1, 0, 0, 1) != 0);
-  }
-  if (a.is("topk", 1)) return make_topk(a.real(0, 0.01, kRatio));
-  if (a.is("thresholdv", 1)) {
-    return make_thresholdv(a.real(0, 0.01, kNonNegative));
-  }
-  if (a.is("dgc", 2)) {
-    return make_dgc(a.real(0, 0.01, kRatio), a.real(1, 0.9, kDecay));
-  }
-  if (a.is("adaptive", 1)) return make_adaptive(a.real(0, 0.01, kRatio));
-  // Bucket codes are stored one per u8.
-  if (a.is("sketchml", 1)) return make_sketchml(a.integer(0, 64, 1, 256));
-  if (a.is("powersgd", 1)) return make_powersgd(a.integer(0, 4, 1, kIntMax));
-  // Surveyed-but-not-implemented methods from Table I, provided as
-  // built-in extensions beyond the paper's 16.
-  if (a.is("lpcsvrg", 1)) return make_lpcsvrg(a.integer(0, 4, 2, 8));
-  if (a.is("wangni", 1)) return make_wangni(a.real(0, 0.01, kRatio));
-  if (a.is("threelc", 1)) {
-    // The sparsity multiplier s of 3LC lies in [1, 2).
-    return make_threelc(a.real(0, 1.0, {1.0, 2.0, false, true, "in [1, 2)"}));
-  }
-  if (a.is("sketchedsgd", 3)) {
-    return make_sketchedsgd(a.integer(0, 5, 1, kIntMax),
-                            a.real(1, 0.05, kRatio), a.real(2, 0.01, kRatio));
-  }
-  if (a.is("atomo", 2)) {
-    return make_atomo(a.integer(0, 4, 1, kIntMax),
-                      a.real(1, 0.75, {0.0, kFloatMax, true, false,
-                                       "a positive float"}));
-  }
-  if (a.is("qsparselocal", 2)) {
-    return make_qsparselocal(a.real(0, 0.01, kRatio), a.integer(1, 4, 1, 8));
-  }
-  if (a.is("varbased", 1)) return make_varbased(a.real(0, 1.0, kNonNegative));
-  if (a.is("gradiveq", 2)) {
-    return make_gradiveq(a.integer(0, 4, 1, kIntMax),
-                         a.integer(1, 10, 1, kIntMax));
-  }
-  if (a.is("gradzip", 2)) {
-    return make_gradzip(a.integer(0, 4, 1, kIntMax),
-                        a.real(1, 1e-3, kNonNegative));
+  if (const Builtin* b = find_builtin(a.parsed().name)) {
+    a.check_arity(b->arity);
+    return b->make(a);
   }
   const CompressorSpec& s = a.parsed();
   if (auto it = extensions().find(s.name); it != extensions().end()) {
@@ -217,15 +252,10 @@ std::unique_ptr<Compressor> make_compressor(const std::string& spec_str) {
   throw std::invalid_argument(msg.str());
 }
 
-std::vector<std::string> registered_names() {
-  return {"none",      "eightbit", "onebit",     "signsgd", "signum",
-          "qsgd",      "natural",  "terngrad",   "efsignsgd", "inceptionn",
-          "randomk",   "topk",     "thresholdv", "dgc",     "adaptive",
-          "sketchml",  "powersgd"};
-}
+std::vector<std::string> registered_names() { return builtin_names(true); }
 
 std::vector<std::string> extension_names() {
-  std::vector<std::string> names = builtin_extension_names();
+  std::vector<std::string> names = builtin_names(false);
   for (const auto& [name, factory] : extensions()) names.push_back(name);
   return names;
 }

@@ -275,7 +275,16 @@ std::string fault_spec_json(const FaultSpec& s) {
   char sep = '{';
   for (const SpecField& f : kSpecFields) {
     os << sep << '"' << f.name << "\":";
-    std::visit([&](auto member) { os << s.*member; }, f.member);
+    std::visit(
+        [&](auto member) {
+          if constexpr (std::is_floating_point_v<
+                            std::decay_t<decltype(s.*member)>>) {
+            util::json::append_number(os, s.*member);
+          } else {
+            os << s.*member;
+          }
+        },
+        f.member);
     sep = ',';
   }
   os << ",\"churn\":[";

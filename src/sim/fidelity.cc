@@ -41,20 +41,10 @@ void CompressionFidelityProbe::on_sample(const core::FidelitySample& s) {
 
 CompressionFidelityProbe::Totals CompressionFidelityProbe::totals(
     int rank, const std::string& name) const {
-  Totals t;
-  const RankSlot& slot = ranks_.at(static_cast<size_t>(rank));
-  for (const Accum& a : slot.tensors) {
-    if (a.name != name) continue;
-    t.samples = a.samples;
-    t.cosine_sum = a.cosine_similarity;
-    t.sign_sum = a.sign_agreement;
-    t.residual_sum = a.residual_l2;
-    t.grad_sum = a.grad_l2;
-    t.wire_bits = a.wire_bits;
-    t.dense_bits = a.dense_bits;
-    return t;
+  for (const Accum& a : ranks_.at(static_cast<size_t>(rank)).tensors) {
+    if (a.name == name) return {a.samples, a.cosine_similarity};
   }
-  return t;
+  return {};
 }
 
 std::vector<TensorFidelitySummary> CompressionFidelityProbe::summaries() const {
@@ -118,6 +108,7 @@ std::vector<TensorFidelitySummary> CompressionFidelityProbe::summaries() const {
 
 std::string fidelity_summaries_json(
     const std::vector<TensorFidelitySummary>& summaries) {
+  using util::json::Number;
   std::ostringstream os;
   os.precision(std::numeric_limits<double>::max_digits10);
   os << '[';
@@ -127,14 +118,14 @@ std::string fidelity_summaries_json(
     os << "{\"name\":";
     util::json::append_escaped(os, s.name);
     os << ",\"numel\":" << s.numel << ",\"samples\":" << s.samples
-       << ",\"compression_ratio\":" << s.compression_ratio
-       << ",\"mean_wire_bits\":" << s.mean_wire_bits
-       << ",\"lossless_ratio\":" << s.lossless_ratio
-       << ",\"l2_rel_error\":" << s.l2_rel_error
-       << ",\"cosine_similarity\":" << s.cosine_similarity
-       << ",\"sign_agreement\":" << s.sign_agreement
-       << ",\"grad_l2\":" << s.grad_l2
-       << ",\"residual_l2\":" << s.residual_l2 << '}';
+       << ",\"compression_ratio\":" << Number{s.compression_ratio}
+       << ",\"mean_wire_bits\":" << Number{s.mean_wire_bits}
+       << ",\"lossless_ratio\":" << Number{s.lossless_ratio}
+       << ",\"l2_rel_error\":" << Number{s.l2_rel_error}
+       << ",\"cosine_similarity\":" << Number{s.cosine_similarity}
+       << ",\"sign_agreement\":" << Number{s.sign_agreement}
+       << ",\"grad_l2\":" << Number{s.grad_l2}
+       << ",\"residual_l2\":" << Number{s.residual_l2} << '}';
   }
   os << ']';
   return os.str();

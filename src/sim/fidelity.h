@@ -53,7 +53,7 @@ class CompressionFidelityProbe final : public core::ExchangeProbe {
   // rank because all ranks exchange tensors in the same order).
   std::vector<TensorFidelitySummary> summaries() const;
 
-  // Monotonic totals for one (rank, tensor): every field only grows as
+  // Monotonic totals for one (rank, tensor): both fields only grow as
   // samples arrive. The adaptive controller (src/control) differences
   // consecutive reads to form per-window signals — which is what makes a
   // resumed run's windows identical to the original run's tail. All zeros
@@ -61,11 +61,6 @@ class CompressionFidelityProbe final : public core::ExchangeProbe {
   struct Totals {
     int64_t samples = 0;
     double cosine_sum = 0.0;
-    double sign_sum = 0.0;
-    double residual_sum = 0.0;
-    double grad_sum = 0.0;
-    uint64_t wire_bits = 0;
-    uint64_t dense_bits = 0;
   };
   Totals totals(int rank, const std::string& name) const;
 

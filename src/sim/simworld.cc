@@ -10,6 +10,7 @@
 #include "core/registry.h"
 #include "sim/scheduler.h"
 #include "tensor/rng.h"
+#include "util/json.h"
 
 namespace grace::sim {
 namespace {
@@ -171,27 +172,33 @@ ScaleResult simulate_scale(const ReplicaFactory& factory,
 }
 
 std::string scale_result_json(const ScaleResult& r) {
+  using util::json::Number;
   std::ostringstream os;
   os.precision(std::numeric_limits<double>::max_digits10);
-  os << '{';
-  os << "\"model\":\"" << r.model << '"';
-  os << ",\"compressor\":\"" << r.compressor << '"';
-  os << ",\"topology\":\"" << r.topology << '"';
-  os << ",\"fleet\":\"" << r.fleet << '"';
-  os << ",\"fleet_max_compute_scale\":" << r.fleet_max_compute_scale;
+  os << "{\"model\":";
+  util::json::append_escaped(os, r.model);
+  os << ",\"compressor\":";
+  util::json::append_escaped(os, r.compressor);
+  os << ",\"topology\":";
+  util::json::append_escaped(os, r.topology);
+  os << ",\"fleet\":";
+  util::json::append_escaped(os, r.fleet);
+  os << ",\"fleet_max_compute_scale\":" << Number{r.fleet_max_compute_scale};
   os << ",\"n_workers\":" << r.n_workers;
   os << ",\"epochs\":" << r.epochs;
   os << ",\"iters_per_epoch\":" << r.iters_per_epoch;
   os << ",\"buckets_per_iter\":" << r.buckets_per_iter;
   os << ",\"phases\":{";
-  os << "\"compute\":" << r.compute_s << ",\"compress\":" << r.compress_s
-     << ",\"comm\":" << r.comm_s << ",\"decompress\":" << r.decompress_s
-     << ",\"optimizer\":" << r.optimizer_s << '}';
-  os << ",\"iteration_seconds\":" << r.iteration_s;
-  os << ",\"additive_iteration_seconds\":" << r.additive_iteration_s;
-  os << ",\"overlap_saved_seconds\":" << r.overlap_saved_s;
-  os << ",\"total_sim_seconds\":" << r.total_sim_seconds;
-  os << ",\"throughput\":" << r.throughput;
+  os << "\"compute\":" << Number{r.compute_s}
+     << ",\"compress\":" << Number{r.compress_s}
+     << ",\"comm\":" << Number{r.comm_s}
+     << ",\"decompress\":" << Number{r.decompress_s}
+     << ",\"optimizer\":" << Number{r.optimizer_s} << '}';
+  os << ",\"iteration_seconds\":" << Number{r.iteration_s};
+  os << ",\"additive_iteration_seconds\":" << Number{r.additive_iteration_s};
+  os << ",\"overlap_saved_seconds\":" << Number{r.overlap_saved_s};
+  os << ",\"total_sim_seconds\":" << Number{r.total_sim_seconds};
+  os << ",\"throughput\":" << Number{r.throughput};
   os << ",\"wire_bytes_per_iter\":" << r.wire_bytes_per_iter;
   os << ",\"comm_messages\":" << r.comm_messages;
   os << ",\"comm_payload_bytes\":" << r.comm_payload_bytes;

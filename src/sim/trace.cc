@@ -43,6 +43,8 @@ std::vector<TraceEvent> Trace::events() const {
 
 namespace {
 
+using util::json::Number;
+
 // {"histograms":[...]} with per-histogram p50/p99 and sparse [bucket, count]
 // pairs.
 void append_histograms(std::ostream& os,
@@ -53,10 +55,11 @@ void append_histograms(std::ostream& os,
     if (i) os << ',';
     os << "{\"name\":";
     util::json::append_escaped(os, h.name);
-    os << ",\"count\":" << h.count << ",\"sum\":" << h.sum
-       << ",\"min\":" << h.min << ",\"max\":" << h.max
-       << ",\"mean\":" << h.mean() << ",\"p50\":" << h.percentile(0.5)
-       << ",\"p99\":" << h.percentile(0.99) << ",\"buckets\":[";
+    os << ",\"count\":" << h.count << ",\"sum\":" << Number{h.sum}
+       << ",\"min\":" << Number{h.min} << ",\"max\":" << Number{h.max}
+       << ",\"mean\":" << Number{h.mean()}
+       << ",\"p50\":" << Number{h.percentile(0.5)}
+       << ",\"p99\":" << Number{h.percentile(0.99)} << ",\"buckets\":[";
     bool first = true;
     for (int b = 0; b < kHistogramBuckets; ++b) {
       if (h.buckets[static_cast<size_t>(b)] == 0) continue;
@@ -86,26 +89,26 @@ std::string run_result_json(const RunResult& r) {
   os << ",\"quality_metric\":";
   util::json::append_escaped(os, r.quality_metric);
   os << ",\"phases\":{";
-  os << "\"forward\":" << r.phases.forward_s
-     << ",\"backward\":" << r.phases.backward_s
-     << ",\"compress\":" << r.phases.compress_s
-     << ",\"comm\":" << r.phases.comm_s
-     << ",\"decompress\":" << r.phases.decompress_s
-     << ",\"optimizer\":" << r.phases.optimizer_s
-     << ",\"stall\":" << r.phases.stall_s << '}';
+  os << "\"forward\":" << Number{r.phases.forward_s}
+     << ",\"backward\":" << Number{r.phases.backward_s}
+     << ",\"compress\":" << Number{r.phases.compress_s}
+     << ",\"comm\":" << Number{r.phases.comm_s}
+     << ",\"decompress\":" << Number{r.phases.decompress_s}
+     << ",\"optimizer\":" << Number{r.phases.optimizer_s}
+     << ",\"stall\":" << Number{r.phases.stall_s} << '}';
   os << ",\"iteration_seconds\":"
-     << (r.iteration_s > 0.0 ? r.iteration_s : r.phases.total_s());
-  os << ",\"additive_iteration_seconds\":" << r.phases.total_s();
-  os << ",\"overlap_saved_seconds\":" << r.overlap_saved_s;
-  os << ",\"overlap_fraction\":" << r.overlap_fraction;
+     << Number{r.iteration_s > 0.0 ? r.iteration_s : r.phases.total_s()};
+  os << ",\"additive_iteration_seconds\":" << Number{r.phases.total_s()};
+  os << ",\"overlap_saved_seconds\":" << Number{r.overlap_saved_s};
+  os << ",\"overlap_fraction\":" << Number{r.overlap_fraction};
   os << ",\"buckets_per_iter\":" << r.buckets_per_iter;
-  os << ",\"wire_bytes_per_iter\":" << r.wire_bytes_per_iter;
-  os << ",\"throughput\":" << r.throughput;
-  os << ",\"total_sim_seconds\":" << r.total_sim_seconds;
+  os << ",\"wire_bytes_per_iter\":" << Number{r.wire_bytes_per_iter};
+  os << ",\"throughput\":" << Number{r.throughput};
+  os << ",\"total_sim_seconds\":" << Number{r.total_sim_seconds};
   os << ",\"final_train_loss\":"
-     << (r.epochs.empty() ? 0.0 : r.epochs.back().train_loss);
-  os << ",\"final_quality\":" << r.final_quality;
-  os << ",\"best_quality\":" << r.best_quality;
+     << Number{r.epochs.empty() ? 0.0 : r.epochs.back().train_loss};
+  os << ",\"final_quality\":" << Number{r.final_quality};
+  os << ",\"best_quality\":" << Number{r.best_quality};
   os << ",\"samples_per_epoch\":" << r.samples_per_epoch;
   os << ",\"samples_dropped_per_epoch\":" << r.samples_dropped_per_epoch;
   os << ",\"comm_messages\":" << r.comm_messages;
@@ -122,7 +125,7 @@ std::string run_result_json(const RunResult& r) {
     if (f.count != nullptr) {
       os << r.faults.*f.count;
     } else {
-      os << r.faults.*f.seconds;
+      os << Number{r.faults.*f.seconds};
     }
   }
   os << '}';
@@ -133,9 +136,9 @@ std::string run_result_json(const RunResult& r) {
     os << "{\"name\":";
     util::json::append_escaped(os, t.name);
     os << ",\"numel\":" << t.numel << ",\"exchanges\":" << t.exchanges
-       << ",\"compress_seconds\":" << t.compress_s
-       << ",\"comm_seconds\":" << t.comm_s
-       << ",\"decompress_seconds\":" << t.decompress_s
+       << ",\"compress_seconds\":" << Number{t.compress_s}
+       << ",\"comm_seconds\":" << Number{t.comm_s}
+       << ",\"decompress_seconds\":" << Number{t.decompress_s}
        << ",\"wire_bytes\":" << t.wire_bytes << '}';
   }
   os << ']';

@@ -13,6 +13,8 @@
 namespace grace::sim {
 namespace {
 
+using util::json::Number;
+
 // One sample on a per-rank counter track ("ph":"C"). Wire bytes are
 // cumulative; in-flight buckets are reconstructed from +1/-1 deltas.
 struct CounterSample {
@@ -35,8 +37,8 @@ void emit_counter_track(std::ostringstream& os, int rank,
     running = cumulative ? s.value : running + s.value;
     os << ",{\"ph\":\"C\",\"pid\":0,\"tid\":" << rank << ",\"name\":";
     util::json::append_escaped(os, name);
-    os << ",\"ts\":" << s.ts_us << ",\"args\":{\"" << arg
-       << "\":" << running << "}}";
+    os << ",\"ts\":" << Number{s.ts_us} << ",\"args\":{\"" << arg
+       << "\":" << Number{running} << "}}";
   }
 }
 
@@ -94,7 +96,7 @@ std::string trace_chrome_json(const Trace& t) {
     util::json::append_escaped(os, phase_name(ev.phase));
     os << ",\"cat\":";
     util::json::append_escaped(os, phase_name(ev.phase));
-    os << ",\"ts\":" << ts_us << ",\"dur\":" << dur_us
+    os << ",\"ts\":" << Number{ts_us} << ",\"dur\":" << Number{dur_us}
        << ",\"args\":{\"epoch\":" << ev.epoch << ",\"iter\":" << ev.iter
        << ",\"tensor\":" << ev.tensor << ",\"bytes\":" << ev.bytes << "}}";
     cursor_us[rank] = std::max(cursor_us[rank], ts_us + dur_us);

@@ -111,7 +111,8 @@ constexpr int kControlTagBase = -1000000;
 
 // Tag space for join-bootstrap frames (core/membership.h): one per
 // membership boundary, keyed by the absolute epoch, far below the
-// controller's band (boundary counts never approach 1e6).
+// controller's band (a controller decides after every iteration, so a run
+// would need a million iterations to reach it).
 constexpr int kBootstrapTagBase = -2000000;
 
 }  // namespace
@@ -224,13 +225,12 @@ Setup::Setup(models::DistributedModel& model, const TrainConfig& cfg)
   bool compressing =
       core::parse_spec(cfg.grace.compressor_spec).name != "none";
 
-  // Adaptive controller setup (src/control, DESIGN.md §11). Validate on
-  // this thread — a bad setting or arm spec must not throw inside a
+  // Adaptive controller setup (src/control, DESIGN.md §11). Instantiate
+  // every arm on this thread — a bad arm spec must not throw inside a
   // worker — and auto-attach an internal fidelity probe when the caller
   // did not supply one (the controller's signals come from the probe).
   const control::ControlConfig& ctl_cfg = cfg.grace.control;
   if (ctl_cfg.enabled()) {
-    ctl_cfg.validate();
     for (const std::string& arm : ctl_cfg.arms) {
       core::make_compressor(arm);  // fail fast on an unknown arm spec
       // Any arm may serve any bucket at some point: the per-tensor
@@ -319,19 +319,24 @@ void run_worker(const Setup& setup, int rank, models::DistributedModel& model,
   const control::ControlConfig& ctl_cfg = cfg.grace.control;
   control::Controller* ctl = nullptr;
   std::vector<std::string> bucket_names;
+  std::vector<int64_t> bucket_numels;
   std::vector<CompressionFidelityProbe::Totals> ctl_base(n_buckets);
   std::vector<float> ctl_sig;
   auto install_controller = [&](std::string state) {
     control::ControlConfig c = ctl_cfg;
     c.resume_state = std::move(state);  // the constructor restores from it
-    log.controller = std::make_unique<control::Controller>(c, bucket_names);
+    log.controller = std::make_unique<control::Controller>(c, bucket_names,
+                                                           bucket_numels);
     ctl = log.controller.get();
     for (size_t b = 0; b < n_buckets; ++b) {
       grace.set_compressor_override(bucket_names[b], ctl->arm_spec(b));
     }
   };
   if (ctl_cfg.enabled()) {
-    for (const BucketSpec& b : sched.buckets()) bucket_names.push_back(b.name);
+    for (const BucketSpec& b : sched.buckets()) {
+      bucket_names.push_back(b.name);
+      bucket_numels.push_back(b.numel);
+    }
     install_controller(ctl_cfg.resume_state);
     ctl_sig.resize(ctl->signal_size());
   }
@@ -421,11 +426,6 @@ void run_worker(const Setup& setup, int rank, models::DistributedModel& model,
       float* s = ctl_sig.data() + b * control::Controller::kSignalsPerBucket;
       s[0] = static_cast<float>(t.samples - s0.samples);
       s[1] = static_cast<float>(t.cosine_sum - s0.cosine_sum);
-      s[2] = static_cast<float>(t.sign_sum - s0.sign_sum);
-      s[3] = static_cast<float>(t.residual_sum - s0.residual_sum);
-      s[4] = static_cast<float>(t.grad_sum - s0.grad_sum);
-      s[5] = static_cast<float>(t.wire_bits - s0.wire_bits);
-      s[6] = static_cast<float>(t.dense_bits - s0.dense_bits);
       ctl_base[b] = t;
     }
     comm::allreduce_sum(comm, std::span<float>(ctl_sig),
@@ -538,14 +538,11 @@ void run_worker(const Setup& setup, int rank, models::DistributedModel& model,
           {loss, injector != nullptr ? injector->drain_stall(live_rank) : 0.0,
            epoch, it, /*active=*/true, /*exchanged=*/!skip_round,
            /*sat_out=*/!skip_round && !participate});
-      // Intra-epoch decision boundary (never doubled with the epoch-end
-      // one); the condition depends only on shared schedule state, so
-      // every live rank takes it together.
-      if (ctl != nullptr && ctl_cfg.decide_every_iters > 0 &&
-          (it + 1) % ctl_cfg.decide_every_iters == 0 &&
-          it + 1 < iters_per_epoch) {
-        control_step(epoch, it);
-      }
+      // Intra-epoch decision boundary after every iteration but the
+      // epoch's last, which the epoch-end boundary closes; the condition
+      // depends only on shared schedule state, so every live rank takes it
+      // together.
+      if (ctl != nullptr && it + 1 < iters_per_epoch) control_step(epoch, it);
     }
     if (!member) continue;
 

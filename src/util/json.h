@@ -1,10 +1,10 @@
 // Strict RFC 8259 JSON: the reader of every JSON document the repo takes
-// in (fault plans, run reports, gate baselines), the escaper every emitter
-// writes names with, and the run report's number writer. Input off the grammar (NaN, hex, a leading
-// '+' or zero, a trailing comma, a raw control character, a lone
-// surrogate), a duplicate member name or nesting past kMaxDepth throws
-// std::invalid_argument naming the byte offset. Bytes >= 0x80 in strings
-// pass through, as append_escaped writes them.
+// in (fault plans, run reports, gate baselines), and the escaper and number
+// writer every emitter writes names and doubles with. Input off the grammar
+// (NaN, hex, a leading '+' or zero, a trailing comma, a raw control
+// character, a lone surrogate), a duplicate member name or nesting past
+// kMaxDepth throws std::invalid_argument naming the byte offset. Bytes
+// >= 0x80 in strings pass through, as append_escaped writes them.
 #pragma once
 
 #include <charconv>
@@ -27,6 +27,15 @@ void append_escaped(std::ostream& os, std::string_view s);
 // Writes `v` as a number at the stream's precision, or as null when it is
 // a NaN or an infinity, which JSON has no token for.
 void append_number(std::ostream& os, double v);
+
+// append_number inside a << chain: `os << ",\"x\":" << Number{x}`.
+struct Number {
+  double value;
+};
+inline std::ostream& operator<<(std::ostream& os, Number n) {
+  append_number(os, n.value);
+  return os;
+}
 
 class Value {
  public:

@@ -1,5 +1,5 @@
 // Adaptive per-bucket compression controller (src/control, DESIGN.md §11):
-// hysteresis-rule unit tests driven with synthetic signal windows,
+// ratchet-rule unit tests driven with synthetic two-float signal windows,
 // snapshot round-trips, and trainer-level determinism / resume /
 // error-feedback carry-over contracts. Also covers the satellite APIs that
 // ride along: the registry's unknown-spec error listing and the fidelity
@@ -53,49 +53,46 @@ TEST(Registry, UnknownSpecListsRegisteredNamesSorted) {
 
 // --- Fidelity probe totals -------------------------------------------------
 
-core::FidelitySample sample(const char* name, double cosine, double sign,
-                            double residual, double grad, uint64_t wire,
-                            uint64_t dense) {
+core::FidelitySample sample(const char* name, double cosine) {
   core::FidelitySample s;
   s.rank = 0;
   s.tensor = name;
   s.numel = 8;
   s.cosine_similarity = cosine;
-  s.sign_agreement = sign;
-  s.residual_l2 = residual;
-  s.grad_l2 = grad;
-  s.wire_bits = wire;
-  s.dense_bits = dense;
-  s.compression_ratio =
-      wire > 0 ? static_cast<double>(dense) / static_cast<double>(wire) : 0.0;
   return s;
 }
 
 TEST(FidelityProbe, TotalsAreMonotonicSums) {
   sim::CompressionFidelityProbe probe(1);
-  probe.on_sample(sample("w", 0.9, 0.8, 1.0, 2.0, 32, 256));
-  probe.on_sample(sample("w", 0.7, 0.6, 3.0, 4.0, 64, 256));
+  probe.on_sample(sample("w", 0.9));
+  probe.on_sample(sample("w", 0.7));
+  probe.on_sample(sample("v", 0.5));
   const auto t = probe.totals(0, "w");
   EXPECT_EQ(t.samples, 2);
   EXPECT_DOUBLE_EQ(t.cosine_sum, 1.6);
-  EXPECT_DOUBLE_EQ(t.sign_sum, 1.4);
-  EXPECT_DOUBLE_EQ(t.residual_sum, 4.0);
-  EXPECT_DOUBLE_EQ(t.grad_sum, 6.0);
-  EXPECT_EQ(t.wire_bits, 96u);
-  EXPECT_EQ(t.dense_bits, 512u);
+  probe.on_sample(sample("w", 0.25));
+  EXPECT_EQ(probe.totals(0, "w").samples, 3);
+  EXPECT_DOUBLE_EQ(probe.totals(0, "w").cosine_sum, 1.85);
+  EXPECT_EQ(probe.totals(0, "v").samples, 1);
   // Unknown tensor / never-sampled rank: zero totals, not a throw.
   EXPECT_EQ(probe.totals(0, "nope").samples, 0);
+  EXPECT_EQ(probe.totals(0, "nope").cosine_sum, 0.0);
 }
 
-// --- Hysteresis rule (synthetic signal windows) ---------------------------
+// --- The ratchet (synthetic signal windows) --------------------------------
 
-// One bucket's 7-float signal slice encoding a window with `n` samples at
-// the given mean cosine / sign agreement and residual-to-gradient ratio.
-std::vector<float> signals_1bucket(float n, float cosine, float sign,
-                                   float residual_rel) {
-  return {n,       cosine * n, sign * n, residual_rel * n,
-          1.0f * n, 32.0f * n,  256.0f * n};
-}
+// A bucket far over the cheap-bucket threshold, and one just under it.
+constexpr int64_t kBigNumel = 4096;
+constexpr int64_t kCheapNumel =
+    static_cast<int64_t>(Controller::kCheapBits / 32.0) - 1;
+
+// One bucket's two-float signal slice: a window of `n` samples at the
+// given mean cosine.
+std::vector<float> window(float n, float cosine) { return {n, cosine * n}; }
+
+const std::vector<float> kBreach = window(8, 0.5f);   // under the floor
+const std::vector<float> kInBand = window(8, 0.9f);   // at or over it
+const std::vector<float> kIdle = window(0, 0.0f);     // no samples
 
 // The controller's live state, read through its run summary.
 int arm(const Controller& ctl, size_t bucket) {
@@ -105,143 +102,145 @@ ControlDecision last_decision(const Controller& ctl) {
   return ctl.summary().decisions.back();
 }
 
-ControlConfig hysteresis_cfg() {
+ControlConfig three_arms() {
   ControlConfig cfg;
   cfg.arms = {"none", "topk(0.05)", "topk(0.01)"};
-  cfg.start_arm = 1;
-  cfg.cosine_floor = 0.85;
-  cfg.sign_floor = 0.70;
-  cfg.residual_ceiling = 4.0;
-  cfg.band = 0.05;
-  cfg.patience = 2;
   return cfg;
 }
 
-TEST(HysteresisPolicy, SustainedBreachStepsOneArmLighter) {
-  Controller ctl(hysteresis_cfg(), {"bucket0"});
-  const auto bad = signals_1bucket(8, 0.5f, 0.9f, 0.1f);
-  // patience = 2: first breach waits, second switches 1 -> 0.
-  EXPECT_TRUE(ctl.step(bad, 0, -1).empty());
-  const auto switched = ctl.step(bad, 1, -1);
-  ASSERT_EQ(switched.size(), 1u);
-  EXPECT_EQ(switched[0].from_arm, 1);
-  EXPECT_EQ(switched[0].to_arm, 0);
-  EXPECT_EQ(switched[0].signal, "cosine<floor");
-  EXPECT_EQ(arm(ctl, 0), 0);
-  // Already at the lightest arm: further breaches hold.
-  EXPECT_TRUE(ctl.step(bad, 2, -1).empty());
-  EXPECT_TRUE(ctl.step(bad, 3, -1).empty());
-  EXPECT_EQ(arm(ctl, 0), 0);
-}
-
-TEST(HysteresisPolicy, SustainedHeadroomStepsOneArmHeavier) {
-  Controller ctl(hysteresis_cfg(), {"bucket0"});
-  const auto good = signals_1bucket(8, 0.99f, 0.99f, 0.0f);
-  EXPECT_TRUE(ctl.step(good, 0, -1).empty());
-  const auto switched = ctl.step(good, 1, -1);
-  ASSERT_EQ(switched.size(), 1u);
-  EXPECT_EQ(switched[0].to_arm, 2);
-  EXPECT_EQ(switched[0].signal, "headroom");
-  // At the heaviest arm the streak can no longer promote.
-  EXPECT_TRUE(ctl.step(good, 2, -1).empty());
-  EXPECT_TRUE(ctl.step(good, 3, -1).empty());
+TEST(Ratchet, StartsOnTheHeaviestArm) {
+  Controller ctl(three_arms(), {"a", "b"}, {kBigNumel, kCheapNumel});
   EXPECT_EQ(arm(ctl, 0), 2);
+  EXPECT_EQ(arm(ctl, 1), 2);
+  EXPECT_EQ(ctl.arm_spec(0), "topk(0.01)");
+  EXPECT_EQ(ctl.signal_size(), 4u);
 }
 
-TEST(HysteresisPolicy, InBandWindowResetsStreaksNoFlapping) {
-  Controller ctl(hysteresis_cfg(), {"bucket0"});
-  const auto bad = signals_1bucket(8, 0.5f, 0.9f, 0.1f);
-  // Inside the hysteresis band: above the floor but under floor + band.
-  const auto inband = signals_1bucket(8, 0.87f, 0.9f, 0.1f);
-  EXPECT_TRUE(ctl.step(bad, 0, -1).empty());     // breach streak 1
-  EXPECT_TRUE(ctl.step(inband, 1, -1).empty());  // resets the streak
-  EXPECT_TRUE(ctl.step(bad, 2, -1).empty());     // breach streak 1 again
-  EXPECT_EQ(arm(ctl, 0), 1);                      // never switched
+TEST(Ratchet, TwoConsecutiveBreachesStepOneArmLighter) {
+  static_assert(Controller::kPatience == 2);
+  Controller ctl(three_arms(), {"bucket0"}, {kBigNumel});
+  // The first breach waits, the second switches 2 -> 1.
+  EXPECT_TRUE(ctl.step(kBreach, 0, -1).empty());
   EXPECT_EQ(last_decision(ctl).signal, "cosine<floor:wait");
-}
-
-TEST(HysteresisPolicy, EmptyWindowHoldsEverything) {
-  Controller ctl(hysteresis_cfg(), {"bucket0"});
-  const auto bad = signals_1bucket(8, 0.5f, 0.9f, 0.1f);
-  const auto idle = signals_1bucket(0, 0.0f, 0.0f, 0.0f);
-  EXPECT_TRUE(ctl.step(bad, 0, -1).empty());
-  // Idle windows neither advance nor reset the breach streak.
-  EXPECT_TRUE(ctl.step(idle, 1, -1).empty());
-  EXPECT_EQ(last_decision(ctl).signal, "idle");
-  const auto switched = ctl.step(bad, 2, -1);
+  const auto switched = ctl.step(kBreach, 1, -1);
   ASSERT_EQ(switched.size(), 1u);
-  EXPECT_EQ(switched[0].to_arm, 0);
+  EXPECT_EQ(switched[0].from_arm, 2);
+  EXPECT_EQ(switched[0].to_arm, 1);
+  EXPECT_EQ(switched[0].signal, "cosine<floor");
+  // The switch restarts the streak: two more breaches step 1 -> 0.
+  EXPECT_TRUE(ctl.step(kBreach, 2, -1).empty());
+  ASSERT_EQ(ctl.step(kBreach, 3, -1).size(), 1u);
+  EXPECT_EQ(arm(ctl, 0), 0);
+  // At the lightest arm further breaches hold.
+  for (int i = 4; i < 8; ++i) EXPECT_TRUE(ctl.step(kBreach, i, -1).empty());
+  EXPECT_EQ(arm(ctl, 0), 0);
+  EXPECT_EQ(last_decision(ctl).signal, "cosine<floor:wait");
+  EXPECT_EQ(ctl.summary().switches, 2);
 }
 
-TEST(HysteresisPolicy, CheapBucketPinsToLightestArm) {
-  ControlConfig cfg = hysteresis_cfg();
-  cfg.start_arm = 2;
-  cfg.cheap_bits = 1000.0;  // per-sample dense payload threshold
-  Controller ctl(cfg, {"tiny", "big"});
-  // Both buckets post comfortable windows; only "tiny" is under the
-  // cheap-bits threshold (dense 256 bits/sample vs 2560).
-  std::vector<float> sig;
-  const float n = 8.0f;
-  const auto tiny = std::vector<float>{n,        0.99f * n, 0.99f * n, 0.0f,
-                                       1.0f * n, 32.0f * n, 256.0f * n};
-  const auto big = std::vector<float>{n,        0.99f * n, 0.99f * n, 0.0f,
-                                      1.0f * n, 320.0f * n, 2560.0f * n};
-  sig.insert(sig.end(), tiny.begin(), tiny.end());
-  sig.insert(sig.end(), big.begin(), big.end());
-  const auto switched = ctl.step(sig, 0, -1);
+TEST(Ratchet, InBandWindowResetsTheStreak) {
+  Controller ctl(three_arms(), {"bucket0"}, {kBigNumel});
+  EXPECT_TRUE(ctl.step(kBreach, 0, -1).empty());  // streak 1
+  EXPECT_TRUE(ctl.step(kInBand, 1, -1).empty());  // resets it
+  EXPECT_EQ(last_decision(ctl).signal, "in-band");
+  EXPECT_TRUE(ctl.step(kBreach, 2, -1).empty());  // streak 1 again
+  EXPECT_EQ(last_decision(ctl).signal, "cosine<floor:wait");
+  EXPECT_EQ(arm(ctl, 0), 2);
+  // However comfortable its windows, a bucket never steps heavier.
+  ctl.step(kBreach, 3, -1);
+  for (int i = 4; i < 8; ++i) {
+    EXPECT_TRUE(ctl.step(window(8, 1.0f), i, -1).empty());
+  }
+  EXPECT_EQ(arm(ctl, 0), 1);
+}
+
+TEST(Ratchet, IdleWindowHoldsArmAndStreak) {
+  Controller ctl(three_arms(), {"bucket0"}, {kBigNumel});
+  EXPECT_TRUE(ctl.step(kBreach, 0, -1).empty());
+  // An idle window neither advances nor resets the breach streak.
+  EXPECT_TRUE(ctl.step(kIdle, 1, -1).empty());
+  EXPECT_EQ(last_decision(ctl).signal, "idle");
+  EXPECT_EQ(arm(ctl, 0), 2);
+  const auto switched = ctl.step(kBreach, 2, -1);
+  ASSERT_EQ(switched.size(), 1u);
+  EXPECT_EQ(switched[0].to_arm, 1);
+}
+
+TEST(Ratchet, CheapBucketPinsToArmZeroAndStays) {
+  // "tiny" is one element under the threshold; "edge" sits exactly on it
+  // (625 * 32 = 20000 bits), which is not under it.
+  const int64_t edge = static_cast<int64_t>(Controller::kCheapBits / 32.0);
+  Controller ctl(three_arms(), {"tiny", "edge"}, {kCheapNumel, edge});
+  auto both = [](const std::vector<float>& tiny,
+                 const std::vector<float>& other) {
+    std::vector<float> sig = tiny;
+    sig.insert(sig.end(), other.begin(), other.end());
+    return sig;
+  };
+  // No samples yet: the cheap bucket waits for its first sampled window.
+  EXPECT_TRUE(ctl.step(both(kIdle, kInBand), 0, -1).empty());
+  EXPECT_EQ(ctl.summary().decisions[0].signal, "idle");
+  const auto switched = ctl.step(both(kInBand, kInBand), 1, -1);
   ASSERT_EQ(switched.size(), 1u);
   EXPECT_EQ(switched[0].bucket_name, "tiny");
+  EXPECT_EQ(switched[0].from_arm, 2);
   EXPECT_EQ(switched[0].to_arm, 0);
   EXPECT_EQ(switched[0].signal, "cheap");
-  // The cheap bucket never promotes, however comfortable its windows; the
-  // big bucket follows the ordinary hysteresis rules.
-  ctl.step(sig, 1, -1);
-  ctl.step(sig, 2, -1);
+  // Pinned, whatever its windows say; the other bucket follows the
+  // ordinary rule.
+  for (int i = 2; i < 6; ++i) ctl.step(both(kBreach, kInBand), i, -1);
   EXPECT_EQ(arm(ctl, 0), 0);
-  EXPECT_EQ(last_decision(ctl).bucket, 1);
+  EXPECT_EQ(arm(ctl, 1), 2);
+  const auto log = ctl.summary().decisions;
+  EXPECT_EQ(log[log.size() - 2].signal, "cheap:hold");
+  EXPECT_EQ(log.back().signal, "in-band");
 }
 
 TEST(ControllerStep, RejectsWrongSignalSize) {
-  Controller ctl(hysteresis_cfg(), {"a", "b"});
-  const auto one = signals_1bucket(8, 0.9f, 0.9f, 0.1f);
-  EXPECT_THROW(ctl.step(one, 0, -1), std::invalid_argument);
+  Controller ctl(three_arms(), {"a", "b"}, {kBigNumel, kBigNumel});
+  EXPECT_THROW(ctl.step(kBreach, 0, -1), std::invalid_argument);
+  std::vector<float> seven(7 * 2, 1.0f);  // the old seven-float layout
+  EXPECT_THROW(ctl.step(seven, 0, -1), std::invalid_argument);
+  EXPECT_EQ(ctl.boundaries(), 0);
+}
+
+TEST(ControllerStep, RejectsAnEmptyArmSetOrMissingSizes) {
+  EXPECT_THROW(Controller(ControlConfig{}, {"a"}, {kBigNumel}),
+               std::invalid_argument);
+  EXPECT_THROW(Controller(three_arms(), {"a", "b"}, {kBigNumel}),
+               std::invalid_argument);
 }
 
 // --- Snapshots ------------------------------------------------------------
 
+Controller resumed_from(const std::string& state,
+                        std::vector<std::string> names = {"bucket0"},
+                        ControlConfig cfg = three_arms()) {
+  cfg.resume_state = state;
+  const std::vector<int64_t> numels(names.size(), kBigNumel);
+  return Controller(cfg, std::move(names), numels);
+}
+
 TEST(ControllerSnapshot, RejectsCorruptOrMismatchedState) {
-  Controller ctl(hysteresis_cfg(), {"bucket0"});
-  ctl.step(signals_1bucket(8, 0.9f, 0.9f, 0.1f), 0, -1);
+  Controller ctl(three_arms(), {"bucket0"}, {kBigNumel});
+  ctl.step(kInBand, 0, -1);
   const std::string snap = ctl.snapshot();
 
-  auto resume_with = [](ControlConfig cfg, const std::string& state,
-                        std::vector<std::string> names) {
-    cfg.resume_state = state;
-    Controller c(cfg, std::move(names));
-  };
-  // Bad magic.
-  EXPECT_THROW(resume_with(hysteresis_cfg(), "garbage", {"bucket0"}),
-               std::invalid_argument);
-  // A snapshot of the v1 grammar (which also recorded a policy and an RNG
-  // position) fails on its magic.
-  std::string v1 = snap;
-  ASSERT_EQ(v1.rfind("grace.control.v2;", 0), 0u);
-  v1.replace(0, 16, "grace.control.v1");
-  EXPECT_THROW(resume_with(hysteresis_cfg(), v1, {"bucket0"}),
-               std::invalid_argument);
+  EXPECT_THROW(resumed_from("garbage"), std::invalid_argument);
+  // A snapshot of the v2 grammar (which also recorded a promotion streak
+  // per bucket) fails on its magic.
+  std::string v2 = snap;
+  ASSERT_EQ(v2.rfind("grace.control.v3;", 0), 0u);
+  v2.replace(0, 16, "grace.control.v2");
+  EXPECT_THROW(resumed_from(v2), std::invalid_argument);
   // Bucket-plan mismatch.
-  EXPECT_THROW(resume_with(hysteresis_cfg(), snap, {"other_bucket"}),
-               std::invalid_argument);
+  EXPECT_THROW(resumed_from(snap, {"other_bucket"}), std::invalid_argument);
   // Arm-set mismatch.
-  ControlConfig fewer = hysteresis_cfg();
+  ControlConfig fewer;
   fewer.arms = {"none", "topk(0.05)"};
-  fewer.start_arm = 0;
-  EXPECT_THROW(resume_with(fewer, snap, {"bucket0"}), std::invalid_argument);
+  EXPECT_THROW(resumed_from(snap, {"bucket0"}, fewer), std::invalid_argument);
   // Valid state restores cleanly.
-  ControlConfig ok = hysteresis_cfg();
-  ok.resume_state = snap;
-  Controller resumed(ok, {"bucket0"});
-  EXPECT_EQ(resumed.boundaries(), 1);
+  EXPECT_EQ(resumed_from(snap).boundaries(), 1);
 }
 
 // `snap` with the value of its `key=` field replaced.
@@ -256,19 +255,14 @@ std::string with_field(const std::string& snap, const std::string& key,
 }
 
 TEST(ControllerSnapshot, RejectsOutOfRangeCounts) {
-  // Ten breaching boundaries over one bucket: the second switches 1 -> 0,
-  // the other eight grow the breach streak on the lightest arm. At most
-  // ten switches, and no streak longer than ten.
-  Controller ctl(hysteresis_cfg(), {"bucket0"});
-  const auto bad = signals_1bucket(8, 0.5f, 0.9f, 0.1f);
-  for (int i = 0; i < 10; ++i) ctl.step(bad, i, -1);
+  // Ten breaching boundaries over one bucket: the second and fourth step
+  // 2 -> 1 -> 0, the other six grow the streak on the lightest arm. At
+  // most ten switches, and no streak longer than ten.
+  Controller ctl(three_arms(), {"bucket0"}, {kBigNumel});
+  for (int i = 0; i < 10; ++i) ctl.step(kBreach, i, -1);
   const std::string snap = ctl.snapshot();
-  ASSERT_NE(snap.find(";b=0|8:0"), std::string::npos) << snap;
-  auto resume = [](const std::string& state) {
-    ControlConfig cfg = hysteresis_cfg();
-    cfg.resume_state = state;
-    Controller c(cfg, {"bucket0"});
-  };
+  ASSERT_NE(snap.find(";switches=2;b=0|6"), std::string::npos) << snap;
+  auto resume = [](const std::string& state) { resumed_from(state); };
   EXPECT_NO_THROW(resume(snap));
   EXPECT_THROW(resume(with_field(snap, "boundaries", "-1")),
                std::invalid_argument);
@@ -279,28 +273,26 @@ TEST(ControllerSnapshot, RejectsOutOfRangeCounts) {
   EXPECT_THROW(resume(with_field(snap, "switches", "11")),
                std::invalid_argument);
   EXPECT_NO_THROW(resume(with_field(snap, "switches", "10")));
-  // Bucket entries are "<arm>|<worse>:<better>".
-  EXPECT_THROW(resume(with_field(snap, "b", "0|-1:0")), std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "b", "0|11:0")), std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "b", "0|0:11")), std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "b", "3|0:0")), std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "b", "0|0")), std::invalid_argument);
+  // Bucket entries are "<arm>|<breaches>".
+  EXPECT_THROW(resume(with_field(snap, "b", "0|-1")), std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "b", "0|11")), std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "b", "3|0")), std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "b", "0|0:0")), std::invalid_argument);
+  EXPECT_THROW(resume(with_field(snap, "b", "0|")), std::invalid_argument);
   EXPECT_THROW(resume(with_field(snap, "b", "0")), std::invalid_argument);
-  EXPECT_NO_THROW(resume(with_field(snap, "b", "2|10:10")));
+  EXPECT_NO_THROW(resume(with_field(snap, "b", "2|10")));
 }
 
 TEST(ControllerSnapshot, RestoresAPendingStreak) {
-  // Cut after the first of two breaching windows (patience = 2): the
-  // restored controller carries the streak and switches on the next
-  // breach, exactly as the uninterrupted one does.
-  Controller full(hysteresis_cfg(), {"bucket0"});
-  const auto bad = signals_1bucket(8, 0.5f, 0.9f, 0.1f);
-  EXPECT_TRUE(full.step(bad, 0, -1).empty());
-  ControlConfig cfg = hysteresis_cfg();
-  cfg.resume_state = full.snapshot();
-  Controller resumed(cfg, {"bucket0"});
-  const auto a = full.step(bad, 1, -1);
-  const auto b = resumed.step(bad, 1, -1);
+  // Cut after the first of two breaching windows: the restored controller
+  // carries the streak and switches on the next breach, exactly as the
+  // uninterrupted one does.
+  Controller full(three_arms(), {"bucket0"}, {kBigNumel});
+  EXPECT_TRUE(full.step(kBreach, 0, -1).empty());
+  ASSERT_NE(full.snapshot().find(";b=2|1"), std::string::npos);
+  Controller resumed = resumed_from(full.snapshot());
+  const auto a = full.step(kBreach, 1, -1);
+  const auto b = resumed.step(kBreach, 1, -1);
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(control::control_decisions_json(a),
@@ -319,16 +311,12 @@ sim::TrainConfig controller_config(const sim::Benchmark& b, int workers) {
   cfg.epochs = 2;
   cfg.grace.compressor_spec = "topk(0.05)";
   cfg.grace.control.arms = {"none", "topk(0.05)"};
-  cfg.grace.control.start_arm = 1;
-  cfg.grace.control.decide_every_iters = 2;
   return cfg;
 }
 
 TEST(TrainerControl, SameSeedYieldsByteIdenticalDecisionLogs) {
   sim::Benchmark b = tiny_cnn();
   sim::TrainConfig cfg = controller_config(b, 2);
-  // Floors chosen so real top-k fidelity signals land on both sides.
-  cfg.grace.control.cosine_floor = 0.4;
   sim::RunResult r1 = train(b.factory, cfg);
   sim::RunResult r2 = train(b.factory, cfg);
   EXPECT_TRUE(r1.control.enabled);
@@ -347,7 +335,6 @@ TEST(TrainerControl, CrashParksTheCasualtyOutOfTheDecisionLoop) {
   // world, so the run ends on one agreed decision log and replays.
   sim::Benchmark b = tiny_cnn();
   sim::TrainConfig cfg = controller_config(b, 3);
-  cfg.grace.control.cosine_floor = 0.4;
   faults::FaultSpec spec;
   spec.crash_rank = 2;
   spec.crash_epoch = 0;
@@ -388,17 +375,26 @@ TEST(TrainerControl, OneArmControllerMatchesUncontrolledRunBitForBit) {
 }
 
 TEST(TrainerControl, ForcedSwitchWithErrorFeedbackIsDeterministic) {
-  // Force a switch at the very first boundary (impossible cosine floor)
-  // with error feedback on, so a residual is pending when the arm changes:
-  // the next arm's compensation absorbs it, identically on every run.
+  // Force switches with a heaviest arm so lossy that every bucket's window
+  // cosine breaches the floor, with error feedback on, so a residual is
+  // pending when the arm changes: the next arm's compensation absorbs it,
+  // identically on every run.
   sim::Benchmark b = tiny_cnn();
   sim::TrainConfig cfg = controller_config(b, 2);
   cfg.grace.error_feedback = true;
-  cfg.grace.control.cosine_floor = 0.999;
-  cfg.grace.control.patience = 1;
+  cfg.grace.compressor_spec = "randomk(0.01)";
+  cfg.grace.control.arms = {"none", "randomk(0.01)"};
   sim::RunResult r1 = train(b.factory, cfg);
   sim::RunResult r2 = train(b.factory, cfg);
-  ASSERT_GT(r1.control.switches, 0);
+  // Every bucket leaves the heaviest arm, cheap ones at the first boundary
+  // and the rest on their second breach.
+  ASSERT_EQ(r1.control.switches,
+            static_cast<int>(r1.control.final_arms.size()));
+  for (const ControlDecision& d : r1.control.decisions) {
+    if (d.to_arm != d.from_arm) {
+      EXPECT_LE(d.boundary, 1) << d.bucket_name << " " << d.signal;
+    }
+  }
   EXPECT_EQ(r1.parameters_crc32, r2.parameters_crc32);
   EXPECT_TRUE(r1.replicas_in_sync);
 }
@@ -417,12 +413,13 @@ TEST(TrainerControl, ResumeReplaysDecisionTailAndWeightsExactly) {
   cfg.optimizer.type = optim::OptimizerType::Sgd;
   cfg.optimizer.lr = 0.02;
   cfg.epochs = 4;
-  cfg.grace.control.cosine_floor = 0.4;
   sim::RunResult full = train(b.factory, cfg);
 
   sim::TrainConfig stage_cfg = cfg;
   stage_cfg.epochs = 2;
   sim::RunResult stage = train(b.factory, stage_cfg);
+  // The hand-off carries arms that differ from the start's.
+  ASSERT_GT(stage.control.switches, 0);
 
   std::vector<float> saved = stage.final_parameters;
   sim::ReplicaFactory resumed_factory = [&b, saved](uint64_t seed) {

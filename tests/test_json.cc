@@ -1,8 +1,9 @@
 // The strict JSON reader and string escaper (util/json.h): the grammar's
 // accept/reject table, the nesting cap, offsets in errors, exact integers,
 // source text of parsed values, and the round trips the emitters promise:
-// any byte string through append_escaped, and any double written at
-// max_digits10.
+// any byte string through append_escaped, any double written at
+// max_digits10, and the sim/ and faults/ emitters' documents holding
+// non-finite numbers and names that need escaping.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "faults/fault_plan.h"
+#include "sim/fidelity.h"
+#include "sim/metrics.h"
+#include "sim/simworld.h"
+#include "sim/trace.h"
+#include "sim/trace_chrome.h"
 #include "tensor/rng.h"
 #include "util/json.h"
 
@@ -194,6 +201,147 @@ TEST(Json, NonFiniteNumbersAreWrittenAsNull) {
     EXPECT_EQ(text, "[null]");
     EXPECT_NO_THROW(parse(text));
   }
+}
+
+// --- Emitters over non-finite records ----------------------------------------
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// A name holding both characters JSON must escape.
+const std::string kQuoted = "my\"codec\\1";
+
+// The JSON text of `v`, which must be null (a NaN or an infinity).
+void expect_null(const Value& v) { EXPECT_EQ(v.text(), "null"); }
+
+TEST(JsonEmitters, RunResultWritesNonFiniteAsNull) {
+  sim::RunResult r;
+  r.model = kQuoted;
+  r.compressor = kQuoted;
+  r.phases.forward_s = kNaN;
+  r.iteration_s = kInf;
+  r.throughput = -kInf;
+  r.final_quality = kNaN;
+  r.faults.retry_stall_s = kNaN;
+  sim::TensorTraceSummary t;
+  t.name = kQuoted;
+  t.compress_s = kNaN;
+  r.tensor_trace.push_back(t);
+  sim::TensorFidelitySummary f;
+  f.name = kQuoted;
+  f.cosine_similarity = kNaN;
+  r.fidelity.push_back(f);
+  sim::HistogramSnapshot h;
+  h.name = kQuoted;
+  h.count = 2;
+  h.buckets[3] = 2;
+  h.sum = kNaN;
+  h.min = -kInf;
+  h.max = kInf;
+  r.metric_histograms.push_back(h);
+
+  const std::string text = sim::run_result_json(r);
+  const Value doc = parse(text);
+  EXPECT_EQ(doc.at("model").string(), kQuoted);
+  EXPECT_EQ(doc.at("compressor").string(), kQuoted);
+  expect_null(doc.at("phases").at("forward"));
+  EXPECT_EQ(doc.at("phases").at("backward").number(), 0.0);
+  expect_null(doc.at("iteration_seconds"));
+  expect_null(doc.at("throughput"));
+  expect_null(doc.at("final_quality"));
+  expect_null(doc.at("faults").at("retry_stall_seconds"));
+  const Value& tensor = doc.at("tensors").array().at(0);
+  EXPECT_EQ(tensor.at("name").string(), kQuoted);
+  expect_null(tensor.at("compress_seconds"));
+  EXPECT_EQ(doc.at("fidelity").array().at(0).at("name").string(), kQuoted);
+  expect_null(doc.at("fidelity").array().at(0).at("cosine_similarity"));
+  const Value& hist = doc.at("metrics").at("histograms").array().at(0);
+  EXPECT_EQ(hist.at("name").string(), kQuoted);
+  for (const char* key : {"sum", "min", "max", "mean"}) {
+    SCOPED_TRACE(key);
+    expect_null(hist.at(key));
+  }
+}
+
+TEST(JsonEmitters, FidelitySummariesWriteNonFiniteAsNull) {
+  sim::TensorFidelitySummary f;
+  f.name = kQuoted;
+  f.compression_ratio = kInf;
+  f.l2_rel_error = kNaN;
+  f.grad_l2 = -kInf;
+  const std::string text = sim::fidelity_summaries_json({f, f});
+  const Value doc = parse(text);
+  ASSERT_EQ(doc.array().size(), 2u);
+  const Value& row = doc.array()[1];
+  EXPECT_EQ(row.at("name").string(), kQuoted);
+  expect_null(row.at("compression_ratio"));
+  expect_null(row.at("l2_rel_error"));
+  expect_null(row.at("grad_l2"));
+  EXPECT_EQ(row.at("lossless_ratio").number(), 1.0);
+}
+
+TEST(JsonEmitters, ChromeTraceWritesNonFiniteAsNull) {
+  sim::Trace trace(1);
+  sim::TraceEvent ev;
+  ev.tensor = 0;
+  ev.phase = sim::Phase::Compress;
+  ev.seconds = 1e-3;
+  ev.start_s = 0.0;
+  trace.record(0, ev);
+  ev.phase = sim::Phase::Comm;
+  ev.seconds = kNaN;
+  ev.start_s = 1e-3;
+  ev.bytes = 64;
+  trace.record(0, ev);
+  ev.phase = sim::Phase::Decompress;
+  ev.seconds = kInf;
+  ev.start_s = 2e-3;
+  trace.record(0, ev);
+  const std::string text = sim::trace_chrome_json(trace);
+  const Value doc = parse(text);
+  int null_durations = 0;
+  int null_counter_stamps = 0;
+  for (const Value& e : doc.at("traceEvents").array()) {
+    const std::string& ph = e.at("ph").string();
+    if (ph == "X" && e.at("dur").text() == "null") ++null_durations;
+    if (ph == "C" && e.at("ts").text() == "null") ++null_counter_stamps;
+  }
+  EXPECT_EQ(null_durations, 2);       // the NaN and the infinite span
+  EXPECT_EQ(null_counter_stamps, 2);  // wire bytes at NaN, in-flight at inf
+}
+
+TEST(JsonEmitters, ScaleResultEscapesNamesAndWritesNonFiniteAsNull) {
+  sim::ScaleResult r;
+  r.model = kQuoted;
+  r.compressor = kQuoted;
+  r.topology = "ring\\";
+  r.fleet = "\"uniform\"";
+  r.fleet_max_compute_scale = -kInf;
+  r.iteration_s = kNaN;
+  r.throughput = kInf;
+  const std::string text = sim::scale_result_json(r);
+  const Value doc = parse(text);
+  EXPECT_EQ(doc.at("model").string(), kQuoted);
+  EXPECT_EQ(doc.at("compressor").string(), kQuoted);
+  EXPECT_EQ(doc.at("topology").string(), "ring\\");
+  EXPECT_EQ(doc.at("fleet").string(), "\"uniform\"");
+  expect_null(doc.at("fleet_max_compute_scale"));
+  expect_null(doc.at("iteration_seconds"));
+  expect_null(doc.at("throughput"));
+  EXPECT_EQ(doc.at("phases").at("comm").number(), 0.0);
+}
+
+TEST(JsonEmitters, FaultSpecWritesNonFiniteAsNull) {
+  faults::FaultSpec spec;
+  spec.drop_prob = kNaN;
+  spec.straggler_delay_s = kInf;
+  spec.retry_timeout_s = -kInf;
+  spec.seed = 7;
+  const std::string text = faults::fault_spec_json(spec);
+  const Value doc = parse(text);
+  expect_null(doc.at("drop_prob"));
+  expect_null(doc.at("straggler_delay_s"));
+  expect_null(doc.at("retry_timeout_s"));
+  EXPECT_EQ(doc.at("seed").number<uint64_t>(), 7u);
 }
 
 }  // namespace

@@ -421,7 +421,7 @@ TEST(MutationFuzz, BootstrapFrames) {
       Tensor::zeros(Shape{{12}}), Tensor::zeros(Shape{{5}}),
       Tensor(DType::I32, Shape{{2}})};
   const Tensor frame = seal_bootstrap_frame(params, residuals, optimizer,
-                                            "grace.control.v2;boundaries=0");
+                                            "grace.control.v3;boundaries=0");
   ASSERT_NO_THROW(open_bootstrap_frame(frame, slots));
   fuzz(200, 3000, [&](Rng& r) { return mutate_sealed(frame, r); },
        [&](const Tensor& blob) { open_bootstrap_frame(blob, slots); });
@@ -495,39 +495,34 @@ TEST(MutationFuzz, GateBaselines) {
 }
 
 TEST(MutationFuzz, ControllerSnapshots) {
-  // Bucket b0 breaches the cosine floor and steps down to the lightest
-  // arm, b1 clears every threshold on the heaviest: with patience 3 both
-  // end with nonzero streaks (a breach streak on b0, a headroom one on b1).
+  // Bucket b0 breaches the cosine floor in four windows of every five and
+  // steps down to the lightest arm; b1 stays on the heaviest until its one
+  // breach in the last window. Both end with nonzero streaks, on
+  // different arms.
   control::ControlConfig cfg;
   cfg.arms = {"none", "topk(0.05)", "topk(0.01)"};
-  cfg.start_arm = 2;
-  cfg.patience = 3;
   const std::vector<std::string> buckets = {"b0", "b1"};
-  control::Controller ctl(cfg, buckets);
+  const std::vector<int64_t> numels = {4096, 4096};
+  control::Controller ctl(cfg, buckets, numels);
   std::vector<float> signals(ctl.signal_size());
   for (int i = 0; i < 12; ++i) {
     for (size_t b = 0; b < buckets.size(); ++b) {
       const float n = 4.0f;
-      const float cos =
-          b == 0 ? 0.6f + 0.03f * static_cast<float>(i % 5) : 0.99f;
+      const float cos = b == 0 ? 0.5f + 0.03f * static_cast<float>(i % 5)
+                               : (i == 11 ? 0.5f : 0.99f);
       float* s = signals.data() + b * control::Controller::kSignalsPerBucket;
       s[0] = n;
       s[1] = cos * n;
-      s[2] = 0.9f * n;
-      s[3] = 0.1f * n;
-      s[4] = n;
-      s[5] = 32.0f * n;
-      s[6] = 256.0f * n;
     }
     ctl.step(signals, i, -1);
   }
   const std::string snap = ctl.snapshot();
-  ASSERT_NE(snap.find(";b=0|6:0;b=2|0:12"), std::string::npos) << snap;
+  ASSERT_NE(snap.find(";b=0|2;b=2|1"), std::string::npos) << snap;
   fuzz(400, 2000, [&](Rng& r) { return mutate(snap, r); },
        [&](const std::string& state) {
          control::ControlConfig resumed = cfg;
          resumed.resume_state = state;
-         control::Controller c(resumed, buckets);
+         control::Controller c(resumed, buckets, numels);
        });
 }
 
