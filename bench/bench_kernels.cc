@@ -4,12 +4,13 @@
 // and qsgd's decode-accumulate scalar vs SIMD, qsgd's block encode vs the
 // seed one-pass loop, the frame CRC vs the seed byte loop and vs a copy of
 // slicing-by-8, rice index coding vs the seed bit-at-a-time writer, one
-// Adam step vs the seed Adam loop, the conv lowering's im2col and col2im
-// vs their per-element reference loops, top-k's radix select vs the
-// comparator nth_element, and GEMM's operand transpose scalar vs SIMD).
-// Each row times its two sides in alternation. Prints a table and
-// writes BENCH_kernels.json so successive PRs can track the compute
-// substrate's perf trajectory.
+// Adam step vs the seed Adam loop and vs the three-divide loop, the conv
+// lowering's im2col and col2im vs their per-element reference loops,
+// top-k's radix select vs the comparator nth_element, and GEMM's operand
+// transpose scalar vs SIMD).
+// The codec rows are timed in rounds that visit every row, each row's two
+// sides in alternation. Prints a table and writes BENCH_kernels.json so
+// successive PRs can track the compute substrate's perf trajectory.
 //
 // GRACE_SCALE=<f> (default 1.0) scales the problem sizes for smoke runs.
 //
@@ -21,7 +22,8 @@
 // no row or a kernel has two floors. Speedups are ratios within one run,
 // so the check is robust to absolute machine speed; it is registered as a
 // slow-labelled ctest. Without a SIMD level (a -DGRACE_NATIVE=OFF build or
-// a CPU without AVX2) the rows that time a util/simd kernel are skipped.
+// a CPU without AVX2) the rows that time a util/simd kernel are skipped,
+// and so is adam_one_divide where Adam keeps its three-divide loop.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -30,7 +32,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -169,6 +173,18 @@ void seed_adam(const grace::optim::OptimizerConfig& cfg, int64_t step,
   }
 }
 
+}  // namespace
+
+namespace grace::bench {
+// bench/adam_three_divide.cc: Optimizer::apply's Adam loop before it divided
+// once per element, vectorized as optimizer.cc is.
+void three_divide_adam(const optim::OptimizerConfig& cfg, int64_t step,
+                       std::span<float> param, std::span<float> m,
+                       std::span<float> v, std::span<const float> grad);
+}  // namespace grace::bench
+
+namespace {
+
 // The seed CRC-32: util/crc32.h's loop before slicing-by-8, one table
 // lookup per byte.
 uint32_t seed_crc32(std::span<const std::byte> data) {
@@ -298,32 +314,6 @@ double time_best(Fn&& fn) {
   return best;
 }
 
-// Best-of-rep seconds of a baseline and an optimized kernel timed in
-// alternation, so a burst of load on a shared host hits both sides of the
-// ratio alike. Each turn runs its side twice and times the second run, so
-// the first warms for it what the other side's run left cold: caches,
-// branch history, and the core's state for wide vector instructions.
-template <typename Base, typename Opt>
-std::pair<double, double> time_best_pair(Base&& base, Opt&& opt) {
-  using clock = std::chrono::steady_clock;
-  double total = 0.0;
-  const auto turn = [&](auto& fn) {
-    const auto t0 = clock::now();
-    fn();
-    const auto t1 = clock::now();
-    fn();
-    const auto t2 = clock::now();
-    total += std::chrono::duration<double>(t2 - t0).count();
-    return std::chrono::duration<double>(t2 - t1).count();
-  };
-  double best_base = 1e100, best_opt = 1e100;
-  for (int reps = 0; reps < 400 && (total < 1.2 || reps < 3); ++reps) {
-    best_base = std::min(best_base, turn(base));
-    best_opt = std::min(best_opt, turn(opt));
-  }
-  return {best_base, best_opt};
-}
-
 struct JsonWriter {
   std::string text;
   bool first_in_scope = true;
@@ -372,7 +362,8 @@ int threads_cap() { return 4; }
 // --- one-lookup-per-byte loop and crc32_clmul a copy of slicing-by-8;
 // --- qsgd_encode times the seed one-pass encode, one out-of-line draw per
 // --- element, against Qsgd::compress; rice uses the seed bit-at-a-time
-// --- writer; adam times the seed Adam loop against Optimizer::apply on
+// --- writer; adam times the seed Adam loop, and adam_one_divide a
+// --- vectorized copy of the three-divide loop, against Optimizer::apply on
 // --- ncf-dense's ~171k parameters, whatever the run's n; im2col and
 // --- col2im time the per-element reference loops against the library on
 // --- a fixed batch of conv inputs; topk_radix times the comparator
@@ -381,17 +372,63 @@ int threads_cap() { return 4; }
 
 struct CodecRow {
   std::string kernel;
-  double baseline_seconds = 0.0;  // scalar path (or seed bit-writer)
-  double seconds = 0.0;           // active SIMD path (or 64-bit writer)
-  double bytes = 0.0;             // input bytes processed per call
-  int64_t n = 0;                  // elements per call; 0: the run's n
-  bool simd = false;              // optimized side is a util/simd kernel
+  // The two sides, which reference run_codec_rows' locals: they run only
+  // inside it.
+  std::function<void()> baseline;   // scalar path (or seed loop)
+  std::function<void()> optimized;  // active SIMD path (or library kernel)
+  double bytes = 0.0;               // input bytes processed per call
+  int64_t n = 0;                    // elements per call; 0: the run's n
+  // Why --ci does not enforce the row's floor in this build, or null.
+  const char* skip = nullptr;
+  double baseline_seconds = 1e100;  // best of the rounds
+  double seconds = 1e100;
   double speedup() const { return baseline_seconds / seconds; }
   double gb_per_s() const { return bytes / seconds / 1e9; }
 };
 
+// Timed turns of one check, over all its rows, on a 4-vCPU host (about
+// what one stretch of 1.2 s per row came to before the rows shared
+// rounds).
+constexpr double kRoundsSeconds = 13.0;
+
+// Times every row's two sides in rounds spread over the whole run: each
+// round visits every row and runs its baseline, then its optimized side,
+// and each side keeps its best turn across rounds. So a slow window on a
+// shared host costs every row a few rounds instead of setting one row's
+// ratio. Each turn runs its side twice and times the second run, so the
+// first warms for it what the other sides' runs left cold: caches, branch
+// history, and the core's state for wide vector instructions. Rounds stop
+// after kRoundsSeconds of turns (at least three rounds) or 400 rounds.
+// Every kernel runs on one lane, as a train() rank's do.
+void time_rows(std::vector<CodecRow>& rows) {
+  using clock = std::chrono::steady_clock;
+  const grace::runtime::LaneLimit one_lane(1);
+  double total = 0.0;
+  const auto turn = [&](const std::function<void()>& fn, double& best) {
+    const auto t0 = clock::now();
+    fn();
+    const auto t1 = clock::now();
+    fn();
+    const auto t2 = clock::now();
+    total += std::chrono::duration<double>(t2 - t0).count();
+    best = std::min(best, std::chrono::duration<double>(t2 - t1).count());
+  };
+  for (int round = 0; round < 400 && (total < kRoundsSeconds || round < 3);
+       ++round) {
+    for (CodecRow& r : rows) {
+      turn(r.baseline, r.baseline_seconds);
+      turn(r.optimized, r.seconds);
+    }
+  }
+}
+
 std::vector<CodecRow> run_codec_rows(int64_t n) {
   namespace simd = grace::util::simd;
+  namespace optim = grace::optim;
+  // The SIMD rows' floors were set for AVX2. Without a vector level each
+  // of them times scalar code against itself or a seed loop.
+  const char* const no_simd =
+      simd::active_level() == simd::Level::Scalar ? "no SIMD level" : nullptr;
   std::vector<CodecRow> rows;
   std::vector<float> x(static_cast<size_t>(n));
   Rng rng(23);
@@ -401,49 +438,51 @@ std::vector<CodecRow> run_codec_rows(int64_t n) {
   std::vector<uint8_t> packed(static_cast<size_t>(n));
   volatile uint8_t sink = 0;
 
-  // Times one kernel under the scalar override and at the detected level,
-  // in alternation.
-  auto scalar_vs_simd = [&](const char* name, double bytes, auto&& fn) {
-    const auto [sc, si] = time_best_pair(
-        [&] {
-          simd::set_level_for_testing(simd::Level::Scalar);
-          fn();
-        },
-        [&] {
-          simd::clear_level_for_testing();
-          fn();
-        });
-    simd::clear_level_for_testing();
-    rows.push_back({.kernel = name, .baseline_seconds = sc, .seconds = si,
-                    .bytes = bytes, .simd = true});
+  // One kernel under the scalar override and at the detected level.
+  auto scalar_vs_simd = [&](const char* name, double bytes,
+                            std::function<void()> fn) {
+    rows.push_back({.kernel = name,
+                    .baseline =
+                        [fn] {
+                          simd::set_level_for_testing(simd::Level::Scalar);
+                          fn();
+                          simd::clear_level_for_testing();
+                        },
+                    .optimized = fn,
+                    .bytes = bytes,
+                    .skip = no_simd});
   };
 
-  {
-    // Baseline: the seed's genuinely-scalar lround loop (non-allocating).
-    const auto [seed_s, opt_s] = time_best_pair(
-        [&] {
-          for (size_t i = 0; i < x.size(); ++i) {
-            const float t = (x[i] / scale + 1.0f) * 0.5f * 255.0f;
-            codes[i] = static_cast<uint8_t>(std::lround(std::clamp(t, 0.0f, 255.0f)));
-          }
-          sink = codes[0];
-        },
-        [&] {
-          simd::quantize_codes(x.data(), codes.data(), n, scale, 255);
-          sink = codes[0];
-        });
-    rows.push_back({.kernel = "quantize8", .baseline_seconds = seed_s,
-                    .seconds = opt_s, .bytes = 4.0 * static_cast<double>(n),
-                    .simd = true});
-  }
-  for (int bits : {1, 2, 4}) {
-    std::vector<uint8_t> narrow(static_cast<size_t>(n));
+  // Baseline: the seed's genuinely-scalar lround loop (non-allocating).
+  rows.push_back(
+      {.kernel = "quantize8",
+       .baseline =
+           [&] {
+             for (size_t i = 0; i < x.size(); ++i) {
+               const float t = (x[i] / scale + 1.0f) * 0.5f * 255.0f;
+               codes[i] = static_cast<uint8_t>(
+                   std::lround(std::clamp(t, 0.0f, 255.0f)));
+             }
+             sink = codes[0];
+           },
+       .optimized =
+           [&] {
+             simd::quantize_codes(x.data(), codes.data(), n, scale, 255);
+             sink = codes[0];
+           },
+       .bytes = 4.0 * static_cast<double>(n),
+       .skip = no_simd});
+  std::array<std::vector<uint8_t>, 3> narrow;  // codes cut to 1, 2, 4 bits
+  for (int b = 0; b < 3; ++b) {
+    const int bits = 1 << b;
+    std::vector<uint8_t>& in = narrow[static_cast<size_t>(b)];
+    in.resize(static_cast<size_t>(n));
     const auto mask = static_cast<uint8_t>((1 << bits) - 1);
-    for (size_t i = 0; i < narrow.size(); ++i) narrow[i] = codes[i] & mask;
+    for (size_t i = 0; i < in.size(); ++i) in[i] = codes[i] & mask;
     char name[16];
     std::snprintf(name, sizeof(name), "pack%d", bits);
-    scalar_vs_simd(name, static_cast<double>(n), [&] {
-      simd::pack_codes(narrow.data(), packed.data(), n, bits);
+    scalar_vs_simd(name, static_cast<double>(n), [&, bits, in = in.data()] {
+      simd::pack_codes(in, packed.data(), n, bits);
       sink = packed[0];
     });
   }
@@ -451,244 +490,277 @@ std::vector<CodecRow> run_codec_rows(int64_t n) {
     simd::pack_sign_bits(x.data(), packed.data(), n);
     sink = packed[0];
   });
-  {
-    // One peer of qsgd(64)'s gather fold: decode codes and signs and add
-    // them onto the accumulator, on a tensor the size of mlp-qsgd's
-    // largest (768 x 256), whatever the run's n. At the run's 2M the
-    // vector side streams an 8 MB accumulator, so the ratio follows the
-    // memory bandwidth other processes leave: on a shared 4-vCPU host it
-    // fell under the floor in 5 of 20 runs (14.0-15.8x). Bytes are the
-    // codes, signs and the accumulator read.
-    const int64_t qn = std::min<int64_t>(n, 768 * 256);
-    std::vector<uint8_t> qcodes(static_cast<size_t>(qn));
-    for (size_t i = 0; i < qcodes.size(); ++i) {
-      qcodes[i] = static_cast<uint8_t>(std::fabs(x[i]) / scale * 64.0f);
-    }
-    simd::pack_sign_bits(x.data(), packed.data(), qn);
-    std::vector<float> acc(static_cast<size_t>(qn), 0.0f);
-    scalar_vs_simd("qsgd_decode_add", 5.125 * static_cast<double>(qn), [&] {
-      simd::dequantize_signed(qcodes.data(), packed.data(), acc.data(), qn,
-                              scale, 64, /*accumulate=*/true);
-      sink = static_cast<uint8_t>(acc[0] > 0.0f);
-    });
-    rows.back().n = qn;
+
+  // One peer of qsgd(64)'s gather fold: decode codes and signs and add
+  // them onto the accumulator, on a tensor the size of mlp-qsgd's largest
+  // (768 x 256), whatever the run's n. At the run's 2M the vector side
+  // streams an 8 MB accumulator, so the ratio follows the memory bandwidth
+  // other processes leave: on a shared 4-vCPU host it fell under the floor
+  // in 5 of 20 runs (14.0-15.8x). Bytes are the codes, signs and the
+  // accumulator read.
+  const int64_t dn = std::min<int64_t>(n, 768 * 256);
+  std::vector<uint8_t> qcodes(static_cast<size_t>(dn));
+  for (size_t i = 0; i < qcodes.size(); ++i) {
+    qcodes[i] = static_cast<uint8_t>(std::fabs(x[i]) / scale * 64.0f);
   }
-  {
-    const auto frame = std::as_bytes(std::span<const float>(x));
-    const auto crc = [&] { sink = static_cast<uint8_t>(grace::util::crc32(frame)); };
-    const auto [seed_s, opt_s] = time_best_pair(
-        [&] { sink = static_cast<uint8_t>(seed_crc32(frame)); }, crc);
-    rows.push_back({"crc32", seed_s, opt_s, 4.0 * static_cast<double>(n)});
-    // The carry-less-multiply fold against the slicing-by-8 it replaced;
-    // at the Scalar level util::crc32 is that loop, so the row is skipped.
-    const auto [sliced_s, clmul_s] = time_best_pair(
-        [&] { sink = static_cast<uint8_t>(sliced_crc32(frame)); }, crc);
-    rows.push_back({.kernel = "crc32_clmul", .baseline_seconds = sliced_s,
-                    .seconds = clmul_s, .bytes = 4.0 * static_cast<double>(n),
-                    .simd = true});
+  std::vector<uint8_t> qsigns(static_cast<size_t>((dn + 7) / 8));
+  simd::pack_sign_bits(x.data(), qsigns.data(), dn);
+  std::vector<float> acc(static_cast<size_t>(dn), 0.0f);
+  scalar_vs_simd("qsgd_decode_add", 5.125 * static_cast<double>(dn), [&] {
+    simd::dequantize_signed(qcodes.data(), qsigns.data(), acc.data(), dn,
+                            scale, 64, /*accumulate=*/true);
+    sink = static_cast<uint8_t>(acc[0] > 0.0f);
+  });
+  rows.back().n = dn;
+
+  const auto frame = std::as_bytes(std::span<const float>(x));
+  const auto crc = [&] { sink = static_cast<uint8_t>(grace::util::crc32(frame)); };
+  rows.push_back(
+      {.kernel = "crc32",
+       .baseline = [&] { sink = static_cast<uint8_t>(seed_crc32(frame)); },
+       .optimized = crc,
+       .bytes = 4.0 * static_cast<double>(n)});
+  // The carry-less-multiply fold against the slicing-by-8 it replaced; at
+  // the Scalar level util::crc32 is that loop, so the row is skipped.
+  rows.push_back(
+      {.kernel = "crc32_clmul",
+       .baseline = [&] { sink = static_cast<uint8_t>(sliced_crc32(frame)); },
+       .optimized = crc,
+       .bytes = 4.0 * static_cast<double>(n),
+       .skip = no_simd});
+
+  // qsgd(64)'s whole encode, as a train() rank runs it: the norm, the
+  // levels with one draw per element, and the sign plane, on a tensor the
+  // size of mlp-qsgd's largest (768 x 256), whatever the run's n.
+  const grace::Tensor grad = grace::Tensor::from(
+      std::span<const float>(x).first(static_cast<size_t>(dn)));
+  std::vector<uint8_t> seed_codes, seed_signs;
+  Rng seed_rng(37), rng_q(37);
+  const auto qsgd = grace::core::compressors::make_qsgd(64);
+  // Each call's payload lives until the next replaces it, as a handle's
+  // lives until wait. Freed at once, with the other rows' buffers alive
+  // through the rounds, its 196 KB of codes went back to the top of the
+  // heap, glibc trimmed them, and the next call faulted them in again
+  // (about 70 minor faults per call).
+  grace::core::CompressedTensor payload;
+  // Its level pass is auto-vectorized for the build's ISA: a generic
+  // (SSE2) build reads 0.9-1.1x, so the row counts as a SIMD row.
+  rows.push_back(
+      {.kernel = "qsgd_encode",
+       .baseline =
+           [&] {
+             seed_qsgd_encode(grad.f32(), 64, seed_rng, seed_codes, seed_signs);
+             sink = seed_codes[0];
+           },
+       .optimized =
+           [&] {
+             payload = qsgd->compress(grad, "g", rng_q);
+             sink = payload.parts[0].u8()[0];
+           },
+       .bytes = 4.0 * static_cast<double>(grad.numel()),
+       .n = grad.numel(),
+       .skip = no_simd});
+
+  // The conv lowering over a batch of 8 of each of cnn-small's two
+  // convolution inputs (3x16x16 and 16x8x8; 3x3 kernel, stride 1, pad 1),
+  // as a train() rank's conv2d runs it.
+  struct Conv {
+    int64_t c, h, w, img_n, col_n;
+  };
+  constexpr int64_t kBatch = 8, kK = 3;
+  std::vector<Conv> convs;
+  int64_t img_total = 0, col_total = 0;
+  for (const auto& [c, h, w] : {std::array<int64_t, 3>{3, 16, 16}, {16, 8, 8}}) {
+    const int64_t oh = grace::ops::conv_out_dim(h, kK, 1, 1);
+    const int64_t ow = grace::ops::conv_out_dim(w, kK, 1, 1);
+    convs.push_back({c, h, w, c * h * w, c * kK * kK * oh * ow});
+    img_total += kBatch * convs.back().img_n;
+    col_total += kBatch * convs.back().col_n;
   }
-  {
-    // qsgd(64)'s whole encode on one lane, as a train() rank runs it: the
-    // norm, the levels with one draw per element, and the sign plane, on
-    // a tensor the size of mlp-qsgd's largest (768 x 256), whatever the
-    // run's n.
-    const grace::runtime::LaneLimit one_lane(1);
-    const int64_t qn = 768 * 256;
-    const grace::Tensor grad =
-        grace::Tensor::from(std::span<const float>(x).first(static_cast<size_t>(
-            std::min(n, qn))));
-    std::vector<uint8_t> seed_codes, seed_signs;
-    Rng seed_rng(37), rng_q(37);
-    const auto qsgd = grace::core::compressors::make_qsgd(64);
-    const auto [seed_s, opt_s] = time_best_pair(
-        [&] {
-          seed_qsgd_encode(grad.f32(), 64, seed_rng, seed_codes, seed_signs);
-          sink = seed_codes[0];
-        },
-        [&] { sink = qsgd->compress(grad, "g", rng_q).parts[0].u8()[0]; });
-    // Its level pass is auto-vectorized for the build's ISA: a generic
-    // (SSE2) build reads 0.9-1.1x, so the row counts as a SIMD row.
-    rows.push_back({.kernel = "qsgd_encode", .baseline_seconds = seed_s,
-                    .seconds = opt_s,
-                    .bytes = 4.0 * static_cast<double>(grad.numel()),
-                    .n = grad.numel(), .simd = true});
-  }
-  {
-    // The conv lowering on one lane, over a batch of 8 of each of
-    // cnn-small's two convolution inputs (3x16x16 and 16x8x8; 3x3 kernel,
-    // stride 1, pad 1), as a train() rank's conv2d runs it.
-    const grace::runtime::LaneLimit one_lane(1);
-    struct Conv {
-      int64_t c, h, w, img_n, col_n;
-    };
-    constexpr int64_t kBatch = 8, kK = 3;
-    std::vector<Conv> convs;
-    int64_t img_total = 0, col_total = 0;
-    for (const auto& [c, h, w] : {std::array<int64_t, 3>{3, 16, 16}, {16, 8, 8}}) {
-      const int64_t oh = grace::ops::conv_out_dim(h, kK, 1, 1);
-      const int64_t ow = grace::ops::conv_out_dim(w, kK, 1, 1);
-      convs.push_back({c, h, w, c * h * w, c * kK * kK * oh * ow});
-      img_total += kBatch * convs.back().img_n;
-      col_total += kBatch * convs.back().col_n;
-    }
-    // Images and columns at fixed cache-line-aligned places in one buffer,
-    // half a page apart, so where the heap puts them cannot move the
-    // ratios.
-    std::vector<float> store(static_cast<size_t>(img_total + col_total + 528));
-    const std::span<float> imgs(aligned_to_line(store.data()),
-                                static_cast<size_t>(img_total));
-    const std::span<float> cols(imgs.data() + img_total + 512,
-                                static_cast<size_t>(col_total));
-    Rng crng(41);
-    crng.fill_normal(imgs, 0.0f, 1.0f);
-    // Calls fn(conv, image, columns) for every image of the batch.
-    const auto each_image = [&](auto&& fn) {
-      float* img = imgs.data();
-      float* col = cols.data();
-      for (const Conv& cv : convs) {
-        for (int64_t b = 0; b < kBatch; ++b) {
-          fn(cv, img, col);
-          img += cv.img_n;
-          col += cv.col_n;
-        }
+  // Images and columns at fixed cache-line-aligned places in one buffer,
+  // half a page apart, so where the heap puts them cannot move the ratios.
+  std::vector<float> conv_store(static_cast<size_t>(img_total + col_total + 528));
+  const std::span<float> imgs(aligned_to_line(conv_store.data()),
+                              static_cast<size_t>(img_total));
+  const std::span<float> cols(imgs.data() + img_total + 512,
+                              static_cast<size_t>(col_total));
+  Rng crng(41);
+  crng.fill_normal(imgs, 0.0f, 1.0f);
+  // Calls fn(conv, image, columns) for every image of the batch.
+  const auto each_image = [&](auto&& fn) {
+    float* img = imgs.data();
+    float* col = cols.data();
+    for (const Conv& cv : convs) {
+      for (int64_t b = 0; b < kBatch; ++b) {
+        fn(cv, img, col);
+        img += cv.img_n;
+        col += cv.col_n;
       }
-    };
-    const auto [im2col_ref, im2col_lib] = time_best_pair(
-        [&] {
-          each_image([](const Conv& cv, float* img, float* col) {
-            reference_im2col(img, cv.c, cv.h, cv.w, kK, kK, 1, 1, col);
-          });
-          sink = static_cast<uint8_t>(cols[0] > 0.0f);
-        },
-        [&] {
-          each_image([](const Conv& cv, float* img, float* col) {
-            grace::ops::im2col({img, static_cast<size_t>(cv.img_n)}, cv.c,
-                               cv.h, cv.w, kK, kK, 1, 1,
-                               {col, static_cast<size_t>(cv.col_n)});
-          });
-          sink = static_cast<uint8_t>(cols[0] > 0.0f);
-        });
-    const double col_bytes = 4.0 * static_cast<double>(col_total);
-    rows.push_back({"im2col", im2col_ref, im2col_lib, col_bytes, col_total});
-    const auto [col2im_ref, col2im_lib] = time_best_pair(
-        [&] {
-          each_image([](const Conv& cv, float* img, float* col) {
-            reference_col2im(col, cv.c, cv.h, cv.w, kK, kK, 1, 1, img);
-          });
-          sink = static_cast<uint8_t>(imgs[0] > 0.0f);
-        },
-        [&] {
-          each_image([](const Conv& cv, float* img, float* col) {
-            grace::ops::col2im({col, static_cast<size_t>(cv.col_n)}, cv.c,
-                               cv.h, cv.w, kK, kK, 1, 1,
-                               {img, static_cast<size_t>(cv.img_n)});
-          });
-          sink = static_cast<uint8_t>(imgs[0] > 0.0f);
-        });
-    rows.push_back({"col2im", col2im_ref, col2im_lib, col_bytes, col_total});
-  }
-  {
-    // Top-k on one lane over cnn-topk's two large gradients, conv2.W (4608)
-    // and fc.W (5120), at its 1%: the comparator nth_element the radix
-    // select replaced against ops::topk_abs_indices. Both live in one
-    // cache-line-aligned buffer, so where the heap puts them cannot move
-    // the ratio.
-    const grace::runtime::LaneLimit one_lane(1);
-    constexpr int64_t kSizes[] = {4608, 5120};
-    std::vector<float> store(4608 + 5120 + 16);
-    float* const base = aligned_to_line(store.data());
-    std::vector<std::span<const float>> grads;
-    float* at = base;
-    for (const int64_t gn : kSizes) {
-      const std::span<float> g(at, static_cast<size_t>(gn));
-      Rng grng(static_cast<uint64_t>(43 + gn));
-      grng.fill_normal(g, 0.0f, 1e-3f);
-      grads.emplace_back(g);
-      at += gn;
     }
-    std::vector<int32_t> idx;
-    const auto [nth_s, radix_s] = time_best_pair(
-        [&] {
-          for (const auto g : grads) {
-            seed_topk(g, std::ssize(g) / 100, idx);
-            sink = static_cast<uint8_t>(idx[0]);
-          }
-        },
-        [&] {
-          for (const auto g : grads) {
-            sink = static_cast<uint8_t>(
-                grace::ops::topk_abs_indices(g, std::ssize(g) / 100)[0]);
-          }
-        });
-    rows.push_back({.kernel = "topk_radix", .baseline_seconds = nth_s,
-                    .seconds = radix_s, .bytes = 4.0 * (4608 + 5120),
-                    .n = 4608 + 5120});
+  };
+  const double col_bytes = 4.0 * static_cast<double>(col_total);
+  rows.push_back(
+      {.kernel = "im2col",
+       .baseline =
+           [&] {
+             each_image([](const Conv& cv, float* img, float* col) {
+               reference_im2col(img, cv.c, cv.h, cv.w, kK, kK, 1, 1, col);
+             });
+             sink = static_cast<uint8_t>(cols[0] > 0.0f);
+           },
+       .optimized =
+           [&] {
+             each_image([](const Conv& cv, float* img, float* col) {
+               grace::ops::im2col({img, static_cast<size_t>(cv.img_n)}, cv.c,
+                                  cv.h, cv.w, kK, kK, 1, 1,
+                                  {col, static_cast<size_t>(cv.col_n)});
+             });
+             sink = static_cast<uint8_t>(cols[0] > 0.0f);
+           },
+       .bytes = col_bytes,
+       .n = col_total});
+  rows.push_back(
+      {.kernel = "col2im",
+       .baseline =
+           [&] {
+             each_image([](const Conv& cv, float* img, float* col) {
+               reference_col2im(col, cv.c, cv.h, cv.w, kK, kK, 1, 1, img);
+             });
+             sink = static_cast<uint8_t>(imgs[0] > 0.0f);
+           },
+       .optimized =
+           [&] {
+             each_image([](const Conv& cv, float* img, float* col) {
+               grace::ops::col2im({col, static_cast<size_t>(cv.col_n)}, cv.c,
+                                  cv.h, cv.w, kK, kK, 1, 1,
+                                  {img, static_cast<size_t>(cv.img_n)});
+             });
+             sink = static_cast<uint8_t>(imgs[0] > 0.0f);
+           },
+       .bytes = col_bytes,
+       .n = col_total});
+
+  // Top-k over cnn-topk's two large gradients, conv2.W (4608) and fc.W
+  // (5120), at its 1%: the comparator nth_element the radix select
+  // replaced against ops::topk_abs_indices. Both live in one
+  // cache-line-aligned buffer, so where the heap puts them cannot move the
+  // ratio.
+  constexpr int64_t kTopkSizes[] = {4608, 5120};
+  std::vector<float> topk_store(4608 + 5120 + 16);
+  std::vector<std::span<const float>> topk_grads;
+  float* at = aligned_to_line(topk_store.data());
+  for (const int64_t gn : kTopkSizes) {
+    const std::span<float> g(at, static_cast<size_t>(gn));
+    Rng grng(static_cast<uint64_t>(43 + gn));
+    grng.fill_normal(g, 0.0f, 1e-3f);
+    topk_grads.emplace_back(g);
+    at += gn;
   }
-  {
-    // GEMM's operand transpose on one lane, on the shapes cnn-topk's
-    // backward transposes (conv1's and conv2's cols, fc.W, the fc input):
-    // the scalar loop against the tile kernel. Source and destination sit
-    // at fixed cache-line-aligned places in one buffer.
-    const grace::runtime::LaneLimit one_lane(1);
-    const std::array<std::pair<int64_t, int64_t>, 4> shapes{
-        {{27, 256}, {144, 64}, {512, 10}, {8, 512}}};
-    int64_t moved = 0, largest = 0;
+  std::vector<int32_t> idx;
+  rows.push_back(
+      {.kernel = "topk_radix",
+       .baseline =
+           [&] {
+             for (const auto g : topk_grads) {
+               seed_topk(g, std::ssize(g) / 100, idx);
+               sink = static_cast<uint8_t>(idx[0]);
+             }
+           },
+       .optimized =
+           [&] {
+             for (const auto g : topk_grads) {
+               sink = static_cast<uint8_t>(
+                   grace::ops::topk_abs_indices(g, std::ssize(g) / 100)[0]);
+             }
+           },
+       .bytes = 4.0 * (4608 + 5120),
+       .n = 4608 + 5120});
+
+  // GEMM's operand transpose, on the shapes cnn-topk's backward transposes
+  // (conv1's and conv2's cols, fc.W, the fc input): the scalar loop
+  // against the tile kernel. Source and destination sit at fixed
+  // cache-line-aligned places in one buffer.
+  const std::array<std::pair<int64_t, int64_t>, 4> shapes{
+      {{27, 256}, {144, 64}, {512, 10}, {8, 512}}};
+  int64_t moved = 0, largest = 0;
+  for (const auto& [tm, tn] : shapes) {
+    moved += tm * tn;
+    largest = std::max(largest, tm * tn);
+  }
+  const auto tsize = static_cast<size_t>(largest);
+  std::vector<float> transpose_store(2 * tsize + 32);
+  const std::span<float> tin(aligned_to_line(transpose_store.data()), tsize);
+  const std::span<float> tout(aligned_to_line(tin.data() + tsize + 16), tsize);
+  Rng trng(47);
+  trng.fill_normal(tin, 0.0f, 1.0f);
+  scalar_vs_simd("transpose", 4.0 * static_cast<double>(moved), [&] {
     for (const auto& [tm, tn] : shapes) {
-      moved += tm * tn;
-      largest = std::max(largest, tm * tn);
+      grace::ops::transpose(tin.first(static_cast<size_t>(tm * tn)), tm, tn,
+                            tout);
     }
-    const auto size = static_cast<size_t>(largest);
-    std::vector<float> store(2 * size + 32);
-    const std::span<float> in(aligned_to_line(store.data()), size);
-    const std::span<float> out(aligned_to_line(in.data() + size + 16), size);
-    Rng trng(47);
-    trng.fill_normal(in, 0.0f, 1.0f);
-    scalar_vs_simd("transpose", 4.0 * static_cast<double>(moved), [&] {
-      for (const auto& [tm, tn] : shapes) {
-        grace::ops::transpose(in.first(static_cast<size_t>(tm * tn)), tm, tn,
-                              out);
-      }
-      sink = static_cast<uint8_t>(out[0] > 0.0f);
-    });
-    rows.back().n = moved;
-  }
+    sink = static_cast<uint8_t>(tout[0] > 0.0f);
+  });
+  rows.back().n = moved;
 
   // Index coding on a 1%-sparse list over [0, n).
   const int64_t k = std::max<int64_t>(1, n / 100);
   Rng irng(29);
-  auto indices = irng.sample_indices(n, k);
-  const double ibytes = 4.0 * static_cast<double>(k);
-  {
-    const auto [seed_s, opt_s] = time_best_pair(
-        [&] { sink = seed_rice_encode(indices, 6)[0]; },
-        [&] { sink = grace::core::rice_encode_indices(indices, 6).u8()[0]; });
-    rows.push_back({"rice", seed_s, opt_s, ibytes});
-  }
-  {
-    namespace optim = grace::optim;
-    const int64_t params = 171'000;
-    const optim::OptimizerConfig cfg{.type = optim::OptimizerType::Adam,
-                                     .lr = 1e-3};
-    std::vector<float> grad(static_cast<size_t>(params));
-    Rng grng(31);
-    grng.fill_normal(grad, 0.0f, 1.0f);
-    std::vector<float> seed_param(grad.size(), 0.0f), m(grad.size(), 0.0f),
-        v(grad.size(), 0.0f), param(grad.size(), 0.0f);
+  const auto indices = irng.sample_indices(n, k);
+  rows.push_back(
+      {.kernel = "rice",
+       .baseline = [&] { sink = seed_rice_encode(indices, 6)[0]; },
+       .optimized =
+           [&] {
+             sink = grace::core::rice_encode_indices(indices, 6).u8()[0];
+           },
+       .bytes = 4.0 * static_cast<double>(k)});
+
+  // Adam on a constant gradient: each side steps its own parameters and
+  // moments.
+  struct AdamInputs {
+    std::vector<float> grad, param, m, v, lib_param;
     int64_t step = 0;
-    const auto adam = optim::make_optimizer(cfg);
-    const auto [seed_s, opt_s] = time_best_pair(
-        [&] {
-          seed_adam(cfg, ++step, seed_param, m, v, grad);
-          sink = static_cast<uint8_t>(seed_param[0] > 0.0f);
-        },
-        [&] {
-          adam->apply(0, param, grad);
-          sink = static_cast<uint8_t>(param[0] > 0.0f);
-        });
-    // Reads param, grad, m and v.
-    rows.push_back({"adam", seed_s, opt_s, 16.0 * static_cast<double>(params),
-                    params});
-  }
+    std::unique_ptr<optim::Optimizer> adam;
+  };
+  using AdamStep = void (*)(const optim::OptimizerConfig&, int64_t,
+                            std::span<float>, std::span<float>,
+                            std::span<float>, std::span<const float>);
+  const optim::OptimizerConfig adam_cfg{.type = optim::OptimizerType::Adam,
+                                        .lr = 1e-3};
+  std::array<AdamInputs, 2> adams;
+  const auto adam_row = [&](AdamInputs& a, const char* name, int64_t params,
+                            AdamStep base) {
+    a.grad.resize(static_cast<size_t>(params));
+    Rng grng(31);
+    grng.fill_normal(a.grad, 0.0f, 1.0f);
+    for (auto* buf : {&a.param, &a.m, &a.v, &a.lib_param}) {
+      buf->assign(a.grad.size(), 0.0f);
+    }
+    a.adam = optim::make_optimizer(adam_cfg);
+    rows.push_back({.kernel = name,
+                    .baseline =
+                        [&, base] {
+                          base(adam_cfg, ++a.step, a.param, a.m, a.v, a.grad);
+                          sink = static_cast<uint8_t>(a.param[0] > 0.0f);
+                        },
+                    .optimized =
+                        [&] {
+                          a.adam->apply(0, a.lib_param, a.grad);
+                          sink = static_cast<uint8_t>(a.lib_param[0] > 0.0f);
+                        },
+                    // Reads param, grad, m and v.
+                    .bytes = 16.0 * static_cast<double>(params),
+                    .n = params});
+  };
+  adam_row(adams[0], "adam", 171'000, seed_adam);
+  // Adam's step divides once per element where the build's ISA has AVX2
+  // (optim::kAdamDividesOnce); elsewhere Optimizer::apply is the loop this
+  // row's baseline copies.
+  adam_row(adams[1], "adam_one_divide", 171'649,
+           grace::bench::three_divide_adam);
+  if (!optim::kAdamDividesOnce) rows.back().skip = "three-divide build";
+
+  time_rows(rows);
   (void)sink;
   return rows;
 }
@@ -744,17 +816,12 @@ int run_check(const char* baseline_path) {
     return 1;
   }
 
-  // The SIMD rows' floors were set for AVX2. Without a vector level each
-  // of them times scalar code against itself or a seed loop, so only
-  // crc32, rice, adam, im2col, col2im and topk_radix are enforced.
-  namespace simd = grace::util::simd;
-  const bool scalar = simd::active_level() == simd::Level::Scalar;
   int rc = 0;
   for (const auto& r : rows) {
     const double floor = floors.at(r.kernel);
-    if (scalar && r.simd) {
-      std::printf("skip %-12s %.2fx, floor %.2fx (no SIMD level)\n",
-                  r.kernel.c_str(), r.speedup(), floor);
+    if (r.skip != nullptr) {
+      std::printf("skip %-12s %.2fx, floor %.2fx (%s)\n", r.kernel.c_str(),
+                  r.speedup(), floor, r.skip);
       continue;
     }
     if (r.speedup() < floor) {

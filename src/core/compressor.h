@@ -41,6 +41,13 @@ class Compressor {
   // Q^-1: reconstruct a tensor of the original shape/dtype.
   virtual Tensor decompress(const CompressedTensor& compressed) const = 0;
 
+  // Q^-1 of a payload the caller gives up, bitwise equal to decompress. An
+  // override may hand back a part's own storage instead of a copy (none);
+  // the default calls decompress.
+  virtual Tensor decompress_owned(CompressedTensor&& compressed) const {
+    return decompress(compressed);
+  }
+
   // Which collective the compressed payload rides (§IV-B communication
   // strategies). Allreduce requires that summing payload parts element-wise
   // commutes with decompression (true for the identity baseline).

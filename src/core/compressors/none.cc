@@ -1,5 +1,7 @@
 // Baseline: identity "compression". Payload is the raw float32 gradient and
 // rides Allreduce (summing commutes with the identity).
+#include <utility>
+
 #include "core/compressors/compressors.h"
 
 namespace grace::core::compressors {
@@ -18,6 +20,14 @@ class NoneCompressor final : public Compressor {
   Tensor decompress(const CompressedTensor& ct) const override {
     return wire_part(ct, 0, DType::F32, ct.ctx.shape.numel(), "none")
         .reshaped(ct.ctx.shape);
+  }
+
+  // The part itself, shaped in place: no copy.
+  Tensor decompress_owned(CompressedTensor&& ct) const override {
+    wire_part(ct, 0, DType::F32, ct.ctx.shape.numel(), "none");
+    Tensor out = std::move(ct.parts[0]);
+    out.set_shape(std::move(ct.ctx.shape));
+    return out;
   }
 
   CommMode comm_mode() const override { return CommMode::Allreduce; }

@@ -203,7 +203,7 @@ Tensor GraceWorker::wait(ExchangeHandle&& h, ExchangeStats* stats) {
   Tensor aggregated =
       topology_.kind == comm::TopologyKind::ParameterServer
           ? exchange_parameter_server(q, h.payload, h.tag, sp)
-          : exchange_collective(q, h.payload, h.tag, sp);
+          : exchange_collective(q, std::move(h.payload), h.tag, sp);
   if (stats) *stats += h.stats;
   return aggregated;
 }
@@ -262,7 +262,7 @@ void GraceWorker::probe_fidelity(const std::string& name,
 }
 
 Tensor GraceWorker::exchange_collective(Compressor& q,
-                                        const CompressedTensor& compressed,
+                                        CompressedTensor&& compressed,
                                         int tag, ExchangeStats* stats) {
   // The two-level collectives at one rank per rack run the flat ring
   // message for message, so Ring is the rack-of-one hierarchy. Results are
@@ -274,14 +274,14 @@ Tensor GraceWorker::exchange_collective(Compressor& q,
   Tensor aggregated;
   if (q.comm_mode() == CommMode::Allreduce) {
     // Lines 8-9: summing payloads commutes with Q^-1 for Allreduce-capable
-    // compressors; divide by n after decompression.
-    CompressedTensor summed = compressed;
-    for (auto& part : summed.parts) {
+    // compressors; divide by n after decompression. The payload's own parts
+    // ring in place.
+    for (auto& part : compressed.parts) {
       comm::hierarchical_allreduce_sum(comm_, part.f32(), rack, tag);
     }
     if (stats) stats->comm_seconds += topo_.allreduce_seconds(stats->wire_bytes);
     const double t0 = stats ? now_seconds() : 0.0;
-    aggregated = q.decompress(summed);
+    aggregated = q.decompress_owned(std::move(compressed));
     ops::scale(aggregated.f32(), 1.0f / static_cast<float>(comm_.size()));
     if (stats) stats->decompress_seconds += now_seconds() - t0;
   } else {

@@ -169,8 +169,10 @@ class GraceWorker {
   // Hierarchical) and the PS push/pull. `stats` may be null: the exchange
   // still runs, only accounting is skipped. `q` is the compressor the
   // payload was produced with (carried on the handle), not necessarily the
-  // base compressor.
-  Tensor exchange_collective(Compressor& q, const CompressedTensor& compressed,
+  // base compressor. The collective exchange consumes the handle's payload:
+  // its Allreduce branch sums the parts in place and decompresses them with
+  // decompress_owned.
+  Tensor exchange_collective(Compressor& q, CompressedTensor&& compressed,
                              int tag, ExchangeStats* stats);
   Tensor exchange_parameter_server(Compressor& q,
                                    const CompressedTensor& compressed, int tag,

@@ -4,18 +4,31 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/ops.h"
 
 namespace grace::optim {
 
+void Optimizer::size_mismatch(size_t param, size_t grad) {
+  throw std::invalid_argument("Optimizer::apply: gradient holds " +
+                              std::to_string(grad) + " elements, parameter " +
+                              std::to_string(param));
+}
+
 std::span<float> Optimizer::state(size_t buffer, size_t slot, size_t n) {
   std::vector<Tensor>& store = buffers_[buffer];
   if (store.size() <= slot) store.resize(slot + 1);
-  if (store[slot].numel() != static_cast<int64_t>(n)) {
-    store[slot] = Tensor::zeros(Shape{{static_cast<int64_t>(n)}});
+  Tensor& t = store[slot];
+  if (t.empty()) {
+    t = Tensor::zeros(Shape{{static_cast<int64_t>(n)}});
+  } else if (t.numel() != static_cast<int64_t>(n)) {
+    throw std::invalid_argument(
+        "Optimizer: slot " + std::to_string(slot) + " holds " +
+        std::to_string(t.numel()) + " elements, stepped with " +
+        std::to_string(n));
   }
-  return store[slot].f32();
+  return t.f32();
 }
 
 int64_t Optimizer::step(size_t slot) {
@@ -75,8 +88,8 @@ namespace {
 class Sgd final : public Optimizer {
  public:
   using Optimizer::Optimizer;
-  void apply(size_t, std::span<float> param,
-             std::span<const float> grad) override {
+  void update(size_t, std::span<float> param,
+              std::span<const float> grad) override {
     const auto lr = static_cast<float>(cfg_.lr);
     for (size_t i = 0; i < param.size(); ++i) param[i] -= lr * grad[i];
   }
@@ -85,8 +98,8 @@ class Sgd final : public Optimizer {
 class Momentum final : public Optimizer {
  public:
   explicit Momentum(OptimizerConfig cfg) : Optimizer(cfg, /*n_buffers=*/1) {}
-  void apply(size_t slot, std::span<float> param,
-             std::span<const float> grad) override {
+  void update(size_t slot, std::span<float> param,
+              std::span<const float> grad) override {
     auto v = state(0, slot, param.size());
     const auto lr = static_cast<float>(cfg_.lr);
     const auto mu = static_cast<float>(kMomentum);
@@ -97,25 +110,80 @@ class Momentum final : public Optimizer {
   }
 };
 
+// Adam's step for one element whose moments m and v are already updated:
+// three divides, each correctly rounded in scalar and vector form.
+float adam_delta(double lr, double bias1, double bias2, float m, float v) {
+  return static_cast<float>(lr * (m / bias1) / (std::sqrt(v / bias2) + kEps));
+}
+
+// The one-divide loop's block: the elements whose rounding test runs
+// together, and which all recompute with adam_delta when one fails it.
+constexpr size_t kAdamBlock = 512;
+
 class Adam final : public Optimizer {
  public:
   explicit Adam(OptimizerConfig cfg)
       : Optimizer(cfg, /*n_buffers=*/2, /*counts_steps=*/true) {}
-  void apply(size_t slot, std::span<float> param,
-             std::span<const float> grad) override {
+  void update(size_t slot, std::span<float> param,
+              std::span<const float> grad) override {
     auto m = state(0, slot, param.size());
     auto v = state(1, slot, param.size());
     const auto t = static_cast<double>(step(slot));
     const double bias1 = 1.0 - std::pow(kBeta1, t);
     const double bias2 = 1.0 - std::pow(kBeta2, t);
     const double lr = cfg_.lr;
-    for (size_t i = 0; i < param.size(); ++i) {
-      const float g = grad[i];
-      m[i] = static_cast<float>(kBeta1 * m[i] + (1.0 - kBeta1) * g);
-      v[i] = static_cast<float>(kBeta2 * v[i] + (1.0 - kBeta2) * g * g);
-      const double mhat = m[i] / bias1;
-      const double vhat = v[i] / bias2;
-      param[i] -= static_cast<float>(lr * mhat / (std::sqrt(vhat) + kEps));
+    if constexpr (!kAdamDividesOnce) {
+      for (size_t i = 0; i < param.size(); ++i) {
+        const float g = grad[i];
+        m[i] = static_cast<float>(kBeta1 * m[i] + (1.0 - kBeta1) * g);
+        v[i] = static_cast<float>(kBeta2 * v[i] + (1.0 - kBeta2) * g * g);
+        param[i] -= adam_delta(lr, bias1, bias2, m[i], v[i]);
+      }
+      return;
+    }
+    // adam_delta's quotient D = lr * (m / bias1) / (sqrt(v / bias2) + eps)
+    // costs three divides (the square root takes the divider too), and the
+    // divider's throughput sets the loop's speed. D' = lr * (m * r1) /
+    // (sqrt(v * r2) + eps), with r1 and r2 divided once per call, is not
+    // the same double: to first order D carries at most 5.5 roundings of
+    // 2^-53 (relative to the exact quotient) and D' at most 7, so
+    // |D - D'| <= 12.5 * 2^-53 * |D'|, far under 2^-45 * |D'|. Rounding to
+    // float is monotone and D lies between D' * (1 - 2^-45) and
+    // D' * (1 + 2^-45), so where both round to the same float, D rounds to
+    // it as well. A NaN fails the test; zeros, subnormals and infinities
+    // need no special case. The bound needs no product or quotient to
+    // overflow or underflow in double: m and v are floats, bias1 >= 0.1 and
+    // bias2 >= 0.001, so any learning rate in [1e-200, 1e200] keeps that.
+    // A block with any element that fails the test recomputes every update
+    // with adam_delta, so param, m and v keep the three-divide loop's bits.
+    constexpr double kBelow = 1.0 - 0x1p-45;
+    constexpr double kAbove = 1.0 + 0x1p-45;
+    const double r1 = 1.0 / bias1;
+    const double r2 = 1.0 / bias2;
+    float delta[kAdamBlock];
+    for (size_t at = 0; at < param.size(); at += kAdamBlock) {
+      const size_t len = std::min(kAdamBlock, param.size() - at);
+      float* const p = param.data() + at;
+      float* const mb = m.data() + at;
+      float* const vb = v.data() + at;
+      const float* const gb = grad.data() + at;
+      int differ = 0;  // a bool here keeps GCC from vectorizing the loop
+      for (size_t i = 0; i < len; ++i) {
+        const float g = gb[i];
+        mb[i] = static_cast<float>(kBeta1 * mb[i] + (1.0 - kBeta1) * g);
+        vb[i] = static_cast<float>(kBeta2 * vb[i] + (1.0 - kBeta2) * g * g);
+        const double d = lr * (mb[i] * r1) / (std::sqrt(vb[i] * r2) + kEps);
+        const auto lo = static_cast<float>(d * kBelow);
+        differ |= lo != static_cast<float>(d * kAbove);
+        delta[i] = lo;
+      }
+      if (differ == 0) {
+        for (size_t i = 0; i < len; ++i) p[i] -= delta[i];
+      } else {
+        for (size_t i = 0; i < len; ++i) {
+          p[i] -= adam_delta(lr, bias1, bias2, mb[i], vb[i]);
+        }
+      }
     }
   }
 };
@@ -123,8 +191,8 @@ class Adam final : public Optimizer {
 class RmsProp final : public Optimizer {
  public:
   explicit RmsProp(OptimizerConfig cfg) : Optimizer(cfg, /*n_buffers=*/1) {}
-  void apply(size_t slot, std::span<float> param,
-             std::span<const float> grad) override {
+  void update(size_t slot, std::span<float> param,
+              std::span<const float> grad) override {
     auto s = state(0, slot, param.size());
     const double lr = cfg_.lr;
     for (size_t i = 0; i < param.size(); ++i) {

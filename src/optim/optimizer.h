@@ -23,6 +23,16 @@ inline constexpr double kBeta2 = 0.999;   // Adam
 inline constexpr double kRho = 0.9;       // RMSProp decay
 inline constexpr double kEps = 1e-8;      // Adam / RMSProp
 
+// Whether Adam's loop divides once per element (optimizer.cc): on builds
+// whose ISA has AVX2. Elsewhere the one-divide form runs slower than the
+// three-divide loop it replaces, so that loop stays. Both give the same
+// bits.
+#if defined(__AVX2__)
+inline constexpr bool kAdamDividesOnce = true;
+#else
+inline constexpr bool kAdamDividesOnce = false;
+#endif
+
 struct OptimizerConfig {
   OptimizerType type = OptimizerType::Sgd;
   double lr = 0.01;
@@ -39,9 +49,14 @@ class Optimizer {
   virtual ~Optimizer() = default;
 
   // Applies one update to parameter tensor `slot` given its aggregated
-  // gradient. Slots must be used consistently across iterations.
-  virtual void apply(size_t slot, std::span<float> param,
-                     std::span<const float> grad) = 0;
+  // gradient. Slots must be used consistently across iterations: a slot
+  // keeps the size it was first stepped with (std::invalid_argument
+  // otherwise), and `grad` must hold as many elements as `param`
+  // (std::invalid_argument).
+  void apply(size_t slot, std::span<float> param, std::span<const float> grad) {
+    if (grad.size() != param.size()) size_mismatch(param.size(), grad.size());
+    update(slot, param, grad);
+  }
 
   void set_lr(double lr) { cfg_.lr = lr; }
   double lr() const { return cfg_.lr; }
@@ -57,8 +72,8 @@ class Optimizer {
   void install_state(std::span<const Tensor> state);
 
  protected:
-  // Slot `slot` of state buffer `buffer`, created on first use with the
-  // given size.
+  // Slot `slot` of state buffer `buffer`, created zero-filled on first use
+  // with `n` elements; std::invalid_argument when it holds another count.
   std::span<float> state(size_t buffer, size_t slot, size_t n);
   // Counts one more step of `slot` and returns the count.
   int64_t step(size_t slot);
@@ -66,6 +81,12 @@ class Optimizer {
   OptimizerConfig cfg_;
 
  private:
+  // apply() after its size check: grad.size() == param.size().
+  virtual void update(size_t slot, std::span<float> param,
+                      std::span<const float> grad) = 0;
+  // Throws std::invalid_argument naming both sizes.
+  [[noreturn]] static void size_mismatch(size_t param, size_t grad);
+
   std::vector<std::vector<Tensor>> buffers_;  // [buffer][slot]
   bool counts_steps_;
   std::vector<int64_t> steps_;                // [slot], when counted

@@ -225,6 +225,15 @@ core::ExchangeHandle ExchangeScheduler::submit_bucket(core::GraceWorker& w,
 void ExchangeScheduler::apply_bucket(size_t b, const Tensor& aggregated,
                                      const ApplyFn& apply) {
   const BucketSpec& spec = plan_.at(b);
+  // A compressor's decompress decides the aggregate's size; each slot
+  // below reads its own span of it.
+  if (aggregated.numel() != spec.numel) {
+    throw std::runtime_error("apply_bucket: bucket '" + spec.name +
+                             "' aggregate holds " +
+                             std::to_string(aggregated.numel()) +
+                             " elements, the bucket " +
+                             std::to_string(spec.numel));
+  }
   if (spec.count == 1) {
     nn::Parameter& p = (*params_)[spec.first];
     apply(spec.first, p.value->data.f32(), aggregated.f32());

@@ -199,7 +199,8 @@ class ExchangeScheduler {
 
   // Scatter a completed bucket's aggregate back to its tensors:
   // apply(slot, param_values, aggregated_gradient) per tensor, where slot
-  // is the tensor's global parameter index.
+  // is the tensor's global parameter index. Throws std::runtime_error,
+  // naming the bucket, unless the aggregate holds the bucket's numel.
   using ApplyFn = std::function<void(size_t slot, std::span<float> param,
                                      std::span<const float> grad)>;
   void apply_bucket(size_t b, const Tensor& aggregated, const ApplyFn& apply);

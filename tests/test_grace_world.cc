@@ -2,8 +2,13 @@
 // aggregation semantics, error-feedback plumbing, stats accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
+#include "comm/collectives.h"
 #include "core/grace_world.h"
 #include "core/registry.h"
 #include "tensor/ops.h"
@@ -46,6 +51,89 @@ TEST(GraceWorker, BaselineAllreduceComputesExactMean) {
   auto results = exchange_on_ranks(cfg, n, grads);
   for (const auto& res : results) {
     for (float v : res.f32()) EXPECT_FLOAT_EQ(v, 2.5f);  // mean of 1..4
+  }
+}
+
+// Bit patterns, so a tensor compares exactly.
+std::vector<uint32_t> bits_of(const Tensor& t) {
+  std::vector<uint32_t> out(static_cast<size_t>(t.numel()));
+  if (!out.empty()) std::memcpy(out.data(), t.bytes().data(), t.size_bytes());
+  return out;
+}
+
+TEST(GraceWorker, BaselineExchangeIsTheRingSumScaled) {
+  // The none exchange rings each payload's own part in place and hands it
+  // back through decompress_owned. On the flat ring and on racks of 2 and
+  // 3, every rank's result must be, bit for bit, the collective's sum of
+  // copies of the gradients scaled by 1/n, and the gradients handed to
+  // submit must come back untouched. 1001 elements split unevenly over
+  // 2, 3 and 4 ranks.
+  constexpr int64_t kNumel = 1001;
+  for (int n = 1; n <= 4; ++n) {
+    for (int rack : {1, 2, 3}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " rack=" << rack);
+      GraceConfig cfg;
+      cfg.compressor_spec = "none";
+      if (rack > 1) {
+        cfg.topology.kind = comm::TopologyKind::Hierarchical;
+        cfg.topology.ranks_per_rack = rack;
+      }
+      Rng rng(static_cast<uint64_t>(10 * n + rack));
+      std::vector<Tensor> grads;
+      for (int r = 0; r < n; ++r) {
+        Tensor g(DType::F32, Shape{{kNumel}});
+        rng.fill_normal(g.f32(), 0.0f, 1.0f);
+        grads.push_back(std::move(g));
+      }
+      const std::vector<Tensor> handed = grads;
+      const std::vector<Tensor> results = exchange_on_ranks(cfg, n, grads);
+
+      std::vector<Tensor> want = grads;
+      comm::World world(n);
+      std::vector<std::thread> threads;
+      for (int r = 0; r < n; ++r) {
+        threads.emplace_back([&, r] {
+          comm::Comm comm = world.comm(r);
+          comm::hierarchical_allreduce_sum(
+              comm, want[static_cast<size_t>(r)].f32(), rack);
+        });
+      }
+      for (auto& t : threads) t.join();
+      for (int r = 0; r < n; ++r) {
+        const auto i = static_cast<size_t>(r);
+        ops::scale(want[i].f32(), 1.0f / static_cast<float>(n));
+        EXPECT_EQ(results[i].shape(), handed[i].shape()) << "rank " << r;
+        EXPECT_EQ(bits_of(results[i]), bits_of(want[i])) << "rank " << r;
+        EXPECT_EQ(bits_of(grads[i]), bits_of(handed[i])) << "rank " << r;
+      }
+    }
+  }
+}
+
+TEST(GraceWorker, NoneConsumingDecompressHandsBackThePart) {
+  const auto q = make_compressor("none");
+  Rng rng(2);
+  Tensor g(DType::F32, Shape{{3, 5}});
+  rng.fill_normal(g.f32(), 0.0f, 1.0f);
+  CompressedTensor ct = q->compress(g, "g", rng);
+  const float* const storage = ct.parts[0].f32().data();
+  const Tensor out = q->decompress_owned(std::move(ct));
+  EXPECT_EQ(out.f32().data(), storage);  // the part's own storage
+  EXPECT_EQ(out.shape(), g.shape());
+  EXPECT_EQ(bits_of(out), bits_of(g));
+
+  // A part of the wrong size or dtype, or none at all, throws as
+  // decompress does.
+  const std::vector<std::vector<Tensor>> lying = {
+      {Tensor::zeros(Shape{{14}})},
+      {Tensor::zeros(Shape{{16}})},
+      {Tensor(DType::I32, Shape{{15}})},
+      {}};
+  for (const std::vector<Tensor>& parts : lying) {
+    CompressedTensor bad = q->compress(g, "g", rng);
+    bad.parts = parts;
+    EXPECT_THROW(q->decompress(bad), std::runtime_error);
+    EXPECT_THROW(q->decompress_owned(std::move(bad)), std::runtime_error);
   }
 }
 

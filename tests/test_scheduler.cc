@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -170,6 +171,34 @@ std::vector<float> run_exchanges(const std::string& spec,
   worker(0);
   t1.join();
   return out;
+}
+
+TEST(BucketSemantics, ApplyBucketRejectsAnAggregateOfAnotherSize) {
+  // A compressor's decompress decides the aggregate's size; a wrong one
+  // must not reach the optimizer's spans, fused or not.
+  for (const size_t fusion_bytes : {SIZE_MAX, size_t{0}}) {
+    nn::Module m;
+    m.register_parameter("a", Tensor::zeros(Shape{{3}}));
+    m.register_parameter("b", Tensor::zeros(Shape{{2}}));
+    ExchangeScheduler sched(m.parameters(), fusion_bytes);
+    const BucketSpec& spec = sched.buckets().at(0);
+    size_t applied = 0;
+    const auto count = [&](size_t, std::span<float>, std::span<const float>) {
+      ++applied;
+    };
+    for (const int64_t numel : {spec.numel - 1, spec.numel + 1}) {
+      try {
+        sched.apply_bucket(0, Tensor::zeros(Shape{{numel}}), count);
+        ADD_FAILURE() << "an aggregate of " << numel << " elements passed";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(spec.name), std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_EQ(applied, 0u);
+    sched.apply_bucket(0, Tensor::zeros(Shape{{spec.numel}}), count);
+    EXPECT_EQ(applied, spec.count);
+  }
 }
 
 TEST(SubmitWait, SubmitAllThenWaitAllMatchesInterleavedExchange) {
