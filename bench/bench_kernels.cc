@@ -1,8 +1,9 @@
 // Kernel micro-benchmarks for the parallel compute runtime: serial seed
 // kernels vs. the blocked/parallel kernels at several sizes and thread
 // counts, plus the single-thread codec kernels (quantize/pack/sign-pack
-// and qsgd's decode-accumulate scalar vs SIMD, qsgd's block encode vs the
-// seed one-pass loop, the frame CRC vs the seed byte loop and vs a copy of
+// and qsgd's decode-accumulate scalar vs SIMD, qsgd's encode vs the seed
+// one-pass loop, the four-lane uniform draws vs a loop of single draws,
+// the frame CRC vs the seed byte loop and vs a copy of
 // slicing-by-8, rice index coding vs the seed bit-at-a-time writer, one
 // Adam step vs the seed Adam loop and vs the three-divide loop, the conv
 // lowering's im2col and col2im vs their per-element reference loops,
@@ -237,7 +238,10 @@ void seed_qsgd_encode(std::span<const float> x, int s, Rng& rng,
   signs.assign((x.size() + 7) / 8, 0);
   const auto fs = static_cast<float>(s);
   for (size_t i = 0; i < x.size(); ++i) {
-    const float ratio = norm > 0.0f ? std::fabs(x[i]) / norm : 0.0f;
+    // An infinite norm (from an infinite element) zeroes every level, as
+    // compress does: |inf| / inf would be NaN.
+    const float ratio =
+        norm > 0.0f && std::isfinite(norm) ? std::fabs(x[i]) / norm : 0.0f;
     auto level = static_cast<int>(ratio * fs);
     const float p = ratio * fs - static_cast<float>(level);
     level += static_cast<int>(seed_uniform(rng) < p);
@@ -361,7 +365,8 @@ int threads_cap() { return 4; }
 // --- auto-vectorized by the compiler at -O3; crc32 uses the seed
 // --- one-lookup-per-byte loop and crc32_clmul a copy of slicing-by-8;
 // --- qsgd_encode times the seed one-pass encode, one out-of-line draw per
-// --- element, against Qsgd::compress; rice uses the seed bit-at-a-time
+// --- element, against Qsgd::compress; uniform_lanes a loop of
+// --- Rng::uniform against Rng::uniforms; rice uses the seed bit-at-a-time
 // --- writer; adam times the seed Adam loop, and adam_one_divide a
 // --- vectorized copy of the three-divide loop, against Optimizer::apply on
 // --- ncf-dense's ~171k parameters, whatever the run's n; im2col and
@@ -559,6 +564,27 @@ std::vector<CodecRow> run_codec_rows(int64_t n) {
            },
        .bytes = 4.0 * static_cast<double>(grad.numel()),
        .n = grad.numel(),
+       .skip = no_simd});
+
+  // Rng::uniforms against a loop of uniform(), over as many draws as
+  // mlp-qsgd's largest gradient takes, whatever the run's n. Without a SIMD
+  // level uniforms is that loop.
+  std::vector<double> draws(static_cast<size_t>(768 * 256));
+  Rng loop_rng(53), lanes_rng(53);
+  rows.push_back(
+      {.kernel = "uniform_lanes",
+       .baseline =
+           [&] {
+             for (double& u : draws) u = loop_rng.uniform();
+             sink = static_cast<uint8_t>(draws[0] < 0.5);
+           },
+       .optimized =
+           [&] {
+             lanes_rng.uniforms(draws);
+             sink = static_cast<uint8_t>(draws[0] < 0.5);
+           },
+       .bytes = 8.0 * static_cast<double>(draws.size()),
+       .n = static_cast<int64_t>(draws.size()),
        .skip = no_simd});
 
   // The conv lowering over a batch of 8 of each of cnn-small's two

@@ -18,9 +18,6 @@ std::unique_ptr<Compressor> make_onebit();                     // Seide '14
 std::unique_ptr<Compressor> make_signsgd();                    // Bernstein '18
 std::unique_ptr<Compressor> make_signum(double beta = 0.9);    // Bernstein '19
 std::unique_ptr<Compressor> make_qsgd(int levels = 64);        // Alistarh '17
-// qsgd encodes in blocks of this many elements: the block's uniforms are
-// drawn first, one per element in element order, then turned into levels.
-inline constexpr int64_t kQsgdDrawBlock = 256;
 std::unique_ptr<Compressor> make_natural();                    // Horvath '19
 std::unique_ptr<Compressor> make_terngrad();                   // Wen '17
 std::unique_ptr<Compressor> make_efsignsgd();                  // Karimireddy '19

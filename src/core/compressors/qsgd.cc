@@ -4,6 +4,7 @@
 // unbiased. Code words use ceil(log2(s+1)) bits plus a sign bit.
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -22,8 +23,8 @@ class Qsgd final : public Compressor {
     auto x = grad.f32();
     const float norm = ops::l2_norm(x);
     const auto n = static_cast<int64_t>(x.size());
-    Tensor codes(DType::U8, Shape{{n}});
-    Tensor signs(DType::U8, Shape{{(n + 7) / 8}});
+    Tensor codes = Tensor::for_overwrite(DType::U8, Shape{{n}});
+    Tensor signs = Tensor::for_overwrite(DType::U8, Shape{{(n + 7) / 8}});
     encode_levels(x.data(), codes.u8().data(), n, norm, rng);
     util::simd::pack_sign_bits(x.data(), signs.u8().data(), n);
     CompressedTensor ct;
@@ -38,7 +39,7 @@ class Qsgd final : public Compressor {
 
   Tensor decompress(const CompressedTensor& ct) const override {
     check_parts(ct);
-    Tensor out(DType::F32, ct.ctx.shape);
+    Tensor out = Tensor::for_overwrite(DType::F32, ct.ctx.shape);
     decode(ct, out.f32(), /*accumulate=*/false);
     return out;
   }
@@ -67,29 +68,31 @@ class Qsgd final : public Compressor {
     }
   }
 
-  // Levels in blocks of kQsgdDrawBlock. A sequential pass draws the
-  // block's uniforms in element order, exactly one per element whatever
-  // the input; a branch-free pass the compiler vectorizes then rounds up
-  // where double(u) < double(p), with |x| / norm kept a division.
+  // Levels from Rng::uniforms' pieces: one draw per element, in element
+  // order, whatever the input. A zero, NaN or infinite norm puts every
+  // level at 0 (an infinite element would make |x| / norm NaN). Otherwise
+  // a branch-free pass the compiler vectorizes rounds up where
+  // double(u) < double(p), with |x| / norm kept a division.
   void encode_levels(const float* x, uint8_t* c, int64_t n, float norm,
                      Rng& rng) const {
     const auto fs = static_cast<float>(s_);
-    double u[kQsgdDrawBlock];
-    for (int64_t b = 0; b < n; b += kQsgdDrawBlock) {
-      const int64_t m = std::min(kQsgdDrawBlock, n - b);
-      for (int64_t j = 0; j < m; ++j) u[j] = rng.uniform();
-      if (!(norm > 0.0f)) {  // a zero (or NaN) norm puts every level at 0
-        std::fill_n(c + b, m, uint8_t{0});
-        continue;
+    const bool zero = !(norm > 0.0f && std::isfinite(norm));
+    rng.uniforms(n, [&](int64_t first, std::span<const double> u) {
+      const auto m = static_cast<int64_t>(u.size());
+      uint8_t* cb = c + first;
+      if (zero) {
+        std::fill_n(cb, m, uint8_t{0});
+        return;
       }
+      const float* xb = x + first;
       for (int64_t j = 0; j < m; ++j) {
-        const float scaled = std::fabs(x[b + j]) / norm * fs;
+        const float scaled = std::fabs(xb[j]) / norm * fs;
         const int level = static_cast<int>(scaled);
         const float p = scaled - static_cast<float>(level);
         const int up = u[j] < static_cast<double>(p);
-        c[b + j] = static_cast<uint8_t>(std::min(level + up, s_));
+        cb[j] = static_cast<uint8_t>(std::min(level + up, s_));
       }
-    }
+    });
   }
 
   void decode(const CompressedTensor& ct, std::span<float> out,

@@ -8,6 +8,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "runtime/thread_pool.h"
 #include "util/simd.h"
@@ -37,14 +38,48 @@ void check_sizes(const char* op, std::span<const float> y,
   if (y.size() != x.size()) size_mismatch(op, y.size(), x.size());
 }
 
-// Ordered chunked double-precision reduction of fn over [0, n). The chunk
+// Sums term(i) over K consecutive chunks from chunk c on, the first len
+// elements of each, in one loop with one accumulator per chunk: each chunk
+// keeps its own add sequence, while the chunks' adds overlap instead of
+// each waiting on the one before.
+template <int K, typename Term>
+void sum_chunks(const Term& term, int64_t c, int64_t len, double* parts) {
+  double acc[K] = {};
+  const int64_t base = c * kReduceGrain;
+  for (int64_t i = 0; i < len; ++i) {
+    for (int k = 0; k < K; ++k) acc[k] += term(base + k * kReduceGrain + i);
+  }
+  std::copy_n(acc, K, parts + c);
+}
+
+// Ordered chunked double-precision reduction of term(i) over [0, n): each
+// kReduceGrain chunk sums its terms in index order from 0.0, and the chunk
 // partials are combined in ascending chunk order, which fixes the
-// floating-point summation tree for a given n.
-template <typename Map>
-double reduce_double(int64_t n, Map&& map) {
-  return runtime::parallel_reduce(
-      n, kReduceGrain, 0.0, std::forward<Map>(map),
-      [](double acc, double part) { return acc + part; });
+// floating-point summation tree for a given n. A task takes four chunks,
+// and sums them side by side when all four are whole.
+template <typename Term>
+double reduce_double(int64_t n, const Term& term) {
+  if (n <= kReduceGrain) {
+    double sum = 0.0;
+    sum_chunks<1>(term, 0, n, &sum);
+    return sum;
+  }
+  const int64_t chunks = (n + kReduceGrain - 1) / kReduceGrain;
+  std::vector<double> parts(static_cast<size_t>(chunks));
+  runtime::parallel_for(chunks, 4, [&](int64_t c0, int64_t c1) {
+    double* p = parts.data();
+    int64_t c = c0;
+    if (c1 - c0 == 4 && c1 * kReduceGrain <= n) {
+      sum_chunks<4>(term, c0, kReduceGrain, p);
+      c = c1;
+    }
+    for (; c < c1; ++c) {
+      sum_chunks<1>(term, c, std::min(kReduceGrain, n - c * kReduceGrain), p);
+    }
+  });
+  double acc = 0.0;
+  for (const double p : parts) acc += p;
+  return acc;
 }
 
 // Top-k orders elements by key, the sign-cleared bits of the float, then
@@ -165,32 +200,20 @@ void hadamard(std::span<float> y, std::span<const float> x) {
 
 float sum(std::span<const float> x) {
   const float* p = x.data();
-  return static_cast<float>(reduce_double(ssize(x), [&](int64_t lo, int64_t hi) {
-    double acc = 0.0;
-    for (int64_t i = lo; i < hi; ++i) acc += p[i];
-    return acc;
-  }));
+  return static_cast<float>(
+      reduce_double(ssize(x), [p](int64_t i) { return double{p[i]}; }));
 }
 
 float l1_norm(std::span<const float> x) {
   const float* p = x.data();
-  return static_cast<float>(reduce_double(ssize(x), [&](int64_t lo, int64_t hi) {
-    double acc = 0.0;
-    for (int64_t i = lo; i < hi; ++i) acc += std::fabs(p[i]);
-    return acc;
-  }));
+  return static_cast<float>(reduce_double(
+      ssize(x), [p](int64_t i) { return double{std::fabs(p[i])}; }));
 }
 
 float l2_norm(std::span<const float> x) {
   const float* p = x.data();
-  return static_cast<float>(
-      std::sqrt(reduce_double(ssize(x), [&](int64_t lo, int64_t hi) {
-        double acc = 0.0;
-        for (int64_t i = lo; i < hi; ++i) {
-          acc += static_cast<double>(p[i]) * p[i];
-        }
-        return acc;
-      })));
+  return static_cast<float>(std::sqrt(reduce_double(
+      ssize(x), [p](int64_t i) { return static_cast<double>(p[i]) * p[i]; })));
 }
 
 float linf_norm(std::span<const float> x) {

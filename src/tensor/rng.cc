@@ -24,6 +24,34 @@ Rng::Rng(uint64_t seed) {
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
+void Rng::uniforms(std::span<double> out) {
+  uniforms(static_cast<int64_t>(out.size()),
+           [&](int64_t first, std::span<const double> u) {
+             std::copy(u.begin(), u.end(), out.begin() + first);
+           });
+}
+
+void Rng::jump(const uint64_t (&poly)[4]) {
+  uint64_t acc[4] = {0, 0, 0, 0};
+  for (const uint64_t word : poly) {
+    for (int b = 0; b < 64; ++b) {
+      if ((word >> b) & 1) {
+        for (int w = 0; w < 4; ++w) acc[w] ^= s_[w];
+      }
+      next_u64();
+    }
+  }
+  std::copy_n(acc, 4, s_);
+}
+
+void Rng::start_lanes(uint64_t (&lanes)[4][4]) const {
+  Rng lane = *this;
+  for (int k = 0; k < 4; ++k) {
+    if (k > 0) lane.jump(kJump4096);
+    for (int w = 0; w < 4; ++w) lanes[w][k] = lane.s_[w];
+  }
+}
+
 int64_t Rng::uniform_int(int64_t n) {
   return static_cast<int64_t>(uniform() * static_cast<double>(n));
 }

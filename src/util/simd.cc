@@ -165,6 +165,31 @@ void transpose_scalar(const float* in, int64_t m, int64_t n, float* out,
   }
 }
 
+inline uint64_t rotl64(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+// Rng::next_u64 and Rng::uniform on each lane in turn.
+void xoshiro_uniforms4_scalar(uint64_t (&s)[4][4], double* out,
+                              int64_t count) {
+  for (int k = 0; k < 4; ++k) {
+    uint64_t s0 = s[0][k], s1 = s[1][k], s2 = s[2][k], s3 = s[3][k];
+    for (int64_t j = 0; j < count; ++j) {
+      const uint64_t result = rotl64(s0 + s3, 23) + s0;
+      const uint64_t t = s1 << 17;
+      s2 ^= s0;
+      s3 ^= s1;
+      s1 ^= s2;
+      s0 ^= s3;
+      s2 ^= t;
+      s3 = rotl64(s3, 45);
+      out[k * count + j] = static_cast<double>(result >> 11) * 0x1.0p-53;
+    }
+    s[0][k] = s0;
+    s[1][k] = s1;
+    s[2][k] = s2;
+    s[3][k] = s3;
+  }
+}
+
 // ------------------------------------------------------- SWAR pack/unpack
 // 8 code bytes fold into 8*B contiguous bits (and back) with three
 // merge-adjacent-fields steps; field masks are compile-time constants.
@@ -428,6 +453,67 @@ void transpose_avx2(const float* in, int64_t m, int64_t n, float* out,
   transpose_scalar(in, m, n, out, j, j1);
 }
 
+inline __m256i rotl_epi64(__m256i x, int k) {
+  return _mm256_or_si256(_mm256_slli_epi64(x, k), _mm256_srli_epi64(x, 64 - k));
+}
+
+// One xoshiro256++ step of all four lanes; returns each lane's uniform.
+inline __m256d xoshiro_step_avx2(__m256i& s0, __m256i& s1, __m256i& s2,
+                                 __m256i& s3) {
+  const __m256i x =
+      _mm256_add_epi64(rotl_epi64(_mm256_add_epi64(s0, s3), 23), s0);
+  const __m256i t = _mm256_slli_epi64(s1, 17);
+  s2 = _mm256_xor_si256(s2, s0);
+  s3 = _mm256_xor_si256(s3, s1);
+  s1 = _mm256_xor_si256(s1, s2);
+  s0 = _mm256_xor_si256(s0, s3);
+  s2 = _mm256_xor_si256(s2, t);
+  s3 = rotl_epi64(s3, 45);
+  // The draw is u * 2^-53 with u = x >> 11 = hi * 2^32 + lo, hi < 2^21.
+  // Under exponents 2^31 and 2^-1 the halves read 2^31 + hi * 2^-21 and
+  // 2^-1 + lo * 2^-53; taking 2^31 + 2^-1 off the first is exact (Sterbenz),
+  // and the sum, u * 2^-53, is exact too: u has at most 53 bits.
+  const __m256d hi = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(
+          _mm256_srli_epi64(x, 43), _mm256_set1_epi64x(0x41E0000000000000))),
+      _mm256_set1_pd(0x1.0p31 + 0x1.0p-1));
+  const __m256d lo = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_and_si256(_mm256_srli_epi64(x, 11), _mm256_set1_epi64x(0xFFFFFFFF)),
+      _mm256_set1_epi64x(0x3FE0000000000000)));
+  return _mm256_add_pd(hi, lo);
+}
+
+void xoshiro_uniforms4_avx2(uint64_t (&s)[4][4], double* out, int64_t count) {
+  const auto word = [&](int w) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s[w]));
+  };
+  __m256i s0 = word(0), s1 = word(1), s2 = word(2), s3 = word(3);
+  int64_t j = 0;
+  for (; j + 4 <= count; j += 4) {
+    // Four steps, d[i] holding step i of every lane, transposed so that
+    // each lane's four draws store as one vector.
+    __m256d d[4];
+    for (__m256d& di : d) di = xoshiro_step_avx2(s0, s1, s2, s3);
+    const __m256d t0 = _mm256_unpacklo_pd(d[0], d[1]);
+    const __m256d t1 = _mm256_unpackhi_pd(d[0], d[1]);
+    const __m256d t2 = _mm256_unpacklo_pd(d[2], d[3]);
+    const __m256d t3 = _mm256_unpackhi_pd(d[2], d[3]);
+    _mm256_storeu_pd(out + j, _mm256_permute2f128_pd(t0, t2, 0x20));
+    _mm256_storeu_pd(out + count + j, _mm256_permute2f128_pd(t1, t3, 0x20));
+    _mm256_storeu_pd(out + 2 * count + j, _mm256_permute2f128_pd(t0, t2, 0x31));
+    _mm256_storeu_pd(out + 3 * count + j, _mm256_permute2f128_pd(t1, t3, 0x31));
+  }
+  for (; j < count; ++j) {
+    alignas(32) double d[4];
+    _mm256_store_pd(d, xoshiro_step_avx2(s0, s1, s2, s3));
+    for (int k = 0; k < 4; ++k) out[k * count + j] = d[k];
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(s[0]), s0);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(s[1]), s1);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(s[2]), s2);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(s[3]), s3);
+}
+
 #endif  // GRACE_SIMD_AVX2
 
 #ifdef GRACE_SIMD_CLMUL
@@ -660,6 +746,16 @@ uint32_t crc32_update(const std::byte* data, int64_t n, uint32_t state) {
   }
 #endif
   return util::detail::crc32_sliced({data, static_cast<size_t>(n)}, state);
+}
+
+void xoshiro_uniforms4(uint64_t (&state)[4][4], double* out, int64_t count) {
+#ifdef GRACE_SIMD_AVX2
+  if (avx2()) {
+    xoshiro_uniforms4_avx2(state, out, count);
+    return;
+  }
+#endif
+  xoshiro_uniforms4_scalar(state, out, count);
 }
 
 }  // namespace grace::util::simd

@@ -2,7 +2,8 @@
 // hand-vectorized quantization, arXiv:2111.08617): quantize/dequantize,
 // QSGD's signed dequantize (write or accumulate), k-bit code packing,
 // sign packing, sparsify gather, the threshold scan, the GEMM's operand
-// transpose and the frame CRC's carry-less-multiply fold. One scalar
+// transpose, the frame CRC's carry-less-multiply fold and four
+// xoshiro256++ lanes of uniform draws. One scalar
 // reference implementation per kernel plus an AVX2 variant chosen once at
 // runtime.
 //
@@ -111,5 +112,15 @@ void transpose_f32(const float* in, int64_t m, int64_t n, float* out,
 // multiplication; the tail, shorter inputs and the Scalar level run
 // slicing-by-8 (util::detail::crc32_sliced). Both give the same CRC.
 uint32_t crc32_update(const std::byte* data, int64_t n, uint32_t state);
+
+// Four xoshiro256++ generators side by side, drawing Rng::uniform's
+// doubles: state[w][k] is word w of lane k's state. Steps every lane
+// `count` times and writes lane k's j-th draw, (next >> 11) * 2^-53, to
+// out[k * count + j]. At Avx2 each word of the four states is one
+// register, and each 53-bit integer converts to its double exactly as two
+// halves set into the mantissas of 2^31 and 2^-1 (AVX2 has no u64 to
+// double convert); the Scalar level steps the lanes one after another.
+// Both write the same doubles and leave the same states.
+void xoshiro_uniforms4(uint64_t (&state)[4][4], double* out, int64_t count);
 
 }  // namespace grace::util::simd

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <set>
 #include <span>
 #include <string>
@@ -50,9 +51,10 @@ TEST(Qsgd, Unbiased) {
 
 // QSGD's codec as first written: a Bernoulli draw and a branch per
 // round-up, a branch per sign bit, and a division per decoded element.
-// The block encode (a block's draws first, then a vectorized level pass)
-// and the SIMD decode must reproduce it byte for byte and leave the RNG in
-// the same state.
+// The piecewise encode (Rng::uniforms' pieces, on four lanes at Avx2, each
+// turned into levels by a vectorized pass) and the SIMD decode must
+// reproduce it byte for byte and leave the RNG in the same state. A zero,
+// NaN or infinite norm makes every level 0.
 struct QsgdReference {
   std::vector<uint8_t> codes, signs;
   float norm = 0.0f;
@@ -64,7 +66,9 @@ QsgdReference qsgd_reference_encode(std::span<const float> x, int s, Rng& rng) {
   r.codes.resize(x.size());
   r.signs.assign((x.size() + 7) / 8, 0);
   for (size_t i = 0; i < x.size(); ++i) {
-    const float ratio = r.norm > 0.0f ? std::fabs(x[i]) / r.norm : 0.0f;
+    const float ratio = r.norm > 0.0f && std::isfinite(r.norm)
+                            ? std::fabs(x[i]) / r.norm
+                            : 0.0f;
     auto level = static_cast<int>(ratio * static_cast<float>(s));
     const float p = ratio * static_cast<float>(s) - static_cast<float>(level);
     if (rng.bernoulli(p)) ++level;
@@ -94,17 +98,25 @@ TEST(Qsgd, CodecMatchesReferenceLoop) {
     signed_zeros.f32()[i] = i % 2 ? -0.0f : 0.0f;
   }
   Tensor all_negative_zero = Tensor::full(Shape{{9}}, -0.0f);
-  // compress draws and encodes in blocks of kQsgdDrawBlock: sizes on and
-  // around one block and a partial block after several, plus one past
+  // At Avx2 compress draws whole groups of kLaneGroup on four lanes and the
+  // rest in sequence: sizes on and around one group, several groups and a
+  // part, and mlp-qsgd's largest gradient (twelve groups). Each is past
   // l2_norm's reduce grain (8192), so the norm sums several chunks.
-  constexpr int64_t kBlock = compressors::kQsgdDrawBlock;
+  constexpr int64_t kGroup = Rng::kLaneGroup;
   std::vector<Tensor> inputs = {random_grad(6, 1021), zeros, signed_zeros,
                                 all_negative_zero};
-  for (int64_t n : {kBlock - 1, kBlock, kBlock + 1, 3 * kBlock + 5,
-                    int64_t{8192} * 2 + 37}) {
+  for (int64_t n : {kGroup - 1, kGroup, kGroup + 1, 3 * kGroup + 17,
+                    int64_t{768} * 256}) {
     inputs.push_back(random_grad(static_cast<uint64_t>(60 + n), n));
   }
-  inputs.push_back(Tensor::zeros(Shape{{kBlock + 3}}));
+  inputs.push_back(Tensor::zeros(Shape{{kGroup + 3}}));
+  // An infinite element makes the norm infinite, and |inf| / inf is NaN.
+  for (int64_t n : {3, 300, 20000}) {
+    Tensor g = random_grad(static_cast<uint64_t>(90 + n), n);
+    g.f32()[0] = std::numeric_limits<float>::infinity();
+    g.f32()[static_cast<size_t>(n / 2)] = -std::numeric_limits<float>::infinity();
+    inputs.push_back(std::move(g));
+  }
   struct LevelReset {
     ~LevelReset() { util::simd::clear_level_for_testing(); }
   } reset;

@@ -5,7 +5,9 @@
 // counts and lanes, and thread-count invariance of full training runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -239,6 +241,51 @@ TEST(Determinism, ReductionsBitwiseIdenticalAcrossThreadCounts) {
     EXPECT_EQ(ops::l2_norm(x), l21) << threads;
     EXPECT_EQ(ops::linf_norm(x), linf1) << threads;
     EXPECT_EQ(ops::argmax(x), amax1) << threads;
+  }
+}
+
+// The reductions' summation tree: each 8192-element chunk added in index
+// order from 0.0, the chunk partials added in chunk order from 0.0.
+template <typename Term>
+double chunk_serial_sum(const std::vector<float>& x, Term term) {
+  double total = 0.0;
+  for (size_t c = 0; c < x.size(); c += 8192) {
+    double part = 0.0;
+    for (size_t i = c; i < std::min(x.size(), c + 8192); ++i) part += term(x[i]);
+    total += part;
+  }
+  return total;
+}
+
+TEST(Determinism, ReductionsMatchTheChunkSerialSum) {
+  PoolGuard guard;
+  for (int64_t n : {1, 8191, 8192, 8193, 4 * 8192, 4 * 8192 + 1,
+                    9 * 8192 + 5, 196608}) {
+    // Normal values, and the same with +-2^53 opening pairs of chunks: a
+    // chunk's partial then rounds its other terms to even integers, and the
+    // pairs cancel, so sum()'s float shows any change in the add order.
+    std::vector<std::vector<float>> inputs(2, random_vec(static_cast<size_t>(n), 7));
+    const int64_t chunks = (n + 8191) / 8192;
+    for (int64_t c = 0; c + 1 < chunks; c += 2) {
+      inputs[1][static_cast<size_t>(c * 8192)] = 0x1.0p53f;
+      inputs[1][static_cast<size_t>((c + 1) * 8192)] = -0x1.0p53f;
+    }
+    for (const auto& x : inputs) {
+      const auto bits = [](float v) { return std::bit_cast<uint32_t>(v); };
+      const uint32_t sum = bits(static_cast<float>(
+          chunk_serial_sum(x, [](float v) { return double{v}; })));
+      const uint32_t l1 = bits(static_cast<float>(
+          chunk_serial_sum(x, [](float v) { return double{std::fabs(v)}; })));
+      const uint32_t l2 = bits(static_cast<float>(std::sqrt(chunk_serial_sum(
+          x, [](float v) { return static_cast<double>(v) * v; }))));
+      for (int threads : {1, 2, 4}) {
+        runtime::ThreadPool::global().resize(threads);
+        SCOPED_TRACE("n=" + std::to_string(n) + " threads=" + std::to_string(threads));
+        EXPECT_EQ(bits(ops::sum(x)), sum);
+        EXPECT_EQ(bits(ops::l1_norm(x)), l1);
+        EXPECT_EQ(bits(ops::l2_norm(x)), l2);
+      }
+    }
   }
 }
 

@@ -346,3 +346,32 @@ TEST(SimdKernels, TransposeBitwiseEqualToTheScalarLoop) {
     }
   }
 }
+
+TEST(SimdKernels, XoshiroLanesBitwiseEqualToTheScalarLanes) {
+  LevelGuard guard;
+  Rng rng(19);
+  for (int64_t count : {1, 3, 4, 5, 64, 67}) {
+    uint64_t start[4][4];
+    for (auto& word : start) {
+      for (uint64_t& v : word) v = rng.next_u64();
+    }
+    start[3][2] = ~uint64_t{0};  // carries through every add and rotate
+    uint64_t want_state[4][4];
+    std::memcpy(want_state, start, sizeof(start));
+    std::vector<double> want(static_cast<size_t>(4 * count));
+    simd::set_level_for_testing(simd::Level::Scalar);
+    simd::xoshiro_uniforms4(want_state, want.data(), count);
+    for (simd::Level l : available_levels()) {
+      simd::set_level_for_testing(l);
+      uint64_t state[4][4];
+      std::memcpy(state, start, sizeof(start));
+      std::vector<double> got(want.size() + 1, -1.0);
+      simd::xoshiro_uniforms4(state, got.data(), count);
+      SCOPED_TRACE(::testing::Message() << "level=" << simd::level_name(l)
+                                        << " count=" << count);
+      EXPECT_EQ(got.back(), -1.0);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(double)), 0);
+      EXPECT_EQ(std::memcmp(state, want_state, sizeof(state)), 0);
+    }
+  }
+}
