@@ -50,38 +50,40 @@ void ring_allreduce_strided(Comm& comm, std::span<float> data, int count,
   const int next = ((idx + 1) % count) * stride;
   const int prev = ((idx + count - 1) % count) * stride;
   const auto total = static_cast<int64_t>(data.size());
-  // Each step refills the buffer received the step before and moves it
-  // into the message, so buffers circulate around the ring instead of
-  // being allocated per send. The one a rank holds after its last receive
-  // is kept for its next call: in steady state no step allocates.
+  // One buffer circulates around the ring: each message moves the buffer
+  // a rank received into its next send, so no step allocates, and the one
+  // a rank holds after its last receive is kept for its next call.
   thread_local Tensor buffer;
+  const auto receive = [&](int chunk) {
+    buffer = comm.recv(prev, tag);
+    const ChunkRange r = chunk_range(total, count, chunk);
+    if (buffer.numel() != r.size) {
+      wrong_size("received chunk", r.size, buffer.numel());
+    }
+    return slice(data, r);
+  };
 
-  // Phase 1: reduce-scatter. After count-1 steps, participant i holds the
-  // full sum of chunk (i+1) mod count.
+  // Phase 1: reduce-scatter. At step s participant i sends the partial sum
+  // of chunk (i - s) mod count and receives that of chunk (i - s - 1), adds
+  // its own elements into the received buffer and forwards the buffer at
+  // step s + 1. The sums are the ones an add into `data` would make, as
+  // a + b == b + a. After count-1 steps, participant i holds the full sum
+  // of chunk (i+1) mod count.
+  buffer.assign(slice(data, chunk_range(total, count, idx)));
   for (int step = 0; step < count - 1; ++step) {
-    const int send_chunk = (idx - step + count) % count;
-    const int recv_chunk = (idx - step - 1 + 2 * count) % count;
-    buffer.assign(slice(data, chunk_range(total, count, send_chunk)));
     comm.send(next, std::move(buffer), tag);
-    buffer = comm.recv(prev, tag);
-    const ChunkRange r = chunk_range(total, count, recv_chunk);
-    if (buffer.numel() != r.size) {
-      wrong_size("received chunk", r.size, buffer.numel());
-    }
-    ops::add(slice(data, r), buffer.f32());
+    const std::span<const float> own =
+        receive((idx - step - 1 + 2 * count) % count);
+    ops::add(buffer.f32(), own);
   }
-  // Phase 2: allgather of the reduced chunks.
+  ops::copy(slice(data, chunk_range(total, count, (idx + 1) % count)),
+            buffer.f32());
+  // Phase 2: allgather of the reduced chunks. Participant i starts with its
+  // own full sum; every later step forwards the chunk it received.
   for (int step = 0; step < count - 1; ++step) {
-    const int send_chunk = (idx - step + 1 + count) % count;
-    const int recv_chunk = (idx - step + 2 * count) % count;
-    buffer.assign(slice(data, chunk_range(total, count, send_chunk)));
     comm.send(next, std::move(buffer), tag);
-    buffer = comm.recv(prev, tag);
-    const ChunkRange r = chunk_range(total, count, recv_chunk);
-    if (buffer.numel() != r.size) {
-      wrong_size("received chunk", r.size, buffer.numel());
-    }
-    ops::copy(slice(data, r), buffer.f32());
+    const std::span<float> chunk = receive((idx - step + 2 * count) % count);
+    ops::copy(chunk, buffer.f32());
   }
 }
 
@@ -267,13 +269,19 @@ std::vector<Tensor> unpack_blob_bundle(const Tensor& bundle) {
   if (count > (src.size() - 8) / 8) {
     throw std::runtime_error("unpack_blob_bundle: blob count exceeds bundle size");
   }
+  // Each length is checked against the payload bytes still unclaimed
+  // before it is taken from them: a sum of lengths could wrap 2^64 back to
+  // the bundle's size.
   std::vector<uint64_t> lens(static_cast<size_t>(count));
-  uint64_t payload = 0;
+  uint64_t left = src.size() - 8 * (1 + count);
   for (auto& len : lens) {
     len = take_u64();
-    payload += len;
+    if (len > left) {
+      throw std::runtime_error("unpack_blob_bundle: blob length exceeds bundle size");
+    }
+    left -= len;
   }
-  if (off + payload != src.size()) {
+  if (left != 0) {
     throw std::runtime_error("unpack_blob_bundle: payload size mismatch");
   }
   std::vector<Tensor> out;

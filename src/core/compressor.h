@@ -38,6 +38,15 @@ class Compressor {
   virtual CompressedTensor compress(const Tensor& grad, const std::string& name,
                                     Rng& rng) = 0;
 
+  // Q of a gradient the caller gives up, bitwise equal to compress. An
+  // override may keep the gradient's own storage as a part instead of a
+  // copy (none), leaving `grad` empty; the default calls compress and
+  // leaves `grad` as it was.
+  virtual CompressedTensor compress_owned(Tensor&& grad,
+                                          const std::string& name, Rng& rng) {
+    return compress(grad, name, rng);
+  }
+
   // Q^-1: reconstruct a tensor of the original shape/dtype.
   virtual Tensor decompress(const CompressedTensor& compressed) const = 0;
 

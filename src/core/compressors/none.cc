@@ -9,11 +9,19 @@ namespace {
 
 class NoneCompressor final : public Compressor {
  public:
-  CompressedTensor compress(const Tensor& grad, const std::string&, Rng&) override {
+  CompressedTensor compress(const Tensor& grad, const std::string& name,
+                            Rng& rng) override {
+    return compress_owned(Tensor(grad), name, rng);
+  }
+
+  // The gradient itself becomes the part: no copy.
+  CompressedTensor compress_owned(Tensor&& grad, const std::string&,
+                                  Rng&) override {
     CompressedTensor ct;
-    ct.parts = {grad};
     ct.ctx.shape = grad.shape();
     ct.ctx.wire_bits = static_cast<uint64_t>(grad.numel()) * 32;
+    ct.parts.push_back(std::move(grad));
+    grad = Tensor();
     return ct;
   }
 

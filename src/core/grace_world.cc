@@ -4,6 +4,7 @@
 #include <cmath>
 #include <ctime>
 #include <stdexcept>
+#include <utility>
 
 #include "core/registry.h"
 #include "tensor/ops.h"
@@ -141,18 +142,17 @@ void GraceWorker::absorb(const Tensor& grad, const std::string& name) {
   memory_->update(name, compensated, Tensor::zeros_like(grad));
 }
 
-ExchangeHandle GraceWorker::submit(const Tensor& grad, const std::string& name,
+ExchangeHandle GraceWorker::submit(Tensor&& grad, const std::string& name,
                                    bool instrument) {
-  return submit_impl(grad, name, instrument, /*use_memory=*/true);
+  return submit_impl(std::move(grad), name, instrument, /*use_memory=*/true);
 }
 
-ExchangeHandle GraceWorker::submit_raw(const Tensor& grad,
-                                       const std::string& name,
+ExchangeHandle GraceWorker::submit_raw(Tensor&& grad, const std::string& name,
                                        bool instrument) {
-  return submit_impl(grad, name, instrument, /*use_memory=*/false);
+  return submit_impl(std::move(grad), name, instrument, /*use_memory=*/false);
 }
 
-ExchangeHandle GraceWorker::submit_impl(const Tensor& grad,
+ExchangeHandle GraceWorker::submit_impl(Tensor&& grad,
                                         const std::string& name,
                                         bool instrument, bool use_memory) {
   ExchangeHandle h;
@@ -164,14 +164,17 @@ ExchangeHandle GraceWorker::submit_impl(const Tensor& grad,
 
   // Lines 5-6: g~ = Q(phi(m, g)); m = psi(...). submit_raw skips both
   // memory touches: the payload is Q(g) and the residual stays untouched.
-  // With error feedback off, compress reads the gradient itself: phi is
-  // the identity, and NoMemory::compensate would only copy it.
+  // With error feedback off, phi is the identity (NoMemory::compensate
+  // would only copy), so Q takes the gradient itself, and takes it over
+  // unless the probe reads it after Q.
   const double t0 = sp ? now_seconds() : 0.0;
   const bool feedback = use_memory && memory_->enabled();
   Tensor compensated;
   if (feedback) compensated = memory_->compensate(grad, name);
   const Tensor& input = feedback ? compensated : grad;
-  h.payload = q.compress(input, name, rng_);
+  h.payload = feedback || probe_ != nullptr
+                  ? q.compress(input, name, rng_)
+                  : q.compress_owned(std::move(grad), name, rng_);
   // Lossless wire stage, inside the timed region: the coding cost lands in
   // compress_seconds and the coded size in wire_bytes, so the scheduler's
   // codec-rate pipeline and the NetworkModel both see the real trade.

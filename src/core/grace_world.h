@@ -92,7 +92,12 @@ class GraceWorker {
   // submit-all-then-wait-all schedule is bit-identical to interleaved
   // wait(submit(...)) calls. When `instrument` is false no clocks are
   // read, so uninstrumented callers pay nothing for the accounting layer.
-  ExchangeHandle submit(const Tensor& grad, const std::string& name,
+  //
+  // The gradient is given up: when neither error feedback nor a probe
+  // reads it after Q, it goes to Compressor::compress_owned, and a
+  // compressor that keeps its storage as a part (none) leaves `grad`
+  // empty. Otherwise `grad` is left as it was.
+  ExchangeHandle submit(Tensor&& grad, const std::string& name,
                         bool instrument = false);
 
   // submit() bypassing the error-feedback memory entirely: phi is skipped
@@ -100,7 +105,7 @@ class GraceWorker {
   // ship an all-zero payload while the real gradient sits in the residual
   // (sim/scheduler.h submit_bucket_zero) — a normal submit of zeros would
   // leak beta*m onto the wire and corrupt the residual.
-  ExchangeHandle submit_raw(const Tensor& grad, const std::string& name,
+  ExchangeHandle submit_raw(Tensor&& grad, const std::string& name,
                             bool instrument = false);
 
   // Stages 2-3: run the collective for a submitted payload and decompress
@@ -163,7 +168,7 @@ class GraceWorker {
   }
 
  private:
-  ExchangeHandle submit_impl(const Tensor& grad, const std::string& name,
+  ExchangeHandle submit_impl(Tensor&& grad, const std::string& name,
                              bool instrument, bool use_memory);
   // The two dataflows wait() runs: the collective exchange (Ring and
   // Hierarchical) and the PS push/pull. `stats` may be null: the exchange

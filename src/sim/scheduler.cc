@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "tensor/ops.h"
 
@@ -195,14 +196,19 @@ ExchangeScheduler::ExchangeScheduler(std::deque<nn::Parameter>& params,
   }
   plan_ = plan_buckets(numels, names, fusion_bytes);
   staging_.resize(plan_.size());
+  storage_out_.assign(plan_.size(), 0);
   for (const BucketSpec& b : plan_) {
     if (b.count > 1) staging_[static_cast<size_t>(b.id)] = Tensor::zeros(Shape{{b.numel}});
     total_numel_ += b.numel;
   }
 }
 
-const Tensor& ExchangeScheduler::pack(size_t b) {
+Tensor& ExchangeScheduler::pack(size_t b) {
   const BucketSpec& spec = plan_.at(b);
+  if (storage_out_[b]) {
+    throw std::logic_error("exchange scheduler: bucket '" + spec.name +
+                           "' is read while its storage is out");
+  }
   if (spec.count == 1) return (*params_)[spec.first].value->grad;
   Tensor& buf = staging_[b];
   auto flat = buf.f32();
@@ -219,10 +225,14 @@ core::ExchangeHandle ExchangeScheduler::submit_bucket(core::GraceWorker& w,
                                                       size_t b,
                                                       bool instrument) {
   const BucketSpec& spec = plan_.at(b);
-  return w.submit(pack(b), spec.name, instrument);
+  Tensor& storage = pack(b);
+  core::ExchangeHandle h = w.submit(std::move(storage), spec.name, instrument);
+  // A compressor that keeps the storage as its part leaves it empty.
+  storage_out_[b] = storage.empty();
+  return h;
 }
 
-void ExchangeScheduler::apply_bucket(size_t b, const Tensor& aggregated,
+void ExchangeScheduler::apply_bucket(size_t b, Tensor aggregated,
                                      const ApplyFn& apply) {
   const BucketSpec& spec = plan_.at(b);
   // A compressor's decompress decides the aggregate's size; each slot
@@ -234,11 +244,6 @@ void ExchangeScheduler::apply_bucket(size_t b, const Tensor& aggregated,
                              " elements, the bucket " +
                              std::to_string(spec.numel));
   }
-  if (spec.count == 1) {
-    nn::Parameter& p = (*params_)[spec.first];
-    apply(spec.first, p.value->data.f32(), aggregated.f32());
-    return;
-  }
   auto agg = aggregated.f32();
   size_t at = 0;
   for (size_t i = spec.first; i < spec.first + spec.count; ++i) {
@@ -246,6 +251,13 @@ void ExchangeScheduler::apply_bucket(size_t b, const Tensor& aggregated,
     const auto len = static_cast<size_t>(p.value->data.numel());
     apply(i, p.value->data.f32(), agg.subspan(at, len));
     at += len;
+  }
+  if (storage_out_[b]) {
+    nn::Node& first = *(*params_)[spec.first].value;
+    const bool single = spec.count == 1;
+    aggregated.set_shape(single ? first.data.shape() : Shape{{spec.numel}});
+    (single ? first.grad : staging_[b]) = std::move(aggregated);
+    storage_out_[b] = 0;
   }
 }
 

@@ -192,18 +192,25 @@ class ExchangeScheduler {
   int64_t total_numel() const { return total_numel_; }
 
   // Stage bucket b's gradients (multi-tensor buckets copy into the staging
-  // buffer; single-tensor buckets pass the gradient through untouched) and
-  // submit through the worker. Call for b = 0..n_buckets()-1 in order.
+  // buffer; single-tensor buckets submit the parameter's gradient itself)
+  // and hand that storage to the worker's submit. Call for b =
+  // 0..n_buckets()-1 in order. When the worker ships the storage (none
+  // with error feedback off and no probe), the bucket's storage is out
+  // until apply_bucket(b) returns one: submitting, absorbing or zeroing
+  // the bucket meanwhile throws std::logic_error.
   core::ExchangeHandle submit_bucket(core::GraceWorker& w, size_t b,
                                      bool instrument);
 
   // Scatter a completed bucket's aggregate back to its tensors:
   // apply(slot, param_values, aggregated_gradient) per tensor, where slot
   // is the tensor's global parameter index. Throws std::runtime_error,
-  // naming the bucket, unless the aggregate holds the bucket's numel.
+  // naming the bucket, unless the aggregate holds the bucket's numel. When
+  // the bucket's storage is out, the aggregate then becomes that storage
+  // (the parameter's gradient, shaped like the parameter, or the staging
+  // buffer) for the next backward, which overwrites it after zero_grad.
   using ApplyFn = std::function<void(size_t slot, std::span<float> param,
                                      std::span<const float> grad)>;
-  void apply_bucket(size_t b, const Tensor& aggregated, const ApplyFn& apply);
+  void apply_bucket(size_t b, Tensor aggregated, const ApplyFn& apply);
 
   // Degraded round (docs/RESILIENCE.md): fold every bucket's gradients into
   // the worker's error-feedback residual instead of exchanging, at the same
@@ -218,11 +225,14 @@ class ExchangeScheduler {
                                           bool instrument);
 
  private:
-  const Tensor& pack(size_t b);
+  // Bucket b's storage, its gradients packed in. Throws std::logic_error
+  // while that storage is out.
+  Tensor& pack(size_t b);
 
   std::deque<nn::Parameter>* params_;
   std::vector<BucketSpec> plan_;
   std::vector<Tensor> staging_;  // per bucket; empty for single-tensor
+  std::vector<char> storage_out_;  // per bucket: shipped by submit_bucket
   int64_t total_numel_ = 0;
 };
 

@@ -511,6 +511,8 @@ void run_worker(const Setup& setup, int rank, models::DistributedModel& model,
         // compressor/EF state mutation and RNG draws, in pack order —
         // identical to the legacy exchange order), then wait for each in
         // submission order and scatter its aggregate into the optimizer.
+        // A bucket whose storage went out with its payload (none) keeps
+        // the aggregate as that storage for the next backward.
         for (size_t b = 0; b < n_buckets; ++b) {
           handles.push_back(
               participate
@@ -522,7 +524,7 @@ void run_worker(const Setup& setup, int rank, models::DistributedModel& model,
           Tensor aggregated = grace.wait(std::move(handles[b]),
                                          &log.buckets.emplace_back());
           sched.apply_bucket(
-              b, aggregated,
+              b, std::move(aggregated),
               [&](size_t slot, std::span<float> param, std::span<const float> g) {
                 optimizer->apply(slot, param, g);
               });

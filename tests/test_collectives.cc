@@ -1,8 +1,11 @@
 // In-process message passing and collectives, executed by real threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "comm/collectives.h"
 #include "comm/network_model.h"
@@ -270,6 +273,83 @@ TEST(Collectives, ReusedRingBuffersMatchFreshOnes) {
   }
 }
 
+// The sum the ring makes, in its order, on one thread: racks of `rack`
+// consecutive ranks fold their members into the leader in rank order, then
+// chunk c of the leader ring (near-equal split over the racks) starts at
+// rack c and adds racks c+1, c+2, ... in ring order.
+std::vector<float> ring_order_sum(const std::vector<std::vector<float>>& x,
+                                  int rack) {
+  const int n = static_cast<int>(x.size());
+  const int racks = (n + rack - 1) / rack;
+  std::vector<std::vector<float>> leaders;
+  for (int leader = 0; leader < n; leader += rack) {
+    std::vector<float> acc = x[static_cast<size_t>(leader)];
+    for (int m = leader + 1; m < std::min(leader + rack, n); ++m) {
+      for (size_t i = 0; i < acc.size(); ++i) {
+        acc[i] = acc[i] + x[static_cast<size_t>(m)][i];
+      }
+    }
+    leaders.push_back(std::move(acc));
+  }
+  const auto size = static_cast<int64_t>(x[0].size());
+  std::vector<float> out(x[0].size());
+  const int64_t base = size / racks;
+  const int64_t extra = size % racks;
+  for (int c = 0; c < racks; ++c) {
+    const int64_t begin = c * base + std::min<int64_t>(c, extra);
+    const int64_t end = begin + base + (c < extra ? 1 : 0);
+    for (int64_t i = begin; i < end; ++i) {
+      const auto at = static_cast<size_t>(i);
+      float acc = leaders[static_cast<size_t>(c)][at];
+      for (int k = 1; k < racks; ++k) {
+        acc = acc + leaders[static_cast<size_t>((c + k) % racks)][at];
+      }
+      out[at] = acc;
+    }
+  }
+  return out;
+}
+
+TEST(Collectives, RingSumKeepsItsAssociation) {
+  // Values of 3e7 next to O(1) ones round differently under other orders
+  // of addition, so each rank's sum must equal, bit for bit, the
+  // ring-order reference. Sizes leave remainders and, below the ring's
+  // length, empty chunks; the flat ring and racks of 2 and 3.
+  for (const int n : {2, 3, 4, 5, 8}) {
+    for (const int rack : {1, 2, 3}) {
+      for (const int64_t size : {int64_t{1}, int64_t{3}, int64_t{7},
+                                 int64_t{64}, int64_t{103}, int64_t{1001}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " rack=" << rack << " size=" << size);
+        std::vector<std::vector<float>> x(static_cast<size_t>(n));
+        Rng rng(static_cast<uint64_t>(1000 * n + 10 * rack) +
+                static_cast<uint64_t>(size));
+        for (size_t r = 0; r < x.size(); ++r) {
+          std::vector<float>& v = x[r];
+          v.resize(static_cast<size_t>(size));
+          rng.fill_normal(v, 0.0f, 1.0f);
+          for (size_t i = 0; i < v.size(); ++i) {
+            if ((i + r) % 3 == 0) v[i] *= 3e7f;
+          }
+        }
+        const std::vector<float> want = ring_order_sum(x, rack);
+        World world(n);
+        std::vector<std::vector<float>> got = x;
+        run_ranks(world, n, [&](int rank) {
+          auto comm = world.comm(rank);
+          hierarchical_allreduce_sum(comm, got[static_cast<size_t>(rank)],
+                                     rack);
+        });
+        for (int r = 0; r < n; ++r) {
+          const std::vector<float>& g = got[static_cast<size_t>(r)];
+          ASSERT_EQ(std::memcmp(g.data(), want.data(), g.size() * 4), 0)
+              << "rank " << r;
+        }
+      }
+    }
+  }
+}
+
 TEST(Collectives, DeterministicAcrossRanks) {
   // All ranks must end with bit-identical buffers (the trainer's replica
   // consistency depends on this).
@@ -438,6 +518,13 @@ TEST(Collectives, BlobBundleRejectsMalformed) {
       Tensor(DType::U8, Shape{{2}})});
   bad_len.u8()[8] = 3;  // length now exceeds the remaining payload
   EXPECT_THROW(unpack_blob_bundle(bad_len), std::runtime_error);
+  // Two lengths, 2^63 and 2^63 + 8, whose sum wraps 2^64 to the 8 payload
+  // bytes present.
+  Tensor wrapping = pack_blob_bundle(std::vector<Tensor>{
+      Tensor(DType::U8, Shape{{3}}), Tensor(DType::U8, Shape{{5}})});
+  const uint64_t lens[2] = {uint64_t{1} << 63, (uint64_t{1} << 63) + 8};
+  std::memcpy(wrapping.u8().data() + 8, lens, sizeof lens);
+  EXPECT_THROW(unpack_blob_bundle(wrapping), std::runtime_error);
   EXPECT_THROW(unpack_blob_bundle(Tensor::zeros(Shape{{4}})),
                std::runtime_error);  // F32, not U8
 }

@@ -38,7 +38,7 @@ double quadratic_descent(const GraceConfig& cfg, int iters, double lr0,
       gv[static_cast<size_t>(i)] =
           2.0f * (x.f32()[static_cast<size_t>(i)] - target.f32()[static_cast<size_t>(i)]);
     }
-    Tensor step = worker.wait(worker.submit(g, "x"));
+    Tensor step = worker.wait(worker.submit(Tensor(g), "x"));
     const double lr = decay_lr ? lr0 / (1.0 + 0.05 * k) : lr0;
     ops::axpy(x.f32(), -static_cast<float>(lr), step.f32());
   }

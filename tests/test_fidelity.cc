@@ -49,7 +49,7 @@ core::FidelitySample probe_one(const core::GraceConfig& cfg,
   net.n_workers = 1;
   core::GraceWorker worker(cfg, world.comm(0), net, /*rng_seed=*/7);
   worker.set_probe(&capture);
-  worker.wait(worker.submit(grad, "g"));
+  worker.wait(worker.submit(Tensor(grad), "g"));
   EXPECT_EQ(capture.samples.size(), 1u);
   return capture.samples.empty() ? core::FidelitySample{} : capture.samples[0];
 }
@@ -130,8 +130,8 @@ TEST(FidelityProbe, AccumulatesPerTensorAcrossRanksDeterministically) {
       worker.set_probe(&probe);
       Tensor g = Tensor::full(Shape{{8}}, static_cast<float>(rank + 1));
       for (int step = 0; step < 3; ++step) {
-        worker.wait(worker.submit(g, "w"));
-        worker.wait(worker.submit(g, "b"));
+        worker.wait(worker.submit(Tensor(g), "w"));
+        worker.wait(worker.submit(Tensor(g), "b"));
       }
     });
   }

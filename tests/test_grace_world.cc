@@ -30,7 +30,7 @@ std::vector<Tensor> exchange_on_ranks(const GraceConfig& cfg, int n,
       GraceWorker worker(cfg, world.comm(rank), net, static_cast<uint64_t>(rank) + 1);
       ExchangeStats stats;
       results[static_cast<size_t>(rank)] = worker.wait(
-          worker.submit(grads[static_cast<size_t>(rank)], "g",
+          worker.submit(Tensor(grads[static_cast<size_t>(rank)]), "g",
                         /*instrument=*/true),
           &stats);
       if (rank == 0 && stats0) *stats0 = stats;
@@ -65,9 +65,8 @@ TEST(GraceWorker, BaselineExchangeIsTheRingSumScaled) {
   // The none exchange rings each payload's own part in place and hands it
   // back through decompress_owned. On the flat ring and on racks of 2 and
   // 3, every rank's result must be, bit for bit, the collective's sum of
-  // copies of the gradients scaled by 1/n, and the gradients handed to
-  // submit must come back untouched. 1001 elements split unevenly over
-  // 2, 3 and 4 ranks.
+  // copies of the gradients scaled by 1/n. 1001 elements split unevenly
+  // over 2, 3 and 4 ranks.
   constexpr int64_t kNumel = 1001;
   for (int n = 1; n <= 4; ++n) {
     for (int rack : {1, 2, 3}) {
@@ -85,7 +84,6 @@ TEST(GraceWorker, BaselineExchangeIsTheRingSumScaled) {
         rng.fill_normal(g.f32(), 0.0f, 1.0f);
         grads.push_back(std::move(g));
       }
-      const std::vector<Tensor> handed = grads;
       const std::vector<Tensor> results = exchange_on_ranks(cfg, n, grads);
 
       std::vector<Tensor> want = grads;
@@ -102,9 +100,8 @@ TEST(GraceWorker, BaselineExchangeIsTheRingSumScaled) {
       for (int r = 0; r < n; ++r) {
         const auto i = static_cast<size_t>(r);
         ops::scale(want[i].f32(), 1.0f / static_cast<float>(n));
-        EXPECT_EQ(results[i].shape(), handed[i].shape()) << "rank " << r;
+        EXPECT_EQ(results[i].shape(), grads[i].shape()) << "rank " << r;
         EXPECT_EQ(bits_of(results[i]), bits_of(want[i])) << "rank " << r;
-        EXPECT_EQ(bits_of(grads[i]), bits_of(handed[i])) << "rank " << r;
       }
     }
   }
@@ -296,7 +293,7 @@ TEST(GraceWorker, ErrorFeedbackRecoversDroppedMassOverTime) {
   Tensor shipped = Tensor::zeros(Shape{{50}});
   const int rounds = 60;
   for (int k = 0; k < rounds; ++k) {
-    Tensor agg = worker.wait(worker.submit(g, "g"));
+    Tensor agg = worker.wait(worker.submit(Tensor(g), "g"));
     ops::add(shipped.f32(), agg.f32());
   }
   // Without EF only 10% of coordinates would ever ship; with EF every
@@ -320,7 +317,7 @@ TEST(GraceWorker, WithoutErrorFeedbackMassIsLost) {
   rng.fill_normal(g.f32(), 1.0f, 0.2f);
   Tensor shipped = Tensor::zeros(Shape{{50}});
   for (int k = 0; k < 20; ++k) {
-    ops::add(shipped.f32(), worker.wait(worker.submit(g, "g")).f32());
+    ops::add(shipped.f32(), worker.wait(worker.submit(Tensor(g), "g")).f32());
   }
   EXPECT_EQ(ops::count_nonzero(shipped.f32()), 5);  // same top-5 every round
 }

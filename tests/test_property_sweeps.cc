@@ -130,7 +130,7 @@ TEST_P(EfRecovery, CumulativeTransmissionApproachesTruth) {
   Tensor shipped = Tensor::zeros(Shape{{64}});
   const int rounds = 80;
   for (int k = 0; k < rounds; ++k) {
-    ops::add(shipped.f32(), worker.wait(worker.submit(g, "g")).f32());
+    ops::add(shipped.f32(), worker.wait(worker.submit(Tensor(g), "g")).f32());
   }
   // Average shipped per round ~= g for every EF-compatible method.
   ops::scale(shipped.f32(), 1.0f / static_cast<float>(rounds));

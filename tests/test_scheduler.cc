@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 
 #include "comm/world.h"
 #include "core/grace_world.h"
+#include "core/probe.h"
 #include "nn/module.h"
 #include "sim/scheduler.h"
 #include "sim/tasks.h"
@@ -25,9 +27,17 @@
 namespace grace::sim {
 namespace {
 
+// "t<i>", appended rather than `"t" + std::to_string(i)`: GCC 12 at -O3
+// inlines that operator+'s char_traits copy and warns -Wrestrict on it.
+std::string tensor_name(size_t i) {
+  std::string name = "t";
+  name += std::to_string(i);
+  return name;
+}
+
 std::vector<std::string> names_for(size_t n) {
   std::vector<std::string> names;
-  for (size_t i = 0; i < n; ++i) names.push_back("t" + std::to_string(i));
+  for (size_t i = 0; i < n; ++i) names.push_back(tensor_name(i));
   return names;
 }
 
@@ -151,12 +161,12 @@ std::vector<float> run_exchanges(const std::string& spec,
       if (split) {
         std::vector<core::ExchangeHandle> hs;
         for (size_t t = 0; t < grads.size(); ++t) {
-          hs.push_back(w.submit(grads[t], "t" + std::to_string(t)));
+          hs.push_back(w.submit(std::move(grads[t]), tensor_name(t)));
         }
         for (auto& h : hs) aggs.push_back(w.wait(std::move(h)));
       } else {
         for (size_t t = 0; t < grads.size(); ++t) {
-          aggs.push_back(w.wait(w.submit(grads[t], "t" + std::to_string(t))));
+          aggs.push_back(w.wait(w.submit(std::move(grads[t]), tensor_name(t))));
         }
       }
       if (rank == 0) {
@@ -359,6 +369,206 @@ TEST(BucketSemantics, ShapeAwareCompressorSelectsAcrossTheBucket) {
 }
 
 // ---------------------------------------------------------------------------
+// The gradient's storage through submit, the ring and apply_bucket
+
+struct CountingProbe : core::ExchangeProbe {
+  void on_sample(const core::FidelitySample&) override { ++samples; }
+  int samples = 0;
+};
+
+// A module of a 3x4 and a 5-element parameter whose gradients hold
+// small integers, so every mean below is exact.
+void fill_grads(nn::Module& m, int rank, int step) {
+  for (nn::Parameter& p : m.parameters()) {
+    auto g = p.value->grad.f32();
+    for (size_t i = 0; i < g.size(); ++i) {
+      g[i] = static_cast<float>((rank + 1) * (step + 2) + static_cast<int>(i));
+    }
+  }
+}
+
+nn::Module two_tensor_module() {
+  nn::Module m;
+  m.register_parameter("a", Tensor::zeros(Shape{{3, 4}}));
+  m.register_parameter("b", Tensor::zeros(Shape{{5}}));
+  return m;
+}
+
+TEST(StorageHandOff, NoneCirculatesTheBucketStorage) {
+  // none, error feedback off, no probe: the payload's part is the bucket's
+  // own storage (the parameter's gradient, or the fused staging buffer),
+  // which rings in place and comes back from apply_bucket as that storage,
+  // shaped like the parameter, step after step.
+  for (const size_t fusion_bytes : {size_t{0}, SIZE_MAX}) {
+    SCOPED_TRACE(::testing::Message() << "fusion_bytes=" << fusion_bytes);
+    const int n = 2;
+    comm::World world(n);
+    auto rank_fn = [&](int rank) {
+      nn::Module m = two_tensor_module();
+      auto& params = m.parameters();
+      core::GraceConfig gcfg;
+      gcfg.compressor_spec = "none";
+      comm::NetworkModel net;
+      net.n_workers = n;
+      core::GraceWorker w(gcfg, world.comm(rank), net, 5);
+      ExchangeScheduler sched(params, fusion_bytes);
+      std::vector<const float*> storage(sched.n_buckets(), nullptr);
+      for (int step = 0; step < 2; ++step) {
+        fill_grads(m, rank, step);
+        std::vector<const float*> grads;
+        for (const nn::Parameter& p : params) {
+          grads.push_back(p.value->grad.f32().data());
+        }
+        for (size_t b = 0; b < sched.n_buckets(); ++b) {
+          const BucketSpec& spec = sched.buckets()[b];
+          core::ExchangeHandle h = sched.submit_bucket(w, b, false);
+          ASSERT_EQ(h.payload.parts.size(), 1u);
+          const float* part = h.payload.parts[0].f32().data();
+          if (spec.count == 1) {
+            EXPECT_EQ(part, grads[spec.first]);
+            EXPECT_TRUE(params[spec.first].value->grad.empty());
+          } else {
+            // The staging buffer: none of the gradients, and the same
+            // storage on every step.
+            for (const float* g : grads) EXPECT_NE(part, g);
+            if (step == 0) storage[b] = part;
+            EXPECT_EQ(part, storage[b]);
+          }
+          Tensor agg = w.wait(std::move(h));
+          EXPECT_EQ(agg.f32().data(), part);
+          size_t applied = 0;
+          sched.apply_bucket(
+              b, std::move(agg),
+              [&](size_t slot, std::span<float>, std::span<const float> g) {
+                // The mean of ranks 1 and 2's values: 1.5 * (step + 2) + i.
+                for (size_t i = 0; i < g.size(); ++i) {
+                  EXPECT_EQ(g[i], 1.5f * static_cast<float>(step + 2) +
+                                      static_cast<float>(i))
+                      << "slot " << slot << " i " << i;
+                }
+                ++applied;
+              });
+          EXPECT_EQ(applied, spec.count);
+        }
+        for (size_t i = 0; i < params.size(); ++i) {
+          const nn::Node& v = *params[i].value;
+          EXPECT_EQ(v.grad.f32().data(), grads[i]) << params[i].name;
+          EXPECT_EQ(v.grad.shape(), v.data.shape()) << params[i].name;
+        }
+      }
+    };
+    std::thread other(rank_fn, 1);
+    rank_fn(0);
+    other.join();
+  }
+}
+
+TEST(StorageHandOff, GradientsStillReadStayInPlace) {
+  // A compressor that keeps no part of its input (topk, qsgd), error
+  // feedback, which reads the gradient after Q to update its residual, and
+  // a probe, which compares it with the reconstruction, each leave the
+  // gradient where it was, bitwise unchanged, and apply_bucket leaves the
+  // parameter's gradient in place.
+  struct Case {
+    const char* spec;
+    bool error_feedback;
+    bool probe;
+  };
+  for (const Case& c : {Case{"topk(0.5)", false, false},
+                        Case{"qsgd(16)", false, false},
+                        Case{"none", true, false},
+                        Case{"none", false, true}}) {
+    SCOPED_TRACE(::testing::Message() << c.spec << " ef=" << c.error_feedback
+                                      << " probe=" << c.probe);
+    comm::World world(1);
+    core::GraceConfig gcfg;
+    gcfg.compressor_spec = c.spec;
+    gcfg.error_feedback = c.error_feedback;
+    comm::NetworkModel net;
+    net.n_workers = 1;
+    core::GraceWorker w(gcfg, world.comm(0), net, 5);
+    CountingProbe probe;
+    if (c.probe) w.set_probe(&probe);
+
+    Tensor g(DType::F32, Shape{{64}});
+    Rng rng(3);
+    rng.fill_normal(g.f32(), 0.0f, 1.0f);
+    const Tensor before = g;
+    const float* const storage = g.f32().data();
+    w.wait(w.submit(std::move(g), "g"));
+    ASSERT_EQ(g.f32().data(), storage);
+    EXPECT_EQ(std::memcmp(g.bytes().data(), before.bytes().data(),
+                          g.size_bytes()),
+              0);
+
+    for (const size_t fusion_bytes : {size_t{0}, SIZE_MAX}) {
+      nn::Module m = two_tensor_module();
+      auto& params = m.parameters();
+      fill_grads(m, 0, 0);
+      std::vector<const float*> grads;
+      for (const nn::Parameter& p : params) {
+        grads.push_back(p.value->grad.f32().data());
+      }
+      ExchangeScheduler sched(params, fusion_bytes);
+      for (size_t b = 0; b < sched.n_buckets(); ++b) {
+        core::ExchangeHandle h = sched.submit_bucket(w, b, false);
+        sched.apply_bucket(b, w.wait(std::move(h)),
+                           [](size_t, std::span<float>,
+                              std::span<const float>) {});
+      }
+      for (size_t i = 0; i < params.size(); ++i) {
+        EXPECT_EQ(params[i].value->grad.f32().data(), grads[i]);
+      }
+    }
+    if (c.probe) {
+      EXPECT_GT(probe.samples, 0);
+    }
+  }
+}
+
+TEST(StorageHandOff, SatOutAndSkippedRoundsKeepTheGradient) {
+  // With none, a sat-out bucket ships zeros and a skipped round exchanges
+  // nothing: the gradients stay in place and unchanged, and a bucket's
+  // storage is never read while it is out.
+  comm::World world(1);
+  core::GraceConfig gcfg;
+  gcfg.compressor_spec = "none";
+  comm::NetworkModel net;
+  net.n_workers = 1;
+  core::GraceWorker w(gcfg, world.comm(0), net, 5);
+  nn::Module m = two_tensor_module();
+  auto& params = m.parameters();
+  fill_grads(m, 0, 0);
+  const std::vector<Tensor> before = {params[0].value->grad,
+                                      params[1].value->grad};
+  const float* const storage = params[0].value->grad.f32().data();
+  ExchangeScheduler sched(params, 0);
+
+  sched.absorb_all(w);
+  core::ExchangeHandle h = sched.submit_bucket_zero(w, 0, false);
+  EXPECT_NE(h.payload.parts[0].f32().data(), storage);
+  sched.apply_bucket(0, w.wait(std::move(h)),
+                     [](size_t, std::span<float>, std::span<const float> g) {
+                       for (float v : g) EXPECT_EQ(v, 0.0f);
+                     });
+  EXPECT_EQ(params[0].value->grad.f32().data(), storage);
+  for (size_t i = 0; i < params.size(); ++i) {
+    const Tensor& g = params[i].value->grad;
+    ASSERT_EQ(g.size_bytes(), before[i].size_bytes());
+    EXPECT_EQ(std::memcmp(g.bytes().data(), before[i].bytes().data(),
+                          g.size_bytes()),
+              0);
+  }
+
+  core::ExchangeHandle out = sched.submit_bucket(w, 0, false);
+  EXPECT_THROW(sched.submit_bucket(w, 0, false), std::logic_error);
+  EXPECT_THROW(sched.absorb_all(w), std::logic_error);
+  sched.apply_bucket(0, w.wait(std::move(out)),
+                     [](size_t, std::span<float>, std::span<const float>) {});
+  EXPECT_EQ(params[0].value->grad.f32().data(), storage);
+}
+
+// ---------------------------------------------------------------------------
 // Trainer integration
 
 Benchmark tiny_cnn() { return make_cnn_classification(0.1); }
@@ -423,7 +633,7 @@ std::vector<float> legacy_train_params(const Benchmark& b,
                       p.value->grad.f32());
             at += static_cast<size_t>(p.value->grad.numel());
           }
-          Tensor agg = grace.wait(grace.submit(flat, "fused"));
+          Tensor agg = grace.wait(grace.submit(Tensor(flat), "fused"));
           auto a = agg.f32();
           at = 0;
           size_t slot = 0;
@@ -435,7 +645,7 @@ std::vector<float> legacy_train_params(const Benchmark& b,
         } else {
           size_t slot = 0;
           for (auto& p : model->module().parameters()) {
-            Tensor agg = grace.wait(grace.submit(p.value->grad, p.name));
+            Tensor agg = grace.wait(grace.submit(Tensor(p.value->grad), p.name));
             optimizer->apply(slot++, p.value->data.f32(), agg.f32());
           }
         }

@@ -26,7 +26,7 @@ std::vector<Tensor> run_exchange(const GraceConfig& cfg, int n,
     threads.emplace_back([&, rank] {
       GraceWorker worker(cfg, world.comm(rank), net, static_cast<uint64_t>(rank) + 1);
       results[static_cast<size_t>(rank)] =
-          worker.wait(worker.submit(grads[static_cast<size_t>(rank)], "g"));
+          worker.wait(worker.submit(Tensor(grads[static_cast<size_t>(rank)]), "g"));
     });
   }
   for (auto& t : threads) t.join();
