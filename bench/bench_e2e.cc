@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
       cfg.critical_path = &collector;
       sim::RunResult run = sim::train(bench.factory, cfg);
       chrome_trace = sim::trace_chrome_json(trace);
-      const sim::RunReport report = sim::build_run_report(run, &registry);
+      const sim::RunReport report = sim::build_run_report(run);
       if (!report_rows.empty()) report_rows += ',';
       report_rows += "{\"network\":\"";
       report_rows += net.label;

@@ -26,7 +26,6 @@
 
 #include "bench_common.h"
 #include "sim/critical_path.h"
-#include "sim/metric_registry.h"
 #include "sim/report.h"
 #include "sim/tasks.h"
 
@@ -80,13 +79,11 @@ int main(int argc, char** argv) {
     bench::apply_paper_overrides(cell.compressor, cfg,
                                  /*classification_task=*/true);
     if (cell.faulted) cfg.faults = &plan;
-    sim::MetricRegistry registry(cfg.n_workers);
     sim::CriticalPathCollector collector(cfg.n_workers);
-    cfg.metrics = &registry;
     cfg.critical_path = &collector;
 
     const sim::RunResult run = sim::train(bench.factory, cfg);
-    const sim::RunReport report = sim::build_run_report(run, &registry);
+    const sim::RunReport report = sim::build_run_report(run);
     rows.emplace_back(cell.label, sim::run_report_json(report));
     std::printf("--- %s ---\n%s\n", cell.label,
                 sim::run_report_text(report).c_str());

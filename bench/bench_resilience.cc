@@ -29,7 +29,6 @@
 #include "bench_common.h"
 #include "comm/fleet.h"
 #include "sim/critical_path.h"
-#include "sim/metric_registry.h"
 #include "sim/report.h"
 #include "sim/tasks.h"
 
@@ -126,9 +125,7 @@ int main(int argc, char** argv) {
 
       const faults::FaultPlan plan(sc.spec);
       cfg.faults = &plan;
-      sim::MetricRegistry registry(cfg.n_workers);
       sim::CriticalPathCollector collector(cfg.n_workers);
-      cfg.metrics = &registry;
       cfg.critical_path = &collector;
 
       const sim::RunResult run = sim::train(bench.factory, cfg);
@@ -143,7 +140,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(fc.joins),
           static_cast<unsigned long long>(fc.degraded_iters));
 
-      const sim::RunReport report = sim::build_run_report(run, &registry);
+      const sim::RunReport report = sim::build_run_report(run);
       rows.emplace_back(label, sim::run_report_json(report));
     }
     bench::print_rule(100);

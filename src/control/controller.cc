@@ -1,10 +1,10 @@
 #include "control/controller.h"
 
 #include <algorithm>
-#include <charconv>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/crc32.h"
 #include "util/json.h"
@@ -24,54 +24,20 @@ uint32_t names_crc(const std::vector<std::string>& names) {
   return c;
 }
 
-int64_t parse_i64(const std::string& tok) {
-  int64_t v = 0;
-  const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec != std::errc{} || p != tok.data() + tok.size()) {
-    throw std::invalid_argument("control snapshot: bad integer '" + tok + "'");
-  }
-  return v;
-}
-
 // A count the snapshot records, checked against [0, max] before the caller
 // narrows it.
-int64_t parse_count(const std::string& tok, int64_t max, const char* what) {
-  const int64_t v = parse_i64(tok);
-  if (v < 0 || v > max) {
+int64_t read_count(const util::json::Value& v, int64_t max,
+                   const char* what) {
+  const auto n = v.number<int64_t>();
+  if (n < 0 || n > max) {
     throw std::invalid_argument(std::string("control snapshot: ") + what +
-                                " " + tok + " outside [0, " +
+                                " " + std::to_string(n) + " outside [0, " +
                                 std::to_string(max) + "]");
   }
-  return v;
+  return n;
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    const size_t pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
-// key=value field accessor over the snapshot's ';'-separated fields.
-std::string field(const std::vector<std::string>& fields,
-                  const std::string& key) {
-  for (const std::string& f : fields) {
-    if (f.size() > key.size() && f.compare(0, key.size(), key) == 0 &&
-        f[key.size()] == '=') {
-      return f.substr(key.size() + 1);
-    }
-  }
-  throw std::invalid_argument("control snapshot: missing field '" + key + "'");
-}
-
-constexpr char kSnapshotMagic[] = "grace.control.v3";
+constexpr std::string_view kSnapshotSchema = "grace.control.v4";
 
 }  // namespace
 
@@ -153,76 +119,61 @@ std::vector<ControlDecision> Controller::step(std::span<const float> signals,
 }
 
 std::string Controller::snapshot() const {
-  std::string out = kSnapshotMagic;
-  out += ";names_crc=" + std::to_string(names_crc(bucket_names_));
-  out += ";arms_crc=" + std::to_string(names_crc(cfg_.arms));
-  out += ";buckets=" + std::to_string(n_buckets());
-  out += ";arms=" + std::to_string(cfg_.arms.size());
-  out += ";boundaries=" + std::to_string(boundaries_);
-  out += ";switches=" + std::to_string(switches_);
+  std::ostringstream os;
+  os << "{\"schema\":";
+  util::json::append_escaped(os, kSnapshotSchema);
+  os << ",\"names_crc\":" << names_crc(bucket_names_)
+     << ",\"arms_crc\":" << names_crc(cfg_.arms)
+     << ",\"arms\":" << cfg_.arms.size() << ",\"boundaries\":" << boundaries_
+     << ",\"switches\":" << switches_ << ",\"buckets\":[";
   for (size_t b = 0; b < n_buckets(); ++b) {
-    out += ";b=" + std::to_string(arms_now_[b]) + "|" +
-           std::to_string(breaches_[b]);
+    os << (b > 0 ? ",[" : "[") << arms_now_[b] << ',' << breaches_[b] << ']';
   }
-  return out;
+  os << "]}";
+  return os.str();
 }
 
 void Controller::restore(const std::string& state) {
-  const std::vector<std::string> fields = split(state, ';');
-  if (fields.empty() || fields[0] != kSnapshotMagic) {
-    throw std::invalid_argument(std::string("control snapshot: bad magic "
-                                            "(expected ") +
-                                kSnapshotMagic + ")");
+  const util::json::Value doc = util::json::parse(state);
+  if (doc.at("schema").string() != kSnapshotSchema) {
+    throw std::invalid_argument("control snapshot: schema is not " +
+                                std::string(kSnapshotSchema));
   }
-  if (parse_i64(field(fields, "names_crc")) != names_crc(bucket_names_)) {
+  if (doc.at("names_crc").number<uint32_t>() != names_crc(bucket_names_)) {
     throw std::invalid_argument(
         "control snapshot: bucket plan does not match (names_crc mismatch); "
         "resume requires the identical model + fusion_bytes");
   }
-  if (parse_i64(field(fields, "arms_crc")) != names_crc(cfg_.arms)) {
+  if (doc.at("arms_crc").number<uint32_t>() != names_crc(cfg_.arms)) {
     throw std::invalid_argument(
         "control snapshot: arm set does not match (arms_crc mismatch)");
   }
-  if (static_cast<size_t>(parse_i64(field(fields, "buckets"))) != n_buckets() ||
-      static_cast<size_t>(parse_i64(field(fields, "arms"))) !=
-          cfg_.arms.size()) {
+  const std::vector<util::json::Value>& buckets = doc.at("buckets").array();
+  if (buckets.size() != n_buckets() ||
+      doc.at("arms").number<size_t>() != cfg_.arms.size()) {
     throw std::invalid_argument("control snapshot: bucket/arm count mismatch");
   }
-  const int64_t boundaries = parse_count(field(fields, "boundaries"),
-                                         std::numeric_limits<int>::max(),
-                                         "boundaries");
+  const int64_t boundaries = read_count(
+      doc.at("boundaries"), std::numeric_limits<int>::max(), "boundaries");
   boundaries_ = static_cast<int>(boundaries);
   // At most one switch per (bucket, boundary).
-  switches_ = static_cast<int>(parse_count(
-      field(fields, "switches"),
+  const int64_t max_switches =
       std::min<int64_t>(boundaries * static_cast<int64_t>(n_buckets()),
-                        std::numeric_limits<int>::max()),
-      "switches"));
-  std::vector<std::string> tokens;
-  for (const std::string& f : fields) {
-    if (f.size() >= 2 && f[0] == 'b' && f[1] == '=') tokens.push_back(f.substr(2));
-  }
-  if (tokens.size() != n_buckets()) {
-    throw std::invalid_argument("control snapshot: expected " +
-                                std::to_string(n_buckets()) +
-                                " bucket entries, found " +
-                                std::to_string(tokens.size()));
-  }
-  // Each bucket entry is "<arm>|<breaches>"; a streak advances by at most
-  // one per boundary.
-  for (size_t b = 0; b < tokens.size(); ++b) {
-    const size_t bar = tokens[b].find('|');
-    if (bar == std::string::npos) {
-      throw std::invalid_argument("control snapshot: bucket entry '" +
-                                  tokens[b] + "'");
+                        std::numeric_limits<int>::max());
+  switches_ = static_cast<int>(
+      read_count(doc.at("switches"), max_switches, "switches"));
+  // Each bucket entry is [arm, breaches]; a streak advances by at most one
+  // per boundary.
+  for (size_t b = 0; b < buckets.size(); ++b) {
+    const std::vector<util::json::Value>& entry = buckets[b].array();
+    if (entry.size() != 2) {
+      throw std::invalid_argument("control snapshot: bucket entry " +
+                                  std::string(buckets[b].text()));
     }
-    const auto arm = parse_i64(tokens[b].substr(0, bar));
-    if (arm < 0 || static_cast<size_t>(arm) >= cfg_.arms.size()) {
-      throw std::invalid_argument("control snapshot: arm index out of range");
-    }
-    arms_now_[b] = static_cast<int>(arm);
-    breaches_[b] = static_cast<int>(
-        parse_count(tokens[b].substr(bar + 1), boundaries, "streak"));
+    arms_now_[b] = static_cast<int>(read_count(
+        entry[0], static_cast<int64_t>(cfg_.arms.size()) - 1, "arm"));
+    breaches_[b] =
+        static_cast<int>(read_count(entry[1], boundaries, "streak"));
   }
 }
 

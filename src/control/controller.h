@@ -110,11 +110,20 @@ class Controller {
 
   int boundaries() const { return boundaries_; }
 
-  // Serialized controller state: arm assignments, breach streaks and the
-  // boundary/switch counters. Byte-deterministic; equal across ranks iff
-  // the decision sequences were equal (the trainer asserts this). Does NOT
-  // include the decision log — a resumed run's log contains only its own
-  // tail, matching the original run's entries for the same boundaries.
+  // Serialized controller state, one JSON object:
+  //   {"schema":"grace.control.v4","names_crc":<u32>,"arms_crc":<u32>,
+  //    "arms":<count>,"boundaries":<n>,"switches":<n>,
+  //    "buckets":[[<arm>,<breaches>],...]}
+  // with one [arm, breach streak] pair per bucket in plan order. The CRCs
+  // identify the bucket plan and the arm set. Byte-deterministic; equal
+  // across ranks iff the decision sequences were equal (the trainer asserts
+  // this). Does NOT include the decision log — a resumed run's log contains
+  // only its own tail, matching the original run's entries for the same
+  // boundaries. The constructor reads it back through util/json.h and
+  // throws std::invalid_argument on another schema, plan or arm set, or on
+  // a count outside what the run could have reached (boundaries in
+  // [0, INT_MAX], switches at most boundaries x buckets, streaks at most
+  // boundaries, arms inside the arm set).
   std::string snapshot() const;
 
   // Summary for RunResult; includes snapshot() as .state.

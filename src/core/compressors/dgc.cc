@@ -74,13 +74,7 @@ class Dgc final : public Compressor {
       v[static_cast<size_t>(i)] = 0.0f;
       u[static_cast<size_t>(i)] = 0.0f;  // momentum factor masking
     }
-    CompressedTensor ct;
-    ct.parts = {std::move(values), Tensor::from_i32(indices)};
-    ct.ctx.shape = grad.shape();
-    ct.ctx.wire_bits = static_cast<uint64_t>(indices.size()) * 64;
-    // Part 1 is a sorted index list: eligible for the lossless wire stage.
-    ct.ctx.index_parts = {1};
-    return ct;
+    return sparse_payload(std::move(values), indices, grad.shape());
   }
 
   Tensor decompress(const CompressedTensor& ct) const override {

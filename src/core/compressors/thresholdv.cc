@@ -16,13 +16,7 @@ class ThresholdV final : public Compressor {
   CompressedTensor compress(const Tensor& grad, const std::string&, Rng&) override {
     auto x = grad.f32();
     auto indices = ops::threshold_indices(x, v_);
-    CompressedTensor ct;
-    ct.parts = {sparsify(x, indices), Tensor::from_i32(indices)};
-    ct.ctx.shape = grad.shape();
-    ct.ctx.wire_bits = static_cast<uint64_t>(indices.size()) * 64;
-    // Part 1 is a sorted index list: eligible for the lossless wire stage.
-    ct.ctx.index_parts = {1};
-    return ct;
+    return sparse_payload(sparsify(x, indices), indices, grad.shape());
   }
 
   Tensor decompress(const CompressedTensor& ct) const override {

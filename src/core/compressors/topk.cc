@@ -19,13 +19,7 @@ class TopK final : public Compressor {
     const int64_t d = grad.numel();
     const int64_t k = std::max<int64_t>(1, static_cast<int64_t>(ratio_ * static_cast<double>(d)));
     auto indices = ops::topk_abs_indices(x, k);
-    CompressedTensor ct;
-    ct.parts = {sparsify(x, indices), Tensor::from_i32(indices)};
-    ct.ctx.shape = grad.shape();
-    ct.ctx.wire_bits = static_cast<uint64_t>(indices.size()) * 64;
-    // Part 1 is a sorted index list: eligible for the lossless wire stage.
-    ct.ctx.index_parts = {1};
-    return ct;
+    return sparse_payload(sparsify(x, indices), indices, grad.shape());
   }
 
   Tensor decompress(const CompressedTensor& ct) const override {

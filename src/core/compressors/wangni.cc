@@ -36,13 +36,7 @@ class Wangni final : public Compressor {
         values.push_back(x[static_cast<size_t>(i)] / static_cast<float>(p));
       }
     }
-    CompressedTensor ct;
-    ct.parts = {Tensor::from(values), Tensor::from_i32(indices)};
-    ct.ctx.shape = grad.shape();
-    ct.ctx.wire_bits = static_cast<uint64_t>(indices.size()) * 64;
-    // Part 1 is a sorted index list: eligible for the lossless wire stage.
-    ct.ctx.index_parts = {1};
-    return ct;
+    return sparse_payload(Tensor::from(values), indices, grad.shape());
   }
 
   Tensor decompress(const CompressedTensor& ct) const override {

@@ -86,11 +86,8 @@ GraceWorker::GraceWorker(const GraceConfig& cfg, comm::Comm comm,
     ef_default = ef_default ||
                  make_compressor(arm)->info().default_error_feedback;
   }
-  const bool ef = cfg.error_feedback.value_or(ef_default);
-  if (ef) {
-    memory_ = std::make_unique<ResidualMemory>(cfg.ef_beta, cfg.ef_gamma);
-  } else {
-    memory_ = std::make_unique<NoMemory>();
+  if (cfg.error_feedback.value_or(ef_default)) {
+    memory_.emplace(cfg.ef_beta, cfg.ef_gamma);
   }
 }
 
@@ -126,20 +123,16 @@ void GraceWorker::rebind(comm::Comm comm, const comm::NetworkModel& net) {
 
 Tensor GraceWorker::residual_snapshot(const std::string& name,
                                       const Tensor& like) const {
-  const Tensor* r = memory_->residual(name);
+  const Tensor* r = memory_ ? memory_->residual(name) : nullptr;
   return r != nullptr ? *r : Tensor::zeros_like(like);
 }
 
 void GraceWorker::install_residual(const std::string& name, const Tensor& r) {
-  memory_->install(name, r);
+  if (memory_) memory_->install(name, r);
 }
 
 void GraceWorker::absorb(const Tensor& grad, const std::string& name) {
-  if (!memory_->enabled()) return;
-  // psi(m, g, 0): nothing was transmitted, so the whole compensated
-  // gradient becomes the new residual.
-  Tensor compensated = memory_->compensate(grad, name);
-  memory_->update(name, compensated, Tensor::zeros_like(grad));
+  if (memory_) memory_->absorb(grad, name);
 }
 
 ExchangeHandle GraceWorker::submit(Tensor&& grad, const std::string& name,
@@ -164,11 +157,10 @@ ExchangeHandle GraceWorker::submit_impl(Tensor&& grad,
 
   // Lines 5-6: g~ = Q(phi(m, g)); m = psi(...). submit_raw skips both
   // memory touches: the payload is Q(g) and the residual stays untouched.
-  // With error feedback off, phi is the identity (NoMemory::compensate
-  // would only copy), so Q takes the gradient itself, and takes it over
-  // unless the probe reads it after Q.
+  // With error feedback off, phi is the identity, so Q takes the gradient
+  // itself, and takes it over unless the probe reads it after Q.
   const double t0 = sp ? now_seconds() : 0.0;
-  const bool feedback = use_memory && memory_->enabled();
+  const bool feedback = use_memory && memory_.has_value();
   Tensor compensated;
   if (feedback) compensated = memory_->compensate(grad, name);
   const Tensor& input = feedback ? compensated : grad;
@@ -260,7 +252,7 @@ void GraceWorker::probe_fidelity(const std::string& name,
   s.sign_agreement = n > 0 ? static_cast<double>(agree) /
                                  static_cast<double>(n)
                            : 1.0;
-  s.residual_l2 = memory_->enabled() ? std::sqrt(d2) : 0.0;
+  s.residual_l2 = memory_ ? std::sqrt(d2) : 0.0;
   probe_->on_sample(s);
 }
 

@@ -139,7 +139,7 @@ class GraceWorker {
   void install_residual(const std::string& name, const Tensor& r);
 
   Compressor& compressor() { return *q_; }
-  bool error_feedback_enabled() const { return memory_->enabled(); }
+  bool error_feedback_enabled() const { return memory_.has_value(); }
 
   // Controller hooks (src/control, DESIGN.md §11). Route all subsequent
   // submits of `name` through `spec` instead of the base compressor. One
@@ -200,7 +200,7 @@ class GraceWorker {
   // keeping their per-name state for a later switch back).
   std::map<std::string, std::unique_ptr<Compressor>> arm_pool_;
   std::unordered_map<std::string, Compressor*> overrides_;
-  std::unique_ptr<Memory> memory_;
+  std::optional<ResidualMemory> memory_;  // set iff error feedback is on
   comm::Comm comm_;
   Rng rng_;
   ExchangeProbe* probe_ = nullptr;

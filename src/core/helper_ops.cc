@@ -101,6 +101,17 @@ Tensor sparsify(std::span<const float> x, std::span<const int32_t> indices) {
   return values;
 }
 
+CompressedTensor sparse_payload(Tensor values,
+                                std::span<const int32_t> indices,
+                                const Shape& shape) {
+  CompressedTensor ct;
+  ct.parts = {std::move(values), Tensor::from_i32(indices)};
+  ct.ctx.shape = shape;
+  ct.ctx.wire_bits = static_cast<uint64_t>(indices.size()) * 64;
+  ct.ctx.index_parts = {1};
+  return ct;
+}
+
 std::span<const int32_t> wire_indices(const Tensor& indices, int64_t numel) {
   if (indices.dtype() != DType::I32) {
     throw std::runtime_error("sparse payload: index part is not i32");

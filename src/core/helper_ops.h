@@ -1,6 +1,7 @@
 // The GRACE helper API from §IV-B of the paper:
 //   quantize / dequantize   — value -> lower-bit code words and back
-//   sparsify / desparsify   — select elements / restore original shape
+//   sparsify / desparsify   — select elements / restore original shape;
+//                             sparse_payload ships what sparsify selects
 //   pack / unpack           — k-bit code words <-> dense byte buffers
 #pragma once
 
@@ -8,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "core/compressed.h"
 #include "tensor/tensor.h"
 
 namespace grace::core {
@@ -36,6 +38,13 @@ Tensor sparsify(std::span<const float> x, std::span<const int32_t> indices);
 // per value, and every index lies in [0, shape.numel()).
 Tensor desparsify(const Tensor& values, const Tensor& indices,
                   const Shape& shape);
+// The payload every sparsifier ships: part 0 the kept `values` (f32, one
+// per index), part 1 their `indices` into `shape` as i32, 64 wire bits per
+// kept element, and part 1 tagged for the lossless wire stage, which takes
+// a strictly increasing index list (core/compressed.h apply_wire_codec).
+CompressedTensor sparse_payload(Tensor values,
+                                std::span<const int32_t> indices,
+                                const Shape& shape);
 // The index rule desparsify applies, for decoders that scatter by other
 // means: `indices` off the wire as positions into `numel` elements.
 // Throws std::runtime_error unless it is i32 and every index lies in

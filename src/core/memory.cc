@@ -4,7 +4,8 @@
 
 namespace grace::core {
 
-Tensor ResidualMemory::compensate(const Tensor& grad, const std::string& name) {
+Tensor ResidualMemory::compensate(const Tensor& grad,
+                                  const std::string& name) const {
   auto it = residuals_.find(name);
   Tensor out = grad;
   if (gamma_ != 1.0f) ops::scale(out.f32(), gamma_);
@@ -19,6 +20,11 @@ void ResidualMemory::update(const std::string& name, const Tensor& compensated,
   Tensor residual = compensated;
   ops::sub(residual.f32(), decompressed.f32());
   residuals_[name] = std::move(residual);
+}
+
+void ResidualMemory::absorb(const Tensor& grad, const std::string& name) {
+  Tensor phi = compensate(grad, name);
+  residuals_[name] = std::move(phi);
 }
 
 const Tensor* ResidualMemory::residual(const std::string& name) const {

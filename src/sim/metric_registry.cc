@@ -104,8 +104,4 @@ std::vector<HistogramSnapshot> MetricRegistry::histograms() const {
   return sorted_by_name(std::move(out));
 }
 
-std::vector<HistogramSnapshot> MetricRegistry::histograms(int rank) const {
-  return sorted_by_name(ranks_.at(static_cast<size_t>(rank)));
-}
-
 }  // namespace grace::sim

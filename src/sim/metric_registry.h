@@ -58,9 +58,6 @@ class MetricRegistry {
 
   // Deterministic cross-rank merge, sorted by name.
   std::vector<HistogramSnapshot> histograms() const;
-  // Single-rank view (same sort, no merge): the health detectors compare
-  // per-rank series against the fleet (sim/report.h).
-  std::vector<HistogramSnapshot> histograms(int rank) const;
 
   int n_ranks() const { return static_cast<int>(ranks_.size()); }
 

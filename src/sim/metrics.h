@@ -114,6 +114,10 @@ struct RunResult {
   PhaseBreakdown phases;
   // Per-bucket rank-0 totals; populated when TrainConfig::trace is set.
   std::vector<TensorTraceSummary> tensor_trace;
+  // Simulated fault stall per physical rank (seconds, one entry per rank
+  // of TrainConfig::n_workers), summed over the iterations the rank ran;
+  // the run report's straggler detector compares them.
+  std::vector<double> rank_stall_s;
 
   // Compression-fidelity aggregates (sim/fidelity.h), merged across ranks;
   // populated when TrainConfig::fidelity is set, empty otherwise.

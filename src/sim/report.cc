@@ -9,7 +9,6 @@
 #include <string_view>
 
 #include "control/controller.h"
-#include "sim/metric_registry.h"
 #include "util/crc32.h"
 #include "util/json.h"
 
@@ -25,8 +24,7 @@ constexpr std::string_view kFaultPrefix = "fault.";
 // iteration.
 constexpr double kStallShare = 0.05;
 // "straggler_outlier": one rank's accumulated stall exceeds this multiple
-// of the mean over the other ranks (needs a MetricRegistry for the
-// per-rank series).
+// of the mean over the other ranks (RunResult::rank_stall_s).
 constexpr double kStragglerRankRatio = 4.0;
 // "retry_storm": simulated retries exceed this fraction of the messages
 // sent.
@@ -162,8 +160,7 @@ Extracted extract_rows(const std::string& json) {
 
 }  // namespace
 
-RunReport build_run_report(const RunResult& result,
-                           const MetricRegistry* registry) {
+RunReport build_run_report(const RunResult& result) {
   RunReport rep;
   rep.model = result.model;
   rep.compressor = result.compressor;
@@ -267,15 +264,9 @@ RunReport build_run_report(const RunResult& result,
   }
 
   // Straggler outlier: one rank's accumulated simulated stall dwarfs the
-  // rest of the fleet (per-rank series come from the registry).
-  if (registry != nullptr && registry->n_ranks() > 1) {
-    std::vector<double> rank_stall(
-        static_cast<size_t>(registry->n_ranks()), 0.0);
-    for (int r = 0; r < registry->n_ranks(); ++r) {
-      for (const HistogramSnapshot& h : registry->histograms(r)) {
-        if (h.name == "fault.stall_ns") rank_stall[static_cast<size_t>(r)] = h.sum;
-      }
-    }
+  // rest of the fleet.
+  const std::vector<double>& rank_stall = result.rank_stall_s;
+  if (rank_stall.size() > 1) {
     size_t worst = 0;
     double total = 0.0;
     for (size_t r = 0; r < rank_stall.size(); ++r) {
@@ -292,8 +283,8 @@ RunReport build_run_report(const RunResult& result,
                                : std::numeric_limits<double>::infinity();
       std::ostringstream d;
       d.precision(3);
-      d << "rank " << worst << " stalled " << rank_stall[worst] * 1e-9
-        << "s vs fleet mean " << others_mean * 1e-9 << "s";
+      d << "rank " << worst << " stalled " << rank_stall[worst]
+        << "s vs fleet mean " << others_mean << "s";
       flag("straggler_outlier", d.str(),
            std::isinf(ratio) ? rank_stall[worst] : ratio,
            kStragglerRankRatio);
@@ -480,7 +471,6 @@ ReportDiff diff_reports(const std::string& baseline_json,
     d.baseline = b.value;
     d.current = c->value;
     d.delta = c->value - b.value;
-    d.rel = d.delta / std::max(std::abs(b.value), 1e-12);
     d.rule = rule_label(rule);
     if (rule != nullptr && rule->kind != RuleKind::Note &&
         (std::isnan(b.value) || std::isnan(c->value))) {

@@ -4,9 +4,8 @@
 //   * build_run_report — distills the run into a flat, name-keyed metric
 //     scoreboard plus seeded deterministic health detectors (straggler
 //     outliers, retry storms, fidelity collapse, overlap regression).
-//     Detectors read only simulated / deterministic signals, so the same
-//     seed always produces the same flags; when a MetricRegistry is
-//     passed, its per-rank fault series feed the straggler detector.
+//     Detectors read only simulated / deterministic signals of the
+//     RunResult, so the same seed always produces the same flags.
 //
 //   * run_report_json / run_report_text — machine and human serializations
 //     of the report. The JSON is a pure function of the report (identical
@@ -33,8 +32,6 @@
 
 namespace grace::sim {
 
-class MetricRegistry;
-
 struct HealthFlag {
   std::string name;       // stable detector id ("retry_storm", ...)
   std::string detail;     // human-readable explanation
@@ -60,11 +57,9 @@ struct RunReport {
   CriticalPathSummary critical_path;  // copied from the RunResult
 };
 
-// Builds the report. `registry` is optional: when present its per-rank
-// fault series feed the straggler detector. The detector thresholds are
+// Builds the report from the result alone. The detector thresholds are
 // fixed (rationale in OBSERVABILITY.md §4).
-RunReport build_run_report(const RunResult& result,
-                           const MetricRegistry* registry = nullptr);
+RunReport build_run_report(const RunResult& result);
 
 // Deterministic JSON object ({"schema":"grace.run_report.v1",...}); equal
 // reports serialize byte-identically. A NaN or infinite number is written
@@ -80,7 +75,6 @@ struct MetricDelta {
   double baseline = 0.0;
   double current = 0.0;
   double delta = 0.0;      // current - baseline
-  double rel = 0.0;        // delta / max(|baseline|, tiny)
   bool failed = false;     // this metric broke its rule
   std::string rule;        // "exact" / "rel<=..." / "abs<=..." / "note"
 };

@@ -86,7 +86,6 @@ BucketSchedule schedule_buckets(std::span<const BucketTiming> buckets,
     codec_out_free = s.decompress_start + t.decompress_s;
     s.end = codec_out_free;
     out.exchange_end = std::max(out.exchange_end, s.end);
-    out.link_busy_s += t.comm_s;
     out.additive_end += t.compress_s + t.comm_s + t.decompress_s;
   }
   return out;

@@ -83,7 +83,6 @@ struct BucketSchedule {
   // earlier than compute_end_s (a rank whose exchange hides under compute
   // drains when compute ends).
   double exchange_end = 0.0;
-  double link_busy_s = 0.0;   // total link occupancy (sum of comm stages)
   // What the legacy additive model charges for the same inputs:
   // compute_end + sum(compress + comm + decompress). exchange_end never
   // exceeds this under overlap, and equals it with overlap off.

@@ -127,6 +127,10 @@ void TrainConfig::validate() const {
   if (epochs < 1) {
     throw std::invalid_argument("TrainConfig: epochs must be >= 1");
   }
+  if (eval_every < 1) {
+    // Rank 0 evaluates every eval_every-th epoch (epoch % eval_every).
+    throw std::invalid_argument("TrainConfig: eval_every must be >= 1");
+  }
   if (start_epoch < 0) {
     throw std::invalid_argument(
         "TrainConfig: start_epoch must be >= 0 (it is an absolute epoch "
@@ -690,6 +694,7 @@ RunResult fold(const Setup& setup, std::vector<WorkerLog>& logs) {
   // stragglers, outages and sat-out rounds, plus the run-wide
   // rounds_skipped and degraded_iters on rank 0.
   std::vector<faults::FaultCounters> rank_faults(static_cast<size_t>(n));
+  result.rank_stall_s.assign(static_cast<size_t>(n), 0.0);
   std::vector<RankCosts> alive;
   std::vector<std::span<const BucketTiming>> alive_timings;
   for (int64_t it = 0; it < total_iters; ++it) {
@@ -716,6 +721,7 @@ RunResult fold(const Setup& setup, std::vector<WorkerLog>& logs) {
       RankPrice& price = prices[static_cast<size_t>(r)];
       price_rank(stats, bucket_plan, clock, cfg.fleet.compute_scale(r),
                  stall_s, price);
+      result.rank_stall_s[static_cast<size_t>(r)] += price.costs.stall_s;
       record(setup, r, row, stats, price, result);
       alive.push_back(price.costs);
       alive_timings.push_back(price.timings);

@@ -122,11 +122,11 @@ struct TrainConfig {
 
   // Structural validation, run by train() before any thread starts; throws
   // std::invalid_argument with a pointed message on: non-positive
-  // n_workers / batch_per_worker / epochs, start_epoch < 0, a FleetProfile
-  // smaller than the world, invalid net parameters, topology parameters
-  // that cannot drive n_workers ranks (net.n_workers plays no part), or a
-  // controller resume_state with start_epoch 0 (a fresh run cannot resume
-  // a decision log).
+  // n_workers / batch_per_worker / epochs / eval_every, start_epoch < 0, a
+  // FleetProfile smaller than the world, invalid net parameters, topology
+  // parameters that cannot drive n_workers ranks (net.n_workers plays no
+  // part), or a controller resume_state with start_epoch 0 (a fresh run
+  // cannot resume a decision log).
   // Churn and crash events themselves are checked by
   // core::MembershipSchedule (leave of an absent rank, join of a present
   // one, rank 0 churning, a rank outside the fleet).

@@ -227,12 +227,15 @@ TEST(ControllerSnapshot, RejectsCorruptOrMismatchedState) {
   const std::string snap = ctl.snapshot();
 
   EXPECT_THROW(resumed_from("garbage"), std::invalid_argument);
-  // A snapshot of the v2 grammar (which also recorded a promotion streak
-  // per bucket) fails on its magic.
-  std::string v2 = snap;
-  ASSERT_EQ(v2.rfind("grace.control.v3;", 0), 0u);
-  v2.replace(0, 16, "grace.control.v2");
-  EXPECT_THROW(resumed_from(v2), std::invalid_argument);
+  // The v3 key=value grammar is not JSON, and a v3 schema fails on its
+  // name.
+  EXPECT_THROW(resumed_from("grace.control.v3;names_crc=0;arms_crc=0;"
+                            "buckets=1;arms=3;boundaries=1;switches=0;b=2|0"),
+               std::invalid_argument);
+  std::string v3 = snap;
+  ASSERT_EQ(v3.rfind("{\"schema\":\"grace.control.v4\",", 0), 0u) << snap;
+  v3.replace(v3.find("v4"), 2, "v3");
+  EXPECT_THROW(resumed_from(v3), std::invalid_argument);
   // Bucket-plan mismatch.
   EXPECT_THROW(resumed_from(snap, {"other_bucket"}), std::invalid_argument);
   // Arm-set mismatch.
@@ -243,15 +246,15 @@ TEST(ControllerSnapshot, RejectsCorruptOrMismatchedState) {
   EXPECT_EQ(resumed_from(snap).boundaries(), 1);
 }
 
-// `snap` with the value of its `key=` field replaced.
-std::string with_field(const std::string& snap, const std::string& key,
-                       const std::string& value) {
-  const size_t at = snap.find(";" + key + "=");
-  if (at == std::string::npos) return snap;
-  const size_t begin = at + key.size() + 2;
-  const size_t end = snap.find(';', begin);
-  return snap.substr(0, begin) + value +
-         (end == std::string::npos ? "" : snap.substr(end));
+// `snap` with the value of its member `key` replaced by the JSON text
+// `value`. "buckets" is the last member; every other value is a number.
+std::string with_member(const std::string& snap, const std::string& key,
+                        const std::string& value) {
+  const std::string name = "\"" + key + "\":";
+  const size_t begin = snap.find(name) + name.size();
+  const size_t end = key == "buckets" ? snap.size() - 1
+                                      : snap.find_first_of(",}", begin);
+  return snap.substr(0, begin) + value + snap.substr(end);
 }
 
 TEST(ControllerSnapshot, RejectsOutOfRangeCounts) {
@@ -261,26 +264,40 @@ TEST(ControllerSnapshot, RejectsOutOfRangeCounts) {
   Controller ctl(three_arms(), {"bucket0"}, {kBigNumel});
   for (int i = 0; i < 10; ++i) ctl.step(kBreach, i, -1);
   const std::string snap = ctl.snapshot();
-  ASSERT_NE(snap.find(";switches=2;b=0|6"), std::string::npos) << snap;
+  ASSERT_NE(snap.find("\"switches\":2,\"buckets\":[[0,6]]}"),
+            std::string::npos)
+      << snap;
   auto resume = [](const std::string& state) { resumed_from(state); };
   EXPECT_NO_THROW(resume(snap));
-  EXPECT_THROW(resume(with_field(snap, "boundaries", "-1")),
+  EXPECT_THROW(resume(with_member(snap, "boundaries", "-1")),
                std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "boundaries", "2147483648")),
+  EXPECT_THROW(resume(with_member(snap, "boundaries", "2147483648")),
                std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "switches", "-1")),
+  EXPECT_THROW(resume(with_member(snap, "switches", "-1")),
                std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "switches", "11")),
+  EXPECT_THROW(resume(with_member(snap, "switches", "11")),
                std::invalid_argument);
-  EXPECT_NO_THROW(resume(with_field(snap, "switches", "10")));
-  // Bucket entries are "<arm>|<breaches>".
-  EXPECT_THROW(resume(with_field(snap, "b", "0|-1")), std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "b", "0|11")), std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "b", "3|0")), std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "b", "0|0:0")), std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "b", "0|")), std::invalid_argument);
-  EXPECT_THROW(resume(with_field(snap, "b", "0")), std::invalid_argument);
-  EXPECT_NO_THROW(resume(with_field(snap, "b", "2|10")));
+  EXPECT_NO_THROW(resume(with_member(snap, "switches", "10")));
+  // Bucket entries are [arm, breaches], one per bucket.
+  for (const char* bad :
+       {"[[0,-1]]", "[[0,11]]", "[[3,0]]", "[[-1,0]]", "[[0,0,0]]", "[[0]]",
+        "[[]]", "[0]", "[[0,0.5]]", "[[0,1e0]]", "[[\"0\",0]]", "[[0,null]]",
+        "[]", "[[0,0],[0,0]]", "{}"}) {
+    EXPECT_THROW(resume(with_member(snap, "buckets", bad)),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_NO_THROW(resume(with_member(snap, "buckets", "[[2,10]]")));
+  // Another arm count, a fractional count, a negative CRC and a missing
+  // member fail too.
+  EXPECT_THROW(resume(with_member(snap, "arms", "2")), std::invalid_argument);
+  EXPECT_THROW(resume(with_member(snap, "boundaries", "10.0")),
+               std::invalid_argument);
+  EXPECT_THROW(resume(with_member(snap, "names_crc", "-1")),
+               std::invalid_argument);
+  std::string no_switches = snap;
+  no_switches.replace(no_switches.find("\"switches\""), 10, "\"switched\"");
+  EXPECT_THROW(resume(no_switches), std::invalid_argument);
 }
 
 TEST(ControllerSnapshot, RestoresAPendingStreak) {
@@ -289,7 +306,7 @@ TEST(ControllerSnapshot, RestoresAPendingStreak) {
   // uninterrupted one does.
   Controller full(three_arms(), {"bucket0"}, {kBigNumel});
   EXPECT_TRUE(full.step(kBreach, 0, -1).empty());
-  ASSERT_NE(full.snapshot().find(";b=2|1"), std::string::npos);
+  ASSERT_NE(full.snapshot().find("\"buckets\":[[2,1]]"), std::string::npos);
   Controller resumed = resumed_from(full.snapshot());
   const auto a = full.step(kBreach, 1, -1);
   const auto b = resumed.step(kBreach, 1, -1);

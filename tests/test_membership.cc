@@ -247,6 +247,12 @@ TEST(Membership, TrainConfigValidateRejectsBadConfigs) {
     cfg.epochs = 0;
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
   }
+  for (const int eval_every : {0, -1}) {
+    // Rank 0 would take epoch % eval_every.
+    TrainConfig cfg = tiny_config(b, 4);
+    cfg.eval_every = eval_every;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  }
   {
     // A non-empty fleet smaller than the world cannot price every rank.
     TrainConfig cfg = tiny_config(b, 4);

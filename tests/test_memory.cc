@@ -1,18 +1,45 @@
 // Error-feedback memory: Eq. 4 semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "core/memory.h"
 #include "tensor/ops.h"
 
 namespace grace::core {
 namespace {
 
-TEST(NoMemory, PassThrough) {
-  NoMemory mem;
-  Tensor g = Tensor::from(std::vector<float>{1, 2, 3});
-  Tensor out = mem.compensate(g, "t");
-  EXPECT_EQ(out.f32()[1], 2.0f);
-  EXPECT_FALSE(mem.enabled());
+// absorb (a round that transmitted nothing) stores phi(m, g) itself, which
+// must be bitwise what update with an all-zero decompression stores:
+// x - (+0) is x, -0 and NaN included.
+TEST(ResidualMemory, AbsorbMatchesUpdateWithZeros) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor g = Tensor::from(
+      std::vector<float>{-0.0f, 0.0f, nan, -nan, inf, -inf, 1e-45f, -3.5f});
+  const Tensor seed = Tensor::from(
+      std::vector<float>{-0.0f, -0.0f, 1.0f, nan, 2.0f, -0.0f, -1e-45f, 0.5f});
+  for (const float gamma : {1.0f, 0.5f}) {
+    for (const bool with_residual : {false, true}) {
+      ResidualMemory absorbed(0.9f, gamma);
+      ResidualMemory updated(0.9f, gamma);
+      if (with_residual) {
+        absorbed.install("t", seed);
+        updated.install("t", seed);
+      }
+      for (int round = 0; round < 2; ++round) {
+        absorbed.absorb(g, "t");
+        updated.update("t", updated.compensate(g, "t"), Tensor::zeros_like(g));
+        const auto a = absorbed.residual("t")->bytes();
+        const auto u = updated.residual("t")->bytes();
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), u.begin(), u.end()))
+            << "gamma " << gamma << ", residual " << with_residual
+            << ", round " << round;
+      }
+    }
+  }
 }
 
 TEST(ResidualMemory, FirstCompensateIsGammaScaledGradient) {
@@ -21,7 +48,6 @@ TEST(ResidualMemory, FirstCompensateIsGammaScaledGradient) {
   Tensor out = mem.compensate(g, "t");
   EXPECT_FLOAT_EQ(out.f32()[0], 2.0f);
   EXPECT_FLOAT_EQ(out.f32()[1], -2.0f);
-  EXPECT_TRUE(mem.enabled());
 }
 
 TEST(ResidualMemory, UpdateStoresResidual) {

@@ -1,8 +1,8 @@
 // HistogramSnapshot edge cases (percentile estimation, count-weighted
-// merge) and the MetricRegistry per-rank views: the aggregation layer the
-// run reports and health detectors stand on (sim/report.h), so the
-// boundary behaviour — empty snapshots, single samples, q at the ends of
-// [0, 1], skewed merges — is pinned here.
+// merge) and the MetricRegistry's merged cross-rank view: the aggregation
+// layer behind the exchange histograms (RunResult::metric_histograms), so
+// the boundary behaviour — empty snapshots, single samples, q at the ends
+// of [0, 1], skewed merges — is pinned here.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -117,29 +117,23 @@ TEST(Histogram, MergeWidensTheEnvelope) {
   EXPECT_EQ(a.max, 100.0);
 }
 
-TEST(Registry, PerRankViewsDoNotMerge) {
+TEST(Registry, MergedViewPoolsEveryRank) {
   MetricRegistry reg(2);
   reg.observe(0, "latency_ns", 10.0);
   reg.observe(1, "latency_ns", 1000.0);
   reg.observe(1, "latency_ns", 2000.0);
+  reg.observe(1, "bytes", 64.0);
 
-  // Each rank sees only its own writes.
-  const auto h0 = reg.histograms(0);
-  ASSERT_EQ(h0.size(), 1u);
-  EXPECT_EQ(h0[0].count, 1u);
-  EXPECT_EQ(h0[0].max, 10.0);
-  const auto h1 = reg.histograms(1);
-  ASSERT_EQ(h1.size(), 1u);
-  EXPECT_EQ(h1[0].count, 2u);
-  EXPECT_EQ(h1[0].min, 1000.0);
-
-  // The merged view still pools across ranks (per-rank is a view, not a
-  // different accounting).
-  const auto merged_h = reg.histograms();
-  ASSERT_EQ(merged_h.size(), 1u);
-  EXPECT_EQ(merged_h[0].count, 3u);
-  EXPECT_EQ(merged_h[0].min, 10.0);
-  EXPECT_EQ(merged_h[0].max, 2000.0);
+  // One snapshot per name, sorted, each pooling every rank's samples.
+  const auto merged = reg.histograms();
+  ASSERT_EQ(merged.size(), 2u);
+  EXPECT_EQ(merged[0].name, "bytes");
+  EXPECT_EQ(merged[0].count, 1u);
+  EXPECT_EQ(merged[1].name, "latency_ns");
+  EXPECT_EQ(merged[1].count, 3u);
+  EXPECT_EQ(merged[1].sum, 3010.0);
+  EXPECT_EQ(merged[1].min, 10.0);
+  EXPECT_EQ(merged[1].max, 2000.0);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "faults/counters.h"
 #include "faults/fault_plan.h"
 #include "sim/critical_path.h"
-#include "sim/metric_registry.h"
 #include "sim/report.h"
 #include "sim/tasks.h"
 #include "sim/trace.h"
@@ -40,24 +39,26 @@ const ReportMetric* find_metric(const RunReport& r, std::string_view name) {
   return nullptr;
 }
 
-bool has_flag(const RunReport& r, std::string_view name) {
+const HealthFlag* find_flag(const RunReport& r, std::string_view name) {
   for (const HealthFlag& f : r.flags) {
-    if (f.name == name) return true;
+    if (f.name == name) return &f;
   }
-  return false;
+  return nullptr;
+}
+
+bool has_flag(const RunReport& r, std::string_view name) {
+  return find_flag(r, name) != nullptr;
 }
 
 TEST(RunReport, CarriesTheScoreboardAndSerializesDeterministically) {
   Benchmark b = tiny_cnn();
   TrainConfig cfg = tiny_config(b);
   cfg.grace.compressor_spec = "topk(0.01)";
-  MetricRegistry registry(cfg.n_workers);
   CriticalPathCollector collector(cfg.n_workers);
-  cfg.metrics = &registry;
   cfg.critical_path = &collector;
   const RunResult run = train(b.factory, cfg);
 
-  const RunReport report = build_run_report(run, &registry);
+  const RunReport report = build_run_report(run);
   EXPECT_EQ(report.model, run.model);
   EXPECT_EQ(report.compressor, "topk(0.01)");
   EXPECT_TRUE(report.critical_path.collected);
@@ -135,15 +136,22 @@ TEST(RunReport, StragglerRunRaisesHealthFlags) {
   const faults::FaultPlan plan(spec);
   TrainConfig cfg = tiny_config(b);
   cfg.faults = &plan;
-  MetricRegistry registry(cfg.n_workers);
-  cfg.metrics = &registry;
   const RunResult run = train(b.factory, cfg);
 
-  const RunReport report = build_run_report(run, &registry);
+  const RunReport report = build_run_report(run);
   EXPECT_TRUE(has_flag(report, "stall_share"));
-  // Only rank 2 stalls, so the per-rank series single it out.
-  EXPECT_TRUE(has_flag(report, "straggler_outlier"));
   EXPECT_GE(report.flags.size(), 2u);
+  // Only rank 2 stalls, so the per-rank stalls single it out. With every
+  // other rank at 0 the flag's value is rank 2's stall in seconds.
+  ASSERT_EQ(run.rank_stall_s.size(), static_cast<size_t>(cfg.n_workers));
+  for (size_t r = 0; r < run.rank_stall_s.size(); ++r) {
+    EXPECT_EQ(run.rank_stall_s[r] > 0.0, r == 2) << "rank " << r;
+  }
+  const HealthFlag* straggler = find_flag(report, "straggler_outlier");
+  ASSERT_NE(straggler, nullptr);
+  EXPECT_EQ(straggler->value, run.rank_stall_s[2]);
+  EXPECT_EQ(straggler->detail.rfind("rank 2 stalled ", 0), 0u)
+      << straggler->detail;
 }
 
 TEST(RunReport, SyntheticSignalsTripEveryDetector) {
@@ -163,16 +171,19 @@ TEST(RunReport, SyntheticSignalsTripEveryDetector) {
   result.compress_s = 0.2;
   result.phases.comm_s = 0.3;                 // 50% exchange share...
   result.overlap_fraction = 0.01;      // ...but only 1% recovered
+  result.rank_stall_s = {0.1, 0.5, 0.1, 0.1};  // rank 1 at 5x the rest
 
   const RunReport report = build_run_report(result);
   EXPECT_TRUE(has_flag(report, "stall_share"));
+  EXPECT_TRUE(has_flag(report, "straggler_outlier"));
   EXPECT_TRUE(has_flag(report, "retry_storm"));
   EXPECT_TRUE(has_flag(report, "fidelity_collapse"));
   EXPECT_TRUE(has_flag(report, "overlap_regression"));
-  EXPECT_EQ(find_metric(report, "health.flags")->value, 4.0);
+  EXPECT_EQ(find_metric(report, "health.flags")->value, 5.0);
 
   // Signals just inside every threshold raise nothing.
   result.phases.stall_s = 0.04;        // stall_share 4% < 5%
+  result.rank_stall_s = {0.1, 0.35, 0.1, 0.1};  // 3.5x < 4x
   result.faults.retries = 9;           // retry_storm 9% < 10%
   result.fidelity[0].cosine_similarity = 0.75;
   result.fidelity[0].sign_agreement = 0.65;

@@ -269,7 +269,6 @@ TEST(Timeline, OverlapClosedFormCriticalPath) {
   EXPECT_DOUBLE_EQ(s.exchange_end, 1.35);
   // Additive would have charged 1.0 + (0.1+0.3+0.05) + (0.1+0.2+0.05).
   EXPECT_DOUBLE_EQ(s.additive_end, 1.8);
-  EXPECT_DOUBLE_EQ(s.link_busy_s, 0.5);
 }
 
 TEST(Timeline, ConcurrentBucketsSerializeOnTheLink) {
@@ -286,7 +285,7 @@ TEST(Timeline, ConcurrentBucketsSerializeOnTheLink) {
   EXPECT_DOUBLE_EQ(s.spans[1].comm_start, 0.4);  // queued behind bucket 0
   EXPECT_DOUBLE_EQ(s.spans[2].comm_start, 0.7);
   EXPECT_DOUBLE_EQ(s.exchange_end, std::max(1.0, 0.9));
-  EXPECT_GE(s.exchange_end - 0.0, s.link_busy_s);  // link occupancy floor
+  EXPECT_GE(s.exchange_end, 0.4 + 0.3 + 0.2);  // link occupancy floor
 }
 
 TEST(Timeline, OverlapNeverExceedsAdditiveAndRespectsFloors) {
@@ -301,7 +300,9 @@ TEST(Timeline, OverlapNeverExceedsAdditiveAndRespectsFloors) {
   // The pipeline cannot finish before the link drains, before compute ends
   // (the last bucket only becomes ready then), or before any single
   // bucket's own chain.
-  EXPECT_GE(s.exchange_end, s.link_busy_s);
+  double link_busy = 0.0;
+  for (const BucketTiming& t : buckets) link_busy += t.comm_s;
+  EXPECT_GE(s.exchange_end, link_busy);
   EXPECT_GE(s.exchange_end, compute_end);
   for (size_t b = 0; b < buckets.size(); ++b) {
     const BucketTiming& t = buckets[b];

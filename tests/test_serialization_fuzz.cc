@@ -517,7 +517,7 @@ TEST(MutationFuzz, ControllerSnapshots) {
     ctl.step(signals, i, -1);
   }
   const std::string snap = ctl.snapshot();
-  ASSERT_NE(snap.find(";b=0|2;b=2|1"), std::string::npos) << snap;
+  ASSERT_NE(snap.find("\"buckets\":[[0,2],[2,1]]"), std::string::npos) << snap;
   fuzz(400, 2000, [&](Rng& r) { return mutate(snap, r); },
        [&](const std::string& state) {
          control::ControlConfig resumed = cfg;
